@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Lattice2D, make_lattice
+from .lattice import DegenerateBasis, Lattice2D, make_lattice, uniform_grid
 
 __all__ = [
     "HoppingConflict",
@@ -78,9 +78,9 @@ class HoppingModel:
     fermi_energy: float
     # flattened per-entry arrays for vectorized evaluation (derived state)
     _disp: np.ndarray = field(init=False, repr=False, compare=False)
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _cols: np.ndarray = field(init=False, repr=False, compare=False)
     _vals: np.ndarray = field(init=False, repr=False, compare=False)
+    # (n_entries, N*N) 0/1 matrix adding each entry into its flat (row, col)
+    _scatter: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         N = int(self.norbitals)
@@ -108,23 +108,23 @@ class HoppingModel:
                     f"(max deviation {np.abs(partner - T.conj().T).max():.3e})"
                 )
         # flatten nonzero entries: displacement gamma + r_col - r_row per entry
-        disp, rows, cols, vals = [], [], [], []
+        disp, flat, vals = [], [], []
         for (m1, m2), T in terms.items():
             gamma = m1 * self.lattice.a1 + m2 * self.lattice.a2
             for a in range(N):
                 for b in range(N):
                     if T[a, b] != 0:
                         disp.append(gamma + pos[b] - pos[a])
-                        rows.append(a)
-                        cols.append(b)
+                        flat.append(a * N + b)
                         vals.append(T[a, b])
         if not disp:                       # empty model: keep shapes valid
             disp = np.zeros((0, 2))
+        scatter = np.zeros((len(flat), N * N), dtype=complex)
+        scatter[np.arange(len(flat)), flat] = 1.0
         for name, arr in (
             ("_disp", np.asarray(disp, dtype=float).reshape(-1, 2)),
-            ("_rows", np.asarray(rows, dtype=np.intp)),
-            ("_cols", np.asarray(cols, dtype=np.intp)),
             ("_vals", np.asarray(vals, dtype=complex)),
+            ("_scatter", scatter),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -135,9 +135,8 @@ class HoppingModel:
         """Sum phase * factor * T-entry into a (M, N, N) stack."""
         ks = np.asarray(ks, dtype=float).reshape(-1, 2)
         phases = np.exp(1j * (ks @ self._disp.T)) * (self._vals * entry_factors)
-        out = np.zeros((ks.shape[0], self.norbitals, self.norbitals), dtype=complex)
-        np.add.at(out, (slice(None), self._rows, self._cols), phases)
-        return out
+        N = self.norbitals
+        return (phases @ self._scatter).reshape(-1, N, N)
 
     def h_batch(self, ks: np.ndarray) -> np.ndarray:
         """H(k) for a batch of momenta; shape (M, N, N)."""
@@ -153,9 +152,7 @@ class HoppingModel:
 
     def spectral_radius(self, nsample: int = 16) -> float:
         """max |eigenvalue| over a coarse momentum sample (energy scale)."""
-        f = (np.arange(nsample) + 0.5) / nsample - 0.5
-        F1, F2 = np.meshgrid(f, f, indexing="ij")
-        ks = np.column_stack([F1.ravel(), F2.ravel()]) @ self.lattice.dual_matrix.T
+        ks = uniform_grid(self.lattice, nsample, nsample).points
         w = np.linalg.eigvalsh(self.h_batch(ks))
         return float(np.abs(w).max())
 
@@ -276,6 +273,8 @@ def _parse_matrix(raw, N: int) -> np.ndarray:
         raise ModelFormatError(
             f"hopping matrix must be {N}x{N} of [re, im] pairs, got shape {M.shape}"
         )
+    if not np.isfinite(M).all():
+        raise ModelFormatError("hopping matrix entries must be finite")
     return M[..., 0] + 1j * M[..., 1]
 
 
@@ -288,8 +287,14 @@ def model_from_dict(data: dict) -> HoppingModel:
         raw_hoppings = data["hoppings"]
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"missing or malformed model field: {exc}") from exc
+    except DegenerateBasis as exc:
+        raise ModelFormatError(f"lattice: {exc}") from exc
+    if not np.isfinite(mu):
+        raise ModelFormatError(f"fermi_energy must be finite, got {mu}")
     if orbitals.ndim != 2 or orbitals.shape[1] != 2:
         raise ModelFormatError("orbitals must be a list of [x, y] positions")
+    if not np.isfinite(orbitals).all():
+        raise ModelFormatError("orbital positions must be finite")
     N = orbitals.shape[0]
     terms: dict = {}
     for entry in raw_hoppings:

@@ -179,11 +179,11 @@ class RunConfig:
             raise ConfigParse("--grid must be at least 8")
         if self.samples < 2:
             raise ConfigParse("--samples must be at least 2")
-        if self.eps is not None and not self.eps > 0:
-            raise ConfigParse("--eps must be positive")
+        if self.eps is not None and not 0 < self.eps < np.inf:
+            raise ConfigParse("--eps must be positive and finite")
         if self.eta_seq is not None:
-            if any(e <= 0 for e in self.eta_seq):
-                raise ConfigParse("--eta-seq values must be positive")
+            if not all(0 < e < np.inf for e in self.eta_seq):
+                raise ConfigParse("--eta-seq values must be positive and finite")
             for a, b in zip(self.eta_seq, self.eta_seq[1:]):
                 if abs(a - 2.0 * b) > 1e-9 * a:
                     raise ConfigParse(
@@ -203,10 +203,13 @@ def _parse_params(text: str | None) -> dict:
         if "=" not in item:
             raise ConfigParse(f"--params entry {item!r} is not key=value")
         key, _, val = item.partition("=")
+        key = key.strip()
         try:
-            out[key.strip()] = float(val)
+            out[key] = float(val)
         except ValueError as exc:
             raise ConfigParse(f"--params value for {key!r} is not a number") from exc
+        if not np.isfinite(out[key]):
+            raise ConfigParse(f"--params value for {key!r} is not finite")
     return out
 
 
@@ -544,43 +547,36 @@ def cmd_sigma(cfg: RunConfig) -> int:
         payload["diagnostics"] = report.diagnostics
     else:
         eta_seq = cfg.eta_seq or default_eta_sequence(model)
-        policy = GridPolicy(base=cfg.grid)
-        sigma, converged, per_eta = {}, {}, {}
-        diagnostics = {}
-        for (j, l) in cfg.directions:
-            try:
-                rep = sigma_kubo(model, j, l, eta_sequence=eta_seq,
-                                 grid_policy=policy, cones=cones)
-            except NotConverged as exc:
-                rep = exc.report
-                exit_code = 3
-            sigma[_sigma_key(j, l)] = rep.sigma[(j, l)]
-            converged[_sigma_key(j, l)] = rep.converged[(j, l)]
-            per_eta[(j, l)] = rep.per_eta[(j, l)]
-            diagnostics[_sigma_key(j, l)] = {
-                "grid_points": rep.diagnostics["grid_points"],
-                "f_values": {
-                    "%.17g" % e: v
-                    for e, v in rep.diagnostics["f_values"].items()
-                },
-            }
+        try:
+            rep = sigma_kubo(model, directions=cfg.directions, eta_sequence=eta_seq,
+                             grid_policy=GridPolicy(base=cfg.grid), cones=cones)
+        except NotConverged as exc:
+            rep = exc.report
+            exit_code = 3
         payload["method"] = "kubo_extrapolation"
-        payload["sigma"] = sigma
-        payload["converged"] = converged
+        payload["sigma"] = {_sigma_key(*p): v for p, v in rep.sigma.items()}
+        payload["converged"] = {
+            _sigma_key(*p): v for p, v in rep.converged.items()
+        }
         payload["eta_sequence"] = list(eta_seq)
         payload["sigma_hat"] = {
-            _sigma_key(j, l): [
-                {"eta": e, "sigma_hat": s, "quad_error": q}
-                for (e, s, q) in per_eta[(j, l)]
+            _sigma_key(*p): [
+                {"eta": e, "sigma_hat": s, "quad_error": q} for (e, s, q) in seq
             ]
-            for (j, l) in cfg.directions
+            for p, seq in rep.per_eta.items()
         }
-        payload["diagnostics"] = diagnostics
+        payload["diagnostics"] = {
+            _sigma_key(*p): {
+                "grid_points": rep.diagnostics["grid_points"],
+                "f_values": {"%.17g" % e: v for e, v in f.items()},
+            }
+            for p, f in rep.diagnostics["f_values"].items()
+        }
         csv_path = cfg.csv
         if csv_path is None and cfg.out:
             csv_path = cfg.out.rsplit(".", 1)[0] + ".csv"
         if csv_path:
-            _emit(_sigma_csv(per_eta), csv_path)
+            _emit(_sigma_csv(rep.per_eta), csv_path)
     payload["cones"] = len(cones)
     _emit(json_report(payload), cfg.out)
     return exit_code
@@ -606,14 +602,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     checks = []
 
     # (a) Schwinger term vs the eta -> 0 response: s_jl = -f_jl(0+); the
-    # limit is taken by the linear-cancelling combination 2 f(eta) - f(2 eta)
+    # limit is taken by the linear-cancelling combination 2 f(eta) - f(2 eta).
+    # Checks (a)-(c) compare values only, so no companion grid is evaluated.
     eta_min = eta_seq[-1]
-    fine, comp = policy.grids_for(model, cones, eta_min)
+    fine, _ = policy.grids_for(model, cones, eta_min)
     disc_a = 0.0
     for (j, l) in ((1, 1), (2, 2), (1, 2)):
-        s = schwinger(model, j, l, fine, comp).value
-        f_lo = fjl_eta(model, eta_min, j, l, fine, comp).value
-        f_hi = fjl_eta(model, 2.0 * eta_min, j, l, fine, comp).value
+        s = schwinger(model, j, l, fine).value
+        f_lo = fjl_eta(model, eta_min, j, l, fine).value
+        f_hi = fjl_eta(model, 2.0 * eta_min, j, l, fine).value
         disc_a = max(disc_a, abs(s + 2.0 * f_lo - f_hi))
     checks.append(_verify_check(
         "schwinger_vs_f0", "pass" if disc_a < 1e-3 else "fail", disc_a, 1e-3,
@@ -624,11 +621,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     # (b) the general pair-sum response equals its even two-band-structured
     # extension at eta > 0 (independent code paths)
     eta_b = eta_seq[min(2, len(eta_seq) - 1)]
-    fine_b, comp_b = policy.grids_for(model, cones, eta_b)
+    fine_b, _ = policy.grids_for(model, cones, eta_b)
     disc_b = 0.0
     for j in (1, 2):
-        fa = fjl_eta(model, eta_b, j, j, fine_b, comp_b).value
-        fb = ftilde_jj(model, eta_b, j, fine_b, comp_b).value
+        fa = fjl_eta(model, eta_b, j, j, fine_b).value
+        fb = ftilde_jj(model, eta_b, j, fine_b).value
         disc_b = max(disc_b, abs(fa - fb) / max(abs(fb), 1e-300))
     checks.append(_verify_check(
         "fjl_vs_ftilde", "pass" if disc_b < 1e-8 else "fail", disc_b, 1e-8,
@@ -638,15 +635,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     # (c) the response minus its cone-neighborhood singular part is flat in
     # eta (the regular remainder is even with bounded slope)
     if cones:
-        e1 = eta_seq[min(2, len(eta_seq) - 1)]
+        e1 = eta_b
         e2 = e1 / 2.0
+        grids_c = {e1: fine_b, e2: policy.grids_for(model, cones, e2)[0]}
         disc_c = 0.0
         scale_c = None
         for j in (1, 2):
             rs = []
             for e in (e1, e2):
-                g, gc = policy.grids_for(model, cones, e)
-                ft = ftilde_jj(model, e, j, g, gc).value
+                ft = ftilde_jj(model, e, j, grids_c[e]).value
                 fs = fjj_sing(model, cones, e, j, eps=cfg.eps).value
                 rs.append(ft - fs)
                 if e == e2:
@@ -690,33 +687,27 @@ def cmd_verify(cfg: RunConfig) -> int:
         ))
 
     # (e) closed form vs Kubo extrapolation (gapless), or sigma -> 0 (gapped)
+    longitudinal = ((1, 1), (2, 2))
+    try:
+        rep = sigma_kubo(model, directions=longitudinal, eta_sequence=eta_seq,
+                         grid_policy=policy, cones=cones)
+        ok_e = True
+    except NotConverged as exc:
+        rep = exc.report
+        ok_e = False
     disc_e = 0.0
     if cones:
-        closed = closed_form_report(cones, ((1, 1), (2, 2)))
-        ok_e = True
-        for j in (1, 2):
-            try:
-                rep = sigma_kubo(model, j, j, eta_sequence=eta_seq,
-                                 grid_policy=policy, cones=cones)
-            except NotConverged as exc:
-                rep = exc.report
-                ok_e = False
-            ref = closed.sigma[(j, j)]
-            disc_e = max(disc_e, abs(rep.sigma[(j, j)] - ref) / abs(ref))
+        closed = closed_form_report(cones, longitudinal)
+        for p in longitudinal:
+            ref = closed.sigma[p]
+            disc_e = max(disc_e, abs(rep.sigma[p] - ref) / abs(ref))
         status = "pass" if ok_e and disc_e < 0.03 else "fail"
         checks.append(_verify_check(
             "closed_vs_kubo", status, disc_e, 0.03,
             "max relative |sigma_kubo - sigma_closed| over j (gapless mode)",
         ))
     else:
-        for j in (1, 2):
-            try:
-                rep = sigma_kubo(model, j, j, eta_sequence=eta_seq,
-                                 grid_policy=policy, cones=cones)
-                val = rep.sigma[(j, j)]
-            except NotConverged as exc:
-                val = exc.report.sigma[(j, j)]
-            disc_e = max(disc_e, abs(val))
+        disc_e = max(abs(rep.sigma[p]) for p in longitudinal)
         checks.append(_verify_check(
             "closed_vs_kubo", "pass" if disc_e < 1e-3 else "fail", disc_e, 1e-3,
             "|sigma_kubo| (gapped mode: longitudinal response must vanish)",

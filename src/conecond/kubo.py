@@ -26,7 +26,9 @@ which cancels the unknown f(0+) exactly; for f = f(0+) + sigma eta + c eta^2
 it returns sigma + 3 c eta, so a final Richardson step over the sigma_hat
 sequence removes the remaining linear term.  Both members of each pair are
 evaluated on the same grid so that quadrature error largely cancels in the
-difference.
+difference.  One spectral pass serves them all: each point of a grid is
+diagonalized once, and both eta of a pair and every requested direction are
+summed from that eigen-decomposition (only the Lorentzian depends on eta).
 
 k-sums are accumulated with a fixed-shape pairwise (tree) reduction, making
 results bit-stable under any chunked evaluation order.
@@ -175,9 +177,7 @@ def _tree_sum(values: np.ndarray) -> float:
 def _max_current_norm(model: HoppingModel, nsample: int = 48) -> float:
     """max Frobenius norm of dH/dk_j over a coarse momentum sample (an upper
     bound on the operator norm, hence on the band slopes)."""
-    f = (np.arange(nsample) + 0.5) / nsample - 0.5
-    F1, F2 = np.meshgrid(f, f, indexing="ij")
-    ks = np.column_stack([F1.ravel(), F2.ravel()]) @ model.lattice.dual_matrix.T
+    ks = uniform_grid(model.lattice, nsample, nsample).points
     out = 0.0
     for j in (1, 2):
         J = model.dh_batch(ks, j)
@@ -262,25 +262,39 @@ def _grid_spacing_cart(grid: KGrid) -> np.ndarray:
     )
 
 
-def _pair_sum_on_grid(model: HoppingModel, eta2: float, eta_odd: float,
-                      j: int, l: int, grid: KGrid, gate_eta: float | None):
-    """Per-point occupied/unoccupied pair sums of the Lorentzian-weighted
-    current matrix elements; the workhorse behind f_jl and ftilde.
+def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, etas: tuple,
+                      pairs: tuple, gate: bool) -> dict:
+    """f_jl(eta) on one grid for every eta in ``etas`` and every direction
+    pair in ``pairs``, from one eigen-decomposition per point.
 
-    Computes sum over (q occ, p unocc) of
-        (2 Delta Re z - 2 eta_odd Im z) / (eta2 + Delta^2),
-    z = (J_j)_{pq} (J_l)_{qp}, Delta = Lambda_q - Lambda_p, per grid point.
-    ``eta2`` enters only squared quantities, so passing eta_odd = 0 yields a
-    function exactly even in eta.  ``gate_eta`` enables the near-cone
-    resolution check (GridTooCoarse) for that Lorentzian width.
+    Each point contributes the sum over (q occ, p unocc) of
+        (2 Delta Re z - 2 eta Im z) / (eta^2 + Delta^2),
+    z = (J_j)_{pq} (J_l)_{qp}, Delta = Lambda_q - Lambda_p; per chunk, H is
+    assembled and diagonalized once and J_d rotated into the eigenbasis once
+    per distinct direction d, and only the Lorentzian differs between the
+    requests.  Returns {(eta, (j, l)): outcome} in request order, where the
+    outcome is the weighted grid sum / (2 pi)^2 or the exception that
+    evaluating that request alone raises: GridTooCoarse when ``gate`` is set
+    and the points with Fermi gap below 4 eta sit in cells too wide for that
+    eta at the pair's own current scale, RuntimeError when a longitudinal
+    (j = l) per-point sum loses its nonpositive sign.  A Fermi-level
+    degeneracy is the same for every request and raises DegeneratePoint.
+
+    Chunk sums are tree-summed and then tree-summed across chunks: since
+    _CHUNK is a power of two this is bit-identical to the tree sum of the
+    whole per-point array, and no per-point array outlives its chunk.
     """
     mu = model.fermi_energy
-    npts = len(grid)
-    per_k = np.zeros(npts)
-    spacing = _grid_spacing_cart(grid)
-    jmax = 0.0
-    worst_spacing = 0.0
     N = model.norbitals
+    npts = len(grid)
+    spacing = _grid_spacing_cart(grid)
+    dirs = sorted({d for p in pairs for d in p})
+    requests = [(eta, pair) for eta in etas for pair in pairs]
+    partials = {r: [] for r in requests}
+    top = dict.fromkeys(requests, 0.0)     # max per-point sum (sign check)
+    scale = dict.fromkeys(requests, 0.0)   # max |per-point sum|
+    jmax = dict.fromkeys(dirs, 0.0)
+    worst_spacing = dict.fromkeys(etas, 0.0)
     for lo in range(0, npts, _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, npts))
         ks = grid.points[sl]
@@ -297,36 +311,88 @@ def _pair_sum_on_grid(model: HoppingModel, eta2: float, eta_odd: float,
                     f"Fermi-level degeneracy (gap {gaps.min():.3e}) at grid "
                     f"point k=({k_bad[0]:.6f}, {k_bad[1]:.6f})"
                 )
-            if gate_eta is not None:
-                near = gaps < 4.0 * gate_eta
-                if near.any():
-                    worst_spacing = max(
-                        worst_spacing, float(spacing[sl][idx[near]].max())
-                    )
-        Jj = model.dh_batch(ks, j)
-        Jl = Jj if l == j else model.dh_batch(ks, l)
-        for J in (Jj, Jl):
-            jmax = max(jmax, float(np.sqrt((np.abs(J) ** 2).sum(axis=(1, 2)).max())))
+            if gate:
+                for eta in etas:
+                    near = gaps < 4.0 * eta
+                    if near.any():
+                        worst_spacing[eta] = max(
+                            worst_spacing[eta], float(spacing[sl][idx[near]].max())
+                        )
         Vh = V.conj().transpose(0, 2, 1)
-        Aj = Vh @ Jj @ V
-        Al = Aj if l == j else Vh @ Jl @ V
+        A = {}
+        for d in dirs:
+            J = model.dh_batch(ks, d)
+            jmax[d] = max(jmax[d], float(np.sqrt((np.abs(J) ** 2).sum(axis=(1, 2)).max())))
+            A[d] = Vh @ J @ V
         occ = np.arange(N)[None, :] < counts[:, None]
         pair = occ[:, :, None] & ~occ[:, None, :]          # (k, q, p)
         delta = w[:, :, None] - w[:, None, :]              # Lambda_q - Lambda_p
-        z = Aj.transpose(0, 2, 1) * Al                     # (J_j)_{pq} (J_l)_{qp}
-        num = 2.0 * delta * z.real - 2.0 * eta_odd * z.imag
-        terms = np.where(pair, num / (eta2 + delta * delta), 0.0)
-        per_k[sl] = terms.sum(axis=(1, 2))
-    if gate_eta is not None and worst_spacing * jmax > gate_eta / 4.0:
-        raise GridTooCoarse(
-            f"near-cone spacing {worst_spacing:.3e} x slope {jmax:.3e} "
-            f"exceeds eta/4 = {gate_eta / 4.0:.3e}; refine the grid"
-        )
-    return per_k
+        delta2 = delta * delta
+        weights = grid.weights[sl]
+        for (j, l) in pairs:
+            z = A[j].transpose(0, 2, 1) * A[l]             # (J_j)_{pq} (J_l)_{qp}
+            even = 2.0 * delta * z.real
+            for eta in etas:
+                num = even - 2.0 * eta * z.imag
+                per_k = np.where(pair, num / (eta * eta + delta2), 0.0).sum(axis=(1, 2))
+                r = (eta, (j, l))
+                top[r] = max(top[r], float(per_k.max(initial=0.0)))
+                scale[r] = max(scale[r], float(np.abs(per_k).max(initial=0.0)))
+                partials[r].append(_tree_sum(per_k * weights))
+    out = {}
+    for r in requests:
+        eta, (j, l) = r
+        slope = max(jmax[j], jmax[l])
+        if gate and worst_spacing[eta] * slope > eta / 4.0:
+            out[r] = GridTooCoarse(
+                f"near-cone spacing {worst_spacing[eta]:.3e} x slope {slope:.3e} "
+                f"exceeds eta/4 = {eta / 4.0:.3e}; refine the grid"
+            )
+        elif j == l and top[r] > 1e-12 * max(1.0, scale[r]):
+            out[r] = RuntimeError(
+                "longitudinal integrand lost its definite sign "
+                f"(max {top[r]:.3e}); numerical failure"
+            )
+        else:
+            out[r] = _tree_sum(partials[r]) / (2.0 * np.pi) ** 2
+    return out
+
+
+def _settled(outcomes: dict) -> dict:
+    """The outcomes of _pair_sum_on_grid as values; raises the first error."""
+    for v in outcomes.values():
+        if isinstance(v, Exception):
+            raise v
+    return outcomes
 
 
 def _quad_floor(value: float) -> float:
     return 1e-14 * (1.0 + abs(value))
+
+
+def _f_estimates(model: HoppingModel, etas: tuple, pairs: tuple, grid: KGrid,
+                 companion: KGrid | None, gate: bool) -> dict:
+    """KuboEstimates of f_jl for every (eta, pair) from one pass over
+    ``grid`` (resolution gate armed when ``gate``) and one over the
+    ``companion``; {(eta, (j, l)): KuboEstimate}."""
+    # the resolution gate protects the primary estimate; the companion grid
+    # is deliberately coarser and serves only the error estimate
+    values = _settled(_pair_sum_on_grid(model, grid, etas, pairs, gate))
+    coarse = (
+        _settled(_pair_sum_on_grid(model, companion, etas, pairs, False))
+        if companion is not None else None
+    )
+    out = {}
+    for r, value in values.items():
+        quad = abs(value - coarse[r]) if coarse is not None else 0.0
+        out[r] = KuboEstimate(
+            value=value,
+            eta=r[0],
+            quantity="f_jl",
+            grid=grid.describe(),
+            quad_error=max(quad, _quad_floor(value)),
+        )
+    return out
 
 
 def fjl_eta(model: HoppingModel, eta: float, j: int, l: int, grid: KGrid,
@@ -350,30 +416,9 @@ def fjl_eta(model: HoppingModel, eta: float, j: int, l: int, grid: KGrid,
         raise ValueError("eta must be positive (use ftilde_jj for eta -> 0)")
     if j not in (1, 2) or l not in (1, 2):
         raise ValueError("direction indices must be 1 or 2")
-
-    def evaluate(g: KGrid, gate: bool) -> float:
-        # the resolution gate protects the primary estimate; the companion
-        # grid is deliberately coarser and serves only the error estimate
-        per_k = _pair_sum_on_grid(model, eta * eta, eta, j, l, g,
-                                  gate_eta=eta if gate else None)
-        if j == l:
-            tol = 1e-12 * max(1.0, float(np.abs(per_k).max(initial=0.0)))
-            if per_k.max(initial=0.0) > tol:
-                raise RuntimeError(
-                    "longitudinal integrand lost its definite sign "
-                    f"(max {per_k.max():.3e}); numerical failure"
-                )
-        return _tree_sum(per_k * g.weights) / (2.0 * np.pi) ** 2
-
-    value = evaluate(grid, cones is not None)
-    quad = abs(value - evaluate(companion, False)) if companion is not None else 0.0
-    return KuboEstimate(
-        value=value,
-        eta=eta,
-        quantity="f_jl",
-        grid=grid.describe(),
-        quad_error=max(quad, _quad_floor(value)),
-    )
+    eta = float(eta)
+    return _f_estimates(model, (eta,), ((j, l),), grid, companion,
+                        cones is not None)[eta, (j, l)]
 
 
 def ftilde_jj(model: HoppingModel, eta: float, j: int, grid: KGrid,
@@ -713,8 +758,8 @@ def _validate_halving(eta_sequence) -> list:
     seq = [float(e) for e in eta_sequence]
     if len(seq) < 2:
         raise ValueError("need at least two eta values")
-    if any(e <= 0 for e in seq):
-        raise ValueError("eta values must be positive")
+    if not all(0 < e < np.inf for e in seq):
+        raise ValueError("eta values must be positive and finite")
     for a, b in zip(seq, seq[1:]):
         if abs(a - 2.0 * b) > 1e-9 * a:
             raise ValueError(
@@ -755,22 +800,45 @@ def _converged(sigma_hats) -> bool:
     return diff < max(_CONV_RTOL * abs(sigma_hats[-1]), _CONV_ATOL)
 
 
-def sigma_kubo(model: HoppingModel, j: int, l: int, eta_sequence=None,
-               grid_policy: GridPolicy | None = None, cones=None,
-               ) -> ConductivityReport:
+def _direction_pairs(j, l, directions) -> tuple:
+    """The requested direction pairs: (j, l) or ``directions``, deduplicated."""
+    if directions is None:
+        if j is None or l is None:
+            raise ValueError("give the direction pair (j, l) or directions=")
+        directions = ((j, l),)
+    elif j is not None or l is not None:
+        raise ValueError("give either the pair (j, l) or directions=, not both")
+    pairs = tuple(dict.fromkeys((int(a), int(b)) for a, b in directions))
+    if not pairs:
+        raise ValueError("directions is empty")
+    if any(a not in (1, 2) or b not in (1, 2) for a, b in pairs):
+        raise ValueError("direction indices must be 1 or 2")
+    return pairs
+
+
+def sigma_kubo(model: HoppingModel, j: int | None = None, l: int | None = None,
+               eta_sequence=None, grid_policy: GridPolicy | None = None,
+               cones=None, directions=None) -> ConductivityReport:
     """Conductivity sigma_jl by eta -> 0 extrapolation of the response.
 
-    For each consecutive pair of the halving eta sequence, f_jl is evaluated
-    at both 2*eta and eta on one shared grid built for the smaller eta (so
-    quadrature error cancels in the difference), giving the estimator
-    sequence sigma_hat(eta); the report carries the sequence, its Richardson
-    extrapolation (the headline value), and a convergence flag (last two
-    sigma_hat within 2%, with a small absolute floor for values decaying to
-    zero).  Cone locations are detected automatically when not supplied.
-    Raises NotConverged — with the report attached — when the flag is false.
+    ``sigma_kubo(model, j, l)`` evaluates one direction pair and
+    ``sigma_kubo(model, directions=((1, 1), (2, 2)))`` several; the report
+    is keyed by every pair.  For each consecutive pair of the halving eta
+    sequence, f_jl is evaluated at both 2*eta and eta on one shared grid
+    built for the smaller eta (so quadrature error cancels in the
+    difference), giving the estimator sequence sigma_hat(eta).  That grid and
+    its companion are built once per eta and each is traversed in one
+    spectral pass: every point is diagonalized once, and both eta of the pair
+    and every direction come from that one eigen-decomposition.  The report
+    carries each pair's sequence, its Richardson extrapolation (the headline
+    value), and a convergence flag (last two sigma_hat within 2%, with a
+    small absolute floor for values decaying to zero); ``diagnostics`` holds
+    the f values per pair and eta and the fine-grid sizes per eta.  Cone
+    locations are detected automatically when not supplied.  Raises
+    NotConverged — with the whole report attached — when any pair's flag is
+    false.
     """
-    if j not in (1, 2) or l not in (1, 2):
-        raise ValueError("direction indices must be 1 or 2")
+    pairs = _direction_pairs(j, l, directions)
     if cones is None:
         cones = characterize_cones(model)
     if eta_sequence is None:
@@ -778,54 +846,56 @@ def sigma_kubo(model: HoppingModel, j: int, l: int, eta_sequence=None,
     seq = _validate_halving(eta_sequence)
     policy = grid_policy if grid_policy is not None else GridPolicy()
 
-    per_eta = []
-    sigma_hats = []
-    f_cache: dict = {}
+    per_eta = {p: [] for p in pairs}
+    sigma_hats = {p: [] for p in pairs}
+    f_values = {p: {} for p in pairs}
     grid_sizes = {}
     for i in range(1, len(seq)):
-        eta = seq[i]
+        eta_hi, eta = seq[i - 1], seq[i]
         fine, comp = policy.grids_for(model, cones, eta)
         grid_sizes[eta] = len(fine)
-        f_hi = fjl_eta(model, seq[i - 1], j, l, fine, comp, cones=cones)
-        f_lo = fjl_eta(model, eta, j, l, fine, comp, cones=cones)
-        f_cache[seq[i - 1]] = f_hi
-        f_cache[eta] = f_lo
-        s_hat = (f_hi.value - f_lo.value) / eta
-        s_err = (f_hi.quad_error + f_lo.quad_error) / eta
-        sigma_hats.append(s_hat)
-        per_eta.append((eta, s_hat, s_err))
+        est = _f_estimates(model, (eta_hi, eta), pairs, fine, comp, True)
+        for p in pairs:
+            f_hi, f_lo = est[eta_hi, p], est[eta, p]
+            f_values[p][eta_hi] = f_hi.value
+            f_values[p][eta] = f_lo.value
+            s_hat = (f_hi.value - f_lo.value) / eta
+            s_err = (f_hi.quad_error + f_lo.quad_error) / eta
+            sigma_hats[p].append(s_hat)
+            per_eta[p].append((eta, s_hat, s_err))
 
     # with a single estimator value Richardson is not possible; report the
     # plain estimator (the convergence flag is necessarily False then)
-    value = (
-        richardson_extrapolate(sigma_hats)
-        if len(sigma_hats) >= 2
-        else sigma_hats[-1]
-    )
-    flag = _converged(sigma_hats)
+    sigma = {
+        p: richardson_extrapolate(h) if len(h) >= 2 else h[-1]
+        for p, h in sigma_hats.items()
+    }
+    converged = {p: _converged(h) for p, h in sigma_hats.items()}
     report = ConductivityReport(
         method="kubo_extrapolation",
-        sigma={(j, l): value},
-        converged={(j, l): flag},
-        per_eta={(j, l): tuple(per_eta)},
+        sigma=sigma,
+        converged=converged,
+        per_eta={p: tuple(v) for p, v in per_eta.items()},
         diagnostics={
             "eta_sequence": tuple(seq),
-            "f_values": {e: f_cache[e].value for e in seq},
+            "f_values": f_values,
             "grid_points": grid_sizes,
             "cones": len(cones),
             "cone_residuals": tuple(c.residual for c in cones),
         },
     )
-    if not flag:
+    failed = []
+    for (pj, pl), h in sigma_hats.items():
+        if converged[pj, pl]:
+            continue
         detail = (
-            f"last change {abs(sigma_hats[-1] - sigma_hats[-2]):.3e}"
-            if len(sigma_hats) >= 2
+            f"last change {abs(h[-1] - h[-2]):.3e}"
+            if len(h) >= 2
             else "only one estimator value"
         )
-        raise NotConverged(
-            f"sigma_hat sequence {sigma_hats} has not converged ({detail})",
-            report,
-        )
+        failed.append(f"sigma_{pj}{pl} hat sequence {h} has not converged ({detail})")
+    if failed:
+        raise NotConverged("; ".join(failed), report)
     return report
 
 
@@ -844,11 +914,8 @@ def sigma_hall(model: HoppingModel, eta_sequence=None,
     seq = _validate_halving(eta_sequence)
     policy = grid_policy if grid_policy is not None else GridPolicy()
 
-    n = policy.base
-    fr = (np.arange(n) + 0.5) / n - 0.5
-    F1, F2 = np.meshgrid(fr, fr, indexing="ij")
-    ks = np.column_stack([F1.ravel(), F2.ravel()]) @ model.lattice.dual_matrix.T
-    w = np.linalg.eigvalsh(model.h_batch(ks))
+    fine = uniform_grid(model.lattice, policy.base, policy.base)
+    w = np.linalg.eigvalsh(model.h_batch(fine.points))
     counts = (w <= model.fermi_energy).sum(axis=1)
     inner = (counts > 0) & (counts < model.norbitals)
     if inner.any():
@@ -863,11 +930,11 @@ def sigma_hall(model: HoppingModel, eta_sequence=None,
             f"largest eta ({max(seq):.6g}); the Hall estimate needs a gapped model"
         )
 
-    fine = uniform_grid(model.lattice, policy.base, policy.base)
     comp = uniform_grid(
         model.lattice, max(policy.base // 2, 2), max(policy.base // 2, 2)
     )
-    f_values = [fjl_eta(model, e, 1, 2, fine, comp) for e in seq]
+    est = _f_estimates(model, tuple(seq), ((1, 2),), fine, comp, False)
+    f_values = [est[e, (1, 2)] for e in seq]
     sigma_hats = sigma_hat_sequence(seq, [f.value for f in f_values])
     value = richardson_extrapolate(sigma_hats)
     per_eta = tuple(

@@ -117,10 +117,12 @@ def make_lattice(a1, a2) -> Lattice2D:
     Raises
     ------
     DegenerateBasis
-        If |det[a1 a2]| < 1e-12 * |a1||a2|.
+        If |det[a1 a2]| < 1e-12 * |a1||a2|, or a basis vector is not finite.
     """
     a1 = np.asarray(a1, dtype=float).reshape(2)
     a2 = np.asarray(a2, dtype=float).reshape(2)
+    if not (np.isfinite(a1).all() and np.isfinite(a2).all()):
+        raise DegenerateBasis(f"direct basis is not finite: a1={a1}, a2={a2}")
     A = np.column_stack([a1, a2])
     det = float(np.linalg.det(A))
     if abs(det) <= _DEGENERACY_RTOL * np.linalg.norm(a1) * np.linalg.norm(a2):

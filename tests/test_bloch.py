@@ -49,6 +49,60 @@ def test_h_batch_matches_single_points(qwz_aniso):
         assert np.array_equal(batch[i], cc.h_at(qwz_aniso, k))
 
 
+def three_orbital_model():
+    """Seeded random 3-orbital model on a skewed lattice with off-centre
+    orbitals; several cells add into every matrix entry."""
+    rng = np.random.default_rng(17)
+    hoppings = []
+    for cell in ([0, 0], [1, 0], [0, 1], [1, -1], [2, 1]):
+        T = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        if cell == [0, 0]:
+            T = T + T.conj().T
+        hoppings.append({"cell": cell, "matrix": [[[T[a, b].real, T[a, b].imag]
+                                                   for b in range(3)] for a in range(3)]})
+    return cc.model_from_dict({
+        "lattice": {"a1": [1.0, 0.2], "a2": [0.3, 1.1]},
+        "orbitals": [[0.0, 0.0], [0.4, 0.1], [0.2, 0.7]],
+        "fermi_energy": 0.1,
+        "hoppings": hoppings,
+    })
+
+
+def per_term_derivatives(model, k, j, l):
+    """H, dH/dk_j and d^2H/dk_j dk_l by a straight loop over the terms."""
+    N = model.norbitals
+    out = np.zeros((3, N, N), dtype=complex)
+    A = model.lattice.direct_matrix
+    for (m1, m2), T in model.terms.items():
+        cell_cart = A @ np.array([m1, m2], dtype=float)
+        for a in range(N):
+            for b in range(N):
+                d = cell_cart + model.positions[b] - model.positions[a]
+                term = np.exp(1j * (k @ d)) * T[a, b]
+                out[0, a, b] += term
+                out[1, a, b] += 1j * d[j - 1] * term
+                out[2, a, b] += -d[j - 1] * d[l - 1] * term
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["haldane_critical", "three_orbital"])
+def test_batched_assembly_matches_per_term_loop(fixture, request):
+    # the honeycomb's next-nearest-neighbour terms and every entry of the
+    # 3-orbital model collect several terms into one matrix entry
+    model = (three_orbital_model() if fixture == "three_orbital"
+             else request.getfixturevalue(fixture))
+    ks = random_momenta(model.lattice, 40, seed=3)
+    for j in (1, 2):
+        for l in (1, 2):
+            batch = (model.h_batch(ks), model.dh_batch(ks, j),
+                     model.d2h_batch(ks, j, l))
+            for i, k in enumerate(ks):
+                ref = per_term_derivatives(model, k, j, l)
+                for got, want in zip(batch, ref):
+                    scale = max(1.0, np.abs(want).max())
+                    assert np.abs(got[i] - want).max() <= 1e-14 * scale
+
+
 def test_qwz_hamiltonian_at_high_symmetry_points():
     m = cc.preset_qwz(-2.0)
     s3 = np.diag([1.0, -1.0])
@@ -213,11 +267,29 @@ def test_json_round_trip(model_file):
     lambda d: d["hoppings"][0].update(matrix=[[[1.0, 0.0], [0.0, 0.0]]]),
     lambda d: d.update(orbitals=[[0.0]]),
     lambda d: d["hoppings"][0].update(cell=[1.5, 0]),
+    lambda d: d["lattice"].update(a2=[2.0, 0.0]),        # degenerate basis
 ])
 def test_malformed_model_rejected(mutate):
     data = square_model_dict()
     mutate(data)
     with pytest.raises(cc.ModelFormatError):
+        cc.model_from_dict(data)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(fermi_energy=float("nan")),
+    lambda d: d.update(fermi_energy=float("inf")),
+    lambda d: d["hoppings"][0].update(matrix=[[[float("nan"), 0.0]]]),
+    lambda d: d["hoppings"][1].update(matrix=[[[1.0, float("-inf")]]]),
+    lambda d: d.update(orbitals=[[0.0, float("inf")]]),
+    lambda d: d.update(orbitals=[[float("nan"), 0.0]]),
+    lambda d: d["lattice"].update(a1=[float("inf"), 0.0]),
+    lambda d: d["lattice"].update(a2=[0.0, float("nan")]),
+])
+def test_non_finite_model_input_rejected(mutate):
+    data = square_model_dict()
+    mutate(data)
+    with pytest.raises(cc.ModelFormatError, match="finite"):
         cc.model_from_dict(data)
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import conecond as cc
+from conecond.kubo import _pair_sum_on_grid
 
 
 def _pair_data(model, grid, j, l):
@@ -332,6 +333,89 @@ def test_sigma_kubo_not_converged_carries_report(qwz_gapped):
     assert report.converged[(1, 1)] is False
     assert len(report.per_eta[(1, 1)]) == 1
     assert np.isfinite(report.sigma[(1, 1)])
+
+
+# -- one spectral pass for every (eta, pair) request ---------------------------------
+
+def test_pair_sum_pass_matches_separate_fjl_calls(haldane_critical, haldane_cones):
+    # a grid refined for eta = 0.1 resolves 0.1 but not 0.06, and at 0.06 the
+    # gate trips for the pairs with the steeper current J_1 only: each
+    # request must give exactly what its own fjl_eta call gives
+    grid, _ = cc.GridPolicy(base=24).grids_for(haldane_critical, haldane_cones, 0.1)
+    etas, pairs = (0.1, 0.06), ((1, 1), (2, 2), (1, 2))
+    outcomes = _pair_sum_on_grid(haldane_critical, grid, etas, pairs, True)
+    assert list(outcomes) == [(e, p) for e in etas for p in pairs]
+    kinds = []
+    for (eta, (j, l)), outcome in outcomes.items():
+        try:
+            single = cc.fjl_eta(haldane_critical, eta, j, l, grid,
+                                cones=haldane_cones).value
+        except cc.GridTooCoarse as exc:
+            single = exc
+        if isinstance(single, Exception):
+            assert type(outcome) is type(single) and str(outcome) == str(single)
+        else:
+            assert outcome == single  # bit-identical
+        kinds.append(type(outcome).__name__)
+    assert kinds == ["float"] * 3 + ["GridTooCoarse", "float", "GridTooCoarse"]
+
+
+def test_pair_sum_pass_degenerate_point_as_separate_calls():
+    model = cc.preset_qwz(-2.0 + 1e-13)
+    grid = cc.uniform_grid(model.lattice, 33, 33)
+    with pytest.raises(cc.DegeneratePoint) as multi:
+        _pair_sum_on_grid(model, grid, (0.2, 0.1), ((1, 1), (2, 2), (1, 2)), False)
+    for eta in (0.2, 0.1):
+        for j, l in ((1, 1), (2, 2), (1, 2)):
+            with pytest.raises(cc.DegeneratePoint) as single:
+                cc.fjl_eta(model, eta, j, l, grid)
+            assert str(single.value) == str(multi.value)
+
+
+def _kubo_report(*args, **kwargs):
+    try:
+        return cc.sigma_kubo(*args, **kwargs)
+    except cc.NotConverged as exc:
+        return exc.report
+
+
+def test_sigma_kubo_directions_equal_one_pair_calls(qwz_aniso, qwz_aniso_cones):
+    # on this coarse policy sigma_11 converges and sigma_22 does not; each
+    # pair of the joint report must equal its own one-pair report exactly
+    kw = dict(eta_sequence=[0.4, 0.2, 0.1], grid_policy=cc.GridPolicy(base=16),
+              cones=qwz_aniso_cones)
+    both = _kubo_report(qwz_aniso, directions=((1, 1), (2, 2)), **kw)
+    assert list(both.sigma) == [(1, 1), (2, 2)]
+    assert both.converged == {(1, 1): True, (2, 2): False}
+    for p in ((1, 1), (2, 2)):
+        one = _kubo_report(qwz_aniso, *p, **kw)
+        assert both.sigma[p] == one.sigma[p]
+        assert both.converged[p] is one.converged[p]
+        assert both.per_eta[p] == one.per_eta[p]
+        assert both.diagnostics["f_values"][p] == one.diagnostics["f_values"][p]
+        assert both.diagnostics["grid_points"] == one.diagnostics["grid_points"]
+
+
+def test_sigma_kubo_not_converged_carries_every_pair(qwz_gapped):
+    pairs = ((1, 1), (2, 2), (1, 2))
+    with pytest.raises(cc.NotConverged) as exc:
+        cc.sigma_kubo(qwz_gapped, directions=pairs, eta_sequence=[0.2, 0.1],
+                      grid_policy=cc.GridPolicy(base=32), cones=[])
+    report = exc.value.report
+    for table in (report.sigma, report.converged, report.per_eta,
+                  report.diagnostics["f_values"]):
+        assert tuple(table) == pairs
+    assert not any(report.converged.values())
+    for p in pairs:
+        assert f"sigma_{p[0]}{p[1]}" in str(exc.value)
+
+
+def test_sigma_kubo_direction_arguments(qwz_gapped):
+    kw = dict(eta_sequence=[0.2, 0.1], grid_policy=cc.GridPolicy(base=8), cones=[])
+    for args, extra in (((), {}), ((1, 1), {"directions": ((1, 1),)}),
+                        ((), {"directions": ()}), ((), {"directions": ((1, 3),)})):
+        with pytest.raises(ValueError):
+            cc.sigma_kubo(qwz_gapped, *args, **extra, **kw)
 
 
 def test_sigma_kubo_rejects_non_halving_sequence(qwz_gapped):

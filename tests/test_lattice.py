@@ -33,6 +33,9 @@ def test_degenerate_basis_rejected():
         cc.make_lattice(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
     with pytest.raises(cc.DegenerateBasis):
         cc.make_lattice(np.array([0.0, 0.0]), np.array([0.0, 1.0]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(cc.DegenerateBasis, match="not finite"):
+            cc.make_lattice(np.array([bad, 0.0]), np.array([0.0, 1.0]))
 
 
 @given(st.tuples(st.floats(-50, 50, allow_nan=False),
