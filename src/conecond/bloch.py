@@ -79,8 +79,9 @@ class HoppingModel:
     # flattened per-entry arrays for vectorized evaluation (derived state)
     _disp: np.ndarray = field(init=False, repr=False, compare=False)
     _vals: np.ndarray = field(init=False, repr=False, compare=False)
-    # (n_entries, N*N) 0/1 matrix adding each entry into its flat (row, col)
-    _scatter: np.ndarray = field(init=False, repr=False, compare=False)
+    # per entry, the (re, im) slots of its (row, col) in a flat float view
+    # of one N x N matrix
+    _slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         N = int(self.norbitals)
@@ -119,12 +120,11 @@ class HoppingModel:
                         vals.append(T[a, b])
         if not disp:                       # empty model: keep shapes valid
             disp = np.zeros((0, 2))
-        scatter = np.zeros((len(flat), N * N), dtype=complex)
-        scatter[np.arange(len(flat)), flat] = 1.0
+        flat = np.asarray(flat, dtype=np.intp)
         for name, arr in (
             ("_disp", np.asarray(disp, dtype=float).reshape(-1, 2)),
             ("_vals", np.asarray(vals, dtype=complex)),
-            ("_scatter", scatter),
+            ("_slots", np.column_stack([2 * flat, 2 * flat + 1]).ravel()),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -135,8 +135,12 @@ class HoppingModel:
         """Sum phase * factor * T-entry into a (M, N, N) stack."""
         ks = np.asarray(ks, dtype=float).reshape(-1, 2)
         phases = np.exp(1j * (ks @ self._disp.T)) * (self._vals * entry_factors)
-        N = self.norbitals
-        return (phases @ self._scatter).reshape(-1, N, N)
+        M, size = ks.shape[0], 2 * self.norbitals**2
+        # np.bincount adds each bin's weights in input order, so every matrix
+        # element sums its entries in term order, as np.add.at would
+        bins = (np.arange(M)[:, None] * size + self._slots).ravel()
+        out = np.bincount(bins, phases.view(float).ravel(), minlength=M * size)
+        return out.view(complex).reshape(M, self.norbitals, self.norbitals)
 
     def h_batch(self, ks: np.ndarray) -> np.ndarray:
         """H(k) for a batch of momenta; shape (M, N, N)."""

@@ -66,8 +66,7 @@ class BandCrossingRegion(ValueError):
 
 
 class NotConical(ValueError):
-    """Band touching is not conical: the fitted quadratic form is degenerate,
-    or the tilt violates the cone condition sqrt(min eig Q) - |tilt| > 0."""
+    """Band touching is not conical (fitted quadratic form is degenerate)."""
 
 
 class EpsilonTooLarge(ValueError):
@@ -86,8 +85,7 @@ class FermiPoint:
     ``gap_at_omega`` the verified gap at the located point (must fall below
     ``gap_tol``).
     Construction enforces positive-definiteness, the gap tolerance, and the
-    cone condition sqrt(min eig Q) - |tilt| > 0 (a critically or
-    over-tilted cone raises NotConical).
+    cone condition sqrt(min eig Q) - |tilt| > 0.
     """
 
     omega: np.ndarray
@@ -114,7 +112,7 @@ class FermiPoint:
             )
         margin = np.sqrt(ev[0]) - np.linalg.norm(tilt)
         if not margin > 0:
-            raise NotConical(
+            raise ValueError(
                 f"cone condition violated: sqrt(min eig Q) - |tilt| = {margin:.3e}"
             )
         for name, arr in (("omega", omega), ("Q", Q), ("tilt", tilt)):

@@ -272,13 +272,14 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, etas: tuple,
     z = (J_j)_{pq} (J_l)_{qp}, Delta = Lambda_q - Lambda_p; per chunk, H is
     assembled and diagonalized once and J_d rotated into the eigenbasis once
     per distinct direction d, and only the Lorentzian differs between the
-    requests.  Returns {(eta, (j, l)): outcome} in request order, where the
-    outcome is the weighted grid sum / (2 pi)^2 or the exception that
-    evaluating that request alone raises: GridTooCoarse when ``gate`` is set
-    and the points with Fermi gap below 4 eta sit in cells too wide for that
-    eta at the pair's own current scale, RuntimeError when a longitudinal
-    (j = l) per-point sum loses its nonpositive sign.  A Fermi-level
-    degeneracy is the same for every request and raises DegeneratePoint.
+    requests.  Returns {(eta, (j, l)): weighted grid sum / (2 pi)^2} in
+    request order.  Every request is checked as if evaluated alone, and the
+    first failing one in request order raises: GridTooCoarse when ``gate``
+    is set and the points with Fermi gap below 4 eta sit in cells too wide
+    for that eta at the pair's own current scale, RuntimeError when a
+    longitudinal (j = l) per-point sum loses its nonpositive sign.  A
+    Fermi-level degeneracy is the same for every request and raises
+    DegeneratePoint.
 
     Chunk sums are tree-summed and then tree-summed across chunks: since
     _CHUNK is a power of two this is bit-identical to the tree sum of the
@@ -344,26 +345,17 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, etas: tuple,
         eta, (j, l) = r
         slope = max(jmax[j], jmax[l])
         if gate and worst_spacing[eta] * slope > eta / 4.0:
-            out[r] = GridTooCoarse(
+            raise GridTooCoarse(
                 f"near-cone spacing {worst_spacing[eta]:.3e} x slope {slope:.3e} "
                 f"exceeds eta/4 = {eta / 4.0:.3e}; refine the grid"
             )
-        elif j == l and top[r] > 1e-12 * max(1.0, scale[r]):
-            out[r] = RuntimeError(
+        if j == l and top[r] > 1e-12 * max(1.0, scale[r]):
+            raise RuntimeError(
                 "longitudinal integrand lost its definite sign "
                 f"(max {top[r]:.3e}); numerical failure"
             )
-        else:
-            out[r] = _tree_sum(partials[r]) / (2.0 * np.pi) ** 2
+        out[r] = _tree_sum(partials[r]) / (2.0 * np.pi) ** 2
     return out
-
-
-def _settled(outcomes: dict) -> dict:
-    """The outcomes of _pair_sum_on_grid as values; raises the first error."""
-    for v in outcomes.values():
-        if isinstance(v, Exception):
-            raise v
-    return outcomes
 
 
 def _quad_floor(value: float) -> float:
@@ -377,9 +369,9 @@ def _f_estimates(model: HoppingModel, etas: tuple, pairs: tuple, grid: KGrid,
     ``companion``; {(eta, (j, l)): KuboEstimate}."""
     # the resolution gate protects the primary estimate; the companion grid
     # is deliberately coarser and serves only the error estimate
-    values = _settled(_pair_sum_on_grid(model, grid, etas, pairs, gate))
+    values = _pair_sum_on_grid(model, grid, etas, pairs, gate)
     coarse = (
-        _settled(_pair_sum_on_grid(model, companion, etas, pairs, False))
+        _pair_sum_on_grid(model, companion, etas, pairs, False)
         if companion is not None else None
     )
     out = {}

@@ -103,6 +103,21 @@ def test_batched_assembly_matches_per_term_loop(fixture, request):
                     assert np.abs(got[i] - want).max() <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("fixture", ["haldane_critical", "three_orbital"])
+def test_batched_assembly_sums_in_term_order(fixture, request):
+    # every matrix element adds its entries in term order, exactly as an
+    # np.add.at scatter of the same phases does (bit for bit)
+    model = (three_orbital_model() if fixture == "three_orbital"
+             else request.getfixturevalue(fixture))
+    N = model.norbitals
+    flat = model._slots[0::2] // 2
+    for ks in (random_momenta(model.lattice, 300, seed=5), np.zeros((1, 2))):
+        phases = np.exp(1j * (ks @ model._disp.T)) * model._vals
+        ref = np.zeros((len(ks), N, N), dtype=complex)
+        np.add.at(ref, (slice(None), flat // N, flat % N), phases)
+        assert np.array_equal(model.h_batch(ks), ref)
+
+
 def test_qwz_hamiltonian_at_high_symmetry_points():
     m = cc.preset_qwz(-2.0)
     s3 = np.diag([1.0, -1.0])

@@ -205,44 +205,6 @@ def test_sigma_closed_form_anisotropic(capsys):
     assert report["cones"] == 1
 
 
-def tilted_qwz_dict(u, v1, v2, tau):
-    """qwz(u, v1, v2) + tau sin(k1) * identity in the model file schema."""
-    def pairs(M):
-        return [[[M[a][b].real, M[a][b].imag] for b in range(2)] for a in range(2)]
-
-    s1 = np.array([[0, 1], [1, 0]])
-    s2 = np.array([[0, -1j], [1j, 0]])
-    s3 = np.diag([1.0, -1.0])
-    return {
-        "lattice": {"a1": [1.0, 0.0], "a2": [0.0, 1.0]},
-        "orbitals": [[0.0, 0.0], [0.0, 0.0]],
-        "fermi_energy": 0.0,
-        "hoppings": [
-            {"cell": [0, 0], "matrix": pairs(u * s3 + 0j)},
-            {"cell": [1, 0],
-             "matrix": pairs(0.5 * s3 - 0.5j * v1 * s1 - 0.5j * tau * np.eye(2))},
-            {"cell": [0, 1], "matrix": pairs(0.5 * s3 - 0.5j * v2 * s2)},
-        ],
-    }
-
-
-def test_critically_tilted_cone_is_refused_as_not_conical(capsys, model_file):
-    # |tilt| = sqrt(min eig Q) = 1: the cone condition fails, so the
-    # conductivity commands refuse with the typed error and exit 4, while
-    # fermi-points reports the cone with cone_condition false
-    data = tilted_qwz_dict(-2.0, 1.0, 1.0, 1.0)
-    with pytest.raises(cc.NotConical, match="cone condition"):
-        cc.characterize_cones(cc.model_from_dict(data))
-    path = model_file(data, "critical_tilt.json")
-    code, out, err = run_cli(capsys, "sigma", "--model", path, "--method", "closed")
-    assert code == 4 and out == ""
-    assert err.startswith("error: NotConical: cone condition violated")
-    code, out, _ = run_cli(capsys, "fermi-points", "--model", path)
-    assert code == 0
-    (point,) = json.loads(out)["points"]
-    assert point["cone_condition"] is False and point["cone_margin"] <= 0.0
-
-
 def test_sigma_closed_form_gapped_is_zero(capsys):
     code, out, _ = run_cli(capsys, "sigma", "--preset", "qwz",
                            "--params", "u=1")

@@ -341,23 +341,39 @@ def test_pair_sum_pass_matches_separate_fjl_calls(haldane_critical, haldane_cone
     # a grid refined for eta = 0.1 resolves 0.1 but not 0.06, and at 0.06 the
     # gate trips for the pairs with the steeper current J_1 only: each
     # request must give exactly what its own fjl_eta call gives
-    grid, _ = cc.GridPolicy(base=24).grids_for(haldane_critical, haldane_cones, 0.1)
-    etas, pairs = (0.1, 0.06), ((1, 1), (2, 2), (1, 2))
-    outcomes = _pair_sum_on_grid(haldane_critical, grid, etas, pairs, True)
-    assert list(outcomes) == [(e, p) for e in etas for p in pairs]
-    kinds = []
-    for (eta, (j, l)), outcome in outcomes.items():
+    model, cones = haldane_critical, haldane_cones
+    grid, _ = cc.GridPolicy(base=24).grids_for(model, cones, 0.1)
+    pairs = ((1, 1), (2, 2), (1, 2))
+
+    def single(eta, j, l):
         try:
-            single = cc.fjl_eta(haldane_critical, eta, j, l, grid,
-                                cones=haldane_cones).value
+            return cc.fjl_eta(model, eta, j, l, grid, cones=cones).value
         except cc.GridTooCoarse as exc:
-            single = exc
-        if isinstance(single, Exception):
-            assert type(outcome) is type(single) and str(outcome) == str(single)
+            return exc
+
+    separate = {(eta, p): single(eta, *p) for eta in (0.1, 0.06) for p in pairs}
+    assert [type(v).__name__ for v in separate.values()] == (
+        ["float"] * 3 + ["GridTooCoarse", "float", "GridTooCoarse"])
+
+    def check_pass(etas, pass_pairs):
+        requests = [(eta, p) for eta in etas for p in pass_pairs]
+        failing = [r for r in requests if isinstance(separate[r], Exception)]
+        if failing:
+            # the first failing request raises, with its own message
+            with pytest.raises(cc.GridTooCoarse) as exc:
+                _pair_sum_on_grid(model, grid, etas, pass_pairs, True)
+            assert str(exc.value) == str(separate[failing[0]])
         else:
-            assert outcome == single  # bit-identical
-        kinds.append(type(outcome).__name__)
-    assert kinds == ["float"] * 3 + ["GridTooCoarse", "float", "GridTooCoarse"]
+            values = _pair_sum_on_grid(model, grid, etas, pass_pairs, True)
+            assert list(values) == requests
+            for r in requests:
+                assert values[r] == separate[r]  # bit-identical
+
+    check_pass((0.1,), pairs)
+    check_pass((0.1, 0.06), ((2, 2),))
+    for p in ((1, 1), (1, 2)):
+        check_pass((0.06,), ((2, 2), p))
+    check_pass((0.1, 0.06), pairs)
 
 
 def test_pair_sum_pass_degenerate_point_as_separate_calls():
