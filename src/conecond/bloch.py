@@ -131,34 +131,62 @@ class HoppingModel:
 
     # -- vectorized evaluation over a batch of momenta ----------------------
 
-    def _assemble(self, ks: np.ndarray, entry_factors) -> np.ndarray:
-        """Sum phase * factor * T-entry into a (M, N, N) stack."""
+    def _weights(self, derivs: tuple) -> np.ndarray:
+        """Per-entry T-entry times the factor that the k-derivative named by
+        ``derivs`` brings down from the phase: () for H, (j,) for dH/dk_j,
+        (j, l) for d^2H/dk_j dk_l."""
+        if not derivs:
+            return self._vals
+        d = self._disp[:, derivs[0] - 1]
+        if len(derivs) == 1:
+            return self._vals * (1j * d)
+        return self._vals * (-d * self._disp[:, derivs[1] - 1])
+
+    def _assemble(self, ks: np.ndarray, derivatives) -> list:
+        """One (M, N, N) stack per entry of ``derivatives`` (see _weights),
+        all from one exp of the (M x n_entries) phase matrix; each stack is
+        bit-identical to its own h_batch/dh_batch/d2h_batch call."""
         ks = np.asarray(ks, dtype=float).reshape(-1, 2)
-        phases = np.exp(1j * (ks @ self._disp.T)) * (self._vals * entry_factors)
+        phase = 1j * (ks @ self._disp.T)
+        np.exp(phase, out=phase)
         M, size = ks.shape[0], 2 * self.norbitals**2
         # np.bincount adds each bin's weights in input order, so every matrix
         # element sums its entries in term order, as np.add.at would
         bins = (np.arange(M)[:, None] * size + self._slots).ravel()
-        out = np.bincount(bins, phases.view(float).ravel(), minlength=M * size)
-        return out.view(complex).reshape(M, self.norbitals, self.norbitals)
+        shape = (M, self.norbitals, self.norbitals)
+        stacks = []
+        for n, derivs in enumerate(derivatives, 1):
+            # the last stack reuses the phase matrix, so a single stack needs
+            # no second (M x n_entries) array
+            terms = np.multiply(phase, self._weights(derivs),
+                                out=phase if n == len(derivatives) else None)
+            out = np.bincount(bins, terms.view(float).ravel(), minlength=M * size)
+            stacks.append(out.view(complex).reshape(shape))
+        return stacks
 
     def h_batch(self, ks: np.ndarray) -> np.ndarray:
         """H(k) for a batch of momenta; shape (M, N, N)."""
-        return self._assemble(ks, 1.0)
+        return self._assemble(ks, ((),))[0]
 
     def dh_batch(self, ks: np.ndarray, j: int) -> np.ndarray:
         """dH/dk_j for a batch of momenta; j in {1, 2}."""
-        return self._assemble(ks, 1j * self._disp[:, j - 1])
+        return self._assemble(ks, ((j,),))[0]
 
     def d2h_batch(self, ks: np.ndarray, j: int, l: int) -> np.ndarray:
         """d^2H/dk_j dk_l for a batch of momenta."""
-        return self._assemble(ks, -self._disp[:, j - 1] * self._disp[:, l - 1])
+        return self._assemble(ks, ((j, l),))[0]
 
     def spectral_radius(self, nsample: int = 16) -> float:
         """max |eigenvalue| over a coarse momentum sample (energy scale)."""
         ks = uniform_grid(self.lattice, nsample, nsample).points
         w = np.linalg.eigvalsh(self.h_batch(ks))
         return float(np.abs(w).max())
+
+
+def _max_frobenius(stack: np.ndarray) -> float:
+    """Largest Frobenius norm in an (M, N, N) stack; for a current stack an
+    upper bound on the operator norm, hence on the band slopes."""
+    return float(np.sqrt((np.abs(stack) ** 2).sum(axis=(1, 2)).max()))
 
 
 def h_at(model: HoppingModel, k) -> np.ndarray:

@@ -54,16 +54,18 @@ from .kubo import (
     GridTooCoarse,
     NotConverged,
     TwoBandIsolationFailed,
+    _pair_sum_on_grid,
     closed_form_report,
     default_eta_sequence,
-    fjl_eta,
     fjj_sing,
-    ftilde_jj,
     richardson_extrapolate,
-    schwinger,
     sigma_kubo,
     zeta_jj,
 )
+# verify reaches f_jl, ftilde_jj and the Schwinger term through one
+# _pair_sum_on_grid pass per grid; the public wrappers stay importable here
+# because perfbench/spans.py wraps them at this module
+from .kubo import fjl_eta, ftilde_jj, schwinger  # noqa: F401
 from .lattice import wrap_fractional
 from .spectra import (
     AllBandsOnOneSide,
@@ -601,17 +603,31 @@ def cmd_verify(cfg: RunConfig) -> int:
     policy = GridPolicy(base=cfg.grid)
     checks = []
 
+    # Checks (a)-(c) compare values only, so no companion grid is evaluated.
+    # Their requests are gathered per grid (the fine grid built for one eta)
+    # and each grid is decomposed in one pass for all of its requests.
+    eta_min = eta_seq[-1]
+    eta_b = eta_seq[min(2, len(eta_seq) - 1)]
+    e2 = eta_b / 2.0
+    pairs = ((1, 1), (2, 2), (1, 2))
+    requests = {eta_min: [], eta_b: [], e2: []}
+    requests[eta_min] += [r for p in pairs for r in (
+        ("schwinger", 0.0, p), ("f_jl", eta_min, p), ("f_jl", 2.0 * eta_min, p))]
+    requests[eta_b] += [(q, eta_b, (j, j)) for j in (1, 2) for q in ("f_jl", "ftilde_jj")]
+    if cones:
+        requests[e2] += [("ftilde_jj", e2, (j, j)) for j in (1, 2)]
+    on_grid = {
+        eta: _pair_sum_on_grid(model, policy.grids_for(model, cones, eta)[0], reqs, False)
+        for eta, reqs in requests.items() if reqs
+    }
+
     # (a) Schwinger term vs the eta -> 0 response: s_jl = -f_jl(0+); the
     # limit is taken by the linear-cancelling combination 2 f(eta) - f(2 eta).
-    # Checks (a)-(c) compare values only, so no companion grid is evaluated.
-    eta_min = eta_seq[-1]
-    fine, _ = policy.grids_for(model, cones, eta_min)
-    disc_a = 0.0
-    for (j, l) in ((1, 1), (2, 2), (1, 2)):
-        s = schwinger(model, j, l, fine).value
-        f_lo = fjl_eta(model, eta_min, j, l, fine).value
-        f_hi = fjl_eta(model, 2.0 * eta_min, j, l, fine).value
-        disc_a = max(disc_a, abs(s + 2.0 * f_lo - f_hi))
+    a = on_grid[eta_min]
+    disc_a = max(
+        abs(a["schwinger", 0.0, p] + 2.0 * a["f_jl", eta_min, p] - a["f_jl", 2.0 * eta_min, p])
+        for p in pairs
+    )
     checks.append(_verify_check(
         "schwinger_vs_f0", "pass" if disc_a < 1e-3 else "fail", disc_a, 1e-3,
         "max over (j,l) of |s_jl + lim f_jl(eta)|, limit via 2f(eta)-f(2eta) "
@@ -619,13 +635,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     ))
 
     # (b) the general pair-sum response equals its even two-band-structured
-    # extension at eta > 0 (independent code paths)
-    eta_b = eta_seq[min(2, len(eta_seq) - 1)]
-    fine_b, _ = policy.grids_for(model, cones, eta_b)
+    # extension at eta > 0 (independent formulas on one grid pass)
+    b = on_grid[eta_b]
     disc_b = 0.0
     for j in (1, 2):
-        fa = fjl_eta(model, eta_b, j, j, fine_b).value
-        fb = ftilde_jj(model, eta_b, j, fine_b).value
+        fa, fb = b["f_jl", eta_b, (j, j)], b["ftilde_jj", eta_b, (j, j)]
         disc_b = max(disc_b, abs(fa - fb) / max(abs(fb), 1e-300))
     checks.append(_verify_check(
         "fjl_vs_ftilde", "pass" if disc_b < 1e-8 else "fail", disc_b, 1e-8,
@@ -635,25 +649,19 @@ def cmd_verify(cfg: RunConfig) -> int:
     # (c) the response minus its cone-neighborhood singular part is flat in
     # eta (the regular remainder is even with bounded slope)
     if cones:
-        e1 = eta_b
-        e2 = e1 / 2.0
-        grids_c = {e1: fine_b, e2: policy.grids_for(model, cones, e2)[0]}
         disc_c = 0.0
-        scale_c = None
         for j in (1, 2):
-            rs = []
-            for e in (e1, e2):
-                ft = ftilde_jj(model, e, j, grids_c[e]).value
-                fs = fjj_sing(model, cones, e, j, eps=cfg.eps).value
-                rs.append(ft - fs)
-                if e == e2:
-                    scale_c = abs(ft)
+            rs = [
+                on_grid[e]["ftilde_jj", e, (j, j)]
+                - fjj_sing(model, cones, e, j, eps=cfg.eps).value
+                for e in (eta_b, e2)
+            ]
             disc_c = max(disc_c, abs(rs[0] - rs[1]))
-        tol_c = 2e-3 * scale_c
+        tol_c = 2e-3 * abs(on_grid[e2]["ftilde_jj", e2, (2, 2)])
         checks.append(_verify_check(
             "singular_regular_flatness", "pass" if disc_c < tol_c else "fail",
             disc_c, tol_c,
-            f"|r(eta1)-r(eta2)| for r = ftilde - f_sing at eta1={e1:.6g}, "
+            f"|r(eta1)-r(eta2)| for r = ftilde - f_sing at eta1={eta_b:.6g}, "
             f"eta2={e2:.6g}",
         ))
     else:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .bloch import HoppingModel, h_at
+from .bloch import HoppingModel, _max_frobenius, h_at
 from .lattice import Lattice2D, wrap_fractional
 from .spectra import AllBandsOnOneSide
 
@@ -228,10 +228,8 @@ def find_fermi_points(
     # seed threshold: within one cell of a conical zero the gap is at most
     # about (local slope) * (cell diagonal); the slope is bounded by the
     # current-operator norms
-    jnorm = 0.0
-    for j in (1, 2):
-        J = model.dh_batch(ks[:: max(1, ks.shape[0] // 512)], j)
-        jnorm = max(jnorm, float(np.sqrt((np.abs(J) ** 2).sum(axis=(1, 2)).max())))
+    jnorm = max(_max_frobenius(model.dh_batch(ks[:: max(1, ks.shape[0] // 512)], j))
+                for j in (1, 2))
     spacing = max(np.linalg.norm(lat.b1), np.linalg.norm(lat.b2)) / n
     seed_threshold = 3.0 * jnorm * spacing
 

@@ -16,7 +16,10 @@ where the pair sum has already been reduced to a manifestly real form (the
 imaginary parts of the two orderings cancel algebraically, so the "imaginary
 residue" of the evaluation is identically zero).  The even extension
 ftilde_jj and the two-band cone-neighborhood integrals f_sing and zeta are
-separate code paths used to cross-validate f_jl and each other.
+separate formulas used to cross-validate f_jl and each other.  f_jl,
+ftilde_jj and the Schwinger term Tr(d^2H P_mu) share one grid kernel,
+_pair_sum_on_grid: it diagonalizes each point once, rotates each current
+once, and evaluates every requested quantity with its own formula.
 
 Conductivity extraction uses the pair estimator
 
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import HoppingModel
+from .bloch import HoppingModel, _max_frobenius
 from .cones import (
     FermiPoint,
     characterize_cones,
@@ -76,8 +79,10 @@ __all__ = [
 _DEGENERACY_FLOOR = 1e-12
 #: finite-difference step for eigenvalue second derivatives (zeta integrand)
 DEFAULT_FD_STEP = 1e-5
-#: chunk size for batched eigen-decompositions (memory control)
-_CHUNK = 8192
+#: chunk size for batched eigen-decompositions (memory control: a chunk holds
+#: its phase matrix, H, the currents and their rotations at once); a power of
+#: two, so chunked tree sums equal the whole-grid tree sum bit for bit
+_CHUNK = 4096
 #: convergence of the sigma_hat sequence: 2% relative, with a small absolute
 #: floor so that estimates decaying to zero (gapped models) can converge
 _CONV_RTOL = 0.02
@@ -178,11 +183,7 @@ def _max_current_norm(model: HoppingModel, nsample: int = 48) -> float:
     """max Frobenius norm of dH/dk_j over a coarse momentum sample (an upper
     bound on the operator norm, hence on the band slopes)."""
     ks = uniform_grid(model.lattice, nsample, nsample).points
-    out = 0.0
-    for j in (1, 2):
-        J = model.dh_batch(ks, j)
-        out = max(out, float(np.sqrt((np.abs(J) ** 2).sum(axis=(1, 2)).max())))
-    return out
+    return max(_max_frobenius(J) for J in model._assemble(ks, [(1,), (2,)]))
 
 
 def default_eta_sequence(model: HoppingModel, count: int = 5) -> list:
@@ -262,24 +263,41 @@ def _grid_spacing_cart(grid: KGrid) -> np.ndarray:
     )
 
 
-def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, etas: tuple,
-                      pairs: tuple, gate: bool) -> dict:
-    """f_jl(eta) on one grid for every eta in ``etas`` and every direction
-    pair in ``pairs``, from one eigen-decomposition per point.
+def _fermi_gaps(w: np.ndarray, mu: float):
+    """Occupied-band counts of an (M, N) eigenvalue stack and the Fermi-level
+    gaps w[m] - w[m-1] at the points ``idx`` with bands on both sides of mu:
+    (counts, idx, gaps)."""
+    counts = (w <= mu).sum(axis=1)
+    idx = np.nonzero((counts > 0) & (counts < w.shape[1]))[0]
+    m = counts[idx]
+    return counts, idx, w[idx, m] - w[idx, m - 1]
 
-    Each point contributes the sum over (q occ, p unocc) of
-        (2 Delta Re z - 2 eta Im z) / (eta^2 + Delta^2),
-    z = (J_j)_{pq} (J_l)_{qp}, Delta = Lambda_q - Lambda_p; per chunk, H is
-    assembled and diagonalized once and J_d rotated into the eigenbasis once
-    per distinct direction d, and only the Lorentzian differs between the
-    requests.  Returns {(eta, (j, l)): weighted grid sum / (2 pi)^2} in
-    request order.  Every request is checked as if evaluated alone, and the
-    first failing one in request order raises: GridTooCoarse when ``gate``
-    is set and the points with Fermi gap below 4 eta sit in cells too wide
-    for that eta at the pair's own current scale, RuntimeError when a
-    longitudinal (j = l) per-point sum loses its nonpositive sign.  A
-    Fermi-level degeneracy is the same for every request and raises
-    DegeneratePoint.
+
+def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
+                      gate: bool) -> dict:
+    """Every requested grid integral from one eigen-decomposition per point.
+
+    A request is a (quantity, eta, (j, l)) key:
+
+    - ("f_jl", eta, (j, l)): fjl_eta's pair sum over (q occ, p unocc) of
+      (2 Delta Re z - 2 eta Im z) / (eta^2 + Delta^2) with the complex
+      product z = (J_j)_{pq} (J_l)_{qp}, Delta = Lambda_q - Lambda_p;
+    - ("ftilde_jj", eta, (j, j)): ftilde_jj's sum of
+      2 Delta / (eta^2 + Delta^2) |(J_j)_{pq}|^2 over the explicit occupied
+      x unoccupied index sets (eta = 0 allowed);
+    - ("schwinger", 0.0, (j, l)): Tr(d^2H/dk_j dk_l P_mu).
+
+    Per chunk, H, each needed J_d and d^2H come from one exp of the phase
+    matrix, H is diagonalized once and each J_d rotated into the eigenbasis
+    once; the requests share that data but each keeps its own formula.
+    Returns {request: weighted grid sum / (2 pi)^2} in request order.  Every
+    request is checked as if evaluated alone, and the first failing one in
+    request order raises: GridTooCoarse when ``gate`` is set and, for
+    eta != 0, the points with Fermi gap below 4|eta| sit in cells too wide
+    for that eta at the request's own current scale; RuntimeError when a
+    longitudinal (j = l) f_jl per-point sum loses its nonpositive sign or a
+    Schwinger trace acquires an imaginary part.  A Fermi-level degeneracy is
+    the same for every request and raises DegeneratePoint.
 
     Chunk sums are tree-summed and then tree-summed across chunks: since
     _CHUNK is a power of two this is bit-identical to the tree sum of the
@@ -289,23 +307,26 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, etas: tuple,
     N = model.norbitals
     npts = len(grid)
     spacing = _grid_spacing_cart(grid)
-    dirs = sorted({d for p in pairs for d in p})
-    requests = [(eta, pair) for eta in etas for pair in pairs]
+    requests = list(dict.fromkeys(requests))
+    currents = sorted({d for q, _, p in requests if q != "schwinger" for d in p})
+    hessians = sorted({p for q, _, p in requests if q == "schwinger"})
+    gate_etas = {abs(e) for q, e, _ in requests if q != "schwinger" and e != 0.0}
     partials = {r: [] for r in requests}
     top = dict.fromkeys(requests, 0.0)     # max per-point sum (sign check)
+    imag = dict.fromkeys(requests, 0.0)    # max |Im trace| (Schwinger)
     scale = dict.fromkeys(requests, 0.0)   # max |per-point sum|
-    jmax = dict.fromkeys(dirs, 0.0)
-    worst_spacing = dict.fromkeys(etas, 0.0)
+    jmax = dict.fromkeys(currents, 0.0)
+    worst_spacing = dict.fromkeys(gate_etas, 0.0)
+    band = np.arange(N)
     for lo in range(0, npts, _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, npts))
         ks = grid.points[sl]
-        w, V = np.linalg.eigh(model.h_batch(ks))
-        counts = (w <= mu).sum(axis=1)
-        inner = (counts > 0) & (counts < N)
-        if inner.any():
-            mm = counts[inner]
-            idx = np.nonzero(inner)[0]
-            gaps = w[idx, mm] - w[idx, mm - 1]
+        H, *stacks = model._assemble(ks, [()] + [(d,) for d in currents] + hessians)
+        J = dict(zip(currents, stacks))
+        D2 = dict(zip(hessians, stacks[len(currents):]))
+        w, V = np.linalg.eigh(H)
+        counts, idx, gaps = _fermi_gaps(w, mu)
+        if idx.size:
             if gaps.min() < _DEGENERACY_FLOOR:
                 k_bad = ks[idx[gaps.argmin()]]
                 raise DegeneratePoint(
@@ -313,46 +334,74 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, etas: tuple,
                     f"point k=({k_bad[0]:.6f}, {k_bad[1]:.6f})"
                 )
             if gate:
-                for eta in etas:
-                    near = gaps < 4.0 * eta
+                for e in gate_etas:
+                    near = gaps < 4.0 * e
                     if near.any():
-                        worst_spacing[eta] = max(
-                            worst_spacing[eta], float(spacing[sl][idx[near]].max())
+                        worst_spacing[e] = max(
+                            worst_spacing[e], float(spacing[sl][idx[near]].max())
                         )
         Vh = V.conj().transpose(0, 2, 1)
         A = {}
-        for d in dirs:
-            J = model.dh_batch(ks, d)
-            jmax[d] = max(jmax[d], float(np.sqrt((np.abs(J) ** 2).sum(axis=(1, 2)).max())))
-            A[d] = Vh @ J @ V
-        occ = np.arange(N)[None, :] < counts[:, None]
+        for d in currents:
+            if gate:
+                jmax[d] = max(jmax[d], _max_frobenius(J[d]))
+            A[d] = Vh @ J[d] @ V
+        occ = band[None, :] < counts[:, None]
         pair = occ[:, :, None] & ~occ[:, None, :]          # (k, q, p)
+        occ_q = band[None, :, None] < counts[:, None, None]
+        unocc_p = band[None, None, :] >= counts[:, None, None]
         delta = w[:, :, None] - w[:, None, :]              # Lambda_q - Lambda_p
         delta2 = delta * delta
         weights = grid.weights[sl]
-        for (j, l) in pairs:
-            z = A[j].transpose(0, 2, 1) * A[l]             # (J_j)_{pq} (J_l)_{qp}
-            even = 2.0 * delta * z.real
-            for eta in etas:
-                num = even - 2.0 * eta * z.imag
+        products, me2, P = {}, {}, None
+        for r in requests:
+            quantity, eta, (j, l) = r
+            if quantity == "f_jl":
+                if (j, l) not in products:
+                    z = A[j].transpose(0, 2, 1) * A[l]     # (J_j)_{pq} (J_l)_{qp}
+                    products[j, l] = (2.0 * delta * z.real, z.imag)
+                even, z_imag = products[j, l]
+                num = even - 2.0 * eta * z_imag
                 per_k = np.where(pair, num / (eta * eta + delta2), 0.0).sum(axis=(1, 2))
-                r = (eta, (j, l))
                 top[r] = max(top[r], float(per_k.max(initial=0.0)))
-                scale[r] = max(scale[r], float(np.abs(per_k).max(initial=0.0)))
-                partials[r].append(_tree_sum(per_k * weights))
+            elif quantity == "ftilde_jj":
+                if j not in me2:
+                    # |(J_j)_{pq}|^2, indexed as [q, p] via the transpose
+                    me2[j] = (np.abs(A[j]) ** 2).transpose(0, 2, 1)
+                denom = eta * eta + delta2
+                # at eta = 0 the (excluded) diagonal would be 0/0; divide only
+                # where the denominator is nonzero
+                lorentz = np.divide(
+                    delta, denom, out=np.zeros_like(delta), where=denom > 0.0
+                )
+                per_k = 2.0 * np.where(occ_q & unocc_p, lorentz * me2[j], 0.0).sum(axis=(1, 2))
+            else:
+                if P is None:
+                    P = (V * occ[:, None, :]) @ Vh
+                tr = np.einsum("kab,kba->k", D2[j, l], P)
+                imag[r] = max(imag[r], float(np.abs(tr.imag).max(initial=0.0)))
+                per_k = tr.real
+            scale[r] = max(scale[r], float(np.abs(per_k).max(initial=0.0)))
+            partials[r].append(_tree_sum(per_k * weights))
     out = {}
     for r in requests:
-        eta, (j, l) = r
-        slope = max(jmax[j], jmax[l])
-        if gate and worst_spacing[eta] * slope > eta / 4.0:
-            raise GridTooCoarse(
-                f"near-cone spacing {worst_spacing[eta]:.3e} x slope {slope:.3e} "
-                f"exceeds eta/4 = {eta / 4.0:.3e}; refine the grid"
-            )
+        quantity, eta, (j, l) = r
+        e = abs(eta)
+        if gate and e in worst_spacing:
+            slope = max(jmax[j], jmax[l])
+            if worst_spacing[e] * slope > e / 4.0:
+                raise GridTooCoarse(
+                    f"near-cone spacing {worst_spacing[e]:.3e} x slope {slope:.3e} "
+                    f"exceeds eta/4 = {e / 4.0:.3e}; refine the grid"
+                )
         if j == l and top[r] > 1e-12 * max(1.0, scale[r]):
             raise RuntimeError(
                 "longitudinal integrand lost its definite sign "
                 f"(max {top[r]:.3e}); numerical failure"
+            )
+        if imag[r] > 1e-9 * max(1.0, scale[r]):
+            raise RuntimeError(
+                f"trace of Hermitian product acquired imaginary part {imag[r]:.3e}"
             )
         out[r] = _tree_sum(partials[r]) / (2.0 * np.pi) ** 2
     return out
@@ -362,16 +411,16 @@ def _quad_floor(value: float) -> float:
     return 1e-14 * (1.0 + abs(value))
 
 
-def _f_estimates(model: HoppingModel, etas: tuple, pairs: tuple, grid: KGrid,
-                 companion: KGrid | None, gate: bool) -> dict:
-    """KuboEstimates of f_jl for every (eta, pair) from one pass over
+def _estimates(model: HoppingModel, requests, grid: KGrid,
+               companion: KGrid | None, gate: bool) -> dict:
+    """KuboEstimates for every _pair_sum_on_grid request from one pass over
     ``grid`` (resolution gate armed when ``gate``) and one over the
-    ``companion``; {(eta, (j, l)): KuboEstimate}."""
+    ``companion``; {request: KuboEstimate}."""
     # the resolution gate protects the primary estimate; the companion grid
     # is deliberately coarser and serves only the error estimate
-    values = _pair_sum_on_grid(model, grid, etas, pairs, gate)
+    values = _pair_sum_on_grid(model, grid, requests, gate)
     coarse = (
-        _pair_sum_on_grid(model, companion, etas, pairs, False)
+        _pair_sum_on_grid(model, companion, requests, False)
         if companion is not None else None
     )
     out = {}
@@ -379,8 +428,8 @@ def _f_estimates(model: HoppingModel, etas: tuple, pairs: tuple, grid: KGrid,
         quad = abs(value - coarse[r]) if coarse is not None else 0.0
         out[r] = KuboEstimate(
             value=value,
-            eta=r[0],
-            quantity="f_jl",
+            eta=r[1],
+            quantity=r[0],
             grid=grid.describe(),
             quad_error=max(quad, _quad_floor(value)),
         )
@@ -408,9 +457,8 @@ def fjl_eta(model: HoppingModel, eta: float, j: int, l: int, grid: KGrid,
         raise ValueError("eta must be positive (use ftilde_jj for eta -> 0)")
     if j not in (1, 2) or l not in (1, 2):
         raise ValueError("direction indices must be 1 or 2")
-    eta = float(eta)
-    return _f_estimates(model, (eta,), ((j, l),), grid, companion,
-                        cones is not None)[eta, (j, l)]
+    r = ("f_jl", float(eta), (j, l))
+    return _estimates(model, (r,), grid, companion, cones is not None)[r]
 
 
 def ftilde_jj(model: HoppingModel, eta: float, j: int, grid: KGrid,
@@ -421,133 +469,35 @@ def ftilde_jj(model: HoppingModel, eta: float, j: int, grid: KGrid,
                          (Lambda_q - Lambda_p) / (eta^2 + (Lambda_q-Lambda_p)^2)
                          |(J_j)_{pq}|^2.
 
-    Deliberately a code path independent of fjl_eta — the pair sum is
+    Deliberately a formula independent of fjl_eta — the pair sum is
     assembled from abs-squared matrix elements over the explicit
     occupied x unoccupied index sets, never from complex products — so the
-    agreement fjl_eta(eta, j, j) = ftilde_jj(eta) is a genuine cross-check.
-    eta enters only squared, making the function exactly even (bit-identical
-    under eta -> -eta); eta = 0 is allowed for gapped models.  The
-    near-crossing resolution gate (GridTooCoarse) is armed only when
-    ``cones`` is passed, as in fjl_eta.
+    agreement fjl_eta(eta, j, j) = ftilde_jj(eta) is a genuine cross-check;
+    the two share only the grid pass (eigen-decomposition and rotated
+    current) of _pair_sum_on_grid.  eta enters only squared, making the
+    function exactly even (bit-identical under eta -> -eta); eta = 0 is
+    allowed for gapped models.  The near-crossing resolution gate
+    (GridTooCoarse) is armed only when ``cones`` is passed, as in fjl_eta.
     """
     if j not in (1, 2):
         raise ValueError("direction index must be 1 or 2")
-    mu = model.fermi_energy
-    N = model.norbitals
-    eta2 = eta * eta
-
-    def evaluate(g: KGrid, gate: bool) -> float:
-        npts = len(g)
-        per_k = np.zeros(npts)
-        spacing = _grid_spacing_cart(g)
-        jmax = 0.0
-        worst_spacing = 0.0
-        for lo in range(0, npts, _CHUNK):
-            sl = slice(lo, min(lo + _CHUNK, npts))
-            ks = g.points[sl]
-            w, V = np.linalg.eigh(model.h_batch(ks))
-            counts = (w <= mu).sum(axis=1)
-            inner = (counts > 0) & (counts < N)
-            if inner.any():
-                mm = counts[inner]
-                idx = np.nonzero(inner)[0]
-                gaps = w[idx, mm] - w[idx, mm - 1]
-                if gaps.min() < _DEGENERACY_FLOOR:
-                    raise DegeneratePoint(
-                        f"Fermi-level degeneracy (gap {gaps.min():.3e}) on grid"
-                    )
-                if gate and eta != 0.0:
-                    near = gaps < 4.0 * abs(eta)
-                    if near.any():
-                        worst_spacing = max(
-                            worst_spacing, float(spacing[sl][idx[near]].max())
-                        )
-            Jj = model.dh_batch(ks, j)
-            jmax = max(
-                jmax, float(np.sqrt((np.abs(Jj) ** 2).sum(axis=(1, 2)).max()))
-            )
-            me2 = np.abs(V.conj().transpose(0, 2, 1) @ Jj @ V) ** 2
-            band = np.arange(N)
-            occ_q = band[None, :, None] < counts[:, None, None]
-            unocc_p = band[None, None, :] >= counts[:, None, None]
-            delta = w[:, :, None] - w[:, None, :]
-            denom = eta2 + delta * delta
-            # at eta = 0 the (excluded) diagonal would be 0/0; divide only
-            # where the denominator is nonzero
-            lorentz = np.divide(
-                delta, denom, out=np.zeros_like(delta), where=denom > 0.0
-            )
-            # |(J_j)_{pq}|^2 = me2[p, q]; index as [q, p] via the transpose
-            contrib = np.where(
-                occ_q & unocc_p, lorentz * me2.transpose(0, 2, 1), 0.0
-            )
-            per_k[sl] = 2.0 * contrib.sum(axis=(1, 2))
-        if gate and eta != 0.0 and worst_spacing * jmax > abs(eta) / 4.0:
-            raise GridTooCoarse(
-                f"near-cone spacing {worst_spacing:.3e} x slope {jmax:.3e} "
-                f"exceeds eta/4 = {abs(eta) / 4.0:.3e}; refine the grid"
-            )
-        return _tree_sum(per_k * g.weights) / (2.0 * np.pi) ** 2
-
-    value = evaluate(grid, cones is not None)
-    quad = abs(value - evaluate(companion, False)) if companion is not None else 0.0
-    return KuboEstimate(
-        value=value,
-        eta=float(eta),
-        quantity="ftilde_jj",
-        grid=grid.describe(),
-        quad_error=max(quad, _quad_floor(value)),
-    )
+    r = ("ftilde_jj", float(eta), (j, j))
+    return _estimates(model, (r,), grid, companion, cones is not None)[r]
 
 
 def schwinger(model: HoppingModel, j: int, l: int, grid: KGrid,
               companion: KGrid | None = None) -> KuboEstimate:
-    """Schwinger term s_jl = (1/(2pi)^2) int dk Tr(d^2H/dk_j dk_l P_mu(k))."""
+    """Schwinger term s_jl = (1/(2pi)^2) int dk Tr(d^2H/dk_j dk_l P_mu(k)).
+
+    Independent of the current matrix elements: the trace is taken with the
+    occupied projector built from the eigenvectors of the grid pass shared
+    with fjl_eta, so s_jl = -f_jl(0+) is a genuine cross-check.  A trace
+    that acquires an imaginary part raises RuntimeError.
+    """
     if j not in (1, 2) or l not in (1, 2):
         raise ValueError("direction indices must be 1 or 2")
-    mu = model.fermi_energy
-    N = model.norbitals
-
-    def evaluate(g: KGrid) -> float:
-        npts = len(g)
-        per_k = np.zeros(npts)
-        imag_max = 0.0
-        for lo in range(0, npts, _CHUNK):
-            sl = slice(lo, min(lo + _CHUNK, npts))
-            ks = g.points[sl]
-            w, V = np.linalg.eigh(model.h_batch(ks))
-            counts = (w <= mu).sum(axis=1)
-            inner = (counts > 0) & (counts < N)
-            if inner.any():
-                mm = counts[inner]
-                idx = np.nonzero(inner)[0]
-                gaps = w[idx, mm] - w[idx, mm - 1]
-                if gaps.min() < _DEGENERACY_FLOOR:
-                    raise DegeneratePoint(
-                        f"Fermi-level degeneracy (gap {gaps.min():.3e}) on grid"
-                    )
-            occ = np.arange(N)[None, :] < counts[:, None]
-            P = (V * occ[:, None, :]) @ V.conj().transpose(0, 2, 1)
-            D2 = model.d2h_batch(ks, j, l)
-            tr = np.einsum("kab,kba->k", D2, P)
-            imag_max = max(imag_max, float(np.abs(tr.imag).max(initial=0.0)))
-            per_k[sl] = tr.real
-        scale = max(1.0, float(np.abs(per_k).max(initial=0.0)))
-        if imag_max > 1e-9 * scale:
-            raise RuntimeError(
-                f"trace of Hermitian product acquired imaginary part {imag_max:.3e}"
-            )
-        return _tree_sum(per_k * g.weights) / (2.0 * np.pi) ** 2
-
-    value = evaluate(grid)
-    quad = abs(value - evaluate(companion)) if companion is not None else 0.0
-    return KuboEstimate(
-        value=value,
-        eta=0.0,
-        quantity="schwinger",
-        grid=grid.describe(),
-        quad_error=max(quad, _quad_floor(value)),
-    )
+    r = ("schwinger", 0.0, (j, l))
+    return _estimates(model, (r,), grid, companion, False)[r]
 
 
 # -- cone-neighborhood (B_eps) integrals -------------------------------------
@@ -846,9 +796,10 @@ def sigma_kubo(model: HoppingModel, j: int | None = None, l: int | None = None,
         eta_hi, eta = seq[i - 1], seq[i]
         fine, comp = policy.grids_for(model, cones, eta)
         grid_sizes[eta] = len(fine)
-        est = _f_estimates(model, (eta_hi, eta), pairs, fine, comp, True)
+        est = _estimates(model, [("f_jl", e, p) for e in (eta_hi, eta) for p in pairs],
+                         fine, comp, True)
         for p in pairs:
-            f_hi, f_lo = est[eta_hi, p], est[eta, p]
+            f_hi, f_lo = est["f_jl", eta_hi, p], est["f_jl", eta, p]
             f_values[p][eta_hi] = f_hi.value
             f_values[p][eta] = f_lo.value
             s_hat = (f_hi.value - f_lo.value) / eta
@@ -907,15 +858,9 @@ def sigma_hall(model: HoppingModel, eta_sequence=None,
     policy = grid_policy if grid_policy is not None else GridPolicy()
 
     fine = uniform_grid(model.lattice, policy.base, policy.base)
-    w = np.linalg.eigvalsh(model.h_batch(fine.points))
-    counts = (w <= model.fermi_energy).sum(axis=1)
-    inner = (counts > 0) & (counts < model.norbitals)
-    if inner.any():
-        idx = np.nonzero(inner)[0]
-        gaps = w[idx, counts[idx]] - w[idx, counts[idx] - 1]
-        min_gap = float(gaps.min())
-    else:
-        min_gap = float("inf")
+    _, _, gaps = _fermi_gaps(np.linalg.eigvalsh(model.h_batch(fine.points)),
+                             model.fermi_energy)
+    min_gap = float(gaps.min(initial=np.inf))
     if min_gap <= 10.0 * max(seq):
         raise Gapless(
             f"minimum Fermi-level gap {min_gap:.6g} does not exceed 10x the "
@@ -925,8 +870,8 @@ def sigma_hall(model: HoppingModel, eta_sequence=None,
     comp = uniform_grid(
         model.lattice, max(policy.base // 2, 2), max(policy.base // 2, 2)
     )
-    est = _f_estimates(model, tuple(seq), ((1, 2),), fine, comp, False)
-    f_values = [est[e, (1, 2)] for e in seq]
+    est = _estimates(model, [("f_jl", e, (1, 2)) for e in seq], fine, comp, False)
+    f_values = [est["f_jl", e, (1, 2)] for e in seq]
     sigma_hats = sigma_hat_sequence(seq, [f.value for f in f_values])
     value = richardson_extrapolate(sigma_hats)
     per_eta = tuple(

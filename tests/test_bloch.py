@@ -118,6 +118,20 @@ def test_batched_assembly_sums_in_term_order(fixture, request):
         assert np.array_equal(model.h_batch(ks), ref)
 
 
+@pytest.mark.parametrize("fixture", ["haldane_critical", "three_orbital"])
+def test_shared_phase_stacks_match_single_calls(fixture, request):
+    # H, both currents and a second derivative from one exp of the phase
+    # matrix are each bit-identical to their own assembly call
+    model = (three_orbital_model() if fixture == "three_orbital"
+             else request.getfixturevalue(fixture))
+    ks = random_momenta(model.lattice, 300, seed=6)
+    H, J1, J2, D12 = model._assemble(ks, [(), (1,), (2,), (1, 2)])
+    assert np.array_equal(H, model.h_batch(ks))
+    assert np.array_equal(J1, model.dh_batch(ks, 1))
+    assert np.array_equal(J2, model.dh_batch(ks, 2))
+    assert np.array_equal(D12, model.d2h_batch(ks, 1, 2))
+
+
 def test_qwz_hamiltonian_at_high_symmetry_points():
     m = cc.preset_qwz(-2.0)
     s3 = np.diag([1.0, -1.0])

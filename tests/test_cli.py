@@ -250,6 +250,52 @@ def test_verify_gapped_skips_cone_checks(capsys):
     assert report["all_pass"] is True and report["cones"] == 0
 
 
+def test_verify_decomposes_each_grid_once(capsys, monkeypatch):
+    # checks (a)-(c) gather their requests per fine grid; with this eta
+    # sequence check (b)'s eta is eta_min, so (a) and (b) share one grid, and
+    # (c) has the half-eta grid: two grids, each decomposed exactly once
+    import conecond.cli as cli
+
+    argv = ["verify", "--preset", "qwz", "--params", "u=-2", "--grid", "16",
+            "--eta-seq", "0.2,0.1,0.05"]
+    kernel, eigh = cli._pair_sum_on_grid, np.linalg.eigh
+    grids, decomposed, inside = [], [], []
+
+    def counting_eigh(a, *args, **kwargs):
+        if inside:
+            decomposed.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    def one_pass(model, grid, requests, gate):
+        grids.append(grid)
+        inside.append(True)
+        try:
+            return kernel(model, grid, requests, gate)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(cli, "_pair_sum_on_grid", one_pass)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len({g.points.tobytes() for g in grids}) == len(grids) == 2
+    assert sum(decomposed) == sum(len(g) for g in grids)
+
+    # the same report from separate public calls, one per request
+    def separate_calls(model, grid, requests, gate):
+        assert not gate
+        public = {
+            "f_jl": lambda eta, p: cc.fjl_eta(model, eta, *p, grid),
+            "ftilde_jj": lambda eta, p: cc.ftilde_jj(model, eta, p[0], grid),
+            "schwinger": lambda eta, p: cc.schwinger(model, *p, grid),
+        }
+        return {r: public[r[0]](r[1], r[2]).value for r in requests}
+
+    monkeypatch.setattr(cli, "_pair_sum_on_grid", separate_calls)
+    code, separate, _ = run_cli(capsys, *argv)
+    assert code == 0 and separate == out
+
+
 # -- determinism and console script ---------------------------------------------------
 
 def test_repeated_runs_byte_identical():

@@ -337,6 +337,13 @@ def test_sigma_kubo_not_converged_carries_report(qwz_gapped):
 
 # -- one spectral pass for every (eta, pair) request ---------------------------------
 
+def _f_pass(model, grid, etas, pairs, gate):
+    """f_jl for every (eta, pair) from one kernel pass, keyed (eta, pair)."""
+    values = _pair_sum_on_grid(
+        model, grid, [("f_jl", eta, p) for eta in etas for p in pairs], gate)
+    return {(eta, p): v for (_, eta, p), v in values.items()}
+
+
 def test_pair_sum_pass_matches_separate_fjl_calls(haldane_critical, haldane_cones):
     # a grid refined for eta = 0.1 resolves 0.1 but not 0.06, and at 0.06 the
     # gate trips for the pairs with the steeper current J_1 only: each
@@ -361,10 +368,10 @@ def test_pair_sum_pass_matches_separate_fjl_calls(haldane_critical, haldane_cone
         if failing:
             # the first failing request raises, with its own message
             with pytest.raises(cc.GridTooCoarse) as exc:
-                _pair_sum_on_grid(model, grid, etas, pass_pairs, True)
+                _f_pass(model, grid, etas, pass_pairs, True)
             assert str(exc.value) == str(separate[failing[0]])
         else:
-            values = _pair_sum_on_grid(model, grid, etas, pass_pairs, True)
+            values = _f_pass(model, grid, etas, pass_pairs, True)
             assert list(values) == requests
             for r in requests:
                 assert values[r] == separate[r]  # bit-identical
@@ -380,12 +387,55 @@ def test_pair_sum_pass_degenerate_point_as_separate_calls():
     model = cc.preset_qwz(-2.0 + 1e-13)
     grid = cc.uniform_grid(model.lattice, 33, 33)
     with pytest.raises(cc.DegeneratePoint) as multi:
-        _pair_sum_on_grid(model, grid, (0.2, 0.1), ((1, 1), (2, 2), (1, 2)), False)
+        _f_pass(model, grid, (0.2, 0.1), ((1, 1), (2, 2), (1, 2)), False)
     for eta in (0.2, 0.1):
         for j, l in ((1, 1), (2, 2), (1, 2)):
             with pytest.raises(cc.DegeneratePoint) as single:
                 cc.fjl_eta(model, eta, j, l, grid)
             assert str(single.value) == str(multi.value)
+
+
+def test_grid_pass_matches_separate_calls(haldane_critical, haldane_cones, qwz_gapped):
+    # one pass serves f_jl, ftilde_jj and the Schwinger term, each value bit
+    # for bit what its own public call gives; the grid resolves eta = 0.1 but
+    # not 0.06 along J_1, so a failing request in a mixed pass raises its
+    # own GridTooCoarse
+    model, cones = haldane_critical, haldane_cones
+    grid, _ = cc.GridPolicy(base=24).grids_for(model, cones, 0.1)
+    pairs = ((1, 1), (2, 2), (1, 2))
+    requests = ([("f_jl", 0.1, p) for p in pairs]
+                + [("ftilde_jj", 0.1, (j, j)) for j in (1, 2)]
+                + [("schwinger", 0.0, p) for p in pairs])
+
+    def separate(m, g, request, gated):
+        quantity, eta, (j, l) = request
+        gate = {"cones": cones} if gated else {}
+        if quantity == "f_jl":
+            return cc.fjl_eta(m, eta, j, l, g, **gate).value
+        if quantity == "ftilde_jj":
+            return cc.ftilde_jj(m, eta, j, g, **gate).value
+        return cc.schwinger(m, j, l, g).value
+
+    values = _pair_sum_on_grid(model, grid, requests, True)
+    assert list(values) == requests
+    for r in requests:
+        assert values[r] == separate(model, grid, r, True)  # bit-identical
+
+    with pytest.raises(cc.GridTooCoarse) as single:
+        cc.ftilde_jj(model, 0.06, 1, grid, cones=cones)
+    assert separate(model, grid, ("ftilde_jj", 0.06, (2, 2)), True) < 0.0
+    with pytest.raises(cc.GridTooCoarse) as mixed:
+        _pair_sum_on_grid(model, grid, requests + [
+            ("ftilde_jj", 0.06, (2, 2)), ("ftilde_jj", 0.06, (1, 1))], True)
+    assert str(mixed.value) == str(single.value)
+
+    # ftilde at eta = 0, allowed on a gapped model, in a pass with the others
+    flat = cc.uniform_grid(qwz_gapped.lattice, 24, 24)
+    gapped = [("ftilde_jj", 0.0, (1, 1)), ("f_jl", 0.1, (1, 1)),
+              ("schwinger", 0.0, (1, 1)), ("ftilde_jj", 0.0, (2, 2))]
+    values = _pair_sum_on_grid(qwz_gapped, flat, gapped, False)
+    for r in gapped:
+        assert values[r] == separate(qwz_gapped, flat, r, False)
 
 
 def _kubo_report(*args, **kwargs):
