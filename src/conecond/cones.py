@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bloch import HoppingModel, _max_frobenius, h_at
-from .lattice import Lattice2D, wrap_fractional
+from .lattice import Lattice2D, uniform_grid, wrap_fractional
 from .spectra import AllBandsOnOneSide
 
 __all__ = [
@@ -150,10 +150,7 @@ class FermiPointScan:
 def _reduced_distance(lat: Lattice2D, k1, k2) -> float:
     """Cartesian distance between momenta modulo the dual lattice."""
     d = np.asarray(k1, dtype=float) - np.asarray(k2, dtype=float)
-    shifts = np.array(
-        [[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float
-    ) @ lat.dual_matrix.T
-    return float(np.linalg.norm(d + shifts, axis=1).min())
+    return float(np.linalg.norm(d + lat.image_shifts(), axis=1).min())
 
 
 def _occupied_band_index(model: HoppingModel, w_grid: np.ndarray) -> int:
@@ -164,7 +161,10 @@ def _occupied_band_index(model: HoppingModel, w_grid: np.ndarray) -> int:
     point.  Such deviations are tolerated as long as every eigenvalue on the
     "wrong side" sits at the Fermi level to within numerical precision;
     genuinely detached counts mean a band crosses the Fermi level on a
-    region, which is reported as BandCrossingRegion.
+    region, which is reported as BandCrossingRegion.  The count is one
+    majority value, unlike the per-point count of the Kubo kernel
+    (kubo._fermi_gaps), because the gap Lambda_m - Lambda_{m-1} that the
+    scan minimizes must be one continuous function over the zone.
     """
     mu = model.fermi_energy
     counts = np.count_nonzero(w_grid <= mu, axis=1)
@@ -212,9 +212,7 @@ def find_fermi_points(
     if tol is None:
         tol = DEFAULT_GAP_TOL * max(1.0, rho)
     n = int(coarse)
-    fr = (np.arange(n) + 0.5) / n - 0.5
-    F1, F2 = np.meshgrid(fr, fr, indexing="ij")
-    ks = np.column_stack([F1.ravel(), F2.ravel()]) @ lat.dual_matrix.T
+    ks = uniform_grid(lat, n, n).points
     w = np.linalg.eigvalsh(model.h_batch(ks))
     m = _occupied_band_index(model, w)
     gap = (w[:, m] - w[:, m - 1]).reshape(n, n)
@@ -497,9 +495,7 @@ def neighborhoods_disjoint(cones, lat: Lattice2D, eps: float) -> bool:
     against its own periodic images) when those balls are."""
     n = len(cones)
     radii = [eps / (2.0 * np.sqrt(np.linalg.eigvalsh(c.Q)[0])) for c in cones]
-    shifts = np.array(
-        [[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float
-    ) @ lat.dual_matrix.T
+    shifts = lat.image_shifts()
     for a in range(n):
         for b in range(a, n):
             d = cones[b].omega + shifts - cones[a].omega
@@ -528,15 +524,12 @@ def b_epsilon_membership(cones, k, eps: float, lat: Lattice2D):
             f"B_eps neighborhoods overlap at eps={eps:.6g}; shrink eps"
         )
     k = np.asarray(k, dtype=float).reshape(2)
-    shifts = np.array(
-        [[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float
-    ) @ lat.dual_matrix.T
     hit = None
     for idx, cone in enumerate(cones):
         d_frac = wrap_fractional(lat.to_fractional(k - cone.omega))
         # the canonical wrap need not be the nearest image in the cone
         # metric (skewed bases); minimize over the neighboring images
-        d = lat.from_fractional(d_frac) + shifts
+        d = lat.from_fractional(d_frac) + lat.image_shifts()
         if (2.0 * np.sqrt(np.einsum("si,ij,sj->s", d, cone.Q, d)).min() < eps):
             hit = idx if hit is None else hit
     return hit
@@ -548,9 +541,7 @@ def fermi_point_separation(cones, lat: Lattice2D) -> float:
     bounds admissible eps from above."""
     if not cones:
         raise ValueError("need at least one cone")
-    shifts = np.array(
-        [[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float
-    ) @ lat.dual_matrix.T
+    shifts = lat.image_shifts()
     nonzero = np.linalg.norm(shifts, axis=1) > 0
     best = np.inf
     for a, ca in enumerate(cones):

@@ -19,7 +19,8 @@ ftilde_jj and the two-band cone-neighborhood integrals f_sing and zeta are
 separate formulas used to cross-validate f_jl and each other.  f_jl,
 ftilde_jj and the Schwinger term Tr(d^2H P_mu) share one grid kernel,
 _pair_sum_on_grid: it diagonalizes each point once, rotates each current
-once, and evaluates every requested quantity with its own formula.
+into only its occupied x unoccupied blocks (the sole elements any formula
+reads), and evaluates every requested quantity with its own formula.
 
 Conductivity extraction uses the pair estimator
 
@@ -49,6 +50,7 @@ from .cones import (
     characterize_cones,
     default_epsilon,
     neighborhoods_disjoint,
+    sigma_closed_form,
     EpsilonTooLarge,
 )
 from .lattice import KGrid, refined_grid, uniform_grid
@@ -80,7 +82,7 @@ _DEGENERACY_FLOOR = 1e-12
 #: finite-difference step for eigenvalue second derivatives (zeta integrand)
 DEFAULT_FD_STEP = 1e-5
 #: chunk size for batched eigen-decompositions (memory control: a chunk holds
-#: its phase matrix, H, the currents and their rotations at once); a power of
+#: its phase matrix, H, the currents and their band blocks at once); a power of
 #: two, so chunked tree sums equal the whole-grid tree sum bit for bit
 _CHUNK = 4096
 #: convergence of the sigma_hat sequence: 2% relative, with a small absolute
@@ -266,7 +268,12 @@ def _grid_spacing_cart(grid: KGrid) -> np.ndarray:
 def _fermi_gaps(w: np.ndarray, mu: float):
     """Occupied-band counts of an (M, N) eigenvalue stack and the Fermi-level
     gaps w[m] - w[m-1] at the points ``idx`` with bands on both sides of mu:
-    (counts, idx, gaps)."""
+    (counts, idx, gaps).
+
+    The strict per-point count (a level at mu is occupied), unclipped: the
+    zone sums follow each point's own projector, whose count may vary (a
+    metal), and a tie at mu shows as a gap below the degeneracy floor, which
+    the callers refuse rather than resolve."""
     counts = (w <= mu).sum(axis=1)
     idx = np.nonzero((counts > 0) & (counts < w.shape[1]))[0]
     m = counts[idx]
@@ -288,8 +295,13 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
     - ("schwinger", 0.0, (j, l)): Tr(d^2H/dk_j dk_l P_mu).
 
     Per chunk, H, each needed J_d and d^2H come from one exp of the phase
-    matrix, H is diagonalized once and each J_d rotated into the eigenbasis
-    once; the requests share that data but each keeps its own formula.
+    matrix and H is diagonalized once.  The chunk's points are grouped by
+    their occupied count m, and per group only the m x (N - m) blocks
+    B_d = V_occ^H J_d V_unocc and C_d = V_unocc^H J_d V_occ of each current
+    are formed, as V^H (J V) in two einsum steps: every formula reads only
+    occupied x unoccupied elements, so no full N x N rotation or pair mask
+    is built.  The Schwinger trace sums v_q^H d^2H v_q over the occupied
+    columns.  The requests share that data but each keeps its own formula.
     Returns {request: weighted grid sum / (2 pi)^2} in request order.  Every
     request is checked as if evaluated alone, and the first failing one in
     request order raises: GridTooCoarse when ``gate`` is set and, for
@@ -303,8 +315,6 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
     _CHUNK is a power of two this is bit-identical to the tree sum of the
     whole per-point array, and no per-point array outlives its chunk.
     """
-    mu = model.fermi_energy
-    N = model.norbitals
     npts = len(grid)
     spacing = _grid_spacing_cart(grid)
     requests = list(dict.fromkeys(requests))
@@ -317,7 +327,6 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
     scale = dict.fromkeys(requests, 0.0)   # max |per-point sum|
     jmax = dict.fromkeys(currents, 0.0)
     worst_spacing = dict.fromkeys(gate_etas, 0.0)
-    band = np.arange(N)
     for lo in range(0, npts, _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, npts))
         ks = grid.points[sl]
@@ -325,64 +334,57 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
         J = dict(zip(currents, stacks))
         D2 = dict(zip(hessians, stacks[len(currents):]))
         w, V = np.linalg.eigh(H)
-        counts, idx, gaps = _fermi_gaps(w, mu)
-        if idx.size:
-            if gaps.min() < _DEGENERACY_FLOOR:
-                k_bad = ks[idx[gaps.argmin()]]
-                raise DegeneratePoint(
-                    f"Fermi-level degeneracy (gap {gaps.min():.3e}) at grid "
-                    f"point k=({k_bad[0]:.6f}, {k_bad[1]:.6f})"
-                )
-            if gate:
-                for e in gate_etas:
-                    near = gaps < 4.0 * e
-                    if near.any():
-                        worst_spacing[e] = max(
-                            worst_spacing[e], float(spacing[sl][idx[near]].max())
-                        )
-        Vh = V.conj().transpose(0, 2, 1)
-        A = {}
-        for d in currents:
-            if gate:
+        counts, idx, gaps = _fermi_gaps(w, model.fermi_energy)
+        if idx.size and gaps.min() < _DEGENERACY_FLOOR:
+            k_bad = ks[idx[gaps.argmin()]]
+            raise DegeneratePoint(
+                f"Fermi-level degeneracy (gap {gaps.min():.3e}) at grid "
+                f"point k=({k_bad[0]:.6f}, {k_bad[1]:.6f})"
+            )
+        if gate:
+            for e in gate_etas:
+                near = spacing[sl][idx[gaps < 4.0 * e]]
+                worst_spacing[e] = float(near.max(initial=worst_spacing[e]))
+            for d in currents:
                 jmax[d] = max(jmax[d], _max_frobenius(J[d]))
-            A[d] = Vh @ J[d] @ V
-        occ = band[None, :] < counts[:, None]
-        pair = occ[:, :, None] & ~occ[:, None, :]          # (k, q, p)
-        occ_q = band[None, :, None] < counts[:, None, None]
-        unocc_p = band[None, None, :] >= counts[:, None, None]
-        delta = w[:, :, None] - w[:, None, :]              # Lambda_q - Lambda_p
-        delta2 = delta * delta
-        weights = grid.weights[sl]
-        products, me2, P = {}, {}, None
+        per_k = {r: np.zeros(len(ks)) for r in requests}
+        for m in np.unique(counts[counts > 0]):
+            g = np.nonzero(counts == m)[0]
+            Vo, Vu = V[g, :, :m], V[g, :, m:]
+            # Lambda_q - Lambda_p <= -gap < 0 on the block (empty for m = N),
+            # so the Lorentzian denominators never vanish, not even at eta = 0
+            delta = w[g, :m, None] - w[g, None, m:]
+            delta2 = delta * delta
+            B, C, products, me2 = {}, {}, {}, {}
+            for d in currents:
+                B[d] = np.einsum("kaq,kap->kqp", Vo.conj(),
+                                 np.einsum("kab,kbp->kap", J[d][g], Vu))
+                C[d] = np.einsum("kap,kaq->kpq", Vu.conj(),
+                                 np.einsum("kab,kbq->kaq", J[d][g], Vo))
+            for r in requests:
+                quantity, eta, (j, l) = r
+                if quantity == "schwinger":
+                    tr = np.einsum("kaq,kab,kbq->k", Vo.conj(), D2[j, l][g], Vo)
+                    imag[r] = max(imag[r], float(np.abs(tr.imag).max()))
+                    per_k[r][g] = tr.real
+                elif quantity == "f_jl":
+                    if (j, l) not in products:
+                        z = C[j].transpose(0, 2, 1) * B[l]  # (J_j)_{pq} (J_l)_{qp}
+                        products[j, l] = (2.0 * delta * z.real, z.imag)
+                    even, z_imag = products[j, l]
+                    num = even - 2.0 * eta * z_imag
+                    per_k[r][g] = (num / (eta * eta + delta2)).sum(axis=(1, 2))
+                else:
+                    if j not in me2:
+                        # |(J_j)_{pq}|^2, indexed as [q, p] via the transpose
+                        me2[j] = (np.abs(C[j]) ** 2).transpose(0, 2, 1)
+                    lorentz = delta / (eta * eta + delta2)
+                    per_k[r][g] = 2.0 * (lorentz * me2[j]).sum(axis=(1, 2))
         for r in requests:
-            quantity, eta, (j, l) = r
-            if quantity == "f_jl":
-                if (j, l) not in products:
-                    z = A[j].transpose(0, 2, 1) * A[l]     # (J_j)_{pq} (J_l)_{qp}
-                    products[j, l] = (2.0 * delta * z.real, z.imag)
-                even, z_imag = products[j, l]
-                num = even - 2.0 * eta * z_imag
-                per_k = np.where(pair, num / (eta * eta + delta2), 0.0).sum(axis=(1, 2))
-                top[r] = max(top[r], float(per_k.max(initial=0.0)))
-            elif quantity == "ftilde_jj":
-                if j not in me2:
-                    # |(J_j)_{pq}|^2, indexed as [q, p] via the transpose
-                    me2[j] = (np.abs(A[j]) ** 2).transpose(0, 2, 1)
-                denom = eta * eta + delta2
-                # at eta = 0 the (excluded) diagonal would be 0/0; divide only
-                # where the denominator is nonzero
-                lorentz = np.divide(
-                    delta, denom, out=np.zeros_like(delta), where=denom > 0.0
-                )
-                per_k = 2.0 * np.where(occ_q & unocc_p, lorentz * me2[j], 0.0).sum(axis=(1, 2))
-            else:
-                if P is None:
-                    P = (V * occ[:, None, :]) @ Vh
-                tr = np.einsum("kab,kba->k", D2[j, l], P)
-                imag[r] = max(imag[r], float(np.abs(tr.imag).max(initial=0.0)))
-                per_k = tr.real
-            scale[r] = max(scale[r], float(np.abs(per_k).max(initial=0.0)))
-            partials[r].append(_tree_sum(per_k * weights))
+            if r[0] == "f_jl":
+                top[r] = max(top[r], float(per_k[r].max(initial=0.0)))
+            scale[r] = max(scale[r], float(np.abs(per_k[r]).max(initial=0.0)))
+            partials[r].append(_tree_sum(per_k[r] * grid.weights[sl]))
     out = {}
     for r in requests:
         quantity, eta, (j, l) = r
@@ -473,9 +475,9 @@ def ftilde_jj(model: HoppingModel, eta: float, j: int, grid: KGrid,
     assembled from abs-squared matrix elements over the explicit
     occupied x unoccupied index sets, never from complex products — so the
     agreement fjl_eta(eta, j, j) = ftilde_jj(eta) is a genuine cross-check;
-    the two share only the grid pass (eigen-decomposition and rotated
-    current) of _pair_sum_on_grid.  eta enters only squared, making the
-    function exactly even (bit-identical under eta -> -eta); eta = 0 is
+    the two share only the grid pass of _pair_sum_on_grid (eigensolve and
+    occupied x unoccupied current blocks).  eta enters only squared, making
+    the function exactly even (bit-identical under eta -> -eta); eta = 0 is
     allowed for gapped models.  The near-crossing resolution gate
     (GridTooCoarse) is armed only when ``cones`` is passed, as in fjl_eta.
     """
@@ -489,9 +491,9 @@ def schwinger(model: HoppingModel, j: int, l: int, grid: KGrid,
               companion: KGrid | None = None) -> KuboEstimate:
     """Schwinger term s_jl = (1/(2pi)^2) int dk Tr(d^2H/dk_j dk_l P_mu(k)).
 
-    Independent of the current matrix elements: the trace is taken with the
-    occupied projector built from the eigenvectors of the grid pass shared
-    with fjl_eta, so s_jl = -f_jl(0+) is a genuine cross-check.  A trace
+    Independent of the current matrix elements: the trace is summed over the
+    occupied eigenvectors of the grid pass shared with fjl_eta,
+    sum_q <q| d^2H |q>, so s_jl = -f_jl(0+) is a genuine cross-check.  A trace
     that acquires an imaginary part raises RuntimeError.
     """
     if j not in (1, 2) or l not in (1, 2):
@@ -544,7 +546,12 @@ def _elliptic_polar_nodes(cone: FermiPoint, eps: float, eta: float,
 
 def _two_band_data(model: HoppingModel, ks: np.ndarray):
     """Eigen-data of the straddling band pair on a batch: (lam_lo, lam_hi,
-    band indices m-1/m per point, full (w, V), isolation margin)."""
+    band indices m-1/m per point, full (w, V), isolation margin).
+
+    The count is clipped into [1, N-1]: the cone-neighborhood integrals need
+    a band pair at every node, and near omega both bands sit at mu to
+    rounding, so the strict count may leave the spectrum there.  Whether the
+    clipped pair is the right one is what the isolation margin checks."""
     mu = model.fermi_energy
     w, V = np.linalg.eigh(model.h_batch(ks))
     N = w.shape[1]
@@ -896,8 +903,6 @@ def sigma_hall(model: HoppingModel, eta_sequence=None,
 
 def closed_form_report(cones, directions=((1, 1), (2, 2))) -> ConductivityReport:
     """Assemble a ConductivityReport from the closed-form cone formula."""
-    from .cones import sigma_closed_form
-
     sigma = {}
     per_cone = {}
     for (j, l) in directions:

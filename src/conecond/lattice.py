@@ -28,6 +28,10 @@ __all__ = [
 
 #: relative determinant threshold below which a basis is rejected
 _DEGENERACY_RTOL = 1e-12
+#: fractional shifts to the 3 x 3 neighbouring dual cells, origin included:
+#: wrapping into [-1/2, 1/2)^2 can leave the nearest image of a momentum one
+#: cell away on a skewed basis, so minimum-image searches scan these
+_IMAGE_SHIFTS = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
 
 
 class DegenerateBasis(ValueError):
@@ -73,6 +77,10 @@ class Lattice2D:
         """Cartesian momenta from dual-basis coordinates."""
         frac = np.asarray(frac, dtype=float)
         return (np.atleast_2d(frac) @ self.dual_matrix.T).reshape(frac.shape)
+
+    def image_shifts(self) -> np.ndarray:
+        """Cartesian dual-lattice vectors of _IMAGE_SHIFTS, shape (9, 2)."""
+        return _IMAGE_SHIFTS @ self.dual_matrix.T
 
 
 @dataclass(frozen=True)
@@ -178,14 +186,10 @@ def _min_cart_distance(lattice: Lattice2D, frac: np.ndarray, centers) -> np.ndar
     for c in centers:
         cf = wrap_fractional(lattice.to_fractional(np.asarray(c, dtype=float)))
         df = wrap_fractional(frac - cf)
-        # wrapping maps into [-1/2,1/2)^2; the nearest image may still be a
-        # neighbor cell away for skewed bases, so check the 3x3 shifts
-        best = np.full(frac.shape[0], np.inf)
-        for s1 in (-1.0, 0.0, 1.0):
-            for s2 in (-1.0, 0.0, 1.0):
-                dk = (df + [s1, s2]) @ B.T
-                best = np.minimum(best, np.hypot(dk[:, 0], dk[:, 1]))
-        dmin = np.minimum(dmin, best)
+        # shift before the map to cartesian (refined grids depend on it)
+        for shift in _IMAGE_SHIFTS:
+            dk = (df + shift) @ B.T
+            dmin = np.minimum(dmin, np.hypot(dk[:, 0], dk[:, 1]))
     return dmin
 
 

@@ -131,6 +131,42 @@ def hex_flat_band_model():
     )
 
 
+def three_band_dict(mu):
+    """Three orbitals on the square lattice, onsite -4, 0 and 4, with
+    nearest-neighbour hoppings (some complex) that hybridize them.  The bands
+    span about [-5.7, -2.5], [-2.0, 2.0] and [2.4, 5.6]: mu = 0.3 cuts the
+    dispersive middle band, so the occupied count is 1 or 2 across the zone,
+    and mu = 2.2 lies in the upper gap (count 2 everywhere)."""
+    def c(re, im=0.0):
+        return [re, im]
+
+    z = c(0.0)
+    return {
+        "lattice": {"a1": [1.0, 0.0], "a2": [0.0, 1.0]},
+        "orbitals": [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]],
+        "fermi_energy": mu,
+        "hoppings": [
+            {"cell": [0, 0], "matrix": [[c(-4.0), z, z], [z, z, z], [z, z, c(4.0)]]},
+            {"cell": [1, 0], "matrix": [[c(0.4), c(0.0, 0.3), z],
+                                        [c(0.2), c(0.5), c(0.25)],
+                                        [c(0.0, 0.1), z, c(0.4)]]},
+            {"cell": [0, 1], "matrix": [[c(0.4), c(0.2), z],
+                                        [z, c(0.5), c(0.0, 0.3)],
+                                        [z, c(-0.15), c(0.4)]]},
+        ],
+    }
+
+
+@pytest.fixture(scope="session")
+def three_band_metal():
+    return cc.model_from_dict(three_band_dict(0.3))
+
+
+@pytest.fixture(scope="session")
+def three_band_gapped():
+    return cc.model_from_dict(three_band_dict(2.2))
+
+
 @pytest.fixture()
 def model_file(tmp_path):
     """Write a model dict to a temp JSON file and return its path."""
