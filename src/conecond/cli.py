@@ -55,6 +55,7 @@ from .kubo import (
     NotConverged,
     TwoBandIsolationFailed,
     _pair_sum_on_grid,
+    _validate_halving,
     closed_form_report,
     default_eta_sequence,
     fjj_sing,
@@ -184,14 +185,12 @@ class RunConfig:
         if self.eps is not None and not 0 < self.eps < np.inf:
             raise ConfigParse("--eps must be positive and finite")
         if self.eta_seq is not None:
-            if not all(0 < e < np.inf for e in self.eta_seq):
-                raise ConfigParse("--eta-seq values must be positive and finite")
-            for a, b in zip(self.eta_seq, self.eta_seq[1:]):
-                if abs(a - 2.0 * b) > 1e-9 * a:
-                    raise ConfigParse(
-                        "--eta-seq must descend by halving (each value twice "
-                        "the next)"
-                    )
+            try:
+                _validate_halving(self.eta_seq)
+            except ValueError as exc:
+                raise ConfigParse(f"--eta-seq: {exc}") from exc
+        if self.method == "closed" and any(j != l for j, l in self.directions):
+            raise ConfigParse("--method closed covers only the directions 11 and 22")
 
 
 def _parse_params(text: str | None) -> dict:
@@ -267,7 +266,10 @@ def _build_model(args) -> tuple:
     label = f"preset:{name}(" + ",".join(
         f"{k}={params[k]:g}" for k in defaults
     ) + ")"
-    return factory(**params), label
+    try:
+        return factory(**params), label
+    except ValueError as exc:
+        raise ConfigParse(f"preset {name!r}: {exc}") from exc
 
 
 def _config_from_args(args) -> RunConfig:

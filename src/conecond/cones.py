@@ -34,6 +34,7 @@ __all__ = [
     "BandCrossingRegion",
     "NotConical",
     "EpsilonTooLarge",
+    "TwoBandIsolationFailed",
     "FermiPoint",
     "FermiPointScan",
     "find_fermi_points",
@@ -71,6 +72,11 @@ class NotConical(ValueError):
 
 class EpsilonTooLarge(ValueError):
     """The cone neighborhoods B_eps overlap; shrink eps."""
+
+
+class TwoBandIsolationFailed(ValueError):
+    """A third band enters the sampled cone window (fit circles or B_eps);
+    shrink the window."""
 
 
 @dataclass(frozen=True)
@@ -301,17 +307,25 @@ def find_fermi_points(
     )
 
 
-def _band_pair_at(model: HoppingModel, ks: np.ndarray, m: int):
-    """Eigenvalues just below/above the Fermi level on a batch of momenta,
-    plus the distance of every other band from the Fermi level."""
-    w = np.linalg.eigvalsh(model.h_batch(ks))
-    others = np.delete(w, [m - 1, m], axis=1)
-    other_dist = (
-        np.abs(others - model.fermi_energy).min(axis=1)
-        if others.shape[1]
-        else np.full(w.shape[0], np.inf)
-    )
-    return w[:, m - 1], w[:, m], other_dist
+def _isolated_pair(w: np.ndarray, lo, mu: float, factor: float, remedy: str):
+    """Eigenvalues (w[lo], w[lo + 1]) of the band pair straddling mu, per row
+    of an (M, N) eigenvalue stack (``lo`` a scalar or one index per row).
+
+    The pair's largest distance from mu is the sampled cone window; unless
+    every other band stays more than ``factor`` times that far from mu,
+    TwoBandIsolationFailed is raised, naming ``remedy``."""
+    rows = np.arange(w.shape[0])
+    lam_lo, lam_hi = w[rows, lo], w[rows, lo + 1]
+    others = np.abs(w - mu)
+    others[rows, lo] = others[rows, lo + 1] = np.inf
+    third = float(others.min())
+    window = max(float(np.abs(lam_lo - mu).max()), float(np.abs(lam_hi - mu).max()))
+    if third <= factor * window:
+        raise TwoBandIsolationFailed(
+            f"third band comes within {third:.3e} of the Fermi level, not more "
+            f"than {factor:g}x the sampled cone window {window:.3e}; {remedy}"
+        )
+    return lam_lo, lam_hi
 
 
 def fit_cone(
@@ -345,10 +359,10 @@ def fit_cone(
     least-squares residual of the squared-half-gap fit on the smallest
     circle: what neither the quadratic form nor the shared cubic explains.
     Raises NotConical when the extrapolated Q is not positive-definite
-    (quadratic or flat touching), and ValueError when ``directions < 8``
-    (the residual then has no degrees of freedom, or the angular harmonics
-    0-3 alias onto each other) or when the sampling radii are too large for
-    the two-band local window.
+    (quadratic or flat touching), TwoBandIsolationFailed when another band
+    comes within 10x the sampled window of the Fermi level (the radii are too
+    large), and ValueError when ``directions < 8`` (the residual then has no
+    degrees of freedom, or the angular harmonics 0-3 alias onto each other).
     """
     lat = model.lattice
     omega = np.asarray(omega, dtype=float).reshape(2)
@@ -386,15 +400,9 @@ def fit_cone(
     tilts = []
     for i, r in enumerate(radii):
         d = r * dirs
-        lam_lo, lam_hi, other_dist = _band_pair_at(model, omega + d, m)
-        window = max(
-            np.abs(lam_lo - mu).max(), np.abs(lam_hi - mu).max()
-        )
-        if other_dist.min() <= 10.0 * window:
-            raise ValueError(
-                f"radius {r:.3e} too large: another band comes within 10x of "
-                "the sampled cone window"
-            )
+        w = np.linalg.eigvalsh(model.h_batch(omega + d))
+        lam_lo, lam_hi = _isolated_pair(w, m - 1, mu, 10.0,
+                                        f"fit radius {r:.3e} is too large")
         x, y = d[:, 0], d[:, 1]
         rows = slice(i * directions, (i + 1) * directions)
         design[rows, 3 * i: 3 * i + 3] = np.column_stack([x * x, 2.0 * x * y, y * y])
@@ -509,6 +517,18 @@ def neighborhoods_disjoint(cones, lat: Lattice2D, eps: float) -> bool:
     return True
 
 
+def _require_admissible_eps(cones, lat: Lattice2D, eps: float) -> None:
+    """Refuse a cone-neighborhood size: ValueError when eps <= 0,
+    EpsilonTooLarge when the B_eps neighborhoods are not verifiably pairwise
+    disjoint (see neighborhoods_disjoint)."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if not neighborhoods_disjoint(cones, lat, eps):
+        raise EpsilonTooLarge(
+            f"B_eps neighborhoods overlap at eps = {eps:.6g}; shrink eps"
+        )
+
+
 def b_epsilon_membership(cones, k, eps: float, lat: Lattice2D):
     """Index of the cone whose neighborhood B_eps contains k, or None.
 
@@ -517,12 +537,7 @@ def b_epsilon_membership(cones, k, eps: float, lat: Lattice2D):
     are not verifiably pairwise disjoint (including each one against its own
     periodic images).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if not neighborhoods_disjoint(cones, lat, eps):
-        raise EpsilonTooLarge(
-            f"B_eps neighborhoods overlap at eps={eps:.6g}; shrink eps"
-        )
+    _require_admissible_eps(cones, lat, eps)
     k = np.asarray(k, dtype=float).reshape(2)
     hit = None
     for idx, cone in enumerate(cones):

@@ -16,7 +16,10 @@ where the pair sum has already been reduced to a manifestly real form (the
 imaginary parts of the two orderings cancel algebraically, so the "imaginary
 residue" of the evaluation is identically zero).  The even extension
 ftilde_jj and the two-band cone-neighborhood integrals f_sing and zeta are
-separate formulas used to cross-validate f_jl and each other.  f_jl,
+separate formulas used to cross-validate f_jl and each other.  f_sing and
+zeta share one driver, _cone_integral (the elliptic-polar quadrature, the
+band-pair read and the eps checks), and each node contracts only the
+elements of the straddling pair its formula needs.  f_jl,
 ftilde_jj and the Schwinger term Tr(d^2H P_mu) share one grid kernel,
 _pair_sum_on_grid: it diagonalizes each point once, rotates each current
 into only its occupied x unoccupied blocks (the sole elements any formula
@@ -47,11 +50,12 @@ import numpy as np
 from .bloch import HoppingModel, _max_frobenius
 from .cones import (
     FermiPoint,
+    TwoBandIsolationFailed,
+    _isolated_pair,
+    _require_admissible_eps,
     characterize_cones,
     default_epsilon,
-    neighborhoods_disjoint,
     sigma_closed_form,
-    EpsilonTooLarge,
 )
 from .lattice import KGrid, refined_grid, uniform_grid
 
@@ -89,6 +93,11 @@ _CHUNK = 4096
 #: floor so that estimates decaying to zero (gapped models) can converge
 _CONV_RTOL = 0.02
 _CONV_ATOL = 1e-4
+#: GridPolicy's refinement schedule (see its docstring)
+_OUTER_RADIUS_FACTOR = 0.35
+_CORE_RADIUS_SLOPE = 8.0
+_SPACING_SLOPE = 8.0
+_MAX_LEVELS = 18
 
 
 class DegeneratePoint(ValueError):
@@ -98,10 +107,6 @@ class DegeneratePoint(ValueError):
 
 class GridTooCoarse(ValueError):
     """Grid spacing near a cone cannot resolve the Lorentzian of width eta."""
-
-
-class TwoBandIsolationFailed(ValueError):
-    """A third band enters the sampled cone neighborhood; shrink eps."""
 
 
 class Gapless(ValueError):
@@ -201,13 +206,13 @@ class GridPolicy:
 
     A uniform ``base`` x ``base`` midpoint grid is refined around the cone
     locations by chained single-level quad-tree passes with shrinking radii
-    R_level = max(R_outer / 2^level, R_core), where R_outer is
-    ``outer_radius_factor`` times the smaller dual-basis norm and
-    R_core = ``core_radius_slope`` * eta / sqrt(lambda*) is the region whose
-    gap falls below ~8 eta.  Levels are added until the refined spacing
-    satisfies spacing <= eta sqrt(lambda*) / (``spacing_slope`` * max|dH|),
+    R_level = max(R_outer / 2^level, R_core), where R_outer is 0.35 times the
+    smaller dual-basis norm and R_core = 8 eta / sqrt(lambda*) is the region
+    whose gap falls below ~8 eta.  Levels (at most 18) are added until the
+    refined spacing satisfies spacing <= eta sqrt(lambda*) / (8 max|dH|),
     i.e. until the half-width-eta Lorentzian is resolved.  The graded shell
     of intermediate radii avoids a resolution cliff at the core boundary.
+    Only ``base`` is set per run; the other factors are module constants.
 
     ``grids_for`` also returns a coarsened companion (half the base
     subdivision, one fewer refinement level) whose difference against the
@@ -215,10 +220,6 @@ class GridPolicy:
     """
 
     base: int = 96
-    outer_radius_factor: float = 0.35
-    core_radius_slope: float = 8.0
-    spacing_slope: float = 8.0
-    max_levels: int = 18
 
     def _radii_schedule(self, model: HoppingModel, cones, eta: float) -> list:
         lat = model.lattice
@@ -226,13 +227,13 @@ class GridPolicy:
         b2n = float(np.linalg.norm(lat.b2))
         lam_sqrt = np.sqrt(min(c.lambda_star for c in cones))
         jmax = _max_current_norm(model)
-        r_outer = self.outer_radius_factor * min(b1n, b2n)
-        r_core = self.core_radius_slope * eta / lam_sqrt
-        target = eta * lam_sqrt / (self.spacing_slope * jmax)
+        r_outer = _OUTER_RADIUS_FACTOR * min(b1n, b2n)
+        r_core = _CORE_RADIUS_SLOPE * eta / lam_sqrt
+        target = eta * lam_sqrt / (_SPACING_SLOPE * jmax)
         spacing = max(b1n, b2n) / self.base
         radii = []
         level = 1
-        while spacing > target and level <= self.max_levels:
+        while spacing > target and level <= _MAX_LEVELS:
             radii.append(max(r_outer / 2**level, r_core))
             spacing /= 2.0
             level += 1
@@ -409,8 +410,13 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
     return out
 
 
-def _quad_floor(value: float) -> float:
-    return 1e-14 * (1.0 + abs(value))
+def _estimate(quantity: str, eta: float, grid: str, value: float,
+              coarse: float | None) -> KuboEstimate:
+    """A KuboEstimate whose quad_error is the distance to the companion
+    evaluation ``coarse`` (None when there is none), floored at roundoff."""
+    quad = abs(value - coarse) if coarse is not None else 0.0
+    return KuboEstimate(value=value, eta=eta, quantity=quantity, grid=grid,
+                        quad_error=max(quad, 1e-14 * (1.0 + abs(value))))
 
 
 def _estimates(model: HoppingModel, requests, grid: KGrid,
@@ -425,17 +431,11 @@ def _estimates(model: HoppingModel, requests, grid: KGrid,
         _pair_sum_on_grid(model, companion, requests, False)
         if companion is not None else None
     )
-    out = {}
-    for r, value in values.items():
-        quad = abs(value - coarse[r]) if coarse is not None else 0.0
-        out[r] = KuboEstimate(
-            value=value,
-            eta=r[1],
-            quantity=r[0],
-            grid=grid.describe(),
-            quad_error=max(quad, _quad_floor(value)),
-        )
-    return out
+    return {
+        r: _estimate(r[0], r[1], grid.describe(), value,
+                     coarse[r] if coarse is not None else None)
+        for r, value in values.items()
+    }
 
 
 def fjl_eta(model: HoppingModel, eta: float, j: int, l: int, grid: KGrid,
@@ -544,47 +544,56 @@ def _elliptic_polar_nodes(cone: FermiPoint, eps: float, eta: float,
     return offsets, weights
 
 
-def _two_band_data(model: HoppingModel, ks: np.ndarray):
-    """Eigen-data of the straddling band pair on a batch: (lam_lo, lam_hi,
-    band indices m-1/m per point, full (w, V), isolation margin).
+def _band_pair(model: HoppingModel, ks: np.ndarray):
+    """The band pair straddling the Fermi level on a batch of momenta:
+    (lam_lo, lam_hi, v_lo, v_hi), eigenvalues (M,) and eigenvectors (M, N).
 
-    The count is clipped into [1, N-1]: the cone-neighborhood integrals need
-    a band pair at every node, and near omega both bands sit at mu to
-    rounding, so the strict count may leave the spectrum there.  Whether the
-    clipped pair is the right one is what the isolation margin checks."""
+    The per-point count is clipped into [1, N-1]: the cone-neighborhood
+    integrals need a band pair at every node, and near omega both bands sit
+    at mu to rounding, so the strict count may leave the spectrum there.
+    The isolation check (every other band beyond twice the sampled window,
+    else TwoBandIsolationFailed) decides whether it is the right pair."""
     mu = model.fermi_energy
     w, V = np.linalg.eigh(model.h_batch(ks))
-    N = w.shape[1]
-    counts = np.clip((w <= mu).sum(axis=1), 1, N - 1)
-    idx = np.arange(w.shape[0])
-    lam_lo = w[idx, counts - 1]
-    lam_hi = w[idx, counts]
-    if N > 2:
-        dist_all = np.abs(w - mu)
-        dist_all[idx, counts - 1] = np.inf
-        dist_all[idx, counts] = np.inf
-        third = dist_all.min()
-    else:
-        third = np.inf
-    return lam_lo, lam_hi, counts, w, V, third
+    lo = np.clip((w <= mu).sum(axis=1), 1, w.shape[1] - 1) - 1
+    lam_lo, lam_hi = _isolated_pair(w, lo, mu, 2.0, "shrink eps")
+    rows = np.arange(w.shape[0])
+    return lam_lo, lam_hi, V[rows, :, lo], V[rows, :, lo + 1]
 
 
-def _check_isolation(third: float, lam_lo, lam_hi, mu: float) -> None:
-    window = max(float(np.abs(lam_lo - mu).max()), float(np.abs(lam_hi - mu).max()))
-    if third <= 2.0 * window:
-        raise TwoBandIsolationFailed(
-            f"third band comes within {third:.3e} of the Fermi level, not "
-            f"more than twice the sampled cone window {window:.3e}; shrink eps"
-        )
+def _element(u: np.ndarray, J: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u|J|v> per point, for (M, N) vectors and an (M, N, N) stack."""
+    return np.einsum("ka,kab,kb->k", u.conj(), J, v)
 
 
-def _require_disjoint(model: HoppingModel, cones, eps: float) -> None:
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if cones and not neighborhoods_disjoint(cones, model.lattice, eps):
-        raise EpsilonTooLarge(
-            f"cone neighborhoods overlap at eps = {eps:.6g}; shrink eps"
-        )
+def _cone_integral(model: HoppingModel, cones, eta: float, j: int, eps,
+                   ntheta: int, order: int, quantity: str, integrand) -> KuboEstimate:
+    """Shared driver of the B_eps integrals: sum over cones of
+    int_{B_eps} integrand(k) dk on the elliptic-polar rule, and again on a
+    coarser rule (half the angles, four fewer Gauss-Legendre nodes) for the
+    quadrature error.  ``integrand`` maps a batch of momenta to per-node
+    values.  Checks, in order: the direction index, the empty cone list
+    (zero), then eps (default_epsilon when None; ValueError /
+    EpsilonTooLarge when not admissible)."""
+    if j not in (1, 2):
+        raise ValueError("direction index must be 1 or 2")
+    if not cones:
+        return KuboEstimate(0.0, float(eta), quantity, "empty domain", 0.0)
+    if eps is None:
+        eps = default_epsilon(cones, model.lattice)
+    _require_admissible_eps(cones, model.lattice, eps)
+
+    def evaluate(nt: int, og: int) -> float:
+        terms = []
+        for cone in cones:
+            offsets, wq = _elliptic_polar_nodes(cone, eps, eta, nt, og)
+            terms.append(integrand(cone.omega[None, :] + offsets) * wq)
+        return _tree_sum(np.concatenate(terms))
+
+    return _estimate(quantity, float(eta),
+                     f"elliptic-polar {ntheta} angles, GL{order} radial panels",
+                     evaluate(ntheta, order),
+                     evaluate(max(8, ntheta // 2), max(4, order - 4)))
 
 
 def fjj_sing(model: HoppingModel, cones, eta: float, j: int,
@@ -599,40 +608,17 @@ def fjj_sing(model: HoppingModel, cones, eta: float, j: int,
     restricted exactly to the two bands straddling the Fermi level.  Even in
     eta.  An empty cone list integrates over an empty domain (zero).  Raises
     EpsilonTooLarge / TwoBandIsolationFailed when eps is not admissible.
+    Runs on the shared _cone_integral driver and contracts per node only the
+    element <lower|J_j|upper>, never the full rotated current.
     """
-    if j not in (1, 2):
-        raise ValueError("direction index must be 1 or 2")
-    if not cones:
-        return KuboEstimate(0.0, float(eta), "f_sing", "empty domain", 0.0)
-    if eps is None:
-        eps = default_epsilon(cones, model.lattice)
-    _require_disjoint(model, cones, eps)
+    def integrand(ks):
+        lam_lo, lam_hi, v_lo, v_hi = _band_pair(model, ks)
+        me2 = np.abs(_element(v_lo, model.dh_batch(ks, j), v_hi)) ** 2
+        d = lam_hi - lam_lo
+        return -2.0 * d / (eta * eta + d * d) * me2 / (2.0 * np.pi) ** 2
 
-    def evaluate(nt: int, og: int) -> float:
-        total_terms = []
-        for cone in cones:
-            offsets, wq = _elliptic_polar_nodes(cone, eps, eta, nt, og)
-            ks = cone.omega[None, :] + offsets
-            lam_lo, lam_hi, counts, w, V, third = _two_band_data(model, ks)
-            _check_isolation(third, lam_lo, lam_hi, model.fermi_energy)
-            idx = np.arange(ks.shape[0])
-            Jj = model.dh_batch(ks, j)
-            A = V.conj().transpose(0, 2, 1) @ Jj @ V
-            me2 = np.abs(A[idx, counts - 1, counts]) ** 2
-            d = lam_hi - lam_lo
-            integrand = -2.0 * d / (eta * eta + d * d) * me2 / (2.0 * np.pi) ** 2
-            total_terms.append(integrand * wq)
-        return _tree_sum(np.concatenate(total_terms))
-
-    value = evaluate(ntheta, order)
-    coarse = evaluate(max(8, ntheta // 2), max(4, order - 4))
-    return KuboEstimate(
-        value=value,
-        eta=float(eta),
-        quantity="f_sing",
-        grid=f"elliptic-polar {ntheta} angles, GL{order} radial panels",
-        quad_error=max(abs(value - coarse), _quad_floor(value)),
-    )
+    return _cone_integral(model, cones, eta, j, eps, ntheta, order, "f_sing",
+                          integrand)
 
 
 def zeta_jj(model: HoppingModel, cones, eta: float, j: int,
@@ -649,56 +635,33 @@ def zeta_jj(model: HoppingModel, cones, eta: float, j: int,
     dLambda/dk_j = Re <band| dH/dk_j |band>; the second derivative of the
     squared distance-to-mu is a central finite difference (step ``fd_step``)
     of that identity.  Even in eta; independent of current matrix elements,
-    which makes it a genuine cross-check of fjj_sing.
+    which makes it a genuine cross-check of fjj_sing: the two share only the
+    _cone_integral driver, and per node zeta contracts only the two slopes.
     """
-    if j not in (1, 2):
-        raise ValueError("direction index must be 1 or 2")
-    if not cones:
-        return KuboEstimate(0.0, float(eta), "zeta", "empty domain", 0.0)
-    if eps is None:
-        eps = default_epsilon(cones, model.lattice)
-    _require_disjoint(model, cones, eps)
     mu = model.fermi_energy
-    e_j = np.array([1.0, 0.0]) if j == 1 else np.array([0.0, 1.0])
 
-    def band_pair_and_slopes(ks: np.ndarray):
-        lam_lo, lam_hi, counts, w, V, third = _two_band_data(model, ks)
-        _check_isolation(third, lam_lo, lam_hi, mu)
-        idx = np.arange(ks.shape[0])
-        A = V.conj().transpose(0, 2, 1) @ model.dh_batch(ks, j) @ V
-        slope_lo = A[idx, counts - 1, counts - 1].real
-        slope_hi = A[idx, counts, counts].real
-        return lam_lo, lam_hi, slope_lo, slope_hi
+    def pair_and_slopes(ks):
+        lam_lo, lam_hi, v_lo, v_hi = _band_pair(model, ks)
+        J = model.dh_batch(ks, j)
+        return lam_lo, lam_hi, _element(v_lo, J, v_lo).real, _element(v_hi, J, v_hi).real
 
-    def evaluate(nt: int, og: int) -> float:
-        total_terms = []
-        for cone in cones:
-            offsets, wq = _elliptic_polar_nodes(cone, eps, eta, nt, og)
-            ks = cone.omega[None, :] + offsets
-            lam_lo, lam_hi, slope_lo, slope_hi = band_pair_and_slopes(ks)
-            lo_p, hi_p, slo_p, shi_p = band_pair_and_slopes(ks + fd_step * e_j)
-            lo_m, hi_m, slo_m, shi_m = band_pair_and_slopes(ks - fd_step * e_j)
-            # d/dk_j of (Lambda - mu)^2 evaluated at k +- fd_step
-            dg_lo_p = 2.0 * (lo_p - mu) * slo_p
-            dg_lo_m = 2.0 * (lo_m - mu) * slo_m
-            dg_hi_p = 2.0 * (hi_p - mu) * shi_p
-            dg_hi_m = 2.0 * (hi_m - mu) * shi_m
-            d2g = (dg_lo_p - dg_lo_m + dg_hi_p - dg_hi_m) / (2.0 * fd_step)
-            bracket = 0.5 * d2g - slope_lo**2 - slope_hi**2
-            d = lam_hi - lam_lo
-            integrand = -d / (eta * eta + d * d) * bracket / (2.0 * np.pi) ** 2
-            total_terms.append(integrand * wq)
-        return _tree_sum(np.concatenate(total_terms))
+    def integrand(ks):
+        step = fd_step * np.eye(2)[j - 1]
+        lam_lo, lam_hi, slope_lo, slope_hi = pair_and_slopes(ks)
+        lo_p, hi_p, slo_p, shi_p = pair_and_slopes(ks + step)
+        lo_m, hi_m, slo_m, shi_m = pair_and_slopes(ks - step)
+        # d/dk_j of (Lambda - mu)^2 evaluated at k +- fd_step
+        dg_lo_p = 2.0 * (lo_p - mu) * slo_p
+        dg_lo_m = 2.0 * (lo_m - mu) * slo_m
+        dg_hi_p = 2.0 * (hi_p - mu) * shi_p
+        dg_hi_m = 2.0 * (hi_m - mu) * shi_m
+        d2g = (dg_lo_p - dg_lo_m + dg_hi_p - dg_hi_m) / (2.0 * fd_step)
+        bracket = 0.5 * d2g - slope_lo**2 - slope_hi**2
+        d = lam_hi - lam_lo
+        return -d / (eta * eta + d * d) * bracket / (2.0 * np.pi) ** 2
 
-    value = evaluate(ntheta, order)
-    coarse = evaluate(max(8, ntheta // 2), max(4, order - 4))
-    return KuboEstimate(
-        value=value,
-        eta=float(eta),
-        quantity="zeta",
-        grid=f"elliptic-polar {ntheta} angles, GL{order} radial panels",
-        quad_error=max(abs(value - coarse), _quad_floor(value)),
-    )
+    return _cone_integral(model, cones, eta, j, eps, ntheta, order, "zeta",
+                          integrand)
 
 
 # -- eta -> 0 extraction ------------------------------------------------------

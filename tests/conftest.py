@@ -103,32 +103,34 @@ def onsite_model():
     )
 
 
-@pytest.fixture(scope="session")
-def hex_flat_band_model():
+def hex_flat_band_dict():
     """Honeycomb nearest-neighbour model plus a decoupled flat band sitting
     0.02 above the Fermi level — the flat band spoils two-band isolation in
     any sampling window wider than that."""
-    return cc.model_from_dict(
-        {
-            "lattice": {"a1": [1.5, np.sqrt(3) / 2], "a2": [1.5, -np.sqrt(3) / 2]},
-            "orbitals": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]],
-            "fermi_energy": 0.0,
-            "hoppings": [
-                {"cell": [0, 0],
-                 "matrix": [[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
-                            [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
-                            [[0.0, 0.0], [0.0, 0.0], [0.02, 0.0]]]},
-                {"cell": [-1, 0],
-                 "matrix": [[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
-                            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
-                            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]},
-                {"cell": [0, -1],
-                 "matrix": [[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
-                            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
-                            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]},
-            ],
-        }
-    )
+    return {
+        "lattice": {"a1": [1.5, np.sqrt(3) / 2], "a2": [1.5, -np.sqrt(3) / 2]},
+        "orbitals": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]],
+        "fermi_energy": 0.0,
+        "hoppings": [
+            {"cell": [0, 0],
+             "matrix": [[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+                        [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                        [[0.0, 0.0], [0.0, 0.0], [0.02, 0.0]]]},
+            {"cell": [-1, 0],
+             "matrix": [[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+                        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]},
+            {"cell": [0, -1],
+             "matrix": [[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+                        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]},
+        ],
+    }
+
+
+@pytest.fixture(scope="session")
+def hex_flat_band_model():
+    return cc.model_from_dict(hex_flat_band_dict())
 
 
 def three_band_dict(mu):

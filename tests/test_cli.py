@@ -6,6 +6,7 @@ exercised through subprocess runs.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 import conecond as cc
 from conecond.cli import main as cli_main
 
-from conftest import square_model_dict
+from conftest import hex_flat_band_dict, square_model_dict
 
 
 def run_cli(capsys, *argv):
@@ -28,7 +29,11 @@ def run_cli(capsys, *argv):
 def run_script(*argv):
     exe = shutil.which("conecond")
     cmd = [exe, *argv] if exe else [sys.executable, "-m", "conecond.cli", *argv]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    # the child process imports the conecond under test, wherever it was found
+    src = os.path.dirname(os.path.dirname(cc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(cmd, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 # -- exit codes ---------------------------------------------------------------------
@@ -91,6 +96,27 @@ def test_validate_reports_pairing_violation_as_failed_check(capsys, model_file):
 def test_non_finite_numbers_are_config_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1 and "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sigma", "--preset", "qwz", "--method", "kubo", "--eta-seq", "0.1"],
+    ["verify", "--preset", "qwz", "--eta-seq", "0.1"],
+    ["sigma", "--preset", "qwz", "--method", "closed", "--directions", "12"],
+    ["sigma", "--preset", "haldane", "--params", "t1=0"],
+])
+def test_out_of_range_options_are_config_errors(capsys, argv):
+    # each of these once escaped main() as a bare ValueError traceback
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [["sigma", "--method", "closed"], ["fermi-points"]])
+def test_third_band_near_cone_is_numerical_error(capsys, model_file, command):
+    # the flat band 0.02 above mu sits inside the default fit circles' window
+    path = model_file(hex_flat_band_dict())
+    code, out, err = run_cli(capsys, *command, "--model", path)
+    assert code == 4 and out == ""
+    assert err.startswith("error: TwoBandIsolationFailed:")
 
 
 def test_truncated_eta_sequence_exits_3_with_report(capsys):

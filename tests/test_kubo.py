@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import conecond as cc
-from conecond.kubo import _pair_sum_on_grid
+from conecond.kubo import _elliptic_polar_nodes, _pair_sum_on_grid
 
 
 def _pair_data(model, grid, j, l):
@@ -305,6 +305,71 @@ def test_two_band_isolation_guard(hex_flat_band_model):
         cc.zeta_jj(model, [cone], 0.05, 1, eps=0.5)
     est = cc.fjj_sing(model, [cone], 0.05, 1, eps=0.004)
     assert np.isfinite(est.value) and est.value < 0.0
+
+
+def _dense_cone_reference(model, cones, eta, j, eps, ntheta=64, order=12,
+                          fd_step=cc.kubo.DEFAULT_FD_STEP):
+    """fjj_sing and zeta_jj as {quantity: (value, quad_error)}, read densely:
+    the clipped straddling pair of a full eigh, the current rotated in full
+    as Vh @ J @ V, and the pair's elements picked from the N x N result."""
+    mu = model.fermi_energy
+    step = fd_step * np.eye(2)[j - 1]
+
+    def pair(ks):
+        w, V = np.linalg.eigh(model.h_batch(ks))
+        c = np.clip((w <= mu).sum(axis=1), 1, w.shape[1] - 1)
+        A = V.conj().transpose(0, 2, 1) @ model.dh_batch(ks, j) @ V
+        i = np.arange(len(ks))
+        return (w[i, c - 1], w[i, c], A[i, c - 1, c],
+                A[i, c - 1, c - 1].real, A[i, c, c].real)
+
+    def integrands(ks):
+        lo, hi, me, s_lo, s_hi = pair(ks)
+        lo_p, hi_p, _, slo_p, shi_p = pair(ks + step)
+        lo_m, hi_m, _, slo_m, shi_m = pair(ks - step)
+        d2g = (2.0 * (lo_p - mu) * slo_p - 2.0 * (lo_m - mu) * slo_m
+               + 2.0 * (hi_p - mu) * shi_p - 2.0 * (hi_m - mu) * shi_m) / (2.0 * fd_step)
+        lorentz = -(hi - lo) / (eta * eta + (hi - lo) ** 2) / (2.0 * np.pi) ** 2
+        return 2.0 * lorentz * np.abs(me) ** 2, lorentz * (0.5 * d2g - s_lo**2 - s_hi**2)
+
+    def rule(nt, og):
+        total = np.zeros(2)
+        for cone in cones:
+            offsets, wq = _elliptic_polar_nodes(cone, eps, eta, nt, og)
+            total += [np.sum(f * wq) for f in integrands(cone.omega + offsets)]
+        return total
+
+    fine, coarse = rule(ntheta, order), rule(ntheta // 2, order - 4)
+    quad = np.maximum(np.abs(fine - coarse), 1e-14 * (1.0 + np.abs(fine)))
+    return {"f_sing": (fine[0], quad[0]), "zeta": (fine[1], quad[1])}
+
+
+@pytest.mark.parametrize("name", ["haldane_one_cone", "qwz_aniso", "hex_flat_band_model"])
+def test_cone_integrals_match_dense_rotation(name, request):
+    # fjj_sing and zeta_jj contract only the straddling pair's elements; a
+    # dense read of the same elements from the fully rotated current agrees
+    if name == "haldane_one_cone":
+        model = cc.preset_haldane(1.0, 0.1, np.pi / 2.0, 3.0 * np.sqrt(3.0) * 0.1)
+        cones = cc.characterize_cones(model)
+    elif name == "qwz_aniso":
+        model = request.getfixturevalue(name)
+        cones = request.getfixturevalue("qwz_aniso_cones")
+    else:
+        # N = 3, with eps small enough that the pair stays isolated
+        model = request.getfixturevalue(name)
+        cones = [cc.FermiPoint(omega=model.lattice.from_fractional([-1.0 / 3.0, 1.0 / 3.0]),
+                               Q=2.25 * np.eye(2), tilt=np.zeros(2), residual=0.0,
+                               gap_at_omega=0.0)]
+    eps = 0.004 if name == "hex_flat_band_model" else cc.default_epsilon(cones, model.lattice)
+    assert len(cones) == 1
+    for eta in (0.05, 0.0125):
+        for j in (1, 2):
+            ref = _dense_cone_reference(model, cones, eta, j, eps)
+            for fn, rtol in ((cc.fjj_sing, 1e-14), (cc.zeta_jj, 1e-11)):
+                est = fn(model, cones, eta, j, eps=eps)
+                value, quad = ref[est.quantity]
+                assert abs(est.value - value) <= rtol * abs(value), (est.quantity, eta, j)
+                assert abs(est.quad_error - quad) <= 1e-12, (est.quantity, eta, j)
 
 
 def test_regular_part_flat_in_eta(haldane_critical, haldane_cones):
