@@ -775,7 +775,6 @@ def _make_parser() -> argparse.ArgumentParser:
     sigma.add_argument("--method", choices=("closed", "kubo"), default="closed")
     sigma.add_argument("--eta-seq", dest="eta_seq",
                        help="halving eta sequence a,b,c,...")
-    sigma.add_argument("--eps", type=float, help="cone-neighborhood size")
     sigma.add_argument("--directions", default="11,22",
                        help="direction pairs, e.g. 11,22,12")
     sigma.add_argument("--csv", help="write the sigma_hat sequence CSV here")

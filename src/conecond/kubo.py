@@ -25,6 +25,15 @@ _pair_sum_on_grid: it diagonalizes each point once, rotates each current
 into only its occupied x unoccupied blocks (the sole elements any formula
 reads), and evaluates every requested quantity with its own formula.
 
+Every batched decomposition of a model's H here (the grid kernel, the B_eps
+band pair, sigma_hall's gap scan) goes through _eigh: a two-band H (N = 2)
+is solved in closed form, which is exact up to rounding (its eigenvalues are
+the roots d0 -+ r of a quadratic, its eigenvectors read from the
+non-cancelling row) and an order of magnitude cheaper than batched LAPACK on
+2 x 2 matrices; N > 2 goes to np.linalg.eigh.  Only the eigenvector phases
+differ between the two, and every quantity read from them is
+gauge-invariant.
+
 Conductivity extraction uses the pair estimator
 
     sigma_hat(eta) = (f(2 eta) - f(eta)) / eta,
@@ -266,6 +275,38 @@ def _grid_spacing_cart(grid: KGrid) -> np.ndarray:
     )
 
 
+def _eigh(H: np.ndarray):
+    """np.linalg.eigh of an (M, N, N) Hermitian stack: ascending eigenvalues
+    (M, N) and orthonormal eigenvector columns (M, N, N).
+
+    N = 2 is solved in closed form.  With a, c the real diagonal and b the
+    lower off-diagonal element (the triangle LAPACK reads), H = d0 + [[dz, b*],
+    [b, -dz]] for d0 = (a + c)/2, dz = (a - c)/2, so the eigenvalues are
+    d0 -+ r with r = hypot(dz, |b|).  The eigenvectors are read from the
+    row that holds r + |dz| (the branch on the sign of dz), so no entry is a
+    difference of nearly equal terms; their norm is sqrt(2 r (r + |dz|)).
+    At r = 0 the identity is returned.  Only the eigenvector phases differ
+    from LAPACK's, and every quantity read from them is gauge-invariant.
+    Other N go to np.linalg.eigh."""
+    if H.shape[-1] != 2:
+        return np.linalg.eigh(H)
+    a, c, b = H[:, 0, 0].real, H[:, 1, 1].real, H[:, 1, 0]
+    d0, dz = 0.5 * (a + c), 0.5 * (a - c)
+    r = np.hypot(dz, np.abs(b))
+    p = r + np.abs(dz)
+    up, bc = dz >= 0, b.conj()
+    V = np.empty(H.shape, dtype=np.result_type(H.dtype, float))
+    V[:, 0, 0] = np.where(up, -bc, p)      # lower eigenvector d0 - r
+    V[:, 1, 0] = np.where(up, p, -b)
+    V[:, 0, 1] = np.where(up, p, bc)       # upper eigenvector d0 + r
+    V[:, 1, 1] = np.where(up, b, p)
+    flat = r == 0.0
+    # sqrt(2r) sqrt(p) rather than sqrt(2 r p): no underflow for tiny r
+    V /= np.where(flat, 1.0, np.sqrt(2.0 * r) * np.sqrt(p))[:, None, None]
+    V[flat] = np.eye(2)
+    return np.stack((d0 - r, d0 + r), axis=1), V
+
+
 def _fermi_gaps(w: np.ndarray, mu: float):
     """Occupied-band counts of an (M, N) eigenvalue stack and the Fermi-level
     gaps w[m] - w[m-1] at the points ``idx`` with bands on both sides of mu:
@@ -296,12 +337,14 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
     - ("schwinger", 0.0, (j, l)): Tr(d^2H/dk_j dk_l P_mu).
 
     Per chunk, H, each needed J_d and d^2H come from one exp of the phase
-    matrix and H is diagonalized once.  The chunk's points are grouped by
-    their occupied count m, and per group only the m x (N - m) blocks
-    B_d = V_occ^H J_d V_unocc and C_d = V_unocc^H J_d V_occ of each current
-    are formed, as V^H (J V) in two einsum steps: every formula reads only
-    occupied x unoccupied elements, so no full N x N rotation or pair mask
-    is built.  The Schwinger trace sums v_q^H d^2H v_q over the occupied
+    matrix and H is diagonalized once, by _eigh (the closed form for two
+    bands: eigenvalues d0 -+ hypot(dz, |b|), so exact up to rounding, and an
+    order of magnitude faster than LAPACK on 2 x 2 stacks).  The chunk's points
+    are grouped by their occupied count m, and per group only the m x (N - m)
+    blocks B_d = V_occ^H J_d V_unocc and C_d = V_unocc^H J_d V_occ of each
+    current are formed, as V^H (J V) in two einsum steps: every formula reads
+    only occupied x unoccupied elements, so no full N x N rotation or pair
+    mask is built.  The Schwinger trace sums v_q^H d^2H v_q over the occupied
     columns.  The requests share that data but each keeps its own formula.
     Returns {request: weighted grid sum / (2 pi)^2} in request order.  Every
     request is checked as if evaluated alone, and the first failing one in
@@ -334,7 +377,7 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
         H, *stacks = model._assemble(ks, [()] + [(d,) for d in currents] + hessians)
         J = dict(zip(currents, stacks))
         D2 = dict(zip(hessians, stacks[len(currents):]))
-        w, V = np.linalg.eigh(H)
+        w, V = _eigh(H)
         counts, idx, gaps = _fermi_gaps(w, model.fermi_energy)
         if idx.size and gaps.min() < _DEGENERACY_FLOOR:
             k_bad = ks[idx[gaps.argmin()]]
@@ -554,7 +597,7 @@ def _band_pair(model: HoppingModel, ks: np.ndarray):
     The isolation check (every other band beyond twice the sampled window,
     else TwoBandIsolationFailed) decides whether it is the right pair."""
     mu = model.fermi_energy
-    w, V = np.linalg.eigh(model.h_batch(ks))
+    w, V = _eigh(model.h_batch(ks))
     lo = np.clip((w <= mu).sum(axis=1), 1, w.shape[1] - 1) - 1
     lam_lo, lam_hi = _isolated_pair(w, lo, mu, 2.0, "shrink eps")
     rows = np.arange(w.shape[0])
@@ -828,7 +871,7 @@ def sigma_hall(model: HoppingModel, eta_sequence=None,
     policy = grid_policy if grid_policy is not None else GridPolicy()
 
     fine = uniform_grid(model.lattice, policy.base, policy.base)
-    _, _, gaps = _fermi_gaps(np.linalg.eigvalsh(model.h_batch(fine.points)),
+    _, _, gaps = _fermi_gaps(_eigh(model.h_batch(fine.points))[0],
                              model.fermi_energy)
     min_gap = float(gaps.min(initial=np.inf))
     if min_gap <= 10.0 * max(seq):

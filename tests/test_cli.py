@@ -110,7 +110,25 @@ def test_out_of_range_options_are_config_errors(capsys, argv):
     assert code == 1 and err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", [["sigma", "--method", "closed"], ["fermi-points"]])
+def test_eps_is_a_verify_option_only(capsys, monkeypatch):
+    # sigma never used a cone-neighborhood size, so it refuses --eps like
+    # any unknown option; verify passes it to every B_eps integral
+    code, _, err = run_cli(capsys, "sigma", "--preset", "qwz", "--eps", "0.1")
+    assert code == 1 and "--eps" in err
+    import conecond.cli as cli
+
+    seen = []
+    for name in ("fjj_sing", "zeta_jj"):
+        def recording(*args, _f=getattr(cli, name), **kwargs):
+            seen.append(kwargs["eps"])
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(cli, name, recording)
+    code, _, _ = run_cli(capsys, "verify", "--preset", "qwz", "--params", "u=-2",
+                         "--grid", "16", "--eta-seq", "0.2,0.1,0.05", "--eps", "0.1")
+    assert code == 0 and seen and set(seen) == {0.1}
+
+
+@pytest.mark.parametrize("command",[["sigma", "--method", "closed"], ["fermi-points"]])
 def test_third_band_near_cone_is_numerical_error(capsys, model_file, command):
     # the flat band 0.02 above mu sits inside the default fit circles' window
     path = model_file(hex_flat_band_dict())
@@ -280,17 +298,19 @@ def test_verify_decomposes_each_grid_once(capsys, monkeypatch):
     # checks (a)-(c) gather their requests per fine grid; with this eta
     # sequence check (b)'s eta is eta_min, so (a) and (b) share one grid, and
     # (c) has the half-eta grid: two grids, each decomposed exactly once
+    # (the kernel decomposes through kubo._eigh, the closed form for N = 2)
     import conecond.cli as cli
+    import conecond.kubo as kubo
 
     argv = ["verify", "--preset", "qwz", "--params", "u=-2", "--grid", "16",
             "--eta-seq", "0.2,0.1,0.05"]
-    kernel, eigh = cli._pair_sum_on_grid, np.linalg.eigh
+    kernel, eigh = cli._pair_sum_on_grid, kubo._eigh
     grids, decomposed, inside = [], [], []
 
-    def counting_eigh(a, *args, **kwargs):
+    def counting_eigh(a):
         if inside:
             decomposed.append(len(a))
-        return eigh(a, *args, **kwargs)
+        return eigh(a)
 
     def one_pass(model, grid, requests, gate):
         grids.append(grid)
@@ -300,7 +320,7 @@ def test_verify_decomposes_each_grid_once(capsys, monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(kubo, "_eigh", counting_eigh)
     monkeypatch.setattr(cli, "_pair_sum_on_grid", one_pass)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -9,6 +9,8 @@ Schwinger term, exact vanishing on a hopping-free model, and algebraic
 identities of the estimator sequence.
 """
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import conecond as cc
-from conecond.kubo import _elliptic_polar_nodes, _pair_sum_on_grid
+from conecond.kubo import _eigh, _elliptic_polar_nodes, _pair_sum_on_grid
 
 
 def _pair_data(model, grid, j, l):
@@ -557,6 +559,68 @@ def test_block_kernel_matches_dense_rotation(name, request):
     for r in requests:
         ref, scale = _dense_reference(model, grid, r)
         assert abs(values[r] - ref) <= 1e-12 * scale, r
+
+
+def _exact_two_band_eigenvalues(H):
+    """d0 -+ sqrt(dz^2 + |b|^2) in 50-digit decimal arithmetic from the exact
+    float entries, rounded once to float."""
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for h in H:
+            a, c = Decimal(h[0, 0].real), Decimal(h[1, 1].real)
+            br, bi = Decimal(h[1, 0].real), Decimal(h[1, 0].imag)
+            d0, dz = (a + c) / 2, (a - c) / 2
+            r = (dz * dz + br * br + bi * bi).sqrt()
+            out.append((float(d0 - r), float(d0 + r)))
+    return np.array(out)
+
+
+def _hermitian_2x2(d0, dz, b):
+    """Stack of d0 + [[dz, conj b], [b, -dz]] (entries exact in float)."""
+    d0, dz, b = np.broadcast_arrays(*(np.asarray(x) for x in (d0, dz, b)))
+    H = np.empty(d0.shape + (2, 2), dtype=complex)
+    H[:, 0, 0], H[:, 1, 1] = d0 + dz, d0 - dz
+    H[:, 1, 0], H[:, 0, 1] = b, np.conj(b)
+    return H
+
+
+def test_closed_form_eigh_matches_lapack():
+    rng = np.random.default_rng(7)
+    stacks = []
+    for s in 10.0 ** np.arange(-8, 9, 2):
+        A = s * (rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2)))
+        stacks.append(0.5 * (A + A.conj().transpose(0, 2, 1)))
+    stacks += [
+        _hermitian_2x2([0.3, -2.0], [1.5, 1e-9], 0.0),         # b = 0, dz > 0
+        _hermitian_2x2([0.3, -2.0], [-1.5, -1e-9], 0.0),       # b = 0, dz < 0
+        _hermitian_2x2([0.3, 0.0], 0.0, [0.7 - 0.2j, 1e-9j]),  # dz = 0
+        _hermitian_2x2([0.0, 1.0, -1e8, 1e-8], 0.0, 0.0),      # exact degeneracy
+    ]
+    # gap 2 r near 1e-13 on top of an O(1) diagonal, in every direction
+    u = rng.standard_normal((200, 3))
+    u *= 0.5e-13 / np.linalg.norm(u, axis=1)[:, None]
+    stacks.append(_hermitian_2x2(rng.uniform(-1, 1, 200), u[:, 0], u[:, 1] + 1j * u[:, 2]))
+
+    for H in stacks:
+        w, V = _eigh(H)
+        w0 = np.linalg.eigh(H)[0]
+        norm = np.linalg.norm(H, 2, axis=(1, 2))[:, None]
+        assert np.all(np.isfinite(V)) and np.all(w[:, 0] <= w[:, 1])
+        # LAPACK's own eigenvalues stray by up to ~1.3e-15 ||H|| from exact,
+        # so the 1e-15 bound is against the exact values
+        assert np.all(np.abs(w - _exact_two_band_eigenvalues(H)) <= 1e-15 * norm)
+        assert np.all(np.abs(w - w0) <= 3e-15 * norm)
+        residual = np.linalg.norm(H @ V - V * w[:, None, :], 2, axis=(1, 2))
+        gram = np.linalg.norm(V.conj().transpose(0, 2, 1) @ V - np.eye(2), 2, axis=(1, 2))
+        assert np.all(residual <= 1e-14 * norm[:, 0]) and np.all(gram <= 1e-14)
+
+    _, V = _eigh(_hermitian_2x2([0.0, 1.0, -1e8, 1e-8], 0.0, 0.0))
+    assert np.array_equal(V, np.broadcast_to(np.eye(2), V.shape))
+    H3 = rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3))
+    H3 = H3 + H3.conj().transpose(0, 2, 1)
+    for got, ref in zip(_eigh(H3), np.linalg.eigh(H3)):
+        assert np.array_equal(got, ref)
 
 
 def _kubo_report(*args, **kwargs):
