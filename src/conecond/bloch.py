@@ -189,6 +189,11 @@ def _max_frobenius(stack: np.ndarray) -> float:
     return float(np.sqrt((np.abs(stack) ** 2).sum(axis=(1, 2)).max()))
 
 
+def _max_current_norm(model: HoppingModel, ks: np.ndarray) -> float:
+    """Largest Frobenius norm of dH/dk_1 and dH/dk_2 over the momenta ks."""
+    return max(_max_frobenius(J) for J in model._assemble(ks, ((1,), (2,))))
+
+
 def h_at(model: HoppingModel, k) -> np.ndarray:
     """Bloch Hamiltonian H(k), an N x N Hermitian matrix."""
     return model.h_batch(np.asarray(k, dtype=float).reshape(1, 2))[0]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -191,6 +192,12 @@ class RunConfig:
                 raise ConfigParse(f"--eta-seq: {exc}") from exc
         if self.method == "closed" and any(j != l for j, l in self.directions):
             raise ConfigParse("--method closed covers only the directions 11 and 22")
+        if self.method == "kubo" and self.csv is None and self.out:
+            # the sigma_hat CSV goes next to the JSON report by default
+            self.csv = os.path.splitext(self.out)[0] + ".csv"
+        if self.csv is not None and self.csv == self.out:
+            raise ConfigParse(f"the sigma_hat CSV would overwrite the JSON report "
+                              f"{self.out!r}; give --csv another path")
 
 
 def _parse_params(text: str | None) -> dict:
@@ -576,11 +583,8 @@ def cmd_sigma(cfg: RunConfig) -> int:
             }
             for p, f in rep.diagnostics["f_values"].items()
         }
-        csv_path = cfg.csv
-        if csv_path is None and cfg.out:
-            csv_path = cfg.out.rsplit(".", 1)[0] + ".csv"
-        if csv_path:
-            _emit(_sigma_csv(rep.per_eta), csv_path)
+        if cfg.csv:
+            _emit(_sigma_csv(rep.per_eta), cfg.csv)
     payload["cones"] = len(cones)
     _emit(json_report(payload), cfg.out)
     return exit_code

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .bloch import HoppingModel, _max_frobenius, h_at
+from .bloch import HoppingModel, _max_current_norm, h_at
 from .lattice import Lattice2D, uniform_grid, wrap_fractional
 from .spectra import AllBandsOnOneSide
 
@@ -232,8 +232,7 @@ def find_fermi_points(
     # seed threshold: within one cell of a conical zero the gap is at most
     # about (local slope) * (cell diagonal); the slope is bounded by the
     # current-operator norms
-    jnorm = max(_max_frobenius(model.dh_batch(ks[:: max(1, ks.shape[0] // 512)], j))
-                for j in (1, 2))
+    jnorm = _max_current_norm(model, ks[:: max(1, ks.shape[0] // 512)])
     spacing = max(np.linalg.norm(lat.b1), np.linalg.norm(lat.b2)) / n
     seed_threshold = 3.0 * jnorm * spacing
 

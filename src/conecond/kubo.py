@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import HoppingModel, _max_frobenius
+from .bloch import HoppingModel, _max_current_norm, _max_frobenius
 from .cones import (
     FermiPoint,
     TwoBandIsolationFailed,
@@ -195,13 +195,6 @@ def _tree_sum(values: np.ndarray) -> float:
     return float(a[0])
 
 
-def _max_current_norm(model: HoppingModel, nsample: int = 48) -> float:
-    """max Frobenius norm of dH/dk_j over a coarse momentum sample (an upper
-    bound on the operator norm, hence on the band slopes)."""
-    ks = uniform_grid(model.lattice, nsample, nsample).points
-    return max(_max_frobenius(J) for J in model._assemble(ks, [(1,), (2,)]))
-
-
 def default_eta_sequence(model: HoppingModel, count: int = 5) -> list:
     """Halving eta sequence tied to the model energy scale:
     {0.2, 0.1, 0.05, ...} x (spectral radius / 10)."""
@@ -214,17 +207,18 @@ class GridPolicy:
     """Momentum-grid construction for Lorentzian-resolving integrals.
 
     A uniform ``base`` x ``base`` midpoint grid is refined around the cone
-    locations by chained single-level quad-tree passes with shrinking radii
+    locations by one ``refined_grid`` call over the shrinking radius schedule
     R_level = max(R_outer / 2^level, R_core), where R_outer is 0.35 times the
     smaller dual-basis norm and R_core = 8 eta / sqrt(lambda*) is the region
     whose gap falls below ~8 eta.  Levels (at most 18) are added until the
     refined spacing satisfies spacing <= eta sqrt(lambda*) / (8 max|dH|),
-    i.e. until the half-width-eta Lorentzian is resolved.  The graded shell
-    of intermediate radii avoids a resolution cliff at the core boundary.
-    Only ``base`` is set per run; the other factors are module constants.
+    i.e. until the half-width-eta Lorentzian is resolved (max|dH| over a
+    48 x 48 sample).  The graded shell of intermediate radii avoids a
+    resolution cliff at the core boundary.  Only ``base`` is set per run.
 
-    ``grids_for`` also returns a coarsened companion (half the base
-    subdivision, one fewer refinement level) whose difference against the
+    ``grids_for``, the one constructor of Kubo grid pairs, also returns a
+    coarsened companion (half the base subdivision, the schedule without its
+    last radius; both uniform without cones) whose difference against the
     fine result serves as the quadrature-error estimate.
     """
 
@@ -235,7 +229,7 @@ class GridPolicy:
         b1n = float(np.linalg.norm(lat.b1))
         b2n = float(np.linalg.norm(lat.b2))
         lam_sqrt = np.sqrt(min(c.lambda_star for c in cones))
-        jmax = _max_current_norm(model)
+        jmax = _max_current_norm(model, uniform_grid(lat, 48, 48).points)
         r_outer = _OUTER_RADIUS_FACTOR * min(b1n, b2n)
         r_core = _CORE_RADIUS_SLOPE * eta / lam_sqrt
         target = eta * lam_sqrt / (_SPACING_SLOPE * jmax)
@@ -251,17 +245,15 @@ class GridPolicy:
     def grids_for(self, model: HoppingModel, cones, eta: float):
         """(fine, companion) quadrature grids for the given eta."""
         lat = model.lattice
+        half = max(self.base // 2, 2)
         fine = uniform_grid(lat, self.base, self.base)
-        coarse = uniform_grid(lat, max(self.base // 2, 2), max(self.base // 2, 2))
+        coarse = uniform_grid(lat, half, half)
         if not cones:
             return fine, coarse
         centers = [c.omega for c in cones]
         radii = self._radii_schedule(model, cones, eta)
-        for r in radii:
-            fine = refined_grid(lat, fine, centers, r, 1)
-        for r in radii[:-1]:
-            coarse = refined_grid(lat, coarse, centers, r, 1)
-        return fine, coarse
+        return (refined_grid(lat, fine, centers, radii),
+                refined_grid(lat, coarse, centers, radii[:-1]))
 
 
 # -- frequency-domain grid integrals ----------------------------------------
@@ -788,7 +780,8 @@ def sigma_kubo(model: HoppingModel, j: int | None = None, l: int | None = None,
     carries each pair's sequence, its Richardson extrapolation (the headline
     value), and a convergence flag (last two sigma_hat within 2%, with a
     small absolute floor for values decaying to zero); ``diagnostics`` holds
-    the f values per pair and eta and the fine-grid sizes per eta.  Cone
+    the fine-grid sizes and, per pair, the values (f(2 eta), f(eta)) from
+    which each sigma_hat was formed, both keyed by the grid's eta.  Cone
     locations are detected automatically when not supplied.  Raises
     NotConverged — with the whole report attached — when any pair's flag is
     false.
@@ -813,8 +806,7 @@ def sigma_kubo(model: HoppingModel, j: int | None = None, l: int | None = None,
                          fine, comp, True)
         for p in pairs:
             f_hi, f_lo = est["f_jl", eta_hi, p], est["f_jl", eta, p]
-            f_values[p][eta_hi] = f_hi.value
-            f_values[p][eta] = f_lo.value
+            f_values[p][eta] = (f_hi.value, f_lo.value)
             s_hat = (f_hi.value - f_lo.value) / eta
             s_err = (f_hi.quad_error + f_lo.quad_error) / eta
             sigma_hats[p].append(s_hat)
@@ -870,7 +862,7 @@ def sigma_hall(model: HoppingModel, eta_sequence=None,
     seq = _validate_halving(eta_sequence)
     policy = grid_policy if grid_policy is not None else GridPolicy()
 
-    fine = uniform_grid(model.lattice, policy.base, policy.base)
+    fine, comp = policy.grids_for(model, (), seq[-1])
     _, _, gaps = _fermi_gaps(_eigh(model.h_batch(fine.points))[0],
                              model.fermi_energy)
     min_gap = float(gaps.min(initial=np.inf))
@@ -880,9 +872,6 @@ def sigma_hall(model: HoppingModel, eta_sequence=None,
             f"largest eta ({max(seq):.6g}); the Hall estimate needs a gapped model"
         )
 
-    comp = uniform_grid(
-        model.lattice, max(policy.base // 2, 2), max(policy.base // 2, 2)
-    )
     est = _estimates(model, [("f_jl", e, (1, 2)) for e in seq], fine, comp, False)
     f_values = [est["f_jl", e, (1, 2)] for e in seq]
     sigma_hats = sigma_hat_sequence(seq, [f.value for f in f_values])

@@ -193,30 +193,33 @@ def _min_cart_distance(lattice: Lattice2D, frac: np.ndarray, centers) -> np.ndar
     return dmin
 
 
-def refined_grid(lattice: Lattice2D, base: KGrid, centers, radius: float,
-                 levels: int) -> KGrid:
-    """Quad-tree refinement of `base` near `centers`.
+def refined_grid(lattice: Lattice2D, base: KGrid, centers, radii) -> KGrid:
+    """Quad-tree refinement of `base` near `centers`, one level per radius.
 
-    Every cell whose center lies within `radius` (cartesian, modulo the dual
-    lattice) of any of `centers` is split 2x2, `levels` times; each split
-    divides the cell weight by 4, so the total measure is conserved.
+    At level i every cell whose center lies within radii[i] (cartesian,
+    modulo the dual lattice) of any of `centers` is split 2x2, dividing its
+    weight by 4, so the total measure is conserved.  The radii must be
+    positive, finite and non-increasing: a cell left unsplit at radii[i]
+    stays unsplit at radii[i+1] <= radii[i], so each level measures only the
+    children of the previous split.  Empty radii return `base` unrefined.
     """
-    if levels < 0:
-        raise ValueError("levels must be >= 0")
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
-    frac, size, weights = base.frac, base.size, base.weights
+    radii = [float(r) for r in radii]
+    if not all(0.0 < r < np.inf for r in radii):
+        raise ValueError(f"refinement radii must be positive and finite, got {radii}")
+    if any(b > a for a, b in zip(radii, radii[1:])):
+        raise ValueError(f"refinement radii must not increase, got {radii}")
     offsets = np.array([[-0.25, -0.25], [-0.25, 0.25], [0.25, -0.25], [0.25, 0.25]])
-    for _ in range(levels):
-        d = _min_cart_distance(lattice, frac, centers)
-        hit = d < radius
-        if not hit.any():
-            break
+    frac, size, weights = base.frac, base.size, base.weights
+    settled = []
+    for r in radii:
+        hit = _min_cart_distance(lattice, frac, centers) < r
+        settled.append((frac[~hit], size[~hit], weights[~hit]))
         f_in, s_in, w_in = frac[hit], size[hit], weights[hit]
-        children = (f_in[:, None, :] + offsets[None, :, :] * s_in[:, None, :])
-        frac = np.vstack([frac[~hit], children.reshape(-1, 2)])
-        size = np.vstack([size[~hit], np.repeat(s_in / 2.0, 4, axis=0)])
-        weights = np.concatenate([weights[~hit], np.repeat(w_in / 4.0, 4)])
+        frac = (f_in[:, None, :] + offsets[None, :, :] * s_in[:, None, :]).reshape(-1, 2)
+        size = np.repeat(s_in / 2.0, 4, axis=0)
+        weights = np.repeat(w_in / 4.0, 4)
+    settled.append((frac, size, weights))
+    frac, size, weights = (np.concatenate(parts) for parts in zip(*settled))
     return KGrid(
         lattice=lattice,
         n1=base.n1,

@@ -258,7 +258,7 @@ def test_criterion_10_invariant_suite(haldane_critical, qwz_aniso):
 
     grid = cc.uniform_grid(lat, 12, 12)
     assert abs(grid.weights.sum() - lat.bz_area) < 1e-12 * lat.bz_area
-    refined = cc.refined_grid(lat, grid, [np.zeros(2)], 0.5, 2)
+    refined = cc.refined_grid(lat, grid, [np.zeros(2)], [0.5] * 2)
     assert abs(refined.weights.sum() - lat.bz_area) < 1e-12 * lat.bz_area
 
     small = cc.uniform_grid(lat, 24, 24)

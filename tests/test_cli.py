@@ -274,6 +274,51 @@ def test_sigma_kubo_writes_csv_next_to_out(capsys, tmp_path):
         assert eta == entry["eta"] and s_hat == entry["sigma_hat"]
 
 
+def test_sigma_kubo_csv_path_keeps_out_directory(capsys, tmp_path, monkeypatch):
+    # a dot in a directory name is not an extension: the CSV goes next to
+    # the report, not to the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.d").mkdir()
+    code, _, _ = run_cli(
+        capsys, "sigma", "--preset", "qwz", "--params", "u=1",
+        "--method", "kubo", "--eta-seq", "0.2,0.1,0.05", "--grid", "8",
+        "--directions", "11", "--out", os.path.join("out.d", "report"),
+    )
+    assert (tmp_path / "out.d" / "report").exists()
+    assert (tmp_path / "out.d" / "report.csv").read_text().startswith("eta,sigma_hat_11\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sigma_kubo_refuses_csv_over_out(capsys, tmp_path):
+    out_path = tmp_path / "report.csv"
+    for extra in ((), ("--csv", str(out_path))):
+        code, out, err = run_cli(
+            capsys, "sigma", "--preset", "qwz", "--params", "u=1",
+            "--method", "kubo", "--eta-seq", "0.2,0.1", "--grid", "8",
+            "--out", str(out_path), *extra,
+        )
+        assert code == 1 and out == ""
+        assert "would overwrite the JSON report" in err
+        assert not out_path.exists()
+
+
+def test_sigma_kubo_f_values_reproduce_sigma_hat(capsys):
+    # each grid's printed pair (f(2 eta), f(eta)) gives its sigma_hat exactly
+    code, out, _ = run_cli(
+        capsys, "sigma", "--preset", "qwz", "--params", "u=-2,v1=2,v2=1",
+        "--method", "kubo", "--eta-seq", "0.4,0.2,0.1", "--grid", "16",
+        "--directions", "11,22",
+    )
+    assert code in (0, 3)
+    report = json.loads(out)
+    for key, seq in report["sigma_hat"].items():
+        f_values = report["diagnostics"][key]["f_values"]
+        assert [float(e) for e in f_values] == [entry["eta"] for entry in seq]
+        for entry in seq:
+            f_hi, f_lo = f_values["%.17g" % entry["eta"]]
+            assert (f_hi - f_lo) / entry["eta"] == entry["sigma_hat"]
+
+
 # -- verify -------------------------------------------------------------------------
 
 def test_verify_gapped_skips_cone_checks(capsys):

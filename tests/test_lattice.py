@@ -92,7 +92,7 @@ def test_uniform_grid_rejects_bad_subdivision(square_lattice):
 def test_refined_grid_weight_conservation(square_lattice, levels):
     base = cc.uniform_grid(square_lattice, 12, 12)
     centers = [np.array([0.0, 0.0]), square_lattice.from_fractional([0.4, 0.4])]
-    g = cc.refined_grid(square_lattice, base, centers, 0.8, levels)
+    g = cc.refined_grid(square_lattice, base, centers, [0.8] * levels)
     assert len(g) > len(base)
     assert np.isclose(g.weights.sum(), square_lattice.bz_area, rtol=1e-12)
 
@@ -100,7 +100,7 @@ def test_refined_grid_weight_conservation(square_lattice, levels):
 def test_refined_grid_splits_only_near_centers(square_lattice):
     base = cc.uniform_grid(square_lattice, 16, 16)
     center = square_lattice.from_fractional([0.25, 0.25])
-    g = cc.refined_grid(square_lattice, base, [center], 0.5, 1)
+    g = cc.refined_grid(square_lattice, base, [center], [0.5] * 1)
     small = g.size[:, 0] < 1.0 / 16 - 1e-12
     # every subdivided cell lies within the radius (plus its own diagonal)
     d = np.linalg.norm(g.points[small] - center, axis=1)
@@ -115,7 +115,7 @@ def test_refined_grid_measures_across_dual_images(square_lattice):
     # a center at the cell corner refines around all four wrapped images
     base = cc.uniform_grid(square_lattice, 16, 16)
     corner = square_lattice.from_fractional([-0.5, -0.5])
-    g = cc.refined_grid(square_lattice, base, [corner], 0.4, 1)
+    g = cc.refined_grid(square_lattice, base, [corner], [0.4] * 1)
     refined = g.frac[g.size[:, 0] < 1.0 / 16 - 1e-12]
     # refined cells appear in all four corners of the fundamental cell
     for sx, sy in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
@@ -126,8 +126,51 @@ def test_refined_grid_measures_across_dual_images(square_lattice):
 def test_grid_describe_strings(square_lattice):
     g = cc.uniform_grid(square_lattice, 8, 8)
     assert g.describe() == "8x8 midpoint"
-    r = cc.refined_grid(square_lattice, g, [np.zeros(2)], 0.6, 1)
+    r = cc.refined_grid(square_lattice, g, [np.zeros(2)], [0.6] * 1)
     assert r.describe().startswith("8x8 midpoint, refined to")
+
+
+@pytest.mark.parametrize("case", ["honeycomb", "qwz_aniso", "skewed"])
+def test_refined_grid_schedule_equals_chained_levels(case, request):
+    # one call over a shrinking schedule measures only the previous level's
+    # children; it must give the grid of one single-level call per radius
+    if case == "skewed":
+        lat = cc.make_lattice([1.0, 0.2], [0.3, 1.1])
+        centers = [lat.from_fractional([-0.5, -0.5]), lat.from_fractional([0.1, -0.3])]
+        radii = [1.2, 0.6, 0.3, 0.2, 0.2]
+    else:
+        model = request.getfixturevalue(
+            {"honeycomb": "haldane_critical", "qwz_aniso": "qwz_aniso"}[case])
+        cones = request.getfixturevalue(
+            {"honeycomb": "haldane_cones", "qwz_aniso": "qwz_aniso_cones"}[case])
+        lat = model.lattice
+        centers = [c.omega for c in cones]
+        radii = cc.GridPolicy(base=24)._radii_schedule(model, cones, 0.05)
+    # the schedules end on a repeated core radius
+    assert len(radii) >= 4 and radii[-1] == radii[-2]
+    base = cc.uniform_grid(lat, 24, 24)
+    one = cc.refined_grid(lat, base, centers, radii)
+    chained = base
+    for r in radii:
+        chained = cc.refined_grid(lat, chained, centers, [r])
+    assert len(one) > len(base)
+    for name in ("points", "weights", "frac", "size"):
+        assert np.array_equal(getattr(one, name), getattr(chained, name)), name
+
+
+def test_refined_grid_empty_schedule_returns_base(square_lattice):
+    base = cc.uniform_grid(square_lattice, 8, 8)
+    g = cc.refined_grid(square_lattice, base, [np.zeros(2)], [])
+    for name in ("points", "weights", "frac", "size"):
+        assert np.array_equal(getattr(g, name), getattr(base, name))
+
+
+@pytest.mark.parametrize("radii", [[0.0], [-0.3], [np.nan], [np.inf],
+                                   [0.5, np.nan], [0.2, 0.5], [0.5, 0.2, 0.3]])
+def test_refined_grid_rejects_bad_schedule(square_lattice, radii):
+    base = cc.uniform_grid(square_lattice, 8, 8)
+    with pytest.raises(ValueError, match="refinement radii"):
+        cc.refined_grid(square_lattice, base, [np.zeros(2)], radii)
 
 
 def test_hexagonal_bz_area(haldane_critical):
