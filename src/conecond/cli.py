@@ -192,6 +192,9 @@ class RunConfig:
                 raise ConfigParse(f"--eta-seq: {exc}") from exc
         if self.method == "closed" and any(j != l for j, l in self.directions):
             raise ConfigParse("--method closed covers only the directions 11 and 22")
+        if self.method == "closed" and self.csv is not None:
+            raise ConfigParse("--csv holds the Kubo sigma_hat sequence; "
+                              "--method closed has none")
         if self.method == "kubo" and self.csv is None and self.out:
             # the sigma_hat CSV goes next to the JSON report by default
             self.csv = os.path.splitext(self.out)[0] + ".csv"
@@ -781,7 +784,7 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="halving eta sequence a,b,c,...")
     sigma.add_argument("--directions", default="11,22",
                        help="direction pairs, e.g. 11,22,12")
-    sigma.add_argument("--csv", help="write the sigma_hat sequence CSV here")
+    sigma.add_argument("--csv", help="write the Kubo sigma_hat sequence CSV here")
 
     verify = sub.add_parser("verify", parents=[common],
                             help="run the cross-validation identity suite")

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bloch import HoppingModel, _max_current_norm, h_at
-from .lattice import Lattice2D, uniform_grid, wrap_fractional
+from .lattice import Lattice2D, _min_cart_distance, uniform_grid, wrap_fractional
 from .spectra import AllBandsOnOneSide
 
 __all__ = [
@@ -105,22 +105,17 @@ class FermiPoint:
         omega = np.asarray(self.omega, dtype=float).reshape(2).copy()
         Q = np.asarray(self.Q, dtype=float).reshape(2, 2).copy()
         tilt = np.asarray(self.tilt, dtype=float).reshape(2).copy()
-        if np.abs(Q - Q.T).max() > 1e-12 * max(1.0, np.abs(Q).max()):
-            raise ValueError("Q must be symmetric")
-        Q = 0.5 * (Q + Q.T)
-        ev = np.linalg.eigvalsh(Q)
-        if ev[0] <= 0:
-            raise ValueError(f"Q must be positive-definite (eigenvalues {ev})")
+        ok, margin = check_cone_condition(Q, tilt)
         if not self.gap_at_omega < self.gap_tol:
             raise ValueError(
                 f"gap {self.gap_at_omega:.3e} at omega exceeds tolerance "
                 f"{self.gap_tol:.3e}"
             )
-        margin = np.sqrt(ev[0]) - np.linalg.norm(tilt)
-        if not margin > 0:
+        if not ok:
             raise ValueError(
                 f"cone condition violated: sqrt(min eig Q) - |tilt| = {margin:.3e}"
             )
+        Q = 0.5 * (Q + Q.T)
         for name, arr in (("omega", omega), ("Q", Q), ("tilt", tilt)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -151,12 +146,6 @@ class FermiPointScan:
 
     def __getitem__(self, i):
         return self.locations[i]
-
-
-def _reduced_distance(lat: Lattice2D, k1, k2) -> float:
-    """Cartesian distance between momenta modulo the dual lattice."""
-    d = np.asarray(k1, dtype=float) - np.asarray(k2, dtype=float)
-    return float(np.linalg.norm(d + lat.image_shifts(), axis=1).min())
 
 
 def _occupied_band_index(model: HoppingModel, w_grid: np.ndarray) -> int:
@@ -233,7 +222,7 @@ def find_fermi_points(
     # about (local slope) * (cell diagonal); the slope is bounded by the
     # current-operator norms
     jnorm = _max_current_norm(model, ks[:: max(1, ks.shape[0] // 512)])
-    spacing = max(np.linalg.norm(lat.b1), np.linalg.norm(lat.b2)) / n
+    spacing = max(lat.zone_lengths) / n
     seed_threshold = 3.0 * jnorm * spacing
 
     neighbors_min = gap.copy()
@@ -272,7 +261,8 @@ def find_fermi_points(
     accepted = []
     for g, k in sorted(candidates, key=lambda c: c[0]):
         if g < tol:
-            if all(_reduced_distance(lat, k, k2) > _DEDUP_RADIUS for _, k2 in accepted):
+            seen = [k2 for _, k2 in accepted]
+            if _min_cart_distance(lat, lat.to_zone(k)[None, :], seen)[0] > _DEDUP_RADIUS:
                 accepted.append((g, k))
         elif g <= 100.0 * tol:
             warnings.append(
@@ -371,7 +361,7 @@ def fit_cone(
             "leave the fit residual no degrees of freedom"
         )
     if radii is None:
-        bmin = min(np.linalg.norm(lat.b1), np.linalg.norm(lat.b2))
+        bmin = min(lat.zone_lengths)
         radii = [2e-2 * bmin, 1e-2 * bmin, 5e-3 * bmin]
     radii = sorted(float(r) for r in radii)
     if len(radii) < 2:
@@ -495,25 +485,27 @@ def sigma_closed_form(cones, j: int):
     return float(sum(per_cone)), per_cone
 
 
+def _cone_images(cones, lat: Lattice2D):
+    """(a, b, d) over every ordered pair of cones: d holds the 3 x 3 nearest
+    images of omega_b - omega_a (Lattice2D.images), with each cone's zero
+    self-image left out, and a, b the cone indices of each row."""
+    n = len(cones)
+    a, b = np.indices((n, n)).reshape(2, -1)
+    z = lat.to_zone(np.array([c.omega for c in cones]).reshape(n, 2))
+    images = list(lat.images(z[b] - z[a]))
+    a, b, d = np.tile(a, len(images)), np.tile(b, len(images)), np.concatenate(images)
+    keep = (a != b) | d.any(axis=1)
+    return a[keep], b[keep], d[keep]
+
+
 def neighborhoods_disjoint(cones, lat: Lattice2D, eps: float) -> bool:
     """Sufficient disjointness check for the B_eps neighborhoods: each
     B_eps^(l) lies in a cartesian ball of radius eps/(2 sqrt(min eig Q_l)),
     so the neighborhoods are verifiably pairwise disjoint (including each
     against its own periodic images) when those balls are."""
-    n = len(cones)
-    radii = [eps / (2.0 * np.sqrt(np.linalg.eigvalsh(c.Q)[0])) for c in cones]
-    shifts = lat.image_shifts()
-    for a in range(n):
-        for b in range(a, n):
-            d = cones[b].omega + shifts - cones[a].omega
-            dist = np.linalg.norm(d, axis=1)
-            if a == b:
-                dist = dist[np.linalg.norm(shifts, axis=1) > 0]
-                if dist.size == 0:
-                    continue
-            if dist.min() <= radii[a] + radii[b]:
-                return False
-    return True
+    radii = np.array([eps / (2.0 * np.sqrt(np.linalg.eigvalsh(c.Q)[0])) for c in cones])
+    a, b, d = _cone_images(cones, lat)
+    return bool(np.all(np.hypot(d[:, 0], d[:, 1]) > radii[a] + radii[b]))
 
 
 def _require_admissible_eps(cones, lat: Lattice2D, eps: float) -> None:
@@ -537,16 +529,12 @@ def b_epsilon_membership(cones, k, eps: float, lat: Lattice2D):
     periodic images).
     """
     _require_admissible_eps(cones, lat, eps)
-    k = np.asarray(k, dtype=float).reshape(2)
-    hit = None
-    for idx, cone in enumerate(cones):
-        d_frac = wrap_fractional(lat.to_fractional(k - cone.omega))
-        # the canonical wrap need not be the nearest image in the cone
-        # metric (skewed bases); minimize over the neighboring images
-        d = lat.from_fractional(d_frac) + lat.image_shifts()
-        if (2.0 * np.sqrt(np.einsum("si,ij,sj->s", d, cone.Q, d)).min() < eps):
-            hit = idx if hit is None else hit
-    return hit
+    omegas = np.array([c.omega for c in cones]).reshape(-1, 2)
+    Q = np.array([c.Q for c in cones]).reshape(-1, 2, 2)
+    z = lat.to_zone(np.asarray(k, dtype=float).reshape(2) - omegas)
+    q = np.min([np.einsum("li,lij,lj->l", d, Q, d) for d in lat.images(z)], axis=0)
+    hit = np.flatnonzero(2.0 * np.sqrt(q) < eps)
+    return int(hit[0]) if hit.size else None
 
 
 def fermi_point_separation(cones, lat: Lattice2D) -> float:
@@ -555,18 +543,11 @@ def fermi_point_separation(cones, lat: Lattice2D) -> float:
     bounds admissible eps from above."""
     if not cones:
         raise ValueError("need at least one cone")
-    shifts = lat.image_shifts()
-    nonzero = np.linalg.norm(shifts, axis=1) > 0
-    best = np.inf
-    for a, ca in enumerate(cones):
-        for b, cb in enumerate(cones):
-            d = cb.omega + shifts - ca.omega
-            d = d[nonzero] if a == b else d
-            for delta in d:
-                qa = np.sqrt(delta @ ca.Q @ delta)
-                qb = np.sqrt(delta @ cb.Q @ delta)
-                best = min(best, qa, qb)
-    return float(best)
+    a, b, d = _cone_images(cones, lat)
+    Q = np.array([c.Q for c in cones])
+    q = np.minimum(np.einsum("pi,pij,pj->p", d, Q[a], d),
+                   np.einsum("pi,pij,pj->p", d, Q[b], d))
+    return float(np.sqrt(q.min()))
 
 
 def default_epsilon(cones, lat: Lattice2D) -> float:

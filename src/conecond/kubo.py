@@ -209,7 +209,7 @@ class GridPolicy:
     A uniform ``base`` x ``base`` midpoint grid is refined around the cone
     locations by one ``refined_grid`` call over the shrinking radius schedule
     R_level = max(R_outer / 2^level, R_core), where R_outer is 0.35 times the
-    smaller dual-basis norm and R_core = 8 eta / sqrt(lambda*) is the region
+    smaller zone-basis norm and R_core = 8 eta / sqrt(lambda*) is the region
     whose gap falls below ~8 eta.  Levels (at most 18) are added until the
     refined spacing satisfies spacing <= eta sqrt(lambda*) / (8 max|dH|),
     i.e. until the half-width-eta Lorentzian is resolved (max|dH| over a
@@ -226,14 +226,12 @@ class GridPolicy:
 
     def _radii_schedule(self, model: HoppingModel, cones, eta: float) -> list:
         lat = model.lattice
-        b1n = float(np.linalg.norm(lat.b1))
-        b2n = float(np.linalg.norm(lat.b2))
         lam_sqrt = np.sqrt(min(c.lambda_star for c in cones))
         jmax = _max_current_norm(model, uniform_grid(lat, 48, 48).points)
-        r_outer = _OUTER_RADIUS_FACTOR * min(b1n, b2n)
+        r_outer = _OUTER_RADIUS_FACTOR * min(lat.zone_lengths)
         r_core = _CORE_RADIUS_SLOPE * eta / lam_sqrt
         target = eta * lam_sqrt / (_SPACING_SLOPE * jmax)
-        spacing = max(b1n, b2n) / self.base
+        spacing = max(lat.zone_lengths) / self.base
         radii = []
         level = 1
         while spacing > target and level <= _MAX_LEVELS:
@@ -260,11 +258,8 @@ class GridPolicy:
 
 def _grid_spacing_cart(grid: KGrid) -> np.ndarray:
     """Per-point cartesian cell extent (max over the two cell edges)."""
-    lat = grid.lattice
-    return np.maximum(
-        grid.size[:, 0] * np.linalg.norm(lat.b1),
-        grid.size[:, 1] * np.linalg.norm(lat.b2),
-    )
+    z1, z2 = grid.lattice.zone_lengths
+    return np.maximum(grid.size[:, 0] * z1, grid.size[:, 1] * z2)
 
 
 def _eigh(H: np.ndarray):
@@ -579,9 +574,10 @@ def _elliptic_polar_nodes(cone: FermiPoint, eps: float, eta: float,
     return offsets, weights
 
 
-def _band_pair(model: HoppingModel, ks: np.ndarray):
-    """The band pair straddling the Fermi level on a batch of momenta:
-    (lam_lo, lam_hi, v_lo, v_hi), eigenvalues (M,) and eigenvectors (M, N).
+def _band_pair(model: HoppingModel, ks: np.ndarray, j: int):
+    """The band pair straddling the Fermi level on a batch of momenta, and
+    the current J_j assembled with H in one pass: (lam_lo, lam_hi, v_lo,
+    v_hi, J), eigenvalues (M,), eigenvectors (M, N) and J (M, N, N).
 
     The per-point count is clipped into [1, N-1]: the cone-neighborhood
     integrals need a band pair at every node, and near omega both bands sit
@@ -589,11 +585,12 @@ def _band_pair(model: HoppingModel, ks: np.ndarray):
     The isolation check (every other band beyond twice the sampled window,
     else TwoBandIsolationFailed) decides whether it is the right pair."""
     mu = model.fermi_energy
-    w, V = _eigh(model.h_batch(ks))
+    H, J = model._assemble(ks, ((), (j,)))
+    w, V = _eigh(H)
     lo = np.clip((w <= mu).sum(axis=1), 1, w.shape[1] - 1) - 1
     lam_lo, lam_hi = _isolated_pair(w, lo, mu, 2.0, "shrink eps")
     rows = np.arange(w.shape[0])
-    return lam_lo, lam_hi, V[rows, :, lo], V[rows, :, lo + 1]
+    return lam_lo, lam_hi, V[rows, :, lo], V[rows, :, lo + 1], J
 
 
 def _element(u: np.ndarray, J: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -647,8 +644,8 @@ def fjj_sing(model: HoppingModel, cones, eta: float, j: int,
     element <lower|J_j|upper>, never the full rotated current.
     """
     def integrand(ks):
-        lam_lo, lam_hi, v_lo, v_hi = _band_pair(model, ks)
-        me2 = np.abs(_element(v_lo, model.dh_batch(ks, j), v_hi)) ** 2
+        lam_lo, lam_hi, v_lo, v_hi, J = _band_pair(model, ks, j)
+        me2 = np.abs(_element(v_lo, J, v_hi)) ** 2
         d = lam_hi - lam_lo
         return -2.0 * d / (eta * eta + d * d) * me2 / (2.0 * np.pi) ** 2
 
@@ -676,8 +673,7 @@ def zeta_jj(model: HoppingModel, cones, eta: float, j: int,
     mu = model.fermi_energy
 
     def pair_and_slopes(ks):
-        lam_lo, lam_hi, v_lo, v_hi = _band_pair(model, ks)
-        J = model.dh_batch(ks, j)
+        lam_lo, lam_hi, v_lo, v_hi, J = _band_pair(model, ks, j)
         return lam_lo, lam_hi, _element(v_lo, J, v_lo).real, _element(v_hi, J, v_hi).real
 
     def integrand(ks):

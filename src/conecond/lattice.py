@@ -8,6 +8,11 @@ into the half-open square [-1/2, 1/2)^2, which makes the reduction
 single-valued.  Grids are midpoint rules: points sit at sub-cell centers, so
 high-symmetry momenta (where integrands may be singular) are never sampled
 exactly by a uniform grid.
+
+Grids and minimum-image searches use the zone basis ``Lattice2D.zone``, a
+Lagrange-Gauss reduced basis of the dual lattice, so they do not depend on
+which basis a model file uses (a reduced (b1, b2) is its own zone basis);
+reported coordinates (``to_fractional``, ``reduce_to_cell``) use (b1, b2).
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ __all__ = [
 
 #: relative determinant threshold below which a basis is rejected
 _DEGENERACY_RTOL = 1e-12
-#: fractional shifts to the 3 x 3 neighbouring dual cells, origin included:
-#: wrapping into [-1/2, 1/2)^2 can leave the nearest image of a momentum one
-#: cell away on a skewed basis, so minimum-image searches scan these
+#: zone-basis shifts to the 3 x 3 neighbouring dual cells, origin included:
+#: in a reduced basis the nearest image of a wrapped displacement is among them
 _IMAGE_SHIFTS = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
+#: a zone-basis reduction step must shorten a vector by more than this share
+_REDUCTION_RTOL = 1e-12
 
 
 class DegenerateBasis(ValueError):
@@ -40,18 +46,37 @@ class DegenerateBasis(ValueError):
 
 @dataclass(frozen=True)
 class Lattice2D:
-    """A 2D Bravais lattice: direct basis (a1, a2) and dual basis (b1, b2)."""
+    """A 2D Bravais lattice: direct basis (a1, a2) and dual basis (b1, b2),
+    with the zone basis (columns of ``zone``) and its norms ``zone_lengths``."""
 
     a1: np.ndarray
     a2: np.ndarray
     b1: np.ndarray
     b2: np.ndarray
+    # derived state
+    zone: np.ndarray = field(init=False, repr=False, compare=False)
+    zone_lengths: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2"):
             v = np.asarray(getattr(self, name), dtype=float).reshape(2).copy()
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+        # zone basis: reduce the longer vector by the shorter while that
+        # strictly shortens it, never swapping the two, so a reduced (b1, b2)
+        # is kept bit for bit and ties (|b1 +- b2| = |b1|) stop the loop
+        r = [self.b1.copy(), self.b2.copy()]
+        while True:
+            norms = [np.linalg.norm(v) for v in r]
+            s = int(norms[1] < norms[0])
+            step = r[1 - s] - np.round((r[1 - s] @ r[s]) / (r[s] @ r[s])) * r[s]
+            if not np.linalg.norm(step) < (1.0 - _REDUCTION_RTOL) * norms[1 - s]:
+                break
+            r[1 - s] = step
+        zone = np.column_stack(r)
+        zone.setflags(write=False)
+        object.__setattr__(self, "zone", zone)
+        object.__setattr__(self, "zone_lengths", tuple(map(float, norms)))
 
     @property
     def direct_matrix(self) -> np.ndarray:
@@ -78,9 +103,19 @@ class Lattice2D:
         frac = np.asarray(frac, dtype=float)
         return (np.atleast_2d(frac) @ self.dual_matrix.T).reshape(frac.shape)
 
-    def image_shifts(self) -> np.ndarray:
-        """Cartesian dual-lattice vectors of _IMAGE_SHIFTS, shape (9, 2)."""
-        return _IMAGE_SHIFTS @ self.dual_matrix.T
+    def to_zone(self, k) -> np.ndarray:
+        """Zone-basis coordinates of cartesian momenta k (shape (2,) or (M,2))."""
+        k = np.asarray(k, dtype=float)
+        return np.linalg.solve(self.zone, np.atleast_2d(k).T).T.reshape(k.shape)
+
+    def images(self, d):
+        """Cartesian 3 x 3 images of zone-coordinate displacements d (M, 2),
+        one (M, 2) array per shift: d is wrapped into [-1/2, 1/2)^2, shifted,
+        then mapped to cartesian.  The zone basis is reduced, so the nearest
+        image is among them; every minimum-image search goes through here."""
+        w = wrap_fractional(d)
+        for shift in _IMAGE_SHIFTS:
+            yield (w + shift) @ self.zone.T
 
 
 @dataclass(frozen=True)
@@ -89,10 +124,10 @@ class KGrid:
 
     `points` are cartesian momenta at sub-cell centers; `weights` are the
     corresponding cell areas, summing to the cell area |det[b1 b2]|.  `frac`
-    and `size` hold each point's dual-basis coordinates and fractional cell
-    side lengths (used by local refinement and by spacing-sensitive
-    integrators); they are implementation detail, not part of the quadrature
-    contract.
+    and `size` hold each point's zone-basis coordinates and cell side lengths
+    in zone-basis units (``Lattice2D.zone``, not the user's b1, b2; used by
+    local refinement and by spacing-sensitive integrators); they are
+    implementation detail, not part of the quadrature contract.
     """
 
     lattice: Lattice2D
@@ -159,7 +194,7 @@ def reduce_to_cell(lattice: Lattice2D, k) -> np.ndarray:
 
 
 def uniform_grid(lattice: Lattice2D, n1: int, n2: int) -> KGrid:
-    """Midpoint-rule grid: n1 x n2 sub-cell centers, equal weights."""
+    """Midpoint-rule grid: n1 x n2 sub-cell centers of the zone basis, equal weights."""
     if n1 < 1 or n2 < 1:
         raise ValueError("subdivision counts must be >= 1")
     f1 = (np.arange(n1) + 0.5) / n1 - 0.5
@@ -168,27 +203,17 @@ def uniform_grid(lattice: Lattice2D, n1: int, n2: int) -> KGrid:
     frac = np.column_stack([F1.ravel(), F2.ravel()])
     size = np.tile(np.array([1.0 / n1, 1.0 / n2]), (n1 * n2, 1))
     weights = np.full(n1 * n2, lattice.bz_area / (n1 * n2))
-    return KGrid(
-        lattice=lattice,
-        n1=n1,
-        n2=n2,
-        points=lattice.from_fractional(frac),
-        weights=weights,
-        frac=frac,
-        size=size,
-    )
+    return KGrid(lattice=lattice, n1=n1, n2=n2, points=frac @ lattice.zone.T,
+                 weights=weights, frac=frac, size=size)
 
 
 def _min_cart_distance(lattice: Lattice2D, frac: np.ndarray, centers) -> np.ndarray:
-    """Cartesian distance from each fractional point to the nearest center, mod dual lattice."""
+    """Cartesian distance from each zone-coordinate point (M, 2) to the
+    nearest of the cartesian `centers`, modulo the dual lattice."""
     dmin = np.full(frac.shape[0], np.inf)
-    B = lattice.dual_matrix
     for c in centers:
-        cf = wrap_fractional(lattice.to_fractional(np.asarray(c, dtype=float)))
-        df = wrap_fractional(frac - cf)
-        # shift before the map to cartesian (refined grids depend on it)
-        for shift in _IMAGE_SHIFTS:
-            dk = (df + shift) @ B.T
+        cf = wrap_fractional(lattice.to_zone(np.asarray(c, dtype=float)))
+        for dk in lattice.images(frac - cf):
             dmin = np.minimum(dmin, np.hypot(dk[:, 0], dk[:, 1]))
     return dmin
 
@@ -220,12 +245,5 @@ def refined_grid(lattice: Lattice2D, base: KGrid, centers, radii) -> KGrid:
         weights = np.repeat(w_in / 4.0, 4)
     settled.append((frac, size, weights))
     frac, size, weights = (np.concatenate(parts) for parts in zip(*settled))
-    return KGrid(
-        lattice=lattice,
-        n1=base.n1,
-        n2=base.n2,
-        points=lattice.from_fractional(frac),
-        weights=weights,
-        frac=frac,
-        size=size,
-    )
+    return KGrid(lattice=lattice, n1=base.n1, n2=base.n2,
+                 points=frac @ lattice.zone.T, weights=weights, frac=frac, size=size)

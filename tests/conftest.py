@@ -185,3 +185,25 @@ def random_momenta(lattice, count, seed=0):
     rng = np.random.default_rng(seed)
     frac = rng.uniform(-0.5, 0.5, size=(count, 2))
     return frac @ lattice.dual_matrix.T
+
+
+@pytest.fixture(scope="session")
+def thin_lattice():
+    """A thin basis of a lattice whose zone basis is 2 pi {(1, 1.5), (-2, 2)};
+    the user's own b1 = 2 pi (1, -13.5) is 7.5 times longer than the shorter
+    zone vector, so its 3 x 3 images miss nearest images."""
+    lat = cc.make_lattice([1.0, 0.0], [2.7, 0.2])
+    assert np.allclose(lat.zone.T / (2 * np.pi), [[1.0, 1.5], [-2.0, 2.0]])
+    # the zone basis spans the same dual lattice (unimodular change of basis)
+    U = np.linalg.solve(lat.dual_matrix, lat.zone)
+    assert np.allclose(U, np.round(U), atol=1e-9)
+    assert abs(round(np.linalg.det(np.round(U)))) == 1
+    return lat
+
+
+def dual_images(lattice, reach=6):
+    """Brute-force image table: all (2 reach + 1)^2 integer combinations of
+    the zone basis vectors, cartesian, shape (K, 2)."""
+    m = np.arange(-reach, reach + 1)
+    M1, M2 = np.meshgrid(m, m, indexing="ij")
+    return np.column_stack([M1.ravel(), M2.ravel()]) @ lattice.zone.T

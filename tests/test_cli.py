@@ -403,3 +403,13 @@ def test_console_script_validate_exit_codes():
     assert ok.returncode == 0
     bad = run_script("validate", "--preset", "nosuch")
     assert bad.returncode == 1
+
+
+def test_sigma_closed_refuses_csv(capsys, tmp_path, monkeypatch):
+    # the CSV holds the Kubo sigma_hat sequence, which the closed form has not
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "sigma", "--preset", "qwz", "--params", "u=-2",
+                             "--grid", "16", "--csv", "seq.csv")
+    assert code == 1 and out == ""
+    assert "--csv" in err and "sigma_hat" in err
+    assert list(tmp_path.iterdir()) == []

@@ -5,6 +5,8 @@ import pytest
 
 import conecond as cc
 
+from conftest import dual_images
+
 
 def synthetic_cone(Q, omega=None, tilt=(0.0, 0.0), lat=None):
     if omega is None:
@@ -328,3 +330,45 @@ def test_neighborhood_separation_scales(haldane_critical, haldane_cones):
     assert np.isclose(eps, 0.3 * sep)
     assert cc.neighborhoods_disjoint(haldane_cones, lat, eps)
     assert not cc.neighborhoods_disjoint(haldane_cones, lat, 4.0 * sep)
+
+
+def test_cone_image_searches_match_brute_force_on_thin_basis(thin_lattice):
+    lat = thin_lattice
+    cones = [synthetic_cone([[1.0, 0.2], [0.2, 0.6]], omega=[3.0, -2.0]),
+             synthetic_cone([[0.5, -0.1], [-0.1, 1.2]], omega=[-4.0, 5.5])]
+    G = dual_images(lat)
+    zero = np.all(G == 0.0, axis=1)
+
+    def q(d, cone):
+        return np.einsum("si,ij,sj->s", d, cone.Q, d)
+
+    # separation: cone metric of both ends, each point's zero self-image left out
+    sep = np.inf
+    for ca in cones:
+        for cb in cones:
+            d = cb.omega - ca.omega + G
+            d = d[~zero] if ca is cb else d
+            sep = min(sep, np.sqrt(q(d, ca).min()), np.sqrt(q(d, cb).min()))
+    assert np.isclose(cc.fermi_point_separation(cones, lat), sep, rtol=1e-12)
+
+    radii = [1.0 / (2.0 * np.sqrt(np.linalg.eigvalsh(c.Q)[0])) for c in cones]
+    # disjointness: the eps at which the two nearest balls touch
+    touch = np.inf
+    for a, ca in enumerate(cones):
+        for b, cb in enumerate(cones):
+            dist = np.linalg.norm(cb.omega - ca.omega + G, axis=1)
+            dist = dist[~zero] if a == b else dist
+            touch = min(touch, dist.min() / (radii[a] + radii[b]))
+    for eps in np.linspace(0.5, 1.5, 10) * touch:
+        assert cc.neighborhoods_disjoint(cones, lat, eps) == (eps < touch)
+
+    eps = 0.9 * touch
+    rng = np.random.default_rng(11)
+    ks = rng.uniform(-12.0, 12.0, size=(300, 2))
+    hits = 0
+    for k in ks:
+        inside = [2.0 * np.sqrt(q(k - c.omega + G, c).min()) < eps for c in cones]
+        expect = inside.index(True) if any(inside) else None
+        assert cc.b_epsilon_membership(cones, k, eps, lat) == expect
+        hits += expect is not None
+    assert hits > 20

@@ -720,3 +720,25 @@ def test_sigma_hall_gapless_model_report():
     above gets the quantized report this check asks for."""
     report = cc.sigma_hall(cc.preset_qwz(0.0))
     assert np.isfinite(report.sigma[(1, 2)])
+
+
+def test_relabelled_basis_gives_square_basis_results():
+    # QWZ(-2) on the square lattice written with a2 = (3, 1): cell (0, 1) is
+    # renamed (-3, 1); the zone basis, hence every grid, must not change
+    square = cc.preset_qwz(-2.0)
+    skew = cc.HoppingModel(
+        lattice=cc.make_lattice([1.0, 0.0], [3.0, 1.0]), norbitals=2,
+        positions=square.positions, fermi_energy=square.fermi_energy,
+        terms={(m1 - 3 * m2, m2): T for (m1, m2), T in square.terms.items()})
+    (sq_cones, sk_cones) = (cc.characterize_cones(m) for m in (square, skew))
+    assert len(sk_cones) == len(sq_cones) == 1
+    for j in (1, 2):
+        assert np.isclose(cc.sigma_closed_form(sk_cones, j)[0],
+                          cc.sigma_closed_form(sq_cones, j)[0], rtol=0, atol=1e-12)
+    assert np.isclose(cc.default_epsilon(sk_cones, skew.lattice),
+                      cc.default_epsilon(sq_cones, square.lattice), rtol=1e-12)
+    seq = [0.2, 0.1, 0.05, 0.025]
+    sq_rep = _kubo_report(square, 1, 1, eta_sequence=seq, cones=sq_cones)
+    sk_rep = _kubo_report(skew, 1, 1, eta_sequence=seq, cones=sk_cones)
+    assert sk_rep.diagnostics["grid_points"] == sq_rep.diagnostics["grid_points"]
+    assert np.isclose(sk_rep.sigma[(1, 1)], sq_rep.sigma[(1, 1)], rtol=1e-10, atol=0)

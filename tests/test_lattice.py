@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import conecond as cc
 
+from conftest import dual_images
+
 basis_floats = st.floats(min_value=-3.0, max_value=3.0,
                          allow_nan=False, allow_infinity=False)
 
@@ -177,3 +179,37 @@ def test_hexagonal_bz_area(haldane_critical):
     lat = haldane_critical.lattice
     # |det B| = (2 pi)^2 / |det A|
     assert np.isclose(lat.bz_area, (2 * np.pi) ** 2 / abs(np.linalg.det(lat.direct_matrix)))
+
+
+# -- zone basis -------------------------------------------------------------------
+
+@pytest.mark.parametrize("lat", [
+    cc.preset_qwz(-2.0).lattice,
+    cc.preset_haldane(1.0, 0.1, 0.0, 0.0).lattice,
+    cc.make_lattice([1.0, 0.2], [0.3, 1.1]),   # the lattice of three_orbital_model
+], ids=["square", "honeycomb", "skewed"])
+def test_reduced_basis_keeps_reduced_dual_basis(lat):
+    # the honeycomb and skewed bases are ties (|b1 + b2| = |b1|): no step
+    assert np.array_equal(lat.zone, lat.dual_matrix)
+    assert lat.zone_lengths == (np.linalg.norm(lat.b1), np.linalg.norm(lat.b2))
+    g = cc.uniform_grid(lat, 6, 5)
+    assert np.array_equal(g.points, lat.from_fractional(g.frac))
+
+
+def test_refined_grid_splits_cells_within_radius_on_thin_basis(thin_lattice):
+    lat = thin_lattice
+    rng = np.random.default_rng(5)
+    centers = list(rng.uniform(-15.0, 15.0, size=(2, 2)))
+    base = cc.uniform_grid(lat, 20, 20)
+    r = 4.0
+    d = (base.points[:, None, None, :] - np.asarray(centers)[None, :, None, :]
+         - dual_images(lat)[None, None, :, :])
+    dist = np.linalg.norm(d, axis=-1).min(axis=(1, 2))
+    assert np.abs(dist - r).min() > 1e-9
+    hit = dist < r
+    assert 0 < hit.sum() < len(base)
+    g = cc.refined_grid(lat, base, centers, [r])
+    # settled cells come first, in base order, then the 4 children of each hit
+    assert len(g) == len(base) + 3 * hit.sum()
+    assert np.array_equal(g.points[: np.count_nonzero(~hit)], base.points[~hit])
+    assert np.isclose(g.weights.sum(), lat.bz_area, rtol=1e-12)
