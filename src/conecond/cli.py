@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -224,6 +224,13 @@ def _parse_params(text: str | None) -> dict:
     return out
 
 
+def _parse_eta_seq(text: str) -> list:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigParse("--eta-seq must be comma-separated numbers") from exc
+
+
 def _parse_directions(text: str) -> tuple:
     pairs = []
     for item in text.split(","):
@@ -283,27 +290,17 @@ def _build_model(args) -> tuple:
 
 
 def _config_from_args(args) -> RunConfig:
+    """RunConfig from parsed arguments.  Options left out (or an empty
+    --eta-seq, --directions or --path) take RunConfig's own defaults."""
     model, label = _build_model(args)
-    eta_seq = None
-    if getattr(args, "eta_seq", None):
-        try:
-            eta_seq = [float(x) for x in args.eta_seq.split(",")]
-        except ValueError as exc:
-            raise ConfigParse("--eta-seq must be comma-separated numbers") from exc
-    return RunConfig(
-        model=model,
-        model_label=label,
-        grid=args.grid,
-        eta_seq=eta_seq,
-        eps=getattr(args, "eps", None),
-        directions=_parse_directions(getattr(args, "directions", None) or "11,22"),
-        method=getattr(args, "method", "closed"),
-        path=_parse_path(args.path) if getattr(args, "path", None) else None,
-        samples=getattr(args, "samples", 64),
-        out=args.out,
-        svg=getattr(args, "svg", None),
-        csv=getattr(args, "csv", None),
-    )
+    opts = dict(vars(args), model=model, model_label=label)
+    for name, parse in (("eta_seq", _parse_eta_seq), ("directions", _parse_directions),
+                        ("path", _parse_path)):
+        if opts.get(name):
+            opts[name] = parse(opts[name])
+        else:
+            opts.pop(name, None)
+    return RunConfig(**{f.name: opts[f.name] for f in fields(RunConfig) if f.name in opts})
 
 
 # -- validate ------------------------------------------------------------------
@@ -332,18 +329,12 @@ def _run_validation_checks(model: HoppingModel) -> list:
     checks.append(("dual_covariance", cov < 1e-10, cov, 1e-10))
 
     step = 1e-6
-    fd_err = 0.0
+    fd_err = fd2_err = sym_err = 0.0
     scale = max(1.0, float(np.abs(H).max()))
     for k in ks[:20]:
         for j, e in ((1, np.array([step, 0.0])), (2, np.array([0.0, step]))):
             fd = (h_at(model, k + e) - h_at(model, k - e)) / (2 * step)
             fd_err = max(fd_err, float(np.abs(fd - dh_at(model, k, j)).max()) / scale)
-    checks.append(("derivative_consistency", fd_err < 1e-5, fd_err, 1e-5))
-
-    fd2_err = 0.0
-    sym_err = 0.0
-    for k in ks[:20]:
-        for j, e in ((1, np.array([step, 0.0])), (2, np.array([0.0, step]))):
             for l in (1, 2):
                 fd = (dh_at(model, k + e, l) - dh_at(model, k - e, l)) / (2 * step)
                 fd2_err = max(
@@ -351,6 +342,7 @@ def _run_validation_checks(model: HoppingModel) -> list:
                 )
         sym = np.abs(d2h_at(model, k, 1, 2) - d2h_at(model, k, 2, 1)).max()
         sym_err = max(sym_err, float(sym))
+    checks.append(("derivative_consistency", fd_err < 1e-5, fd_err, 1e-5))
     checks.append(("second_derivative_consistency", fd2_err < 1e-5, fd2_err, 1e-5))
     checks.append(("second_derivative_symmetry", sym_err == 0.0, sym_err, 0.0))
 
@@ -751,43 +743,42 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _make_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--model", help="model JSON file")
-    common.add_argument("--preset", help="preset model name (haldane, qwz)")
-    common.add_argument("--params", help="preset parameters k=v,...")
-    common.add_argument("--grid", type=int, default=96,
-                        help="coarse grid subdivision (default 96)")
-    common.add_argument("--out", help="output path (default stdout)")
+    # options left out stay out of the namespace: RunConfig holds the defaults
+    common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--model", default=None, help="model JSON file")
+    common.add_argument("--preset", default=None, help="preset model name (haldane, qwz)")
+    common.add_argument("--params", default=None, help="preset parameters k=v,...")
+    common.add_argument("--grid", type=int,
+                        help=f"coarse grid subdivision (default {RunConfig.grid})")
+    common.add_argument("--out", default=None, help="output path (default stdout)")
 
     parser = _Parser(prog="conecond",
                      description="Conical Fermi-point conductivity toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("validate", parents=[common],
-                   help="run model consistency checks")
+    def command(name, summary):
+        return sub.add_parser(name, parents=[common], help=summary,
+                              argument_default=argparse.SUPPRESS)
 
-    bands = sub.add_parser("bands", parents=[common],
-                           help="band structure along a k-path (CSV/SVG)")
+    command("validate", "run model consistency checks")
+
+    bands = command("bands", "band structure along a k-path (CSV/SVG)")
     bands.add_argument("--path",
                        help="waypoints in dual-basis coordinates 'f1,f2;f1,f2;...'")
-    bands.add_argument("--samples", type=int, default=64,
-                       help="samples per path segment (default 64)")
+    bands.add_argument("--samples", type=int,
+                       help=f"samples per path segment (default {RunConfig.samples})")
     bands.add_argument("--svg", help="write an SVG band plot to this path")
 
-    sub.add_parser("fermi-points", parents=[common],
-                   help="locate and characterize conical crossings (JSON)")
+    command("fermi-points", "locate and characterize conical crossings (JSON)")
 
-    sigma = sub.add_parser("sigma", parents=[common],
-                           help="longitudinal conductivity (closed form or Kubo)")
-    sigma.add_argument("--method", choices=("closed", "kubo"), default="closed")
+    sigma = command("sigma", "longitudinal conductivity (closed form or Kubo)")
+    sigma.add_argument("--method", choices=("closed", "kubo"))
     sigma.add_argument("--eta-seq", dest="eta_seq",
                        help="halving eta sequence a,b,c,...")
-    sigma.add_argument("--directions", default="11,22",
-                       help="direction pairs, e.g. 11,22,12")
+    sigma.add_argument("--directions", help="direction pairs, e.g. 11,22,12")
     sigma.add_argument("--csv", help="write the Kubo sigma_hat sequence CSV here")
 
-    verify = sub.add_parser("verify", parents=[common],
-                            help="run the cross-validation identity suite")
+    verify = command("verify", "run the cross-validation identity suite")
     verify.add_argument("--eta-seq", dest="eta_seq",
                         help="halving eta sequence a,b,c,...")
     verify.add_argument("--eps", type=float, help="cone-neighborhood size")

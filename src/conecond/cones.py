@@ -16,6 +16,11 @@ of a family of such cones is
     sigma_jj = (1/16) sum_l Q_{l,jj} / sqrt(det Q_l),
 
 with each summand manifestly invariant under S -> O S for orthogonal O.
+
+The cone-pair rule names a cone's two bands once, at omega: the adjacent
+pair of H(omega)'s eigenvalues nearest mu.  ``fit_cone`` and kubo's B_eps
+integrals keep that pair on every node around the cone; a third band in
+the sampled window is refused as TwoBandIsolationFailed.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bloch import HoppingModel, _max_current_norm, h_at
-from .lattice import Lattice2D, _min_cart_distance, uniform_grid, wrap_fractional
-from .spectra import AllBandsOnOneSide
+from .lattice import (Lattice2D, _images, _min_cart_distance, _reduced_basis,
+                      uniform_grid, wrap_fractional)
+from .spectra import AllBandsOnOneSide, _level_bounds
 
 __all__ = [
     "NoConvergence",
@@ -151,28 +157,22 @@ class FermiPointScan:
 def _occupied_band_index(model: HoppingModel, w_grid: np.ndarray) -> int:
     """Constant occupied count on a grid, or BandCrossingRegion.
 
-    A grid point may land exactly on a band-closure point, where the
-    level-touching eigenvalues make the strict count deviate at that single
-    point.  Such deviations are tolerated as long as every eigenvalue on the
-    "wrong side" sits at the Fermi level to within numerical precision;
-    genuinely detached counts mean a band crosses the Fermi level on a
-    region, which is reported as BandCrossingRegion.  The count is one
-    majority value, unlike the per-point count of the Kubo kernel
-    (kubo._fermi_gaps), because the gap Lambda_m - Lambda_{m-1} that the
-    scan minimizes must be one continuous function over the zone.
+    The majority of the strict per-point counts must fit every grid point
+    by the level rule of spectra, which lets a point on a band closure count
+    its level-touching eigenvalues on either side; a count that fits no such
+    reading means a band crosses the Fermi level on a region.  It is one
+    majority value, unlike the per-point count of kubo._fermi_gaps, because
+    the gap Lambda_m - Lambda_{m-1} that the scan minimizes must be one
+    continuous function over the zone.
     """
     mu = model.fermi_energy
-    counts = np.count_nonzero(w_grid <= mu, axis=1)
-    m = int(np.bincount(counts).argmax())
-    atol = 1e-12 * (1.0 + float(np.abs(w_grid).max()))
-    for idx in np.nonzero(counts != m)[0]:
-        c = int(counts[idx])
-        straddlers = w_grid[idx, min(c, m): max(c, m)]
-        if np.abs(straddlers - mu).max() > atol:
-            raise BandCrossingRegion(
-                "occupied count varies across the zone; a band crosses the "
-                "Fermi level on a region rather than at isolated points"
-            )
+    m = int(np.bincount(np.count_nonzero(w_grid <= mu, axis=1)).argmax())
+    below, upto = _level_bounds(w_grid, mu)
+    if np.any((below > m) | (upto < m)):
+        raise BandCrossingRegion(
+            "occupied count varies across the zone; a band crosses the "
+            "Fermi level on a region rather than at isolated points"
+        )
     if m == 0 or m == w_grid.shape[1]:
         raise AllBandsOnOneSide(
             "Fermi level lies outside the spectrum on the scan grid"
@@ -228,8 +228,6 @@ def find_fermi_points(
     neighbors_min = gap.copy()
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
             neighbors_min = np.minimum(neighbors_min, np.roll(gap, (di, dj), (0, 1)))
     is_min = (gap <= neighbors_min) & (gap < seed_threshold)
     seeds = ks.reshape(n, n, 2)[is_min]
@@ -296,18 +294,20 @@ def find_fermi_points(
     )
 
 
-def _isolated_pair(w: np.ndarray, lo, mu: float, factor: float, remedy: str):
-    """Eigenvalues (w[lo], w[lo + 1]) of the band pair straddling mu, per row
-    of an (M, N) eigenvalue stack (``lo`` a scalar or one index per row).
+def _cone_pair(model: HoppingModel, omega) -> int:
+    """The cone-pair rule: lo of the adjacent pair (w[lo], w[lo + 1]) of
+    H(omega)'s eigenvalues whose farther member is nearest mu."""
+    d = np.abs(np.linalg.eigvalsh(h_at(model, omega)) - model.fermi_energy)
+    return int(np.argmin(np.maximum(d[:-1], d[1:])))
 
-    The pair's largest distance from mu is the sampled cone window; unless
-    every other band stays more than ``factor`` times that far from mu,
-    TwoBandIsolationFailed is raised, naming ``remedy``."""
-    rows = np.arange(w.shape[0])
-    lam_lo, lam_hi = w[rows, lo], w[rows, lo + 1]
-    others = np.abs(w - mu)
-    others[rows, lo] = others[rows, lo + 1] = np.inf
-    third = float(others.min())
+
+def _isolated_pair(w: np.ndarray, lo: int, mu: float, factor: float, remedy: str):
+    """Eigenvalues (w[:, lo], w[:, lo + 1]) of the cone's band pair on an
+    (M, N) eigenvalue stack.  The pair's largest distance from mu is the
+    sampled cone window; unless every other band stays more than ``factor``
+    times that far from mu, TwoBandIsolationFailed is raised, naming ``remedy``."""
+    lam_lo, lam_hi = w[:, lo], w[:, lo + 1]
+    third = float(np.abs(np.delete(w, [lo, lo + 1], axis=1) - mu).min(initial=np.inf))
     window = max(float(np.abs(lam_lo - mu).max()), float(np.abs(lam_hi - mu).max()))
     if third <= factor * window:
         raise TwoBandIsolationFailed(
@@ -325,9 +325,9 @@ def fit_cone(
 ):
     """Fit the local cone geometry (Q, tilt, residual) at a Fermi point.
 
-    Samples the two Fermi-level bands on circles k = omega + r(cos t, sin t)
-    over ``directions`` equispaced angles and each radius.  The squared
-    half-gap of all circles is fitted in one linear least-squares problem to
+    Samples the cone's band pair on circles k = omega + r(cos t, sin t) over
+    ``directions`` equispaced angles and each radius.  The squared half-gap
+    of all circles is fitted in one linear least-squares problem to
 
         d.Q_r d + c30 x^3 + c21 x^2 y + c12 x y^2 + c03 y^3,   d = (x, y),
 
@@ -375,11 +375,8 @@ def fit_cone(
     theta = np.pi / 4.0 + 2.0 * np.pi * (np.arange(directions) + 0.5) / directions
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
 
-    # the straddling band pair: at omega itself both bands sit numerically at
-    # the Fermi level, so take the occupied count from an off-center probe
     mu = model.fermi_energy
-    w_probe = np.linalg.eigvalsh(h_at(model, omega + radii[0] * dirs[0]))
-    m = int(np.clip(np.count_nonzero(w_probe <= mu), 1, w_probe.size - 1))
+    lo = _cone_pair(model, omega)
 
     # one block of rows per radius: its own quadratic-form columns, then the
     # cubic columns shared by all radii
@@ -390,7 +387,7 @@ def fit_cone(
     for i, r in enumerate(radii):
         d = r * dirs
         w = np.linalg.eigvalsh(model.h_batch(omega + d))
-        lam_lo, lam_hi = _isolated_pair(w, m - 1, mu, 10.0,
+        lam_lo, lam_hi = _isolated_pair(w, lo, mu, 10.0,
                                         f"fit radius {r:.3e} is too large")
         x, y = d[:, 0], d[:, 1]
         rows = slice(i * directions, (i + 1) * directions)
@@ -485,27 +482,21 @@ def sigma_closed_form(cones, j: int):
     return float(sum(per_cone)), per_cone
 
 
-def _cone_images(cones, lat: Lattice2D):
-    """(a, b, d) over every ordered pair of cones: d holds the 3 x 3 nearest
-    images of omega_b - omega_a (Lattice2D.images), with each cone's zero
-    self-image left out, and a, b the cone indices of each row."""
-    n = len(cones)
-    a, b = np.indices((n, n)).reshape(2, -1)
-    z = lat.to_zone(np.array([c.omega for c in cones]).reshape(n, 2))
-    images = list(lat.images(z[b] - z[a]))
-    a, b, d = np.tile(a, len(images)), np.tile(b, len(images)), np.concatenate(images)
-    keep = (a != b) | d.any(axis=1)
-    return a[keep], b[keep], d[keep]
-
-
 def neighborhoods_disjoint(cones, lat: Lattice2D, eps: float) -> bool:
     """Sufficient disjointness check for the B_eps neighborhoods: each
     B_eps^(l) lies in a cartesian ball of radius eps/(2 sqrt(min eig Q_l)),
     so the neighborhoods are verifiably pairwise disjoint (including each
-    against its own periodic images) when those balls are."""
+    against its own periodic images) when those balls are.  The balls are
+    compared over every ordered pair of cones and the 3 x 3 nearest images
+    (Lattice2D.images), each cone's zero self-image left out."""
     radii = np.array([eps / (2.0 * np.sqrt(np.linalg.eigvalsh(c.Q)[0])) for c in cones])
-    a, b, d = _cone_images(cones, lat)
-    return bool(np.all(np.hypot(d[:, 0], d[:, 1]) > radii[a] + radii[b]))
+    z = lat.to_zone(np.array([c.omega for c in cones]).reshape(-1, 2))
+    a, b = np.indices((len(cones),) * 2).reshape(2, -1)
+    for d in lat.images(z[b] - z[a]):
+        itself = (a == b) & ~d.any(axis=1)
+        if not np.all((np.hypot(d[:, 0], d[:, 1]) > radii[a] + radii[b]) | itself):
+            return False
+    return True
 
 
 def _require_admissible_eps(cones, lat: Lattice2D, eps: float) -> None:
@@ -540,14 +531,22 @@ def b_epsilon_membership(cones, k, eps: float, lat: Lattice2D):
 def fermi_point_separation(cones, lat: Lattice2D) -> float:
     """Smallest cone-metric distance between distinct Fermi points (and
     between each point and its own periodic images): the scale d_F that
-    bounds admissible eps from above."""
+    bounds admissible eps from above.  Each cone's metric |S d|, S^T S = Q,
+    has its own image search, over the reduced basis of (S z1, S z2) for
+    the zone basis z: for a strongly anisotropic Q the nearest image need
+    not be among the cartesian zone basis's 3 x 3."""
     if not cones:
         raise ValueError("need at least one cone")
-    a, b, d = _cone_images(cones, lat)
-    Q = np.array([c.Q for c in cones])
-    q = np.minimum(np.einsum("pi,pij,pj->p", d, Q[a], d),
-                   np.einsum("pi,pij,pj->p", d, Q[b], d))
-    return float(np.sqrt(q.min()))
+    omegas = np.array([c.omega for c in cones]).reshape(-1, 2)
+    best = np.inf
+    for l, cone in enumerate(cones):
+        S = np.linalg.cholesky(cone.Q).T
+        basis, _ = _reduced_basis(*(S @ lat.zone).T)
+        d = np.linalg.solve(basis, S @ (omegas - cone.omega).T).T
+        dist = np.array([np.hypot(v[:, 0], v[:, 1]) for v in _images(basis, d)])
+        dist[dist[:, l] == 0.0, l] = np.inf    # the cone itself, not an image
+        best = min(best, float(dist.min()))
+    return best
 
 
 def default_epsilon(cones, lat: Lattice2D) -> float:

@@ -18,8 +18,8 @@ residue" of the evaluation is identically zero).  The even extension
 ftilde_jj and the two-band cone-neighborhood integrals f_sing and zeta are
 separate formulas used to cross-validate f_jl and each other.  f_sing and
 zeta share one driver, _cone_integral (the elliptic-polar quadrature, the
-band-pair read and the eps checks), and each node contracts only the
-elements of the straddling pair its formula needs.  f_jl,
+eps checks and each cone's band pair, by the cone-pair rule of cones), and
+each node contracts only the elements of that pair its formula needs.  f_jl,
 ftilde_jj and the Schwinger term Tr(d^2H P_mu) share one grid kernel,
 _pair_sum_on_grid: it diagonalizes each point once, rotates each current
 into only its occupied x unoccupied blocks (the sole elements any formula
@@ -60,6 +60,7 @@ from .bloch import HoppingModel, _max_current_norm, _max_frobenius
 from .cones import (
     FermiPoint,
     TwoBandIsolationFailed,
+    _cone_pair,
     _isolated_pair,
     _require_admissible_eps,
     characterize_cones,
@@ -299,10 +300,11 @@ def _fermi_gaps(w: np.ndarray, mu: float):
     gaps w[m] - w[m-1] at the points ``idx`` with bands on both sides of mu:
     (counts, idx, gaps).
 
-    The strict per-point count (a level at mu is occupied), unclipped: the
-    zone sums follow each point's own projector, whose count may vary (a
-    metal), and a tie at mu shows as a gap below the degeneracy floor, which
-    the callers refuse rather than resolve."""
+    The strict per-point count (a level at mu is occupied), not spectra's
+    level rule and not clipped: the zone sums follow each point's own
+    projector, whose count may vary (a metal), and a point on a crossing has
+    no projector to sum, so a tie at mu shows as a gap below the degeneracy
+    floor, which the callers refuse (DegeneratePoint) rather than resolve."""
     counts = (w <= mu).sum(axis=1)
     idx = np.nonzero((counts > 0) & (counts < w.shape[1]))[0]
     m = counts[idx]
@@ -574,23 +576,18 @@ def _elliptic_polar_nodes(cone: FermiPoint, eps: float, eta: float,
     return offsets, weights
 
 
-def _band_pair(model: HoppingModel, ks: np.ndarray, j: int):
-    """The band pair straddling the Fermi level on a batch of momenta, and
+def _band_pair(model: HoppingModel, ks: np.ndarray, j: int, lo: int):
+    """The cone's band pair (w[lo], w[lo + 1]) on a batch of momenta, and
     the current J_j assembled with H in one pass: (lam_lo, lam_hi, v_lo,
     v_hi, J), eigenvalues (M,), eigenvectors (M, N) and J (M, N, N).
 
-    The per-point count is clipped into [1, N-1]: the cone-neighborhood
-    integrals need a band pair at every node, and near omega both bands sit
-    at mu to rounding, so the strict count may leave the spectrum there.
-    The isolation check (every other band beyond twice the sampled window,
-    else TwoBandIsolationFailed) decides whether it is the right pair."""
-    mu = model.fermi_energy
+    ``lo`` is the cone-pair rule's (cones._cone_pair) at the cone's omega;
+    the isolation check (every other band beyond twice the sampled window,
+    else TwoBandIsolationFailed) decides whether that pair is still alone."""
     H, J = model._assemble(ks, ((), (j,)))
     w, V = _eigh(H)
-    lo = np.clip((w <= mu).sum(axis=1), 1, w.shape[1] - 1) - 1
-    lam_lo, lam_hi = _isolated_pair(w, lo, mu, 2.0, "shrink eps")
-    rows = np.arange(w.shape[0])
-    return lam_lo, lam_hi, V[rows, :, lo], V[rows, :, lo + 1], J
+    lam_lo, lam_hi = _isolated_pair(w, lo, model.fermi_energy, 2.0, "shrink eps")
+    return lam_lo, lam_hi, V[:, :, lo], V[:, :, lo + 1], J
 
 
 def _element(u: np.ndarray, J: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -603,7 +600,8 @@ def _cone_integral(model: HoppingModel, cones, eta: float, j: int, eps,
     """Shared driver of the B_eps integrals: sum over cones of
     int_{B_eps} integrand(k) dk on the elliptic-polar rule, and again on a
     coarser rule (half the angles, four fewer Gauss-Legendre nodes) for the
-    quadrature error.  ``integrand`` maps a batch of momenta to per-node
+    quadrature error.  ``integrand(ks, lo)`` maps a batch of momenta around
+    one cone and that cone's band pair lo (cones._cone_pair) to per-node
     values.  Checks, in order: the direction index, the empty cone list
     (zero), then eps (default_epsilon when None; ValueError /
     EpsilonTooLarge when not admissible)."""
@@ -615,11 +613,13 @@ def _cone_integral(model: HoppingModel, cones, eta: float, j: int, eps,
         eps = default_epsilon(cones, model.lattice)
     _require_admissible_eps(cones, model.lattice, eps)
 
+    pairs = [_cone_pair(model, cone.omega) for cone in cones]
+
     def evaluate(nt: int, og: int) -> float:
         terms = []
-        for cone in cones:
+        for cone, lo in zip(cones, pairs):
             offsets, wq = _elliptic_polar_nodes(cone, eps, eta, nt, og)
-            terms.append(integrand(cone.omega[None, :] + offsets) * wq)
+            terms.append(integrand(cone.omega[None, :] + offsets, lo) * wq)
         return _tree_sum(np.concatenate(terms))
 
     return _estimate(quantity, float(eta),
@@ -643,8 +643,8 @@ def fjj_sing(model: HoppingModel, cones, eta: float, j: int,
     Runs on the shared _cone_integral driver and contracts per node only the
     element <lower|J_j|upper>, never the full rotated current.
     """
-    def integrand(ks):
-        lam_lo, lam_hi, v_lo, v_hi, J = _band_pair(model, ks, j)
+    def integrand(ks, lo):
+        lam_lo, lam_hi, v_lo, v_hi, J = _band_pair(model, ks, j, lo)
         me2 = np.abs(_element(v_lo, J, v_hi)) ** 2
         d = lam_hi - lam_lo
         return -2.0 * d / (eta * eta + d * d) * me2 / (2.0 * np.pi) ** 2
@@ -672,15 +672,15 @@ def zeta_jj(model: HoppingModel, cones, eta: float, j: int,
     """
     mu = model.fermi_energy
 
-    def pair_and_slopes(ks):
-        lam_lo, lam_hi, v_lo, v_hi, J = _band_pair(model, ks, j)
+    def pair_and_slopes(ks, lo):
+        lam_lo, lam_hi, v_lo, v_hi, J = _band_pair(model, ks, j, lo)
         return lam_lo, lam_hi, _element(v_lo, J, v_lo).real, _element(v_hi, J, v_hi).real
 
-    def integrand(ks):
+    def integrand(ks, lo):
         step = fd_step * np.eye(2)[j - 1]
-        lam_lo, lam_hi, slope_lo, slope_hi = pair_and_slopes(ks)
-        lo_p, hi_p, slo_p, shi_p = pair_and_slopes(ks + step)
-        lo_m, hi_m, slo_m, shi_m = pair_and_slopes(ks - step)
+        lam_lo, lam_hi, slope_lo, slope_hi = pair_and_slopes(ks, lo)
+        lo_p, hi_p, slo_p, shi_p = pair_and_slopes(ks + step, lo)
+        lo_m, hi_m, slo_m, shi_m = pair_and_slopes(ks - step, lo)
         # d/dk_j of (Lambda - mu)^2 evaluated at k +- fd_step
         dg_lo_p = 2.0 * (lo_p - mu) * slo_p
         dg_lo_m = 2.0 * (lo_m - mu) * slo_m

@@ -40,6 +40,32 @@ _IMAGE_SHIFTS = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype
 _REDUCTION_RTOL = 1e-12
 
 
+def _reduced_basis(u, v):
+    """Lagrange-Gauss reduced basis of the lattice spanned by (u, v), as
+    columns, and its norms.  The longer vector is reduced by the shorter
+    while that strictly shortens it, never swapping the two, so a reduced
+    (u, v) is kept bit for bit and ties (|u +- v| = |u|) stop the loop."""
+    r = [np.array(u, dtype=float), np.array(v, dtype=float)]
+    while True:
+        norms = [np.linalg.norm(w) for w in r]
+        s = int(norms[1] < norms[0])
+        step = r[1 - s] - np.round((r[1 - s] @ r[s]) / (r[s] @ r[s])) * r[s]
+        if not np.linalg.norm(step) < (1.0 - _REDUCTION_RTOL) * norms[1 - s]:
+            break
+        r[1 - s] = step
+    return np.column_stack(r), tuple(map(float, norms))
+
+
+def _images(basis: np.ndarray, d):
+    """The 3 x 3 images of displacements d (M, 2) given in the coordinates of
+    a reduced ``basis`` (columns), one (M, 2) array per shift: d is wrapped
+    into [-1/2, 1/2)^2, shifted, then mapped through ``basis``.  The basis
+    is reduced, so the nearest image is among them."""
+    w = wrap_fractional(d)
+    for shift in _IMAGE_SHIFTS:
+        yield (w + shift) @ basis.T
+
+
 class DegenerateBasis(ValueError):
     """Raised when the supplied direct basis is (numerically) linearly dependent."""
 
@@ -62,21 +88,10 @@ class Lattice2D:
             v = np.asarray(getattr(self, name), dtype=float).reshape(2).copy()
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-        # zone basis: reduce the longer vector by the shorter while that
-        # strictly shortens it, never swapping the two, so a reduced (b1, b2)
-        # is kept bit for bit and ties (|b1 +- b2| = |b1|) stop the loop
-        r = [self.b1.copy(), self.b2.copy()]
-        while True:
-            norms = [np.linalg.norm(v) for v in r]
-            s = int(norms[1] < norms[0])
-            step = r[1 - s] - np.round((r[1 - s] @ r[s]) / (r[s] @ r[s])) * r[s]
-            if not np.linalg.norm(step) < (1.0 - _REDUCTION_RTOL) * norms[1 - s]:
-                break
-            r[1 - s] = step
-        zone = np.column_stack(r)
+        zone, norms = _reduced_basis(self.b1, self.b2)
         zone.setflags(write=False)
         object.__setattr__(self, "zone", zone)
-        object.__setattr__(self, "zone_lengths", tuple(map(float, norms)))
+        object.__setattr__(self, "zone_lengths", norms)
 
     @property
     def direct_matrix(self) -> np.ndarray:
@@ -110,12 +125,9 @@ class Lattice2D:
 
     def images(self, d):
         """Cartesian 3 x 3 images of zone-coordinate displacements d (M, 2),
-        one (M, 2) array per shift: d is wrapped into [-1/2, 1/2)^2, shifted,
-        then mapped to cartesian.  The zone basis is reduced, so the nearest
-        image is among them; every minimum-image search goes through here."""
-        w = wrap_fractional(d)
-        for shift in _IMAGE_SHIFTS:
-            yield (w + shift) @ self.zone.T
+        _images over the zone basis; every cartesian minimum-image search
+        goes through here."""
+        return _images(self.zone, d)
 
 
 @dataclass(frozen=True)

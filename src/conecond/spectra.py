@@ -6,6 +6,11 @@ integrate the resolvent over a rectangular contour; each edge is traversed
 with a corner-graded composite trapezoid rule (node density ~ sin^6 along the
 edge), which restores spectral accuracy in the presence of the corner kinks
 and clusters nodes near the points where the resolvent varies fastest.
+
+The level rule: an occupied count m fits an eigenvalue row w when
+#(w < mu - atol) <= m <= #(w <= mu + atol), atol = 1e-12 (1 + max|w|), so a
+level at mu to rounding counts on either side.  ``gap_at`` clips the strict
+``occupied_count`` into that interval; the cone scan checks its majority count.
 """
 
 from __future__ import annotations
@@ -137,38 +142,43 @@ def spectrum_at(model: HoppingModel, k) -> BandSpectrum:
     return eigh(h_at(model, k), k=k)
 
 
-def _eigenvalues_of(spectrum) -> np.ndarray:
-    if isinstance(spectrum, BandSpectrum):
-        return spectrum.eigenvalues
-    return np.asarray(spectrum, dtype=float).reshape(-1)
-
-
 def occupied_count(spectrum, mu: float) -> int:
     """Number of eigenvalues at or below the Fermi level."""
-    return int(np.count_nonzero(_eigenvalues_of(spectrum) <= mu))
+    if isinstance(spectrum, BandSpectrum):
+        spectrum = spectrum.eigenvalues
+    return int(np.count_nonzero(np.asarray(spectrum, dtype=float) <= mu))
+
+
+def _level_bounds(w: np.ndarray, mu: float):
+    """The level rule's interval (below, upto) per row of eigenvalues w."""
+    atol = 1e-12 * (1.0 + float(np.abs(w).max()))
+    return (np.count_nonzero(w < mu - atol, axis=-1),
+            np.count_nonzero(w <= mu + atol, axis=-1))
+
+
+def _fermi_index(w: np.ndarray, mu: float, k) -> int:
+    """m of the gap w[m] - w[m-1] at k: the strict count clipped into
+    [max(below, 1), min(upto, N - 1)], else AllBandsOnOneSide."""
+    below, upto = _level_bounds(w, mu)
+    lo, hi = max(int(below), 1), min(int(upto), w.size - 1)
+    if lo > hi:
+        raise AllBandsOnOneSide(
+            f"Fermi level {mu} lies outside the spectrum at k={k} "
+            f"(range [{w[0]:.6g}, {w[-1]:.6g}])"
+        )
+    return int(np.clip(occupied_count(w, mu), lo, hi))
 
 
 def gap_at(model: HoppingModel, k) -> float:
     """Spectral gap across the Fermi level, Lambda_{m+1}(k) - Lambda_m(k).
 
-    The occupied count m is taken at k.  When the topmost eigenvalue sits
-    exactly at the Fermi level (a band-closure point) the strict count would
-    be N; such level-touching eigenvalues straddle the Fermi level, so the
-    count is reduced to keep the gap defined (and equal to zero there).
-    Raises AllBandsOnOneSide when the Fermi level genuinely lies outside the
-    local spectrum.
+    The occupied count m follows the level rule, so at a band-closure point
+    the gap is numerically zero whichever side of mu the touching levels
+    land.  Raises AllBandsOnOneSide when the Fermi level genuinely lies
+    outside the local spectrum.
     """
     w = spectrum_at(model, k).eigenvalues
-    mu = model.fermi_energy
-    m = occupied_count(w, mu)
-    atol = 1e-12 * (1.0 + float(np.abs(w).max()))
-    if m == w.size and mu - w[-1] <= atol:
-        m -= 1
-    if m == 0 or m == w.size:
-        raise AllBandsOnOneSide(
-            f"Fermi level {mu} lies outside the spectrum at k={k} "
-            f"(range [{w[0]:.6g}, {w[-1]:.6g}])"
-        )
+    m = _fermi_index(w, model.fermi_energy, k)
     return float(w[m] - w[m - 1])
 
 
@@ -204,6 +214,14 @@ def _graded_edge(z0: complex, z1: complex, nodes: int):
     zs = z0 + (z1 - z0) * s
     ws = (z1 - z0) * ds * tw
     return zs, ws
+
+
+def _contour(corners, nodes: int):
+    """Nodes and weights (zs, ws) of the closed polygon through ``corners``,
+    each edge a graded edge of ``nodes`` nodes."""
+    edges = zip(corners, corners[1:] + corners[:1])
+    zs, ws = zip(*(_graded_edge(z0, z1, nodes) for z0, z1 in edges))
+    return np.concatenate(zs), np.concatenate(ws)
 
 
 def _resolvent_stack(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -274,17 +292,9 @@ def fermi_projector_riesz(
         rect = _default_rectangle(w, mu)
     _check_contour_clearance(w, mu, rect)
     x_lo, x_hi, a = rect
-    corners = [x_lo - 1j * a, x_hi - 1j * a, x_hi + 1j * a, x_lo + 1j * a]
-    zs, ws = [], []
-    for z0, z1 in zip(corners, corners[1:] + corners[:1]):
-        z_e, w_e = _graded_edge(z0, z1, nodes)
-        zs.append(z_e)
-        ws.append(w_e)
-    zs = np.concatenate(zs)
-    ws = np.concatenate(ws)
+    zs, ws = _contour([x_lo - 1j * a, x_hi - 1j * a, x_hi + 1j * a, x_lo + 1j * a], nodes)
     R = _resolvent_stack(H, zs)
-    P = np.tensordot(ws, R, axes=(0, 0)) / (2j * np.pi)
-    return P
+    return np.tensordot(ws, R, axes=(0, 0)) / (2j * np.pi)
 
 
 def projector_derivative(model: HoppingModel, k, j: int, nodes: int = 128) -> np.ndarray:
@@ -292,39 +302,26 @@ def projector_derivative(model: HoppingModel, k, j: int, nodes: int = 128) -> np
 
         dP/dk_j = (1/2pi i) ∮ (z-H)^{-1} (dH/dk_j) (z-H)^{-1} dz.
 
-    Requires the gap across the Fermi level at k to exceed 1e-8 (else
-    GapTooSmall).  The right contour edge runs through the middle of the
-    gap and is split at the real axis so that nodes cluster toward the
-    nearest eigenvalues; this keeps the quadrature accurate even for gaps
-    near the threshold.
+    Requires the gap across the Fermi level at k, as gap_at counts it, to
+    exceed 1e-8 (else GapTooSmall).  The right contour edge runs through the
+    middle of the gap and is split at the real axis so that nodes cluster
+    toward the nearest eigenvalues; this keeps the quadrature accurate even
+    for gaps near the threshold.
     """
     k = np.asarray(k, dtype=float).reshape(2)
-    gap = gap_at(model, k)  # propagates AllBandsOnOneSide
+    H = h_at(model, k)
+    w = np.linalg.eigvalsh(H)
+    m = _fermi_index(w, model.fermi_energy, k)
+    gap = w[m] - w[m - 1]
     if gap <= 1e-8:
         raise GapTooSmall(
             f"gap {gap:.3e} at k={k} is at or below 1e-8; the projector "
             "derivative is not reliably defined here"
         )
-    H = h_at(model, k)
-    w = np.linalg.eigvalsh(H)
-    m = occupied_count(w, model.fermi_energy)
     x_hi = 0.5 * (w[m - 1] + w[m])   # middle of the gap
-    x_lo = float(w[0] - 1.0)
-    a = max(1.0, float(np.abs(w).max()))
-    edges = [
-        (x_lo - 1j * a, x_hi - 1j * a),
-        (x_hi - 1j * a, x_hi + 0j),    # right edge, lower half
-        (x_hi + 0j, x_hi + 1j * a),    # right edge, upper half
-        (x_hi + 1j * a, x_lo + 1j * a),
-        (x_lo + 1j * a, x_lo - 1j * a),
-    ]
-    zs, ws = [], []
-    for z0, z1 in edges:
-        z_e, w_e = _graded_edge(z0, z1, nodes)
-        zs.append(z_e)
-        ws.append(w_e)
-    zs = np.concatenate(zs)
-    ws = np.concatenate(ws)
+    x_lo, _, a = _default_rectangle(w, x_hi)
+    zs, ws = _contour([x_lo - 1j * a, x_hi - 1j * a, x_hi + 0j, x_hi + 1j * a,
+                       x_lo + 1j * a], nodes)
     R = _resolvent_stack(H, zs)
     J = dh_at(model, k, j)
     integrand = R @ J[None, :, :] @ R

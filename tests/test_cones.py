@@ -1,9 +1,12 @@
 """Fermi-point detection, cone fitting, and the closed-form conductivity."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import conecond as cc
+from conecond.cones import _occupied_band_index
 
 from conftest import dual_images
 
@@ -75,6 +78,31 @@ def test_finder_band_crossing_region():
     })
     with pytest.raises(cc.BandCrossingRegion):
         cc.find_fermi_points(model, coarse=96, tol=1e-3)
+
+
+def test_scan_count_matches_straddler_reference():
+    # the level-rule interval check agrees with the per-row loop it replaced:
+    # a row whose strict count differs from the majority is tolerated only
+    # when every eigenvalue between the two counts sits at mu to rounding
+    mu = 0.3
+    model = SimpleNamespace(fermi_energy=mu)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        w = np.sort(rng.choice([-1.0, 0.1, 0.5, 1.0, mu - 1e-15, mu, mu + 1e-15],
+                               size=(6, 3)), axis=1)
+        counts = np.count_nonzero(w <= mu, axis=1)
+        m = int(np.bincount(counts).argmax())
+        atol = 1e-12 * (1.0 + np.abs(w).max())
+        fits = all(np.abs(w[i, min(c, m):max(c, m)] - mu).max(initial=0.0) <= atol
+                   for i, c in enumerate(counts))
+        if not fits:
+            with pytest.raises(cc.BandCrossingRegion):
+                _occupied_band_index(model, w)
+        elif m in (0, 3):
+            with pytest.raises(cc.AllBandsOnOneSide):
+                _occupied_band_index(model, w)
+        else:
+            assert _occupied_band_index(model, w) == m
 
 
 # -- cone fit -------------------------------------------------------------------
@@ -330,6 +358,22 @@ def test_neighborhood_separation_scales(haldane_critical, haldane_cones):
     assert np.isclose(eps, 0.3 * sep)
     assert cc.neighborhoods_disjoint(haldane_cones, lat, eps)
     assert not cc.neighborhoods_disjoint(haldane_cones, lat, 4.0 * sep)
+
+
+@pytest.mark.parametrize("ratio", [9.0, 25.0, 100.0])
+@pytest.mark.parametrize("angle", [30.0, 60.0])
+def test_separation_matches_brute_force_for_anisotropic_metric(square_lattice, ratio, angle):
+    # in the metric of Q = R diag(ratio, 1) R^T the nearest image of a cone
+    # need not be among the 3 x 3 images of the cartesian zone basis
+    c, s = np.cos(np.radians(angle)), np.sin(np.radians(angle))
+    R = np.array([[c, -s], [s, c]])
+    cone = synthetic_cone(R @ np.diag([ratio, 1.0]) @ R.T)
+    G = dual_images(square_lattice, reach=8)
+    G = G[np.any(G != 0.0, axis=1)]
+    brute = np.sqrt(np.einsum("si,ij,sj->s", G, cone.Q, G).min())
+    assert np.isclose(cc.fermi_point_separation([cone], square_lattice), brute, rtol=1e-12)
+    eps = cc.default_epsilon([cone], square_lattice)
+    assert cc.neighborhoods_disjoint([cone], square_lattice, eps)
 
 
 def test_cone_image_searches_match_brute_force_on_thin_basis(thin_lattice):

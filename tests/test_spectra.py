@@ -107,6 +107,18 @@ def test_gap_at_band_touching_point():
     assert cc.gap_at(model, np.zeros(2)) < 1e-12
 
 
+@pytest.mark.parametrize("offset", [1e-15, -1e-15])
+def test_gap_at_closure_counts_level_on_either_side(offset):
+    # the crossing shifted to 0.3: both levels sit there to rounding, and a
+    # Fermi level just above or just below them sees the same closed gap
+    qwz = cc.preset_qwz(-2.0)
+    terms = dict(qwz.terms)
+    terms[(0, 0)] = terms[(0, 0)] + 0.3 * np.eye(2)
+    model = cc.HoppingModel(lattice=qwz.lattice, norbitals=2, positions=np.zeros((2, 2)),
+                            terms=terms, fermi_energy=0.3 + offset)
+    assert cc.gap_at(model, np.zeros(2)) < 1e-12
+
+
 def test_gap_at_trivial_center():
     model = cc.preset_qwz(0.0)
     assert np.isclose(cc.gap_at(model, np.zeros(2)), 4.0, atol=1e-12)
