@@ -55,7 +55,7 @@ from .kubo import (
     GridTooCoarse,
     NotConverged,
     TwoBandIsolationFailed,
-    _pair_sum_on_grid,
+    _eta_sweep,
     _validate_halving,
     closed_form_report,
     default_eta_sequence,
@@ -64,18 +64,12 @@ from .kubo import (
     sigma_kubo,
     zeta_jj,
 )
-# verify reaches f_jl, ftilde_jj and the Schwinger term through one
-# _pair_sum_on_grid pass per grid; the public wrappers stay importable here
-# because perfbench/spans.py wraps them at this module
+# verify sums f_jl, ftilde_jj and the Schwinger term in the fine passes of
+# check (e)'s eta sweep, kubo._eta_sweep; the public wrappers stay importable
+# here because perfbench/spans.py wraps them at this module
 from .kubo import fjl_eta, ftilde_jj, schwinger  # noqa: F401
 from .lattice import wrap_fractional
-from .spectra import (
-    AllBandsOnOneSide,
-    EigenvalueOnContour,
-    GapTooSmall,
-    NotHermitian,
-    SingularResolvent,
-)
+from .spectra import AllBandsOnOneSide
 
 __all__ = ["ConfigParse", "RunConfig", "main"]
 
@@ -92,10 +86,6 @@ _NUMERICAL_ERRORS = (
     NoConvergence,
     BandCrossingRegion,
     AllBandsOnOneSide,
-    NotHermitian,
-    EigenvalueOnContour,
-    SingularResolvent,
-    GapTooSmall,
 )
 
 
@@ -240,8 +230,6 @@ def _parse_directions(text: str) -> tuple:
                 f"--directions entry {item!r} must be one of 11, 22, 12, 21"
             )
         pairs.append((int(item[0]), int(item[1])))
-    if not pairs:
-        raise ConfigParse("--directions is empty")
     return tuple(pairs)
 
 
@@ -290,16 +278,14 @@ def _build_model(args) -> tuple:
 
 
 def _config_from_args(args) -> RunConfig:
-    """RunConfig from parsed arguments.  Options left out (or an empty
-    --eta-seq, --directions or --path) take RunConfig's own defaults."""
+    """RunConfig from parsed arguments.  Options left out take RunConfig's
+    own defaults; an option given, even empty, is parsed."""
     model, label = _build_model(args)
     opts = dict(vars(args), model=model, model_label=label)
     for name, parse in (("eta_seq", _parse_eta_seq), ("directions", _parse_directions),
                         ("path", _parse_path)):
-        if opts.get(name):
+        if name in opts:
             opts[name] = parse(opts[name])
-        else:
-            opts.pop(name, None)
     return RunConfig(**{f.name: opts[f.name] for f in fields(RunConfig) if f.name in opts})
 
 
@@ -601,26 +587,24 @@ def cmd_verify(cfg: RunConfig) -> int:
     model = cfg.model
     cones = characterize_cones(model, coarse=cfg.grid)
     eta_seq = cfg.eta_seq or default_eta_sequence(model)
-    policy = GridPolicy(base=cfg.grid)
     checks = []
 
     # Checks (a)-(c) compare values only, so no companion grid is evaluated.
     # Their requests are gathered per grid (the fine grid built for one eta)
-    # and each grid is decomposed in one pass for all of its requests.
+    # and ride on the fine pass of check (e)'s sweep over that grid.
     eta_min = eta_seq[-1]
     eta_b = eta_seq[min(2, len(eta_seq) - 1)]
     e2 = eta_b / 2.0
     pairs = ((1, 1), (2, 2), (1, 2))
-    requests = {eta_min: [], eta_b: [], e2: []}
-    requests[eta_min] += [r for p in pairs for r in (
-        ("schwinger", 0.0, p), ("f_jl", eta_min, p), ("f_jl", 2.0 * eta_min, p))]
-    requests[eta_b] += [(q, eta_b, (j, j)) for j in (1, 2) for q in ("f_jl", "ftilde_jj")]
+    requests = {eta_min: [r for p in pairs for r in (
+        ("schwinger", 0.0, p), ("f_jl", eta_min, p), ("f_jl", 2.0 * eta_min, p))]}
+    requests[eta_b] = requests.get(eta_b, []) + [
+        (q, eta_b, (j, j)) for j in (1, 2) for q in ("f_jl", "ftilde_jj")]
     if cones:
-        requests[e2] += [("ftilde_jj", e2, (j, j)) for j in (1, 2)]
-    on_grid = {
-        eta: _pair_sum_on_grid(model, policy.grids_for(model, cones, eta)[0], reqs, False)
-        for eta, reqs in requests.items() if reqs
-    }
+        requests[e2] = requests.get(e2, []) + [("ftilde_jj", e2, (j, j)) for j in (1, 2)]
+    longitudinal = ((1, 1), (2, 2))
+    rep, on_grid = _eta_sweep(model, longitudinal, eta_seq, GridPolicy(base=cfg.grid),
+                              cones, requests)
 
     # (a) Schwinger term vs the eta -> 0 response: s_jl = -f_jl(0+); the
     # limit is taken by the linear-cancelling combination 2 f(eta) - f(2 eta).
@@ -696,21 +680,13 @@ def cmd_verify(cfg: RunConfig) -> int:
         ))
 
     # (e) closed form vs Kubo extrapolation (gapless), or sigma -> 0 (gapped)
-    longitudinal = ((1, 1), (2, 2))
-    try:
-        rep = sigma_kubo(model, directions=longitudinal, eta_sequence=eta_seq,
-                         grid_policy=policy, cones=cones)
-        ok_e = True
-    except NotConverged as exc:
-        rep = exc.report
-        ok_e = False
     disc_e = 0.0
     if cones:
         closed = closed_form_report(cones, longitudinal)
         for p in longitudinal:
             ref = closed.sigma[p]
             disc_e = max(disc_e, abs(rep.sigma[p] - ref) / abs(ref))
-        status = "pass" if ok_e and disc_e < 0.03 else "fail"
+        status = "pass" if all(rep.converged.values()) and disc_e < 0.03 else "fail"
         checks.append(_verify_check(
             "closed_vs_kubo", status, disc_e, 0.03,
             "max relative |sigma_kubo - sigma_closed| over j (gapless mode)",

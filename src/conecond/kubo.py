@@ -25,14 +25,14 @@ _pair_sum_on_grid: it diagonalizes each point once, rotates each current
 into only its occupied x unoccupied blocks (the sole elements any formula
 reads), and evaluates every requested quantity with its own formula.
 
-Every batched decomposition of a model's H here (the grid kernel, the B_eps
-band pair, sigma_hall's gap scan) goes through _eigh: a two-band H (N = 2)
-is solved in closed form, which is exact up to rounding (its eigenvalues are
-the roots d0 -+ r of a quadratic, its eigenvectors read from the
-non-cancelling row) and an order of magnitude cheaper than batched LAPACK on
-2 x 2 matrices; N > 2 goes to np.linalg.eigh.  Only the eigenvector phases
-differ between the two, and every quantity read from them is
-gauge-invariant.
+Every batched decomposition of a model's H here (the grid kernel, which
+also gives sigma_hall its gap test, and the B_eps band pair) goes through
+_eigh: a two-band H (N = 2) is solved in closed form, which is exact up to
+rounding (its eigenvalues are the roots d0 -+ r of a quadratic, its
+eigenvectors read from the non-cancelling row) and an order of magnitude
+cheaper than batched LAPACK on 2 x 2 matrices; N > 2 goes to
+np.linalg.eigh.  Only the eigenvector phases differ between the two, and
+every quantity read from them is gauge-invariant.
 
 Conductivity extraction uses the pair estimator
 
@@ -45,6 +45,8 @@ evaluated on the same grid so that quadrature error largely cancels in the
 difference.  One spectral pass serves them all: each point of a grid is
 diagonalized once, and both eta of a pair and every requested direction are
 summed from that eigen-decomposition (only the Lorentzian depends on eta).
+The verify suite's value-only requests join the fine passes of that eta
+loop (_eta_sweep), so a verify run decomposes each fine grid once.
 
 k-sums are accumulated with a fixed-shape pairwise (tree) reduction, making
 results bit-stable under any chunked evaluation order.
@@ -312,7 +314,7 @@ def _fermi_gaps(w: np.ndarray, mu: float):
 
 
 def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
-                      gate: bool) -> dict:
+                      gate: bool) -> tuple:
     """Every requested grid integral from one eigen-decomposition per point.
 
     A request is a (quantity, eta, (j, l)) key:
@@ -335,14 +337,15 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
     only occupied x unoccupied elements, so no full N x N rotation or pair
     mask is built.  The Schwinger trace sums v_q^H d^2H v_q over the occupied
     columns.  The requests share that data but each keeps its own formula.
-    Returns {request: weighted grid sum / (2 pi)^2} in request order.  Every
-    request is checked as if evaluated alone, and the first failing one in
-    request order raises: GridTooCoarse when ``gate`` is set and, for
-    eta != 0, the points with Fermi gap below 4|eta| sit in cells too wide
-    for that eta at the request's own current scale; RuntimeError when a
-    longitudinal (j = l) f_jl per-point sum loses its nonpositive sign or a
-    Schwinger trace acquires an imaginary part.  A Fermi-level degeneracy is
-    the same for every request and raises DegeneratePoint.
+    Returns ({request: weighted grid sum / (2 pi)^2} in request order, the
+    grid's smallest Fermi-level gap or inf).  Every request is checked as if
+    evaluated alone, and the first failing one in request order raises:
+    GridTooCoarse when ``gate`` is set and, for eta != 0, the points with
+    Fermi gap below 4|eta| sit in cells too wide for that eta at the
+    request's own current scale; RuntimeError when a longitudinal (j = l)
+    f_jl per-point sum loses its nonpositive sign or a Schwinger trace
+    acquires an imaginary part.  A Fermi-level degeneracy is the same for
+    every request and raises DegeneratePoint.
 
     Chunk sums are tree-summed and then tree-summed across chunks: since
     _CHUNK is a power of two this is bit-identical to the tree sum of the
@@ -360,6 +363,7 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
     scale = dict.fromkeys(requests, 0.0)   # max |per-point sum|
     jmax = dict.fromkeys(currents, 0.0)
     worst_spacing = dict.fromkeys(gate_etas, 0.0)
+    min_gap = np.inf
     for lo in range(0, npts, _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, npts))
         ks = grid.points[sl]
@@ -374,6 +378,7 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
                 f"Fermi-level degeneracy (gap {gaps.min():.3e}) at grid "
                 f"point k=({k_bad[0]:.6f}, {k_bad[1]:.6f})"
             )
+        min_gap = min(min_gap, float(gaps.min(initial=np.inf)))
         if gate:
             for e in gate_etas:
                 near = spacing[sl][idx[gaps < 4.0 * e]]
@@ -439,7 +444,7 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
                 f"trace of Hermitian product acquired imaginary part {imag[r]:.3e}"
             )
         out[r] = _tree_sum(partials[r]) / (2.0 * np.pi) ** 2
-    return out
+    return out, min_gap
 
 
 def _estimate(quantity: str, eta: float, grid: str, value: float,
@@ -451,21 +456,19 @@ def _estimate(quantity: str, eta: float, grid: str, value: float,
                         quad_error=max(quad, 1e-14 * (1.0 + abs(value))))
 
 
-def _estimates(model: HoppingModel, requests, grid: KGrid,
-               companion: KGrid | None, gate: bool) -> dict:
-    """KuboEstimates for every _pair_sum_on_grid request from one pass over
-    ``grid`` (resolution gate armed when ``gate``) and one over the
-    ``companion``; {request: KuboEstimate}."""
+def _estimates(model: HoppingModel, values: dict, grid: KGrid,
+               companion: KGrid | None) -> dict:
+    """KuboEstimates for the _pair_sum_on_grid ``values`` ({request: value})
+    of a pass over ``grid``, with one pass over the ``companion`` for their
+    quadrature errors; {request: KuboEstimate}."""
     # the resolution gate protects the primary estimate; the companion grid
     # is deliberately coarser and serves only the error estimate
-    values = _pair_sum_on_grid(model, grid, requests, gate)
     coarse = (
-        _pair_sum_on_grid(model, companion, requests, False)
-        if companion is not None else None
+        _pair_sum_on_grid(model, companion, list(values), False)[0]
+        if companion is not None else {}
     )
     return {
-        r: _estimate(r[0], r[1], grid.describe(), value,
-                     coarse[r] if coarse is not None else None)
+        r: _estimate(r[0], r[1], grid.describe(), value, coarse.get(r))
         for r, value in values.items()
     }
 
@@ -492,7 +495,8 @@ def fjl_eta(model: HoppingModel, eta: float, j: int, l: int, grid: KGrid,
     if j not in (1, 2) or l not in (1, 2):
         raise ValueError("direction indices must be 1 or 2")
     r = ("f_jl", float(eta), (j, l))
-    return _estimates(model, (r,), grid, companion, cones is not None)[r]
+    values, _ = _pair_sum_on_grid(model, grid, (r,), cones is not None)
+    return _estimates(model, values, grid, companion)[r]
 
 
 def ftilde_jj(model: HoppingModel, eta: float, j: int, grid: KGrid,
@@ -516,7 +520,8 @@ def ftilde_jj(model: HoppingModel, eta: float, j: int, grid: KGrid,
     if j not in (1, 2):
         raise ValueError("direction index must be 1 or 2")
     r = ("ftilde_jj", float(eta), (j, j))
-    return _estimates(model, (r,), grid, companion, cones is not None)[r]
+    values, _ = _pair_sum_on_grid(model, grid, (r,), cones is not None)
+    return _estimates(model, values, grid, companion)[r]
 
 
 def schwinger(model: HoppingModel, j: int, l: int, grid: KGrid,
@@ -531,7 +536,8 @@ def schwinger(model: HoppingModel, j: int, l: int, grid: KGrid,
     if j not in (1, 2) or l not in (1, 2):
         raise ValueError("direction indices must be 1 or 2")
     r = ("schwinger", 0.0, (j, l))
-    return _estimates(model, (r,), grid, companion, False)[r]
+    values, _ = _pair_sum_on_grid(model, grid, (r,), False)
+    return _estimates(model, values, grid, companion)[r]
 
 
 # -- cone-neighborhood (B_eps) integrals -------------------------------------
@@ -759,6 +765,59 @@ def _direction_pairs(j, l, directions) -> tuple:
     return pairs
 
 
+def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy,
+               cones, riders) -> tuple:
+    """sigma_kubo's eta loop, shared with verify: (its report, unconverged
+    pairs flagged, not raised; {grid eta: {request: fine-pass value}}).
+    ``riders`` maps a grid eta to nonempty lists of value-only requests: at
+    a visited eta they join the step's gated fine pass after its own f_jl,
+    so the step's gate, sign and degeneracy errors come first; any other
+    eta gets one fine-only pass of its own, gate off."""
+    seq = _validate_halving(eta_sequence)
+    per_eta = {p: [] for p in pairs}
+    sigma_hats = {p: [] for p in pairs}
+    f_values = {p: {} for p in pairs}
+    grid_sizes, values = {}, {}
+    for i in range(1, len(seq)):
+        eta_hi, eta = seq[i - 1], seq[i]
+        fine, comp = policy.grids_for(model, cones, eta)
+        grid_sizes[eta] = len(fine)
+        own = [("f_jl", e, p) for e in (eta_hi, eta) for p in pairs]
+        values[eta], _ = _pair_sum_on_grid(model, fine, own + riders.get(eta, []), True)
+        est = _estimates(model, {r: values[eta][r] for r in own}, fine, comp)
+        for p in pairs:
+            f_hi, f_lo = est["f_jl", eta_hi, p], est["f_jl", eta, p]
+            f_values[p][eta] = (f_hi.value, f_lo.value)
+            s_hat = (f_hi.value - f_lo.value) / eta
+            s_err = (f_hi.quad_error + f_lo.quad_error) / eta
+            sigma_hats[p].append(s_hat)
+            per_eta[p].append((eta, s_hat, s_err))
+    for eta in [e for e in riders if e not in values]:
+        values[eta], _ = _pair_sum_on_grid(
+            model, policy.grids_for(model, cones, eta)[0], riders[eta], False)
+
+    # with a single estimator value Richardson is not possible; report the
+    # plain estimator (the convergence flag is necessarily False then)
+    sigma = {
+        p: richardson_extrapolate(h) if len(h) >= 2 else h[-1]
+        for p, h in sigma_hats.items()
+    }
+    report = ConductivityReport(
+        method="kubo_extrapolation",
+        sigma=sigma,
+        converged={p: _converged(h) for p, h in sigma_hats.items()},
+        per_eta={p: tuple(v) for p, v in per_eta.items()},
+        diagnostics={
+            "eta_sequence": tuple(seq),
+            "f_values": f_values,
+            "grid_points": grid_sizes,
+            "cones": len(cones),
+            "cone_residuals": tuple(c.residual for c in cones),
+        },
+    )
+    return report, values
+
+
 def sigma_kubo(model: HoppingModel, j: int | None = None, l: int | None = None,
                eta_sequence=None, grid_policy: GridPolicy | None = None,
                cones=None, directions=None) -> ConductivityReport:
@@ -787,51 +846,13 @@ def sigma_kubo(model: HoppingModel, j: int | None = None, l: int | None = None,
         cones = characterize_cones(model)
     if eta_sequence is None:
         eta_sequence = default_eta_sequence(model)
-    seq = _validate_halving(eta_sequence)
     policy = grid_policy if grid_policy is not None else GridPolicy()
-
-    per_eta = {p: [] for p in pairs}
-    sigma_hats = {p: [] for p in pairs}
-    f_values = {p: {} for p in pairs}
-    grid_sizes = {}
-    for i in range(1, len(seq)):
-        eta_hi, eta = seq[i - 1], seq[i]
-        fine, comp = policy.grids_for(model, cones, eta)
-        grid_sizes[eta] = len(fine)
-        est = _estimates(model, [("f_jl", e, p) for e in (eta_hi, eta) for p in pairs],
-                         fine, comp, True)
-        for p in pairs:
-            f_hi, f_lo = est["f_jl", eta_hi, p], est["f_jl", eta, p]
-            f_values[p][eta] = (f_hi.value, f_lo.value)
-            s_hat = (f_hi.value - f_lo.value) / eta
-            s_err = (f_hi.quad_error + f_lo.quad_error) / eta
-            sigma_hats[p].append(s_hat)
-            per_eta[p].append((eta, s_hat, s_err))
-
-    # with a single estimator value Richardson is not possible; report the
-    # plain estimator (the convergence flag is necessarily False then)
-    sigma = {
-        p: richardson_extrapolate(h) if len(h) >= 2 else h[-1]
-        for p, h in sigma_hats.items()
-    }
-    converged = {p: _converged(h) for p, h in sigma_hats.items()}
-    report = ConductivityReport(
-        method="kubo_extrapolation",
-        sigma=sigma,
-        converged=converged,
-        per_eta={p: tuple(v) for p, v in per_eta.items()},
-        diagnostics={
-            "eta_sequence": tuple(seq),
-            "f_values": f_values,
-            "grid_points": grid_sizes,
-            "cones": len(cones),
-            "cone_residuals": tuple(c.residual for c in cones),
-        },
-    )
+    report, _ = _eta_sweep(model, pairs, eta_sequence, policy, cones, {})
     failed = []
-    for (pj, pl), h in sigma_hats.items():
-        if converged[pj, pl]:
+    for (pj, pl), steps in report.per_eta.items():
+        if report.converged[pj, pl]:
             continue
+        h = [s_hat for _, s_hat, _ in steps]
         detail = (
             f"last change {abs(h[-1] - h[-2]):.3e}"
             if len(h) >= 2
@@ -847,11 +868,12 @@ def sigma_hall(model: HoppingModel, eta_sequence=None,
                grid_policy: GridPolicy | None = None) -> ConductivityReport:
     """Off-diagonal (Hall) estimate sigma_12 for gapped models.
 
-    Refuses gapless models: requires the minimum Fermi-level gap on the
-    coarse scan grid to exceed 10x the largest eta (else Gapless).  Reports
-    the estimator sequence and Richardson value, plus the distance of
-    2 pi sigma_12 from its nearest integer as a diagnostic (no acceptance
-    value is attached to it here).
+    Refuses gapless models: the minimum Fermi-level gap of the fine grid's
+    spectral pass must exceed 10x the largest eta, else Gapless (also for a
+    degeneracy), before the companion is summed.  Reports the estimator
+    sequence and Richardson value, plus the distance of 2 pi sigma_12 from
+    its nearest integer as a diagnostic (no acceptance value is attached to
+    it here).
     """
     if eta_sequence is None:
         eta_sequence = default_eta_sequence(model)
@@ -859,16 +881,18 @@ def sigma_hall(model: HoppingModel, eta_sequence=None,
     policy = grid_policy if grid_policy is not None else GridPolicy()
 
     fine, comp = policy.grids_for(model, (), seq[-1])
-    _, _, gaps = _fermi_gaps(_eigh(model.h_batch(fine.points))[0],
-                             model.fermi_energy)
-    min_gap = float(gaps.min(initial=np.inf))
+    try:
+        values, min_gap = _pair_sum_on_grid(
+            model, fine, [("f_jl", e, (1, 2)) for e in seq], False)
+    except DegeneratePoint as exc:
+        raise Gapless(f"{exc}; the Hall estimate needs a gapped model") from exc
     if min_gap <= 10.0 * max(seq):
         raise Gapless(
             f"minimum Fermi-level gap {min_gap:.6g} does not exceed 10x the "
             f"largest eta ({max(seq):.6g}); the Hall estimate needs a gapped model"
         )
 
-    est = _estimates(model, [("f_jl", e, (1, 2)) for e in seq], fine, comp, False)
+    est = _estimates(model, values, fine, comp)
     f_values = [est["f_jl", e, (1, 2)] for e in seq]
     sigma_hats = sigma_hat_sequence(seq, [f.value for f in f_values])
     value = richardson_extrapolate(sigma_hats)

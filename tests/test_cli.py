@@ -103,9 +103,13 @@ def test_non_finite_numbers_are_config_errors(capsys, argv):
     ["verify", "--preset", "qwz", "--eta-seq", "0.1"],
     ["sigma", "--preset", "qwz", "--method", "closed", "--directions", "12"],
     ["sigma", "--preset", "haldane", "--params", "t1=0"],
+    ["sigma", "--preset", "qwz", "--directions", ""],
+    ["verify", "--preset", "qwz", "--eta-seq", ""],
+    ["bands", "--preset", "qwz", "--path", ""],
 ])
 def test_out_of_range_options_are_config_errors(capsys, argv):
-    # each of these once escaped main() as a bare ValueError traceback
+    # each of these once escaped main() as a bare ValueError traceback, or
+    # (the empty values) was taken as the option's default
     code, _, err = run_cli(capsys, *argv)
     assert code == 1 and err.startswith("error:")
 
@@ -339,18 +343,22 @@ def test_verify_gapped_skips_cone_checks(capsys):
     assert report["all_pass"] is True and report["cones"] == 0
 
 
-def test_verify_decomposes_each_grid_once(capsys, monkeypatch):
-    # checks (a)-(c) gather their requests per fine grid; with this eta
-    # sequence check (b)'s eta is eta_min, so (a) and (b) share one grid, and
-    # (c) has the half-eta grid: two grids, each decomposed exactly once
-    # (the kernel decomposes through kubo._eigh, the closed form for N = 2)
-    import conecond.cli as cli
+@pytest.mark.parametrize("eta_seq, passes", [
+    ("0.2,0.1,0.05", 5),                 # check (c)'s eta_b / 2 = 0.025 unvisited
+    ("0.2,0.1,0.05,0.025,0.0125", 8),    # every grid of checks (a)-(c) shared
+])
+def test_verify_decomposes_each_grid_once(capsys, monkeypatch, eta_seq, passes):
+    # checks (a)-(c) ride on the fine passes of check (e)'s eta sweep: each
+    # eta step passes its fine grid and its companion through the kernel
+    # once, and an eta the sweep does not visit gets one fine-only pass, so
+    # across the whole run no grid is decomposed twice (the kernel
+    # decomposes through kubo._eigh, the closed form for N = 2)
     import conecond.kubo as kubo
 
     argv = ["verify", "--preset", "qwz", "--params", "u=-2", "--grid", "16",
-            "--eta-seq", "0.2,0.1,0.05"]
-    kernel, eigh = cli._pair_sum_on_grid, kubo._eigh
-    grids, decomposed, inside = [], [], []
+            "--eta-seq", eta_seq]
+    kernel, eigh = kubo._pair_sum_on_grid, kubo._eigh
+    grids, quantities, decomposed, inside = [], set(), [], []
 
     def counting_eigh(a):
         if inside:
@@ -359,6 +367,7 @@ def test_verify_decomposes_each_grid_once(capsys, monkeypatch):
 
     def one_pass(model, grid, requests, gate):
         grids.append(grid)
+        quantities.update(q for q, _, _ in requests)
         inside.append(True)
         try:
             return kernel(model, grid, requests, gate)
@@ -366,23 +375,19 @@ def test_verify_decomposes_each_grid_once(capsys, monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(kubo, "_eigh", counting_eigh)
-    monkeypatch.setattr(cli, "_pair_sum_on_grid", one_pass)
+    monkeypatch.setattr(kubo, "_pair_sum_on_grid", one_pass)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert len({g.points.tobytes() for g in grids}) == len(grids) == 2
+    assert quantities == {"f_jl", "ftilde_jj", "schwinger"}
+    assert len({g.points.tobytes() for g in grids}) == len(grids) == passes
     assert sum(decomposed) == sum(len(g) for g in grids)
 
-    # the same report from separate public calls, one per request
-    def separate_calls(model, grid, requests, gate):
-        assert not gate
-        public = {
-            "f_jl": lambda eta, p: cc.fjl_eta(model, eta, *p, grid),
-            "ftilde_jj": lambda eta, p: cc.ftilde_jj(model, eta, p[0], grid),
-            "schwinger": lambda eta, p: cc.schwinger(model, *p, grid),
-        }
-        return {r: public[r[0]](r[1], r[2]).value for r in requests}
+    # the same report when every request runs in its own pass
+    def separate_passes(model, grid, requests, gate):
+        single = [kernel(model, grid, [r], gate) for r in requests]
+        return {r: v[r] for r, (v, _) in zip(requests, single)}, single[0][1]
 
-    monkeypatch.setattr(cli, "_pair_sum_on_grid", separate_calls)
+    monkeypatch.setattr(kubo, "_pair_sum_on_grid", separate_passes)
     code, separate, _ = run_cli(capsys, *argv)
     assert code == 0 and separate == out
 

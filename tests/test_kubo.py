@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import conecond as cc
-from conecond.kubo import _eigh, _elliptic_polar_nodes, _pair_sum_on_grid
+from conecond.kubo import _eigh, _elliptic_polar_nodes, _fermi_gaps, _pair_sum_on_grid
 
 
 def _pair_data(model, grid, j, l):
@@ -406,7 +406,7 @@ def test_sigma_kubo_not_converged_carries_report(qwz_gapped):
 
 def _f_pass(model, grid, etas, pairs, gate):
     """f_jl for every (eta, pair) from one kernel pass, keyed (eta, pair)."""
-    values = _pair_sum_on_grid(
+    values, _ = _pair_sum_on_grid(
         model, grid, [("f_jl", eta, p) for eta in etas for p in pairs], gate)
     return {(eta, p): v for (_, eta, p), v in values.items()}
 
@@ -483,7 +483,7 @@ def test_grid_pass_matches_separate_calls(haldane_critical, haldane_cones, qwz_g
             return cc.ftilde_jj(m, eta, j, g, **gate).value
         return cc.schwinger(m, j, l, g).value
 
-    values = _pair_sum_on_grid(model, grid, requests, True)
+    values, _ = _pair_sum_on_grid(model, grid, requests, True)
     assert list(values) == requests
     for r in requests:
         assert values[r] == separate(model, grid, r, True)  # bit-identical
@@ -500,7 +500,7 @@ def test_grid_pass_matches_separate_calls(haldane_critical, haldane_cones, qwz_g
     flat = cc.uniform_grid(qwz_gapped.lattice, 24, 24)
     gapped = [("ftilde_jj", 0.0, (1, 1)), ("f_jl", 0.1, (1, 1)),
               ("schwinger", 0.0, (1, 1)), ("ftilde_jj", 0.0, (2, 2))]
-    values = _pair_sum_on_grid(qwz_gapped, flat, gapped, False)
+    values, _ = _pair_sum_on_grid(qwz_gapped, flat, gapped, False)
     for r in gapped:
         assert values[r] == separate(qwz_gapped, flat, r, False)
 
@@ -555,10 +555,13 @@ def test_block_kernel_matches_dense_rotation(name, request):
     if name == "three_band_metal":
         w = np.linalg.eigvalsh(model.h_batch(grid.points))
         assert set((w <= model.fermi_energy).sum(axis=1)) == {1, 2}
-    values = _pair_sum_on_grid(model, grid, requests, False)
+    values, min_gap = _pair_sum_on_grid(model, grid, requests, False)
     for r in requests:
         ref, scale = _dense_reference(model, grid, r)
         assert abs(values[r] - ref) <= 1e-12 * scale, r
+    # the pass's smallest Fermi gap is the whole grid's, bit for bit
+    _, _, gaps = _fermi_gaps(_eigh(model.h_batch(grid.points))[0], model.fermi_energy)
+    assert min_gap == gaps.min()
 
 
 def _exact_two_band_eigenvalues(H):
@@ -705,6 +708,22 @@ def test_sigma_hall_time_reversal_symmetric_vanishes():
     model = cc.preset_haldane(1.0, 0.0, 0.0, 0.2)
     report = cc.sigma_hall(model, eta_sequence=[0.04, 0.02, 0.01])
     assert abs(report.sigma[(1, 2)]) < 1e-9
+
+
+def test_sigma_hall_decomposes_each_grid_once(monkeypatch):
+    # the gap test reads the fine grid's spectral pass: the fine grid and the
+    # companion are each decomposed once
+    import conecond.kubo as kubo
+
+    eigh, points = kubo._eigh, []
+
+    def counting_eigh(a):
+        points.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(kubo, "_eigh", counting_eigh)
+    cc.sigma_hall(cc.preset_qwz(1.0), grid_policy=cc.GridPolicy(base=16))
+    assert sum(points) == 16 * 16 + 8 * 8
 
 
 def test_sigma_hall_refuses_gapless(qwz_u0):
