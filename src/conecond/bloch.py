@@ -321,11 +321,11 @@ def model_from_dict(data: dict) -> HoppingModel:
         lat = make_lattice(data["lattice"]["a1"], data["lattice"]["a2"])
         orbitals = np.asarray(data["orbitals"], dtype=float)
         mu = float(data["fermi_energy"])
-        raw_hoppings = data["hoppings"]
-    except (KeyError, TypeError) as exc:
-        raise ModelFormatError(f"missing or malformed model field: {exc}") from exc
+        raw_hoppings = list(data["hoppings"])
     except DegenerateBasis as exc:
         raise ModelFormatError(f"lattice: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"missing or malformed model field: {exc}") from exc
     if not np.isfinite(mu):
         raise ModelFormatError(f"fermi_energy must be finite, got {mu}")
     if orbitals.ndim != 2 or orbitals.shape[1] != 2:
@@ -343,7 +343,9 @@ def model_from_dict(data: dict) -> HoppingModel:
                 )
             cell = (int(raw_cell[0]), int(raw_cell[1]))
             T = _parse_matrix(entry["matrix"], N)
-        except (KeyError, TypeError, IndexError) as exc:
+        except ModelFormatError:
+            raise
+        except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"malformed hopping entry: {exc}") from exc
         terms[cell] = terms.get(cell, 0) + T
     scale = max((float(np.abs(T).max()) for T in terms.values()), default=1.0)

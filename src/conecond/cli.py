@@ -60,7 +60,6 @@ from .kubo import (
     closed_form_report,
     default_eta_sequence,
     fjj_sing,
-    richardson_extrapolate,
     sigma_kubo,
     zeta_jj,
 )
@@ -245,6 +244,10 @@ def _parse_path(text: str) -> list:
             raise ConfigParse(f"--path waypoint {chunk!r} is not numeric") from exc
     if len(waypoints) < 2:
         raise ConfigParse("--path needs at least two waypoints")
+    if not np.isfinite(waypoints).all():
+        raise ConfigParse("--path waypoints must be finite")
+    if all(np.array_equal(w, waypoints[0]) for w in waypoints):
+        raise ConfigParse("--path has zero length")
     return waypoints
 
 
@@ -603,8 +606,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cones:
         requests[e2] = requests.get(e2, []) + [("ftilde_jj", e2, (j, j)) for j in (1, 2)]
     longitudinal = ((1, 1), (2, 2))
-    rep, on_grid = _eta_sweep(model, longitudinal, eta_seq, GridPolicy(base=cfg.grid),
-                              cones, requests)
+    rep, on_grid, _ = _eta_sweep(model, longitudinal, eta_seq, GridPolicy(base=cfg.grid),
+                                 cones, requests)
 
     # (a) Schwinger term vs the eta -> 0 response: s_jl = -f_jl(0+); the
     # limit is taken by the linear-cancelling combination 2 f(eta) - f(2 eta).

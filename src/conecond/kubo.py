@@ -43,10 +43,12 @@ it returns sigma + 3 c eta, so a final Richardson step over the sigma_hat
 sequence removes the remaining linear term.  Both members of each pair are
 evaluated on the same grid so that quadrature error largely cancels in the
 difference.  One spectral pass serves them all: each point of a grid is
-diagonalized once, and both eta of a pair and every requested direction are
-summed from that eigen-decomposition (only the Lorentzian depends on eta).
-The verify suite's value-only requests join the fine passes of that eta
-loop (_eta_sweep), so a verify run decomposes each fine grid once.
+diagonalized once, and every eta and direction summed on that grid come
+from that eigen-decomposition (only the Lorentzian depends on eta).  One
+eta loop, _eta_sweep, serves sigma_kubo, sigma_hall and verify (whose
+value-only requests join its fine passes), and it gives each distinct grid
+one pass: without cones the grids do not depend on eta, so the whole
+sequence is summed on one uniform fine grid and its companion.
 
 k-sums are accumulated with a fixed-shape pairwise (tree) reduction, making
 results bit-stable under any chunked evaluation order.
@@ -54,7 +56,7 @@ results bit-stable under any chunked evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -228,6 +230,8 @@ class GridPolicy:
     base: int = 96
 
     def _radii_schedule(self, model: HoppingModel, cones, eta: float) -> list:
+        if not cones:
+            return []
         lat = model.lattice
         lam_sqrt = np.sqrt(min(c.lambda_star for c in cones))
         jmax = _max_current_norm(model, uniform_grid(lat, 48, 48).points)
@@ -243,18 +247,19 @@ class GridPolicy:
             level += 1
         return radii
 
+    @staticmethod
+    def _grid(model: HoppingModel, cones, n: int, radii) -> KGrid:
+        """The n x n uniform grid, refined around the cones over ``radii``."""
+        grid = uniform_grid(model.lattice, n, n)
+        if not cones:
+            return grid
+        return refined_grid(model.lattice, grid, [c.omega for c in cones], radii)
+
     def grids_for(self, model: HoppingModel, cones, eta: float):
         """(fine, companion) quadrature grids for the given eta."""
-        lat = model.lattice
-        half = max(self.base // 2, 2)
-        fine = uniform_grid(lat, self.base, self.base)
-        coarse = uniform_grid(lat, half, half)
-        if not cones:
-            return fine, coarse
-        centers = [c.omega for c in cones]
         radii = self._radii_schedule(model, cones, eta)
-        return (refined_grid(lat, fine, centers, radii),
-                refined_grid(lat, coarse, centers, radii[:-1]))
+        return (self._grid(model, cones, self.base, radii),
+                self._grid(model, cones, max(self.base // 2, 2), radii[:-1]))
 
 
 # -- frequency-domain grid integrals ----------------------------------------
@@ -767,41 +772,46 @@ def _direction_pairs(j, l, directions) -> tuple:
 
 def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy,
                cones, riders) -> tuple:
-    """sigma_kubo's eta loop, shared with verify: (its report, unconverged
-    pairs flagged, not raised; {grid eta: {request: fine-pass value}}).
-    ``riders`` maps a grid eta to nonempty lists of value-only requests: at
-    a visited eta they join the step's gated fine pass after its own f_jl,
-    so the step's gate, sign and degeneracy errors come first; any other
-    eta gets one fine-only pass of its own, gate off."""
+    """The eta loop of sigma_kubo, sigma_hall and verify: (the report,
+    unconverged pairs flagged, not raised; {grid eta: {request: fine-pass
+    value}}; the smallest Fermi gap of the gated fine passes).  Steps are
+    grouped by grid pair (one per step with cones; without cones grids_for
+    ignores eta, so all share one), and each pair gets one gated fine pass,
+    the steps' f_jl first and then the riders of their etas, and one
+    companion pass.  ``riders`` maps a grid eta to nonempty lists of
+    value-only requests; an eta not visited gets its fine grid alone, in
+    one pass with the gate off."""
     seq = _validate_halving(eta_sequence)
+    steps = list(zip(seq, seq[1:]))
     per_eta = {p: [] for p in pairs}
     sigma_hats = {p: [] for p in pairs}
     f_values = {p: {} for p in pairs}
-    grid_sizes, values = {}, {}
-    for i in range(1, len(seq)):
-        eta_hi, eta = seq[i - 1], seq[i]
-        fine, comp = policy.grids_for(model, cones, eta)
-        grid_sizes[eta] = len(fine)
-        own = [("f_jl", e, p) for e in (eta_hi, eta) for p in pairs]
-        values[eta], _ = _pair_sum_on_grid(model, fine, own + riders.get(eta, []), True)
-        est = _estimates(model, {r: values[eta][r] for r in own}, fine, comp)
-        for p in pairs:
-            f_hi, f_lo = est["f_jl", eta_hi, p], est["f_jl", eta, p]
-            f_values[p][eta] = (f_hi.value, f_lo.value)
-            s_hat = (f_hi.value - f_lo.value) / eta
-            s_err = (f_hi.quad_error + f_lo.quad_error) / eta
-            sigma_hats[p].append(s_hat)
-            per_eta[p].append((eta, s_hat, s_err))
+    grid_sizes, values, min_gap = {}, {}, np.inf
+    for group in ([s] for s in steps) if cones else [steps]:
+        fine, comp = policy.grids_for(model, cones, group[-1][1])
+        own = [("f_jl", e, p) for step in group for e in step for p in pairs]
+        ride = [r for _, eta in group for r in riders.get(eta, [])]
+        found, gap = _pair_sum_on_grid(model, fine, own + ride, True)
+        min_gap = min(min_gap, gap)
+        est = _estimates(model, {r: found[r] for r in own}, fine, comp)
+        for eta_hi, eta in group:
+            values[eta], grid_sizes[eta] = found, len(fine)
+            for p in pairs:
+                f_hi, f_lo = est["f_jl", eta_hi, p], est["f_jl", eta, p]
+                f_values[p][eta] = (f_hi.value, f_lo.value)
+                s_hat = (f_hi.value - f_lo.value) / eta
+                s_err = (f_hi.quad_error + f_lo.quad_error) / eta
+                sigma_hats[p].append(s_hat)
+                per_eta[p].append((eta, s_hat, s_err))
     for eta in [e for e in riders if e not in values]:
-        values[eta], _ = _pair_sum_on_grid(
-            model, policy.grids_for(model, cones, eta)[0], riders[eta], False)
+        fine = policy._grid(model, cones, policy.base,
+                            policy._radii_schedule(model, cones, eta))
+        values[eta], _ = _pair_sum_on_grid(model, fine, riders[eta], False)
 
     # with a single estimator value Richardson is not possible; report the
     # plain estimator (the convergence flag is necessarily False then)
-    sigma = {
-        p: richardson_extrapolate(h) if len(h) >= 2 else h[-1]
-        for p, h in sigma_hats.items()
-    }
+    sigma = {p: richardson_extrapolate(h) if len(h) >= 2 else h[-1]
+             for p, h in sigma_hats.items()}
     report = ConductivityReport(
         method="kubo_extrapolation",
         sigma=sigma,
@@ -815,7 +825,7 @@ def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy,
             "cone_residuals": tuple(c.residual for c in cones),
         },
     )
-    return report, values
+    return report, values, min_gap
 
 
 def sigma_kubo(model: HoppingModel, j: int | None = None, l: int | None = None,
@@ -828,10 +838,10 @@ def sigma_kubo(model: HoppingModel, j: int | None = None, l: int | None = None,
     is keyed by every pair.  For each consecutive pair of the halving eta
     sequence, f_jl is evaluated at both 2*eta and eta on one shared grid
     built for the smaller eta (so quadrature error cancels in the
-    difference), giving the estimator sequence sigma_hat(eta).  That grid and
-    its companion are built once per eta and each is traversed in one
-    spectral pass: every point is diagonalized once, and both eta of the pair
-    and every direction come from that one eigen-decomposition.  The report
+    difference), giving the estimator sequence sigma_hat(eta).  Each distinct
+    grid and its companion are built once and traversed in one spectral
+    pass (one per eta with cones, one for the whole sequence without): every
+    point is diagonalized once for every eta and direction.  The report
     carries each pair's sequence, its Richardson extrapolation (the headline
     value), and a convergence flag (last two sigma_hat within 2%, with a
     small absolute floor for values decaying to zero); ``diagnostics`` holds
@@ -847,7 +857,7 @@ def sigma_kubo(model: HoppingModel, j: int | None = None, l: int | None = None,
     if eta_sequence is None:
         eta_sequence = default_eta_sequence(model)
     policy = grid_policy if grid_policy is not None else GridPolicy()
-    report, _ = _eta_sweep(model, pairs, eta_sequence, policy, cones, {})
+    report, _, _ = _eta_sweep(model, pairs, eta_sequence, policy, cones, {})
     failed = []
     for (pj, pl), steps in report.per_eta.items():
         if report.converged[pj, pl]:
@@ -866,54 +876,38 @@ def sigma_kubo(model: HoppingModel, j: int | None = None, l: int | None = None,
 
 def sigma_hall(model: HoppingModel, eta_sequence=None,
                grid_policy: GridPolicy | None = None) -> ConductivityReport:
-    """Off-diagonal (Hall) estimate sigma_12 for gapped models.
+    """Off-diagonal (Hall) estimate sigma_12 for gapped models: sigma_kubo's
+    eta sweep for (1, 2) without cones, one fine and one companion pass.
 
-    Refuses gapless models: the minimum Fermi-level gap of the fine grid's
-    spectral pass must exceed 10x the largest eta, else Gapless (also for a
-    degeneracy), before the companion is summed.  Reports the estimator
-    sequence and Richardson value, plus the distance of 2 pi sigma_12 from
-    its nearest integer as a diagnostic (no acceptance value is attached to
-    it here).
+    Refuses gapless models with Gapless: on a degeneracy, when the resolution
+    gate fires, and when the minimum Fermi-level gap of the fine pass does
+    not exceed 10x the largest eta.  Reports the estimator sequence and its
+    Richardson value (one unconverged estimator for two eta), plus the
+    distance of 2 pi sigma_12 from its nearest integer as a diagnostic (no
+    acceptance value is attached to it here).
     """
     if eta_sequence is None:
         eta_sequence = default_eta_sequence(model)
     seq = _validate_halving(eta_sequence)
     policy = grid_policy if grid_policy is not None else GridPolicy()
-
-    fine, comp = policy.grids_for(model, (), seq[-1])
+    need = "the Hall estimate needs a gapped model"
     try:
-        values, min_gap = _pair_sum_on_grid(
-            model, fine, [("f_jl", e, (1, 2)) for e in seq], False)
+        report, _, min_gap = _eta_sweep(model, ((1, 2),), seq, policy, (), {})
     except DegeneratePoint as exc:
-        raise Gapless(f"{exc}; the Hall estimate needs a gapped model") from exc
+        raise Gapless(f"{exc}; {need}") from exc
+    except GridTooCoarse as exc:
+        # without cones the gate fires only where a Fermi gap is below
+        # 4 eta <= 4x the largest eta, so the 10x test below would fail too
+        raise Gapless(f"a Fermi-level gap lies below 4 eta <= 4x the largest eta "
+                      f"({max(seq):.6g}), so not above 10x it; {need}") from exc
     if min_gap <= 10.0 * max(seq):
         raise Gapless(
             f"minimum Fermi-level gap {min_gap:.6g} does not exceed 10x the "
-            f"largest eta ({max(seq):.6g}); the Hall estimate needs a gapped model"
+            f"largest eta ({max(seq):.6g}); {need}"
         )
-
-    est = _estimates(model, values, fine, comp)
-    f_values = [est["f_jl", e, (1, 2)] for e in seq]
-    sigma_hats = sigma_hat_sequence(seq, [f.value for f in f_values])
-    value = richardson_extrapolate(sigma_hats)
-    per_eta = tuple(
-        (seq[i], sigma_hats[i - 1],
-         (f_values[i - 1].quad_error + f_values[i].quad_error) / seq[i])
-        for i in range(1, len(seq))
-    )
-    return ConductivityReport(
-        method="kubo_extrapolation",
-        sigma={(1, 2): value},
-        converged={(1, 2): _converged(sigma_hats)},
-        per_eta={(1, 2): per_eta},
-        diagnostics={
-            "eta_sequence": tuple(seq),
-            "min_gap": min_gap,
-            "hall_quantum_residue": abs(
-                2.0 * np.pi * value - round(2.0 * np.pi * value)
-            ),
-        },
-    )
+    turns = 2.0 * np.pi * report.sigma[1, 2]
+    return replace(report, diagnostics={"eta_sequence": tuple(seq), "min_gap": min_gap,
+                                        "hall_quantum_residue": abs(turns - round(turns))})
 
 
 def closed_form_report(cones, directions=((1, 1), (2, 2))) -> ConductivityReport:

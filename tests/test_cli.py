@@ -19,6 +19,9 @@ from conecond.cli import main as cli_main
 
 from conftest import hex_flat_band_dict, square_model_dict
 
+# a NaN or inf that reaches the numerics shows first as a RuntimeWarning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def run_cli(capsys, *argv):
     code = cli_main(list(argv))
@@ -72,6 +75,17 @@ def test_malformed_model_file_is_config_error(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, _ = run_cli(capsys, "validate", "--model", str(bad))
     assert code == 1
+    # each of these once escaped main() as a TypeError, ValueError or
+    # OverflowError traceback
+    for field, value in [("hoppings", 5), ("cell", ["a", 0]), ("cell", [np.nan, 0]),
+                         ("cell", [np.inf, 0]), ("a1", "xy"), ("a1", [1, 2, 3]),
+                         ("orbitals", [["a", 0]]), ("fermi_energy", "abc")]:
+        payload = square_model_dict()
+        owner = {"cell": payload["hoppings"][0], "a1": payload["lattice"]}
+        owner.get(field, payload)[field] = value
+        bad.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "validate", "--model", str(bad))
+        assert code == 1 and err.startswith("error:"), (field, value, err)
 
 
 def test_validate_reports_pairing_violation_as_failed_check(capsys, model_file):
@@ -92,6 +106,8 @@ def test_validate_reports_pairing_violation_as_failed_check(capsys, model_file):
     ["sigma", "--preset", "haldane", "--params", "t2=inf"],
     ["sigma", "--preset", "qwz", "--method", "kubo", "--eta-seq", "nan,nan"],
     ["verify", "--preset", "qwz", "--eps", "inf"],
+    ["bands", "--preset", "qwz", "--path", "0,0;nan,0"],
+    ["bands", "--preset", "qwz", "--path", "0,0;inf,0"],
 ])
 def test_non_finite_numbers_are_config_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -106,6 +122,7 @@ def test_non_finite_numbers_are_config_errors(capsys, argv):
     ["sigma", "--preset", "qwz", "--directions", ""],
     ["verify", "--preset", "qwz", "--eta-seq", ""],
     ["bands", "--preset", "qwz", "--path", ""],
+    ["bands", "--preset", "qwz", "--path", "0,0;0,0", "--svg", os.devnull],
 ])
 def test_out_of_range_options_are_config_errors(capsys, argv):
     # each of these once escaped main() as a bare ValueError traceback, or
@@ -343,22 +360,32 @@ def test_verify_gapped_skips_cone_checks(capsys):
     assert report["all_pass"] is True and report["cones"] == 0
 
 
-@pytest.mark.parametrize("eta_seq, passes", [
-    ("0.2,0.1,0.05", 5),                 # check (c)'s eta_b / 2 = 0.025 unvisited
-    ("0.2,0.1,0.05,0.025,0.0125", 8),    # every grid of checks (a)-(c) shared
+@pytest.mark.parametrize("u, eta_seq, passes, refinements", [
+    # check (c)'s eta_b / 2 = 0.025 unvisited: its fine grid is built alone
+    pytest.param("-2", "0.2,0.1,0.05", 5, 5, id="0.2,0.1,0.05-5"),
+    # every grid of checks (a)-(c) shared
+    pytest.param("-2", "0.2,0.1,0.05,0.025,0.0125", 8, 8, id="0.2,0.1,0.05,0.025,0.0125-8"),
+    # gapped: every eta step shares one uniform grid pair
+    pytest.param("1", "0.2,0.1,0.05,0.025,0.0125", 2, 0, id="u=1-0.2,0.1,0.05,0.025,0.0125-2"),
 ])
-def test_verify_decomposes_each_grid_once(capsys, monkeypatch, eta_seq, passes):
+def test_verify_decomposes_each_grid_once(capsys, monkeypatch, u, eta_seq, passes,
+                                          refinements):
     # checks (a)-(c) ride on the fine passes of check (e)'s eta sweep: each
-    # eta step passes its fine grid and its companion through the kernel
-    # once, and an eta the sweep does not visit gets one fine-only pass, so
-    # across the whole run no grid is decomposed twice (the kernel
-    # decomposes through kubo._eigh, the closed form for N = 2)
+    # distinct grid pair passes its fine grid and its companion through the
+    # kernel once, and an eta the sweep does not visit gets one fine-only
+    # pass, so across the whole run no grid is decomposed twice (the kernel
+    # decomposes through kubo._eigh, the closed form for N = 2) and no grid
+    # is refined that does not reach the kernel
     import conecond.kubo as kubo
 
-    argv = ["verify", "--preset", "qwz", "--params", "u=-2", "--grid", "16",
+    argv = ["verify", "--preset", "qwz", "--params", f"u={u}", "--grid", "16",
             "--eta-seq", eta_seq]
-    kernel, eigh = kubo._pair_sum_on_grid, kubo._eigh
-    grids, quantities, decomposed, inside = [], set(), [], []
+    kernel, eigh, refine = kubo._pair_sum_on_grid, kubo._eigh, kubo.refined_grid
+    grids, quantities, decomposed, inside, refined = [], set(), [], [], []
+
+    def counting_refine(*args):
+        refined.append(args)
+        return refine(*args)
 
     def counting_eigh(a):
         if inside:
@@ -376,10 +403,12 @@ def test_verify_decomposes_each_grid_once(capsys, monkeypatch, eta_seq, passes):
 
     monkeypatch.setattr(kubo, "_eigh", counting_eigh)
     monkeypatch.setattr(kubo, "_pair_sum_on_grid", one_pass)
+    monkeypatch.setattr(kubo, "refined_grid", counting_refine)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert quantities == {"f_jl", "ftilde_jj", "schwinger"}
     assert len({g.points.tobytes() for g in grids}) == len(grids) == passes
+    assert len(refined) == refinements
     assert sum(decomposed) == sum(len(g) for g in grids)
 
     # the same report when every request runs in its own pass

@@ -678,9 +678,20 @@ def test_sigma_kubo_rejects_non_halving_sequence(qwz_gapped):
                       grid_policy=cc.GridPolicy(base=32), cones=[])
 
 
-def test_sigma_kubo_gapped_converges_to_zero(qwz_gapped):
+def test_sigma_kubo_gapped_converges_to_zero(qwz_gapped, monkeypatch):
     # the gapped response has no linear-in-eta term, so the estimator
-    # sequence itself halves towards zero and the extrapolation vanishes
+    # sequence itself halves towards zero and the extrapolation vanishes;
+    # without cones every eta step shares one uniform grid pair, summed in
+    # one fine and one companion pass
+    import conecond.kubo as kubo
+
+    kernel, passes = kubo._pair_sum_on_grid, []
+
+    def one_pass(model, grid, requests, gate):
+        passes.append(len(grid))
+        return kernel(model, grid, requests, gate)
+
+    monkeypatch.setattr(kubo, "_pair_sum_on_grid", one_pass)
     report = cc.sigma_kubo(
         qwz_gapped, 1, 1,
         eta_sequence=cc.default_eta_sequence(qwz_gapped, 9),
@@ -690,6 +701,7 @@ def test_sigma_kubo_gapped_converges_to_zero(qwz_gapped):
     assert abs(report.sigma[(1, 1)]) < 1e-6
     diag = report.diagnostics
     assert diag["cones"] == 0 and len(diag["eta_sequence"]) == 9
+    assert passes == [48 * 48, 24 * 24]
 
 
 def test_sigma_hall_gapped_chern_model(qwz_gapped):
@@ -724,6 +736,29 @@ def test_sigma_hall_decomposes_each_grid_once(monkeypatch):
     monkeypatch.setattr(kubo, "_eigh", counting_eigh)
     cc.sigma_hall(cc.preset_qwz(1.0), grid_policy=cc.GridPolicy(base=16))
     assert sum(points) == 16 * 16 + 8 * 8
+
+
+def test_sigma_hall_two_etas_report_unconverged(qwz_gapped):
+    # one estimator value: no Richardson step, the plain estimate, unconverged
+    report = cc.sigma_hall(qwz_gapped, eta_sequence=[0.2, 0.1],
+                           grid_policy=cc.GridPolicy(base=16))
+    ((eta, s_hat, _),) = report.per_eta[(1, 2)]
+    assert eta == 0.1 and report.sigma[(1, 2)] == s_hat
+    assert report.converged[(1, 2)] is False
+    assert report.diagnostics["min_gap"] > 1.9
+
+
+def test_sigma_hall_gapless_routes():
+    # u = 0 closes the gap between grid points: the resolution gate fires
+    # first, and its refusal names the gap rule
+    with pytest.raises(cc.Gapless, match="below 4 eta") as caught:
+        cc.sigma_hall(cc.preset_qwz(0.0))
+    assert isinstance(caught.value.__cause__, cc.GridTooCoarse)
+    assert "refine" not in str(caught.value)
+    # gapped, but the gap 0.405 is not above 10x the largest eta 0.0599
+    with pytest.raises(cc.Gapless, match=r"minimum Fermi-level gap 0\.405") as caught:
+        cc.sigma_hall(cc.preset_haldane(1.0, 0.0, 0.0, 0.2))
+    assert caught.value.__cause__ is None
 
 
 def test_sigma_hall_refuses_gapless(qwz_u0):
