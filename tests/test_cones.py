@@ -168,6 +168,19 @@ def test_fit_cone_rejects_too_few_directions(haldane_critical, haldane_cones):
     assert resid < 1e-3
 
 
+@pytest.mark.parametrize("radii", [
+    [np.nan, 0.01], [0.01, np.inf], [0.01, 0.01], [0.01, 0.01, 0.02], [0.0, 0.01],
+], ids=["nan", "inf", "equal", "equal-smallest", "zero"])
+def test_fit_cone_rejects_bad_radii(haldane_critical, haldane_cones, radii):
+    # a non-finite radius once ended in LinAlgError (SVD did not converge),
+    # and equal smallest radii divided by zero in the r -> 0 extrapolation
+    omega = haldane_cones[0].omega
+    with pytest.raises(ValueError, match="radii must be positive and finite"):
+        cc.fit_cone(haldane_critical, omega, radii=radii)
+    with pytest.raises(ValueError, match="radii must be positive and finite"):
+        cc.characterize_cones(haldane_critical, coarse=32, radii=radii)
+
+
 def test_fit_cone_third_band_window_guard(haldane_critical):
     # adding a decoupled flat orbital near the Fermi level breaks the
     # two-band isolation precondition at the default radii

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import conecond as cc
-from conecond.kubo import _eigh, _elliptic_polar_nodes, _fermi_gaps, _pair_sum_on_grid
+from conecond.kubo import (_cone_pass, _eigh, _elliptic_polar_nodes, _fermi_gaps,
+                           _pair_sum_on_grid)
 
 
 def _pair_data(model, grid, j, l):
@@ -372,6 +373,61 @@ def test_cone_integrals_match_dense_rotation(name, request):
                 value, quad = ref[est.quantity]
                 assert abs(est.value - value) <= rtol * abs(value), (est.quantity, eta, j)
                 assert abs(est.quad_error - quad) <= 1e-12, (est.quantity, eta, j)
+
+
+@pytest.mark.parametrize("name", ["haldane_critical", "qwz_aniso", "hex_flat_band_model"])
+def test_cone_pass_matches_separate_calls(name, request):
+    # one pass over mixed requests shares the nodes and the centre
+    # eigensolve of each (eta, cone) and changes no float: every value equals
+    # the fine-rule value of its own public call bit for bit
+    model = request.getfixturevalue(name)
+    if name == "hex_flat_band_model":
+        cones = [cc.FermiPoint(omega=model.lattice.from_fractional([-1.0 / 3.0, 1.0 / 3.0]),
+                               Q=2.25 * np.eye(2), tilt=np.zeros(2), residual=0.0,
+                               gap_at_omega=0.0)]
+        eps = 0.004
+    else:
+        cones = request.getfixturevalue(
+            {"haldane_critical": "haldane_cones", "qwz_aniso": "qwz_aniso_cones"}[name])
+        eps = cc.default_epsilon(cones, model.lattice)
+    requests = [(q, eta, (j, j)) for eta in (0.05, 0.0125)
+                for q, j in (("f_sing", 1), ("f_sing", 2), ("zeta", 1))]
+    mixed = _cone_pass(model, cones, requests, eps)
+    assert list(mixed) == requests
+    public = {"f_sing": cc.fjj_sing, "zeta": cc.zeta_jj}
+    for r in requests:
+        quantity, eta, (j, _) = r
+        assert mixed[r] == public[quantity](model, cones, eta, j, eps=eps).value, r
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda m, c: cc.fjj_sing(m, c, 0.05, 1, eps=np.nan),
+                 "eps must be positive and finite", id="eps=nan"),
+    pytest.param(lambda m, c: cc.zeta_jj(m, c, 0.05, 1, eps=np.inf),
+                 "eps must be positive and finite", id="eps=inf"),
+    pytest.param(lambda m, c: cc.b_epsilon_membership(c, c[0].omega, np.nan, m.lattice),
+                 "eps must be positive and finite", id="membership-eps=nan"),
+    pytest.param(lambda m, c: cc.zeta_jj(m, c, np.inf, 1), "eta must be finite",
+                 id="eta=inf"),
+    pytest.param(lambda m, c: cc.fjj_sing(m, c, np.nan, 2), "eta must be finite",
+                 id="eta=nan"),
+    pytest.param(lambda m, c: cc.fjj_sing(m, c, 0.05, 1, ntheta=0), "ntheta and order",
+                 id="ntheta=0"),
+    pytest.param(lambda m, c: cc.zeta_jj(m, c, 0.05, 1, order=0), "ntheta and order",
+                 id="order=0"),
+    pytest.param(lambda m, c: cc.fjj_sing(m, c, 0.05, 1, ntheta=2.5), "ntheta and order",
+                 id="ntheta=2.5"),
+    pytest.param(lambda m, c: cc.zeta_jj(m, c, 0.05, 1, fd_step=0.0),
+                 "fd_step must be positive and finite", id="fd_step=0"),
+    pytest.param(lambda m, c: cc.zeta_jj(m, c, 0.05, 1, fd_step=np.nan),
+                 "fd_step must be positive and finite", id="fd_step=nan"),
+])
+def test_cone_integral_arguments_refused(haldane_critical, haldane_cones, call, message):
+    # each once ended in EpsilonTooLarge, a ZeroDivisionError, a
+    # RuntimeWarning or a silent 0.0
+    with pytest.raises(ValueError, match=message) as exc:
+        call(haldane_critical, haldane_cones)
+    assert type(exc.value) is ValueError
 
 
 def test_regular_part_flat_in_eta(haldane_critical, haldane_cones):
