@@ -69,6 +69,11 @@ class HoppingModel:
     fermi_energy : float
         Fermi level mu; stored with the model because every downstream
         quantity (projectors, gaps, response) is defined relative to it.
+
+    Construction is the one place the input rules are checked, for every
+    constructor (presets and model files included): a non-finite position,
+    hopping entry or mu raises ModelFormatError, then a term without its
+    partner or with an inconsistent one raises HoppingConflict.
     """
 
     lattice: Lattice2D
@@ -95,35 +100,31 @@ class HoppingModel:
             T.setflags(write=False)
             terms[(m1, m2)] = T
         object.__setattr__(self, "terms", terms)
-        scale = max((np.abs(T).max() for T in terms.values()), default=1.0)
-        scale = max(scale, 1.0)
+        if not (np.isfinite(pos).all() and np.isfinite(self.fermi_energy)
+                and all(np.isfinite(T).all() for T in terms.values())):
+            raise ModelFormatError("orbital positions, hopping entries and the "
+                                   "Fermi energy must be finite")
+        scale = max([1.0] + [np.abs(T).max() for T in terms.values()])
         for (m1, m2), T in terms.items():
             partner = terms.get((-m1, -m2))
             if partner is None:
-                raise HoppingConflict(
-                    f"term at ({m1},{m2}) has no partner at ({-m1},{-m2})"
-                )
-            if np.abs(partner - T.conj().T).max() > PAIRING_ATOL * scale:
-                raise HoppingConflict(
-                    f"T({-m1},{-m2}) != T({m1},{m2})^dagger "
-                    f"(max deviation {np.abs(partner - T.conj().T).max():.3e})"
-                )
-        # flatten nonzero entries: displacement gamma + r_col - r_row per entry
-        disp, flat, vals = [], [], []
+                raise HoppingConflict(f"term at ({m1},{m2}) has no partner at ({-m1},{-m2})")
+            deviation = np.abs(partner - T.conj().T).max()
+            if deviation > PAIRING_ATOL * scale:
+                raise HoppingConflict(f"T({-m1},{-m2}) != T({m1},{m2})^dagger "
+                                      f"(max deviation {deviation:.3e})")
+        # flatten nonzero entries: displacement gamma + r_col - r_row per entry;
+        # the empty first pieces keep the shapes valid for a model without terms
+        disp, flat, vals = [np.zeros((0, 2))], [np.zeros(0, np.intp)], [np.zeros(0, complex)]
         for (m1, m2), T in terms.items():
-            gamma = m1 * self.lattice.a1 + m2 * self.lattice.a2
-            for a in range(N):
-                for b in range(N):
-                    if T[a, b] != 0:
-                        disp.append(gamma + pos[b] - pos[a])
-                        flat.append(a * N + b)
-                        vals.append(T[a, b])
-        if not disp:                       # empty model: keep shapes valid
-            disp = np.zeros((0, 2))
-        flat = np.asarray(flat, dtype=np.intp)
+            a, b = np.nonzero(T)
+            disp.append(m1 * self.lattice.a1 + m2 * self.lattice.a2 + pos[b] - pos[a])
+            flat.append(a * N + b)
+            vals.append(T[a, b])
+        flat = np.concatenate(flat)
         for name, arr in (
-            ("_disp", np.asarray(disp, dtype=float).reshape(-1, 2)),
-            ("_vals", np.asarray(vals, dtype=complex)),
+            ("_disp", np.concatenate(disp)),
+            ("_vals", np.concatenate(vals)),
             ("_slots", np.column_stack([2 * flat, 2 * flat + 1]).ravel()),
         ):
             arr.setflags(write=False)
@@ -194,6 +195,12 @@ def _max_current_norm(model: HoppingModel, ks: np.ndarray) -> float:
     return max(_max_frobenius(J) for J in model._assemble(ks, ((1,), (2,))))
 
 
+def _require_directions(*idx) -> None:
+    """ValueError unless every direction index is 1 or 2."""
+    if any(i not in (1, 2) for i in idx):
+        raise ValueError(f"direction indices must be 1 or 2, got {idx}")
+
+
 def h_at(model: HoppingModel, k) -> np.ndarray:
     """Bloch Hamiltonian H(k), an N x N Hermitian matrix."""
     return model.h_batch(np.asarray(k, dtype=float).reshape(1, 2))[0]
@@ -201,15 +208,13 @@ def h_at(model: HoppingModel, k) -> np.ndarray:
 
 def dh_at(model: HoppingModel, k, j: int) -> np.ndarray:
     """Current operator J_j(k) = dH/dk_j (Hermitian)."""
-    if j not in (1, 2):
-        raise ValueError("direction index j must be 1 or 2")
+    _require_directions(j)
     return model.dh_batch(np.asarray(k, dtype=float).reshape(1, 2), j)[0]
 
 
 def d2h_at(model: HoppingModel, k, j: int, l: int) -> np.ndarray:
     """Second derivative d^2H/dk_j dk_l (Hermitian, symmetric in j,l)."""
-    if j not in (1, 2) or l not in (1, 2):
-        raise ValueError("direction indices must be 1 or 2")
+    _require_directions(j, l)
     return model.d2h_batch(np.asarray(k, dtype=float).reshape(1, 2), j, l)[0]
 
 
@@ -326,12 +331,8 @@ def model_from_dict(data: dict) -> HoppingModel:
         raise ModelFormatError(f"lattice: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"missing or malformed model field: {exc}") from exc
-    if not np.isfinite(mu):
-        raise ModelFormatError(f"fermi_energy must be finite, got {mu}")
     if orbitals.ndim != 2 or orbitals.shape[1] != 2:
         raise ModelFormatError("orbitals must be a list of [x, y] positions")
-    if not np.isfinite(orbitals).all():
-        raise ModelFormatError("orbital positions must be finite")
     N = orbitals.shape[0]
     terms: dict = {}
     for entry in raw_hoppings:
@@ -348,23 +349,14 @@ def model_from_dict(data: dict) -> HoppingModel:
         except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"malformed hopping entry: {exc}") from exc
         terms[cell] = terms.get(cell, 0) + T
-    scale = max((float(np.abs(T).max()) for T in terms.values()), default=1.0)
-    scale = max(scale, 1.0)
-    completed = dict(terms)
-    for (m1, m2), T in terms.items():
-        partner = terms.get((-m1, -m2))
-        if partner is None:
-            completed[(-m1, -m2)] = T.conj().T
-        elif np.abs(partner - T.conj().T).max() > PAIRING_ATOL * scale:
-            raise HoppingConflict(
-                f"hoppings at ({m1},{m2}) and ({-m1},{-m2}) are not "
-                "Hermitian partners"
-            )
+    # a missing partner is filled in; HoppingModel refuses inconsistent ones
+    for (m1, m2), T in list(terms.items()):
+        terms.setdefault((-m1, -m2), T.conj().T)
     return HoppingModel(
         lattice=lat,
         norbitals=N,
         positions=orbitals,
-        terms=completed,
+        terms=terms,
         fermi_energy=mu,
     )
 

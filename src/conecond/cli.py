@@ -30,9 +30,6 @@ from .bloch import (
     HoppingModel,
     ModelFormatError,
     covariance_defect,
-    d2h_at,
-    dh_at,
-    h_at,
     load_model,
     preset_haldane,
     preset_qwz,
@@ -294,15 +291,10 @@ def _config_from_args(args) -> RunConfig:
 
 # -- validate ------------------------------------------------------------------
 
-def _random_momenta(model: HoppingModel, count: int, seed: int = 7) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    frac = rng.uniform(-0.5, 0.5, size=(count, 2))
-    return frac @ model.lattice.dual_matrix.T
-
-
 def _run_validation_checks(model: HoppingModel) -> list:
     checks = []
-    ks = _random_momenta(model, 100)
+    rng = np.random.default_rng(7)
+    ks = rng.uniform(-0.5, 0.5, size=(100, 2)) @ model.lattice.dual_matrix.T
 
     H = model.h_batch(ks)
     herm = float(
@@ -317,31 +309,30 @@ def _run_validation_checks(model: HoppingModel) -> list:
             cov = max(cov, covariance_defect(model, k, m1, m2))
     checks.append(("dual_covariance", cov < 1e-10, cov, 1e-10))
 
-    step = 1e-6
-    fd_err = fd2_err = sym_err = 0.0
+    # derivatives at the first 20 momenta against central differences: one
+    # assembly of every derivative there, one of H and J per shifted set
+    step, k20 = 1e-6, ks[:20]
+    derivs = ((1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2))
+    D = dict(zip(derivs, model._assemble(k20, derivs)))
+    fd_err = fd2_err = 0.0
     scale = max(1.0, float(np.abs(H).max()))
-    for k in ks[:20]:
-        for j, e in ((1, np.array([step, 0.0])), (2, np.array([0.0, step]))):
-            fd = (h_at(model, k + e) - h_at(model, k - e)) / (2 * step)
-            fd_err = max(fd_err, float(np.abs(fd - dh_at(model, k, j)).max()) / scale)
-            for l in (1, 2):
-                fd = (dh_at(model, k + e, l) - dh_at(model, k - e, l)) / (2 * step)
-                fd2_err = max(
-                    fd2_err, float(np.abs(fd - d2h_at(model, k, j, l)).max()) / scale
-                )
-        sym = np.abs(d2h_at(model, k, 1, 2) - d2h_at(model, k, 2, 1)).max()
-        sym_err = max(sym_err, float(sym))
+    for j, e in ((1, np.array([step, 0.0])), (2, np.array([0.0, step]))):
+        shifted = (model._assemble(k, ((), (1,), (2,))) for k in (k20 + e, k20 - e))
+        (Hp, *Jp), (Hm, *Jm) = shifted
+        fd_err = max(fd_err, float(np.abs((Hp - Hm) / (2 * step) - D[(j,)]).max()) / scale)
+        for l in (1, 2):
+            fd = (Jp[l - 1] - Jm[l - 1]) / (2 * step)
+            fd2_err = max(fd2_err, float(np.abs(fd - D[j, l]).max()) / scale)
+    sym_err = float(np.abs(D[1, 2] - D[2, 1]).max())
     checks.append(("derivative_consistency", fd_err < 1e-5, fd_err, 1e-5))
     checks.append(("second_derivative_consistency", fd2_err < 1e-5, fd2_err, 1e-5))
     checks.append(("second_derivative_symmetry", sym_err == 0.0, sym_err, 0.0))
 
-    per_err = 0.0
-    espread = max(1.0, float(np.abs(np.linalg.eigvalsh(H)).max()))
-    for k in ks[:20]:
-        w0 = np.linalg.eigvalsh(h_at(model, k))
-        for G in (model.lattice.b1, model.lattice.b2):
-            w1 = np.linalg.eigvalsh(h_at(model, k + G))
-            per_err = max(per_err, float(np.abs(w1 - w0).max()) / espread)
+    # spectra at k + G against those of the H batch at the same 20 momenta
+    w = np.linalg.eigvalsh(H)
+    espread = max(1.0, float(np.abs(w).max()))
+    per_err = max(float(np.abs(np.linalg.eigvalsh(model.h_batch(k20 + G)) - w[:20]).max())
+                  for G in (model.lattice.b1, model.lattice.b2)) / espread
     checks.append(("spectrum_periodicity", per_err < 1e-10, per_err, 1e-10))
     return checks
 
@@ -640,7 +631,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     # agree.  Both compare values only, from one fine-rule cone pass.
     if cones:
         eta_d = eta_seq[-1]
-        sing = _cone_pass(model, cones, [
+        sing, = _cone_pass(model, cones, [
             ("f_sing", e, (j, j)) for j in (1, 2) for e in (eta_b, e2)] + [
             (q, e, (1, 1)) for q in ("f_sing", "zeta") for e in (2.0 * eta_d, eta_d)],
             cfg.eps)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .bloch import HoppingModel, _max_current_norm, h_at
+from .bloch import HoppingModel, _max_current_norm, _require_directions, h_at
 from .lattice import (Lattice2D, _images, _min_cart_distance, _reduced_basis,
                       uniform_grid, wrap_fractional)
 from .spectra import AllBandsOnOneSide, _level_bounds
@@ -136,12 +136,14 @@ class FermiPoint:
 class FermiPointScan:
     """Result of a Fermi-point search: reduced locations (sorted by
     fractional coordinates), the refined gap at each, the smallest gap seen
-    anywhere (diagnostic, meaningful also when no point was found), and
-    human-readable warnings for near-threshold minima."""
+    anywhere (diagnostic, meaningful also when no point was found), the gap
+    tolerance the points were accepted against, and human-readable warnings
+    for near-threshold minima."""
 
     locations: tuple
     gaps: tuple
     min_gap: float
+    tol: float
     warnings: tuple = ()
 
     def __len__(self):
@@ -289,16 +291,18 @@ def find_fermi_points(
     reduced.sort(key=lambda t: (t[0][0], t[0][1]))
     locations = tuple(k for _, _, k in reduced)
     gaps = tuple(g for _, g, _ in reduced)
-    return FermiPointScan(
-        locations=locations, gaps=gaps, min_gap=min_gap, warnings=tuple(warnings)
-    )
+    return FermiPointScan(locations=locations, gaps=gaps, min_gap=min_gap, tol=tol,
+                          warnings=tuple(warnings))
 
 
-def _cone_pair(model: HoppingModel, omega) -> int:
-    """The cone-pair rule: lo of the adjacent pair (w[lo], w[lo + 1]) of
-    H(omega)'s eigenvalues whose farther member is nearest mu."""
-    d = np.abs(np.linalg.eigvalsh(h_at(model, omega)) - model.fermi_energy)
-    return int(np.argmin(np.maximum(d[:-1], d[1:])))
+def _cone_pair(model: HoppingModel, omega) -> tuple:
+    """The cone-pair rule: (lo, w[lo + 1] - w[lo]) for the adjacent pair
+    (w[lo], w[lo + 1]) of H(omega)'s eigenvalues whose farther member is
+    nearest mu, and that pair's gap at omega."""
+    w = np.linalg.eigvalsh(h_at(model, omega))
+    d = np.abs(w - model.fermi_energy)
+    lo = int(np.argmin(np.maximum(d[:-1], d[1:])))
+    return lo, float(w[lo + 1] - w[lo])
 
 
 def _isolated_pair(w: np.ndarray, lo: int, mu: float, factor: float, remedy: str):
@@ -348,11 +352,14 @@ def fit_cone(
     least-squares residual of the squared-half-gap fit on the smallest
     circle: what neither the quadratic form nor the shared cubic explains.
     Raises NotConical when the extrapolated Q is not positive-definite
-    (quadratic or flat touching), TwoBandIsolationFailed when another band
-    comes within 10x the sampled window of the Fermi level (the radii are too
-    large), and ValueError when ``directions < 8`` (the residual then has no
-    degrees of freedom, or the angular harmonics 0-3 alias onto each other)
-    or when a radius is not positive and finite or the two smallest are equal.
+    (quadratic or flat touching) or the smallest radius cannot resolve the
+    cone (below 1e4 ulp of |omega|, or its circle's smallest pair gap within
+    100x the gap at omega, capped at DEFAULT_GAP_TOL), TwoBandIsolationFailed
+    when another band comes within 10x the sampled window of the Fermi level
+    (the radii are too large), and ValueError when ``directions < 8`` (the
+    residual then has no degrees of freedom, or the angular harmonics 0-3
+    alias onto each other) or when a radius is not positive and finite or
+    the two smallest are equal.
     """
     lat = model.lattice
     omega = np.asarray(omega, dtype=float).reshape(2)
@@ -378,7 +385,7 @@ def fit_cone(
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
 
     mu = model.fermi_energy
-    lo = _cone_pair(model, omega)
+    lo, gap0 = _cone_pair(model, omega)
 
     # one block of rows per radius: its own quadratic-form columns, then the
     # cubic columns shared by all radii
@@ -400,6 +407,12 @@ def fit_cone(
         tilt_coef, *_ = np.linalg.lstsq(d, tilt_target, rcond=None)
         tilts.append(tilt_coef)
 
+    # the smallest circle must stand clear of the rounding of k at omega and of
+    # the gap there (a located crossing's error; capped for points off a crossing)
+    gap_r, floor = 2.0 * np.sqrt(target[:directions].min()), 100.0 * min(gap0, DEFAULT_GAP_TOL)
+    if radii[0] < 1e4 * np.spacing(np.hypot(*omega)) or not gap_r > floor:
+        raise NotConical(f"fit radius {radii[0]:.3e} does not resolve the cone: its circle's "
+                         f"pair gap falls to {gap_r:.3e}, against {gap0:.3e} at omega")
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     misfit = design[:directions] @ coef - target[:directions]
     resid1 = float(np.linalg.norm(misfit) / np.linalg.norm(target[:directions]))
@@ -425,21 +438,11 @@ def characterize_cones(
 ) -> list:
     """Find Fermi points and fit each cone; returns a list of FermiPoint."""
     scan = find_fermi_points(model, coarse=coarse, tol=tol)
-    rho = model.spectral_radius()
-    gap_tol = DEFAULT_GAP_TOL * max(1.0, rho) if tol is None else tol
     points = []
     for k, g in zip(scan.locations, scan.gaps):
         Q, tilt, resid = fit_cone(model, k, radii=radii, directions=directions)
-        points.append(
-            FermiPoint(
-                omega=k,
-                Q=Q,
-                tilt=tilt,
-                residual=resid,
-                gap_at_omega=g,
-                gap_tol=gap_tol,
-            )
-        )
+        points.append(FermiPoint(omega=k, Q=Q, tilt=tilt, residual=resid,
+                                 gap_at_omega=g, gap_tol=scan.tol))
     return points
 
 
@@ -472,8 +475,7 @@ def sigma_closed_form(cones, j: int):
     Returns ``(sigma_jj, per_cone)`` with per-cone contributions
     Q_jj / (16 sqrt(det Q)).
     """
-    if j not in (1, 2):
-        raise ValueError("direction index j must be 1 or 2")
+    _require_directions(j)
     per_cone = []
     for cone in cones:
         Q = cone.Q if isinstance(cone, FermiPoint) else np.asarray(cone, dtype=float)

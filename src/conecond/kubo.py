@@ -21,9 +21,9 @@ ftilde_jj and the Schwinger term Tr(d^2H P_mu) share one grid kernel,
 _pair_sum_on_grid: it diagonalizes each point once, rotates each current
 into only its occupied x unoccupied blocks (the sole elements any formula
 reads), and evaluates every requested quantity with its own formula.  Its
-B_eps counterpart, _cone_pass, serves f_sing and zeta: per eta and cone it
-builds the elliptic-polar nodes and decomposes them once, and each node
-contracts only the elements of the cone's band pair its formula needs.
+B_eps counterpart, _cone_pass, serves f_sing and zeta: per rule, eta and
+cone it builds the elliptic-polar nodes and decomposes them once, and each
+node contracts only the elements of the cone's band pair its formula needs.
 
 Every batched decomposition of a model's H here (the grid kernel, which
 also gives sigma_hall its gap test, and the B_eps band pair) goes through
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bloch import HoppingModel, _max_current_norm, _max_frobenius
+from .bloch import HoppingModel, _max_current_norm, _max_frobenius, _require_directions
 from .cones import (
     FermiPoint,
     TwoBandIsolationFailed,
@@ -499,8 +499,7 @@ def fjl_eta(model: HoppingModel, eta: float, j: int, l: int, grid: KGrid,
     """
     if eta <= 0:
         raise ValueError("eta must be positive (use ftilde_jj for eta -> 0)")
-    if j not in (1, 2) or l not in (1, 2):
-        raise ValueError("direction indices must be 1 or 2")
+    _require_directions(j, l)
     r = ("f_jl", float(eta), (j, l))
     values, _ = _pair_sum_on_grid(model, grid, (r,), cones is not None)
     return _estimates(model, values, grid, companion)[r]
@@ -524,8 +523,7 @@ def ftilde_jj(model: HoppingModel, eta: float, j: int, grid: KGrid,
     allowed for gapped models.  The near-crossing resolution gate
     (GridTooCoarse) is armed only when ``cones`` is passed, as in fjl_eta.
     """
-    if j not in (1, 2):
-        raise ValueError("direction index must be 1 or 2")
+    _require_directions(j)
     r = ("ftilde_jj", float(eta), (j, j))
     values, _ = _pair_sum_on_grid(model, grid, (r,), cones is not None)
     return _estimates(model, values, grid, companion)[r]
@@ -540,8 +538,7 @@ def schwinger(model: HoppingModel, j: int, l: int, grid: KGrid,
     sum_q <q| d^2H |q>, so s_jl = -f_jl(0+) is a genuine cross-check.  A trace
     that acquires an imaginary part raises RuntimeError.
     """
-    if j not in (1, 2) or l not in (1, 2):
-        raise ValueError("direction indices must be 1 or 2")
+    _require_directions(j, l)
     r = ("schwinger", 0.0, (j, l))
     values, _ = _pair_sum_on_grid(model, grid, (r,), False)
     return _estimates(model, values, grid, companion)[r]
@@ -625,51 +622,58 @@ def _zeta_nodes(model: HoppingModel, ks: np.ndarray, lo: int, pair, eta: float,
     return -d / (eta * eta + d * d) * bracket / (2.0 * np.pi) ** 2
 
 
-def _cone_pass(model: HoppingModel, cones, requests, eps, ntheta: int = _NTHETA,
-               order: int = _ORDER, fd_step: float = DEFAULT_FD_STEP) -> dict:
-    """{request: sum over cones of its B_eps integral} on one elliptic-polar
-    rule (``ntheta`` angles, GL``order`` radial panels), for requests
+def _cone_pass(model: HoppingModel, cones, requests, eps,
+               rules=((_NTHETA, _ORDER),), fd_step: float = DEFAULT_FD_STEP) -> tuple:
+    """One {request: sum over cones of its B_eps integral} per elliptic-polar
+    rule (ntheta angles, GL order radial panels) in ``rules``, for requests
     ("f_sing" | "zeta", eta, (j, j)).  Checks the arguments (ValueError),
     then gives zeros without cones, then checks eps (default_epsilon when
-    None).  Per distinct eta and cone, the nodes are built and H with every
-    current read there is decomposed once; each request keeps its formula."""
+    None) and names each cone's band pair, once for every rule.  Per rule,
+    distinct eta and cone, the nodes are built and H with every current read
+    there is decomposed once; each request keeps its formula."""
     requests = list(dict.fromkeys(requests))
-    if any(j not in (1, 2) or l != j for _, _, (j, l) in requests):
-        raise ValueError("direction index must be 1 or 2")
+    _require_directions(*(d for _, _, p in requests for d in p))
+    if any(j != l for _, _, (j, l) in requests):
+        raise ValueError("the B_eps integrals are longitudinal: j must equal l")
     if not all(np.isfinite(eta) for _, eta, _ in requests):
         raise ValueError("eta must be finite")
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (ntheta, order)):
-        raise ValueError(f"ntheta and order must be integers >= 1, got {ntheta}, {order}")
+    for ntheta, order in rules:
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (ntheta, order)):
+            raise ValueError(f"ntheta and order must be integers >= 1, got {ntheta}, {order}")
     if not 0 < fd_step < np.inf:
         raise ValueError(f"fd_step must be positive and finite, got {fd_step}")
     if not cones:
-        return dict.fromkeys(requests, 0.0)
+        return tuple(dict.fromkeys(requests, 0.0) for _ in rules)
     if eps is None:
         eps = default_epsilon(cones, model.lattice)
     _require_admissible_eps(cones, model.lattice, eps)
-    pairs = [_cone_pair(model, cone.omega) for cone in cones]
-    terms = {r: [] for r in requests}
-    for eta in dict.fromkeys(e for _, e, _ in requests):
-        mine = [r for r in requests if r[1] == eta]
-        for cone, lo in zip(cones, pairs):
-            offsets, wq = _elliptic_polar_nodes(cone, eps, eta, ntheta, order)
-            ks = cone.omega[None, :] + offsets
-            pair = _band_pair(model, ks, sorted({j for _, _, (j, _) in mine}), lo)
-            for r in mine:
-                quantity, _, (j, _) = r
-                f = (_f_sing_nodes(pair, eta, j) if quantity == "f_sing"
-                     else _zeta_nodes(model, ks, lo, pair, eta, j, fd_step))
-                terms[r].append(f * wq)
-    return {r: _tree_sum(np.concatenate(t)) for r, t in terms.items()}
+    pairs = [_cone_pair(model, cone.omega)[0] for cone in cones]
+    out = []
+    for ntheta, order in rules:
+        terms = {r: [] for r in requests}
+        for eta in dict.fromkeys(e for _, e, _ in requests):
+            mine = [r for r in requests if r[1] == eta]
+            for cone, lo in zip(cones, pairs):
+                offsets, wq = _elliptic_polar_nodes(cone, eps, eta, ntheta, order)
+                ks = cone.omega[None, :] + offsets
+                pair = _band_pair(model, ks, sorted({j for _, _, (j, _) in mine}), lo)
+                for r in mine:
+                    quantity, _, (j, _) = r
+                    f = (_f_sing_nodes(pair, eta, j) if quantity == "f_sing"
+                         else _zeta_nodes(model, ks, lo, pair, eta, j, fd_step))
+                    terms[r].append(f * wq)
+        out.append({r: _tree_sum(np.concatenate(t)) for r, t in terms.items()})
+    return tuple(out)
 
 
 def _cone_estimate(model: HoppingModel, cones, request, eps, ntheta: int,
                    order: int, fd_step: float = DEFAULT_FD_STEP) -> KuboEstimate:
-    """The KuboEstimate of one B_eps request: a fine _cone_pass, and one with
-    half the angles and four fewer GL nodes for the quadrature error."""
+    """The KuboEstimate of one B_eps request: one _cone_pass with the fine rule
+    and, for the quadrature error, half the angles and four fewer GL nodes."""
     quantity, eta, _ = request
-    fine, coarse = (_cone_pass(model, cones, (request,), eps, nt, og, fd_step)[request]
-                    for nt, og in ((ntheta, order), (max(8, ntheta // 2), max(4, order - 4))))
+    fine, coarse = (v[request] for v in _cone_pass(
+        model, cones, (request,), eps,
+        ((ntheta, order), (max(8, ntheta // 2), max(4, order - 4))), fd_step))
     if not cones:
         return KuboEstimate(0.0, eta, quantity, "empty domain", 0.0)
     return _estimate(quantity, eta,
@@ -775,8 +779,7 @@ def _direction_pairs(j, l, directions) -> tuple:
     pairs = tuple(dict.fromkeys((int(a), int(b)) for a, b in directions))
     if not pairs:
         raise ValueError("directions is empty")
-    if any(a not in (1, 2) or b not in (1, 2) for a, b in pairs):
-        raise ValueError("direction indices must be 1 or 2")
+    _require_directions(*(d for p in pairs for d in p))
     return pairs
 
 

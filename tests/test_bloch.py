@@ -322,6 +322,33 @@ def test_non_finite_model_input_rejected(mutate):
         cc.model_from_dict(data)
 
 
+def _one_orbital_model(position=(0.0, 0.0), mu=0.0):
+    return cc.HoppingModel(lattice=cc.make_lattice([1.0, 0.0], [0.0, 1.0]), norbitals=1,
+                           positions=[position], terms={(0, 0): [[1.0]]}, fermi_energy=mu)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cc.preset_qwz(np.nan),
+    lambda: cc.preset_haldane(1.0, 0.1, 0.0, np.nan),
+    lambda: _one_orbital_model(position=(np.nan, 0.0)),
+    lambda: _one_orbital_model(mu=np.inf),
+], ids=["qwz-u=nan", "haldane-M=nan", "position=nan", "mu=inf"])
+def test_non_finite_model_refused_at_construction(build):
+    # the presets once built and failed later, as AllBandsOnOneSide (qwz)
+    # and BandCrossingRegion (haldane)
+    with pytest.raises(cc.ModelFormatError, match="finite"):
+        build()
+
+
+def test_conflicting_model_file_rejected(model_file):
+    # the loader fills in missing partners but leaves the pairing rule to
+    # HoppingModel, which refuses inconsistent ones
+    data = square_model_dict()
+    data["hoppings"].append({"cell": [-1, 0], "matrix": [[[0.5, 0.0]]]})
+    with pytest.raises(cc.HoppingConflict, match="dagger"):
+        cc.load_model(model_file(data))
+
+
 def test_load_model_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -98,6 +98,27 @@ def test_validate_reports_pairing_violation_as_failed_check(capsys, model_file):
     assert first["name"] == "hermiticity_pairing" and first["pass"] is False
 
 
+def test_validate_assembles_each_momentum_set_once(capsys, monkeypatch):
+    # one H batch, 40 covariance assemblies (20 covariance_defect calls),
+    # one derivative batch, four shifted batches and one batch per G; the
+    # point-by-point checks once made 501 assemblies and 61 eigvalsh calls
+    calls = {"assemble": 0, "eigvalsh": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(cc.HoppingModel, "_assemble",
+                        counting("assemble", cc.HoppingModel._assemble))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    code, out, _ = run_cli(capsys, "validate", "--preset", "haldane",
+                           "--params", "t1=1,t2=0.1,phi=0.3,M=0.2")
+    assert code == 0 and json.loads(out)["all_pass"] is True
+    assert calls["assemble"] <= 48 and calls["eigvalsh"] <= 3, calls
+
+
 @pytest.mark.parametrize("argv", [
     ["sigma", "--preset", "qwz", "--params", "u=nan"],
     ["sigma", "--preset", "haldane", "--params", "t2=inf"],

@@ -181,6 +181,22 @@ def test_fit_cone_rejects_bad_radii(haldane_critical, haldane_cones, radii):
         cc.characterize_cones(haldane_critical, coarse=32, radii=radii)
 
 
+@pytest.mark.parametrize("radii", [[1e-16, 2e-16], [1e-13, 2e-13]], ids=["1e-16", "1e-13"])
+def test_fit_cone_refuses_unresolving_radii(haldane_critical, haldane_cones, qwz_aniso,
+                                            qwz_aniso_cones, radii):
+    # circles inside omega's own error once gave Q ~ 4.1e5 (1e-16) and Q off
+    # by 18 % (1e-13) on the honeycomb, whose true Q is 2.25 I
+    for model, cones in ((haldane_critical, haldane_cones), (qwz_aniso, qwz_aniso_cones)):
+        for cone in cones:
+            with pytest.raises(cc.NotConical, match="does not resolve the cone"):
+                cc.fit_cone(model, cone.omega, radii=radii)
+    with pytest.raises(cc.NotConical):
+        cc.characterize_cones(haldane_critical, coarse=32, radii=radii)
+    # circles ~300x clear of the gap at omega resolve it
+    Q, _, _ = cc.fit_cone(haldane_critical, haldane_cones[0].omega, radii=[1e-11, 2e-11])
+    assert np.abs(Q - 2.25 * np.eye(2)).max() < 1e-3
+
+
 def test_fit_cone_third_band_window_guard(haldane_critical):
     # adding a decoupled flat orbital near the Fermi level breaks the
     # two-band isolation precondition at the default radii

@@ -392,7 +392,7 @@ def test_cone_pass_matches_separate_calls(name, request):
         eps = cc.default_epsilon(cones, model.lattice)
     requests = [(q, eta, (j, j)) for eta in (0.05, 0.0125)
                 for q, j in (("f_sing", 1), ("f_sing", 2), ("zeta", 1))]
-    mixed = _cone_pass(model, cones, requests, eps)
+    mixed, = _cone_pass(model, cones, requests, eps)
     assert list(mixed) == requests
     public = {"f_sing": cc.fjj_sing, "zeta": cc.zeta_jj}
     for r in requests:
