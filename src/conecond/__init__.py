@@ -66,6 +66,7 @@ from .cones import (
 from .kubo import (
     ConductivityReport,
     DegeneratePoint,
+    FdStepTooLarge,
     Gapless,
     GridPolicy,
     GridTooCoarse,
@@ -108,7 +109,7 @@ __all__ = [
     "find_fermi_points", "fit_cone", "is_quantizing", "neighborhoods_disjoint",
     "sigma_closed_form",
     # kubo
-    "ConductivityReport", "DegeneratePoint", "Gapless", "GridPolicy",
+    "ConductivityReport", "DegeneratePoint", "FdStepTooLarge", "Gapless", "GridPolicy",
     "GridTooCoarse", "KuboEstimate", "NotConverged", "TwoBandIsolationFailed",
     "closed_form_report", "default_eta_sequence", "fjj_sing", "fjl_eta",
     "ftilde_jj", "richardson_extrapolate", "schwinger", "sigma_hall",

@@ -42,6 +42,11 @@ __all__ = [
 #: max-entry tolerance for the Hermiticity pairing T(-g) = T(g)^dagger
 PAIRING_ATOL = 1e-12
 
+#: batches of at least this many momenta take HoppingModel._assemble's row
+#: sum (one exp per distinct displacement), smaller ones its bincount scatter;
+#: the two cross over at 64-384 momenta on the presets with 1 or 3 stacks
+_ROW_SUM_MIN_BATCH = 256
+
 
 class HoppingConflict(ValueError):
     """Both T(gamma) and T(-gamma) were specified but are not Hermitian partners."""
@@ -87,6 +92,10 @@ class HoppingModel:
     # per entry, the (re, im) slots of its (row, col) in a flat float view
     # of one N x N matrix
     _slots: np.ndarray = field(init=False, repr=False, compare=False)
+    # the first entry of each distinct displacement, and per entry its
+    # (row * N + col, distinct displacement) pair
+    _first: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         N = int(self.norbitals)
@@ -121,14 +130,19 @@ class HoppingModel:
             disp.append(m1 * self.lattice.a1 + m2 * self.lattice.a2 + pos[b] - pos[a])
             flat.append(a * N + b)
             vals.append(T[a, b])
-        flat = np.concatenate(flat)
+        flat, disp = np.concatenate(flat), np.concatenate(disp)
+        _, first, distinct = np.unique(disp, axis=0, return_index=True,
+                                       return_inverse=True)
         for name, arr in (
-            ("_disp", np.concatenate(disp)),
+            ("_disp", disp),
             ("_vals", np.concatenate(vals)),
             ("_slots", np.column_stack([2 * flat, 2 * flat + 1]).ravel()),
+            ("_first", first),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_rows", tuple(zip(flat.tolist(),
+                                                    distinct.ravel().tolist())))
 
     # -- vectorized evaluation over a batch of momenta ----------------------
 
@@ -144,11 +158,22 @@ class HoppingModel:
         return self._vals * (-d * self._disp[:, derivs[1] - 1])
 
     def _assemble(self, ks: np.ndarray, derivatives) -> list:
-        """One (M, N, N) stack per entry of ``derivatives`` (see _weights),
-        all from one exp of the (M x n_entries) phase matrix; each stack is
-        bit-identical to its own h_batch/dh_batch/d2h_batch call."""
+        """One C-contiguous (M, N, N) stack per entry of ``derivatives`` (see
+        _weights), every stack summing its entries in term order from 0.0, so
+        each is bit-identical to its own h_batch/dh_batch/d2h_batch call.
+
+        Below _ROW_SUM_MIN_BATCH momenta, one exp of the (M x n_entries)
+        phase matrix and one np.bincount scatter per stack.  From there on,
+        one exp per distinct displacement (12 of 18 entries on the honeycomb,
+        5 of 18 on QWZ) and, per stack, a row sum over the entries into an
+        (N^2, M) accumulator, transposed once; its fixed cost of a few
+        microseconds per entry loses below 64-384 momenta, depending on the
+        model and the number of stacks (measured crossover)."""
         ks = np.asarray(ks, dtype=float).reshape(-1, 2)
-        phase = 1j * (ks @ self._disp.T)
+        arg = ks @ self._disp.T
+        if len(ks) >= _ROW_SUM_MIN_BATCH:
+            return self._row_sums(arg, derivatives)
+        phase = 1j * arg
         np.exp(phase, out=phase)
         M, size = ks.shape[0], 2 * self.norbitals**2
         # np.bincount adds each bin's weights in input order, so every matrix
@@ -163,6 +188,24 @@ class HoppingModel:
                                 out=phase if n == len(derivatives) else None)
             out = np.bincount(bins, terms.view(float).ravel(), minlength=M * size)
             stacks.append(out.view(complex).reshape(shape))
+        return stacks
+
+    def _row_sums(self, arg: np.ndarray, derivatives) -> list:
+        """_assemble's large-batch path from the (M x n_entries) phase
+        arguments: the same phases and products, added per matrix element in
+        the same order as the scatter's bins."""
+        (M, _), N = arg.shape, self.norbitals
+        # one contiguous row per distinct displacement, taken from its first
+        # entry's column of the scatter's own phase arguments: the same bits
+        phase = 1j * arg.T[self._first]
+        np.exp(phase, out=phase)
+        term = np.empty(M, dtype=complex)
+        stacks = []
+        for derivs in derivatives:
+            acc = np.zeros((N * N, M), dtype=complex)
+            for (slot, row), w in zip(self._rows, self._weights(derivs).tolist()):
+                np.add(acc[slot], np.multiply(phase[row], w, out=term), out=acc[slot])
+            stacks.append(np.ascontiguousarray(acc.T).reshape(M, N, N))
         return stacks
 
     def h_batch(self, ks: np.ndarray) -> np.ndarray:
@@ -218,14 +261,16 @@ def d2h_at(model: HoppingModel, k, j: int, l: int) -> np.ndarray:
     return model.d2h_batch(np.asarray(k, dtype=float).reshape(1, 2), j, l)[0]
 
 
-def covariance_defect(model: HoppingModel, k, m1: int, m2: int) -> float:
-    """Operator-norm defect of H(k+G) = D H(k) D^dagger for G = m1 b1 + m2 b2."""
-    k = np.asarray(k, dtype=float).reshape(2)
+def covariance_defect(model: HoppingModel, k, m1: int, m2: int, hk=None) -> float:
+    """Largest operator-norm defect of H(k+G) = D H(k) D^dagger over the
+    momenta k (one point or an (M, 2) stack) for G = m1 b1 + m2 b2; ``hk``,
+    when given, is the (M, N, N) stack H(k), which then is not assembled."""
+    ks = np.asarray(k, dtype=float).reshape(-1, 2)
     G = m1 * model.lattice.b1 + m2 * model.lattice.b2
     D = np.exp(-1j * (model.positions @ G))
-    lhs = h_at(model, k + G)
-    rhs = D[:, None] * h_at(model, k) * D.conj()[None, :]
-    return float(np.linalg.norm(lhs - rhs, ord=2))
+    lhs = model.h_batch(ks + G)
+    rhs = D[:, None] * (model.h_batch(ks) if hk is None else hk) * D.conj()[None, :]
+    return float(np.linalg.norm(lhs - rhs, ord=2, axis=(1, 2)).max())
 
 
 # -- presets ----------------------------------------------------------------

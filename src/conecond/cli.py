@@ -47,6 +47,7 @@ from .cones import (
 )
 from .kubo import (
     DegeneratePoint,
+    FdStepTooLarge,
     Gapless,
     GridPolicy,
     GridTooCoarse,
@@ -78,6 +79,7 @@ _NUMERICAL_ERRORS = (
     TwoBandIsolationFailed,
     Gapless,
     EpsilonTooLarge,
+    FdStepTooLarge,
     NotConical,
     NoConvergence,
     BandCrossingRegion,
@@ -303,10 +305,9 @@ def _run_validation_checks(model: HoppingModel) -> list:
     )
     checks.append(("hermiticity_at_k", herm < 1e-12, herm, 1e-12))
 
-    cov = 0.0
-    for k in ks[:5]:
-        for (m1, m2) in ((1, 0), (0, 1), (1, 1), (2, -1)):
-            cov = max(cov, covariance_defect(model, k, m1, m2))
+    # one assembly per G: H at the first 5 momenta comes from the batch
+    cov = max(covariance_defect(model, ks[:5], m1, m2, H[:5])
+              for (m1, m2) in ((1, 0), (0, 1), (1, 1), (2, -1)))
     checks.append(("dual_covariance", cov < 1e-10, cov, 1e-10))
 
     # derivatives at the first 20 momenta against central differences: one
@@ -337,7 +338,16 @@ def _run_validation_checks(model: HoppingModel) -> list:
     return checks
 
 
-def cmd_validate(cfg: RunConfig, pairing_failure: str | None = None) -> int:
+def cmd_validate(cfg: RunConfig) -> int:
+    return _validation_report(cfg.model_label, cfg.out, None,
+                              _run_validation_checks(cfg.model))
+
+
+def _validation_report(label: str, out: str | None, pairing_failure: str | None,
+                       results) -> int:
+    """Write the validate report: the Hermiticity pairing (failed with the
+    loader's message ``pairing_failure``, or passed) and then ``results``,
+    the (name, ok, measured, tolerance) of the checks that read the model."""
     checks = [
         {
             "name": "hermiticity_pairing",
@@ -346,21 +356,20 @@ def cmd_validate(cfg: RunConfig, pairing_failure: str | None = None) -> int:
             "tolerance": "1e-12 entrywise",
         }
     ]
-    if pairing_failure is None:
-        for name, ok, measured, tol in _run_validation_checks(cfg.model):
-            checks.append(
-                {"name": name, "pass": bool(ok), "measured": measured,
-                 "tolerance": tol}
-            )
+    for name, ok, measured, tol in results:
+        checks.append(
+            {"name": name, "pass": bool(ok), "measured": measured,
+             "tolerance": tol}
+        )
     all_pass = all(c["pass"] for c in checks)
     report = {
         "command": "validate",
-        "model": cfg.model_label,
+        "model": label,
         "units": UNITS_NOTE,
         "all_pass": all_pass,
         "checks": checks,
     }
-    _emit(json_report(report), cfg.out)
+    _emit(json_report(report), out)
     return 0 if all_pass else 2
 
 
@@ -762,11 +771,7 @@ def main(argv=None) -> int:
         except HoppingConflict as exc:
             if args.command == "validate":
                 # pairing violations are a validation finding, not a crash
-                dummy = RunConfig(
-                    model=preset_qwz(1.0), model_label=f"file:{args.model}",
-                    out=args.out,
-                )
-                return cmd_validate(dummy, pairing_failure=str(exc))
+                return _validation_report(f"file:{args.model}", args.out, str(exc), [])
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return _COMMANDS[args.command](cfg)

@@ -75,6 +75,7 @@ from .lattice import KGrid, refined_grid, uniform_grid
 
 __all__ = [
     "DegeneratePoint",
+    "FdStepTooLarge",
     "GridTooCoarse",
     "TwoBandIsolationFailed",
     "Gapless",
@@ -99,6 +100,10 @@ __all__ = [
 _DEGENERACY_FLOOR = 1e-12
 #: finite-difference step for eigenvalue second derivatives (zeta integrand)
 DEFAULT_FD_STEP = 1e-5
+#: zeta_jj refuses a step above this fraction of the B_eps node scale
+#: eps / (2 sqrt(lambda_max(Q))); at the bound the central difference moves
+#: zeta by 0.1-0.25% on the presets, at 1e-3 of it by ~2e-7
+_MAX_FD_STEP_FRACTION = 0.1
 #: the B_eps integrals' elliptic-polar rule: angles, Gauss-Legendre order
 _NTHETA, _ORDER = 64, 12
 #: chunk size for batched eigen-decompositions (memory control: a chunk holds
@@ -127,6 +132,11 @@ class GridTooCoarse(ValueError):
 
 class Gapless(ValueError):
     """Operation requires a gapped model but cones/near-closures were found."""
+
+
+class FdStepTooLarge(ValueError):
+    """zeta_jj's finite-difference step is not small against the B_eps node
+    scale (too large an fd_step, or too small an eps for it)."""
 
 
 class NotConverged(RuntimeError):
@@ -628,7 +638,9 @@ def _cone_pass(model: HoppingModel, cones, requests, eps,
     rule (ntheta angles, GL order radial panels) in ``rules``, for requests
     ("f_sing" | "zeta", eta, (j, j)).  Checks the arguments (ValueError),
     then gives zeros without cones, then checks eps (default_epsilon when
-    None) and names each cone's band pair, once for every rule.  Per rule,
+    None), refuses with FdStepTooLarge a zeta request's fd_step above
+    _MAX_FD_STEP_FRACTION of the smallest node scale eps / (2 sqrt(lambda_max
+    Q)), and names each cone's band pair, once for every rule.  Per rule,
     distinct eta and cone, the nodes are built and H with every current read
     there is decomposed once; each request keeps its formula."""
     requests = list(dict.fromkeys(requests))
@@ -647,6 +659,13 @@ def _cone_pass(model: HoppingModel, cones, requests, eps,
     if eps is None:
         eps = default_epsilon(cones, model.lattice)
     _require_admissible_eps(cones, model.lattice, eps)
+    if any(q == "zeta" for q, _, _ in requests):
+        scale = min(eps / (2.0 * np.sqrt(np.linalg.eigvalsh(c.Q)[-1])) for c in cones)
+        if fd_step > _MAX_FD_STEP_FRACTION * scale:
+            raise FdStepTooLarge(
+                f"fd_step {fd_step:.3g} exceeds {_MAX_FD_STEP_FRACTION:g} of the B_eps "
+                f"node scale eps/(2 sqrt(lambda_max Q)) = {scale:.3g}; use a smaller "
+                f"fd_step or a larger eps")
     pairs = [_cone_pair(model, cone.omega)[0] for cone in cones]
     out = []
     for ntheta, order in rules:
@@ -711,8 +730,10 @@ def zeta_jj(model: HoppingModel, cones, eta: float, j: int,
     First derivatives use the Hellmann-Feynman identity
     dLambda/dk_j = Re <band| dH/dk_j |band>; the second derivative of the
     squared distance-to-mu is a central finite difference (step ``fd_step``)
-    of that identity.  Even in eta; independent of current matrix elements,
-    which makes it a genuine cross-check of fjj_sing: in one _cone_pass the
+    of that identity, and a step above a tenth of the smallest node scale
+    eps / (2 sqrt(lambda_max(Q))) is refused with FdStepTooLarge.  Even in
+    eta; independent of current matrix elements, which makes it a genuine
+    cross-check of fjj_sing: in one _cone_pass the
     two share only the eigensolve at the centre nodes, and per node zeta
     contracts only the two slopes.
     """

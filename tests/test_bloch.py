@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 import conecond as cc
 from conftest import random_momenta, square_model_dict
 
+# one batch on each side of the size from which _assemble takes its row sum
+ASSEMBLY_BATCHES = (cc.bloch._ROW_SUM_MIN_BATCH - 1, 16 * cc.bloch._ROW_SUM_MIN_BATCH)
+
 
 def brute_force_h(model, k):
     """Independent straight-loop evaluation of
@@ -106,30 +109,35 @@ def test_batched_assembly_matches_per_term_loop(fixture, request):
 @pytest.mark.parametrize("fixture", ["haldane_critical", "three_orbital"])
 def test_batched_assembly_sums_in_term_order(fixture, request):
     # every matrix element adds its entries in term order, exactly as an
-    # np.add.at scatter of the same phases does (bit for bit)
+    # np.add.at scatter of the same phases does (bit for bit, signed zeros
+    # included), on both assembly paths
     model = (three_orbital_model() if fixture == "three_orbital"
              else request.getfixturevalue(fixture))
     N = model.norbitals
     flat = model._slots[0::2] // 2
-    for ks in (random_momenta(model.lattice, 300, seed=5), np.zeros((1, 2))):
+    for ks in [random_momenta(model.lattice, n, seed=5) for n in ASSEMBLY_BATCHES] + [
+            np.zeros((1, 2))]:
         phases = np.exp(1j * (ks @ model._disp.T)) * model._vals
         ref = np.zeros((len(ks), N, N), dtype=complex)
         np.add.at(ref, (slice(None), flat // N, flat % N), phases)
-        assert np.array_equal(model.h_batch(ks), ref)
+        H = model.h_batch(ks)
+        assert H.flags.c_contiguous and H.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("fixture", ["haldane_critical", "three_orbital"])
 def test_shared_phase_stacks_match_single_calls(fixture, request):
     # H, both currents and a second derivative from one exp of the phase
-    # matrix are each bit-identical to their own assembly call
+    # matrix are each bit-identical to their own assembly call, on both
+    # assembly paths
     model = (three_orbital_model() if fixture == "three_orbital"
              else request.getfixturevalue(fixture))
-    ks = random_momenta(model.lattice, 300, seed=6)
-    H, J1, J2, D12 = model._assemble(ks, [(), (1,), (2,), (1, 2)])
-    assert np.array_equal(H, model.h_batch(ks))
-    assert np.array_equal(J1, model.dh_batch(ks, 1))
-    assert np.array_equal(J2, model.dh_batch(ks, 2))
-    assert np.array_equal(D12, model.d2h_batch(ks, 1, 2))
+    for n in ASSEMBLY_BATCHES:
+        ks = random_momenta(model.lattice, n, seed=6)
+        stacks = model._assemble(ks, [(), (1,), (2,), (1, 2)])
+        singles = (model.h_batch(ks), model.dh_batch(ks, 1), model.dh_batch(ks, 2),
+                   model.d2h_batch(ks, 1, 2))
+        for got, want in zip(stacks, singles):
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 def test_qwz_hamiltonian_at_high_symmetry_points():
@@ -183,9 +191,14 @@ def test_second_derivative_exactly_symmetric(haldane_critical):
 @pytest.mark.parametrize("fixture", ["haldane_critical", "qwz_aniso"])
 def test_dual_covariance(fixture, request):
     model = request.getfixturevalue(fixture)
-    for k in random_momenta(model.lattice, 10, seed=37):
-        for (m1, m2) in ((1, 0), (0, 1), (1, 1), (2, -1)):
+    ks = random_momenta(model.lattice, 10, seed=37)
+    for (m1, m2) in ((1, 0), (0, 1), (1, 1), (2, -1)):
+        for k in ks:
             assert cc.covariance_defect(model, k, m1, m2) < 1e-10
+        # the stack form gives the largest defect, the same with H(k) given
+        stacked = cc.covariance_defect(model, ks, m1, m2)
+        assert stacked < 1e-10
+        assert cc.covariance_defect(model, ks, m1, m2, model.h_batch(ks)) == stacked
 
 
 def test_spectrum_dual_periodicity(haldane_critical):

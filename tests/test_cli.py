@@ -99,9 +99,9 @@ def test_validate_reports_pairing_violation_as_failed_check(capsys, model_file):
 
 
 def test_validate_assembles_each_momentum_set_once(capsys, monkeypatch):
-    # one H batch, 40 covariance assemblies (20 covariance_defect calls),
-    # one derivative batch, four shifted batches and one batch per G; the
-    # point-by-point checks once made 501 assemblies and 61 eigvalsh calls
+    # one H batch, one covariance batch per G, one derivative batch, four
+    # shifted batches and one spectrum batch per G; the point-by-point checks
+    # once made 501 assemblies and 61 eigvalsh calls
     calls = {"assemble": 0, "eigvalsh": 0}
 
     def counting(name, fn):
@@ -116,7 +116,7 @@ def test_validate_assembles_each_momentum_set_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "validate", "--preset", "haldane",
                            "--params", "t1=1,t2=0.1,phi=0.3,M=0.2")
     assert code == 0 and json.loads(out)["all_pass"] is True
-    assert calls["assemble"] <= 48 and calls["eigvalsh"] <= 3, calls
+    assert calls["assemble"] <= 12 and calls["eigvalsh"] <= 3, calls
 
 
 @pytest.mark.parametrize("argv", [
@@ -178,6 +178,14 @@ def test_third_band_near_cone_is_numerical_error(capsys, model_file, command):
     code, out, err = run_cli(capsys, *command, "--model", path)
     assert code == 4 and out == ""
     assert err.startswith("error: TwoBandIsolationFailed:")
+
+
+def test_eps_too_small_for_zeta_step_is_numerical_error(capsys):
+    # at eps = 1e-4 the default fd_step is a fifth of the B_eps node scale
+    code, out, err = run_cli(capsys, "verify", "--preset", "qwz", "--grid", "16",
+                             "--eta-seq", "0.2,0.1", "--eps", "1e-4")
+    assert code == 4 and out == ""
+    assert err.startswith("error: FdStepTooLarge: fd_step 1e-05 exceeds")
 
 
 def test_truncated_eta_sequence_exits_3_with_report(capsys):

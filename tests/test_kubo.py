@@ -400,6 +400,23 @@ def test_cone_pass_matches_separate_calls(name, request):
         assert mixed[r] == public[quantity](model, cones, eta, j, eps=eps).value, r
 
 
+def test_zeta_refuses_fd_step_beyond_node_scale(haldane_critical, haldane_cones):
+    # a step of 10 spans the whole B_eps, and zeta once came out +0.0727
+    # there against -0.0772 at the default step
+    model, cones = haldane_critical, haldane_cones
+    eps = cc.default_epsilon(cones, model.lattice)
+    scale = min(eps / (2.0 * np.sqrt(np.linalg.eigvalsh(c.Q)[-1])) for c in cones)
+    bound = cc.kubo._MAX_FD_STEP_FRACTION * scale
+    for step in (10.0, 1.01 * bound):
+        with pytest.raises(cc.FdStepTooLarge, match="exceeds 0.1 of the B_eps node scale"):
+            cc.zeta_jj(model, cones, 0.05, 1, fd_step=step)
+    default = cc.zeta_jj(model, cones, 0.05, 1).value
+    assert abs(cc.zeta_jj(model, cones, 0.05, 1, fd_step=bound).value - default) \
+        <= 3e-3 * abs(default)
+    # fjj_sing reads no finite difference, so it takes an eps of any size
+    assert np.isfinite(cc.fjj_sing(model, cones, 0.05, 1, eps=1e-4).value)
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda m, c: cc.fjj_sing(m, c, 0.05, 1, eps=np.nan),
                  "eps must be positive and finite", id="eps=nan"),
