@@ -43,8 +43,9 @@ __all__ = [
 PAIRING_ATOL = 1e-12
 
 #: batches of at least this many momenta take HoppingModel._assemble's row
-#: sum (one exp per distinct displacement), smaller ones its bincount scatter;
-#: the two cross over at 64-384 momenta on the presets with 1 or 3 stacks
+#: sum (one exp per +- pair of distinct displacements), smaller ones its
+#: bincount scatter; the two cross over at 64-384 momenta on the presets with
+#: 1 or 3 stacks
 _ROW_SUM_MIN_BATCH = 256
 
 
@@ -92,9 +93,13 @@ class HoppingModel:
     # per entry, the (re, im) slots of its (row, col) in a flat float view
     # of one N x N matrix
     _slots: np.ndarray = field(init=False, repr=False, compare=False)
-    # the first entry of each distinct displacement, and per entry its
-    # (row * N + col, distinct displacement) pair
+    # the distinct displacements as phase rows: first the rows that take an
+    # exp (their first entries), then the rows that take the conj of an exp
+    # row (its index), then the zero row, if any; per entry its
+    # (row * N + col, phase row) pair
     _first: np.ndarray = field(init=False, repr=False, compare=False)
+    _mirror: np.ndarray = field(init=False, repr=False, compare=False)
+    _nphase: int = field(init=False, repr=False, compare=False)
     _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -131,18 +136,31 @@ class HoppingModel:
             flat.append(a * N + b)
             vals.append(T[a, b])
         flat, disp = np.concatenate(flat), np.concatenate(disp)
-        _, first, distinct = np.unique(disp, axis=0, return_index=True,
-                                       return_inverse=True)
+        rows, first, distinct = np.unique(disp, axis=0, return_index=True,
+                                          return_inverse=True)
+        # one exp per +- pair: a row whose exact negation is an earlier row
+        # takes the conj of that row's phase, and the zero row takes 1
+        rows = [tuple(r) for r in rows.tolist()]
+        index = {r: u for u, r in enumerate(rows)}
+        partner = [index.get(tuple(-x for x in r), len(rows)) for r in rows]
+        zero = [u for u, r in enumerate(rows) if not any(r)]
+        mirrored = [u for u, v in enumerate(partner) if v < u]
+        own = [u for u in range(len(rows)) if u not in mirrored + zero]
+        order = own + mirrored + zero
+        place = np.empty(len(rows), dtype=np.intp)
+        place[order] = np.arange(len(rows))
         for name, arr in (
             ("_disp", disp),
             ("_vals", np.concatenate(vals)),
             ("_slots", np.column_stack([2 * flat, 2 * flat + 1]).ravel()),
-            ("_first", first),
+            ("_first", first[own]),
+            ("_mirror", place[[partner[u] for u in mirrored]]),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_nphase", len(rows))
         object.__setattr__(self, "_rows", tuple(zip(flat.tolist(),
-                                                    distinct.ravel().tolist())))
+                                                    place[distinct.ravel()].tolist())))
 
     # -- vectorized evaluation over a batch of momenta ----------------------
 
@@ -164,11 +182,12 @@ class HoppingModel:
 
         Below _ROW_SUM_MIN_BATCH momenta, one exp of the (M x n_entries)
         phase matrix and one np.bincount scatter per stack.  From there on,
-        one exp per distinct displacement (12 of 18 entries on the honeycomb,
-        5 of 18 on QWZ) and, per stack, a row sum over the entries into an
-        (N^2, M) accumulator, transposed once; its fixed cost of a few
-        microseconds per entry loses below 64-384 momenta, depending on the
-        model and the number of stacks (measured crossover)."""
+        one exp per +- pair of distinct displacements (6 of 18 entries on the
+        honeycomb, 2 of 18 on QWZ; see _row_sums) and, per stack, a row sum
+        over the entries into an (N^2, M) accumulator, transposed once; its
+        fixed cost of a few microseconds per entry loses below 64-384
+        momenta, depending on the model and the number of stacks (measured
+        crossover)."""
         ks = np.asarray(ks, dtype=float).reshape(-1, 2)
         arg = ks @ self._disp.T
         if len(ks) >= _ROW_SUM_MIN_BATCH:
@@ -193,12 +212,22 @@ class HoppingModel:
     def _row_sums(self, arg: np.ndarray, derivatives) -> list:
         """_assemble's large-batch path from the (M x n_entries) phase
         arguments: the same phases and products, added per matrix element in
-        the same order as the scatter's bins."""
+        the same order as the scatter's bins.
+
+        One contiguous phase row per distinct displacement, one exp per +-
+        pair: a row is the exp of its first entry's column of the scatter's
+        own phase arguments, or the conj of its exact negation's row, or 1
+        for the zero displacement.  The argument of -d is the exact negation
+        of that of d, and cos is even and sin odd, so all three are the bits
+        the scatter's exp gives."""
         (M, _), N = arg.shape, self.norbitals
-        # one contiguous row per distinct displacement, taken from its first
-        # entry's column of the scatter's own phase arguments: the same bits
-        phase = 1j * arg.T[self._first]
-        np.exp(phase, out=phase)
+        n_exp, n_conj = len(self._first), len(self._mirror)
+        phase = np.empty((self._nphase, M), dtype=complex)
+        own = phase[:n_exp]
+        np.multiply(1j, arg.T[self._first], out=own)
+        np.exp(own, out=own)
+        np.conjugate(own[self._mirror], out=phase[n_exp:n_exp + n_conj])
+        phase[n_exp + n_conj:] = 1.0
         term = np.empty(M, dtype=complex)
         stacks = []
         for derivs in derivatives:

@@ -18,9 +18,10 @@ of a family of such cones is
 with each summand manifestly invariant under S -> O S for orthogonal O.
 
 The cone-pair rule names a cone's two bands once, at omega: the adjacent
-pair of H(omega)'s eigenvalues nearest mu.  ``fit_cone`` and kubo's B_eps
-integrals keep that pair on every node around the cone; a third band in
-the sampled window is refused as TwoBandIsolationFailed.
+pair of H(omega)'s eigenvalues nearest mu.  ``fit_cone`` follows that pair
+along its circles by the overlap of the states with the pair's states at
+omega, and kubo's B_eps integrals keep the pair's indices on every node;
+a third band in the sampled window is refused as TwoBandIsolationFailed.
 """
 
 from __future__ import annotations
@@ -305,13 +306,27 @@ def _cone_pair(model: HoppingModel, omega) -> tuple:
     return lo, float(w[lo + 1] - w[lo])
 
 
-def _isolated_pair(w: np.ndarray, lo: int, mu: float, factor: float, remedy: str):
-    """Eigenvalues (w[:, lo], w[:, lo + 1]) of the cone's band pair on an
-    (M, N) eigenvalue stack.  The pair's largest distance from mu is the
-    sampled cone window; unless every other band stays more than ``factor``
-    times that far from mu, TwoBandIsolationFailed is raised, naming ``remedy``."""
-    lam_lo, lam_hi = w[:, lo], w[:, lo + 1]
-    third = float(np.abs(np.delete(w, [lo, lo + 1], axis=1) - mu).min(initial=np.inf))
+def _overlap_pair(H: np.ndarray, cone_space: np.ndarray) -> np.ndarray:
+    """Per point of an (M, N, N) stack H, the ascending indices (M, 2) of the
+    two eigenvectors with the largest weight in ``cone_space`` (N, 2), the
+    cone pair's eigenvectors at omega: the cone's bands followed along a
+    circle by their states, so a band that crosses them is not named."""
+    weight = (np.abs(cone_space.conj().T @ np.linalg.eigh(H)[1]) ** 2).sum(axis=1)
+    return np.sort(np.argsort(weight, axis=1)[:, -2:], axis=1)
+
+
+def _isolated_pair(w: np.ndarray, bands, mu: float, factor: float, remedy: str):
+    """Eigenvalues (lam_lo, lam_hi) of the cone's band pair on an (M, N)
+    eigenvalue stack: the bands ``bands``, an ascending index pair per point
+    (M, 2) or one (2,) for every point.  The pair's largest distance from mu
+    is the sampled cone window; unless every other band stays more than
+    ``factor`` times that far from mu, TwoBandIsolationFailed is raised,
+    naming ``remedy``."""
+    bands = np.broadcast_to(bands, (len(w), 2))
+    lam_lo, lam_hi = np.take_along_axis(w, bands, axis=1).T
+    others = np.ones(w.shape, dtype=bool)
+    np.put_along_axis(others, bands, False, axis=1)
+    third = float(np.abs(w[others] - mu).min(initial=np.inf))
     window = max(float(np.abs(lam_lo - mu).max()), float(np.abs(lam_hi - mu).max()))
     if third <= factor * window:
         raise TwoBandIsolationFailed(
@@ -330,8 +345,12 @@ def fit_cone(
     """Fit the local cone geometry (Q, tilt, residual) at a Fermi point.
 
     Samples the cone's band pair on circles k = omega + r(cos t, sin t) over
-    ``directions`` equispaced angles and each radius.  The squared half-gap
-    of all circles is fitted in one linear least-squares problem to
+    ``directions`` equispaced angles and each radius.  At each sample the
+    pair is the two bands whose states overlap most with the pair's states
+    at omega (_cone_pair), not the two with its indices, so a band that
+    crosses the cone's bands inside the circle is the one that is refused.
+    The squared half-gap of all circles is fitted in one linear
+    least-squares problem to
 
         d.Q_r d + c30 x^3 + c21 x^2 y + c12 x y^2 + c03 y^3,   d = (x, y),
 
@@ -386,6 +405,7 @@ def fit_cone(
 
     mu = model.fermi_energy
     lo, gap0 = _cone_pair(model, omega)
+    cone_space = np.linalg.eigh(h_at(model, omega))[1][:, lo:lo + 2]
 
     # one block of rows per radius: its own quadratic-form columns, then the
     # cubic columns shared by all radii
@@ -395,9 +415,9 @@ def fit_cone(
     tilts = []
     for i, r in enumerate(radii):
         d = r * dirs
-        w = np.linalg.eigvalsh(model.h_batch(omega + d))
-        lam_lo, lam_hi = _isolated_pair(w, lo, mu, 10.0,
-                                        f"fit radius {r:.3e} is too large")
+        H = model.h_batch(omega + d)
+        lam_lo, lam_hi = _isolated_pair(np.linalg.eigvalsh(H), _overlap_pair(H, cone_space),
+                                        mu, 10.0, f"fit radius {r:.3e} is too large")
         x, y = d[:, 0], d[:, 1]
         rows = slice(i * directions, (i + 1) * directions)
         design[rows, 3 * i: 3 * i + 3] = np.column_stack([x * x, 2.0 * x * y, y * y])

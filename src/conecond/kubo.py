@@ -20,7 +20,10 @@ separate formulas used to cross-validate f_jl and each other.  f_jl,
 ftilde_jj and the Schwinger term Tr(d^2H P_mu) share one grid kernel,
 _pair_sum_on_grid: it diagonalizes each point once, rotates each current
 into only its occupied x unoccupied blocks (the sole elements any formula
-reads), and evaluates every requested quantity with its own formula.  Its
+reads), and evaluates every requested quantity with its own formula.  The
+blocks come from einsums, except for two bands with one occupied, the
+common case, where each block is a single element written out on flat
+per-point arrays (_two_band_blocks).  Its
 B_eps counterpart, _cone_pass, serves f_sing and zeta: per rule, eta and
 cone it builds the elliptic-polar nodes and decomposes them once, and each
 node contracts only the elements of the cone's band pair its formula needs.
@@ -330,6 +333,47 @@ def _fermi_gaps(w: np.ndarray, mu: float):
     return counts, idx, w[idx, m] - w[idx, m - 1]
 
 
+def _blocks(w: np.ndarray, V: np.ndarray, m: int, J: dict, D2: dict) -> tuple:
+    """What the grid kernel's formulas read at points with m occupied bands,
+    from their eigenvalues w (M, N), eigenvector columns V (M, N, N), currents
+    J {d: (M, N, N)} and Hessians D2 {(j, l): (M, N, N)}: (Delta, B, Ct,
+    traces).  Over the m x (N - m) pairs (q occ, p unocc), flattened in
+    [q, p] order: Delta = Lambda_q - Lambda_p, per current B_d = (J_d)_{qp}
+    from V_occ^H J_d V_unocc and Ct_d = (J_d)_{pq} from V_unocc^H J_d V_occ,
+    each as V^H (J V) in two einsum steps; per Hessian the occupied trace
+    sum_q v_q^H d^2H v_q."""
+    M = len(w)
+    Vo, Vu = V[:, :, :m], V[:, :, m:]
+    delta = (w[:, :m, None] - w[:, None, m:]).reshape(M, -1)
+    B = {d: np.einsum("kaq,kap->kqp", Vo.conj(),
+                      np.einsum("kab,kbp->kap", Jd, Vu)).reshape(M, -1)
+         for d, Jd in J.items()}
+    Ct = {d: np.einsum("kap,kaq->kqp", Vu.conj(),
+                       np.einsum("kab,kbq->kaq", Jd, Vo)).reshape(M, -1)
+          for d, Jd in J.items()}
+    traces = {p: np.einsum("kaq,kab,kbq->k", Vo.conj(), Dp, Vo) for p, Dp in D2.items()}
+    return delta, B, Ct, traces
+
+
+def _two_band_blocks(w: np.ndarray, V: np.ndarray, m: int, J: dict, D2: dict) -> tuple:
+    """_blocks for two bands with the lower one occupied (N = 2, m = 1), from
+    flat per-point arrays: each element is written out as the two-term sums
+    the einsums add, v_o^H (J v_u) and v_u^H (J v_o) with v_o, v_u the two
+    columns of V; C is computed on its own, not as the conjugate of B, so the
+    kernel's sign check still tests the eigenvectors and the currents."""
+    (o0, u0), (o1, u1) = V.transpose(1, 2, 0)
+    oc0, oc1, uc0, uc1 = o0.conj(), o1.conj(), u0.conj(), u1.conj()
+    B, Ct, traces = {}, {}, {}
+    for d, Jd in J.items():
+        (j00, j01), (j10, j11) = Jd.transpose(1, 2, 0)
+        B[d] = (oc0 * (j00 * u0 + j01 * u1) + oc1 * (j10 * u0 + j11 * u1))[:, None]
+        Ct[d] = (uc0 * (j00 * o0 + j01 * o1) + uc1 * (j10 * o0 + j11 * o1))[:, None]
+    for p, Dp in D2.items():
+        (d00, d01), (d10, d11) = Dp.transpose(1, 2, 0)
+        traces[p] = oc0 * d00 * o0 + oc0 * d01 * o1 + oc1 * d10 * o0 + oc1 * d11 * o1
+    return (w[:, 0] - w[:, 1])[:, None], B, Ct, traces
+
+
 def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
                       gate: bool) -> tuple:
     """Every requested grid integral from one eigen-decomposition per point.
@@ -350,10 +394,13 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
     order of magnitude faster than LAPACK on 2 x 2 stacks).  The chunk's points
     are grouped by their occupied count m, and per group only the m x (N - m)
     blocks B_d = V_occ^H J_d V_unocc and C_d = V_unocc^H J_d V_occ of each
-    current are formed, as V^H (J V) in two einsum steps: every formula reads
-    only occupied x unoccupied elements, so no full N x N rotation or pair
-    mask is built.  The Schwinger trace sums v_q^H d^2H v_q over the occupied
-    columns.  The requests share that data but each keeps its own formula.
+    current are formed: every formula reads only occupied x unoccupied
+    elements, so no full N x N rotation or pair mask is built.  Two bands
+    with one occupied (N = 2, m = 1) take _two_band_blocks, which writes each
+    block's one element out on flat per-point arrays; every other group
+    takes _blocks, V^H (J V) in two einsum steps.  The Schwinger trace sums
+    v_q^H d^2H v_q over the occupied columns.  The requests share that data
+    but each keeps its own formula.
     Returns ({request: weighted grid sum / (2 pi)^2} in request order, the
     grid's smallest Fermi-level gap or inf).  Every request is checked as if
     evaluated alone, and the first failing one in request order raises:
@@ -405,36 +452,33 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
         per_k = {r: np.zeros(len(ks)) for r in requests}
         for m in np.unique(counts[counts > 0]):
             g = np.nonzero(counts == m)[0]
-            Vo, Vu = V[g, :, :m], V[g, :, m:]
+            if g.size == len(ks):          # the whole chunk: views, not copies
+                g = slice(None)
+            blocks = _two_band_blocks if V.shape[-1] == 2 and m == 1 else _blocks
             # Lambda_q - Lambda_p <= -gap < 0 on the block (empty for m = N),
             # so the Lorentzian denominators never vanish, not even at eta = 0
-            delta = w[g, :m, None] - w[g, None, m:]
+            delta, B, Ct, traces = blocks(w[g], V[g], m, {d: J[d][g] for d in currents},
+                                          {p: D2[p][g] for p in hessians})
             delta2 = delta * delta
-            B, C, products, me2 = {}, {}, {}, {}
-            for d in currents:
-                B[d] = np.einsum("kaq,kap->kqp", Vo.conj(),
-                                 np.einsum("kab,kbp->kap", J[d][g], Vu))
-                C[d] = np.einsum("kap,kaq->kpq", Vu.conj(),
-                                 np.einsum("kab,kbq->kaq", J[d][g], Vo))
+            products, me2 = {}, {}
             for r in requests:
                 quantity, eta, (j, l) = r
                 if quantity == "schwinger":
-                    tr = np.einsum("kaq,kab,kbq->k", Vo.conj(), D2[j, l][g], Vo)
+                    tr = traces[j, l]
                     imag[r] = max(imag[r], float(np.abs(tr.imag).max()))
                     per_k[r][g] = tr.real
                 elif quantity == "f_jl":
                     if (j, l) not in products:
-                        z = C[j].transpose(0, 2, 1) * B[l]  # (J_j)_{pq} (J_l)_{qp}
+                        z = Ct[j] * B[l]            # (J_j)_{pq} (J_l)_{qp}
                         products[j, l] = (2.0 * delta * z.real, z.imag)
                     even, z_imag = products[j, l]
                     num = even - 2.0 * eta * z_imag
-                    per_k[r][g] = (num / (eta * eta + delta2)).sum(axis=(1, 2))
+                    per_k[r][g] = (num / (eta * eta + delta2)).sum(axis=1)
                 else:
                     if j not in me2:
-                        # |(J_j)_{pq}|^2, indexed as [q, p] via the transpose
-                        me2[j] = (np.abs(C[j]) ** 2).transpose(0, 2, 1)
+                        me2[j] = np.abs(Ct[j]) ** 2  # |(J_j)_{pq}|^2
                     lorentz = delta / (eta * eta + delta2)
-                    per_k[r][g] = 2.0 * (lorentz * me2[j]).sum(axis=(1, 2))
+                    per_k[r][g] = 2.0 * (lorentz * me2[j]).sum(axis=1)
         for r in requests:
             if r[0] == "f_jl":
                 top[r] = max(top[r], float(per_k[r].max(initial=0.0)))
@@ -595,7 +639,8 @@ def _band_pair(model: HoppingModel, ks: np.ndarray, currents, lo: int):
     band stays beyond twice the pair's sampled window."""
     H, *J = model._assemble(ks, [()] + [(d,) for d in currents])
     w, V = _eigh(H)
-    lam_lo, lam_hi = _isolated_pair(w, lo, model.fermi_energy, 2.0, "shrink eps")
+    lam_lo, lam_hi = _isolated_pair(w, (lo, lo + 1), model.fermi_energy, 2.0,
+                                    "shrink eps")
     return lam_lo, lam_hi, V[:, :, lo], V[:, :, lo + 1], dict(zip(currents, J))
 
 

@@ -221,12 +221,17 @@ def uniform_grid(lattice: Lattice2D, n1: int, n2: int) -> KGrid:
 
 def _min_cart_distance(lattice: Lattice2D, frac: np.ndarray, centers) -> np.ndarray:
     """Cartesian distance from each zone-coordinate point (M, 2) to the
-    nearest of the cartesian `centers`, modulo the dual lattice."""
+    nearest of the cartesian `centers`, modulo the dual lattice: the 3 x 3
+    images of Lattice2D.images, each mapped through the zone basis on column
+    arrays (an (M, 2) matmul per image costs several times more)."""
+    (z11, z12), (z21, z22) = lattice.zone
     dmin = np.full(frac.shape[0], np.inf)
     for c in centers:
         cf = wrap_fractional(lattice.to_zone(np.asarray(c, dtype=float)))
-        for dk in lattice.images(frac - cf):
-            dmin = np.minimum(dmin, np.hypot(dk[:, 0], dk[:, 1]))
+        w1, w2 = np.ascontiguousarray(wrap_fractional(frac - cf).T)
+        for s1, s2 in _IMAGE_SHIFTS:
+            u1, u2 = w1 + s1, w2 + s2
+            dmin = np.minimum(dmin, np.hypot(u1 * z11 + u2 * z12, u1 * z21 + u2 * z22))
     return dmin
 
 

@@ -71,6 +71,30 @@ def three_orbital_model():
     })
 
 
+def skewed_generic_model():
+    """Seeded random 2-orbital model on a skewed, unreduced lattice with
+    generic orbital positions: the rounding of gamma + r_b - r_a leaves some
+    displacement rows without an exact mirror, and the on-site diagonal
+    adds the zero displacement."""
+    rng = np.random.default_rng(23)
+    hoppings = []
+    for cell in ([0, 0], [1, 0], [0, 1], [1, 1], [-2, 1]):
+        T = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        if cell == [0, 0]:
+            T = T + T.conj().T
+        hoppings.append({"cell": cell, "matrix": [[[T[a, b].real, T[a, b].imag]
+                                                   for b in range(2)] for a in range(2)]})
+    return cc.model_from_dict({
+        "lattice": {"a1": [0.9, 0.35], "a2": [2.45, 1.6]},
+        "orbitals": [[0.137, 0.291], [0.713, -0.058]],
+        "fermi_energy": 0.0,
+        "hoppings": hoppings,
+    })
+
+
+BUILT_MODELS = {"three_orbital": three_orbital_model, "skewed_generic": skewed_generic_model}
+
+
 def per_term_derivatives(model, k, j, l):
     """H, dH/dk_j and d^2H/dk_j dk_l by a straight loop over the terms."""
     N = model.norbitals
@@ -106,13 +130,18 @@ def test_batched_assembly_matches_per_term_loop(fixture, request):
                     assert np.abs(got[i] - want).max() <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("fixture", ["haldane_critical", "three_orbital"])
+@pytest.mark.parametrize("fixture", ["haldane_critical", "three_orbital", "skewed_generic"])
 def test_batched_assembly_sums_in_term_order(fixture, request):
     # every matrix element adds its entries in term order, exactly as an
     # np.add.at scatter of the same phases does (bit for bit, signed zeros
-    # included), on both assembly paths
-    model = (three_orbital_model() if fixture == "three_orbital"
+    # included), on both assembly paths; the row sum's conj of a mirrored
+    # row and 1 for the zero row are the scatter's exp bits
+    model = (BUILT_MODELS[fixture]() if fixture in BUILT_MODELS
              else request.getfixturevalue(fixture))
+    if fixture == "skewed_generic":
+        # exp rows without a mirror, conj rows and the zero row all occur
+        n_exp, n_conj = len(model._first), len(model._mirror)
+        assert n_exp > n_conj > 0 and model._nphase == n_exp + n_conj + 1
     N = model.norbitals
     flat = model._slots[0::2] // 2
     for ks in [random_momenta(model.lattice, n, seed=5) for n in ASSEMBLY_BATCHES] + [
@@ -124,12 +153,12 @@ def test_batched_assembly_sums_in_term_order(fixture, request):
         assert H.flags.c_contiguous and H.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("fixture", ["haldane_critical", "three_orbital"])
+@pytest.mark.parametrize("fixture", ["haldane_critical", "three_orbital", "skewed_generic"])
 def test_shared_phase_stacks_match_single_calls(fixture, request):
     # H, both currents and a second derivative from one exp of the phase
     # matrix are each bit-identical to their own assembly call, on both
     # assembly paths
-    model = (three_orbital_model() if fixture == "three_orbital"
+    model = (BUILT_MODELS[fixture]() if fixture in BUILT_MODELS
              else request.getfixturevalue(fixture))
     for n in ASSEMBLY_BATCHES:
         ks = random_momenta(model.lattice, n, seed=6)

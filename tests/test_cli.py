@@ -173,11 +173,15 @@ def test_eps_is_a_verify_option_only(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command",[["sigma", "--method", "closed"], ["fermi-points"]])
 def test_third_band_near_cone_is_numerical_error(capsys, model_file, command):
-    # the flat band 0.02 above mu sits inside the default fit circles' window
+    # the flat band 0.02 above mu sits inside the default fit circles' window;
+    # the fit follows the cone's two bands by their states, so the band it
+    # names as the third is the flat one, not the cone's own upper band
+    # (0.031 from mu on the smallest circle)
     path = model_file(hex_flat_band_dict())
     code, out, err = run_cli(capsys, *command, "--model", path)
     assert code == 4 and out == ""
-    assert err.startswith("error: TwoBandIsolationFailed:")
+    assert err.startswith("error: TwoBandIsolationFailed: third band comes "
+                          "within 2.000e-02 of the Fermi level")
 
 
 def test_eps_too_small_for_zeta_step_is_numerical_error(capsys):

@@ -9,6 +9,7 @@ Schwinger term, exact vanishing on a hopping-free model, and algebraic
 identities of the estimator sequence.
 """
 
+import dataclasses
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import conecond as cc
+from conecond import kubo
 from conecond.kubo import (_cone_pass, _eigh, _elliptic_polar_nodes, _fermi_gaps,
                            _pair_sum_on_grid)
 
@@ -635,6 +637,48 @@ def test_block_kernel_matches_dense_rotation(name, request):
     # the pass's smallest Fermi gap is the whole grid's, bit for bit
     _, _, gaps = _fermi_gaps(_eigh(model.h_batch(grid.points))[0], model.fermi_energy)
     assert min_gap == gaps.min()
+
+
+def _tilted_qwz(tau):
+    """preset_qwz(1) plus tau sin(k1) times the identity: at tau = 3 the
+    occupied count at mu = 0 is 0, 1 or 2 across the zone."""
+    model = cc.preset_qwz(1.0)
+    tilt, terms = 0.5j * tau * np.eye(2), dict(model.terms)
+    terms[1, 0], terms[-1, 0] = terms[1, 0] - tilt, terms[-1, 0] + tilt
+    return dataclasses.replace(model, terms=terms)
+
+
+@pytest.mark.parametrize("name, requests", [
+    ("haldane_critical", [("f_jl", 0.1, (1, 1)), ("f_jl", 0.025, (2, 2))]),
+    ("qwz_gapped", [("f_jl", 0.1, (1, 2)), ("f_jl", 0.05, (2, 1))]),
+    ("qwz_gapped", [("ftilde_jj", 0.0, (1, 1)), ("ftilde_jj", 0.1, (2, 2))]),
+    ("haldane_critical", [("ftilde_jj", 0.1, (1, 1)), ("ftilde_jj", 0.025, (2, 2))]),
+    ("tilted_qwz", [("schwinger", 0.0, (1, 1)), ("schwinger", 0.0, (2, 2)),
+                    ("f_jl", 0.1, (1, 1))]),
+], ids=["f_jj", "f_12_gapped", "ftilde_gapped", "ftilde", "schwinger_all_counts"])
+def test_two_band_block_matches_einsum_path(name, requests, request, monkeypatch):
+    # two bands with one occupied take the flat block, whose elements are the
+    # two-term sums the einsum block adds; on the same stacks (one 4096-point
+    # chunk) every request kind must agree with the einsum path to 1e-13
+    model = _tilted_qwz(3.0) if name == "tilted_qwz" else request.getfixturevalue(name)
+    grid = cc.uniform_grid(model.lattice, 64, 64)
+    if name == "tilted_qwz":
+        w = np.linalg.eigvalsh(model.h_batch(grid.points))
+        assert set((w <= model.fermi_energy).sum(axis=1)) == {0, 1, 2}
+    flat_calls = []
+
+    def recording(*args):
+        flat_calls.append(len(args[0]))
+        return two_band(*args)
+
+    two_band = kubo._two_band_blocks
+    monkeypatch.setattr(kubo, "_two_band_blocks", recording)
+    flat, _ = _pair_sum_on_grid(model, grid, requests, False)
+    assert flat_calls
+    monkeypatch.setattr(kubo, "_two_band_blocks", kubo._blocks)
+    ref, _ = _pair_sum_on_grid(model, grid, requests, False)
+    for r in requests:
+        assert ref[r] != 0.0 and abs(flat[r] - ref[r]) <= 1e-13 * abs(ref[r]), r
 
 
 def _exact_two_band_eigenvalues(H):

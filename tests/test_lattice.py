@@ -160,6 +160,68 @@ def test_refined_grid_schedule_equals_chained_levels(case, request):
         assert np.array_equal(getattr(one, name), getattr(chained, name)), name
 
 
+def _matmul_min_distance(lattice, frac, centers):
+    """refined_grid's hit distance as an (M, 2) matmul per image (through
+    Lattice2D.images): the reference for its column arrays."""
+    dmin = np.full(frac.shape[0], np.inf)
+    for c in centers:
+        cf = cc.lattice.wrap_fractional(lattice.to_zone(np.asarray(c, dtype=float)))
+        for dk in lattice.images(frac - cf):
+            dmin = np.minimum(dmin, np.hypot(dk[:, 0], dk[:, 1]))
+    return dmin
+
+
+def _reference_refined_grid(lattice, base, centers, radii):
+    """refined_grid's quad-tree loop with the matmul hit test."""
+    offsets = np.array([[-0.25, -0.25], [-0.25, 0.25], [0.25, -0.25], [0.25, 0.25]])
+    frac, size, weights = base.frac, base.size, base.weights
+    settled = []
+    for r in radii:
+        hit = _matmul_min_distance(lattice, frac, centers) < r
+        settled.append((frac[~hit], size[~hit], weights[~hit]))
+        f_in, s_in, w_in = frac[hit], size[hit], weights[hit]
+        frac = (f_in[:, None, :] + offsets[None, :, :] * s_in[:, None, :]).reshape(-1, 2)
+        size = np.repeat(s_in / 2.0, 4, axis=0)
+        weights = np.repeat(w_in / 4.0, 4)
+    settled.append((frac, size, weights))
+    frac, size, weights = (np.concatenate(parts) for parts in zip(*settled))
+    return frac @ lattice.zone.T, weights, frac, size
+
+
+unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a1=st.tuples(st.floats(0.5, 2.0), st.floats(-1.0, 1.0)),
+    a2=st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 2.0)),
+    shear=st.integers(-3, 3),
+    n=st.tuples(st.integers(2, 12), st.integers(2, 12)),
+    centers=st.lists(st.tuples(unit_floats, unit_floats), min_size=1, max_size=3),
+    shares=st.lists(st.floats(0.01, 0.6), min_size=1, max_size=4),
+)
+def test_refined_grid_matches_matmul_hit_test(a1, a2, shear, n, centers, shares):
+    # skewed bases, sheared into unreduced ones; centres anywhere in the
+    # neighbouring cells; a non-increasing radius schedule
+    a1, a2 = np.array(a1), np.array(a2)
+    a2 = a2 + shear * a1
+    if abs(a1[0] * a2[1] - a1[1] * a2[0]) < 0.2:
+        return
+    lat = cc.make_lattice(a1, a2)
+    base = cc.uniform_grid(lat, *n)
+    points = [lat.from_fractional(c) for c in centers]
+    radii = sorted((s * min(lat.zone_lengths) for s in shares), reverse=True)
+    # the distances agree to rounding (the matmul may fuse its multiply-add),
+    # so every image is searched; the hit tests then agree bit for bit
+    dist = cc.lattice._min_cart_distance(lat, base.frac, points)
+    ref = _matmul_min_distance(lat, base.frac, points)
+    assert np.allclose(dist, ref, rtol=1e-13, atol=1e-14 * max(lat.zone_lengths))
+    got = cc.refined_grid(lat, base, points, radii)
+    for name, want in zip(("points", "weights", "frac", "size"),
+                          _reference_refined_grid(lat, base, points, radii)):
+        assert np.array_equal(getattr(got, name), want), name
+
+
 def test_refined_grid_empty_schedule_returns_base(square_lattice):
     base = cc.uniform_grid(square_lattice, 8, 8)
     g = cc.refined_grid(square_lattice, base, [np.zeros(2)], [])
