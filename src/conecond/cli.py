@@ -55,6 +55,7 @@ from .kubo import (
     TwoBandIsolationFailed,
     _cone_pass,
     _eta_sweep,
+    _unconverged,
     _validate_halving,
     closed_form_report,
     default_eta_sequence,
@@ -677,11 +678,15 @@ def cmd_verify(cfg: RunConfig) -> int:
         for p in longitudinal:
             ref = closed.sigma[p]
             disc_e = max(disc_e, abs(rep.sigma[p] - ref) / abs(ref))
-        status = "pass" if all(rep.converged.values()) and disc_e < 0.03 else "fail"
-        checks.append(_verify_check(
-            "closed_vs_kubo", status, disc_e, 0.03,
-            "max relative |sigma_kubo - sigma_closed| over j (gapless mode)",
-        ))
+        # an unconverged eta sequence fails the check whatever the
+        # discrepancy; the detail then names the pairs and their last change
+        stale = _unconverged(rep)
+        detail = "max relative |sigma_kubo - sigma_closed| over j (gapless mode)"
+        if stale:
+            detail += "; sigma_hat not converged: " + ", ".join(
+                f"sigma_{j}{l} ({why})" for (j, l), _, why in stale)
+        status = "pass" if not stale and disc_e < 0.03 else "fail"
+        checks.append(_verify_check("closed_vs_kubo", status, disc_e, 0.03, detail))
     else:
         disc_e = max(abs(rep.sigma[p]) for p in longitudinal)
         checks.append(_verify_check(

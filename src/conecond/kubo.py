@@ -834,6 +834,21 @@ def _converged(sigma_hats) -> bool:
     return diff < max(_CONV_RTOL * abs(sigma_hats[-1]), _CONV_ATOL)
 
 
+def _unconverged(report: ConductivityReport) -> list:
+    """[(pair, sigma_hat sequence, why)] for each pair whose convergence
+    flag is false; ``why`` gives the last change against its tolerance."""
+    out = []
+    for p, steps in report.per_eta.items():
+        if report.converged[p]:
+            continue
+        h = [s_hat for _, s_hat, _ in steps]
+        why = (f"last change {abs(h[-1] - h[-2]):.3e}, tolerance "
+               f"{max(_CONV_RTOL * abs(h[-1]), _CONV_ATOL):.3e}"
+               if len(h) >= 2 else "only one estimator value")
+        out.append((p, h, why))
+    return out
+
+
 def _direction_pairs(j, l, directions) -> tuple:
     """The requested direction pairs: (j, l) or ``directions``, deduplicated."""
     if directions is None:
@@ -937,17 +952,8 @@ def sigma_kubo(model: HoppingModel, j: int | None = None, l: int | None = None,
         eta_sequence = default_eta_sequence(model)
     policy = grid_policy if grid_policy is not None else GridPolicy()
     report, _, _ = _eta_sweep(model, pairs, eta_sequence, policy, cones, {})
-    failed = []
-    for (pj, pl), steps in report.per_eta.items():
-        if report.converged[pj, pl]:
-            continue
-        h = [s_hat for _, s_hat, _ in steps]
-        detail = (
-            f"last change {abs(h[-1] - h[-2]):.3e}"
-            if len(h) >= 2
-            else "only one estimator value"
-        )
-        failed.append(f"sigma_{pj}{pl} hat sequence {h} has not converged ({detail})")
+    failed = [f"sigma_{pj}{pl} hat sequence {h} has not converged ({why})"
+              for (pj, pl), h, why in _unconverged(report)]
     if failed:
         raise NotConverged("; ".join(failed), report)
     return report

@@ -26,14 +26,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_script(*argv):
-    exe = shutil.which("conecond")
-    cmd = [exe, *argv] if exe else [sys.executable, "-m", "conecond.cli", *argv]
+def run_child(cmd):
     # the child process imports the conecond under test, wherever it was found
     src = os.path.dirname(os.path.dirname(cc.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(cmd, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+def run_script(*argv):
+    exe = shutil.which("conecond")
+    return run_child([exe, *argv] if exe else [sys.executable, "-m", "conecond.cli", *argv])
 
 
 # -- exit codes ---------------------------------------------------------------------
@@ -394,6 +397,31 @@ def test_verify_gapped_skips_cone_checks(capsys):
     assert report["all_pass"] is True and report["cones"] == 0
 
 
+@pytest.mark.parametrize("argv, status, stale", [
+    # three eta values leave the critical Haldane extrapolation unconverged
+    pytest.param(["--preset", "haldane", "--params",
+                  "t1=1.0,t2=0.1,phi=1.5707963267948966,M=0.5196152422706632",
+                  "--eta-seq", "0.2,0.1,0.05"], "fail",
+                 "; sigma_hat not converged: "
+                 "sigma_11 (last change 3.315e-03, tolerance 1.318e-03), "
+                 "sigma_22 (last change 3.319e-03, tolerance 1.318e-03)",
+                 id="haldane-critical-unconverged"),
+    pytest.param(["--preset", "qwz", "--params", "u=-2",
+                  "--eta-seq", "0.2,0.1,0.05,0.025,0.0125"], "pass", "",
+                 id="qwz-converged"),
+])
+def test_verify_closed_vs_kubo_names_unconverged_pairs(capsys, argv, status, stale):
+    # an unconverged eta sequence fails check (e) with a discrepancy below its
+    # tolerance, so the detail must say why; a converged run keeps the plain
+    # detail
+    code, out, _ = run_cli(capsys, "verify", *argv, "--grid", "16")
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["closed_vs_kubo"]
+    assert code == (0 if status == "pass" else 2)
+    assert check["status"] == status and check["discrepancy"] < check["tolerance"]
+    assert check["detail"] == (
+        "max relative |sigma_kubo - sigma_closed| over j (gapless mode)" + stale)
+
+
 @pytest.mark.parametrize("u, eta_seq, passes, refinements", [
     # check (c)'s eta_b / 2 = 0.025 unvisited: its fine grid is built alone
     pytest.param("-2", "0.2,0.1,0.05", 5, 5, id="0.2,0.1,0.05-5"),
@@ -511,6 +539,16 @@ def test_repeated_runs_byte_identical():
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert "sigma" in json.loads(first.stdout)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only: importing it would take most of the
+    # start-up time of every command
+    probe = ("import conecond.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    child = run_child([sys.executable, "-c", probe])
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
 
 
 def test_console_script_validate_exit_codes():

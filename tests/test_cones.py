@@ -4,9 +4,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 import conecond as cc
-from conecond.cones import _occupied_band_index
+import conecond.cones as cones
+from conecond.cones import _occupied_band_index, minimize
 
 from conftest import dual_images
 
@@ -103,6 +105,88 @@ def test_scan_count_matches_straddler_reference():
                 _occupied_band_index(model, w)
         else:
             assert _occupied_band_index(model, w) == m
+
+
+# -- the simplex against scipy's --------------------------------------------------
+
+def assert_matches_scipy(fun, simplex, **limits):
+    """Run the package's Nelder-Mead and scipy's on ``fun`` from one simplex:
+    the same points evaluated in the same order, and the same x, fun and
+    nfev, bit for bit."""
+    def logged(log):
+        return lambda x: (log.append(x.tobytes()), fun(x))[1]
+
+    ours, theirs = [], []
+    res = minimize(logged(ours), simplex, **limits)
+    ref = scipy_minimize(logged(theirs), simplex[0], method="Nelder-Mead",
+                         options=dict(initial_simplex=simplex, **limits))
+    assert ours == theirs
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert res.fun == ref.fun and res.nfev == ref.nfev == len(ours)
+    return res
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(cc.preset_haldane(1.0, 0.1, 0.0, 0.0), id="honeycomb"),
+    pytest.param(cc.preset_haldane(1.0, 0.1, np.pi / 2, 0.3 * np.sqrt(3.0)),
+                 id="haldane-critical"),
+    pytest.param(cc.preset_qwz(-2.0, 2.0, 1.0), id="qwz-aniso"),
+])
+def test_minimize_matches_scipy_on_fermi_point_seeds(monkeypatch, model):
+    # every gap function and seed simplex that find_fermi_points refines
+    runs = []
+
+    def checked(fun, simplex, **limits):
+        runs.append(assert_matches_scipy(fun, simplex, **limits))
+        return runs[-1]
+
+    monkeypatch.setattr(cones, "minimize", checked)
+    scan = cc.find_fermi_points(model)
+    assert runs and len(scan) >= 1
+
+
+def rosenbrock(x):
+    return (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+
+
+def cusp(x, c=(0.0, 0.0)):
+    # from the simplex c + (0, 0), (1, 0), (0, 1) the reflection c + (1, -1)
+    # and the inside contraction c + (1/4, 1/2) are both worse than the worst
+    # vertex, so the first step is a shrink
+    u, v = x[0] - c[0], x[1] - c[1]
+    return abs(u) + 2.0 * abs(v) + 8.0 * abs(u * v)
+
+
+ROSEN_START = np.array([[-1.2, 1.0], [-1.1, 1.0], [-1.2, 1.1]])
+CUSP_START = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+LIMITS = dict(xatol=1e-10, fatol=1e-12, maxiter=4000, maxfev=8000)
+
+
+@pytest.mark.parametrize("fun, simplex, limits, converged", [
+    pytest.param(rosenbrock, ROSEN_START, LIMITS, True, id="rosenbrock"),
+    # off the origin, so that the shrinks round
+    pytest.param(lambda x: cusp(x, (0.1, 0.2)), CUSP_START + [0.1, 0.2],
+                 dict(LIMITS, xatol=1e-8), True, id="shrink"),
+    # the stop paths: the budget check before an evaluation, inside an
+    # iteration and among the first vertices, and the iteration count
+    pytest.param(rosenbrock, ROSEN_START, dict(LIMITS, maxfev=7), False, id="maxfev=7"),
+    pytest.param(rosenbrock, ROSEN_START, dict(LIMITS, maxfev=2), False, id="maxfev=2"),
+    pytest.param(rosenbrock, ROSEN_START, dict(LIMITS, maxiter=3), False, id="maxiter=3"),
+])
+def test_minimize_matches_scipy(fun, simplex, limits, converged):
+    res = assert_matches_scipy(fun, simplex, **limits)
+    assert (res.fun < 1e-12) == converged
+    budget = limits["maxfev"]
+    assert (res.nfev == budget) if budget < LIMITS["maxfev"] else (res.nfev < budget)
+
+
+def test_minimize_shrinks_toward_best_vertex():
+    points = []
+    minimize(lambda x: (points.append(tuple(x)), cusp(x))[1], CUSP_START,
+             xatol=1e-8, fatol=1e-8, maxiter=2, maxfev=100)
+    # three vertices, the reflection, the inside contraction, then the shrink
+    assert points == [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, -1.0), (0.25, 0.5),
+                      (0.5, 0.0), (0.0, 0.5)]
 
 
 # -- cone fit -------------------------------------------------------------------
