@@ -167,9 +167,10 @@ class HoppingModel:
     def _weights(self, derivs: tuple) -> np.ndarray:
         """Per-entry T-entry times the factor that the k-derivative named by
         ``derivs`` brings down from the phase: () for H, (j,) for dH/dk_j,
-        (j, l) for d^2H/dk_j dk_l."""
+        (j, l) for d^2H/dk_j dk_l; ValueError unless each of j, l is 1 or 2."""
         if not derivs:
             return self._vals
+        _require_directions(*derivs)
         d = self._disp[:, derivs[0] - 1]
         if len(derivs) == 1:
             return self._vals * (1j * d)
@@ -249,9 +250,9 @@ class HoppingModel:
         """d^2H/dk_j dk_l for a batch of momenta."""
         return self._assemble(ks, ((j, l),))[0]
 
-    def spectral_radius(self, nsample: int = 16) -> float:
-        """max |eigenvalue| over a coarse momentum sample (energy scale)."""
-        ks = uniform_grid(self.lattice, nsample, nsample).points
+    def spectral_radius(self) -> float:
+        """max |eigenvalue| over a coarse 16 x 16 momentum sample (energy scale)."""
+        ks = uniform_grid(self.lattice, 16, 16).points
         w = np.linalg.eigvalsh(self.h_batch(ks))
         return float(np.abs(w).max())
 
@@ -280,13 +281,11 @@ def h_at(model: HoppingModel, k) -> np.ndarray:
 
 def dh_at(model: HoppingModel, k, j: int) -> np.ndarray:
     """Current operator J_j(k) = dH/dk_j (Hermitian)."""
-    _require_directions(j)
     return model.dh_batch(np.asarray(k, dtype=float).reshape(1, 2), j)[0]
 
 
 def d2h_at(model: HoppingModel, k, j: int, l: int) -> np.ndarray:
     """Second derivative d^2H/dk_j dk_l (Hermitian, symmetric in j,l)."""
-    _require_directions(j, l)
     return model.d2h_batch(np.asarray(k, dtype=float).reshape(1, 2), j, l)[0]
 
 

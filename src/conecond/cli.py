@@ -377,22 +377,17 @@ def _validation_report(label: str, out: str | None, pairing_failure: str | None,
 # -- bands ---------------------------------------------------------------------
 
 def _band_path(model: HoppingModel, waypoints_frac, samples: int):
-    lat = model.lattice
-    pts_cart = [lat.from_fractional(w) for w in waypoints_frac]
-    ks, arcs = [], []
-    arc = 0.0
-    for a, b in zip(pts_cart, pts_cart[1:]):
-        seg = np.linspace(0.0, 1.0, samples, endpoint=False)
-        for t in seg:
-            k = a + t * (b - a)
-            ks.append(k)
-            arcs.append(arc + t * np.linalg.norm(b - a))
-        arc += float(np.linalg.norm(b - a))
-    ks.append(pts_cart[-1])
-    arcs.append(arc)
-    ks = np.asarray(ks)
+    pts = [model.lattice.from_fractional(w) for w in waypoints_frac]
+    t = np.linspace(0.0, 1.0, samples, endpoint=False)
+    ks, arcs, arc = [], [], 0.0
+    for a, b in zip(pts, pts[1:]):
+        length = float(np.linalg.norm(b - a))
+        ks.append(a + t[:, None] * (b - a))
+        arcs.append(arc + t * length)
+        arc += length
+    ks = np.vstack(ks + [pts[-1]])
     energies = np.linalg.eigvalsh(model.h_batch(ks))
-    return np.asarray(arcs), ks, energies
+    return np.append(np.concatenate(arcs), arc), ks, energies
 
 
 def _bands_csv(arcs, ks, energies) -> str:

@@ -268,7 +268,6 @@ def find_fermi_points(
     model: HoppingModel,
     coarse: int = 96,
     tol: float | None = None,
-    strict: bool = False,
 ) -> FermiPointScan:
     """Locate conical band crossings at the Fermi level.
 
@@ -286,7 +285,7 @@ def find_fermi_points(
 
     Minima that plateau in (tol, 100*tol] produce warnings.  When nothing
     converges the scan is returned empty with the smallest gap seen as a
-    diagnostic; with ``strict=True`` that case raises NoConvergence instead.
+    diagnostic.
     Raises BandCrossingRegion when the gap is below tolerance on a
     positive-measure portion of the grid.
     """
@@ -354,12 +353,6 @@ def find_fermi_points(
             "crossed on a region rather than at isolated points"
         )
 
-    if not accepted and strict:
-        raise NoConvergence(
-            f"no gap minimum reached tolerance {tol:.3e}; smallest gap seen "
-            f"was {min_gap:.6e}"
-        )
-
     reduced = []
     for g, k in accepted:
         frac = wrap_fractional(lat.to_fractional(k))
@@ -372,21 +365,23 @@ def find_fermi_points(
 
 
 def _cone_pair(model: HoppingModel, omega) -> tuple:
-    """The cone-pair rule: (lo, w[lo + 1] - w[lo]) for the adjacent pair
-    (w[lo], w[lo + 1]) of H(omega)'s eigenvalues whose farther member is
-    nearest mu, and that pair's gap at omega."""
-    w = np.linalg.eigvalsh(h_at(model, omega))
+    """The cone-pair rule, from one decomposition of H(omega): (lo, gap,
+    states) for the adjacent pair (w[lo], w[lo + 1]) of its eigenvalues whose
+    farther member is nearest mu, with the pair's gap w[lo + 1] - w[lo] at
+    omega and its two eigenvectors, the (N, 2) columns lo and lo + 1."""
+    w, V = np.linalg.eigh(h_at(model, omega))
     d = np.abs(w - model.fermi_energy)
     lo = int(np.argmin(np.maximum(d[:-1], d[1:])))
-    return lo, float(w[lo + 1] - w[lo])
+    return lo, float(w[lo + 1] - w[lo]), V[:, lo:lo + 2]
 
 
-def _overlap_pair(H: np.ndarray, cone_space: np.ndarray) -> np.ndarray:
-    """Per point of an (M, N, N) stack H, the ascending indices (M, 2) of the
-    two eigenvectors with the largest weight in ``cone_space`` (N, 2), the
-    cone pair's eigenvectors at omega: the cone's bands followed along a
-    circle by their states, so a band that crosses them is not named."""
-    weight = (np.abs(cone_space.conj().T @ np.linalg.eigh(H)[1]) ** 2).sum(axis=1)
+def _overlap_pair(V: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Per point of an (M, N, N) eigenvector stack V, the ascending indices
+    (M, 2) of the two eigenvectors with the largest weight in ``states``
+    (N, 2), the cone pair's eigenvectors at omega (_cone_pair): the cone's
+    bands followed along a circle by their states, so a band that crosses
+    them is not named."""
+    weight = (np.abs(states.conj().T @ V) ** 2).sum(axis=1)
     return np.sort(np.argsort(weight, axis=1)[:, -2:], axis=1)
 
 
@@ -479,8 +474,7 @@ def fit_cone(
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
 
     mu = model.fermi_energy
-    lo, gap0 = _cone_pair(model, omega)
-    cone_space = np.linalg.eigh(h_at(model, omega))[1][:, lo:lo + 2]
+    _, gap0, states = _cone_pair(model, omega)
 
     # one block of rows per radius: its own quadratic-form columns, then the
     # cubic columns shared by all radii
@@ -490,9 +484,9 @@ def fit_cone(
     tilts = []
     for i, r in enumerate(radii):
         d = r * dirs
-        H = model.h_batch(omega + d)
-        lam_lo, lam_hi = _isolated_pair(np.linalg.eigvalsh(H), _overlap_pair(H, cone_space),
-                                        mu, 10.0, f"fit radius {r:.3e} is too large")
+        w, V = np.linalg.eigh(model.h_batch(omega + d))
+        lam_lo, lam_hi = _isolated_pair(w, _overlap_pair(V, states), mu, 10.0,
+                                        f"fit radius {r:.3e} is too large")
         x, y = d[:, 0], d[:, 1]
         rows = slice(i * directions, (i + 1) * directions)
         design[rows, 3 * i: 3 * i + 3] = np.column_stack([x * x, 2.0 * x * y, y * y])
@@ -565,19 +559,15 @@ def is_quantizing(Q) -> bool:
 
 
 def sigma_closed_form(cones, j: int):
-    """Closed-form longitudinal conductivity sigma_jj of a cone family.
+    """Closed-form longitudinal conductivity sigma_jj of a family of
+    FermiPoints, whose Q are positive-definite by construction.
 
     Returns ``(sigma_jj, per_cone)`` with per-cone contributions
     Q_jj / (16 sqrt(det Q)).
     """
     _require_directions(j)
-    per_cone = []
-    for cone in cones:
-        Q = cone.Q if isinstance(cone, FermiPoint) else np.asarray(cone, dtype=float)
-        det = np.linalg.det(Q)
-        if det <= 0 or np.linalg.eigvalsh(Q)[0] <= 0:
-            raise ValueError("each cone's Q must be positive-definite")
-        per_cone.append(float(Q[j - 1, j - 1] / (16.0 * np.sqrt(det))))
+    per_cone = [float(c.Q[j - 1, j - 1] / (16.0 * np.sqrt(np.linalg.det(c.Q))))
+                for c in cones]
     return float(sum(per_cone)), per_cone
 
 

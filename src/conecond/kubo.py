@@ -409,15 +409,18 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
     request's own current scale; RuntimeError when a longitudinal (j = l)
     f_jl per-point sum loses its nonpositive sign or a Schwinger trace
     acquires an imaginary part.  A Fermi-level degeneracy is the same for
-    every request and raises DegeneratePoint.
+    every request and raises DegeneratePoint; a non-finite eta raises
+    ValueError before the pass.
 
     Chunk sums are tree-summed and then tree-summed across chunks: since
     _CHUNK is a power of two this is bit-identical to the tree sum of the
     whole per-point array, and no per-point array outlives its chunk.
     """
+    requests = list(dict.fromkeys(requests))
+    if not all(np.isfinite(eta) for _, eta, _ in requests):
+        raise ValueError("eta must be finite")
     npts = len(grid)
     spacing = _grid_spacing_cart(grid)
-    requests = list(dict.fromkeys(requests))
     currents = sorted({d for q, _, p in requests if q != "schwinger" for d in p})
     hessians = sorted({p for q, _, p in requests if q == "schwinger"})
     gate_etas = {abs(e) for q, e, _ in requests if q != "schwinger" and e != 0.0}
@@ -539,8 +542,8 @@ def fjl_eta(model: HoppingModel, eta: float, j: int, l: int, grid: KGrid,
     """Current-current response f_jl(eta) on a quadrature grid.
 
     Frequency-domain evaluation of the damped time integral (see module
-    docstring); requires eta > 0.  For j = l the per-point pair sum is
-    manifestly nonpositive; that sign is checked on every evaluation.  The
+    docstring); requires a finite eta > 0.  For j = l the per-point pair sum
+    is manifestly nonpositive; that sign is checked on every evaluation.  The
     quadrature error is estimated against the ``companion`` grid when given.
 
     When ``cones`` is passed (the caller vouches the grid was built to
@@ -574,8 +577,9 @@ def ftilde_jj(model: HoppingModel, eta: float, j: int, grid: KGrid,
     the two share only the grid pass of _pair_sum_on_grid (eigensolve and
     occupied x unoccupied current blocks).  eta enters only squared, making
     the function exactly even (bit-identical under eta -> -eta); eta = 0 is
-    allowed for gapped models.  The near-crossing resolution gate
-    (GridTooCoarse) is armed only when ``cones`` is passed, as in fjl_eta.
+    allowed for gapped models, a non-finite eta is not.  The near-crossing
+    resolution gate (GridTooCoarse) is armed only when ``cones`` is passed,
+    as in fjl_eta.
     """
     _require_directions(j)
     r = ("ftilde_jj", float(eta), (j, j))
@@ -827,11 +831,15 @@ def richardson_extrapolate(sigma_hats) -> float:
     return 2.0 * s[-1] - s[-2]
 
 
+def _conv_tol(sigma_hat: float) -> float:
+    """Largest change to the last estimator ``sigma_hat`` that counts as converged."""
+    return max(_CONV_RTOL * abs(sigma_hat), _CONV_ATOL)
+
+
 def _converged(sigma_hats) -> bool:
     if len(sigma_hats) < 2:
         return False
-    diff = abs(sigma_hats[-1] - sigma_hats[-2])
-    return diff < max(_CONV_RTOL * abs(sigma_hats[-1]), _CONV_ATOL)
+    return abs(sigma_hats[-1] - sigma_hats[-2]) < _conv_tol(sigma_hats[-1])
 
 
 def _unconverged(report: ConductivityReport) -> list:
@@ -842,8 +850,7 @@ def _unconverged(report: ConductivityReport) -> list:
         if report.converged[p]:
             continue
         h = [s_hat for _, s_hat, _ in steps]
-        why = (f"last change {abs(h[-1] - h[-2]):.3e}, tolerance "
-               f"{max(_CONV_RTOL * abs(h[-1]), _CONV_ATOL):.3e}"
+        why = (f"last change {abs(h[-1] - h[-2]):.3e}, tolerance {_conv_tol(h[-1]):.3e}"
                if len(h) >= 2 else "only one estimator value")
         out.append((p, h, why))
     return out

@@ -217,6 +217,24 @@ def test_second_derivative_exactly_symmetric(haldane_critical):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda m, ks: m.dh_batch(ks, 0), id="dh-0"),
+    pytest.param(lambda m, ks: m.dh_batch(ks, 3), id="dh-3"),
+    pytest.param(lambda m, ks: m.d2h_batch(ks, 0, -1), id="d2h-0-minus1"),
+    pytest.param(lambda m, ks: m.d2h_batch(ks, 1, 3), id="d2h-1-3"),
+    pytest.param(lambda m, ks: m._assemble(ks, [(), (1,), (2, 0)]), id="assemble"),
+    pytest.param(lambda m, ks: cc.dh_at(m, ks[0], 0), id="dh_at-0"),
+    pytest.param(lambda m, ks: cc.d2h_at(m, ks[0], 2, 0), id="d2h_at-2-0"),
+])
+def test_derivative_direction_refused(haldane_critical, call):
+    # index 0 once read the last coordinate through index -1, so dh_batch(ks, 0)
+    # returned dH/dk_2 without an error, and index 3 raised a bare IndexError
+    for n in ASSEMBLY_BATCHES:
+        ks = random_momenta(haldane_critical.lattice, n, seed=5)
+        with pytest.raises(ValueError, match="direction indices must be 1 or 2"):
+            call(haldane_critical, ks)
+
+
 @pytest.mark.parametrize("fixture", ["haldane_critical", "qwz_aniso"])
 def test_dual_covariance(fixture, request):
     model = request.getfixturevalue(fixture)

@@ -331,6 +331,42 @@ def test_fit_cone_rejects_quadratic_touching():
         cc.fit_cone(model, np.zeros(2))
 
 
+def test_fit_cone_decomposes_each_momentum_set_once(monkeypatch, haldane_critical,
+                                                    haldane_cones):
+    # H(omega) is decomposed once, by _cone_pair, and each fit circle once,
+    # for its eigenvalues and its states together
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _solver=getattr(np.linalg, name), **kwargs):
+            if np.iscomplexobj(a):          # a Hamiltonian, not the real Q
+                shapes.append(np.shape(a))
+            return _solver(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    cc.fit_cone(haldane_critical, haldane_cones[0].omega, radii=[0.04, 0.02, 0.01],
+                directions=16)
+    assert shapes == [(2, 2)] + [(16, 2, 2)] * 3
+
+
+def test_cone_pair_states_are_the_pairs_eigenvectors(haldane_critical, haldane_cones):
+    # a decoupled band far below the cone makes the pair columns 1 and 2
+    qwz = cc.preset_qwz(-2.0, 2.0, 1.0)
+    terms = {cell: np.pad(T, (0, 1)) for cell, T in qwz.terms.items()}
+    terms[0, 0][2, 2] = -5.0
+    three = cc.HoppingModel(lattice=qwz.lattice, norbitals=3, positions=np.zeros((3, 2)),
+                            terms=terms, fermi_energy=0.0)
+    cases = [(haldane_critical, haldane_cones[0].omega, 0),
+             (haldane_critical, np.array([0.3, -0.2]), 0),
+             (three, np.zeros(2), 1), (three, np.array([0.4, 0.1]), 1)]
+    for model, k, want in cases:
+        lo, gap, states = cones._cone_pair(model, k)
+        H = cc.h_at(model, k)
+        w = np.linalg.eigvalsh(H)
+        assert lo == want and gap == w[lo + 1] - w[lo]
+        assert states.shape == (model.norbitals, 2)
+        assert np.abs(states.conj().T @ states - np.eye(2)).max() < 1e-14
+        assert np.abs(H @ states - states * w[lo:lo + 2]).max() < 1e-13
+
+
 def test_fermi_point_validation():
     with pytest.raises(ValueError):
         synthetic_cone([[1.0, 0.3], [0.2, 1.0]])     # not symmetric

@@ -449,6 +449,22 @@ def test_cone_integral_arguments_refused(haldane_critical, haldane_cones, call, 
     assert type(exc.value) is ValueError
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda m, g: cc.fjl_eta(m, np.inf, 1, 1, g), id="fjl-inf"),
+    pytest.param(lambda m, g: cc.fjl_eta(m, np.nan, 1, 2, g), id="fjl-nan"),
+    pytest.param(lambda m, g: cc.ftilde_jj(m, np.inf, 1, g), id="ftilde-inf"),
+    pytest.param(lambda m, g: cc.ftilde_jj(m, -np.inf, 2, g), id="ftilde-minus-inf"),
+    pytest.param(lambda m, g: cc.ftilde_jj(m, np.nan, 1, g), id="ftilde-nan"),
+])
+def test_grid_kernel_refuses_non_finite_eta(qwz_gapped, call):
+    # fjl_eta at eta = inf once ended in a RuntimeWarning (inf / inf) and
+    # ftilde_jj returned 0.0
+    grid = cc.uniform_grid(qwz_gapped.lattice, 8, 8)
+    with pytest.raises(ValueError, match="eta must be finite") as exc:
+        call(qwz_gapped, grid)
+    assert type(exc.value) is ValueError
+
+
 def test_regular_part_flat_in_eta(haldane_critical, haldane_cones):
     # subtracting the cone-neighborhood integral removes the singular eta
     # dependence: the remainder moves by O(eta^2) when eta halves
