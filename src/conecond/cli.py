@@ -109,8 +109,6 @@ def _json_value(v, indent: int) -> str:
         return "null"
     if isinstance(v, str):
         return json.dumps(v)
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
     if isinstance(v, dict):
         if not v:
             return "{}"

@@ -65,7 +65,10 @@ _QUANTIZING_RTOL = 1e-9
 
 
 class NoConvergence(RuntimeError):
-    """Gap minimization plateaued above tolerance (gapped or near-critical)."""
+    """A Fermi-point search that does not converge.  Nothing raises it today:
+    the gap minimization reports a plateau above tolerance as a warning of
+    its scan.  It stays exported as the refusal of the batched locator
+    planned in ROADMAP.md (Direction 1)."""
 
 
 class BandCrossingRegion(ValueError):
@@ -148,12 +151,6 @@ class FermiPointScan:
 
     def __len__(self):
         return len(self.locations)
-
-    def __iter__(self):
-        return iter(self.locations)
-
-    def __getitem__(self, i):
-        return self.locations[i]
 
 
 def _occupied_band_index(model: HoppingModel, w_grid: np.ndarray) -> int:
@@ -518,18 +515,12 @@ def fit_cone(
     return Q, tilt0, resid1
 
 
-def characterize_cones(
-    model: HoppingModel,
-    coarse: int = 96,
-    tol: float | None = None,
-    radii=None,
-    directions: int = 16,
-) -> list:
+def characterize_cones(model: HoppingModel, coarse: int = 96, radii=None) -> list:
     """Find Fermi points and fit each cone; returns a list of FermiPoint."""
-    scan = find_fermi_points(model, coarse=coarse, tol=tol)
+    scan = find_fermi_points(model, coarse=coarse)
     points = []
     for k, g in zip(scan.locations, scan.gaps):
-        Q, tilt, resid = fit_cone(model, k, radii=radii, directions=directions)
+        Q, tilt, resid = fit_cone(model, k, radii=radii)
         points.append(FermiPoint(omega=k, Q=Q, tilt=tilt, residual=resid,
                                  gap_at_omega=g, gap_tol=scan.tol))
     return points

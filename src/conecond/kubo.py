@@ -107,8 +107,9 @@ DEFAULT_FD_STEP = 1e-5
 #: eps / (2 sqrt(lambda_max(Q))); at the bound the central difference moves
 #: zeta by 0.1-0.25% on the presets, at 1e-3 of it by ~2e-7
 _MAX_FD_STEP_FRACTION = 0.1
-#: the B_eps integrals' elliptic-polar rule: angles, Gauss-Legendre order
-_NTHETA, _ORDER = 64, 12
+#: the B_eps integrals' elliptic-polar rules (angles, Gauss-Legendre order):
+#: the fine rule gives each value, the coarse one its quadrature error
+_FINE_RULE, _COARSE_RULE = (64, 12), (32, 8)
 #: chunk size for batched eigen-decompositions (memory control: a chunk holds
 #: its phase matrix, H, the currents and their band blocks at once); a power of
 #: two, so chunked tree sums equal the whole-grid tree sum bit for bit
@@ -682,9 +683,9 @@ def _zeta_nodes(model: HoppingModel, ks: np.ndarray, lo: int, pair, eta: float,
 
 
 def _cone_pass(model: HoppingModel, cones, requests, eps,
-               rules=((_NTHETA, _ORDER),), fd_step: float = DEFAULT_FD_STEP) -> tuple:
+               rules=(_FINE_RULE,), fd_step: float = DEFAULT_FD_STEP) -> tuple:
     """One {request: sum over cones of its B_eps integral} per elliptic-polar
-    rule (ntheta angles, GL order radial panels) in ``rules``, for requests
+    rule in ``rules`` (_FINE_RULE, then _COARSE_RULE if given), for requests
     ("f_sing" | "zeta", eta, (j, j)).  Checks the arguments (ValueError),
     then gives zeros without cones, then checks eps (default_epsilon when
     None), refuses with FdStepTooLarge a zeta request's fd_step above
@@ -698,9 +699,6 @@ def _cone_pass(model: HoppingModel, cones, requests, eps,
         raise ValueError("the B_eps integrals are longitudinal: j must equal l")
     if not all(np.isfinite(eta) for _, eta, _ in requests):
         raise ValueError("eta must be finite")
-    for ntheta, order in rules:
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (ntheta, order)):
-            raise ValueError(f"ntheta and order must be integers >= 1, got {ntheta}, {order}")
     if not 0 < fd_step < np.inf:
         raise ValueError(f"fd_step must be positive and finite, got {fd_step}")
     if not cones:
@@ -734,23 +732,21 @@ def _cone_pass(model: HoppingModel, cones, requests, eps,
     return tuple(out)
 
 
-def _cone_estimate(model: HoppingModel, cones, request, eps, ntheta: int,
-                   order: int, fd_step: float = DEFAULT_FD_STEP) -> KuboEstimate:
+def _cone_estimate(model: HoppingModel, cones, request, eps,
+                   fd_step: float = DEFAULT_FD_STEP) -> KuboEstimate:
     """The KuboEstimate of one B_eps request: one _cone_pass with the fine rule
-    and, for the quadrature error, half the angles and four fewer GL nodes."""
+    and, for the quadrature error, the coarse rule."""
     quantity, eta, _ = request
     fine, coarse = (v[request] for v in _cone_pass(
-        model, cones, (request,), eps,
-        ((ntheta, order), (max(8, ntheta // 2), max(4, order - 4))), fd_step))
+        model, cones, (request,), eps, (_FINE_RULE, _COARSE_RULE), fd_step))
     if not cones:
         return KuboEstimate(0.0, eta, quantity, "empty domain", 0.0)
-    return _estimate(quantity, eta,
-                     f"elliptic-polar {ntheta} angles, GL{order} radial panels", fine, coarse)
+    return _estimate(quantity, eta, "elliptic-polar %d angles, GL%d radial panels"
+                     % _FINE_RULE, fine, coarse)
 
 
 def fjj_sing(model: HoppingModel, cones, eta: float, j: int,
-             eps: float | None = None, ntheta: int = _NTHETA,
-             order: int = _ORDER) -> KuboEstimate:
+             eps: float | None = None) -> KuboEstimate:
     """Singular (cone-neighborhood) part of the longitudinal response:
 
         (2/(2pi)^2) sum_l int_{B_eps^(l)} dk
@@ -763,12 +759,11 @@ def fjj_sing(model: HoppingModel, cones, eta: float, j: int,
     Runs on _cone_pass and contracts per node only the element
     <lower|J_j|upper>, never the full rotated current.
     """
-    return _cone_estimate(model, cones, ("f_sing", float(eta), (j, j)), eps, ntheta, order)
+    return _cone_estimate(model, cones, ("f_sing", float(eta), (j, j)), eps)
 
 
 def zeta_jj(model: HoppingModel, cones, eta: float, j: int,
-            eps: float | None = None, ntheta: int = _NTHETA, order: int = _ORDER,
-            fd_step: float = DEFAULT_FD_STEP) -> KuboEstimate:
+            eps: float | None = None, fd_step: float = DEFAULT_FD_STEP) -> KuboEstimate:
     """Eigenvalue-only counterpart of fjj_sing on the cone neighborhoods:
 
         (1/(2pi)^2) sum_l int_{B_eps^(l)} dk
@@ -786,8 +781,7 @@ def zeta_jj(model: HoppingModel, cones, eta: float, j: int,
     two share only the eigensolve at the centre nodes, and per node zeta
     contracts only the two slopes.
     """
-    return _cone_estimate(model, cones, ("zeta", float(eta), (j, j)), eps, ntheta, order,
-                          fd_step)
+    return _cone_estimate(model, cones, ("zeta", float(eta), (j, j)), eps, fd_step)
 
 
 # -- eta -> 0 extraction ------------------------------------------------------

@@ -72,13 +72,11 @@ class BandSpectrum:
 
     ``eigenvalues`` is ascending, ``eigenvectors[:, i]`` is the unit
     eigenvector for ``eigenvalues[i]`` (orthonormal columns, each with its
-    largest-magnitude entry made real and positive).  ``k`` records the
-    momentum when known; decompositions of bare matrices leave it ``None``.
+    largest-magnitude entry made real and positive).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    k: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.asarray(self.eigenvalues, dtype=float).reshape(-1).copy()
@@ -91,14 +89,6 @@ class BandSpectrum:
         V.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", V)
-        if self.k is not None:
-            k = np.asarray(self.k, dtype=float).reshape(2).copy()
-            k.setflags(write=False)
-            object.__setattr__(self, "k", k)
-
-    @property
-    def nbands(self) -> int:
-        return self.eigenvalues.size
 
 
 def _canonical_phases(V: np.ndarray) -> np.ndarray:
@@ -108,7 +98,7 @@ def _canonical_phases(V: np.ndarray) -> np.ndarray:
     return V * np.exp(-1j * np.angle(lead))[None, :]
 
 
-def eigh(H: np.ndarray, k=None) -> BandSpectrum:
+def eigh(H: np.ndarray) -> BandSpectrum:
     """Eigendecompose a Hermitian matrix into a validated BandSpectrum.
 
     Raises NotHermitian when ``H`` deviates from its adjoint by more than
@@ -133,13 +123,12 @@ def eigh(H: np.ndarray, k=None) -> BandSpectrum:
             f"eigendecomposition failed self-check (residual {resid:.3e}, "
             f"Gram defect {gram:.3e})"
         )
-    return BandSpectrum(eigenvalues=w, eigenvectors=V, k=k)
+    return BandSpectrum(eigenvalues=w, eigenvectors=V)
 
 
 def spectrum_at(model: HoppingModel, k) -> BandSpectrum:
     """Validated band spectrum of the Bloch Hamiltonian at momentum k."""
-    k = np.asarray(k, dtype=float).reshape(2)
-    return eigh(h_at(model, k), k=k)
+    return eigh(h_at(model, k))
 
 
 def occupied_count(spectrum, mu: float) -> int:

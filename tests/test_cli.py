@@ -101,6 +101,16 @@ def test_validate_reports_pairing_violation_as_failed_check(capsys, model_file):
     assert first["name"] == "hermiticity_pairing" and first["pass"] is False
 
 
+def test_sigma_refuses_pairing_violation(capsys, model_file):
+    # validate reports the same violation as a failed check; every other
+    # command refuses the model with exit 2
+    payload = square_model_dict()
+    payload["hoppings"].append({"cell": [-1, 0], "matrix": [[[0.5, 0.0]]]})
+    code, out, err = run_cli(capsys, "sigma", "--model", model_file(payload))
+    assert code == 2 and out == ""
+    assert err == "error: T(-1,0) != T(1,0)^dagger (max deviation 5.000e-01)\n"
+
+
 def test_validate_assembles_each_momentum_set_once(capsys, monkeypatch):
     # one H batch, one covariance batch per G, one derivative batch, four
     # shifted batches and one spectrum batch per G; the point-by-point checks
@@ -144,6 +154,12 @@ def test_non_finite_numbers_are_config_errors(capsys, argv):
     ["verify", "--preset", "qwz", "--eta-seq", ""],
     ["bands", "--preset", "qwz", "--path", ""],
     ["bands", "--preset", "qwz", "--path", "0,0;0,0", "--svg", os.devnull],
+    ["bands", "--preset", "qwz", "--samples", "1"],
+    ["sigma", "--preset", "qwz", "--params", "u"],
+    ["sigma", "--preset", "qwz", "--params", "u=abc"],
+    ["sigma", "--preset", "qwz", "--params", "w=1"],
+    ["bands", "--preset", "qwz", "--path", "0,a;1,1"],
+    ["bands", "--preset", "qwz", "--path", "0,0"],
 ])
 def test_out_of_range_options_are_config_errors(capsys, argv):
     # each of these once escaped main() as a bare ValueError traceback, or
@@ -185,6 +201,36 @@ def test_third_band_near_cone_is_numerical_error(capsys, model_file, command):
     assert code == 4 and out == ""
     assert err.startswith("error: TwoBandIsolationFailed: third band comes "
                           "within 2.000e-02 of the Fermi level")
+
+
+@pytest.mark.parametrize("command", [["sigma", "--method", "closed"], ["fermi-points"]])
+def test_gap_closed_everywhere_is_numerical_error(capsys, model_file, command):
+    # H(k) = 1e-9 (1/2 + cos k1) sigma_3 on the square lattice: a gap of at
+    # most 3e-9, below the Fermi-point tolerance at every scan point
+    diag = [[[0.5e-9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5e-9, 0.0]]]
+    path = model_file({
+        "lattice": {"a1": [1.0, 0.0], "a2": [0.0, 1.0]},
+        "orbitals": [[0.0, 0.0], [0.0, 0.0]],
+        "fermi_energy": 0.0,
+        "hoppings": [{"cell": [0, 0], "matrix": diag}, {"cell": [1, 0], "matrix": diag}],
+    })
+    code, out, err = run_cli(capsys, *command, "--model", path)
+    assert code == 4 and out == ""
+    assert err == ("error: BandCrossingRegion: gap below tolerance at 9216 of 9216 "
+                   "grid points\n")
+
+
+def test_fermi_points_reports_near_threshold_minimum(capsys):
+    # a gap minimum of 1e-6 at the zone centre lies within 100x the gap
+    # tolerance: reported as a warning, not accepted as a Fermi point
+    code, out, _ = run_cli(capsys, "fermi-points", "--preset", "qwz",
+                           "--params", "u=-1.9999995")
+    report = json.loads(out)
+    assert code == 0 and report["count"] == 0 and report["points"] == []
+    assert report["min_gap"] == pytest.approx(1e-6, rel=1e-6)
+    warning, = report["warnings"]
+    assert warning.startswith("near-threshold gap minimum 1.000e-06 at k=(")
+    assert warning.endswith("not accepted (tolerance 3.971e-07)")
 
 
 def test_eps_too_small_for_zeta_step_is_numerical_error(capsys):

@@ -430,12 +430,6 @@ def test_zeta_refuses_fd_step_beyond_node_scale(haldane_critical, haldane_cones)
                  id="eta=inf"),
     pytest.param(lambda m, c: cc.fjj_sing(m, c, np.nan, 2), "eta must be finite",
                  id="eta=nan"),
-    pytest.param(lambda m, c: cc.fjj_sing(m, c, 0.05, 1, ntheta=0), "ntheta and order",
-                 id="ntheta=0"),
-    pytest.param(lambda m, c: cc.zeta_jj(m, c, 0.05, 1, order=0), "ntheta and order",
-                 id="order=0"),
-    pytest.param(lambda m, c: cc.fjj_sing(m, c, 0.05, 1, ntheta=2.5), "ntheta and order",
-                 id="ntheta=2.5"),
     pytest.param(lambda m, c: cc.zeta_jj(m, c, 0.05, 1, fd_step=0.0),
                  "fd_step must be positive and finite", id="fd_step=0"),
     pytest.param(lambda m, c: cc.zeta_jj(m, c, 0.05, 1, fd_step=np.nan),
