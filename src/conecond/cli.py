@@ -249,6 +249,13 @@ def _parse_path(text: str) -> list:
     return waypoints
 
 
+def _param_text(value: float) -> str:
+    """A preset parameter as it is labelled: the short ``:g`` text when it
+    reads back as the same float, else the round-tripping repr."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def _build_model(args) -> tuple:
     if bool(args.model) == bool(args.preset):
         raise ConfigParse("specify exactly one of --model FILE or --preset NAME")
@@ -270,7 +277,7 @@ def _build_model(args) -> tuple:
         )
     params.update(overrides)
     label = f"preset:{name}(" + ",".join(
-        f"{k}={params[k]:g}" for k in defaults
+        f"{k}={_param_text(params[k])}" for k in defaults
     ) + ")"
     try:
         return factory(**params), label

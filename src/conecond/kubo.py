@@ -120,7 +120,15 @@ _CONV_RTOL = 0.02
 _CONV_ATOL = 1e-4
 #: GridPolicy's refinement schedule (see its docstring)
 _OUTER_RADIUS_FACTOR = 0.35
-_CORE_RADIUS_SLOPE = 8.0
+#: R_core = slope x eta / sqrt(lambda*) is sized by the resolution gate of
+#: _pair_sum_on_grid.  The fine grid built for eta also carries the f(2 eta)
+#: request, whose gate inspects the points with Fermi gap below 4 (2 eta).
+#: Near a cone the gap is 2 sqrt(d^T Q d), so those points satisfy
+#: sqrt(d^T Q d) < 4 eta and lie in the disk |d| < 4 eta / sqrt(lambda*).
+#: The factor 1.25 is a curvature margin: away from omega the bands bend, and
+#: the gate region of the presets reaches up to 1.09x that disk at grid
+#: eta <= 0.1 (1.29x at eta = 0.2 on the honeycomb).
+_CORE_RADIUS_SLOPE = 1.25 * 4.0
 _SPACING_SLOPE = 8.0
 _MAX_LEVELS = 18
 
@@ -230,8 +238,12 @@ class GridPolicy:
     A uniform ``base`` x ``base`` midpoint grid is refined around the cone
     locations by one ``refined_grid`` call over the shrinking radius schedule
     R_level = max(R_outer / 2^level, R_core), where R_outer is 0.35 times the
-    smaller zone-basis norm and R_core = 8 eta / sqrt(lambda*) is the region
-    whose gap falls below ~8 eta.  Levels (at most 18) are added until the
+    smaller zone-basis norm and R_core = 5 eta / sqrt(lambda*) is the disk
+    the resolution gate inspects, with a margin: the grid for eta also
+    serves f(2 eta), whose gate checks the points with Fermi gap below
+    4 (2 eta), i.e. sqrt(d^T Q d) < 4 eta near a cone (gap 2 sqrt(d^T Q d)),
+    inside |d| < 4 eta / sqrt(lambda*); the factor 1.25 covers the bands'
+    curvature away from the cone.  Levels (at most 18) are added until the
     refined spacing satisfies spacing <= eta sqrt(lambda*) / (8 max|dH|),
     i.e. until the half-width-eta Lorentzian is resolved (max|dH| over a
     48 x 48 sample).  The graded shell of intermediate radii avoids a

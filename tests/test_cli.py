@@ -233,6 +233,16 @@ def test_fermi_points_reports_near_threshold_minimum(capsys):
     assert warning.endswith("not accepted (tolerance 3.971e-07)")
 
 
+@pytest.mark.parametrize("params, label", [
+    # :g would print u=-2, the label of a different model
+    ("u=-1.9999995", "preset:qwz(u=-1.9999995,v1=1,v2=1)"),
+    ("u=-2,v1=2", "preset:qwz(u=-2,v1=2,v2=1)"),
+])
+def test_preset_label_names_the_parameters_run(capsys, params, label):
+    code, out, _ = run_cli(capsys, "fermi-points", "--preset", "qwz", "--params", params)
+    assert code == 0 and json.loads(out)["model"] == label
+
+
 def test_eps_too_small_for_zeta_step_is_numerical_error(capsys):
     # at eps = 1e-4 the default fd_step is a fifth of the B_eps node scale
     code, out, err = run_cli(capsys, "verify", "--preset", "qwz", "--grid", "16",
@@ -449,8 +459,8 @@ def test_verify_gapped_skips_cone_checks(capsys):
                   "t1=1.0,t2=0.1,phi=1.5707963267948966,M=0.5196152422706632",
                   "--eta-seq", "0.2,0.1,0.05"], "fail",
                  "; sigma_hat not converged: "
-                 "sigma_11 (last change 3.315e-03, tolerance 1.318e-03), "
-                 "sigma_22 (last change 3.319e-03, tolerance 1.318e-03)",
+                 "sigma_11 (last change 3.320e-03, tolerance 1.315e-03), "
+                 "sigma_22 (last change 3.297e-03, tolerance 1.316e-03)",
                  id="haldane-critical-unconverged"),
     pytest.param(["--preset", "qwz", "--params", "u=-2",
                   "--eta-seq", "0.2,0.1,0.05,0.025,0.0125"], "pass", "",

@@ -649,10 +649,10 @@ def test_block_kernel_matches_dense_rotation(name, request):
     assert min_gap == gaps.min()
 
 
-def _tilted_qwz(tau):
-    """preset_qwz(1) plus tau sin(k1) times the identity: at tau = 3 the
-    occupied count at mu = 0 is 0, 1 or 2 across the zone."""
-    model = cc.preset_qwz(1.0)
+def _tilted_qwz(tau, u=1.0):
+    """preset_qwz(u) plus tau sin(k1) times the identity: at u = 1, tau = 3
+    the occupied count at mu = 0 is 0, 1 or 2 across the zone."""
+    model = cc.preset_qwz(u)
     tilt, terms = 0.5j * tau * np.eye(2), dict(model.terms)
     terms[1, 0], terms[-1, 0] = terms[1, 0] - tilt, terms[-1, 0] + tilt
     return dataclasses.replace(model, terms=terms)
@@ -829,6 +829,61 @@ def test_sigma_kubo_gapped_converges_to_zero(qwz_gapped, monkeypatch):
     diag = report.diagnostics
     assert diag["cones"] == 0 and len(diag["eta_sequence"]) == 9
     assert passes == [48 * 48, 24 * 24]
+
+
+#: the eta sequence of the kubo_cones benchmark workload
+BENCH_ETAS = [0.2, 0.1, 0.05, 0.025, 0.0125]
+
+
+def _skewed_qwz():
+    """preset_qwz(-2) on the lattice a1 = (1, 0), a2 = (0.6, 1): the cone at
+    the zone centre has Q = a1 a1^T + a2 a2^T = [[1.36, 0.6], [0.6, 1]],
+    det Q = 1, so sigma = (1.36 / 16, 1 / 16)."""
+    return dataclasses.replace(cc.preset_qwz(-2.0),
+                               lattice=cc.make_lattice([1.0, 0.0], [0.6, 1.0]))
+
+
+# model -> (sigma_11, sigma_22) from the closed form sum_l Q_jj / (16 sqrt det Q)
+PAST_THE_PRESETS = {
+    "tilted": (lambda: _tilted_qwz(0.9, u=-2.0), (1 / 16, 1 / 16)),
+    "two_cones": (lambda: cc.preset_qwz(0.0, 1.0, 3.0), (1 / 24, 3 / 8)),
+    "skewed": (_skewed_qwz, (0.085, 1 / 16)),
+    "haldane_critical_line": (
+        lambda: cc.preset_haldane(1.0, 0.1, np.pi / 2.0, 3.0 * np.sqrt(3.0) * 0.1),
+        (1 / 16, 1 / 16)),
+}
+
+
+@pytest.mark.parametrize("name", [
+    "tilted", pytest.param("two_cones", marks=pytest.mark.slow),
+    pytest.param("skewed", marks=pytest.mark.slow), "haldane_critical_line"])
+def test_sigma_kubo_past_the_presets(name):
+    # GridPolicy sizes its finest core by the region the resolution gate
+    # inspects, plus a margin; on a tilted cone, two anisotropic cones, a
+    # skewed lattice and the critical Haldane line, over the benchmark's
+    # etas, the gate must not fire even on a 16 x 16 base, and the default
+    # base must still reach the closed form
+    build, want = PAST_THE_PRESETS[name]
+    model = build()
+    cones = cc.characterize_cones(model)
+    kw = dict(directions=((1, 1), (2, 2)), eta_sequence=BENCH_ETAS, cones=cones)
+    coarse = _kubo_report(model, grid_policy=cc.GridPolicy(base=16), **kw)
+    assert set(coarse.diagnostics["grid_points"]) == set(BENCH_ETAS[1:])
+    report = cc.sigma_kubo(model, **kw)
+    for p, target in zip(((1, 1), (2, 2)), want):
+        assert abs(report.sigma[p] - target) <= 0.02 * target, p
+
+
+def test_kubo_cones_point_budget(haldane_critical, haldane_cones, qwz_aniso,
+                                 qwz_aniso_cones):
+    # the two models of the kubo_cones benchmark at its etas take ~453k
+    # fine-grid points together; the budget keeps a later change from
+    # growing the grids unseen
+    total = 0
+    for model, cones in ((haldane_critical, haldane_cones), (qwz_aniso, qwz_aniso_cones)):
+        report = cc.sigma_kubo(model, 1, 1, eta_sequence=BENCH_ETAS, cones=cones)
+        total += sum(report.diagnostics["grid_points"].values())
+    assert total <= 500_000
 
 
 def test_sigma_hall_gapped_chern_model(qwz_gapped):
