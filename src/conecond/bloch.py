@@ -14,6 +14,11 @@ contributions included) and the covariance
 holds exactly for every dual-lattice vector G.  Hermiticity of H(k) for all
 real k is equivalent to the pairing T(-gamma) = T(gamma)^dagger, which is
 enforced at construction.
+
+H(k) and its k-derivatives are evaluated as one Fourier sum over the
+distinct displacements d_u = gamma + r_b - r_a: a coefficient table T_u per
+d_u, built once per model, contracted with the phases exp(i k . d_u) of a
+batch of momenta (HoppingModel._assemble).
 """
 
 from __future__ import annotations
@@ -41,12 +46,6 @@ __all__ = [
 
 #: max-entry tolerance for the Hermiticity pairing T(-g) = T(g)^dagger
 PAIRING_ATOL = 1e-12
-
-#: batches of at least this many momenta take HoppingModel._assemble's row
-#: sum (one exp per +- pair of distinct displacements), smaller ones its
-#: bincount scatter; the two cross over at 64-384 momenta on the presets with
-#: 1 or 3 stacks
-_ROW_SUM_MIN_BATCH = 256
 
 
 class HoppingConflict(ValueError):
@@ -87,20 +86,15 @@ class HoppingModel:
     positions: np.ndarray
     terms: dict
     fermi_energy: float
-    # flattened per-entry arrays for vectorized evaluation (derived state)
+    # derived state: the distinct displacements gamma + r_b - r_a, as rows
+    # in the order of the phase matrix's columns: first the _nexp rows that
+    # take an exp, then the negations of the first _npair of them, then the
+    # zero row, if any; per row the flattened N x N sum of the hopping
+    # entries with that displacement
     _disp: np.ndarray = field(init=False, repr=False, compare=False)
-    _vals: np.ndarray = field(init=False, repr=False, compare=False)
-    # per entry, the (re, im) slots of its (row, col) in a flat float view
-    # of one N x N matrix
-    _slots: np.ndarray = field(init=False, repr=False, compare=False)
-    # the distinct displacements as phase rows: first the rows that take an
-    # exp (their first entries), then the rows that take the conj of an exp
-    # row (its index), then the zero row, if any; per entry its
-    # (row * N + col, phase row) pair
-    _first: np.ndarray = field(init=False, repr=False, compare=False)
-    _mirror: np.ndarray = field(init=False, repr=False, compare=False)
-    _nphase: int = field(init=False, repr=False, compare=False)
-    _rows: tuple = field(init=False, repr=False, compare=False)
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
+    _nexp: int = field(init=False, repr=False, compare=False)
+    _npair: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         N = int(self.norbitals)
@@ -127,116 +121,71 @@ class HoppingModel:
             if deviation > PAIRING_ATOL * scale:
                 raise HoppingConflict(f"T({-m1},{-m2}) != T({m1},{m2})^dagger "
                                       f"(max deviation {deviation:.3e})")
-        # flatten nonzero entries: displacement gamma + r_col - r_row per entry;
-        # the empty first pieces keep the shapes valid for a model without terms
+        # per nonzero entry (a, b) of each T(gamma) its displacement
+        # gamma + r_b - r_a; the empty first pieces keep the shapes valid for
+        # a model without terms
         disp, flat, vals = [np.zeros((0, 2))], [np.zeros(0, np.intp)], [np.zeros(0, complex)]
         for (m1, m2), T in terms.items():
             a, b = np.nonzero(T)
             disp.append(m1 * self.lattice.a1 + m2 * self.lattice.a2 + pos[b] - pos[a])
             flat.append(a * N + b)
             vals.append(T[a, b])
-        flat, disp = np.concatenate(flat), np.concatenate(disp)
-        rows, first, distinct = np.unique(disp, axis=0, return_index=True,
-                                          return_inverse=True)
-        # one exp per +- pair: a row whose exact negation is an earlier row
-        # takes the conj of that row's phase, and the zero row takes 1
-        rows = [tuple(r) for r in rows.tolist()]
-        index = {r: u for u, r in enumerate(rows)}
-        partner = [index.get(tuple(-x for x in r), len(rows)) for r in rows]
-        zero = [u for u, r in enumerate(rows) if not any(r)]
-        mirrored = [u for u, v in enumerate(partner) if v < u]
-        own = [u for u in range(len(rows)) if u not in mirrored + zero]
-        order = own + mirrored + zero
-        place = np.empty(len(rows), dtype=np.intp)
-        place[order] = np.arange(len(rows))
-        for name, arr in (
-            ("_disp", disp),
-            ("_vals", np.concatenate(vals)),
-            ("_slots", np.column_stack([2 * flat, 2 * flat + 1]).ravel()),
-            ("_first", first[own]),
-            ("_mirror", place[[partner[u] for u in mirrored]]),
-        ):
+        rows, distinct = np.unique(np.concatenate(disp), axis=0, return_inverse=True)
+        # one exp per +- pair: the phase matrix's columns are the rows whose
+        # exact negation is a later row (_npair of them), the other nonzero
+        # rows, then those negations in the same order, which take the conj
+        # of the first columns, and the zero row, which takes 1
+        keys = [tuple(r) for r in rows.tolist()]
+        index = {r: u for u, r in enumerate(keys)}
+        partner = [index.get(tuple(-x for x in r), -1) for r in keys]
+        paired = [u for u, v in enumerate(partner) if v > u]
+        single = [u for u, v in enumerate(partner) if v < 0]
+        zero = [u for u, v in enumerate(partner) if v == u]
+        order = paired + single + [partner[u] for u in paired] + zero
+        table = np.zeros((len(keys), N * N), dtype=complex)
+        np.add.at(table, (distinct.ravel(), np.concatenate(flat)), np.concatenate(vals))
+        for name, arr in (("_disp", rows[order]), ("_table", table[order])):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_nphase", len(rows))
-        object.__setattr__(self, "_rows", tuple(zip(flat.tolist(),
-                                                    place[distinct.ravel()].tolist())))
+        object.__setattr__(self, "_nexp", len(paired) + len(single))
+        object.__setattr__(self, "_npair", len(paired))
 
     # -- vectorized evaluation over a batch of momenta ----------------------
 
-    def _weights(self, derivs: tuple) -> np.ndarray:
-        """Per-entry T-entry times the factor that the k-derivative named by
-        ``derivs`` brings down from the phase: () for H, (j,) for dH/dk_j,
-        (j, l) for d^2H/dk_j dk_l; ValueError unless each of j, l is 1 or 2."""
-        if not derivs:
-            return self._vals
-        _require_directions(*derivs)
-        d = self._disp[:, derivs[0] - 1]
-        if len(derivs) == 1:
-            return self._vals * (1j * d)
-        return self._vals * (-d * self._disp[:, derivs[1] - 1])
-
     def _assemble(self, ks: np.ndarray, derivatives) -> list:
-        """One C-contiguous (M, N, N) stack per entry of ``derivatives`` (see
-        _weights), every stack summing its entries in term order from 0.0, so
-        each is bit-identical to its own h_batch/dh_batch/d2h_batch call.
+        """One C-contiguous (M, N, N) stack per entry of ``derivatives``: ()
+        for H, (j,) for dH/dk_j, (j, l) for d^2H/dk_j dk_l; ValueError unless
+        each of j, l is 1 or 2.
 
-        Below _ROW_SUM_MIN_BATCH momenta, one exp of the (M x n_entries)
-        phase matrix and one np.bincount scatter per stack.  From there on,
-        one exp per +- pair of distinct displacements (6 of 18 entries on the
-        honeycomb, 2 of 18 on QWZ; see _row_sums) and, per stack, a row sum
-        over the entries into an (N^2, M) accumulator, transposed once; its
-        fixed cost of a few microseconds per entry loses below 64-384
-        momenta, depending on the model and the number of stacks (measured
-        crossover)."""
+        The Fourier sum over distinct displacements d_u: one (M x U) phase
+        matrix exp(i k . d_u), with one exp per +- pair (the argument of -d
+        is the exact negation of that of d, so its phase is the conj) and 1
+        for the zero displacement, and per stack one contraction of it with
+        the coefficient table T_u weighted by the factor the derivative
+        brings down (1, i d_uj or -d_uj d_ul).  Every stack is one matmul of
+        the same phase matrix, so it is bit-identical to its own
+        h_batch/dh_batch/d2h_batch call."""
         ks = np.asarray(ks, dtype=float).reshape(-1, 2)
-        arg = ks @ self._disp.T
-        if len(ks) >= _ROW_SUM_MIN_BATCH:
-            return self._row_sums(arg, derivatives)
-        phase = 1j * arg
-        np.exp(phase, out=phase)
-        M, size = ks.shape[0], 2 * self.norbitals**2
-        # np.bincount adds each bin's weights in input order, so every matrix
-        # element sums its entries in term order, as np.add.at would
-        bins = (np.arange(M)[:, None] * size + self._slots).ravel()
-        shape = (M, self.norbitals, self.norbitals)
-        stacks = []
-        for n, derivs in enumerate(derivatives, 1):
-            # the last stack reuses the phase matrix, so a single stack needs
-            # no second (M x n_entries) array
-            terms = np.multiply(phase, self._weights(derivs),
-                                out=phase if n == len(derivatives) else None)
-            out = np.bincount(bins, terms.view(float).ravel(), minlength=M * size)
-            stacks.append(out.view(complex).reshape(shape))
-        return stacks
-
-    def _row_sums(self, arg: np.ndarray, derivatives) -> list:
-        """_assemble's large-batch path from the (M x n_entries) phase
-        arguments: the same phases and products, added per matrix element in
-        the same order as the scatter's bins.
-
-        One contiguous phase row per distinct displacement, one exp per +-
-        pair: a row is the exp of its first entry's column of the scatter's
-        own phase arguments, or the conj of its exact negation's row, or 1
-        for the zero displacement.  The argument of -d is the exact negation
-        of that of d, and cos is even and sin odd, so all three are the bits
-        the scatter's exp gives."""
-        (M, _), N = arg.shape, self.norbitals
-        n_exp, n_conj = len(self._first), len(self._mirror)
-        phase = np.empty((self._nphase, M), dtype=complex)
-        own = phase[:n_exp]
-        np.multiply(1j, arg.T[self._first], out=own)
+        n_exp, n_pair = self._nexp, self._npair
+        phase = np.empty((len(ks), len(self._disp)), dtype=complex)
+        own = phase[:, :n_exp]
+        np.multiply(1j, ks @ self._disp[:n_exp].T, out=own)
         np.exp(own, out=own)
-        np.conjugate(own[self._mirror], out=phase[n_exp:n_exp + n_conj])
-        phase[n_exp + n_conj:] = 1.0
-        term = np.empty(M, dtype=complex)
-        stacks = []
-        for derivs in derivatives:
-            acc = np.zeros((N * N, M), dtype=complex)
-            for (slot, row), w in zip(self._rows, self._weights(derivs).tolist()):
-                np.add(acc[slot], np.multiply(phase[row], w, out=term), out=acc[slot])
-            stacks.append(np.ascontiguousarray(acc.T).reshape(M, N, N))
-        return stacks
+        np.conjugate(phase[:, :n_pair], out=phase[:, n_exp:n_exp + n_pair])
+        phase[:, n_exp + n_pair:] = 1.0
+        shape = (len(ks), self.norbitals, self.norbitals)
+        return [(phase @ self._weighted(derivs)).reshape(shape) for derivs in derivatives]
+
+    def _weighted(self, derivs: tuple) -> np.ndarray:
+        """The coefficient table times the factor that the k-derivative named
+        by ``derivs`` brings down from the phase (see _assemble)."""
+        if not derivs:
+            return self._table
+        _require_directions(*derivs)
+        d = self._disp[:, derivs[0] - 1, None]
+        if len(derivs) == 1:
+            return self._table * (1j * d)
+        return self._table * (-d * self._disp[:, derivs[1] - 1, None])
 
     def h_batch(self, ks: np.ndarray) -> np.ndarray:
         """H(k) for a batch of momenta; shape (M, N, N)."""

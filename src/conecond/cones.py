@@ -572,9 +572,9 @@ def neighborhoods_disjoint(cones, lat: Lattice2D, eps: float) -> bool:
     radii = np.array([eps / (2.0 * np.sqrt(np.linalg.eigvalsh(c.Q)[0])) for c in cones])
     z = lat.to_zone(np.array([c.omega for c in cones]).reshape(-1, 2))
     a, b = np.indices((len(cones),) * 2).reshape(2, -1)
-    for d in lat.images(z[b] - z[a]):
-        itself = (a == b) & ~d.any(axis=1)
-        if not np.all((np.hypot(d[:, 0], d[:, 1]) > radii[a] + radii[b]) | itself):
+    for x, y in lat.images(z[b] - z[a]):
+        itself = (a == b) & (x == 0.0) & (y == 0.0)
+        if not np.all((np.hypot(x, y) > radii[a] + radii[b]) | itself):
             return False
     return True
 
@@ -603,7 +603,8 @@ def b_epsilon_membership(cones, k, eps: float, lat: Lattice2D):
     omegas = np.array([c.omega for c in cones]).reshape(-1, 2)
     Q = np.array([c.Q for c in cones]).reshape(-1, 2, 2)
     z = lat.to_zone(np.asarray(k, dtype=float).reshape(2) - omegas)
-    q = np.min([np.einsum("li,lij,lj->l", d, Q, d) for d in lat.images(z)], axis=0)
+    images = [np.column_stack(xy) for xy in lat.images(z)]
+    q = np.min([np.einsum("li,lij,lj->l", d, Q, d) for d in images], axis=0)
     hit = np.flatnonzero(2.0 * np.sqrt(q) < eps)
     return int(hit[0]) if hit.size else None
 
@@ -623,7 +624,7 @@ def fermi_point_separation(cones, lat: Lattice2D) -> float:
         S = np.linalg.cholesky(cone.Q).T
         basis, _ = _reduced_basis(*(S @ lat.zone).T)
         d = np.linalg.solve(basis, S @ (omegas - cone.omega).T).T
-        dist = np.array([np.hypot(v[:, 0], v[:, 1]) for v in _images(basis, d)])
+        dist = np.array([np.hypot(x, y) for x, y in _images(basis, d)])
         dist[dist[:, l] == 0.0, l] = np.inf    # the cone itself, not an image
         best = min(best, float(dist.min()))
     return best

@@ -58,12 +58,15 @@ def _reduced_basis(u, v):
 
 def _images(basis: np.ndarray, d):
     """The 3 x 3 images of displacements d (M, 2) given in the coordinates of
-    a reduced ``basis`` (columns), one (M, 2) array per shift: d is wrapped
-    into [-1/2, 1/2)^2, shifted, then mapped through ``basis``.  The basis
-    is reduced, so the nearest image is among them."""
-    w = wrap_fractional(d)
-    for shift in _IMAGE_SHIFTS:
-        yield (w + shift) @ basis.T
+    a reduced ``basis`` (columns), one (x, y) pair of (M,) arrays per shift:
+    d is wrapped into [-1/2, 1/2)^2, shifted, then mapped through ``basis``
+    on column arrays (an (M, 2) matmul per image costs several times more).
+    The basis is reduced, so the nearest image is among them."""
+    (z11, z12), (z21, z22) = basis
+    w1, w2 = np.ascontiguousarray(wrap_fractional(d).T)
+    for s1, s2 in _IMAGE_SHIFTS:
+        u1, u2 = w1 + s1, w2 + s2
+        yield u1 * z11 + u2 * z12, u1 * z21 + u2 * z22
 
 
 class DegenerateBasis(ValueError):
@@ -125,8 +128,8 @@ class Lattice2D:
 
     def images(self, d):
         """Cartesian 3 x 3 images of zone-coordinate displacements d (M, 2),
-        _images over the zone basis; every cartesian minimum-image search
-        goes through here."""
+        as (x, y) pairs: _images over the zone basis; every cartesian
+        minimum-image search goes through here."""
         return _images(self.zone, d)
 
 
@@ -221,17 +224,13 @@ def uniform_grid(lattice: Lattice2D, n1: int, n2: int) -> KGrid:
 
 def _min_cart_distance(lattice: Lattice2D, frac: np.ndarray, centers) -> np.ndarray:
     """Cartesian distance from each zone-coordinate point (M, 2) to the
-    nearest of the cartesian `centers`, modulo the dual lattice: the 3 x 3
-    images of Lattice2D.images, each mapped through the zone basis on column
-    arrays (an (M, 2) matmul per image costs several times more)."""
-    (z11, z12), (z21, z22) = lattice.zone
+    nearest of the cartesian `centers`, modulo the dual lattice (the 3 x 3
+    images of Lattice2D.images)."""
     dmin = np.full(frac.shape[0], np.inf)
     for c in centers:
         cf = wrap_fractional(lattice.to_zone(np.asarray(c, dtype=float)))
-        w1, w2 = np.ascontiguousarray(wrap_fractional(frac - cf).T)
-        for s1, s2 in _IMAGE_SHIFTS:
-            u1, u2 = w1 + s1, w2 + s2
-            dmin = np.minimum(dmin, np.hypot(u1 * z11 + u2 * z12, u1 * z21 + u2 * z22))
+        for x, y in lattice.images(frac - cf):
+            dmin = np.minimum(dmin, np.hypot(x, y))
     return dmin
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import conecond as cc
 from conftest import random_momenta, square_model_dict
 
-# one batch on each side of the size from which _assemble takes its row sum
-ASSEMBLY_BATCHES = (cc.bloch._ROW_SUM_MIN_BATCH - 1, 16 * cc.bloch._ROW_SUM_MIN_BATCH)
+# one momentum (BLAS's one-row path), an odd batch and a full Kubo chunk
+ASSEMBLY_BATCHES = (1, 255, 4096)
 
 
 def brute_force_h(model, k):
@@ -95,69 +95,61 @@ def skewed_generic_model():
 BUILT_MODELS = {"three_orbital": three_orbital_model, "skewed_generic": skewed_generic_model}
 
 
-def per_term_derivatives(model, k, j, l):
-    """H, dH/dk_j and d^2H/dk_j dk_l by a straight loop over the terms."""
+def per_term_derivatives(model, ks, j, l):
+    """H, dH/dk_j and d^2H/dk_j dk_l at the momenta ks (M, 2) by a straight
+    loop over the terms and their entries; shape (3, M, N, N).  Each phase
+    argument is the dot product k . d of one momentum, as ``k @ d`` takes it."""
     N = model.norbitals
-    out = np.zeros((3, N, N), dtype=complex)
+    out = np.zeros((3, len(ks), N, N), dtype=complex)
     A = model.lattice.direct_matrix
     for (m1, m2), T in model.terms.items():
         cell_cart = A @ np.array([m1, m2], dtype=float)
         for a in range(N):
             for b in range(N):
                 d = cell_cart + model.positions[b] - model.positions[a]
-                term = np.exp(1j * (k @ d)) * T[a, b]
-                out[0, a, b] += term
-                out[1, a, b] += 1j * d[j - 1] * term
-                out[2, a, b] += -d[j - 1] * d[l - 1] * term
+                term = np.exp(1j * np.vecdot(ks, d)) * T[a, b]
+                out[0, :, a, b] += term
+                out[1, :, a, b] += 1j * d[j - 1] * term
+                out[2, :, a, b] += -d[j - 1] * d[l - 1] * term
     return out
 
 
-@pytest.mark.parametrize("fixture", ["haldane_critical", "three_orbital"])
+@pytest.mark.parametrize("fixture", ["haldane_critical", "three_orbital", "skewed_generic"])
 def test_batched_assembly_matches_per_term_loop(fixture, request):
     # the honeycomb's next-nearest-neighbour terms and every entry of the
-    # 3-orbital model collect several terms into one matrix entry
-    model = (three_orbital_model() if fixture == "three_orbital"
-             else request.getfixturevalue(fixture))
-    ks = random_momenta(model.lattice, 40, seed=3)
-    for j in (1, 2):
-        for l in (1, 2):
-            batch = (model.h_batch(ks), model.dh_batch(ks, j),
-                     model.d2h_batch(ks, j, l))
-            for i, k in enumerate(ks):
-                ref = per_term_derivatives(model, k, j, l)
-                for got, want in zip(batch, ref):
-                    scale = max(1.0, np.abs(want).max())
-                    assert np.abs(got[i] - want).max() <= 1e-14 * scale
-
-
-@pytest.mark.parametrize("fixture", ["haldane_critical", "three_orbital", "skewed_generic"])
-def test_batched_assembly_sums_in_term_order(fixture, request):
-    # every matrix element adds its entries in term order, exactly as an
-    # np.add.at scatter of the same phases does (bit for bit, signed zeros
-    # included), on both assembly paths; the row sum's conj of a mirrored
-    # row and 1 for the zero row are the scatter's exp bits
+    # 3-orbital model collect several terms into one matrix entry; the
+    # skewed model has displacement rows without an exact mirror, which
+    # take their own exp, next to mirrored rows and the zero row
     model = (BUILT_MODELS[fixture]() if fixture in BUILT_MODELS
              else request.getfixturevalue(fixture))
     if fixture == "skewed_generic":
-        # exp rows without a mirror, conj rows and the zero row all occur
-        n_exp, n_conj = len(model._first), len(model._mirror)
-        assert n_exp > n_conj > 0 and model._nphase == n_exp + n_conj + 1
-    N = model.norbitals
-    flat = model._slots[0::2] // 2
-    for ks in [random_momenta(model.lattice, n, seed=5) for n in ASSEMBLY_BATCHES] + [
-            np.zeros((1, 2))]:
-        phases = np.exp(1j * (ks @ model._disp.T)) * model._vals
-        ref = np.zeros((len(ks), N, N), dtype=complex)
-        np.add.at(ref, (slice(None), flat // N, flat % N), phases)
-        H = model.h_batch(ks)
-        assert H.flags.c_contiguous and H.tobytes() == ref.tobytes()
+        n_pair = model._npair
+        assert model._nexp > n_pair > 0 and len(model._disp) == model._nexp + n_pair + 1
+    for n in ASSEMBLY_BATCHES:
+        ks = random_momenta(model.lattice, n, seed=3)
+        for j in (1, 2):
+            for l in (1, 2):
+                batch = (model.h_batch(ks), model.dh_batch(ks, j),
+                         model.d2h_batch(ks, j, l))
+                for got, want in zip(batch, per_term_derivatives(model, ks, j, l)):
+                    scale = np.maximum(1.0, np.abs(want).max(axis=(1, 2)))
+                    assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-14 * scale).all()
+
+
+@pytest.mark.parametrize("n", ASSEMBLY_BATCHES)
+def test_model_without_terms_assembles_zero_stacks(n):
+    model = cc.HoppingModel(lattice=cc.make_lattice([1.0, 0.2], [0.3, 1.1]), norbitals=3,
+                            positions=np.zeros((3, 2)), terms={}, fermi_energy=0.0)
+    ks = random_momenta(model.lattice, n, seed=4)
+    for stack in model._assemble(ks, [(), (1,), (2,), (1, 2)]):
+        assert stack.shape == (n, 3, 3) and stack.flags.c_contiguous
+        assert not stack.any()
 
 
 @pytest.mark.parametrize("fixture", ["haldane_critical", "three_orbital", "skewed_generic"])
 def test_shared_phase_stacks_match_single_calls(fixture, request):
-    # H, both currents and a second derivative from one exp of the phase
-    # matrix are each bit-identical to their own assembly call, on both
-    # assembly paths
+    # H, both currents and a second derivative from one phase matrix are
+    # each bit-identical to their own assembly call
     model = (BUILT_MODELS[fixture]() if fixture in BUILT_MODELS
              else request.getfixturevalue(fixture))
     for n in ASSEMBLY_BATCHES:
@@ -407,6 +399,15 @@ def test_conflicting_model_file_rejected(model_file):
     data["hoppings"].append({"cell": [-1, 0], "matrix": [[[0.5, 0.0]]]})
     with pytest.raises(cc.HoppingConflict, match="dagger"):
         cc.load_model(model_file(data))
+
+
+def test_unpaired_term_refused_at_construction():
+    # model_from_dict fills in a missing partner; a model built directly
+    # is refused instead
+    with pytest.raises(cc.HoppingConflict,
+                       match=r"term at \(1,0\) has no partner at \(-1,0\)"):
+        cc.HoppingModel(lattice=cc.make_lattice([1.0, 0.0], [0.0, 1.0]), norbitals=1,
+                        positions=[(0.0, 0.0)], terms={(1, 0): [[1.0]]}, fermi_energy=0.0)
 
 
 def test_load_model_bad_json(tmp_path):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import conecond as cc
+from conecond.cli import json_report as cli_json_report
 from conecond.cli import main as cli_main
 
 from conftest import hex_flat_band_dict, square_model_dict
@@ -278,6 +279,17 @@ def test_validate_passes_on_presets(capsys):
             "derivative_consistency", "second_derivative_consistency",
             "second_derivative_symmetry", "spectrum_periodicity",
         ]
+
+
+# -- JSON reports -------------------------------------------------------------------
+
+@pytest.mark.parametrize("value, error, message", [
+    (float("nan"), ValueError, r"non-finite value in JSON report"),
+    (object(), TypeError, r"cannot serialize <class 'object'>"),
+], ids=["nan", "object"])
+def test_json_report_refuses_what_it_cannot_write(value, error, message):
+    with pytest.raises(error, match=message):
+        cli_json_report({"sigma": {"11": value}})
 
 
 # -- bands --------------------------------------------------------------------------

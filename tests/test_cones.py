@@ -265,6 +265,13 @@ def test_fit_cone_rejects_bad_radii(haldane_critical, haldane_cones, radii):
         cc.characterize_cones(haldane_critical, coarse=32, radii=radii)
 
 
+def test_fit_cone_rejects_single_radius(haldane_critical, haldane_cones):
+    # one circle leaves nothing to extrapolate r -> 0 from
+    with pytest.raises(ValueError, match=r"need at least two radii for the r -> 0 "
+                                         r"extrapolation"):
+        cc.fit_cone(haldane_critical, haldane_cones[0].omega, radii=[0.01])
+
+
 @pytest.mark.parametrize("radii", [[1e-16, 2e-16], [1e-13, 2e-13]], ids=["1e-16", "1e-13"])
 def test_fit_cone_refuses_unresolving_radii(haldane_critical, haldane_cones, qwz_aniso,
                                             qwz_aniso_cones, radii):
@@ -374,6 +381,15 @@ def test_fermi_point_validation():
         synthetic_cone([[1.0, 0.0], [0.0, -1.0]])    # not positive definite
     with pytest.raises(ValueError):
         synthetic_cone(np.eye(2), tilt=(2.0, 0.0))   # cone condition violated
+
+
+@pytest.mark.parametrize("gap", [1e-6, 2e-6], ids=["at-tolerance", "above-tolerance"])
+def test_fermi_point_refuses_gap_at_or_above_tolerance(gap):
+    # the verified gap at omega must fall strictly below gap_tol
+    with pytest.raises(ValueError, match=rf"gap {gap:.3e} at omega exceeds "
+                                         r"tolerance 1\.000e-06"):
+        cc.FermiPoint(omega=np.zeros(2), Q=np.eye(2), tilt=np.zeros(2), residual=0.0,
+                      gap_at_omega=gap, gap_tol=1e-6)
 
 
 # -- cone condition and quantization ---------------------------------------------
@@ -498,6 +514,11 @@ def test_epsilon_too_large_rejected(haldane_critical, haldane_cones):
     sep = cc.fermi_point_separation(haldane_cones, lat)
     with pytest.raises(cc.EpsilonTooLarge):
         cc.b_epsilon_membership(haldane_cones, np.zeros(2), 2.0 * sep, lat)
+
+
+def test_fermi_point_separation_refuses_no_cones(square_lattice):
+    with pytest.raises(ValueError, match="need at least one cone"):
+        cc.fermi_point_separation([], square_lattice)
 
 
 def test_neighborhood_separation_scales(haldane_critical, haldane_cones):

@@ -4,11 +4,16 @@ The values were re-recorded when GridPolicy's core radius was sized by the
 region the resolution gate inspects (R_core = 5 eta / sqrt(lambda*), before
 8 eta / sqrt(lambda*)), which moves every refined grid and so every value
 here on purpose.  They pin the per-point layers (the H/J assembly, the
-two-band block kernel and the refinement hit test) to 1e-12 relative: a
-rewrite of those for speed moves the sums and their companion differences
-only by rounding.  Grids are 16 x 16 base grids and three eta values, so the
-runs take about a second each; the accuracy against the analytic values is
-the acceptance suite's business, not this file's.
+two-band block kernel and the refinement hit test) to 1e-12 relative.  A
+rewrite of those layers that changes only rounding moves the sums by a few
+ulps, but it can move a pinned difference of nearly equal sums (a
+quad_error, a verify discrepancy) by far more than 1e-12 relative: the
+single-path H/J assembly (one Fourier sum over distinct displacements)
+moved three of them by 1.5e-12 to 1.5e-11 and re-recorded just those.  A
+move beyond ~1e-9 relative is not rounding.  Grids are 16 x 16 base grids
+and three eta values, so the runs take about a second each; the accuracy
+against the analytic values is the acceptance suite's business, not this
+file's.
 """
 
 import json
@@ -48,7 +53,7 @@ KUBO_GOLDEN = {
         {"11": [(0.12501845186301486, 0.5936312828978196),
                 (0.12469389755741078, 1.2828634048467924)],
          "22": [(0.03343585338653199, 0.004325126737244611),
-                (0.032320401506696905, 0.0029084311023530596)]},
+                (0.032320401506696905, 0.0029084311023486187)]},
     ),
 }
 
@@ -74,8 +79,8 @@ def test_sigma_kubo_reduced_grid_golden(capsys, name):
 VERIFY_GOLDEN = {
     "schwinger_vs_f0": (0.0009495016862031691, "pass"),
     "singular_regular_flatness": (5.156981087428569e-05, "pass"),
-    "zeta_vs_fsing_sigma": (0.0008542589144273915, "pass"),
-    "closed_vs_kubo": (0.0014533299041245764, "fail"),
+    "zeta_vs_fsing_sigma": (0.0008542589144401591, "pass"),
+    "closed_vs_kubo": (0.0014533299041158054, "fail"),
 }
 
 

@@ -277,6 +277,12 @@ def test_estimate_and_report_validation():
         cc.ConductivityReport(method="closed_form", sigma={(1, 1): -0.01})
 
 
+def test_closed_form_report_refuses_off_diagonal(qwz_cones):
+    with pytest.raises(ValueError, match=r"the closed form covers longitudinal "
+                                         r"directions only \(j = l\)"):
+        cc.closed_form_report(qwz_cones, ((1, 2),))
+
+
 # -- cone-neighborhood integrals ----------------------------------------------------
 
 def test_empty_cone_list_gives_zero():
@@ -941,6 +947,19 @@ def test_sigma_hall_gapless_routes():
     with pytest.raises(cc.Gapless, match=r"minimum Fermi-level gap 0\.405") as caught:
         cc.sigma_hall(cc.preset_haldane(1.0, 0.0, 0.0, 0.2))
     assert caught.value.__cause__ is None
+
+
+def test_sigma_hall_degeneracy_on_a_grid_point():
+    # H = cos k1 s3 is degenerate on the lines k1 = +-pi/2, where the base-2
+    # grid's midpoints sit: the degeneracy refusal comes before the gate
+    s3 = np.diag([1.0, -1.0])
+    model = cc.HoppingModel(lattice=cc.make_lattice([1.0, 0.0], [0.0, 1.0]), norbitals=2,
+                            positions=np.zeros((2, 2)),
+                            terms={(1, 0): 0.5 * s3, (-1, 0): 0.5 * s3}, fermi_energy=0.0)
+    with pytest.raises(cc.Gapless, match=r"Fermi-level degeneracy .* at grid point .*; "
+                                         r"the Hall estimate needs a gapped model") as caught:
+        cc.sigma_hall(model, grid_policy=cc.GridPolicy(base=2))
+    assert isinstance(caught.value.__cause__, cc.DegeneratePoint)
 
 
 def test_sigma_hall_refuses_gapless(qwz_u0):

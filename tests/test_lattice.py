@@ -161,12 +161,15 @@ def test_refined_grid_schedule_equals_chained_levels(case, request):
 
 
 def _matmul_min_distance(lattice, frac, centers):
-    """refined_grid's hit distance as an (M, 2) matmul per image (through
-    Lattice2D.images): the reference for its column arrays."""
+    """refined_grid's hit distance with each wrapped, shifted image mapped
+    through the zone basis as an (M, 2) matmul: the reference for the
+    column arrays of Lattice2D.images."""
     dmin = np.full(frac.shape[0], np.inf)
     for c in centers:
         cf = cc.lattice.wrap_fractional(lattice.to_zone(np.asarray(c, dtype=float)))
-        for dk in lattice.images(frac - cf):
+        w = cc.lattice.wrap_fractional(frac - cf)
+        for shift in cc.lattice._IMAGE_SHIFTS:
+            dk = (w + shift) @ lattice.zone.T
             dmin = np.minimum(dmin, np.hypot(dk[:, 0], dk[:, 1]))
     return dmin
 

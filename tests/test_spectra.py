@@ -66,6 +66,12 @@ def test_eigh_rejects_non_hermitian():
         cc.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)], ids=["2x3", "vector", "stack"])
+def test_eigh_rejects_non_square(shape):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        cc.eigh(np.zeros(shape))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_eigh_unitary_conjugation_invariance(seed):
