@@ -33,6 +33,7 @@ from .lattice import DegenerateBasis, Lattice2D, make_lattice, uniform_grid
 __all__ = [
     "HoppingConflict",
     "ModelFormatError",
+    "NumericalError",
     "HoppingModel",
     "h_at",
     "dh_at",
@@ -54,6 +55,12 @@ class HoppingConflict(ValueError):
 
 class ModelFormatError(ValueError):
     """Model file/dict does not match the documented schema."""
+
+
+class NumericalError(ValueError):
+    """The input is well formed, but this computation cannot give a number
+    that can be trusted for it (a degenerate point, an unresolvable grid, a
+    crossing that is not conical, ...).  The CLI exits 4 on every subclass."""
 
 
 @dataclass(frozen=True)

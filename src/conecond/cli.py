@@ -12,7 +12,8 @@ Output conventions
 
 Exit codes: 0 ok; 1 configuration error; 2 validation/verification failure;
 3 conductivity sequence not converged (report still emitted); 4 numerical
-error (degeneracies, unresolvable grids, contour failures, ...).
+error, any bloch.NumericalError (degeneracies, unresolvable grids,
+non-conical crossings, ...).
 """
 
 from __future__ import annotations
@@ -29,16 +30,13 @@ from .bloch import (
     HoppingConflict,
     HoppingModel,
     ModelFormatError,
+    NumericalError,
     covariance_defect,
     load_model,
     preset_haldane,
     preset_qwz,
 )
 from .cones import (
-    BandCrossingRegion,
-    EpsilonTooLarge,
-    NoConvergence,
-    NotConical,
     characterize_cones,
     check_cone_condition,
     find_fermi_points,
@@ -46,13 +44,8 @@ from .cones import (
     is_quantizing,
 )
 from .kubo import (
-    DegeneratePoint,
-    FdStepTooLarge,
-    Gapless,
     GridPolicy,
-    GridTooCoarse,
     NotConverged,
-    TwoBandIsolationFailed,
     _cone_pass,
     _eta_sweep,
     _unconverged,
@@ -67,25 +60,10 @@ from .kubo import (
 # perfbench/spans.py wraps them at this module
 from .kubo import fjj_sing, fjl_eta, ftilde_jj, schwinger, zeta_jj  # noqa: F401
 from .lattice import wrap_fractional
-from .spectra import AllBandsOnOneSide
 
 __all__ = ["ConfigParse", "RunConfig", "main"]
 
 UNITS_NOTE = "natural units (e = hbar = 1)"
-
-_CONFIG_ERRORS = (ModelFormatError,)
-_NUMERICAL_ERRORS = (
-    DegeneratePoint,
-    GridTooCoarse,
-    TwoBandIsolationFailed,
-    Gapless,
-    EpsilonTooLarge,
-    FdStepTooLarge,
-    NotConical,
-    NoConvergence,
-    BandCrossingRegion,
-    AllBandsOnOneSide,
-)
 
 
 class ConfigParse(ValueError):
@@ -780,10 +758,10 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return _COMMANDS[args.command](cfg)
-    except (ConfigParse, *_CONFIG_ERRORS) as exc:
+    except (ConfigParse, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import HoppingModel, _max_current_norm, _require_directions, h_at
+from .bloch import (HoppingModel, NumericalError, _max_current_norm, _require_directions,
+                    h_at)
 from .lattice import (Lattice2D, _images, _min_cart_distance, _reduced_basis,
                       uniform_grid, wrap_fractional)
 from .spectra import AllBandsOnOneSide, _level_bounds
@@ -64,26 +65,26 @@ _MAX_ISOLATED_POINTS = 16
 _QUANTIZING_RTOL = 1e-9
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(NumericalError, RuntimeError):
     """A Fermi-point search that does not converge.  Nothing raises it today:
     the gap minimization reports a plateau above tolerance as a warning of
     its scan.  It stays exported as the refusal of the batched locator
     planned in ROADMAP.md (Direction 1)."""
 
 
-class BandCrossingRegion(ValueError):
+class BandCrossingRegion(NumericalError):
     """Bands cross the Fermi level on a positive-measure set, not at points."""
 
 
-class NotConical(ValueError):
+class NotConical(NumericalError):
     """Band touching is not conical (fitted quadratic form is degenerate)."""
 
 
-class EpsilonTooLarge(ValueError):
+class EpsilonTooLarge(NumericalError):
     """The cone neighborhoods B_eps overlap; shrink eps."""
 
 
-class TwoBandIsolationFailed(ValueError):
+class TwoBandIsolationFailed(NumericalError):
     """A third band enters the sampled cone window (fit circles or B_eps);
     shrink the window."""
 

@@ -51,7 +51,10 @@ from that eigen-decomposition (only the Lorentzian depends on eta).  One
 eta loop, _eta_sweep, serves sigma_kubo, sigma_hall and verify (whose
 value-only requests join its fine passes), and it gives each distinct grid
 one pass: without cones the grids do not depend on eta, so the whole
-sequence is summed on one uniform fine grid and its companion.
+sequence is summed on one uniform fine grid and its companion.  The grids
+come from GridPolicy, sized in momentum units by the resolution gate of
+_pair_sum_on_grid that they must pass, so scaling every hopping and eta
+alike, or stretching the lattice, changes neither the grid sizes nor sigma.
 
 k-sums are accumulated with a fixed-shape pairwise (tree) reduction, making
 results bit-stable under any chunked evaluation order.
@@ -63,7 +66,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bloch import HoppingModel, _max_current_norm, _max_frobenius, _require_directions
+from .bloch import (HoppingModel, NumericalError, _max_current_norm, _max_frobenius,
+                    _require_directions)
 from .cones import (
     FermiPoint,
     TwoBandIsolationFailed,
@@ -118,35 +122,36 @@ _CHUNK = 4096
 #: floor so that estimates decaying to zero (gapped models) can converge
 _CONV_RTOL = 0.02
 _CONV_ATOL = 1e-4
-#: GridPolicy's refinement schedule (see its docstring)
+#: the resolution gate of _pair_sum_on_grid: at the points whose Fermi gap is
+#: below _GATE_WINDOW |eta|, cell spacing x current slope must stay at most
+#: |eta| / _GATE_CELL, so that each cell resolves the width-eta Lorentzian
+_GATE_WINDOW = 4.0
+_GATE_CELL = 4.0
+#: GridPolicy's refinement schedule, sized by that gate (see its docstring).
+#: _CORE_MARGIN covers the bands' curvature away from a cone: the gate region
+#: of the presets reaches up to 1.09x the conical disk at grid eta <= 0.1
+#: (1.29x at eta = 0.2 on the honeycomb).  _SPACING_MARGIN covers the current
+#: norm of a 48 x 48 sample against the grid's own, which the gate reads.
 _OUTER_RADIUS_FACTOR = 0.35
-#: R_core = slope x eta / sqrt(lambda*) is sized by the resolution gate of
-#: _pair_sum_on_grid.  The fine grid built for eta also carries the f(2 eta)
-#: request, whose gate inspects the points with Fermi gap below 4 (2 eta).
-#: Near a cone the gap is 2 sqrt(d^T Q d), so those points satisfy
-#: sqrt(d^T Q d) < 4 eta and lie in the disk |d| < 4 eta / sqrt(lambda*).
-#: The factor 1.25 is a curvature margin: away from omega the bands bend, and
-#: the gate region of the presets reaches up to 1.09x that disk at grid
-#: eta <= 0.1 (1.29x at eta = 0.2 on the honeycomb).
-_CORE_RADIUS_SLOPE = 1.25 * 4.0
-_SPACING_SLOPE = 8.0
+_CORE_MARGIN = 1.25
+_SPACING_MARGIN = 1.5
 _MAX_LEVELS = 18
 
 
-class DegeneratePoint(ValueError):
+class DegeneratePoint(NumericalError):
     """A grid point carries a Fermi-level band degeneracy; the occupied/
     unoccupied split is undefined there."""
 
 
-class GridTooCoarse(ValueError):
+class GridTooCoarse(NumericalError):
     """Grid spacing near a cone cannot resolve the Lorentzian of width eta."""
 
 
-class Gapless(ValueError):
+class Gapless(NumericalError):
     """Operation requires a gapped model but cones/near-closures were found."""
 
 
-class FdStepTooLarge(ValueError):
+class FdStepTooLarge(NumericalError):
     """zeta_jj's finite-difference step is not small against the B_eps node
     scale (too large an fd_step, or too small an eps for it)."""
 
@@ -238,16 +243,20 @@ class GridPolicy:
     A uniform ``base`` x ``base`` midpoint grid is refined around the cone
     locations by one ``refined_grid`` call over the shrinking radius schedule
     R_level = max(R_outer / 2^level, R_core), where R_outer is 0.35 times the
-    smaller zone-basis norm and R_core = 5 eta / sqrt(lambda*) is the disk
-    the resolution gate inspects, with a margin: the grid for eta also
-    serves f(2 eta), whose gate checks the points with Fermi gap below
-    4 (2 eta), i.e. sqrt(d^T Q d) < 4 eta near a cone (gap 2 sqrt(d^T Q d)),
-    inside |d| < 4 eta / sqrt(lambda*); the factor 1.25 covers the bands'
-    curvature away from the cone.  Levels (at most 18) are added until the
-    refined spacing satisfies spacing <= eta sqrt(lambda*) / (8 max|dH|),
-    i.e. until the half-width-eta Lorentzian is resolved (max|dH| over a
-    48 x 48 sample).  The graded shell of intermediate radii avoids a
-    resolution cliff at the core boundary.  Only ``base`` is set per run.
+    smaller zone-basis norm.  R_core and the number of levels come from the
+    resolution gate the grid must pass (GridTooCoarse: at the points with
+    Fermi gap below 4|eta|, spacing x max|dH| <= |eta|/4).  R_core =
+    1.25 x 4 eta / sqrt(lambda*) holds the gate's region for f(2 eta), which
+    the grid for eta also serves: Fermi gap below 4 (2 eta), i.e.
+    sqrt(d^T Q d) < 4 eta near a cone (gap 2 sqrt(d^T Q d)), inside
+    |d| < 4 eta / sqrt(lambda*); the factor 1.25 covers the bands' curvature
+    away from the cone.  Levels (at most 18) are added until the refined
+    spacing is at most eta / (1.5 x 4 max|dH|), the gate's bound with a
+    margin of 1.5 for max|dH| taken over a 48 x 48 sample.  Both lengths
+    are momenta, so scaling every hopping and eta alike leaves the grids as
+    they are, and stretching the lattice stretches them with it.  The
+    graded shell of intermediate radii avoids a resolution cliff at the
+    core boundary.  Only ``base`` is set per run.
 
     ``grids_for``, the one constructor of Kubo grid pairs, also returns a
     coarsened companion (half the base subdivision, the schedule without its
@@ -264,8 +273,8 @@ class GridPolicy:
         lam_sqrt = np.sqrt(min(c.lambda_star for c in cones))
         jmax = _max_current_norm(model, uniform_grid(lat, 48, 48).points)
         r_outer = _OUTER_RADIUS_FACTOR * min(lat.zone_lengths)
-        r_core = _CORE_RADIUS_SLOPE * eta / lam_sqrt
-        target = eta * lam_sqrt / (_SPACING_SLOPE * jmax)
+        r_core = _CORE_MARGIN * _GATE_WINDOW * eta / lam_sqrt
+        target = eta / (_SPACING_MARGIN * _GATE_CELL * jmax)
         spacing = max(lat.zone_lengths) / self.base
         radii = []
         level = 1
@@ -461,7 +470,7 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
         min_gap = min(min_gap, float(gaps.min(initial=np.inf)))
         if gate:
             for e in gate_etas:
-                near = spacing[sl][idx[gaps < 4.0 * e]]
+                near = spacing[sl][idx[gaps < _GATE_WINDOW * e]]
                 worst_spacing[e] = float(near.max(initial=worst_spacing[e]))
             for d in currents:
                 jmax[d] = max(jmax[d], _max_frobenius(J[d]))
@@ -506,10 +515,10 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
         e = abs(eta)
         if gate and e in worst_spacing:
             slope = max(jmax[j], jmax[l])
-            if worst_spacing[e] * slope > e / 4.0:
+            if worst_spacing[e] * slope > e / _GATE_CELL:
                 raise GridTooCoarse(
                     f"near-cone spacing {worst_spacing[e]:.3e} x slope {slope:.3e} "
-                    f"exceeds eta/4 = {e / 4.0:.3e}; refine the grid"
+                    f"exceeds eta/{_GATE_CELL:g} = {e / _GATE_CELL:.3e}; refine the grid"
                 )
         if j == l and top[r] > 1e-12 * max(1.0, scale[r]):
             raise RuntimeError(
@@ -707,8 +716,6 @@ def _cone_pass(model: HoppingModel, cones, requests, eps,
     there is decomposed once; each request keeps its formula."""
     requests = list(dict.fromkeys(requests))
     _require_directions(*(d for _, _, p in requests for d in p))
-    if any(j != l for _, _, (j, l) in requests):
-        raise ValueError("the B_eps integrals are longitudinal: j must equal l")
     if not all(np.isfinite(eta) for _, eta, _ in requests):
         raise ValueError("eta must be finite")
     if not 0 < fd_step < np.inf:
@@ -996,7 +1003,8 @@ def sigma_hall(model: HoppingModel, eta_sequence=None,
     except GridTooCoarse as exc:
         # without cones the gate fires only where a Fermi gap is below
         # 4 eta <= 4x the largest eta, so the 10x test below would fail too
-        raise Gapless(f"a Fermi-level gap lies below 4 eta <= 4x the largest eta "
+        raise Gapless(f"a Fermi-level gap lies below {_GATE_WINDOW:g} eta <= "
+                      f"{_GATE_WINDOW:g}x the largest eta "
                       f"({max(seq):.6g}), so not above 10x it; {need}") from exc
     if min_gap <= 10.0 * max(seq):
         raise Gapless(

@@ -29,6 +29,7 @@ __all__ = [
     "reduce_to_cell",
     "uniform_grid",
     "refined_grid",
+    "wrap_fractional",
 ]
 
 #: relative determinant threshold below which a basis is rejected

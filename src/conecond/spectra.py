@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import HoppingModel, dh_at, h_at
+from .bloch import HoppingModel, NumericalError, dh_at, h_at
 
 __all__ = [
     "NotHermitian",
@@ -50,7 +50,7 @@ class NotHermitian(ValueError):
     """Input matrix deviates from its adjoint beyond tolerance."""
 
 
-class AllBandsOnOneSide(ValueError):
+class AllBandsOnOneSide(NumericalError):
     """The Fermi level lies outside the spectrum at this momentum."""
 
 

@@ -244,6 +244,32 @@ def test_preset_label_names_the_parameters_run(capsys, params, label):
     assert code == 0 and json.loads(out)["model"] == label
 
 
+@pytest.mark.parametrize("command", ["validate", "bands", "fermi-points", "sigma", "verify"])
+def test_any_numerical_error_exits_4(capsys, monkeypatch, command):
+    # exit 4 is the class NumericalError, not a list of its subclasses: one
+    # that the CLI has never heard of, raised where every command assembles H
+    class Unheard(cc.NumericalError):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Unheard("no number to trust here")
+
+    monkeypatch.setattr(cc.HoppingModel, "_assemble", refuse)
+    code, out, err = run_cli(capsys, command, "--preset", "qwz")
+    assert (code, out, err) == (4, "", "error: Unheard: no number to trust here\n")
+
+
+def test_sigma_kubo_in_other_energy_units(capsys):
+    # graphene with t1 = 2 and the etas doubled: the grids are sized in
+    # momentum units, so they resolve the cones as at t1 = 1
+    code, out, err = run_cli(capsys, "sigma", "--preset", "haldane",
+                             "--params", "t1=2,t2=0.2,phi=0,M=0", "--method", "kubo",
+                             "--eta-seq", "0.4,0.2,0.1,0.05,0.025")
+    assert code == 0, err
+    for key, sigma in json.loads(out)["sigma"].items():
+        assert sigma == pytest.approx(1 / 8, rel=0.02), key
+
+
 def test_eps_too_small_for_zeta_step_is_numerical_error(capsys):
     # at eps = 1e-4 the default fd_step is a fifth of the B_eps node scale
     code, out, err = run_cli(capsys, "verify", "--preset", "qwz", "--grid", "16",

@@ -65,6 +65,7 @@ def test_finder_coarse_grid_invariance(qwz_topological, haldane_critical):
             assert np.linalg.norm(model.lattice.from_fractional(d)) < 1e-7
 
 
+@pytest.mark.slow
 def test_finder_band_crossing_region():
     # dispersion only along k1 gives whole lines of Fermi-level touchings,
     # which the pointwise cone machinery must refuse
@@ -483,6 +484,7 @@ def test_b_epsilon_membership_examples(haldane_critical, haldane_cones):
     assert cc.b_epsilon_membership(iso, np.array([0.1, 0.0]), 0.3, sq) == 0
 
 
+@pytest.mark.slow
 def test_b_epsilon_membership_counts_match_brute_force(haldane_critical,
                                                        haldane_cones):
     lat = haldane_critical.lattice

@@ -67,6 +67,7 @@ def time_domain_response(model, grid, eta, j, l, t_cut=25.0, nt=40001):
 
 # -- time-domain quadrature oracle -------------------------------------------------
 
+@pytest.mark.slow
 def test_frequency_domain_matches_time_quadrature_longitudinal(qwz_u0):
     grid = cc.uniform_grid(qwz_u0.lattice, 48, 48)
     oracle = time_domain_response(qwz_u0, grid, 0.1, 1, 1)
@@ -75,6 +76,7 @@ def test_frequency_domain_matches_time_quadrature_longitudinal(qwz_u0):
     assert abs(est.value - oracle) < 1e-6 * abs(oracle)
 
 
+@pytest.mark.slow
 def test_frequency_domain_matches_time_quadrature_mixed(qwz_gapped):
     # the gapped Chern model has a nonzero mixed response, exercising the
     # imaginary part of the matrix-element product
@@ -837,6 +839,11 @@ def test_sigma_kubo_gapped_converges_to_zero(qwz_gapped, monkeypatch):
     assert passes == [48 * 48, 24 * 24]
 
 
+def test_sigma_kubo_default_eta_sequence(qwz_gapped):
+    report = _kubo_report(qwz_gapped, 1, 1, grid_policy=cc.GridPolicy(base=24))
+    assert report.diagnostics["eta_sequence"] == tuple(cc.default_eta_sequence(qwz_gapped))
+
+
 #: the eta sequence of the kubo_cones benchmark workload
 BENCH_ETAS = [0.2, 0.1, 0.05, 0.025, 0.0125]
 
@@ -880,16 +887,60 @@ def test_sigma_kubo_past_the_presets(name):
         assert abs(report.sigma[p] - target) <= 0.02 * target, p
 
 
-def test_kubo_cones_point_budget(haldane_critical, haldane_cones, qwz_aniso,
-                                 qwz_aniso_cones):
+#: both longitudinal directions
+BOTH = ((1, 1), (2, 2))
+
+
+@pytest.fixture(scope="module")
+def honeycomb_report(haldane_critical, haldane_cones):
+    return cc.sigma_kubo(haldane_critical, directions=BOTH, eta_sequence=BENCH_ETAS,
+                         cones=haldane_cones)
+
+
+@pytest.fixture(scope="module")
+def qwz_aniso_report(qwz_aniso, qwz_aniso_cones):
+    return cc.sigma_kubo(qwz_aniso, directions=BOTH, eta_sequence=BENCH_ETAS,
+                         cones=qwz_aniso_cones)
+
+
+def test_kubo_cones_point_budget(honeycomb_report, qwz_aniso_report):
     # the two models of the kubo_cones benchmark at its etas take ~453k
     # fine-grid points together; the budget keeps a later change from
     # growing the grids unseen
-    total = 0
-    for model, cones in ((haldane_critical, haldane_cones), (qwz_aniso, qwz_aniso_cones)):
-        report = cc.sigma_kubo(model, 1, 1, eta_sequence=BENCH_ETAS, cones=cones)
-        total += sum(report.diagnostics["grid_points"].values())
+    total = sum(sum(report.diagnostics["grid_points"].values())
+                for report in (honeycomb_report, qwz_aniso_report))
     assert total <= 500_000
+
+
+def _assert_same_grids_and_sigma(report, reference, eta_scale=1.0):
+    # grid_points holds the size of GridPolicy().grids_for's fine grid per grid eta
+    assert report.diagnostics["grid_points"] == {
+        eta_scale * eta: n for eta, n in reference.diagnostics["grid_points"].items()}
+    for p in BOTH:
+        assert report.sigma[p] == pytest.approx(reference.sigma[p], rel=1e-12, abs=0), p
+
+
+@pytest.mark.parametrize("s", [0.25, 2.0])
+def test_kubo_invariant_under_energy_rescaling(honeycomb_report, s):
+    # sigma depends only on the number and shape of the cones: the honeycomb
+    # with every hopping and every eta scaled by s gets the same grids, since
+    # GridPolicy sizes them in momentum units from the gate they must pass,
+    # and the same sigma
+    model = cc.preset_haldane(s, 0.1 * s, 0.0, 0.0)
+    report = cc.sigma_kubo(model, directions=BOTH, eta_sequence=[s * e for e in BENCH_ETAS])
+    _assert_same_grids_and_sigma(report, honeycomb_report, eta_scale=s)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_kubo_invariant_under_lattice_stretch(qwz_aniso, qwz_aniso_report, c):
+    # stretching a1, a2 and the orbital positions by c shrinks the zone and
+    # every cone radius by c alike, and scales the currents by c: the grids
+    # keep their sizes and sigma = Q_jj / (16 sqrt det Q) does not move
+    lat = qwz_aniso.lattice
+    model = dataclasses.replace(qwz_aniso, lattice=cc.make_lattice(c * lat.a1, c * lat.a2),
+                                positions=c * qwz_aniso.positions)
+    report = cc.sigma_kubo(model, directions=BOTH, eta_sequence=BENCH_ETAS)
+    _assert_same_grids_and_sigma(report, qwz_aniso_report)
 
 
 def test_sigma_hall_gapped_chern_model(qwz_gapped):
