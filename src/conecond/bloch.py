@@ -215,8 +215,10 @@ class HoppingModel:
 
 def _max_frobenius(stack: np.ndarray) -> float:
     """Largest Frobenius norm in an (M, N, N) stack; for a current stack an
-    upper bound on the operator norm, hence on the band slopes."""
-    return float(np.sqrt((np.abs(stack) ** 2).sum(axis=(1, 2)).max()))
+    upper bound on the operator norm, hence on the band slopes.  The squared
+    modulus is re^2 + im^2, not |z|^2, which takes a hypot per entry."""
+    re, im = stack.real, stack.imag
+    return float(np.sqrt((re * re + im * im).sum(axis=(1, 2)).max()))
 
 
 def _max_current_norm(model: HoppingModel, ks: np.ndarray) -> float:

@@ -335,7 +335,8 @@ def find_fermi_points(
     for g, k in sorted(candidates, key=lambda c: c[0]):
         if g < tol:
             seen = [k2 for _, k2 in accepted]
-            if _min_cart_distance(lat, lat.to_zone(k)[None, :], seen)[0] > _DEDUP_RADIUS:
+            if (_min_cart_distance(lat, lat.to_zone(k)[None, :], seen, _DEDUP_RADIUS)[0]
+                    > _DEDUP_RADIUS):
                 accepted.append((g, k))
         elif g <= 100.0 * tol:
             warnings.append(
@@ -568,14 +569,15 @@ def neighborhoods_disjoint(cones, lat: Lattice2D, eps: float) -> bool:
     B_eps^(l) lies in a cartesian ball of radius eps/(2 sqrt(min eig Q_l)),
     so the neighborhoods are verifiably pairwise disjoint (including each
     against its own periodic images) when those balls are.  The balls are
-    compared over every ordered pair of cones and the 3 x 3 nearest images
-    (Lattice2D.images), each cone's zero self-image left out."""
+    compared over every ordered pair of cones and the images that can come
+    within two radii (Lattice2D.images), each cone's zero self-image left
+    out."""
     radii = np.array([eps / (2.0 * np.sqrt(np.linalg.eigvalsh(c.Q)[0])) for c in cones])
     z = lat.to_zone(np.array([c.omega for c in cones]).reshape(-1, 2))
     a, b = np.indices((len(cones),) * 2).reshape(2, -1)
-    for x, y in lat.images(z[b] - z[a]):
-        itself = (a == b) & (x == 0.0) & (y == 0.0)
-        if not np.all((np.hypot(x, y) > radii[a] + radii[b]) | itself):
+    for dk in lat.images(z[b] - z[a], 2.0 * radii.max()):
+        dist = np.hypot(dk[:, 0], dk[:, 1])
+        if not np.all((dist > radii[a] + radii[b]) | ((a == b) & (dist == 0.0))):
             return False
     return True
 
@@ -604,8 +606,8 @@ def b_epsilon_membership(cones, k, eps: float, lat: Lattice2D):
     omegas = np.array([c.omega for c in cones]).reshape(-1, 2)
     Q = np.array([c.Q for c in cones]).reshape(-1, 2, 2)
     z = lat.to_zone(np.asarray(k, dtype=float).reshape(2) - omegas)
-    images = [np.column_stack(xy) for xy in lat.images(z)]
-    q = np.min([np.einsum("li,lij,lj->l", d, Q, d) for d in images], axis=0)
+    q = np.min([np.einsum("li,lij,lj->l", d, Q, d) for d in lat.images(z, np.inf)],
+               axis=0)
     hit = np.flatnonzero(2.0 * np.sqrt(q) < eps)
     return int(hit[0]) if hit.size else None
 
@@ -625,7 +627,8 @@ def fermi_point_separation(cones, lat: Lattice2D) -> float:
         S = np.linalg.cholesky(cone.Q).T
         basis, _ = _reduced_basis(*(S @ lat.zone).T)
         d = np.linalg.solve(basis, S @ (omegas - cone.omega).T).T
-        dist = np.array([np.hypot(x, y) for x, y in _images(basis, d)])
+        dist = np.array([np.hypot(dk[:, 0], dk[:, 1])
+                         for dk in _images(basis, d, np.inf)])
         dist[dist[:, l] == 0.0, l] = np.inf    # the cone itself, not an image
         best = min(best, float(dist.min()))
     return best

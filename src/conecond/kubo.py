@@ -258,20 +258,30 @@ class GridPolicy:
     graded shell of intermediate radii avoids a resolution cliff at the
     core boundary.  Only ``base`` is set per run.
 
-    ``grids_for``, the one constructor of Kubo grid pairs, also returns a
-    coarsened companion (half the base subdivision, the schedule without its
-    last radius; both uniform without cones) whose difference against the
-    fine result serves as the quadrature-error estimate.
+    ``grids_for`` (and the eta sweep, through the same private helpers, with
+    one max|dH| sample for all its etas) also returns a coarsened companion
+    (half the base subdivision, the schedule without its last radius; both
+    uniform without cones) whose difference against the fine result serves
+    as the quadrature-error estimate.
     """
 
     base: int = 96
 
-    def _radii_schedule(self, model: HoppingModel, cones, eta: float) -> list:
+    @staticmethod
+    def _current_scale(model: HoppingModel, cones):
+        """max|dH| over the 48 x 48 sample that the spacing target reads, or
+        None without cones (the grids are then uniform).  It does not depend
+        on eta, so an eta sweep takes it once for all its schedules."""
+        if not cones:
+            return None
+        return _max_current_norm(model, uniform_grid(model.lattice, 48, 48).points)
+
+    def _radii_schedule(self, model: HoppingModel, cones, eta: float, jmax) -> list:
+        """The refinement radii for eta, given jmax = _current_scale(model, cones)."""
         if not cones:
             return []
         lat = model.lattice
         lam_sqrt = np.sqrt(min(c.lambda_star for c in cones))
-        jmax = _max_current_norm(model, uniform_grid(lat, 48, 48).points)
         r_outer = _OUTER_RADIUS_FACTOR * min(lat.zone_lengths)
         r_core = _CORE_MARGIN * _GATE_WINDOW * eta / lam_sqrt
         target = eta / (_SPACING_MARGIN * _GATE_CELL * jmax)
@@ -292,11 +302,15 @@ class GridPolicy:
             return grid
         return refined_grid(model.lattice, grid, [c.omega for c in cones], radii)
 
-    def grids_for(self, model: HoppingModel, cones, eta: float):
-        """(fine, companion) quadrature grids for the given eta."""
-        radii = self._radii_schedule(model, cones, eta)
+    def _grid_pair(self, model: HoppingModel, cones, radii):
+        """(fine, companion) grids over the schedule ``radii``."""
         return (self._grid(model, cones, self.base, radii),
                 self._grid(model, cones, max(self.base // 2, 2), radii[:-1]))
+
+    def grids_for(self, model: HoppingModel, cones, eta: float):
+        """(fine, companion) quadrature grids for the given eta."""
+        jmax = self._current_scale(model, cones)
+        return self._grid_pair(model, cones, self._radii_schedule(model, cones, eta, jmax))
 
 
 # -- frequency-domain grid integrals ----------------------------------------
@@ -475,7 +489,8 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
             for d in currents:
                 jmax[d] = max(jmax[d], _max_frobenius(J[d]))
         per_k = {r: np.zeros(len(ks)) for r in requests}
-        for m in np.unique(counts[counts > 0]):
+        # the occupied counts present in the chunk, ascending
+        for m in np.flatnonzero(np.bincount(counts)[1:]) + 1:
             g = np.nonzero(counts == m)[0]
             if g.size == len(ks):          # the whole chunk: views, not copies
                 g = slice(None)
@@ -894,15 +909,18 @@ def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy,
     the steps' f_jl first and then the riders of their etas, and one
     companion pass.  ``riders`` maps a grid eta to nonempty lists of
     value-only requests; an eta not visited gets its fine grid alone, in
-    one pass with the gate off."""
+    one pass with the gate off.  The grids are those of grids_for, with the
+    current-norm sample of their schedules taken once for the sweep."""
     seq = _validate_halving(eta_sequence)
     steps = list(zip(seq, seq[1:]))
     per_eta = {p: [] for p in pairs}
     sigma_hats = {p: [] for p in pairs}
     f_values = {p: {} for p in pairs}
     grid_sizes, values, min_gap = {}, {}, np.inf
+    jmax = policy._current_scale(model, cones)
     for group in ([s] for s in steps) if cones else [steps]:
-        fine, comp = policy.grids_for(model, cones, group[-1][1])
+        fine, comp = policy._grid_pair(
+            model, cones, policy._radii_schedule(model, cones, group[-1][1], jmax))
         own = [("f_jl", e, p) for step in group for e in step for p in pairs]
         ride = [r for _, eta in group for r in riders.get(eta, [])]
         found, gap = _pair_sum_on_grid(model, fine, own + ride, True)
@@ -919,7 +937,7 @@ def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy,
                 per_eta[p].append((eta, s_hat, s_err))
     for eta in [e for e in riders if e not in values]:
         fine = policy._grid(model, cones, policy.base,
-                            policy._radii_schedule(model, cones, eta))
+                            policy._radii_schedule(model, cones, eta, jmax))
         values[eta], _ = _pair_sum_on_grid(model, fine, riders[eta], False)
 
     # with a single estimator value Richardson is not possible; report the

@@ -34,9 +34,15 @@ __all__ = [
 
 #: relative determinant threshold below which a basis is rejected
 _DEGENERACY_RTOL = 1e-12
-#: zone-basis shifts to the 3 x 3 neighbouring dual cells, origin included:
-#: in a reduced basis the nearest image of a wrapped displacement is among them
-_IMAGE_SHIFTS = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
+#: zone-basis shifts to the 3 x 3 neighbouring dual cells, the origin (the
+#: wrapped image) first: in a reduced basis the nearest image of a wrapped
+#: displacement is among them
+_IMAGE_SHIFTS = np.array([[0, 0]] + [[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)
+                                     if i or j], dtype=float)
+#: below this share of the shorter reduced basis vector only the wrapped image
+#: can come within a radius: every other one lies at least sqrt(3)/4 (0.433)
+#: of it away, and the margin covers the reduction's 1e-12 tolerance
+_ONE_IMAGE_SHARE = 0.4
 #: a zone-basis reduction step must shorten a vector by more than this share
 _REDUCTION_RTOL = 1e-12
 
@@ -57,17 +63,21 @@ def _reduced_basis(u, v):
     return np.column_stack(r), tuple(map(float, norms))
 
 
-def _images(basis: np.ndarray, d):
-    """The 3 x 3 images of displacements d (M, 2) given in the coordinates of
-    a reduced ``basis`` (columns), one (x, y) pair of (M,) arrays per shift:
-    d is wrapped into [-1/2, 1/2)^2, shifted, then mapped through ``basis``
-    on column arrays (an (M, 2) matmul per image costs several times more).
-    The basis is reduced, so the nearest image is among them."""
-    (z11, z12), (z21, z22) = basis
-    w1, w2 = np.ascontiguousarray(wrap_fractional(d).T)
-    for s1, s2 in _IMAGE_SHIFTS:
-        u1, u2 = w1 + s1, w2 + s2
-        yield u1 * z11 + u2 * z12, u1 * z21 + u2 * z22
+def _images(basis: np.ndarray, d, radius: float):
+    """The images of displacements d (M, 2), given in the coordinates of a
+    reduced ``basis`` (columns), that can come within cartesian ``radius`` of
+    the origin, each an (M, 2) cartesian array: d is wrapped into
+    [-1/2, 1/2)^2 and each image is (w + s) @ basis.T for a shift s of the
+    3 x 3 neighbouring cells.  The basis is reduced, so with b_min its
+    shorter vector, |basis u|^2 >= |b_min|^2 (u1^2 - |u1 u2| + u2^2)
+    >= 3/4 |b_min|^2 max(u1^2, u2^2), and every shifted image (max |u_i|
+    >= 1/2) lies at least sqrt(3)/4 |b_min| away: a radius below
+    _ONE_IMAGE_SHARE |b_min| gets the wrapped image alone, any other radius
+    all nine, among which is the nearest image."""
+    w = wrap_fractional(d)
+    one = radius < _ONE_IMAGE_SHARE * np.linalg.norm(basis, axis=0).min()
+    for s in _IMAGE_SHIFTS[:1] if one else _IMAGE_SHIFTS:
+        yield (w + s) @ basis.T
 
 
 class DegenerateBasis(ValueError):
@@ -127,11 +137,14 @@ class Lattice2D:
         k = np.asarray(k, dtype=float)
         return np.linalg.solve(self.zone, np.atleast_2d(k).T).T.reshape(k.shape)
 
-    def images(self, d):
-        """Cartesian 3 x 3 images of zone-coordinate displacements d (M, 2),
-        as (x, y) pairs: _images over the zone basis; every cartesian
-        minimum-image search goes through here."""
-        return _images(self.zone, d)
+    def images(self, d, radius: float):
+        """The cartesian images of zone-coordinate displacements d (M, 2)
+        that can come within ``radius``, each an (M, 2) array: _images over
+        the zone basis, so below 0.4 min(zone_lengths) the wrapped image
+        alone (every other one lies at least sqrt(3)/4 min(zone_lengths)
+        away), else the 3 x 3; every cartesian minimum-image search goes
+        through here."""
+        return _images(self.zone, d, radius)
 
 
 @dataclass(frozen=True)
@@ -223,15 +236,20 @@ def uniform_grid(lattice: Lattice2D, n1: int, n2: int) -> KGrid:
                  weights=weights, frac=frac, size=size)
 
 
-def _min_cart_distance(lattice: Lattice2D, frac: np.ndarray, centers) -> np.ndarray:
+def _min_cart_distance(lattice: Lattice2D, frac: np.ndarray, centers,
+                       radius: float) -> np.ndarray:
     """Cartesian distance from each zone-coordinate point (M, 2) to the
-    nearest of the cartesian `centers`, modulo the dual lattice (the 3 x 3
-    images of Lattice2D.images)."""
+    nearest of the cartesian `centers`, modulo the dual lattice, searched
+    over the images that can come within `radius` (Lattice2D.images: the
+    wrapped one alone below 0.4 min(zone_lengths), as every other image lies
+    at least sqrt(3)/4 min(zone_lengths) away).  The result is the distance
+    itself wherever that is below `radius`, and at least `radius` elsewhere,
+    so a comparison with `radius` is exact."""
     dmin = np.full(frac.shape[0], np.inf)
     for c in centers:
         cf = wrap_fractional(lattice.to_zone(np.asarray(c, dtype=float)))
-        for x, y in lattice.images(frac - cf):
-            dmin = np.minimum(dmin, np.hypot(x, y))
+        for dk in lattice.images(frac - cf, radius):
+            dmin = np.minimum(dmin, np.hypot(dk[:, 0], dk[:, 1]))
     return dmin
 
 
@@ -244,6 +262,9 @@ def refined_grid(lattice: Lattice2D, base: KGrid, centers, radii) -> KGrid:
     positive, finite and non-increasing: a cell left unsplit at radii[i]
     stays unsplit at radii[i+1] <= radii[i], so each level measures only the
     children of the previous split.  Empty radii return `base` unrefined.
+    A level whose radius is below 0.4 min(zone_lengths) tests each cell
+    against the wrapped image of each center alone: every other image lies
+    at least sqrt(3)/4 min(zone_lengths) away (see Lattice2D.images).
     """
     radii = [float(r) for r in radii]
     if not all(0.0 < r < np.inf for r in radii):
@@ -254,7 +275,7 @@ def refined_grid(lattice: Lattice2D, base: KGrid, centers, radii) -> KGrid:
     frac, size, weights = base.frac, base.size, base.weights
     settled = []
     for r in radii:
-        hit = _min_cart_distance(lattice, frac, centers) < r
+        hit = _min_cart_distance(lattice, frac, centers, r) < r
         settled.append((frac[~hit], size[~hit], weights[~hit]))
         f_in, s_in, w_in = frac[hit], size[hit], weights[hit]
         frac = (f_in[:, None, :] + offsets[None, :, :] * s_in[:, None, :]).reshape(-1, 2)

@@ -25,6 +25,13 @@ def haldane_gapped():
 
 
 @pytest.fixture(scope="session")
+def haldane_one_cone():
+    # Haldane model on its critical line M = 3 sqrt(3) t2 sin(phi): one
+    # conical crossing at a zone corner
+    return cc.preset_haldane(1.0, 0.1, np.pi / 2.0, 3.0 * np.sqrt(3.0) * 0.1)
+
+
+@pytest.fixture(scope="session")
 def qwz_topological():
     # one isotropic conical crossing at the zone center
     return cc.preset_qwz(-2.0)
@@ -54,6 +61,11 @@ def haldane_cones(haldane_critical):
 @pytest.fixture(scope="session")
 def qwz_cones(qwz_topological):
     return cc.characterize_cones(qwz_topological)
+
+
+@pytest.fixture(scope="session")
+def haldane_one_cone_cones(haldane_one_cone):
+    return cc.characterize_cones(haldane_one_cone)
 
 
 @pytest.fixture(scope="session")

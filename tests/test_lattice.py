@@ -147,7 +147,9 @@ def test_refined_grid_schedule_equals_chained_levels(case, request):
             {"honeycomb": "haldane_cones", "qwz_aniso": "qwz_aniso_cones"}[case])
         lat = model.lattice
         centers = [c.omega for c in cones]
-        radii = cc.GridPolicy(base=24)._radii_schedule(model, cones, 0.05)
+        policy = cc.GridPolicy(base=24)
+        radii = policy._radii_schedule(model, cones, 0.05,
+                                       policy._current_scale(model, cones))
     # the schedules end on a repeated core radius
     assert len(radii) >= 4 and radii[-1] == radii[-2]
     base = cc.uniform_grid(lat, 24, 24)
@@ -161,9 +163,10 @@ def test_refined_grid_schedule_equals_chained_levels(case, request):
 
 
 def _matmul_min_distance(lattice, frac, centers):
-    """refined_grid's hit distance with each wrapped, shifted image mapped
-    through the zone basis as an (M, 2) matmul: the reference for the
-    column arrays of Lattice2D.images."""
+    """refined_grid's hit distance over all 3 x 3 images, each wrapped,
+    shifted image mapped through the zone basis as an (M, 2) matmul: the
+    reference for Lattice2D.images, which searches only the images that can
+    come within the radius."""
     dmin = np.full(frac.shape[0], np.inf)
     for c in centers:
         cf = cc.lattice.wrap_fractional(lattice.to_zone(np.asarray(c, dtype=float)))
@@ -192,36 +195,92 @@ def _reference_refined_grid(lattice, base, centers, radii):
 
 
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
+skewed_a1 = st.tuples(st.floats(0.5, 2.0), st.floats(-1.0, 1.0))
+skewed_a2 = st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 2.0))
+
+
+def _sheared_lattice(a1, a2, shear):
+    """A skewed basis sheared into an unreduced one, or None when it is too
+    close to degenerate."""
+    a1, a2 = np.array(a1), np.array(a2)
+    a2 = a2 + shear * a1
+    if abs(a1[0] * a2[1] - a1[1] * a2[0]) < 0.2:
+        return None
+    return cc.make_lattice(a1, a2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    a1=st.tuples(st.floats(0.5, 2.0), st.floats(-1.0, 1.0)),
-    a2=st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 2.0)),
+    a1=skewed_a1,
+    a2=skewed_a2,
     shear=st.integers(-3, 3),
     n=st.tuples(st.integers(2, 12), st.integers(2, 12)),
     centers=st.lists(st.tuples(unit_floats, unit_floats), min_size=1, max_size=3),
     shares=st.lists(st.floats(0.01, 0.6), min_size=1, max_size=4),
 )
+# a cell centre on the refinement circle, where the column-array distance
+# once differed from the matmul's by an ulp (18 cells against 15)
+@example(a1=(0.5, 0.6484375), a2=(0.3125, 2.0), shear=0, n=(3, 3),
+         centers=[(0.0, 0.3359375)], shares=[0.3359375])
 def test_refined_grid_matches_matmul_hit_test(a1, a2, shear, n, centers, shares):
     # skewed bases, sheared into unreduced ones; centres anywhere in the
     # neighbouring cells; a non-increasing radius schedule
-    a1, a2 = np.array(a1), np.array(a2)
-    a2 = a2 + shear * a1
-    if abs(a1[0] * a2[1] - a1[1] * a2[0]) < 0.2:
+    lat = _sheared_lattice(a1, a2, shear)
+    if lat is None:
         return
-    lat = cc.make_lattice(a1, a2)
     base = cc.uniform_grid(lat, *n)
     points = [lat.from_fractional(c) for c in centers]
     radii = sorted((s * min(lat.zone_lengths) for s in shares), reverse=True)
-    # the distances agree to rounding (the matmul may fuse its multiply-add),
-    # so every image is searched; the hit tests then agree bit for bit
-    dist = cc.lattice._min_cart_distance(lat, base.frac, points)
+    # with an unbounded radius every image is searched, and the distances
+    # agree with the reference's; the hit tests then agree bit for bit
+    dist = cc.lattice._min_cart_distance(lat, base.frac, points, np.inf)
     ref = _matmul_min_distance(lat, base.frac, points)
     assert np.allclose(dist, ref, rtol=1e-13, atol=1e-14 * max(lat.zone_lengths))
     got = cc.refined_grid(lat, base, points, radii)
     for name, want in zip(("points", "weights", "frac", "size"),
                           _reference_refined_grid(lat, base, points, radii)):
+        assert np.array_equal(getattr(got, name), want), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(a1=skewed_a1, a2=skewed_a2, shear=st.integers(-3, 3),
+       w=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+def test_shifted_images_lie_beyond_the_one_image_cut(a1, a2, shear, w):
+    # the bound behind the one-image hit test: in the reduced zone basis
+    # every image of a wrapped displacement but the wrapped one is at least
+    # sqrt(3)/4 min(zone_lengths) long, above the cut of 0.4 min(zone_lengths)
+    lat = _sheared_lattice(a1, a2, shear)
+    if lat is None:
+        return
+    bound = np.sqrt(3.0) / 4.0 * min(lat.zone_lengths) * (1.0 - 1e-12)
+    for s in cc.lattice._IMAGE_SHIFTS[1:]:
+        assert np.any(s != 0.0)
+        assert np.linalg.norm(lat.zone @ (np.array(w) + s)) >= bound
+
+
+@pytest.mark.parametrize("case", ["honeycomb", "qwz_aniso", "haldane_one_cone"])
+@pytest.mark.parametrize("schedule", ["0.41", "0.39", "policy"])
+def test_refined_grid_matches_reference_around_the_cut(case, schedule, request):
+    # one radius on each side of the one-image cut (0.4 min(zone_lengths)),
+    # and GridPolicy's schedule; the hit test must not move a single cell
+    model = request.getfixturevalue(
+        {"honeycomb": "haldane_critical"}.get(case, case))
+    cones = request.getfixturevalue(
+        {"honeycomb": "haldane_cones"}.get(case, case + "_cones"))
+    lat = model.lattice
+    centers = [c.omega for c in cones]
+    if schedule == "policy":
+        policy = cc.GridPolicy()
+        radii = policy._radii_schedule(model, cones, 0.0125,
+                                       policy._current_scale(model, cones))
+        base = cc.uniform_grid(lat, policy.base, policy.base)
+    else:
+        radii = [float(schedule) * min(lat.zone_lengths)]
+        base = cc.uniform_grid(lat, 48, 48)
+    got = cc.refined_grid(lat, base, centers, radii)
+    assert len(got) > len(base)
+    for name, want in zip(("points", "weights", "frac", "size"),
+                          _reference_refined_grid(lat, base, centers, radii)):
         assert np.array_equal(getattr(got, name), want), name
 
 
