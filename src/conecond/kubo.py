@@ -55,6 +55,8 @@ sequence is summed on one uniform fine grid and its companion.  The grids
 come from GridPolicy, sized in momentum units by the resolution gate of
 _pair_sum_on_grid that they must pass, so scaling every hopping and eta
 alike, or stretching the lattice, changes neither the grid sizes nor sigma.
+Their finest core follows each cone's gate ellipse in its metric Q, the
+graded shell around it a cartesian disk (see GridPolicy).
 
 k-sums are accumulated with a fixed-shape pairwise (tree) reduction, making
 results bit-stable under any chunked evaluation order.
@@ -241,22 +243,25 @@ class GridPolicy:
     """Momentum-grid construction for Lorentzian-resolving integrals.
 
     A uniform ``base`` x ``base`` midpoint grid is refined around the cone
-    locations by one ``refined_grid`` call over the shrinking radius schedule
-    R_level = max(R_outer / 2^level, R_core), where R_outer is 0.35 times the
-    smaller zone-basis norm.  R_core and the number of levels come from the
-    resolution gate the grid must pass (GridTooCoarse: at the points with
-    Fermi gap below 4|eta|, spacing x max|dH| <= |eta|/4).  R_core =
-    1.25 x 4 eta / sqrt(lambda*) holds the gate's region for f(2 eta), which
-    the grid for eta also serves: Fermi gap below 4 (2 eta), i.e.
-    sqrt(d^T Q d) < 4 eta near a cone (gap 2 sqrt(d^T Q d)), inside
-    |d| < 4 eta / sqrt(lambda*); the factor 1.25 covers the bands' curvature
-    away from the cone.  Levels (at most 18) are added until the refined
-    spacing is at most eta / (1.5 x 4 max|dH|), the gate's bound with a
-    margin of 1.5 for max|dH| taken over a 48 x 48 sample.  Both lengths
-    are momenta, so scaling every hopping and eta alike leaves the grids as
-    they are, and stretching the lattice stretches them with it.  The
-    graded shell of intermediate radii avoids a resolution cliff at the
-    core boundary.  Only ``base`` is set per run.
+    locations over the radii R_level = max(R_outer / 2^level, R_core), with
+    R_outer 0.35 times the smaller zone-basis norm.  R_core and the number
+    of levels come from the resolution gate the grid must pass
+    (GridTooCoarse: at Fermi gaps below 4|eta|, spacing x max|dH| <=
+    |eta|/4).  The grid for eta also serves f(2 eta), whose gate inspects
+    gaps below 4 (2 eta): sqrt(d^T Q d) < 4 eta near a cone (gap
+    2 sqrt(d^T Q d)).  So the core levels, of radius R_core = 1.25 x 4 eta /
+    sqrt(lambda*) (lambda* the least eigenvalue of the cones' Q), measure
+    cone c in the metric Q_c / lambda* >= 1 and split the ellipse
+    sqrt(d^T Q_c d) < 5 eta (1.25 covers the bands' curvature), not the
+    disk the softest axis sets (twice the area for Q = diag(4, 1)).  The
+    graded shell, which avoids a resolution cliff at the core, stays a
+    cartesian disk of momenta taken from the zone: an elliptic shell lost
+    accuracy (checkerboard sigma_11 error 1.5e-4 -> 3.2e-4).  Levels (at
+    most 18) are added until the spacing is at most eta / (1.5 x 4
+    max|dH|), the gate's bound with a margin of 1.5 for max|dH| over a
+    48 x 48 sample.  Both lengths are momenta, so scaling every hopping and
+    eta alike leaves the grids as they are, and stretching the lattice
+    stretches them with it.  Only ``base`` is set per run.
 
     ``grids_for`` (and the eta sweep, through the same private helpers, with
     one max|dH| sample for all its etas) also returns a coarsened companion
@@ -276,10 +281,11 @@ class GridPolicy:
             return None
         return _max_current_norm(model, uniform_grid(model.lattice, 48, 48).points)
 
-    def _radii_schedule(self, model: HoppingModel, cones, eta: float, jmax) -> list:
-        """The refinement radii for eta, given jmax = _current_scale(model, cones)."""
+    def _radii_schedule(self, model: HoppingModel, cones, eta: float, jmax):
+        """(the refinement radii for eta, R_core), given jmax =
+        _current_scale(model, cones); the levels of radius R_core are the core."""
         if not cones:
-            return []
+            return [], None
         lat = model.lattice
         lam_sqrt = np.sqrt(min(c.lambda_star for c in cones))
         r_outer = _OUTER_RADIUS_FACTOR * min(lat.zone_lengths)
@@ -292,20 +298,26 @@ class GridPolicy:
             radii.append(max(r_outer / 2**level, r_core))
             spacing /= 2.0
             level += 1
-        return radii
+        return radii, r_core
 
     @staticmethod
-    def _grid(model: HoppingModel, cones, n: int, radii) -> KGrid:
-        """The n x n uniform grid, refined around the cones over ``radii``."""
+    def _grid(model: HoppingModel, cones, n: int, schedule) -> KGrid:
+        """The n x n uniform grid, refined around the cones over ``schedule``,
+        the core levels in each cone's metric Q / lambda*."""
         grid = uniform_grid(model.lattice, n, n)
         if not cones:
             return grid
-        return refined_grid(model.lattice, grid, [c.omega for c in cones], radii)
+        radii, r_core = schedule
+        shell = [r for r in radii if r > r_core]
+        lam = min(c.lambda_star for c in cones)
+        return refined_grid(model.lattice, grid, [c.omega for c in cones], shell,
+                            radii[len(shell):], [np.linalg.cholesky(c.Q / lam) for c in cones])
 
-    def _grid_pair(self, model: HoppingModel, cones, radii):
-        """(fine, companion) grids over the schedule ``radii``."""
-        return (self._grid(model, cones, self.base, radii),
-                self._grid(model, cones, max(self.base // 2, 2), radii[:-1]))
+    def _grid_pair(self, model: HoppingModel, cones, schedule):
+        """(fine, companion) grids over ``schedule``."""
+        radii, r_core = schedule
+        return (self._grid(model, cones, self.base, schedule),
+                self._grid(model, cones, max(self.base // 2, 2), (radii[:-1], r_core)))
 
     def grids_for(self, model: HoppingModel, cones, eta: float):
         """(fine, companion) quadrature grids for the given eta."""

@@ -142,8 +142,8 @@ class Lattice2D:
         that can come within ``radius``, each an (M, 2) array: _images over
         the zone basis, so below 0.4 min(zone_lengths) the wrapped image
         alone (every other one lies at least sqrt(3)/4 min(zone_lengths)
-        away), else the 3 x 3; every cartesian minimum-image search goes
-        through here."""
+        away), else the 3 x 3; they serve any metric never shorter than the
+        cartesian one too.  Every minimum-image search goes through here."""
         return _images(self.zone, d, radius)
 
 
@@ -237,36 +237,44 @@ def uniform_grid(lattice: Lattice2D, n1: int, n2: int) -> KGrid:
 
 
 def _min_cart_distance(lattice: Lattice2D, frac: np.ndarray, centers,
-                       radius: float) -> np.ndarray:
-    """Cartesian distance from each zone-coordinate point (M, 2) to the
-    nearest of the cartesian `centers`, modulo the dual lattice, searched
-    over the images that can come within `radius` (Lattice2D.images: the
-    wrapped one alone below 0.4 min(zone_lengths), as every other image lies
-    at least sqrt(3)/4 min(zone_lengths) away).  The result is the distance
-    itself wherever that is below `radius`, and at least `radius` elsewhere,
-    so a comparison with `radius` is exact."""
+                       radius: float, factors=None) -> np.ndarray:
+    """Distance from each zone-coordinate point (M, 2) to the nearest of the
+    cartesian `centers`, modulo the dual lattice: |L_c^T d| to centre c for
+    its 2 x 2 factor L_c in `factors`, cartesian when None.  With every
+    L_c L_c^T >= 1 no metric distance is below the cartesian one, so the
+    images searched are those that can come within cartesian `radius`
+    (Lattice2D.images).  The result is the distance itself wherever that is
+    below `radius` (in a metric, for a radius below 3 sqrt(3)/4
+    min(zone_lengths), the least length of an image beyond the 3 x 3), and
+    at least `radius` elsewhere, so a comparison with `radius` is exact."""
     dmin = np.full(frac.shape[0], np.inf)
-    for c in centers:
+    for c, L in zip(centers, [np.eye(2)] * len(centers) if factors is None else factors):
         cf = wrap_fractional(lattice.to_zone(np.asarray(c, dtype=float)))
         for dk in lattice.images(frac - cf, radius):
+            dk = dk @ L
             dmin = np.minimum(dmin, np.hypot(dk[:, 0], dk[:, 1]))
     return dmin
 
 
-def refined_grid(lattice: Lattice2D, base: KGrid, centers, radii) -> KGrid:
+def refined_grid(lattice: Lattice2D, base: KGrid, centers, radii, core_radii=(),
+                 factors=None) -> KGrid:
     """Quad-tree refinement of `base` near `centers`, one level per radius.
 
     At level i every cell whose center lies within radii[i] (cartesian,
     modulo the dual lattice) of any of `centers` is split 2x2, dividing its
-    weight by 4, so the total measure is conserved.  The radii must be
-    positive, finite and non-increasing: a cell left unsplit at radii[i]
-    stays unsplit at radii[i+1] <= radii[i], so each level measures only the
-    children of the previous split.  Empty radii return `base` unrefined.
-    A level whose radius is below 0.4 min(zone_lengths) tests each cell
-    against the wrapped image of each center alone: every other image lies
-    at least sqrt(3)/4 min(zone_lengths) away (see Lattice2D.images).
+    weight by 4, so the total measure is conserved.  The levels of
+    `core_radii` follow, measuring centre c as |L_c^T d| for its 2 x 2
+    factor L_c in `factors` (cartesian without): each splits the ellipses
+    d^T L_c L_c^T d < radius^2.  Every L_c L_c^T must be >= 1.  All radii
+    must be positive, finite and non-increasing: a cell left unsplit at one
+    level stays unsplit at the next, whose radius is no larger and whose
+    distance no smaller, so each level measures only the children of the
+    previous split.  Empty radii return `base` unrefined.  A level whose
+    radius is below 0.4 min(zone_lengths) tests each cell against the
+    wrapped image of each center alone (see Lattice2D.images).
     """
-    radii = [float(r) for r in radii]
+    levels = [(float(r), None) for r in radii] + [(float(r), factors) for r in core_radii]
+    radii = [r for r, _ in levels]
     if not all(0.0 < r < np.inf for r in radii):
         raise ValueError(f"refinement radii must be positive and finite, got {radii}")
     if any(b > a for a, b in zip(radii, radii[1:])):
@@ -274,8 +282,8 @@ def refined_grid(lattice: Lattice2D, base: KGrid, centers, radii) -> KGrid:
     offsets = np.array([[-0.25, -0.25], [-0.25, 0.25], [0.25, -0.25], [0.25, 0.25]])
     frac, size, weights = base.frac, base.size, base.weights
     settled = []
-    for r in radii:
-        hit = _min_cart_distance(lattice, frac, centers, r) < r
+    for r, level_factors in levels:
+        hit = _min_cart_distance(lattice, frac, centers, r, level_factors) < r
         settled.append((frac[~hit], size[~hit], weights[~hit]))
         f_in, s_in, w_in = frac[hit], size[hit], weights[hit]
         frac = (f_in[:, None, :] + offsets[None, :, :] * s_in[:, None, :]).reshape(-1, 2)

@@ -3,17 +3,20 @@
 The values were re-recorded when GridPolicy's core radius was sized by the
 region the resolution gate inspects (R_core = 5 eta / sqrt(lambda*), before
 8 eta / sqrt(lambda*)), which moves every refined grid and so every value
-here on purpose.  They pin the per-point layers (the H/J assembly, the
-two-band block kernel and the refinement hit test) to 1e-12 relative.  A
-rewrite of those layers that changes only rounding moves the sums by a few
-ulps, but it can move a pinned difference of nearly equal sums (a
-quad_error, a verify discrepancy) by far more than 1e-12 relative: the
-single-path H/J assembly (one Fourier sum over distinct displacements)
-moved three of them by 1.5e-12 to 1.5e-11 and re-recorded just those.  A
-move beyond ~1e-9 relative is not rounding.  Grids are 16 x 16 base grids
-and three eta values, so the runs take about a second each; the accuracy
-against the analytic values is the acceptance suite's business, not this
-file's.
+here on purpose.  The checkerboard's were re-recorded again when the core
+levels came to measure each cone in its own metric Q / lambda* (the gate's
+ellipse, not the disk around it): that moves only the grids of anisotropic
+cones, so the honeycomb and verify values stayed as they were.  They pin
+the per-point layers (the H/J assembly, the two-band block kernel and the
+refinement hit test) to 1e-12 relative.  A rewrite of those layers that
+changes only rounding moves the sums by a few ulps, but it can move a
+pinned difference of nearly equal sums (a quad_error, a verify
+discrepancy) by far more than 1e-12 relative: the single-path H/J assembly
+(one Fourier sum over distinct displacements) moved three of them by
+1.5e-12 to 1.5e-11 and re-recorded just those.  A move beyond ~1e-9
+relative is not rounding.  Grids are 16 x 16 base grids and three eta
+values, so the runs take about a second each; the accuracy against the
+analytic values is the acceptance suite's business, not this file's.
 """
 
 import json
@@ -49,11 +52,11 @@ KUBO_GOLDEN = {
     "checkerboard": (
         ["--preset", "qwz", "--params", "u=-2.0,v1=2.0,v2=1.0"],
         3,   # three eta values are too few for the convergence test
-        {"11": 0.12436934325180671, "22": 0.031204949626861822},
-        {"11": [(0.12501845186301486, 0.5936312828978196),
-                (0.12469389755741078, 1.2828634048467924)],
-         "22": [(0.03343585338653199, 0.004325126737244611),
-                (0.032320401506696905, 0.0029084311023486187)]},
+        {"11": 0.12420022009507647, "22": 0.031144244262495957},
+        {"11": [(0.12484773733269616, 0.6065923160780351),
+                (0.12452397871388632, 1.2962790053165563)],
+         "22": [(0.03337388400816488, 0.005477511248160871),
+                (0.03225906413533042, 0.003958830651616951)]},
     ),
 }
 

@@ -868,8 +868,8 @@ PAST_THE_PRESETS = {
 
 
 @pytest.mark.parametrize("name", [
-    "tilted", pytest.param("two_cones", marks=pytest.mark.slow),
-    pytest.param("skewed", marks=pytest.mark.slow), "haldane_critical_line"])
+    "tilted", "two_cones", pytest.param("skewed", marks=pytest.mark.slow),
+    "haldane_critical_line"])
 def test_sigma_kubo_past_the_presets(name):
     # GridPolicy sizes its finest core by the region the resolution gate
     # inspects, plus a margin; on a tilted cone, two anisotropic cones, a
@@ -885,6 +885,27 @@ def test_sigma_kubo_past_the_presets(name):
     report = cc.sigma_kubo(model, **kw)
     for p, target in zip(((1, 1), (2, 2)), want):
         assert abs(report.sigma[p] - target) <= 0.02 * target, p
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cc.preset_qwz(-2.0, 2.0, 1.0), PAST_THE_PRESETS["two_cones"][0], _skewed_qwz,
+], ids=["checkerboard", "two_cones", "skewed"])
+def test_core_ellipse_covers_the_gate_region(build):
+    # the fine grid for eta also serves f(2 eta), whose resolution gate
+    # inspects the points with Fermi gap below 4 (2 eta); GridPolicy refines
+    # each anisotropic cone's gate ellipse, not the disk around it, and every
+    # such point must still sit in a cell of the finest size
+    model = build()
+    cones = cc.characterize_cones(model)
+    for base in (96, 16):
+        for eta in BENCH_ETAS[1:]:
+            fine, _ = cc.GridPolicy(base=base).grids_for(model, cones, eta)
+            _, idx, gaps = _fermi_gaps(np.linalg.eigvalsh(model.h_batch(fine.points)),
+                                       model.fermi_energy)
+            near = idx[gaps < 2.0 * kubo._GATE_WINDOW * eta]
+            assert near.size, (base, eta)
+            assert np.array_equal(fine.size[near].max(axis=0), fine.size.min(axis=0)), \
+                (base, eta)
 
 
 #: both longitudinal directions
@@ -904,12 +925,12 @@ def qwz_aniso_report(qwz_aniso, qwz_aniso_cones):
 
 
 def test_kubo_cones_point_budget(honeycomb_report, qwz_aniso_report):
-    # the two models of the kubo_cones benchmark at its etas take ~453k
+    # the two models of the kubo_cones benchmark at its etas take ~365k
     # fine-grid points together; the budget keeps a later change from
     # growing the grids unseen
     total = sum(sum(report.diagnostics["grid_points"].values())
                 for report in (honeycomb_report, qwz_aniso_report))
-    assert total <= 500_000
+    assert total <= 400_000
 
 
 def _assert_same_grids_and_sigma(report, reference, eta_scale=1.0):

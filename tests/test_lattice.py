@@ -148,8 +148,8 @@ def test_refined_grid_schedule_equals_chained_levels(case, request):
         lat = model.lattice
         centers = [c.omega for c in cones]
         policy = cc.GridPolicy(base=24)
-        radii = policy._radii_schedule(model, cones, 0.05,
-                                       policy._current_scale(model, cones))
+        radii, _ = policy._radii_schedule(model, cones, 0.05,
+                                          policy._current_scale(model, cones))
     # the schedules end on a repeated core radius
     assert len(radii) >= 4 and radii[-1] == radii[-2]
     base = cc.uniform_grid(lat, 24, 24)
@@ -162,28 +162,32 @@ def test_refined_grid_schedule_equals_chained_levels(case, request):
         assert np.array_equal(getattr(one, name), getattr(chained, name)), name
 
 
-def _matmul_min_distance(lattice, frac, centers):
+def _matmul_min_distance(lattice, frac, centers, factors=None):
     """refined_grid's hit distance over all 3 x 3 images, each wrapped,
-    shifted image mapped through the zone basis as an (M, 2) matmul: the
-    reference for Lattice2D.images, which searches only the images that can
-    come within the radius."""
+    shifted image mapped through the zone basis as an (M, 2) matmul, then
+    through its centre's factor L_c when ``factors`` is given: the reference
+    for Lattice2D.images, which searches only the images that can come
+    within the radius."""
     dmin = np.full(frac.shape[0], np.inf)
-    for c in centers:
+    for i, c in enumerate(centers):
         cf = cc.lattice.wrap_fractional(lattice.to_zone(np.asarray(c, dtype=float)))
         w = cc.lattice.wrap_fractional(frac - cf)
         for shift in cc.lattice._IMAGE_SHIFTS:
             dk = (w + shift) @ lattice.zone.T
+            if factors is not None:
+                dk = dk @ factors[i]
             dmin = np.minimum(dmin, np.hypot(dk[:, 0], dk[:, 1]))
     return dmin
 
 
-def _reference_refined_grid(lattice, base, centers, radii):
-    """refined_grid's quad-tree loop with the matmul hit test."""
+def _reference_refined_grid(lattice, base, centers, radii, core_radii=(), factors=None):
+    """refined_grid's quad-tree loop with the matmul hit test, cartesian over
+    ``radii``, then in the metrics of ``factors`` over ``core_radii``."""
     offsets = np.array([[-0.25, -0.25], [-0.25, 0.25], [0.25, -0.25], [0.25, 0.25]])
     frac, size, weights = base.frac, base.size, base.weights
     settled = []
-    for r in radii:
-        hit = _matmul_min_distance(lattice, frac, centers) < r
+    for r, f in [(r, None) for r in radii] + [(r, factors) for r in core_radii]:
+        hit = _matmul_min_distance(lattice, frac, centers, f) < r
         settled.append((frac[~hit], size[~hit], weights[~hit]))
         f_in, s_in, w_in = frac[hit], size[hit], weights[hit]
         frac = (f_in[:, None, :] + offsets[None, :, :] * s_in[:, None, :]).reshape(-1, 2)
@@ -258,29 +262,127 @@ def test_shifted_images_lie_beyond_the_one_image_cut(a1, a2, shear, w):
         assert np.linalg.norm(lat.zone @ (np.array(w) + s)) >= bound
 
 
-@pytest.mark.parametrize("case", ["honeycomb", "qwz_aniso", "haldane_one_cone"])
-@pytest.mark.parametrize("schedule", ["0.41", "0.39", "policy"])
-def test_refined_grid_matches_reference_around_the_cut(case, schedule, request):
-    # one radius on each side of the one-image cut (0.4 min(zone_lengths)),
-    # and GridPolicy's schedule; the hit test must not move a single cell
+def _preset_case(case, request):
+    """(model, cones) of a preset test case, from the session fixtures."""
     model = request.getfixturevalue(
         {"honeycomb": "haldane_critical"}.get(case, case))
     cones = request.getfixturevalue(
         {"honeycomb": "haldane_cones"}.get(case, case + "_cones"))
+    return model, cones
+
+
+def _policy_levels(model, cones, eta=0.0125):
+    """GridPolicy()'s schedule for eta as refined_grid arguments: the shell
+    radii, the core radii (those equal to R_core) and each cone's factor
+    L_c, L_c L_c^T = Q_c / lambda* with lambda* the cones' smallest
+    eigenvalue."""
+    policy = cc.GridPolicy()
+    radii, r_core = policy._radii_schedule(model, cones, eta,
+                                           policy._current_scale(model, cones))
+    shell = [r for r in radii if r > r_core]
+    lam = min(np.linalg.eigvalsh(c.Q)[0] for c in cones)
+    return shell, radii[len(shell):], [np.linalg.cholesky(c.Q / lam) for c in cones]
+
+
+@pytest.mark.parametrize("case", ["honeycomb", "qwz_aniso", "haldane_one_cone"])
+@pytest.mark.parametrize("schedule", ["0.41", "0.39", "policy"])
+def test_refined_grid_matches_reference_around_the_cut(case, schedule, request):
+    # one radius on each side of the one-image cut (0.4 min(zone_lengths)),
+    # and GridPolicy's grid, whose core levels measure in the cone metrics;
+    # the hit test must not move a single cell
+    model, cones = _preset_case(case, request)
     lat = model.lattice
     centers = [c.omega for c in cones]
     if schedule == "policy":
         policy = cc.GridPolicy()
-        radii = policy._radii_schedule(model, cones, 0.0125,
-                                       policy._current_scale(model, cones))
+        levels = _policy_levels(model, cones)
+        assert levels[0] and levels[1]
         base = cc.uniform_grid(lat, policy.base, policy.base)
+        got = policy._grid(model, cones, policy.base, policy._radii_schedule(
+            model, cones, 0.0125, policy._current_scale(model, cones)))
     else:
-        radii = [float(schedule) * min(lat.zone_lengths)]
+        levels = ([float(schedule) * min(lat.zone_lengths)],)
         base = cc.uniform_grid(lat, 48, 48)
-    got = cc.refined_grid(lat, base, centers, radii)
+        got = cc.refined_grid(lat, base, centers, *levels)
     assert len(got) > len(base)
     for name, want in zip(("points", "weights", "frac", "size"),
-                          _reference_refined_grid(lat, base, centers, radii)):
+                          _reference_refined_grid(lat, base, centers, *levels)):
+        assert np.array_equal(getattr(got, name), want), name
+
+
+@pytest.mark.parametrize("case", ["honeycomb", "qwz_aniso", "haldane_one_cone"])
+def test_refined_grid_identity_metric_gives_disk_grid(case, request):
+    # identity factors on the core levels give the all-disk grid bit for
+    # bit; so do the isotropic cones' own metrics (Q / lambda* = 1 to
+    # rounding), while the checkerboard's (Q = diag(4, 1)) cut the core
+    model, cones = _preset_case(case, request)
+    lat = model.lattice
+    centers = [c.omega for c in cones]
+    shell, core, factors = _policy_levels(model, cones)
+    base = cc.uniform_grid(lat, 96, 96)
+    disk = cc.refined_grid(lat, base, centers, shell + core)
+    identity = cc.refined_grid(lat, base, centers, shell, core, [np.eye(2)] * len(centers))
+    metric = cc.refined_grid(lat, base, centers, shell, core, factors)
+    for name in ("points", "weights", "frac", "size"):
+        assert np.array_equal(getattr(identity, name), getattr(disk, name)), name
+        if case != "qwz_aniso":
+            assert np.array_equal(getattr(metric, name), getattr(disk, name)), name
+    if case == "qwz_aniso":
+        assert len(metric) < 0.75 * len(disk)
+
+
+def _metric(theta, l1, l2):
+    """The symmetric 2 x 2 matrix with eigenvalues l1, l2 whose first
+    eigenvector makes the angle theta with the first axis."""
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    return rot @ np.diag([l1, l2]) @ rot.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a1=skewed_a1,
+    a2=skewed_a2,
+    shear=st.integers(-3, 3),
+    n=st.tuples(st.integers(2, 12), st.integers(2, 12)),
+    cones=st.lists(st.tuples(unit_floats, unit_floats, st.floats(0.0, np.pi),
+                             st.floats(1.0, 9.0), st.floats(1.0, 9.0)),
+                   min_size=1, max_size=3),
+    shares=st.lists(st.floats(0.01, 0.6), min_size=1, max_size=4),
+    ncore=st.integers(0, 4),
+)
+@example(a1=(1.25, -0.625), a2=(-0.9375, 0.65625), shear=-1, n=(2, 2),
+         cones=[(1.0, 0.0, 0.0, 1.0, 1.0)], shares=[0.5], ncore=0)
+def test_refined_grid_with_cone_metrics_matches_reference(a1, a2, shear, n, cones,
+                                                          shares, ncore):
+    # random cone metrics L L^T (smallest eigenvalue >= 1) on the trailing
+    # levels of a non-increasing schedule, on skewed and sheared lattices:
+    # the one-image hit test must give the brute-force 3 x 3 image search's
+    # grid bit for bit, and the distance must be the metric's
+    lat = _sheared_lattice(a1, a2, shear)
+    if lat is None:
+        return
+    base = cc.uniform_grid(lat, *n)
+    points = [lat.from_fractional(c[:2]) for c in cones]
+    metrics = [_metric(*c[2:]) for c in cones]
+    factors = [np.linalg.cholesky(q) for q in metrics]
+    radii = sorted((s * min(lat.zone_lengths) for s in shares), reverse=True)
+    k = max(len(radii) - ncore, 0)
+    dist = cc.lattice._min_cart_distance(lat, base.frac, points, np.inf, factors)
+    # each centre moved into the zone cell, so the brute-force table reaches
+    # its nearest images even on a nearly degenerate user basis
+    near = [lat.zone @ cc.lattice.wrap_fractional(lat.to_zone(p)) for p in points]
+    quad = np.min([np.einsum("mi,ij,mj->m", d, q, d)
+                   for p, q in zip(near, metrics)
+                   for d in dual_images(lat)[:, None, :] + base.points[None] - p], axis=0)
+    # every image beyond the 3 x 3 lies at least 3 sqrt(3)/4 min(zone_lengths)
+    # away, so below that the nine hold the nearest image in any metric
+    cap = 1.25 * min(lat.zone_lengths)
+    assert np.allclose(np.minimum(dist, cap), np.minimum(np.sqrt(quad), cap),
+                       rtol=1e-12, atol=1e-13 * max(lat.zone_lengths))
+    got = cc.refined_grid(lat, base, points, radii[:k], radii[k:], factors)
+    for name, want in zip(("points", "weights", "frac", "size"),
+                          _reference_refined_grid(lat, base, points, radii[:k],
+                                                  radii[k:], factors)):
         assert np.array_equal(getattr(got, name), want), name
 
 
