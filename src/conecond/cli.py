@@ -19,6 +19,7 @@ non-conical crossings, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -692,8 +693,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigParse(message)
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
-    # options left out stay out of the namespace: RunConfig holds the defaults
+    # built once per process: a build costs ~15 parses, and a parse leaves no
+    # state in the parser.  Options left out stay out of the namespace:
+    # RunConfig holds their defaults
     common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--model", default=None, help="model JSON file")
     common.add_argument("--preset", default=None, help="preset model name (haldane, qwz)")

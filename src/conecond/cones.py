@@ -17,6 +17,13 @@ of a family of such cones is
 
 with each summand manifestly invariant under S -> O S for orthogonal O.
 
+The gap scan locates omega by Gauss-Newton on the crossing pair's 2 x 2
+block of H (``minimize``): the block's traceless Pauli vector vanishes at a
+crossing, and by Hellmann-Feynman its Jacobian is the Pauli vector of the
+pair's block of the currents J_j = dH/dk_j, the first-order k.p expansion
+(Luttinger & Kohn, Phys. Rev. 97, 869 (1955)).  The step is exact to first
+order at a conical zero, so the iteration converges quadratically there.
+
 The cone-pair rule names a cone's two bands once, at omega: the adjacent
 pair of H(omega)'s eigenvalues nearest mu.  ``fit_cone`` follows that pair
 along its circles by the overlap of the states with the pair's states at
@@ -27,6 +34,7 @@ a third band in the sampled window is refused as TwoBandIsolationFailed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,15 +69,20 @@ DEFAULT_GAP_TOL = 1e-7
 #: two minima closer than this (cartesian, mod dual lattice) are one point
 _DEDUP_RADIUS = 1e-6
 _MAX_ISOLATED_POINTS = 16
+#: the locator stops a seed after a step this small (cartesian, each
+#: component), or after this many iterations
+_LOCATE_XATOL = 1e-13
+_LOCATE_MAXITER = 50
 #: quantizing test: relative deviation of Q from a multiple of the identity
 _QUANTIZING_RTOL = 1e-9
 
 
 class NoConvergence(NumericalError, RuntimeError):
     """A Fermi-point search that does not converge.  Nothing raises it today:
-    the gap minimization reports a plateau above tolerance as a warning of
-    its scan.  It stays exported as the refusal of the batched locator
-    planned in ROADMAP.md (Direction 1)."""
+    a seed that the Gauss-Newton locator leaves on a gapped minimum is
+    reported as a warning of its scan when that gap is within 100x the
+    tolerance, and dropped otherwise.  It stays exported, as ROADMAP.md
+    (Direction 1) keeps it."""
 
 
 class BandCrossingRegion(NumericalError):
@@ -180,86 +193,63 @@ def _occupied_band_index(model: HoppingModel, w_grid: np.ndarray) -> int:
     return m
 
 
-class _MaxFev(Exception):
-    """The evaluation budget of ``minimize`` is spent."""
+class _Located(NamedTuple):
+    """What ``minimize`` returns: per seed the located momentum (S, 2) and
+    the pair gap there (S,), and the gap evaluations spent on all seeds."""
 
-
-@dataclass(frozen=True)
-class _SimplexResult:
     x: np.ndarray
-    fun: float
+    fun: np.ndarray
     nfev: int
 
 
-def minimize(fun, initial_simplex, xatol, fatol, maxiter, maxfev) -> _SimplexResult:
-    """Nelder-Mead simplex minimization (Nelder & Mead, Comput. J. 7, 308
-    (1965)) from the (N + 1, N) ``initial_simplex``: reflection 1,
-    expansion 2, contraction 1/2, shrink 1/2.
+def _gauss_newton_step(model: HoppingModel, m: int, ks: np.ndarray) -> tuple:
+    """(gap, step) at each momentum of ks (S, 2): the pair gap
+    Lambda_m - Lambda_{m-1} and the Gauss-Newton step toward its zero.
 
-    It takes scipy.optimize.minimize(method="Nelder-Mead")'s unbounded,
-    non-adaptive steps in scipy's order and expression order (scipy 1.17),
-    so the same ``initial_simplex``, ``xatol``, ``fatol``, ``maxiter`` and
-    ``maxfev`` give the same evaluated points and the same ``x``, ``fun``
-    and ``nfev``, bit for bit; scipy is the oracle of tests/test_cones.py
-    and a test dependency only.  The name stays ``minimize`` because the
-    benchmark trace wraps ``cones.minimize`` and counts its ``nfev``.
-    """
-    sim = np.array(initial_simplex, dtype=float)
-    n = sim.shape[1]
-    fsim = np.full(n + 1, np.inf)
-    nfev = 0
+    In the pair's eigenbasis P at k the traceless part of P^H H P has the
+    Pauli vector d = (0, 0, -gap/2), and by Hellmann-Feynman its Jacobian M
+    (3 x 2) holds the Pauli vectors of the traceless parts of P^H J_j P;
+    the step is -M^+ d, M^+ the pseudo-inverse.  One assembly of H and both
+    currents and one eigh for the whole stack."""
+    H, J1, J2 = model._assemble(ks, ((), (1,), (2,)))
+    w, V = np.linalg.eigh(H)
+    P = V[:, :, m - 1:m + 1]
+    Ph = P.conj().swapaxes(1, 2)
+    A = np.stack([Ph @ J @ P for J in (J1, J2)], axis=-1)     # (S, 2, 2, j)
+    M = np.stack([A[:, 0, 1].real, -A[:, 0, 1].imag,
+                  0.5 * (A[:, 0, 0] - A[:, 1, 1]).real], axis=1)
+    gap = w[:, m] - w[:, m - 1]
+    return gap, 0.5 * gap[:, None] * np.linalg.pinv(M)[:, :, 2]
 
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _MaxFev
-        nfev += 1
-        return fun(np.copy(x))
 
-    def ordered(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _MaxFev:
-        pass
-    # sorted twice, as scipy does: argsort is not stable, so a second pass
-    # may reorder tied vertices
-    sim, fsim = ordered(*ordered(sim, fsim))
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
-        try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                # contract toward xr when it beats the worst vertex, else
-                # inside; when that fails too, shrink toward the best vertex
-                inside = not fxr < fsim[-1]
-                xc = 0.5 * xbar + 0.5 * sim[-1] if inside else 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
-                if (fxc < fsim[-1]) if inside else (fxc <= fxr):
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-            iterations += 1
-        except _MaxFev:
-            pass
-        sim, fsim = ordered(sim, fsim)
-    return _SimplexResult(x=sim[0], fun=np.min(fsim), nfev=nfev)
+def minimize(model: HoppingModel, m: int, seeds) -> _Located:
+    """Gauss-Newton descent of the pair gap Lambda_m - Lambda_{m-1} from
+    every seed (S, 2) at once (_gauss_newton_step): each iteration
+    evaluates the trial points of the seeds still moving in one batch.  A
+    seed takes its trial point when the gap there does not rise, and the
+    step computed at it; otherwise its step is halved.  A seed stops after
+    trying a step of at most _LOCATE_XATOL in every cartesian component, or
+    after _LOCATE_MAXITER iterations.  The convergence is quadratic at a
+    conical zero, where the residual vanishes, and at best linear at a
+    gapped minimum.  The name is the one the benchmark trace wraps to count
+    ``nfev``."""
+    k = np.array(seeds, dtype=float).reshape(-1, 2)
+    gap, step = _gauss_newton_step(model, m, k)
+    nfev = len(k)
+    moving = np.arange(len(k))
+    for _ in range(_LOCATE_MAXITER):
+        if not moving.size:
+            break
+        trial = k[moving] + step[moving]
+        g, s = _gauss_newton_step(model, m, trial)
+        nfev += len(moving)
+        ok = g <= gap[moving]
+        last = np.abs(step[moving]).max(axis=1) <= _LOCATE_XATOL
+        took = moving[ok]
+        k[took], gap[took], step[took] = trial[ok], g[ok], s[ok]
+        step[moving[~ok]] *= 0.5
+        moving = moving[~last]
+    return _Located(x=k, fun=gap, nfev=nfev)
 
 
 def find_fermi_points(
@@ -271,15 +261,12 @@ def find_fermi_points(
 
     Scans the gap across the Fermi level on a ``coarse`` x ``coarse``
     midpoint grid, then refines every local minimum below a slope-based seed
-    threshold by derivative-free simplex minimization (the gap is non-smooth
-    at a conical zero, so no derivatives are used) until the simplex step
-    falls below 1e-13.  The simplex is the module's own ``minimize``, which
-    repeats scipy's Nelder-Mead iterates bit for bit (scipy is its test
-    oracle) without importing scipy at start-up; it keeps scipy's name
-    because the benchmark trace counts its evaluations under it.  Minima
-    with final gap below ``tol`` (default: 1e-7 relative to the spectral
-    radius) are accepted, deduplicated modulo the dual lattice, and returned
-    sorted by fractional coordinates.
+    threshold, all seeds in one batch, by the Gauss-Newton locator
+    ``minimize`` on the gap between the bands m - 1 and m, m the scan's
+    occupied count, until each seed's step falls to 1e-13.  Minima with
+    final gap below ``tol`` (default: 1e-7 relative to the spectral radius)
+    are accepted, deduplicated modulo the dual lattice, and returned sorted
+    by fractional coordinates.
 
     Minima that plateau in (tol, 100*tol] produce warnings.  When nothing
     converges the scan is returned empty with the smallest gap seen as a
@@ -317,22 +304,12 @@ def find_fermi_points(
     is_min = (gap <= neighbors_min) & (gap < seed_threshold)
     seeds = ks.reshape(n, n, 2)[is_min]
 
-    def gap_fn(k):
-        ww = np.linalg.eigvalsh(h_at(model, k))
-        return ww[m] - ww[m - 1]
-
-    candidates = []
-    min_gap = float(gap.min())
-    for k0 in seeds:
-        simplex = np.array([k0, k0 + [spacing, 0.0], k0 + [0.0, spacing]])
-        res = minimize(gap_fn, simplex, xatol=1e-13, fatol=1e-12 * max(1.0, rho),
-                       maxiter=4000, maxfev=8000)
-        candidates.append((float(res.fun), np.asarray(res.x, dtype=float)))
-        min_gap = min(min_gap, float(res.fun))
+    res = minimize(model, m, seeds)
+    min_gap = min([float(gap.min()), *res.fun.tolist()])
 
     warnings = []
     accepted = []
-    for g, k in sorted(candidates, key=lambda c: c[0]):
+    for g, k in sorted(zip(res.fun.tolist(), res.x), key=lambda c: c[0]):
         if g < tol:
             seen = [k2 for _, k2 in accepted]
             if (_min_cart_distance(lat, lat.to_zone(k)[None, :], seen, _DEDUP_RADIUS)[0]

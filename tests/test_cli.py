@@ -57,6 +57,18 @@ def test_grid_below_minimum_is_config_error(capsys):
     assert code == 1
 
 
+def test_config_error_leaves_next_command_unchanged(capsys):
+    # one parser serves every main call in a process: a refused command line,
+    # by argparse or by the configuration checks, leaves nothing the next reads
+    argv = ("sigma", "--preset", "qwz", "--params", "u=-2", "--method", "closed")
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0
+    for bad in (("--method", "bogus"), ("--grid", "4")):
+        code, _, err = run_cli(capsys, *argv[:-2], *bad)
+        assert code == 1 and err.startswith("error:")
+        assert run_cli(capsys, *argv) == first
+
+
 def test_model_source_must_be_exactly_one(capsys, model_file):
     path = model_file(square_model_dict())
     code, _, _ = run_cli(capsys, "validate", "--model", path, "--preset", "qwz")

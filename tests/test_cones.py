@@ -4,11 +4,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize as scipy_minimize
 
 import conecond as cc
 import conecond.cones as cones
-from conecond.cones import _occupied_band_index, minimize
+from conecond.cones import _occupied_band_index
 
 from conftest import dual_images
 
@@ -108,86 +107,68 @@ def test_scan_count_matches_straddler_reference():
             assert _occupied_band_index(model, w) == m
 
 
-# -- the simplex against scipy's --------------------------------------------------
+# -- locator ---------------------------------------------------------------------
 
-def assert_matches_scipy(fun, simplex, **limits):
-    """Run the package's Nelder-Mead and scipy's on ``fun`` from one simplex:
-    the same points evaluated in the same order, and the same x, fun and
-    nfev, bit for bit."""
-    def logged(log):
-        return lambda x: (log.append(x.tobytes()), fun(x))[1]
-
-    ours, theirs = [], []
-    res = minimize(logged(ours), simplex, **limits)
-    ref = scipy_minimize(logged(theirs), simplex[0], method="Nelder-Mead",
-                         options=dict(initial_simplex=simplex, **limits))
-    assert ours == theirs
-    assert res.x.tobytes() == ref.x.tobytes()
-    assert res.fun == ref.fun and res.nfev == ref.nfev == len(ours)
-    return res
+K_CORNER = 4.0 * np.pi / (3.0 * np.sqrt(3.0))   # the honeycomb's K, K' at (0, +-K_CORNER)
 
 
-@pytest.mark.parametrize("model", [
-    pytest.param(cc.preset_haldane(1.0, 0.1, 0.0, 0.0), id="honeycomb"),
-    pytest.param(cc.preset_haldane(1.0, 0.1, np.pi / 2, 0.3 * np.sqrt(3.0)),
-                 id="haldane-critical"),
-    pytest.param(cc.preset_qwz(-2.0, 2.0, 1.0), id="qwz-aniso"),
-])
-def test_minimize_matches_scipy_on_fermi_point_seeds(monkeypatch, model):
-    # every gap function and seed simplex that find_fermi_points refines
-    runs = []
+def locate_counted(monkeypatch, model):
+    """find_fermi_points(model) and the (seeds, nfev) of its one locator call."""
+    runs, locate = [], cones.minimize
 
-    def checked(fun, simplex, **limits):
-        runs.append(assert_matches_scipy(fun, simplex, **limits))
-        return runs[-1]
+    def counted(model, m, seeds):
+        res = locate(model, m, seeds)
+        runs.append((len(seeds), res.nfev))
+        return res
 
-    monkeypatch.setattr(cones, "minimize", checked)
+    monkeypatch.setattr(cones, "minimize", counted)
     scan = cc.find_fermi_points(model)
-    assert runs and len(scan) >= 1
+    (seeds, nfev), = runs
+    return scan, seeds, nfev
 
 
-def rosenbrock(x):
-    return (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
-
-
-def cusp(x, c=(0.0, 0.0)):
-    # from the simplex c + (0, 0), (1, 0), (0, 1) the reflection c + (1, -1)
-    # and the inside contraction c + (1/4, 1/2) are both worse than the worst
-    # vertex, so the first step is a shrink
-    u, v = x[0] - c[0], x[1] - c[1]
-    return abs(u) + 2.0 * abs(v) + 8.0 * abs(u * v)
-
-
-ROSEN_START = np.array([[-1.2, 1.0], [-1.1, 1.0], [-1.2, 1.1]])
-CUSP_START = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-LIMITS = dict(xatol=1e-10, fatol=1e-12, maxiter=4000, maxfev=8000)
-
-
-@pytest.mark.parametrize("fun, simplex, limits, converged", [
-    pytest.param(rosenbrock, ROSEN_START, LIMITS, True, id="rosenbrock"),
-    # off the origin, so that the shrinks round
-    pytest.param(lambda x: cusp(x, (0.1, 0.2)), CUSP_START + [0.1, 0.2],
-                 dict(LIMITS, xatol=1e-8), True, id="shrink"),
-    # the stop paths: the budget check before an evaluation, inside an
-    # iteration and among the first vertices, and the iteration count
-    pytest.param(rosenbrock, ROSEN_START, dict(LIMITS, maxfev=7), False, id="maxfev=7"),
-    pytest.param(rosenbrock, ROSEN_START, dict(LIMITS, maxfev=2), False, id="maxfev=2"),
-    pytest.param(rosenbrock, ROSEN_START, dict(LIMITS, maxiter=3), False, id="maxiter=3"),
+@pytest.mark.parametrize("model, omegas", [
+    pytest.param(cc.preset_qwz(-2.0), [(0.0, 0.0)], id="qwz-gamma"),
+    pytest.param(cc.preset_qwz(-2.0, 2.0, 1.0), [(0.0, 0.0)], id="qwz-aniso"),
+    pytest.param(cc.preset_qwz(0.0), [(np.pi, 0.0), (0.0, np.pi)], id="qwz-u0"),
+    pytest.param(cc.preset_haldane(1.0, 0.1, 0.0, 0.0), [(0.0, -K_CORNER), (0.0, K_CORNER)],
+                 id="honeycomb"),
+    pytest.param(cc.preset_haldane(1.0, 0.1, np.pi / 2.0, 0.3 * np.sqrt(3.0)),
+                 [(0.0, K_CORNER)], id="haldane-critical"),
 ])
-def test_minimize_matches_scipy(fun, simplex, limits, converged):
-    res = assert_matches_scipy(fun, simplex, **limits)
-    assert (res.fun < 1e-12) == converged
-    budget = limits["maxfev"]
-    assert (res.nfev == budget) if budget < LIMITS["maxfev"] else (res.nfev < budget)
+def test_locator_reaches_analytic_cones(monkeypatch, model, omegas):
+    # Gauss-Newton converges quadratically at a conical zero: the located
+    # point is the analytic one to rounding, within a few gap evaluations
+    scan, seeds, nfev = locate_counted(monkeypatch, model)
+    assert len(scan) == len(omegas)
+    lat = model.lattice
+    for want in omegas:
+        dist = [np.linalg.norm(lat.from_fractional(cc.wrap_fractional(
+            lat.to_fractional(k - np.array(want))))) for k in scan.locations]
+        assert min(dist) < 1e-12
+    assert max(scan.gaps) <= 1e-13 * max(1.0, model.spectral_radius())
+    assert nfev <= 12 * seeds
 
 
-def test_minimize_shrinks_toward_best_vertex():
-    points = []
-    minimize(lambda x: (points.append(tuple(x)), cusp(x))[1], CUSP_START,
-             xatol=1e-8, fatol=1e-8, maxiter=2, maxfev=100)
-    # three vertices, the reflection, the inside contraction, then the shrink
-    assert points == [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, -1.0), (0.25, 0.5),
-                      (0.5, 0.0), (0.0, 0.5)]
+def test_locator_backtracks_from_far_seeds():
+    # seeds anywhere in the zone, far outside the cone's linear region: the
+    # step halving keeps each seed's gap from rising, and on QWZ(-2) every
+    # seed still reaches the one cone, at Gamma
+    model = cc.preset_qwz(-2.0)
+    seeds = np.random.default_rng(0).uniform(-np.pi, np.pi, (64, 2))
+    start, _ = cones._gauss_newton_step(model, 1, seeds)
+    res = cones.minimize(model, 1, seeds)
+    assert np.all(res.fun <= start) and np.all(res.fun < 1e-12)
+    assert np.abs(cc.wrap_fractional(model.lattice.to_fractional(res.x))).max() < 1e-12
+
+
+def test_locator_reports_near_threshold_minimum(monkeypatch):
+    # a gapped minimum of 1e-6 within 100x the tolerance: the locator stalls
+    # there, within its budget, and the scan warns instead of accepting it
+    scan, seeds, nfev = locate_counted(monkeypatch, cc.preset_qwz(-1.9999995))
+    assert len(scan) == 0 and nfev <= 12 * seeds
+    warning, = scan.warnings
+    assert warning.startswith("near-threshold gap minimum 1.000e-06")
 
 
 # -- cone fit -------------------------------------------------------------------
@@ -277,11 +258,18 @@ def test_fit_cone_rejects_single_radius(haldane_critical, haldane_cones):
 def test_fit_cone_refuses_unresolving_radii(haldane_critical, haldane_cones, qwz_aniso,
                                             qwz_aniso_cones, radii):
     # circles inside omega's own error once gave Q ~ 4.1e5 (1e-16) and Q off
-    # by 18 % (1e-13) on the honeycomb, whose true Q is 2.25 I
-    for model, cones in ((haldane_critical, haldane_cones), (qwz_aniso, qwz_aniso_cones)):
-        for cone in cones:
+    # by 18 % (1e-13) on the honeycomb, whose true Q is 2.25 I.  The
+    # checkerboard's cone is located ~1e-31 from Gamma, where these radii
+    # resolve it, so its leg samples a point ~3e-14 off the crossing, where a
+    # Nelder-Mead simplex stopped
+    displaced = np.array([2.9009237681023934e-14, 1.535573400902581e-14])
+    for model, omegas in ((haldane_critical, [c.omega for c in haldane_cones]),
+                          (qwz_aniso, [displaced])):
+        for omega in omegas:
             with pytest.raises(cc.NotConical, match="does not resolve the cone"):
-                cc.fit_cone(model, cone.omega, radii=radii)
+                cc.fit_cone(model, omega, radii=radii)
+    Q, _, _ = cc.fit_cone(qwz_aniso, qwz_aniso_cones[0].omega, radii=radii)
+    assert np.abs(Q - np.diag([4.0, 1.0])).max() < 1e-12
     with pytest.raises(cc.NotConical):
         cc.characterize_cones(haldane_critical, coarse=32, radii=radii)
     # circles ~300x clear of the gap at omega resolve it

@@ -13,7 +13,9 @@ changes only rounding moves the sums by a few ulps, but it can move a
 pinned difference of nearly equal sums (a quad_error, a verify
 discrepancy) by far more than 1e-12 relative: the single-path H/J assembly
 (one Fourier sum over distinct displacements) moved three of them by
-1.5e-12 to 1.5e-11 and re-recorded just those.  A move beyond ~1e-9
+1.5e-12 to 1.5e-11 and re-recorded just those.  The Gauss-Newton cone
+locator, which moved the located cone by ~2e-14, moved three verify
+values by 1.6e-12 to 3.8e-11 and re-recorded those.  A move beyond ~1e-9
 relative is not rounding.  Grids are 16 x 16 base grids and three eta
 values, so the runs take about a second each; the accuracy against the
 analytic values is the acceptance suite's business, not this file's.
@@ -81,9 +83,9 @@ def test_sigma_kubo_reduced_grid_golden(capsys, name):
 # rounding of two assemblies of one integral, pinned below 1e-14 instead
 VERIFY_GOLDEN = {
     "schwinger_vs_f0": (0.0009495016862031691, "pass"),
-    "singular_regular_flatness": (5.156981087428569e-05, "pass"),
-    "zeta_vs_fsing_sigma": (0.0008542589144401591, "pass"),
-    "closed_vs_kubo": (0.0014533299041158054, "fail"),
+    "singular_regular_flatness": (5.156981087436896e-05, "pass"),
+    "zeta_vs_fsing_sigma": (0.0008542589144076851, "pass"),
+    "closed_vs_kubo": (0.0014533299041712359, "fail"),
 }
 
 
