@@ -49,14 +49,19 @@ difference.  One spectral pass serves them all: each point of a grid is
 diagonalized once, and every eta and direction summed on that grid come
 from that eigen-decomposition (only the Lorentzian depends on eta).  One
 eta loop, _eta_sweep, serves sigma_kubo, sigma_hall and verify (whose
-value-only requests join its fine passes), and it gives each distinct grid
-one pass: without cones the grids do not depend on eta, so the whole
-sequence is summed on one uniform fine grid and its companion.  The grids
-come from GridPolicy, sized in momentum units by the resolution gate of
-_pair_sum_on_grid that they must pass, so scaling every hopping and eta
-alike, or stretching the lattice, changes neither the grid sizes nor sigma.
-Their finest core follows each cone's gate ellipse in its metric Q, the
-graded shell around it a cartesian disk (see GridPolicy).
+value-only requests join its fine grids), and it decomposes each cell of
+its grids once: without cones the grids do not depend on eta, so the whole
+sequence is summed on one uniform fine grid and its companion; with cones
+the grids of a sweep share their unsplit base cells and shell rings, so
+each grid is an ordered list of parts (GridPolicy._parts), each part goes
+through _pair_sum_on_grid once with the requests of every grid holding it,
+and a grid's value is the sum of its parts' sums, checked as a pass over
+the whole grid would be (_checked).  The grids come from GridPolicy, sized
+in momentum units by the resolution gate of _checked that they must pass,
+so scaling every hopping and eta alike, or stretching the lattice, changes
+neither the grid sizes nor sigma.  Their finest core follows each cone's
+gate ellipse in its metric Q, the graded shell around it a cartesian disk
+(see GridPolicy).
 
 k-sums are accumulated with a fixed-shape pairwise (tree) reduction, making
 results bit-stable under any chunked evaluation order.
@@ -65,6 +70,7 @@ results bit-stable under any chunked evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,7 +86,7 @@ from .cones import (
     default_epsilon,
     sigma_closed_form,
 )
-from .lattice import KGrid, refined_grid, uniform_grid
+from .lattice import KGrid, _cell_grid, _refine_level, refined_grid, uniform_grid
 
 __all__ = [
     "DegeneratePoint",
@@ -124,7 +130,7 @@ _CHUNK = 4096
 #: floor so that estimates decaying to zero (gapped models) can converge
 _CONV_RTOL = 0.02
 _CONV_ATOL = 1e-4
-#: the resolution gate of _pair_sum_on_grid: at the points whose Fermi gap is
+#: the resolution gate of _checked: at the points whose Fermi gap is
 #: below _GATE_WINDOW |eta|, cell spacing x current slope must stay at most
 #: |eta| / _GATE_CELL, so that each cell resolves the width-eta Lorentzian
 _GATE_WINDOW = 4.0
@@ -263,11 +269,16 @@ class GridPolicy:
     eta alike leaves the grids as they are, and stretching the lattice
     stretches them with it.  Only ``base`` is set per run.
 
-    ``grids_for`` (and the eta sweep, through the same private helpers, with
-    one max|dH| sample for all its etas) also returns a coarsened companion
-    (half the base subdivision, the schedule without its last radius; both
-    uniform without cones) whose difference against the fine result serves
-    as the quadrature-error estimate.
+    ``grids_for`` also returns a coarsened companion (half the base
+    subdivision, the schedule without its last radius; both uniform without
+    cones) whose difference against the fine result serves as the
+    quadrature-error estimate.  The eta sweep builds the same grids, with
+    one max|dH| sample for all its etas, as parts (``_parts``): the shell
+    radii R_outer / 2^level do not depend on eta, so the shell of every
+    schedule is a prefix of the longest, and per base subdivision one walk
+    down those shell levels yields each level's unsplit cells once, for
+    every grid whose shell reaches it, and each grid's tail, the walk's
+    frontier where its shell ends refined over its core radii.
     """
 
     base: int = 96
@@ -300,6 +311,25 @@ class GridPolicy:
             level += 1
         return radii, r_core
 
+    def _layouts(self, model: HoppingModel, cones, eta: float, jmax) -> tuple:
+        """The (base subdivision, schedule) of the fine grid for eta and of
+        its companion, given jmax = _current_scale(model, cones)."""
+        radii, r_core = self._radii_schedule(model, cones, eta, jmax)
+        return (self.base, (radii, r_core)), (max(self.base // 2, 2), (radii[:-1], r_core))
+
+    @staticmethod
+    def _metric(cones) -> tuple:
+        """(each cone's omega, the Cholesky factor of its metric Q / lambda*)."""
+        lam = min(c.lambda_star for c in cones)
+        return [c.omega for c in cones], [np.linalg.cholesky(c.Q / lam) for c in cones]
+
+    @staticmethod
+    def _shell_and_core(schedule) -> tuple:
+        """(the shell radii, those above R_core; the core radii) of ``schedule``."""
+        radii, r_core = schedule
+        shell = [r for r in radii if r > r_core]
+        return shell, radii[len(shell):]
+
     @staticmethod
     def _grid(model: HoppingModel, cones, n: int, schedule) -> KGrid:
         """The n x n uniform grid, refined around the cones over ``schedule``,
@@ -307,22 +337,54 @@ class GridPolicy:
         grid = uniform_grid(model.lattice, n, n)
         if not cones:
             return grid
-        radii, r_core = schedule
-        shell = [r for r in radii if r > r_core]
-        lam = min(c.lambda_star for c in cones)
-        return refined_grid(model.lattice, grid, [c.omega for c in cones], shell,
-                            radii[len(shell):], [np.linalg.cholesky(c.Q / lam) for c in cones])
+        centers, factors = GridPolicy._metric(cones)
+        return refined_grid(model.lattice, grid, centers,
+                            *GridPolicy._shell_and_core(schedule), factors)
 
-    def _grid_pair(self, model: HoppingModel, cones, schedule):
-        """(fine, companion) grids over ``schedule``."""
-        radii, r_core = schedule
-        return (self._grid(model, cones, self.base, schedule),
-                self._grid(model, cones, max(self.base // 2, 2), (radii[:-1], r_core)))
+    @staticmethod
+    def _parts(model: HoppingModel, cones, layouts):
+        """The grids _grid(model, cones, n, schedule) of ``layouts`` [(n,
+        schedule)] as parts: yields (part KGrid, the indices of the layouts
+        whose grid holds it), and each grid's cells, weights and order are
+        its parts' in the order yielded.  Per base n one walk goes down the
+        longest shell from the uniform grid, one _refine_level per radius:
+        a level's unsplit cells are one part, held by every grid whose shell
+        reaches that level, and where a grid's shell ends its tail, the
+        frontier refined over its core radii (the frontier itself without
+        core levels), is another, held by every grid with that shell and
+        core.  A part is yielded as soon as it is cut, and the walk keeps
+        only its frontier.  Without cones each grid is its uniform grid."""
+        lat = model.lattice
+        for n in dict.fromkeys(n for n, _ in layouts):
+            mine = [i for i, (m, _) in enumerate(layouts) if m == n]
+            grid = uniform_grid(lat, n, n)
+            if not cones:
+                yield grid, mine
+                continue
+            centers, factors = GridPolicy._metric(cones)
+            levels = {i: GridPolicy._shell_and_core(layouts[i][1]) for i in mine}
+            shell = max((s for s, _ in levels.values()), key=len)
+            assert all(s == shell[:len(s)] for s, _ in levels.values())
+            for depth in range(len(shell) + 1):
+                tails = {}
+                for i in mine:
+                    if len(levels[i][0]) == depth:
+                        tails.setdefault(tuple(levels[i][1]), []).append(i)
+                for core, held in tails.items():
+                    yield (refined_grid(lat, grid, centers, (), core, factors)
+                           if core else grid), held
+                if depth < len(shell):
+                    kept, cells = _refine_level(lat, (grid.frac, grid.size, grid.weights),
+                                                centers, shell[depth])
+                    yield _cell_grid(lat, n, n, kept), [i for i in mine
+                                                        if len(levels[i][0]) > depth]
+                    grid = _cell_grid(lat, n, n, cells)
 
     def grids_for(self, model: HoppingModel, cones, eta: float):
         """(fine, companion) quadrature grids for the given eta."""
         jmax = self._current_scale(model, cones)
-        return self._grid_pair(model, cones, self._radii_schedule(model, cones, eta, jmax))
+        return tuple(self._grid(model, cones, n, schedule)
+                     for n, schedule in self._layouts(model, cones, eta, jmax))
 
 
 # -- frequency-domain grid integrals ----------------------------------------
@@ -422,6 +484,35 @@ def _two_band_blocks(w: np.ndarray, V: np.ndarray, m: int, J: dict, D2: dict) ->
     return (w[:, 0] - w[:, 1])[:, None], B, Ct, traces
 
 
+class _Tally(NamedTuple):
+    """One request's share of a _pair_sum_on_grid pass: its weighted sum
+    (before the 1 / (2 pi)^2) and what its checks read."""
+
+    total: float
+    top: float        # max per-point sum (sign check)
+    scale: float      # max |per-point sum|
+    imag: float       # max |Im trace| (Schwinger)
+    spacing: float    # widest cell among points with Fermi gap below 4|eta|
+    slope: float      # the larger of max|J_j| and max|J_l| over the pass
+
+
+class _Points(NamedTuple):
+    """What a _pair_sum_on_grid pass finds at its points whatever the
+    requests: their count, the smallest Fermi gap (inf without one), and per
+    chunk holding a degeneracy (positions, gaps, momenta) of its points with
+    a Fermi gap below the degeneracy floor."""
+
+    size: int
+    min_gap: float
+    degenerate: list
+
+
+def _gated(request) -> bool:
+    """Whether the resolution gate reads ``request`` (an eta > 0 response)."""
+    quantity, eta, _ = request
+    return quantity != "schwinger" and eta != 0.0
+
+
 def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
                       gate: bool) -> tuple:
     """Every requested grid integral from one eigen-decomposition per point.
@@ -449,17 +540,13 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
     takes _blocks, V^H (J V) in two einsum steps.  The Schwinger trace sums
     v_q^H d^2H v_q over the occupied columns.  The requests share that data
     but each keeps its own formula.
-    Returns ({request: weighted grid sum / (2 pi)^2} in request order, the
-    grid's smallest Fermi-level gap or inf).  Every request is checked as if
-    evaluated alone, and the first failing one in request order raises:
-    GridTooCoarse when ``gate`` is set and, for eta != 0, the points with
-    Fermi gap below 4|eta| sit in cells too wide for that eta at the
-    request's own current scale; RuntimeError when a longitudinal (j = l)
-    f_jl per-point sum loses its nonpositive sign or a Schwinger trace
-    acquires an imaginary part.  A Fermi-level degeneracy is the same for
-    every request and raises DegeneratePoint; a non-finite eta raises
-    ValueError before the pass.
 
+    ``grid`` may be a whole grid or one part of one (GridPolicy._parts), so
+    nothing is refused here but a non-finite eta (ValueError, before the
+    pass): returns ({request: _Tally} in request order, _Points), and
+    _checked sums and checks a grid's passes.  The gate's statistics are
+    taken when ``gate`` is set.  A chunk holding a Fermi-level degeneracy
+    records it and sums nothing, since every grid holding it is refused.
     Chunk sums are tree-summed and then tree-summed across chunks: since
     _CHUNK is a power of two this is bit-identical to the tree sum of the
     whole per-point array, and no per-point array outlives its chunk.
@@ -471,14 +558,14 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
     spacing = _grid_spacing_cart(grid)
     currents = sorted({d for q, _, p in requests if q != "schwinger" for d in p})
     hessians = sorted({p for q, _, p in requests if q == "schwinger"})
-    gate_etas = {abs(e) for q, e, _ in requests if q != "schwinger" and e != 0.0}
+    gate_etas = {abs(r[1]) for r in requests if _gated(r)}
     partials = {r: [] for r in requests}
-    top = dict.fromkeys(requests, 0.0)     # max per-point sum (sign check)
-    imag = dict.fromkeys(requests, 0.0)    # max |Im trace| (Schwinger)
-    scale = dict.fromkeys(requests, 0.0)   # max |per-point sum|
+    top = dict.fromkeys(requests, 0.0)
+    imag = dict.fromkeys(requests, 0.0)
+    scale = dict.fromkeys(requests, 0.0)
     jmax = dict.fromkeys(currents, 0.0)
     worst_spacing = dict.fromkeys(gate_etas, 0.0)
-    min_gap = np.inf
+    min_gap, degenerate = np.inf, []
     for lo in range(0, npts, _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, npts))
         ks = grid.points[sl]
@@ -487,12 +574,10 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
         D2 = dict(zip(hessians, stacks[len(currents):]))
         w, V = _eigh(H)
         counts, idx, gaps = _fermi_gaps(w, model.fermi_energy)
-        if idx.size and gaps.min() < _DEGENERACY_FLOOR:
-            k_bad = ks[idx[gaps.argmin()]]
-            raise DegeneratePoint(
-                f"Fermi-level degeneracy (gap {gaps.min():.3e}) at grid "
-                f"point k=({k_bad[0]:.6f}, {k_bad[1]:.6f})"
-            )
+        bad = idx[gaps < _DEGENERACY_FLOOR]
+        if bad.size:
+            degenerate.append((lo + bad, gaps[gaps < _DEGENERACY_FLOOR], ks[bad]))
+            continue
         min_gap = min(min_gap, float(gaps.min(initial=np.inf)))
         if gate:
             for e in gate_etas:
@@ -536,48 +621,112 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
                 top[r] = max(top[r], float(per_k[r].max(initial=0.0)))
             scale[r] = max(scale[r], float(np.abs(per_k[r]).max(initial=0.0)))
             partials[r].append(_tree_sum(per_k[r] * grid.weights[sl]))
-    out = {}
+    tallies = {}
     for r in requests:
-        quantity, eta, (j, l) = r
+        _, eta, (j, l) = r
+        tallies[r] = _Tally(_tree_sum(partials[r]), top[r], scale[r], imag[r],
+                            worst_spacing.get(abs(eta), 0.0),
+                            max(jmax.get(j, 0.0), jmax.get(l, 0.0)))
+    return tallies, _Points(npts, min_gap, degenerate)
+
+
+def _checked(requests, gate: bool, passes) -> tuple:
+    """({request: weighted grid sum / (2 pi)^2} in request order, the
+    smallest Fermi-level gap or inf) of a grid from the _pair_sum_on_grid
+    ``passes`` over its parts, in grid order: each request's sum is the tree
+    sum of its parts' sums, and its checks read the maxima of their
+    statistics, so a grid is refused exactly as by one pass over it whole.
+
+    A Fermi-level degeneracy is the same for every request and raises
+    DegeneratePoint first, at the smallest gap of the first _CHUNK of the
+    grid that holds one.  Then every request is checked as if evaluated
+    alone, and the first failing one in request order raises: GridTooCoarse
+    when ``gate`` is set and, for eta != 0, the points with Fermi gap below
+    4|eta| sit in cells too wide for that eta at the request's own current
+    scale; RuntimeError when a longitudinal (j = l) f_jl per-point sum loses
+    its nonpositive sign or a Schwinger trace acquires an imaginary part."""
+    offset, bad = 0, []
+    for _, points in passes:
+        bad += [(offset + pos, gaps, ks) for pos, gaps, ks in points.degenerate]
+        offset += points.size
+    if bad:
+        pos, gaps, ks = (np.concatenate(a) for a in zip(*bad))
+        i = gaps[:np.searchsorted(pos, (pos[0] // _CHUNK + 1) * _CHUNK)].argmin()
+        raise DegeneratePoint(
+            f"Fermi-level degeneracy (gap {gaps[i]:.3e}) at grid "
+            f"point k=({ks[i, 0]:.6f}, {ks[i, 1]:.6f})"
+        )
+    out = {}
+    for r in dict.fromkeys(requests):
+        _, eta, (j, l) = r
+        stats = np.array([tallies[r] for tallies, _ in passes])
+        top, scale, imag, spacing, slope = stats[:, 1:].max(axis=0)
         e = abs(eta)
-        if gate and e in worst_spacing:
-            slope = max(jmax[j], jmax[l])
-            if worst_spacing[e] * slope > e / _GATE_CELL:
-                raise GridTooCoarse(
-                    f"near-cone spacing {worst_spacing[e]:.3e} x slope {slope:.3e} "
-                    f"exceeds eta/{_GATE_CELL:g} = {e / _GATE_CELL:.3e}; refine the grid"
-                )
-        if j == l and top[r] > 1e-12 * max(1.0, scale[r]):
+        if gate and _gated(r) and spacing * slope > e / _GATE_CELL:
+            raise GridTooCoarse(
+                f"near-cone spacing {spacing:.3e} x slope {slope:.3e} "
+                f"exceeds eta/{_GATE_CELL:g} = {e / _GATE_CELL:.3e}; refine the grid"
+            )
+        if j == l and top > 1e-12 * max(1.0, scale):
             raise RuntimeError(
                 "longitudinal integrand lost its definite sign "
-                f"(max {top[r]:.3e}); numerical failure"
+                f"(max {top:.3e}); numerical failure"
             )
-        if imag[r] > 1e-9 * max(1.0, scale[r]):
+        if imag > 1e-9 * max(1.0, scale):
             raise RuntimeError(
-                f"trace of Hermitian product acquired imaginary part {imag[r]:.3e}"
+                f"trace of Hermitian product acquired imaginary part {imag:.3e}"
             )
-        out[r] = _tree_sum(partials[r]) / (2.0 * np.pi) ** 2
-    return out, min_gap
+        out[r] = _tree_sum(stats[:, 0]) / (2.0 * np.pi) ** 2
+    return out, min(points.min_gap for _, points in passes)
+
+
+def _grid_values(model: HoppingModel, grid: KGrid, requests, gate: bool) -> tuple:
+    """The checked values of one _pair_sum_on_grid pass over the whole
+    ``grid``: ({request: value}, min_gap), see _checked."""
+    return _checked(requests, gate, [_pair_sum_on_grid(model, grid, requests, gate)])
+
+
+def _grid_sums(model: HoppingModel, cones, grids) -> list:
+    """[(checked {request: value}, min_gap, size)] for the ``grids``
+    [(n, schedule, requests, gate)] of GridPolicy._grid, refused in list
+    order as by one whole pass each: one _pair_sum_on_grid pass per part of
+    GridPolicy._parts, carrying the requests of every grid that holds it and
+    gated if one of them is, and each grid's passes summed and checked by
+    _checked.  Only the parts' tallies are kept, not their points."""
+    passes = [[] for _ in grids]
+    for part, held in GridPolicy._parts(model, cones, [g[:2] for g in grids]):
+        if len(part):
+            found = _pair_sum_on_grid(model, part, [r for i in held for r in grids[i][2]],
+                                      any(grids[i][3] for i in held))
+            for i in held:
+                passes[i].append(found)
+    return [(*_checked(requests, gate, p), sum(points.size for _, points in p))
+            for (_, _, requests, gate), p in zip(grids, passes)]
+
+
+def _quad_error(value: float, coarse: float | None) -> float:
+    """The distance of ``value`` to its companion evaluation ``coarse`` (None
+    when there is none), floored at roundoff."""
+    quad = abs(value - coarse) if coarse is not None else 0.0
+    return max(quad, 1e-14 * (1.0 + abs(value)))
 
 
 def _estimate(quantity: str, eta: float, grid: str, value: float,
               coarse: float | None) -> KuboEstimate:
-    """A KuboEstimate whose quad_error is the distance to the companion
-    evaluation ``coarse`` (None when there is none), floored at roundoff."""
-    quad = abs(value - coarse) if coarse is not None else 0.0
+    """A KuboEstimate whose quad_error is _quad_error(value, coarse)."""
     return KuboEstimate(value=value, eta=eta, quantity=quantity, grid=grid,
-                        quad_error=max(quad, 1e-14 * (1.0 + abs(value))))
+                        quad_error=_quad_error(value, coarse))
 
 
 def _estimates(model: HoppingModel, values: dict, grid: KGrid,
                companion: KGrid | None) -> dict:
-    """KuboEstimates for the _pair_sum_on_grid ``values`` ({request: value})
-    of a pass over ``grid``, with one pass over the ``companion`` for their
+    """KuboEstimates for the checked ``values`` ({request: value}) of a pass
+    over ``grid``, with one pass over the ``companion`` for their
     quadrature errors; {request: KuboEstimate}."""
     # the resolution gate protects the primary estimate; the companion grid
     # is deliberately coarser and serves only the error estimate
     coarse = (
-        _pair_sum_on_grid(model, companion, list(values), False)[0]
+        _grid_values(model, companion, list(values), False)[0]
         if companion is not None else {}
     )
     return {
@@ -607,7 +756,7 @@ def fjl_eta(model: HoppingModel, eta: float, j: int, l: int, grid: KGrid,
         raise ValueError("eta must be positive (use ftilde_jj for eta -> 0)")
     _require_directions(j, l)
     r = ("f_jl", float(eta), (j, l))
-    values, _ = _pair_sum_on_grid(model, grid, (r,), cones is not None)
+    values, _ = _grid_values(model, grid, (r,), cones is not None)
     return _estimates(model, values, grid, companion)[r]
 
 
@@ -632,7 +781,7 @@ def ftilde_jj(model: HoppingModel, eta: float, j: int, grid: KGrid,
     """
     _require_directions(j)
     r = ("ftilde_jj", float(eta), (j, j))
-    values, _ = _pair_sum_on_grid(model, grid, (r,), cones is not None)
+    values, _ = _grid_values(model, grid, (r,), cones is not None)
     return _estimates(model, values, grid, companion)[r]
 
 
@@ -647,7 +796,7 @@ def schwinger(model: HoppingModel, j: int, l: int, grid: KGrid,
     """
     _require_directions(j, l)
     r = ("schwinger", 0.0, (j, l))
-    values, _ = _pair_sum_on_grid(model, grid, (r,), False)
+    values, _ = _grid_values(model, grid, (r,), False)
     return _estimates(model, values, grid, companion)[r]
 
 
@@ -914,43 +1063,52 @@ def _direction_pairs(j, l, directions) -> tuple:
 def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy,
                cones, riders) -> tuple:
     """The eta loop of sigma_kubo, sigma_hall and verify: (the report,
-    unconverged pairs flagged, not raised; {grid eta: {request: fine-pass
-    value}}; the smallest Fermi gap of the gated fine passes).  Steps are
+    unconverged pairs flagged, not raised; {grid eta: {request: fine-grid
+    value}}; the smallest Fermi gap of the gated fine grids).  Steps are
     grouped by grid pair (one per step with cones; without cones grids_for
-    ignores eta, so all share one), and each pair gets one gated fine pass,
-    the steps' f_jl first and then the riders of their etas, and one
-    companion pass.  ``riders`` maps a grid eta to nonempty lists of
-    value-only requests; an eta not visited gets its fine grid alone, in
-    one pass with the gate off.  The grids are those of grids_for, with the
-    current-norm sample of their schedules taken once for the sweep."""
+    ignores eta, so all share one), and each pair's fine grid carries the
+    steps' f_jl and then the riders of their etas, gated, and its companion
+    the f_jl.  ``riders`` maps a grid eta to nonempty lists of value-only
+    requests; an eta not visited gets its fine grid alone, with the gate
+    off.  The grids are those of grids_for, with the current-norm sample of
+    their schedules taken once for the sweep, and _grid_sums decomposes each
+    cell once for all of them: the grids share their unsplit base cells and
+    shell rings (GridPolicy._parts), each grid adds only its tail, and each
+    grid is refused, in the order fine, companion per pair and then the
+    riders' grids, exactly as by a pass over it whole."""
     seq = _validate_halving(eta_sequence)
     steps = list(zip(seq, seq[1:]))
+    groups = [[s] for s in steps] if cones else [steps]
+    jmax = policy._current_scale(model, cones)
+    grids = []
+    for group in groups:
+        fine, comp = policy._layouts(model, cones, group[-1][1], jmax)
+        own = [("f_jl", e, p) for step in group for e in step for p in pairs]
+        ride = [r for _, eta in group for r in riders.get(eta, [])]
+        grids += [(*fine, own + ride, True), (*comp, own, False)]
+    visited = {eta for _, eta in steps}
+    alone = [e for e in riders if e not in visited]
+    grids += [(*policy._layouts(model, cones, e, jmax)[0], riders[e], False) for e in alone]
+    sums = _grid_sums(model, cones, grids)
+
     per_eta = {p: [] for p in pairs}
     sigma_hats = {p: [] for p in pairs}
     f_values = {p: {} for p in pairs}
     grid_sizes, values, min_gap = {}, {}, np.inf
-    jmax = policy._current_scale(model, cones)
-    for group in ([s] for s in steps) if cones else [steps]:
-        fine, comp = policy._grid_pair(
-            model, cones, policy._radii_schedule(model, cones, group[-1][1], jmax))
-        own = [("f_jl", e, p) for step in group for e in step for p in pairs]
-        ride = [r for _, eta in group for r in riders.get(eta, [])]
-        found, gap = _pair_sum_on_grid(model, fine, own + ride, True)
+    for group, (found, gap, size), (coarse, _, _) in zip(groups, sums[0::2], sums[1::2]):
         min_gap = min(min_gap, gap)
-        est = _estimates(model, {r: found[r] for r in own}, fine, comp)
         for eta_hi, eta in group:
-            values[eta], grid_sizes[eta] = found, len(fine)
+            values[eta], grid_sizes[eta] = found, size
             for p in pairs:
-                f_hi, f_lo = est["f_jl", eta_hi, p], est["f_jl", eta, p]
-                f_values[p][eta] = (f_hi.value, f_lo.value)
-                s_hat = (f_hi.value - f_lo.value) / eta
-                s_err = (f_hi.quad_error + f_lo.quad_error) / eta
+                f_hi, f_lo = found["f_jl", eta_hi, p], found["f_jl", eta, p]
+                f_values[p][eta] = (f_hi, f_lo)
+                s_hat = (f_hi - f_lo) / eta
+                s_err = (_quad_error(f_hi, coarse["f_jl", eta_hi, p])
+                         + _quad_error(f_lo, coarse["f_jl", eta, p])) / eta
                 sigma_hats[p].append(s_hat)
                 per_eta[p].append((eta, s_hat, s_err))
-    for eta in [e for e in riders if e not in values]:
-        fine = policy._grid(model, cones, policy.base,
-                            policy._radii_schedule(model, cones, eta, jmax))
-        values[eta], _ = _pair_sum_on_grid(model, fine, riders[eta], False)
+    for eta, (found, _, _) in zip(alone, sums[2 * len(groups):]):
+        values[eta] = found
 
     # with a single estimator value Richardson is not possible; report the
     # plain estimator (the convergence flag is necessarily False then)
@@ -982,10 +1140,11 @@ def sigma_kubo(model: HoppingModel, j: int | None = None, l: int | None = None,
     is keyed by every pair.  For each consecutive pair of the halving eta
     sequence, f_jl is evaluated at both 2*eta and eta on one shared grid
     built for the smaller eta (so quadrature error cancels in the
-    difference), giving the estimator sequence sigma_hat(eta).  Each distinct
-    grid and its companion are built once and traversed in one spectral
-    pass (one per eta with cones, one for the whole sequence without): every
-    point is diagonalized once for every eta and direction.  The report
+    difference), giving the estimator sequence sigma_hat(eta).  The grids
+    (one pair per eta with cones, one for the whole sequence without) are
+    cut into parts that share their common cells, and each part is
+    traversed in one spectral pass: every cell is diagonalized once for
+    every grid, eta and direction that reads it.  The report
     carries each pair's sequence, its Richardson extrapolation (the headline
     value), and a convergence flag (last two sigma_hat within 2%, with a
     small absolute floor for values decaying to zero); ``diagnostics`` holds

@@ -529,21 +529,25 @@ def test_verify_closed_vs_kubo_names_unconverged_pairs(capsys, argv, status, sta
 
 
 @pytest.mark.parametrize("u, eta_seq, passes, refinements", [
-    # check (c)'s eta_b / 2 = 0.025 unvisited: its fine grid is built alone
-    pytest.param("-2", "0.2,0.1,0.05", 5, 5, id="0.2,0.1,0.05-5"),
-    # every grid of checks (a)-(c) shared
-    pytest.param("-2", "0.2,0.1,0.05,0.025,0.0125", 8, 8, id="0.2,0.1,0.05,0.025,0.0125-8"),
+    # check (c)'s eta_b / 2 = 0.025 unvisited: its fine grid's tail is cut
+    # alone; 3 fine and 2 companion tails, 4 fine and 3 companion shell
+    # levels
+    pytest.param("-2", "0.2,0.1,0.05", 12, 5, id="0.2,0.1,0.05-12"),
+    # every grid of checks (a)-(c) shared; 4 fine and 4 companion tails, 5
+    # fine and 5 companion shell levels
+    pytest.param("-2", "0.2,0.1,0.05,0.025,0.0125", 18, 8, id="0.2,0.1,0.05,0.025,0.0125-18"),
     # gapped: every eta step shares one uniform grid pair
     pytest.param("1", "0.2,0.1,0.05,0.025,0.0125", 2, 0, id="u=1-0.2,0.1,0.05,0.025,0.0125-2"),
 ])
 def test_verify_decomposes_each_grid_once(capsys, monkeypatch, u, eta_seq, passes,
                                           refinements):
-    # checks (a)-(c) ride on the fine passes of check (e)'s eta sweep: each
-    # distinct grid pair passes its fine grid and its companion through the
-    # kernel once, and an eta the sweep does not visit gets one fine-only
-    # pass, so across the whole run no grid is decomposed twice (the kernel
-    # decomposes through kubo._eigh, the closed form for N = 2) and no grid
-    # is refined that does not reach the kernel
+    # checks (a)-(c) ride on the fine grids of check (e)'s eta sweep: the
+    # sweep cuts its grids into parts (each shell level's unsplit cells once
+    # per base, each grid's tail) and passes each part through the kernel
+    # once, with the requests of every grid holding it, so across the whole
+    # run no cell is decomposed twice (the kernel decomposes through
+    # kubo._eigh, the closed form for N = 2) and each refinement of a tail
+    # reaches the kernel
     import conecond.kubo as kubo
 
     argv = ["verify", "--preset", "qwz", "--params", f"u={u}", "--grid", "16",

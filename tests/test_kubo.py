@@ -10,6 +10,7 @@ identities of the estimator sequence.
 """
 
 import dataclasses
+import hashlib
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -21,7 +22,7 @@ from scipy.integrate import simpson
 import conecond as cc
 from conecond import kubo
 from conecond.kubo import (_cone_pass, _eigh, _elliptic_polar_nodes, _fermi_gaps,
-                           _pair_sum_on_grid)
+                           _grid_values)
 
 
 def _pair_data(model, grid, j, l):
@@ -499,7 +500,7 @@ def test_sigma_kubo_not_converged_carries_report(qwz_gapped):
 
 def _f_pass(model, grid, etas, pairs, gate):
     """f_jl for every (eta, pair) from one kernel pass, keyed (eta, pair)."""
-    values, _ = _pair_sum_on_grid(
+    values, _ = _grid_values(
         model, grid, [("f_jl", eta, p) for eta in etas for p in pairs], gate)
     return {(eta, p): v for (_, eta, p), v in values.items()}
 
@@ -576,7 +577,7 @@ def test_grid_pass_matches_separate_calls(haldane_critical, haldane_cones, qwz_g
             return cc.ftilde_jj(m, eta, j, g, **gate).value
         return cc.schwinger(m, j, l, g).value
 
-    values, _ = _pair_sum_on_grid(model, grid, requests, True)
+    values, _ = _grid_values(model, grid, requests, True)
     assert list(values) == requests
     for r in requests:
         assert values[r] == separate(model, grid, r, True)  # bit-identical
@@ -585,7 +586,7 @@ def test_grid_pass_matches_separate_calls(haldane_critical, haldane_cones, qwz_g
         cc.ftilde_jj(model, 0.06, 1, grid, cones=cones)
     assert separate(model, grid, ("ftilde_jj", 0.06, (2, 2)), True) < 0.0
     with pytest.raises(cc.GridTooCoarse) as mixed:
-        _pair_sum_on_grid(model, grid, requests + [
+        _grid_values(model, grid, requests + [
             ("ftilde_jj", 0.06, (2, 2)), ("ftilde_jj", 0.06, (1, 1))], True)
     assert str(mixed.value) == str(single.value)
 
@@ -593,7 +594,7 @@ def test_grid_pass_matches_separate_calls(haldane_critical, haldane_cones, qwz_g
     flat = cc.uniform_grid(qwz_gapped.lattice, 24, 24)
     gapped = [("ftilde_jj", 0.0, (1, 1)), ("f_jl", 0.1, (1, 1)),
               ("schwinger", 0.0, (1, 1)), ("ftilde_jj", 0.0, (2, 2))]
-    values, _ = _pair_sum_on_grid(qwz_gapped, flat, gapped, False)
+    values, _ = _grid_values(qwz_gapped, flat, gapped, False)
     for r in gapped:
         assert values[r] == separate(qwz_gapped, flat, r, False)
 
@@ -648,7 +649,7 @@ def test_block_kernel_matches_dense_rotation(name, request):
     if name == "three_band_metal":
         w = np.linalg.eigvalsh(model.h_batch(grid.points))
         assert set((w <= model.fermi_energy).sum(axis=1)) == {1, 2}
-    values, min_gap = _pair_sum_on_grid(model, grid, requests, False)
+    values, min_gap = _grid_values(model, grid, requests, False)
     for r in requests:
         ref, scale = _dense_reference(model, grid, r)
         assert abs(values[r] - ref) <= 1e-12 * scale, r
@@ -691,10 +692,10 @@ def test_two_band_block_matches_einsum_path(name, requests, request, monkeypatch
 
     two_band = kubo._two_band_blocks
     monkeypatch.setattr(kubo, "_two_band_blocks", recording)
-    flat, _ = _pair_sum_on_grid(model, grid, requests, False)
+    flat, _ = _grid_values(model, grid, requests, False)
     assert flat_calls
     monkeypatch.setattr(kubo, "_two_band_blocks", kubo._blocks)
-    ref, _ = _pair_sum_on_grid(model, grid, requests, False)
+    ref, _ = _grid_values(model, grid, requests, False)
     for r in requests:
         assert ref[r] != 0.0 and abs(flat[r] - ref[r]) <= 1e-13 * abs(ref[r]), r
 
@@ -931,6 +932,153 @@ def test_kubo_cones_point_budget(honeycomb_report, qwz_aniso_report):
     total = sum(sum(report.diagnostics["grid_points"].values())
                 for report in (honeycomb_report, qwz_aniso_report))
     assert total <= 400_000
+
+
+#: the sweeps compared with whole-grid passes: model fixture -> the sha256 of
+#: the points, weights, frac and size of every GridPolicy().grids_for grid at
+#: BENCH_ETAS[1:], fine then companion, as the grids were before the sweep
+#: cut them into parts
+SWEEP_GRIDS = {
+    "haldane_critical":
+        "2d5edc2446c067a5162fd75b9b1cc84b7c8bed2cc9532c6d63cb3c8f5b52fbdf",
+    "qwz_aniso":
+        "cf6e072855ce23293d3052b7a6e3185bf9b6c4a7c0029765ee996bdd2271a8df",
+    "haldane_one_cone":
+        "336c747f3193fa38fada4ce484a39170bc9f36becb860c559a0f88ca9f6391f0",
+    "skewed_qwz":
+        "d011102170d5fab470b727c4fb706a1bce59c8159781cb83f2d2bee22b425e46",
+}
+
+#: value-only requests as verify rides them on the sweep, one eta unvisited
+SWEEP_RIDERS = {
+    0.0125: [r for p in BOTH + ((1, 2),) for r in (("schwinger", 0.0, p), ("f_jl", 0.025, p))],
+    0.05: [("ftilde_jj", 0.05, (j, j)) for j in (1, 2)],
+    0.03: [("ftilde_jj", 0.03, (1, 1)), ("f_jl", 0.03, (1, 2))],
+}
+
+
+def _whole_grid_sweep(model, cones):
+    """_eta_sweep over BENCH_ETAS with SWEEP_RIDERS, from each grid of
+    GridPolicy().grids_for passed whole through the kernel: (sigma, per_eta,
+    f_values, grid_points, on_grid, the sha256 of the grids)."""
+    policy, digest = cc.GridPolicy(), hashlib.sha256()
+    hats, per_eta, f_values = ({p: [] for p in BOTH}, {p: [] for p in BOTH},
+                               {p: {} for p in BOTH})
+    sizes, on_grid = {}, {}
+    for eta_hi, eta in zip(BENCH_ETAS, BENCH_ETAS[1:]):
+        fine, comp = policy.grids_for(model, cones, eta)
+        for g in (fine, comp):
+            for a in (g.points, g.weights, g.frac, g.size):
+                digest.update(a.tobytes())
+        own = [("f_jl", e, p) for e in (eta_hi, eta) for p in BOTH]
+        on_grid[eta], _ = _grid_values(model, fine, own + SWEEP_RIDERS.get(eta, []), True)
+        coarse, _ = _grid_values(model, comp, own, False)
+        sizes[eta] = len(fine)
+        for p in BOTH:
+            f_hi, f_lo = on_grid[eta]["f_jl", eta_hi, p], on_grid[eta]["f_jl", eta, p]
+            err = sum(kubo._quad_error(on_grid[eta][r], coarse[r])
+                      for r in (("f_jl", eta_hi, p), ("f_jl", eta, p)))
+            f_values[p][eta] = (f_hi, f_lo)
+            hats[p].append((f_hi - f_lo) / eta)
+            per_eta[p].append((eta, hats[p][-1], err / eta))
+    for eta in set(SWEEP_RIDERS) - set(BENCH_ETAS):
+        fine, _ = policy.grids_for(model, cones, eta)
+        on_grid[eta], _ = _grid_values(model, fine, SWEEP_RIDERS[eta], False)
+    sigma = {p: 2.0 * h[-1] - h[-2] for p, h in hats.items()}
+    return sigma, per_eta, f_values, sizes, on_grid, digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GRIDS))
+def test_sweep_matches_whole_grid_passes(name, request):
+    # the sweep decomposes each cell of its grids once, shell levels shared
+    # between grids, and sums each grid as the sum of its parts' sums: every
+    # value must be what passing each grid of grids_for whole through the
+    # kernel gives, up to the order of summation (and part points one
+    # rounding off the whole grid's), and those grids are bit for bit the
+    # ones the sweep was built to share.  A quad_error is the difference of
+    # two f values and agrees to 1e-12 of them; a value that cancels to
+    # roundoff (f_12 on the symmetric models) to 1e-12 of its grid's values
+    model = _skewed_qwz() if name == "skewed_qwz" else request.getfixturevalue(name)
+    cones = cc.characterize_cones(model)
+    sigma, per_eta, f_values, sizes, on_grid, digest = _whole_grid_sweep(model, cones)
+    assert digest == SWEEP_GRIDS[name]
+    report, values, _ = kubo._eta_sweep(model, BOTH, BENCH_ETAS, cc.GridPolicy(), cones,
+                                        SWEEP_RIDERS)
+    # the sweep's report, and sigma_kubo's of the two kubo_cones models
+    fixture = {"haldane_critical": "honeycomb_report", "qwz_aniso": "qwz_aniso_report"}
+    reports = [report] + ([request.getfixturevalue(fixture[name])] if name in fixture else [])
+    for rep in reports:
+        assert rep.diagnostics["grid_points"] == sizes
+        for p in BOTH:
+            assert rep.sigma[p] == pytest.approx(sigma[p], rel=1e-12, abs=0)
+            for (eta, s_hat, err), want in zip(rep.per_eta[p], per_eta[p], strict=True):
+                f_hi, f_lo = f_values[p][eta]
+                assert (eta, s_hat) == (want[0], pytest.approx(want[1], rel=1e-12, abs=0))
+                scale = (abs(f_hi) + abs(f_lo)) / eta
+                assert err == pytest.approx(want[2], rel=0, abs=1e-12 * scale)
+                assert rep.diagnostics["f_values"][p][eta] == pytest.approx(
+                    (f_hi, f_lo), rel=1e-12, abs=0)
+    assert set(values) == set(on_grid)
+    for eta, want in on_grid.items():
+        scale = max(abs(v) for v in want.values())
+        assert list(values[eta]) == list(want)
+        for r, v in want.items():
+            assert values[eta][r] == pytest.approx(v, rel=1e-12, abs=1e-12 * scale), (eta, r)
+
+
+def test_sweep_gate_reads_the_whole_grid():
+    # the honeycomb with one A -> B bond at 1.5 has two cones close to
+    # merging, too steep for the default base at eta = 0.1: the gate must
+    # refuse the grid with its own worst spacing and slope, which lie in
+    # different parts of it (the tail alone reads slope 3.531e+00)
+    model = cc.preset_haldane(1.0, 0.0, 0.0, 0.0)
+    terms = dict(model.terms)
+    terms[0, 0] = terms[0, 0].copy()
+    terms[0, 0][0, 1] = terms[0, 0][1, 0] = 1.5
+    model = dataclasses.replace(model, terms=terms)
+    with pytest.raises(cc.GridTooCoarse) as exc:
+        cc.sigma_kubo(model, directions=BOTH, eta_sequence=BENCH_ETAS)
+    assert str(exc.value) == ("near-cone spacing 2.182e-02 x slope 3.535e+00 exceeds "
+                              "eta/4 = 5.000e-02; refine the grid")
+
+
+def test_kubo_cones_sweeps_decompose_each_cell_once(haldane_critical, haldane_cones,
+                                                     qwz_aniso, qwz_aniso_cones, monkeypatch):
+    # the two kubo_cones sweeps pass 418,320 points through the kernel when
+    # each grid is passed whole, 319,284 with the fine shells shared alone;
+    # sharing every shell level and tail leaves at most 300,000, and no part
+    # reaches the kernel twice
+    kernel, parts = kubo._pair_sum_on_grid, []
+
+    def one_pass(model, grid, requests, gate):
+        parts.append((len(grid), grid.points.tobytes()))
+        return kernel(model, grid, requests, gate)
+
+    monkeypatch.setattr(kubo, "_pair_sum_on_grid", one_pass)
+    for model, cones in ((haldane_critical, haldane_cones), (qwz_aniso, qwz_aniso_cones)):
+        cc.sigma_kubo(model, directions=BOTH, eta_sequence=BENCH_ETAS, cones=cones)
+    assert len({points for _, points in parts}) == len(parts)
+    assert sum(n for n, _ in parts) <= 300_000
+
+
+def test_sweep_parts_are_the_grids(qwz_aniso, qwz_aniso_cones):
+    # GridPolicy._parts cuts each grid of a sweep into the cells, weights
+    # and order of GridPolicy._grid, bit for bit
+    model, cones, policy = qwz_aniso, qwz_aniso_cones, cc.GridPolicy(base=24)
+    jmax = policy._current_scale(model, cones)
+    layouts = [lay for eta in (0.1, 0.05, 0.0125)
+               for lay in policy._layouts(model, cones, eta, jmax)]
+    held = [[] for _ in layouts]
+    for part, members in policy._parts(model, cones, layouts):
+        for i in members:
+            held[i].append(part)
+    for (n, schedule), parts in zip(layouts, held):
+        grid = policy._grid(model, cones, n, schedule)
+        for name in ("frac", "size", "weights"):
+            assert np.array_equal(np.concatenate([getattr(p, name) for p in parts]),
+                                  getattr(grid, name)), name
+        assert np.allclose(np.concatenate([p.points for p in parts]), grid.points,
+                           rtol=0, atol=1e-15)
 
 
 def _assert_same_grids_and_sigma(report, reference, eta_scale=1.0):
