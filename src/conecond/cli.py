@@ -65,6 +65,13 @@ from .lattice import wrap_fractional
 __all__ = ["ConfigParse", "RunConfig", "main"]
 
 UNITS_NOTE = "natural units (e = hbar = 1)"
+#: the largest --grid: the Fermi-point scan holds its grid^2 points at once,
+#: at 160 (QWZ) to 272 (Haldane) bytes each, so 4096^2 = 2^24 points take
+#: 2.7-4.6 GB, and larger sizes must be refused before anything is allocated
+_MAX_GRID = 4096
+#: the largest --samples: 1e5 per segment of the default path already makes
+#: a 27 MB CSV, far more than the 800-pixel-wide SVG can show
+_MAX_SAMPLES = 100_000
 
 
 class ConfigParse(ValueError):
@@ -145,10 +152,10 @@ class RunConfig:
     csv: str | None = None
 
     def __post_init__(self):
-        if self.grid < 8:
-            raise ConfigParse("--grid must be at least 8")
-        if self.samples < 2:
-            raise ConfigParse("--samples must be at least 2")
+        if not 8 <= self.grid <= _MAX_GRID:
+            raise ConfigParse(f"--grid must be between 8 and {_MAX_GRID}")
+        if not 2 <= self.samples <= _MAX_SAMPLES:
+            raise ConfigParse(f"--samples must be between 2 and {_MAX_SAMPLES}")
         if self.eps is not None and not 0 < self.eps < np.inf:
             raise ConfigParse("--eps must be positive and finite")
         if self.eta_seq is not None:

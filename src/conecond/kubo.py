@@ -50,9 +50,8 @@ diagonalized once, and every eta and direction summed on that grid come
 from that eigen-decomposition (only the Lorentzian depends on eta).  One
 eta loop, _eta_sweep, serves sigma_kubo, sigma_hall and verify (whose
 value-only requests join its fine grids), and it decomposes each cell of
-its grids once: without cones the grids do not depend on eta, so the whole
-sequence is summed on one uniform fine grid and its companion; with cones
-the grids of a sweep share their unsplit base cells and shell rings, so
+its grids once: the grids of a sweep share their unsplit base cells and
+shell rings (without cones each base's grids are one uniform grid), so
 each grid is an ordered list of parts (GridPolicy._parts), each part goes
 through _pair_sum_on_grid once with the requests of every grid holding it,
 and a grid's value is the sum of its parts' sums, checked as a pass over
@@ -272,13 +271,14 @@ class GridPolicy:
     ``grids_for`` also returns a coarsened companion (half the base
     subdivision, the schedule without its last radius; both uniform without
     cones) whose difference against the fine result serves as the
-    quadrature-error estimate.  The eta sweep builds the same grids, with
-    one max|dH| sample for all its etas, as parts (``_parts``): the shell
-    radii R_outer / 2^level do not depend on eta, so the shell of every
-    schedule is a prefix of the longest, and per base subdivision one walk
-    down those shell levels yields each level's unsplit cells once, for
-    every grid whose shell reaches it, and each grid's tail, the walk's
-    frontier where its shell ends refined over its core radii.
+    quadrature-error estimate.  Every grid is built as parts (``_parts``),
+    which grids_for joins and the eta sweep, with one max|dH| sample for all
+    its etas, sums part by part: the shell radii R_outer / 2^level do not
+    depend on eta, so the shell of every schedule is a prefix of the
+    longest, and per base subdivision one walk down those shell levels
+    yields each level's unsplit cells once, for every grid whose shell
+    reaches it, and each grid's tail, the walk's frontier where its shell
+    ends refined over its core radii.
     """
 
     base: int = 96
@@ -320,7 +320,7 @@ class GridPolicy:
     @staticmethod
     def _metric(cones) -> tuple:
         """(each cone's omega, the Cholesky factor of its metric Q / lambda*)."""
-        lam = min(c.lambda_star for c in cones)
+        lam = min((c.lambda_star for c in cones), default=1.0)
         return [c.omega for c in cones], [np.linalg.cholesky(c.Q / lam) for c in cones]
 
     @staticmethod
@@ -331,37 +331,26 @@ class GridPolicy:
         return shell, radii[len(shell):]
 
     @staticmethod
-    def _grid(model: HoppingModel, cones, n: int, schedule) -> KGrid:
-        """The n x n uniform grid, refined around the cones over ``schedule``,
-        the core levels in each cone's metric Q / lambda*."""
-        grid = uniform_grid(model.lattice, n, n)
-        if not cones:
-            return grid
-        centers, factors = GridPolicy._metric(cones)
-        return refined_grid(model.lattice, grid, centers,
-                            *GridPolicy._shell_and_core(schedule), factors)
-
-    @staticmethod
     def _parts(model: HoppingModel, cones, layouts):
-        """The grids _grid(model, cones, n, schedule) of ``layouts`` [(n,
-        schedule)] as parts: yields (part KGrid, the indices of the layouts
-        whose grid holds it), and each grid's cells, weights and order are
-        its parts' in the order yielded.  Per base n one walk goes down the
-        longest shell from the uniform grid, one _refine_level per radius:
-        a level's unsplit cells are one part, held by every grid whose shell
-        reaches that level, and where a grid's shell ends its tail, the
-        frontier refined over its core radii (the frontier itself without
-        core levels), is another, held by every grid with that shell and
-        core.  A part is yielded as soon as it is cut, and the walk keeps
-        only its frontier.  Without cones each grid is its uniform grid."""
+        """The grids of ``layouts`` [(n, schedule)] as parts: yields (part
+        KGrid, the indices of the layouts whose grid holds it).  A grid is
+        the n x n uniform grid refined around the cones over its schedule,
+        the core levels in each cone's metric Q / lambda*, and its cells,
+        weights and order are its parts' in the order yielded.  Per base n
+        one walk goes down the longest shell from the uniform grid, one
+        _refine_level per radius: a level's unsplit cells are one part, held
+        by every grid whose shell reaches that level, and where a grid's
+        shell ends its tail, the frontier refined over its core radii by
+        refined_grid (the frontier itself without core levels), is another,
+        held by every grid with that shell and core.  Without cones every
+        schedule is empty, so each base yields its uniform grid once, held by
+        all its grids.  A part is yielded as soon as it is cut, and the walk
+        keeps only its frontier."""
         lat = model.lattice
+        centers, factors = GridPolicy._metric(cones)
         for n in dict.fromkeys(n for n, _ in layouts):
             mine = [i for i, (m, _) in enumerate(layouts) if m == n]
             grid = uniform_grid(lat, n, n)
-            if not cones:
-                yield grid, mine
-                continue
-            centers, factors = GridPolicy._metric(cones)
             levels = {i: GridPolicy._shell_and_core(layouts[i][1]) for i in mine}
             shell = max((s for s, _ in levels.values()), key=len)
             assert all(s == shell[:len(s)] for s, _ in levels.values())
@@ -381,10 +370,15 @@ class GridPolicy:
                     grid = _cell_grid(lat, n, n, cells)
 
     def grids_for(self, model: HoppingModel, cones, eta: float):
-        """(fine, companion) quadrature grids for the given eta."""
-        jmax = self._current_scale(model, cones)
-        return tuple(self._grid(model, cones, n, schedule)
-                     for n, schedule in self._layouts(model, cones, eta, jmax))
+        """(fine, companion) quadrature grids for the given eta, each the
+        cells of its _parts joined in order."""
+        layouts = self._layouts(model, cones, eta, self._current_scale(model, cones))
+        cells = [[] for _ in layouts]
+        for part, held in self._parts(model, cones, layouts):
+            for i in held:
+                cells[i].append((part.frac, part.size, part.weights))
+        return tuple(_cell_grid(model.lattice, n, n, [np.concatenate(a) for a in zip(*c)])
+                     for (n, _), c in zip(layouts, cells))
 
 
 # -- frequency-domain grid integrals ----------------------------------------
@@ -498,13 +492,12 @@ class _Tally(NamedTuple):
 
 class _Points(NamedTuple):
     """What a _pair_sum_on_grid pass finds at its points whatever the
-    requests: their count, the smallest Fermi gap (inf without one), and per
-    chunk holding a degeneracy (positions, gaps, momenta) of its points with
-    a Fermi gap below the degeneracy floor."""
+    requests: their count, the smallest Fermi gap (inf without one) and the
+    momentum (k1, k2) of its first point with that gap."""
 
     size: int
     min_gap: float
-    degenerate: list
+    at: tuple
 
 
 def _gated(request) -> bool:
@@ -513,8 +506,7 @@ def _gated(request) -> bool:
     return quantity != "schwinger" and eta != 0.0
 
 
-def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
-                      gate: bool) -> tuple:
+def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
     """Every requested grid integral from one eigen-decomposition per point.
 
     A request is a (quantity, eta, (j, l)) key:
@@ -544,12 +536,14 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
     ``grid`` may be a whole grid or one part of one (GridPolicy._parts), so
     nothing is refused here but a non-finite eta (ValueError, before the
     pass): returns ({request: _Tally} in request order, _Points), and
-    _checked sums and checks a grid's passes.  The gate's statistics are
-    taken when ``gate`` is set.  A chunk holding a Fermi-level degeneracy
-    records it and sums nothing, since every grid holding it is refused.
-    Chunk sums are tree-summed and then tree-summed across chunks: since
-    _CHUNK is a power of two this is bit-identical to the tree sum of the
-    whole per-point array, and no per-point array outlives its chunk.
+    _checked sums and checks a grid's passes, gated or not; the gate's
+    statistics are always taken.  From the first chunk with a Fermi gap
+    below the degeneracy floor on, nothing is summed, since every grid
+    holding the pass is refused, but every chunk's gaps are still read, so
+    _Points holds the smallest gap of the pass.  Chunk sums are tree-summed
+    and then tree-summed across chunks: since _CHUNK is a power of two this
+    is bit-identical to the tree sum of the whole per-point array, and no
+    per-point array outlives its chunk.
     """
     requests = list(dict.fromkeys(requests))
     if not all(np.isfinite(eta) for _, eta, _ in requests):
@@ -565,7 +559,7 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
     scale = dict.fromkeys(requests, 0.0)
     jmax = dict.fromkeys(currents, 0.0)
     worst_spacing = dict.fromkeys(gate_etas, 0.0)
-    min_gap, degenerate = np.inf, []
+    min_gap, at = np.inf, (np.nan, np.nan)
     for lo in range(0, npts, _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, npts))
         ks = grid.points[sl]
@@ -574,17 +568,16 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
         D2 = dict(zip(hessians, stacks[len(currents):]))
         w, V = _eigh(H)
         counts, idx, gaps = _fermi_gaps(w, model.fermi_energy)
-        bad = idx[gaps < _DEGENERACY_FLOOR]
-        if bad.size:
-            degenerate.append((lo + bad, gaps[gaps < _DEGENERACY_FLOOR], ks[bad]))
+        if gaps.size and gaps.min() < min_gap:
+            i = gaps.argmin()
+            min_gap, at = float(gaps[i]), tuple(float(k) for k in ks[idx[i]])
+        if min_gap < _DEGENERACY_FLOOR:
             continue
-        min_gap = min(min_gap, float(gaps.min(initial=np.inf)))
-        if gate:
-            for e in gate_etas:
-                near = spacing[sl][idx[gaps < _GATE_WINDOW * e]]
-                worst_spacing[e] = float(near.max(initial=worst_spacing[e]))
-            for d in currents:
-                jmax[d] = max(jmax[d], _max_frobenius(J[d]))
+        for e in gate_etas:
+            near = spacing[sl][idx[gaps < _GATE_WINDOW * e]]
+            worst_spacing[e] = float(near.max(initial=worst_spacing[e]))
+        for d in currents:
+            jmax[d] = max(jmax[d], _max_frobenius(J[d]))
         per_k = {r: np.zeros(len(ks)) for r in requests}
         # the occupied counts present in the chunk, ascending
         for m in np.flatnonzero(np.bincount(counts)[1:]) + 1:
@@ -627,7 +620,7 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests,
         tallies[r] = _Tally(_tree_sum(partials[r]), top[r], scale[r], imag[r],
                             worst_spacing.get(abs(eta), 0.0),
                             max(jmax.get(j, 0.0), jmax.get(l, 0.0)))
-    return tallies, _Points(npts, min_gap, degenerate)
+    return tallies, _Points(npts, min_gap, at)
 
 
 def _checked(requests, gate: bool, passes) -> tuple:
@@ -638,23 +631,19 @@ def _checked(requests, gate: bool, passes) -> tuple:
     statistics, so a grid is refused exactly as by one pass over it whole.
 
     A Fermi-level degeneracy is the same for every request and raises
-    DegeneratePoint first, at the smallest gap of the first _CHUNK of the
-    grid that holds one.  Then every request is checked as if evaluated
-    alone, and the first failing one in request order raises: GridTooCoarse
-    when ``gate`` is set and, for eta != 0, the points with Fermi gap below
-    4|eta| sit in cells too wide for that eta at the request's own current
-    scale; RuntimeError when a longitudinal (j = l) f_jl per-point sum loses
-    its nonpositive sign or a Schwinger trace acquires an imaginary part."""
-    offset, bad = 0, []
-    for _, points in passes:
-        bad += [(offset + pos, gaps, ks) for pos, gaps, ks in points.degenerate]
-        offset += points.size
-    if bad:
-        pos, gaps, ks = (np.concatenate(a) for a in zip(*bad))
-        i = gaps[:np.searchsorted(pos, (pos[0] // _CHUNK + 1) * _CHUNK)].argmin()
+    DegeneratePoint first, at the smallest Fermi gap of the grid (its first
+    point in grid order) when that lies below the degeneracy floor.  Then
+    every request is checked as if evaluated alone, and the first failing
+    one in request order raises: GridTooCoarse when ``gate`` is set and, for
+    eta != 0, the points with Fermi gap below 4|eta| sit in cells too wide
+    for that eta at the request's own current scale; RuntimeError when a
+    longitudinal (j = l) f_jl per-point sum loses its nonpositive sign or a
+    Schwinger trace acquires an imaginary part."""
+    min_gap, at = min(((p.min_gap, p.at) for _, p in passes), key=lambda g: g[0])
+    if min_gap < _DEGENERACY_FLOOR:
         raise DegeneratePoint(
-            f"Fermi-level degeneracy (gap {gaps[i]:.3e}) at grid "
-            f"point k=({ks[i, 0]:.6f}, {ks[i, 1]:.6f})"
+            f"Fermi-level degeneracy (gap {min_gap:.3e}) at grid "
+            f"point k=({at[0]:.6f}, {at[1]:.6f})"
         )
     out = {}
     for r in dict.fromkeys(requests):
@@ -677,27 +666,26 @@ def _checked(requests, gate: bool, passes) -> tuple:
                 f"trace of Hermitian product acquired imaginary part {imag:.3e}"
             )
         out[r] = _tree_sum(stats[:, 0]) / (2.0 * np.pi) ** 2
-    return out, min(points.min_gap for _, points in passes)
+    return out, min_gap
 
 
 def _grid_values(model: HoppingModel, grid: KGrid, requests, gate: bool) -> tuple:
     """The checked values of one _pair_sum_on_grid pass over the whole
     ``grid``: ({request: value}, min_gap), see _checked."""
-    return _checked(requests, gate, [_pair_sum_on_grid(model, grid, requests, gate)])
+    return _checked(requests, gate, [_pair_sum_on_grid(model, grid, requests)])
 
 
 def _grid_sums(model: HoppingModel, cones, grids) -> list:
     """[(checked {request: value}, min_gap, size)] for the ``grids``
-    [(n, schedule, requests, gate)] of GridPolicy._grid, refused in list
-    order as by one whole pass each: one _pair_sum_on_grid pass per part of
-    GridPolicy._parts, carrying the requests of every grid that holds it and
-    gated if one of them is, and each grid's passes summed and checked by
-    _checked.  Only the parts' tallies are kept, not their points."""
+    [(n, schedule, requests, gate)] of GridPolicy._parts, refused in list
+    order as by one whole pass each: one _pair_sum_on_grid pass per part,
+    carrying the requests of every grid that holds it, and each grid's
+    passes summed and checked, gated or not, by _checked.  Only the parts'
+    tallies are kept, not their points."""
     passes = [[] for _ in grids]
     for part, held in GridPolicy._parts(model, cones, [g[:2] for g in grids]):
         if len(part):
-            found = _pair_sum_on_grid(model, part, [r for i in held for r in grids[i][2]],
-                                      any(grids[i][3] for i in held))
+            found = _pair_sum_on_grid(model, part, [r for i in held for r in grids[i][2]])
             for i in held:
                 passes[i].append(found)
     return [(*_checked(requests, gate, p), sum(points.size for _, points in p))
@@ -718,21 +706,17 @@ def _estimate(quantity: str, eta: float, grid: str, value: float,
                         quad_error=_quad_error(value, coarse))
 
 
-def _estimates(model: HoppingModel, values: dict, grid: KGrid,
-               companion: KGrid | None) -> dict:
-    """KuboEstimates for the checked ``values`` ({request: value}) of a pass
-    over ``grid``, with one pass over the ``companion`` for their
-    quadrature errors; {request: KuboEstimate}."""
+def _grid_estimate(model: HoppingModel, request, grid: KGrid,
+                   companion: KGrid | None, gate: bool) -> KuboEstimate:
+    """The KuboEstimate of one kernel ``request``: its value checked on
+    ``grid`` (gated when ``gate`` is set) and, for the quadrature error, its
+    value on the ``companion`` when given."""
+    value = _grid_values(model, grid, (request,), gate)[0][request]
     # the resolution gate protects the primary estimate; the companion grid
     # is deliberately coarser and serves only the error estimate
-    coarse = (
-        _grid_values(model, companion, list(values), False)[0]
-        if companion is not None else {}
-    )
-    return {
-        r: _estimate(r[0], r[1], grid.describe(), value, coarse.get(r))
-        for r, value in values.items()
-    }
+    coarse = (_grid_values(model, companion, (request,), False)[0][request]
+              if companion is not None else None)
+    return _estimate(request[0], request[1], grid.describe(), value, coarse)
 
 
 def fjl_eta(model: HoppingModel, eta: float, j: int, l: int, grid: KGrid,
@@ -755,9 +739,8 @@ def fjl_eta(model: HoppingModel, eta: float, j: int, l: int, grid: KGrid,
     if eta <= 0:
         raise ValueError("eta must be positive (use ftilde_jj for eta -> 0)")
     _require_directions(j, l)
-    r = ("f_jl", float(eta), (j, l))
-    values, _ = _grid_values(model, grid, (r,), cones is not None)
-    return _estimates(model, values, grid, companion)[r]
+    return _grid_estimate(model, ("f_jl", float(eta), (j, l)), grid, companion,
+                          cones is not None)
 
 
 def ftilde_jj(model: HoppingModel, eta: float, j: int, grid: KGrid,
@@ -780,9 +763,8 @@ def ftilde_jj(model: HoppingModel, eta: float, j: int, grid: KGrid,
     as in fjl_eta.
     """
     _require_directions(j)
-    r = ("ftilde_jj", float(eta), (j, j))
-    values, _ = _grid_values(model, grid, (r,), cones is not None)
-    return _estimates(model, values, grid, companion)[r]
+    return _grid_estimate(model, ("ftilde_jj", float(eta), (j, j)), grid, companion,
+                          cones is not None)
 
 
 def schwinger(model: HoppingModel, j: int, l: int, grid: KGrid,
@@ -795,9 +777,7 @@ def schwinger(model: HoppingModel, j: int, l: int, grid: KGrid,
     that acquires an imaginary part raises RuntimeError.
     """
     _require_directions(j, l)
-    r = ("schwinger", 0.0, (j, l))
-    values, _ = _grid_values(model, grid, (r,), False)
-    return _estimates(model, values, grid, companion)[r]
+    return _grid_estimate(model, ("schwinger", 0.0, (j, l)), grid, companion, False)
 
 
 # -- cone-neighborhood (B_eps) integrals -------------------------------------
@@ -1064,28 +1044,26 @@ def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy,
                cones, riders) -> tuple:
     """The eta loop of sigma_kubo, sigma_hall and verify: (the report,
     unconverged pairs flagged, not raised; {grid eta: {request: fine-grid
-    value}}; the smallest Fermi gap of the gated fine grids).  Steps are
-    grouped by grid pair (one per step with cones; without cones grids_for
-    ignores eta, so all share one), and each pair's fine grid carries the
-    steps' f_jl and then the riders of their etas, gated, and its companion
-    the f_jl.  ``riders`` maps a grid eta to nonempty lists of value-only
-    requests; an eta not visited gets its fine grid alone, with the gate
-    off.  The grids are those of grids_for, with the current-norm sample of
-    their schedules taken once for the sweep, and _grid_sums decomposes each
-    cell once for all of them: the grids share their unsplit base cells and
-    shell rings (GridPolicy._parts), each grid adds only its tail, and each
-    grid is refused, in the order fine, companion per pair and then the
-    riders' grids, exactly as by a pass over it whole."""
+    value}}; the smallest Fermi gap of the gated fine grids).  Each step
+    (2 eta, eta) has its grid pair: the fine grid carries the step's f_jl
+    and then the riders of eta, gated, and its companion the f_jl.
+    ``riders`` maps a grid eta to nonempty lists of value-only requests; an
+    eta not visited gets its fine grid alone, with the gate off.  The grids
+    are those of grids_for, with the current-norm sample of their schedules
+    taken once for the sweep, and _grid_sums decomposes each cell once for
+    all of them: the grids share their unsplit base cells and shell rings
+    (GridPolicy._parts), and each grid adds only its tail, so without cones,
+    where every grid of a base is its uniform grid, the sweep takes one
+    pass per base.  Each grid is refused, in the order fine, companion per
+    step and then the riders' grids, exactly as by a pass over it whole."""
     seq = _validate_halving(eta_sequence)
     steps = list(zip(seq, seq[1:]))
-    groups = [[s] for s in steps] if cones else [steps]
     jmax = policy._current_scale(model, cones)
     grids = []
-    for group in groups:
-        fine, comp = policy._layouts(model, cones, group[-1][1], jmax)
-        own = [("f_jl", e, p) for step in group for e in step for p in pairs]
-        ride = [r for _, eta in group for r in riders.get(eta, [])]
-        grids += [(*fine, own + ride, True), (*comp, own, False)]
+    for step in steps:
+        fine, comp = policy._layouts(model, cones, step[1], jmax)
+        own = [("f_jl", e, p) for e in step for p in pairs]
+        grids += [(*fine, own + riders.get(step[1], []), True), (*comp, own, False)]
     visited = {eta for _, eta in steps}
     alone = [e for e in riders if e not in visited]
     grids += [(*policy._layouts(model, cones, e, jmax)[0], riders[e], False) for e in alone]
@@ -1095,19 +1073,19 @@ def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy,
     sigma_hats = {p: [] for p in pairs}
     f_values = {p: {} for p in pairs}
     grid_sizes, values, min_gap = {}, {}, np.inf
-    for group, (found, gap, size), (coarse, _, _) in zip(groups, sums[0::2], sums[1::2]):
+    for i, (eta_hi, eta) in enumerate(steps):
+        (found, gap, size), (coarse, _, _) = sums[2 * i], sums[2 * i + 1]
         min_gap = min(min_gap, gap)
-        for eta_hi, eta in group:
-            values[eta], grid_sizes[eta] = found, size
-            for p in pairs:
-                f_hi, f_lo = found["f_jl", eta_hi, p], found["f_jl", eta, p]
-                f_values[p][eta] = (f_hi, f_lo)
-                s_hat = (f_hi - f_lo) / eta
-                s_err = (_quad_error(f_hi, coarse["f_jl", eta_hi, p])
-                         + _quad_error(f_lo, coarse["f_jl", eta, p])) / eta
-                sigma_hats[p].append(s_hat)
-                per_eta[p].append((eta, s_hat, s_err))
-    for eta, (found, _, _) in zip(alone, sums[2 * len(groups):]):
+        values[eta], grid_sizes[eta] = found, size
+        for p in pairs:
+            f_hi, f_lo = found["f_jl", eta_hi, p], found["f_jl", eta, p]
+            f_values[p][eta] = (f_hi, f_lo)
+            s_hat = (f_hi - f_lo) / eta
+            s_err = (_quad_error(f_hi, coarse["f_jl", eta_hi, p])
+                     + _quad_error(f_lo, coarse["f_jl", eta, p])) / eta
+            sigma_hats[p].append(s_hat)
+            per_eta[p].append((eta, s_hat, s_err))
+    for eta, (found, _, _) in zip(alone, sums[2 * len(steps):]):
         values[eta] = found
 
     # with a single estimator value Richardson is not possible; report the
@@ -1141,10 +1119,10 @@ def sigma_kubo(model: HoppingModel, j: int | None = None, l: int | None = None,
     sequence, f_jl is evaluated at both 2*eta and eta on one shared grid
     built for the smaller eta (so quadrature error cancels in the
     difference), giving the estimator sequence sigma_hat(eta).  The grids
-    (one pair per eta with cones, one for the whole sequence without) are
-    cut into parts that share their common cells, and each part is
-    traversed in one spectral pass: every cell is diagonalized once for
-    every grid, eta and direction that reads it.  The report
+    (a fine grid and its companion per eta, the same uniform pair for every
+    eta without cones) are cut into parts that share their common cells,
+    and each part is traversed in one spectral pass: every cell is
+    diagonalized once for every grid, eta and direction that reads it.  The report
     carries each pair's sequence, its Richardson extrapolation (the headline
     value), and a convergence flag (last two sigma_hat within 2%, with a
     small absolute floor for values decaying to zero); ``diagnostics`` holds

@@ -57,6 +57,21 @@ def test_grid_below_minimum_is_config_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["sigma", "--preset", "qwz", "--grid", "100000000000000000000"], "4096"),
+    (["sigma", "--preset", "qwz", "--grid", "4097"], "4096"),
+    (["bands", "--preset", "qwz", "--samples", "100000000000000000000"], "100000"),
+    (["bands", "--preset", "qwz", "--samples", "100001"], "100000"),
+], ids=["grid-1e20", "grid-4097", "samples-1e20", "samples-100001"])
+def test_oversized_sizes_are_config_errors(capsys, argv, bound):
+    # 1e20 once ended in an uncaught "Maximum allowed size exceeded"
+    # ValueError; a size above the stated bound is refused before anything
+    # is allocated
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"and {bound}" in err
+
+
 def test_config_error_leaves_next_command_unchanged(capsys):
     # one parser serves every main call in a process: a refused command line,
     # by argparse or by the configuration checks, leaves nothing the next reads
@@ -564,12 +579,12 @@ def test_verify_decomposes_each_grid_once(capsys, monkeypatch, u, eta_seq, passe
             decomposed.append(len(a))
         return eigh(a)
 
-    def one_pass(model, grid, requests, gate):
+    def one_pass(model, grid, requests):
         grids.append(grid)
         quantities.update(q for q, _, _ in requests)
         inside.append(True)
         try:
-            return kernel(model, grid, requests, gate)
+            return kernel(model, grid, requests)
         finally:
             inside.pop()
 
@@ -584,8 +599,8 @@ def test_verify_decomposes_each_grid_once(capsys, monkeypatch, u, eta_seq, passe
     assert sum(decomposed) == sum(len(g) for g in grids)
 
     # the same report when every request runs in its own pass
-    def separate_passes(model, grid, requests, gate):
-        single = [kernel(model, grid, [r], gate) for r in requests]
+    def separate_passes(model, grid, requests):
+        single = [kernel(model, grid, [r]) for r in requests]
         return {r: v[r] for r, (v, _) in zip(requests, single)}, single[0][1]
 
     monkeypatch.setattr(kubo, "_pair_sum_on_grid", separate_passes)

@@ -556,6 +556,35 @@ def test_pair_sum_pass_degenerate_point_as_separate_calls():
             assert str(single.value) == str(multi.value)
 
 
+def test_degenerate_point_is_the_smallest_gap_of_the_grid():
+    # two sub-floor Fermi gaps in a grid of two 4096-point chunks, the smaller
+    # (Gamma, gap 2e-13) in the later chunk after k = (3e-13, 0): the refusal
+    # names the smaller gap and its momentum whether the grid is summed in
+    # one pass or cut into two passes checked together
+    model = cc.preset_qwz(-2.0 + 1e-13)
+    grid = cc.uniform_grid(model.lattice, 72, 72)
+    points = grid.points.copy()
+    points[100], points[4500] = (3e-13, 0.0), (0.0, 0.0)
+    grid = dataclasses.replace(grid, points=points)
+    _, idx, gaps = _fermi_gaps(_eigh(model.h_batch(points))[0], model.fermi_energy)
+    low = idx[gaps < kubo._DEGENERACY_FLOOR]
+    assert list(low) == [100, 4500] and gaps[4500] < gaps[100]
+    want = (f"Fermi-level degeneracy (gap {gaps[4500]:.3e}) at grid point "
+            "k=(0.000000, 0.000000)")
+    assert f"(gap {gaps[100]:.3e})" not in want
+    with pytest.raises(cc.DegeneratePoint) as whole:
+        cc.fjl_eta(model, 0.1, 1, 1, grid)
+    assert str(whole.value) == want
+    requests = [("f_jl", 0.1, (1, 1))]
+    halves = [dataclasses.replace(grid, **{a: getattr(grid, a)[cut] for a in
+                                           ("points", "weights", "frac", "size")})
+              for cut in (slice(None, 3000), slice(3000, None))]
+    with pytest.raises(cc.DegeneratePoint) as parts:
+        kubo._checked(requests, False,
+                      [kubo._pair_sum_on_grid(model, half, requests) for half in halves])
+    assert str(parts.value) == want
+
+
 def test_grid_pass_matches_separate_calls(haldane_critical, haldane_cones, qwz_gapped):
     # one pass serves f_jl, ftilde_jj and the Schwinger term, each value bit
     # for bit what its own public call gives; the grid resolves eta = 0.1 but
@@ -823,9 +852,9 @@ def test_sigma_kubo_gapped_converges_to_zero(qwz_gapped, monkeypatch):
 
     kernel, passes = kubo._pair_sum_on_grid, []
 
-    def one_pass(model, grid, requests, gate):
+    def one_pass(model, grid, requests):
         passes.append(len(grid))
-        return kernel(model, grid, requests, gate)
+        return kernel(model, grid, requests)
 
     monkeypatch.setattr(kubo, "_pair_sum_on_grid", one_pass)
     report = cc.sigma_kubo(
@@ -1050,9 +1079,9 @@ def test_kubo_cones_sweeps_decompose_each_cell_once(haldane_critical, haldane_co
     # reaches the kernel twice
     kernel, parts = kubo._pair_sum_on_grid, []
 
-    def one_pass(model, grid, requests, gate):
+    def one_pass(model, grid, requests):
         parts.append((len(grid), grid.points.tobytes()))
-        return kernel(model, grid, requests, gate)
+        return kernel(model, grid, requests)
 
     monkeypatch.setattr(kubo, "_pair_sum_on_grid", one_pass)
     for model, cones in ((haldane_critical, haldane_cones), (qwz_aniso, qwz_aniso_cones)):
@@ -1063,8 +1092,13 @@ def test_kubo_cones_sweeps_decompose_each_cell_once(haldane_critical, haldane_co
 
 def test_sweep_parts_are_the_grids(qwz_aniso, qwz_aniso_cones):
     # GridPolicy._parts cuts each grid of a sweep into the cells, weights
-    # and order of GridPolicy._grid, bit for bit
+    # and order of one refined_grid call over the grid's schedule (the shell
+    # radii cartesian, the core radii in each cone's metric Q / lambda*),
+    # bit for bit
     model, cones, policy = qwz_aniso, qwz_aniso_cones, cc.GridPolicy(base=24)
+    lat = model.lattice
+    lam = min(c.lambda_star for c in cones)
+    factors = [np.linalg.cholesky(c.Q / lam) for c in cones]
     jmax = policy._current_scale(model, cones)
     layouts = [lay for eta in (0.1, 0.05, 0.0125)
                for lay in policy._layouts(model, cones, eta, jmax)]
@@ -1072,8 +1106,10 @@ def test_sweep_parts_are_the_grids(qwz_aniso, qwz_aniso_cones):
     for part, members in policy._parts(model, cones, layouts):
         for i in members:
             held[i].append(part)
-    for (n, schedule), parts in zip(layouts, held):
-        grid = policy._grid(model, cones, n, schedule)
+    for (n, (radii, r_core)), parts in zip(layouts, held):
+        shell = [r for r in radii if r > r_core]
+        grid = cc.refined_grid(lat, cc.uniform_grid(lat, n, n), [c.omega for c in cones],
+                               shell, radii[len(shell):], factors)
         for name in ("frac", "size", "weights"):
             assert np.array_equal(np.concatenate([getattr(p, name) for p in parts]),
                                   getattr(grid, name)), name
@@ -1131,19 +1167,32 @@ def test_sigma_hall_time_reversal_symmetric_vanishes():
 
 
 def test_sigma_hall_decomposes_each_grid_once(monkeypatch):
-    # the gap test reads the fine grid's spectral pass: the fine grid and the
-    # companion are each decomposed once
+    # the gap test reads the fine grid's spectral pass: without cones every
+    # step's grid pair is the same uniform pair, so for two, five (the
+    # default) or seven etas the fine grid and the companion each take one
+    # kernel pass and are decomposed once
     import conecond.kubo as kubo
 
-    eigh, points = kubo._eigh, []
+    eigh, kernel, points, passes = kubo._eigh, kubo._pair_sum_on_grid, [], []
 
     def counting_eigh(a):
         points.append(len(a))
         return eigh(a)
 
+    def one_pass(model, grid, requests):
+        passes.append(len(grid))
+        return kernel(model, grid, requests)
+
     monkeypatch.setattr(kubo, "_eigh", counting_eigh)
-    cc.sigma_hall(cc.preset_qwz(1.0), grid_policy=cc.GridPolicy(base=16))
-    assert sum(points) == 16 * 16 + 8 * 8
+    monkeypatch.setattr(kubo, "_pair_sum_on_grid", one_pass)
+    model = cc.preset_qwz(1.0)
+    for count in (2, 5, 7):
+        points.clear()
+        passes.clear()
+        cc.sigma_hall(model, eta_sequence=cc.default_eta_sequence(model, count),
+                      grid_policy=cc.GridPolicy(base=16))
+        assert passes == [16 * 16, 8 * 8], count
+        assert sum(points) == 16 * 16 + 8 * 8, count
 
 
 def test_sigma_hall_two_etas_report_unconverged(qwz_gapped):

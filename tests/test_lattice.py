@@ -298,8 +298,7 @@ def test_refined_grid_matches_reference_around_the_cut(case, schedule, request):
         levels = _policy_levels(model, cones)
         assert levels[0] and levels[1]
         base = cc.uniform_grid(lat, policy.base, policy.base)
-        got = policy._grid(model, cones, policy.base, policy._radii_schedule(
-            model, cones, 0.0125, policy._current_scale(model, cones)))
+        got = policy.grids_for(model, cones, 0.0125)[0]
     else:
         levels = ([float(schedule) * min(lat.zone_lengths)],)
         base = cc.uniform_grid(lat, 48, 48)
