@@ -16,8 +16,9 @@ real k is equivalent to the pairing T(-gamma) = T(gamma)^dagger, which is
 enforced at construction.
 
 H(k) and its k-derivatives are evaluated as one Fourier sum over the
-distinct displacements d_u = gamma + r_b - r_a: a coefficient table T_u per
-d_u, built once per model, contracted with the phases exp(i k . d_u) of a
+distinct displacements d_u = gamma + r_b - r_a, in real arithmetic: since
+d_u and -d_u come in pairs, a cosine and a sine coefficient table per pair,
+built once per model, contracted with cos(k . d_u) and sin(k . d_u) of a
 batch of momenta (HoppingModel._assemble).
 """
 
@@ -93,13 +94,14 @@ class HoppingModel:
     positions: np.ndarray
     terms: dict
     fermi_energy: float
-    # derived state: the distinct displacements gamma + r_b - r_a, as rows
-    # in the order of the phase matrix's columns: first the _nexp rows that
-    # take an exp, then the negations of the first _npair of them, then the
-    # zero row, if any; per row the flattened N x N sum of the hopping
-    # entries with that displacement
+    # derived state: the distinct displacements gamma + r_b - r_a, as rows:
+    # first the _nexp rows that take a phase argument, then the negations of
+    # the first _npair of them, then the zero row, if any; per derivative key
+    # ((), (j,) or (j, l)) the float view of its (2 _nexp + 1) x N^2 complex
+    # coefficient table, whose rows multiply the phase matrix's columns
+    # cos(k . d_u), sin(k . d_u) and 1 (see _assemble)
     _disp: np.ndarray = field(init=False, repr=False, compare=False)
-    _table: np.ndarray = field(init=False, repr=False, compare=False)
+    _tables: dict = field(init=False, repr=False, compare=False)
     _nexp: int = field(init=False, repr=False, compare=False)
     _npair: int = field(init=False, repr=False, compare=False)
 
@@ -138,10 +140,9 @@ class HoppingModel:
             flat.append(a * N + b)
             vals.append(T[a, b])
         rows, distinct = np.unique(np.concatenate(disp), axis=0, return_inverse=True)
-        # one exp per +- pair: the phase matrix's columns are the rows whose
-        # exact negation is a later row (_npair of them), the other nonzero
-        # rows, then those negations in the same order, which take the conj
-        # of the first columns, and the zero row, which takes 1
+        # one phase argument per +- pair: the rows whose exact negation is a
+        # later row (_npair of them), the other nonzero rows (_nexp in all),
+        # then those negations in the same order, and the zero row
         keys = [tuple(r) for r in rows.tolist()]
         index = {r: u for u, r in enumerate(keys)}
         partner = [index.get(tuple(-x for x in r), -1) for r in keys]
@@ -151,11 +152,28 @@ class HoppingModel:
         order = paired + single + [partner[u] for u in paired] + zero
         table = np.zeros((len(keys), N * N), dtype=complex)
         np.add.at(table, (distinct.ravel(), np.concatenate(flat)), np.concatenate(vals))
-        for name, arr in (("_disp", rows[order]), ("_table", table[order])):
+        table, disp = table[order], rows[order]
+        n_exp, n_pair = len(paired) + len(single), len(paired)
+        # per argument the cos and sin coefficients C = T_u + T_-u and
+        # S = i (T_u - T_-u), or C = T_u and S = i T_u without a partner;
+        # the last row multiplies the constant 1
+        own, neg = table[:n_exp], np.zeros((n_exp, N * N), dtype=complex)
+        neg[:n_pair] = table[n_exp:n_exp + n_pair]
+        C, S = own + neg, 1j * (own - neg)
+        zero_row = np.zeros((1, N * N), dtype=complex)
+        tables = {(): np.vstack([C, S, table[-1:] if zero else zero_row])}
+        for j in (1, 2):
+            dj = disp[:n_exp, j - 1, None]
+            tables[(j,)] = np.vstack([dj * S, -dj * C, zero_row])
+            for l in range(j, 3):
+                w = -dj * disp[:n_exp, l - 1, None]
+                tables[(j, l)] = tables[(l, j)] = np.vstack([w * C, w * S, zero_row])
+        for arr in (disp, *tables.values()):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_nexp", len(paired) + len(single))
-        object.__setattr__(self, "_npair", len(paired))
+        object.__setattr__(self, "_disp", disp)
+        object.__setattr__(self, "_tables", {key: K.view(float) for key, K in tables.items()})
+        object.__setattr__(self, "_nexp", n_exp)
+        object.__setattr__(self, "_npair", n_pair)
 
     # -- vectorized evaluation over a batch of momenta ----------------------
 
@@ -164,35 +182,40 @@ class HoppingModel:
         for H, (j,) for dH/dk_j, (j, l) for d^2H/dk_j dk_l; ValueError unless
         each of j, l is 1 or 2.
 
-        The Fourier sum over distinct displacements d_u: one (M x U) phase
-        matrix exp(i k . d_u), with one exp per +- pair (the argument of -d
-        is the exact negation of that of d, so its phase is the conj) and 1
-        for the zero displacement, and per stack one contraction of it with
-        the coefficient table T_u weighted by the factor the derivative
-        brings down (1, i d_uj or -d_uj d_ul).  Every stack is one matmul of
+        The Fourier sum over distinct displacements d_u in real arithmetic:
+        each +- pair (and each row without an exact mirror) takes one
+        argument theta = k . d_u, and the phase matrix is the real
+        (M x 2 n_exp + 1) matrix [cos theta | sin theta | 1].  Each stack is
+        one real matmul of it with the float view of the stack's coefficient
+        table, built once per model (H: [C; S; Z], dH/dk_j: [d_j S; -d_j C;
+        0], d^2H/dk_j dk_l: -d_j d_l [C; S; 0], with C and S as in
+        __post_init__ and Z the zero-displacement row), which gives the real
+        and imaginary parts of every entry.  Every stack is one matmul of
         the same phase matrix, so it is bit-identical to its own
-        h_batch/dh_batch/d2h_batch call."""
+        h_batch/dh_batch/d2h_batch call.  When every hopping's partner is
+        its exact adjoint and every row has its exact mirror (the presets),
+        the coefficients of the entries (a, b) and (b, a) are exact
+        conjugates, so every stack is exactly Hermitian.  One momentum is
+        assembled as two equal rows, keeping the first: BLAS rounds a
+        one-row product differently from a many-row one, so a single
+        momentum would not match its row of a batch."""
+        tables = [self._tables.get(tuple(derivs)) for derivs in derivatives]
+        for derivs, K in zip(derivatives, tables):
+            if K is None:
+                _require_directions(*derivs)
+                raise ValueError(f"at most two derivatives, got {derivs}")
         ks = np.asarray(ks, dtype=float).reshape(-1, 2)
-        n_exp, n_pair = self._nexp, self._npair
-        phase = np.empty((len(ks), len(self._disp)), dtype=complex)
-        own = phase[:, :n_exp]
-        np.multiply(1j, ks @ self._disp[:n_exp].T, out=own)
-        np.exp(own, out=own)
-        np.conjugate(phase[:, :n_pair], out=phase[:, n_exp:n_exp + n_pair])
-        phase[:, n_exp + n_pair:] = 1.0
+        M = len(ks)
+        if M == 1:
+            ks = np.repeat(ks, 2, axis=0)
+        n_exp = self._nexp
+        theta = ks @ self._disp[:n_exp].T
+        phase = np.empty((len(ks), 2 * n_exp + 1))
+        np.cos(theta, out=phase[:, :n_exp])
+        np.sin(theta, out=phase[:, n_exp:-1])
+        phase[:, -1] = 1.0
         shape = (len(ks), self.norbitals, self.norbitals)
-        return [(phase @ self._weighted(derivs)).reshape(shape) for derivs in derivatives]
-
-    def _weighted(self, derivs: tuple) -> np.ndarray:
-        """The coefficient table times the factor that the k-derivative named
-        by ``derivs`` brings down from the phase (see _assemble)."""
-        if not derivs:
-            return self._table
-        _require_directions(*derivs)
-        d = self._disp[:, derivs[0] - 1, None]
-        if len(derivs) == 1:
-            return self._table * (1j * d)
-        return self._table * (-d * self._disp[:, derivs[1] - 1, None])
+        return [(phase @ K).view(complex).reshape(shape)[:M] for K in tables]
 
     def h_batch(self, ks: np.ndarray) -> np.ndarray:
         """H(k) for a batch of momenta; shape (M, N, N)."""
@@ -233,7 +256,9 @@ def _require_directions(*idx) -> None:
 
 
 def h_at(model: HoppingModel, k) -> np.ndarray:
-    """Bloch Hamiltonian H(k), an N x N Hermitian matrix."""
+    """Bloch Hamiltonian H(k), an N x N Hermitian matrix; one rounding per
+    momentum: assembled as a batch of two equal rows, not by BLAS's one-row
+    path, so it matches k's row of an ``h_batch`` (see _assemble)."""
     return model.h_batch(np.asarray(k, dtype=float).reshape(1, 2))[0]
 
 

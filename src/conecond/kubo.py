@@ -229,11 +229,13 @@ def _tree_sum(values: np.ndarray) -> float:
     a = np.asarray(values, dtype=float).ravel()
     if a.size == 0:
         return 0.0
-    while a.size > 1:
-        if a.size % 2:
-            a = np.append(a, 0.0)
-        a = a[0::2] + a[1::2]
-    return float(a[0])
+    # padding with +0.0 to a power of two once is the tree that pads each
+    # odd level with one +0.0
+    padded = np.zeros(1 << (a.size - 1).bit_length())
+    padded[:a.size] = a
+    while padded.size > 1:
+        padded = padded[0::2] + padded[1::2]
+    return float(padded[0])
 
 
 def default_eta_sequence(model: HoppingModel, count: int = 5) -> list:
@@ -431,10 +433,17 @@ def _fermi_gaps(w: np.ndarray, mu: float):
     projector, whose count may vary (a metal), and a point on a crossing has
     no projector to sum, so a tie at mu shows as a gap below the degeneracy
     floor, which the callers refuse (DegeneratePoint) rather than resolve."""
-    counts = (w <= mu).sum(axis=1)
-    idx = np.nonzero((counts > 0) & (counts < w.shape[1]))[0]
-    m = counts[idx]
-    return counts, idx, w[idx, m] - w[idx, m - 1]
+    N = w.shape[1]
+    below = w <= mu
+    # one add per band column and flat gathers: faster than a sum along
+    # rows of N booleans and 2-D fancy indexing
+    counts = np.zeros(len(w), np.intp)
+    for n in range(N):
+        counts += below[:, n]
+    idx = np.nonzero((counts > 0) & (counts < N))[0]
+    top = idx * N + counts[idx]
+    flat = w.ravel()
+    return counts, idx, flat[top] - flat[top - 1]
 
 
 def _blocks(w: np.ndarray, V: np.ndarray, m: int, J: dict, D2: dict) -> tuple:

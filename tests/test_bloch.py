@@ -46,18 +46,16 @@ def test_h_matches_brute_force(fixture, request):
 
 
 def test_h_batch_matches_single_points(qwz_aniso, haldane_critical, haldane_one_cone):
-    # one momentum takes BLAS's one-row path for the phases and the
-    # contraction, so on the honeycomb a row may differ by rounding; QWZ's
-    # integer displacements make every product exact
+    # one momentum is assembled as two equal rows, not by BLAS's one-row
+    # path, so its matrices equal its row of a batch bit for bit
     for model in (qwz_aniso, haldane_critical, haldane_one_cone):
-        ks = random_momenta(model.lattice, 17, seed=5)
-        batch = model.h_batch(ks)
+        ks = random_momenta(model.lattice, 300, seed=5)
+        batch = model._assemble(ks, [(), (1,), (2,), (1, 2)])
         for i, k in enumerate(ks):
-            if model is qwz_aniso:
-                assert np.array_equal(batch[i], cc.h_at(model, k))
-            else:
-                tol = 4.0 * np.finfo(float).eps * np.abs(batch[i]).max()
-                assert np.abs(batch[i] - cc.h_at(model, k)).max() <= tol
+            assert np.array_equal(batch[0][i], cc.h_at(model, k))
+            assert np.array_equal(batch[1][i], cc.dh_at(model, k, 1))
+            assert np.array_equal(batch[2][i], cc.dh_at(model, k, 2))
+            assert np.array_equal(batch[3][i], cc.d2h_at(model, k, 1, 2))
 
 
 def three_orbital_model():
@@ -176,6 +174,21 @@ def test_qwz_hamiltonian_at_high_symmetry_points():
     assert np.allclose(cc.h_at(m, G), (-2.0 + 2.0) * s3, atol=1e-14)
     X = m.lattice.from_fractional([0.5, 0.0])  # k = (pi, 0)
     assert np.allclose(cc.h_at(m, X), -2.0 * s3, atol=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["haldane_critical", "haldane_gapped", "haldane_one_cone",
+                                     "qwz_aniso", "qwz_gapped", "square_model"])
+def test_stacks_exactly_hermitian(fixture, request):
+    # the coefficients of the entries (a, b) and (b, a) are exact conjugates
+    # when every displacement row has its exact mirror, so each stack equals
+    # its conjugate transpose bit for bit and has a real diagonal
+    model = request.getfixturevalue(fixture)
+    assert model._nexp == model._npair
+    for n in ASSEMBLY_BATCHES:
+        ks = random_momenta(model.lattice, n, seed=8)
+        for stack in model._assemble(ks, [(), (1,), (2,), (1, 2)]):
+            assert np.array_equal(stack, stack.conj().swapaxes(1, 2))
+            assert not np.diagonal(stack, axis1=1, axis2=2).imag.any()
 
 
 @pytest.mark.parametrize("fixture", ["haldane_critical", "haldane_gapped",

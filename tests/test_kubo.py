@@ -23,6 +23,7 @@ import conecond as cc
 from conecond import kubo
 from conecond.kubo import (_cone_pass, _eigh, _elliptic_polar_nodes, _fermi_gaps,
                            _grid_values)
+from conftest import random_momenta
 
 
 def _pair_data(model, grid, j, l):
@@ -583,6 +584,51 @@ def test_degenerate_point_is_the_smallest_gap_of_the_grid():
         kubo._checked(requests, False,
                       [kubo._pair_sum_on_grid(model, half, requests) for half in halves])
     assert str(parts.value) == want
+
+
+def reference_fermi_gaps(w, mu):
+    """The occupied counts and Fermi gaps as a row sum and a 2-D gather."""
+    counts = (w <= mu).sum(axis=1)
+    idx = np.nonzero((counts > 0) & (counts < w.shape[1]))[0]
+    m = counts[idx]
+    return counts, idx, w[idx, m] - w[idx, m - 1]
+
+
+@pytest.mark.parametrize("name", ["haldane_one_cone", "qwz_aniso", "three_band_metal"])
+def test_fermi_gaps_match_row_sum_and_gather(name, request):
+    # eigenvalues exactly at mu (set by hand) count as occupied; N = 2 and 3
+    model = request.getfixturevalue(name)
+    points = random_momenta(model.lattice, 500, seed=13)
+    w = np.linalg.eigvalsh(model.h_batch(points))
+    mu = model.fermi_energy
+    w[:40, 0] = mu
+    w[40:80, -1] = mu
+    w[80:100] = mu
+    for got, want in zip(_fermi_gaps(w, mu), reference_fermi_gaps(w, mu)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def reference_tree_sum(values):
+    """The pairwise tree that pads each odd level with one +0.0."""
+    a = np.asarray(values, dtype=float).ravel()
+    if a.size == 0:
+        return 0.0
+    while a.size > 1:
+        if a.size % 2:
+            a = np.append(a, 0.0)
+        a = a[0::2] + a[1::2]
+    return float(a[0])
+
+
+def test_tree_sum_is_the_padded_level_tree():
+    rng = np.random.default_rng(41)
+    sizes = list(range(300)) + [4093, 4096, 4097, 9000]
+    for n in sizes:
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-10, 10, n)
+        x[rng.random(n) < 0.05] = -0.0
+        for values in (x, -np.abs(x) * 0.0):
+            got, want = kubo._tree_sum(values), reference_tree_sum(values)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), n
 
 
 def test_grid_pass_matches_separate_calls(haldane_critical, haldane_cones, qwz_gapped):
