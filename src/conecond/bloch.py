@@ -16,7 +16,7 @@ real k is equivalent to the pairing T(-gamma) = T(gamma)^dagger, which is
 enforced at construction.
 
 H(k) and its k-derivatives are evaluated as one Fourier sum over the
-distinct displacements d_u = gamma + r_b - r_a, in real arithmetic: since
+distinct displacements d_u = gamma + (r_b - r_a), in real arithmetic: since
 d_u and -d_u come in pairs, a cosine and a sine coefficient table per pair,
 built once per model, contracted with cos(k . d_u) and sin(k . d_u) of a
 batch of momenta (HoppingModel._assemble).
@@ -94,7 +94,7 @@ class HoppingModel:
     positions: np.ndarray
     terms: dict
     fermi_energy: float
-    # derived state: the distinct displacements gamma + r_b - r_a, as rows:
+    # derived state: the distinct displacements gamma + (r_b - r_a), as rows:
     # first the _nexp rows that take a phase argument, then the negations of
     # the first _npair of them, then the zero row, if any; per derivative key
     # ((), (j,) or (j, l)) the float view of its (2 _nexp + 1) x N^2 complex
@@ -131,12 +131,13 @@ class HoppingModel:
                 raise HoppingConflict(f"T({-m1},{-m2}) != T({m1},{m2})^dagger "
                                       f"(max deviation {deviation:.3e})")
         # per nonzero entry (a, b) of each T(gamma) its displacement
-        # gamma + r_b - r_a; the empty first pieces keep the shapes valid for
-        # a model without terms
+        # gamma + (r_b - r_a), the exact negation of its partner's
+        # -gamma + (r_a - r_b); the empty first pieces keep the shapes valid
+        # for a model without terms
         disp, flat, vals = [np.zeros((0, 2))], [np.zeros(0, np.intp)], [np.zeros(0, complex)]
         for (m1, m2), T in terms.items():
             a, b = np.nonzero(T)
-            disp.append(m1 * self.lattice.a1 + m2 * self.lattice.a2 + pos[b] - pos[a])
+            disp.append(m1 * self.lattice.a1 + m2 * self.lattice.a2 + (pos[b] - pos[a]))
             flat.append(a * N + b)
             vals.append(T[a, b])
         rows, distinct = np.unique(np.concatenate(disp), axis=0, return_inverse=True)
@@ -198,7 +199,11 @@ class HoppingModel:
         conjugates, so every stack is exactly Hermitian.  One momentum is
         assembled as two equal rows, keeping the first: BLAS rounds a
         one-row product differently from a many-row one, so a single
-        momentum would not match its row of a batch."""
+        momentum would not match its row of a batch.  It then matches its
+        row of any batch on the presets; on larger tables BLAS also picks
+        its kernel by the product's size, so a row can differ between a
+        small batch and a large one (a random 3-orbital model with 63 phase
+        columns: batches of up to 700 momenta against 1000 or more)."""
         tables = [self._tables.get(tuple(derivs)) for derivs in derivatives]
         for derivs, K in zip(derivatives, tables):
             if K is None:
@@ -256,9 +261,10 @@ def _require_directions(*idx) -> None:
 
 
 def h_at(model: HoppingModel, k) -> np.ndarray:
-    """Bloch Hamiltonian H(k), an N x N Hermitian matrix; one rounding per
-    momentum: assembled as a batch of two equal rows, not by BLAS's one-row
-    path, so it matches k's row of an ``h_batch`` (see _assemble)."""
+    """Bloch Hamiltonian H(k), an N x N Hermitian matrix, assembled as a
+    batch of two equal rows, not by BLAS's one-row path, so on the presets
+    it matches k's row of any ``h_batch`` bit for bit (see _assemble for
+    larger models)."""
     return model.h_batch(np.asarray(k, dtype=float).reshape(1, 2))[0]
 
 

@@ -18,24 +18,29 @@ residue" of the evaluation is identically zero).  The even extension
 ftilde_jj and the two-band cone-neighborhood integrals f_sing and zeta are
 separate formulas used to cross-validate f_jl and each other.  f_jl,
 ftilde_jj and the Schwinger term Tr(d^2H P_mu) share one grid kernel,
-_pair_sum_on_grid: it diagonalizes each point once, rotates each current
-into only its occupied x unoccupied blocks (the sole elements any formula
-reads), and evaluates every requested quantity with its own formula.  The
-blocks come from einsums, except for two bands with one occupied, the
-common case, where each block is a single element written out on flat
-per-point arrays (_two_band_blocks).  Its
-B_eps counterpart, _cone_pass, serves f_sing and zeta: per rule, eta and
-cone it builds the elliptic-polar nodes and decomposes them once, and each
-node contracts only the elements of the cone's band pair its formula needs.
+_pair_sum_on_grid: it decomposes each point once and evaluates every
+requested quantity with its own formula, reading only the elements
+between occupied and unoccupied bands.  A two-band H (N = 2, every preset)
+is not diagonalized: written H = d0 + d . sigma, its eigenvalues are
+d0 -+ |d| (_split) and its band projectors (1 -+ n . sigma) / 2 with
+n = d / |d|, so every formula is a dot or cross product of the Pauli
+vectors of H, the currents and d^2H on flat per-point arrays
+(_pauli_blocks), with no eigenvector and no complex block.  Other N are
+diagonalized by _eigh (np.linalg.eigh) and each current rotated into its occupied
+x unoccupied blocks by einsums (_blocks).  Its B_eps counterpart,
+_cone_pass, serves f_sing and zeta: per rule, eta and cone it builds the
+elliptic-polar nodes and decomposes them once, and each node contracts
+only the elements of the cone's band pair its formula needs.
 
-Every batched decomposition of a model's H here (the grid kernel, which
-also gives sigma_hall its gap test, and the B_eps band pair) goes through
-_eigh: a two-band H (N = 2) is solved in closed form, which is exact up to
+The B_eps band pair needs eigenvectors and takes them from _eigh, which
+solves a two-band H in closed form from the same _split, exact up to
 rounding (its eigenvalues are the roots d0 -+ r of a quadratic, its
 eigenvectors read from the non-cancelling row) and an order of magnitude
 cheaper than batched LAPACK on 2 x 2 matrices; N > 2 goes to
 np.linalg.eigh.  Only the eigenvector phases differ between the two, and
-every quantity read from them is gauge-invariant.
+every quantity read from them is gauge-invariant.  So the grid kernel's
+Fermi-level counts and gaps, and sigma_hall's gap test that reads them,
+are those of _eigh bit for bit.
 
 Conductivity extraction uses the pair estimator
 
@@ -46,8 +51,8 @@ it returns sigma + 3 c eta, so a final Richardson step over the sigma_hat
 sequence removes the remaining linear term.  Both members of each pair are
 evaluated on the same grid so that quadrature error largely cancels in the
 difference.  One spectral pass serves them all: each point of a grid is
-diagonalized once, and every eta and direction summed on that grid come
-from that eigen-decomposition (only the Lorentzian depends on eta).  One
+decomposed once, and every eta and direction summed on that grid come
+from that decomposition (only the Lorentzian depends on eta).  One
 eta loop, _eta_sweep, serves sigma_kubo, sigma_hall and verify (whose
 value-only requests join its fine grids), and it decomposes each cell of
 its grids once: the grids of a sweep share their unsplit base cells and
@@ -121,9 +126,10 @@ _MAX_FD_STEP_FRACTION = 0.1
 #: the B_eps integrals' elliptic-polar rules (angles, Gauss-Legendre order):
 #: the fine rule gives each value, the coarse one its quadrature error
 _FINE_RULE, _COARSE_RULE = (64, 12), (32, 8)
-#: chunk size for batched eigen-decompositions (memory control: a chunk holds
-#: its phase matrix, H, the currents and their band blocks at once); a power of
-#: two, so chunked tree sums equal the whole-grid tree sum bit for bit
+#: chunk size for batched decompositions (memory control: a chunk holds its
+#: phase matrix, H, the currents, their band blocks and the requests'
+#: per-point values at once); a power of two, so chunked tree sums equal the
+#: whole-grid tree sum bit for bit
 _CHUNK = 4096
 #: convergence of the sigma_hat sequence: 2% relative, with a small absolute
 #: floor so that estimates decaying to zero (gapped models) can converge
@@ -224,18 +230,21 @@ class ConductivityReport:
                     )
 
 
-def _tree_sum(values: np.ndarray) -> float:
-    """Pairwise summation with a fixed reduction tree (bit-stable)."""
-    a = np.asarray(values, dtype=float).ravel()
-    if a.size == 0:
-        return 0.0
+def _tree_sum(values: np.ndarray):
+    """Pairwise summation over the last axis with a fixed reduction tree
+    (bit-stable): a float for 1-D ``values``, else the array of row sums,
+    each the tree of its own row."""
+    a = np.asarray(values, dtype=float)
+    n = a.shape[-1]
     # padding with +0.0 to a power of two once is the tree that pads each
-    # odd level with one +0.0
-    padded = np.zeros(1 << (a.size - 1).bit_length())
-    padded[:a.size] = a
-    while padded.size > 1:
-        padded = padded[0::2] + padded[1::2]
-    return float(padded[0])
+    # odd level with one +0.0; a full chunk needs no padded copy
+    padded = a
+    if n & (n - 1) or n == 0:
+        padded = np.zeros(a.shape[:-1] + (1 << max(n - 1, 0).bit_length(),))
+        padded[..., :n] = a
+    while padded.shape[-1] > 1:
+        padded = padded[..., 0::2] + padded[..., 1::2]
+    return float(padded[0]) if a.ndim == 1 else padded[..., 0]
 
 
 def default_eta_sequence(model: HoppingModel, count: int = 5) -> list:
@@ -391,24 +400,32 @@ def _grid_spacing_cart(grid: KGrid) -> np.ndarray:
     return np.maximum(grid.size[:, 0] * z1, grid.size[:, 1] * z2)
 
 
+def _split(H: np.ndarray) -> tuple:
+    """The Pauli split of an (M, 2, 2) Hermitian stack, read from its real
+    diagonal a, c and its lower off-diagonal element b (the triangle LAPACK
+    reads): H = d0 + d . sigma with d0 = (a + c)/2 and d = (Re b, Im b, dz),
+    dz = (a - c)/2.  Returns the ascending eigenvalues d0 -+ r (M, 2), with
+    r = |d| = hypot(dz, |b|), and (dz, b, r)."""
+    a, c, b = H[:, 0, 0].real, H[:, 1, 1].real, H[:, 1, 0]
+    d0, dz = 0.5 * (a + c), 0.5 * (a - c)
+    r = np.hypot(dz, np.abs(b))
+    return np.stack((d0 - r, d0 + r), axis=1), (dz, b, r)
+
+
 def _eigh(H: np.ndarray):
     """np.linalg.eigh of an (M, N, N) Hermitian stack: ascending eigenvalues
     (M, N) and orthonormal eigenvector columns (M, N, N).
 
-    N = 2 is solved in closed form.  With a, c the real diagonal and b the
-    lower off-diagonal element (the triangle LAPACK reads), H = d0 + [[dz, b*],
-    [b, -dz]] for d0 = (a + c)/2, dz = (a - c)/2, so the eigenvalues are
-    d0 -+ r with r = hypot(dz, |b|).  The eigenvectors are read from the
-    row that holds r + |dz| (the branch on the sign of dz), so no entry is a
-    difference of nearly equal terms; their norm is sqrt(2 r (r + |dz|)).
-    At r = 0 the identity is returned.  Only the eigenvector phases differ
-    from LAPACK's, and every quantity read from them is gauge-invariant.
-    Other N go to np.linalg.eigh."""
+    N = 2 is solved in closed form: the eigenvalues are those of _split,
+    and the eigenvectors are read from the row that holds r + |dz| (the
+    branch on the sign of dz), so no entry is a difference of nearly equal
+    terms; their norm is sqrt(2 r (r + |dz|)).  At r = 0 the identity is
+    returned.  Only the eigenvector phases differ from LAPACK's, and every
+    quantity read from them is gauge-invariant.  Other N go to
+    np.linalg.eigh."""
     if H.shape[-1] != 2:
         return np.linalg.eigh(H)
-    a, c, b = H[:, 0, 0].real, H[:, 1, 1].real, H[:, 1, 0]
-    d0, dz = 0.5 * (a + c), 0.5 * (a - c)
-    r = np.hypot(dz, np.abs(b))
+    w, (dz, b, r) = _split(H)
     p = r + np.abs(dz)
     up, bc = dz >= 0, b.conj()
     V = np.empty(H.shape, dtype=np.result_type(H.dtype, float))
@@ -420,7 +437,7 @@ def _eigh(H: np.ndarray):
     # sqrt(2r) sqrt(p) rather than sqrt(2 r p): no underflow for tiny r
     V /= np.where(flat, 1.0, np.sqrt(2.0 * r) * np.sqrt(p))[:, None, None]
     V[flat] = np.eye(2)
-    return np.stack((d0 - r, d0 + r), axis=1), V
+    return w, V
 
 
 def _fermi_gaps(w: np.ndarray, mu: float):
@@ -446,45 +463,148 @@ def _fermi_gaps(w: np.ndarray, mu: float):
     return counts, idx, flat[top] - flat[top - 1]
 
 
-def _blocks(w: np.ndarray, V: np.ndarray, m: int, J: dict, D2: dict) -> tuple:
+def _blocks(w: np.ndarray, V: np.ndarray, m: int, J: dict, D2: dict,
+            pairs, squares) -> tuple:
     """What the grid kernel's formulas read at points with m occupied bands,
-    from their eigenvalues w (M, N), eigenvector columns V (M, N, N), currents
-    J {d: (M, N, N)} and Hessians D2 {(j, l): (M, N, N)}: (Delta, B, Ct,
-    traces).  Over the m x (N - m) pairs (q occ, p unocc), flattened in
-    [q, p] order: Delta = Lambda_q - Lambda_p, per current B_d = (J_d)_{qp}
-    from V_occ^H J_d V_unocc and Ct_d = (J_d)_{pq} from V_unocc^H J_d V_occ,
-    each as V^H (J V) in two einsum steps; per Hessian the occupied trace
+    from their eigenvalues w (M, N), eigenvector columns V (M, N, N),
+    currents J {d: (M, N, N)} and Hessians D2 {(j, l): (M, N, N)}: (Delta,
+    z, me2, traces).  Over the m x (N - m) pairs (q occ, p unocc), flattened
+    in [q, p] order: Delta = Lambda_q - Lambda_p; for each (j, l) in
+    ``pairs`` z = (Re, Im) of (J_j)_{pq} (J_l)_{qp}, and for each j in
+    ``squares`` me2 = |(J_j)_{pq}|^2, with B_l = (J_l)_{qp} from
+    V_occ^H J_l V_unocc and C_j = (J_j)_{pq} from V_unocc^H J_j V_occ, each
+    as V^H (J V) in two einsum steps; per Hessian the occupied trace
     sum_q v_q^H d^2H v_q."""
     M = len(w)
     Vo, Vu = V[:, :, :m], V[:, :, m:]
     delta = (w[:, :m, None] - w[:, None, m:]).reshape(M, -1)
     B = {d: np.einsum("kaq,kap->kqp", Vo.conj(),
-                      np.einsum("kab,kbp->kap", Jd, Vu)).reshape(M, -1)
-         for d, Jd in J.items()}
+                      np.einsum("kab,kbp->kap", J[d], Vu)).reshape(M, -1)
+         for d in {l for _, l in pairs}}
     Ct = {d: np.einsum("kap,kaq->kqp", Vu.conj(),
-                       np.einsum("kab,kbq->kaq", Jd, Vo)).reshape(M, -1)
-          for d, Jd in J.items()}
+                       np.einsum("kab,kbq->kaq", J[d], Vo)).reshape(M, -1)
+          for d in {j for j, _ in pairs} | set(squares)}
+    z = {}
+    for j, l in pairs:
+        zjl = Ct[j] * B[l]
+        z[j, l] = (zjl.real, zjl.imag)
+    me2 = {j: np.abs(Ct[j]) ** 2 for j in squares}
     traces = {p: np.einsum("kaq,kab,kbq->k", Vo.conj(), Dp, Vo) for p, Dp in D2.items()}
-    return delta, B, Ct, traces
+    return delta, z, me2, traces
 
 
-def _two_band_blocks(w: np.ndarray, V: np.ndarray, m: int, J: dict, D2: dict) -> tuple:
-    """_blocks for two bands with the lower one occupied (N = 2, m = 1), from
-    flat per-point arrays: each element is written out as the two-term sums
-    the einsums add, v_o^H (J v_u) and v_u^H (J v_o) with v_o, v_u the two
-    columns of V; C is computed on its own, not as the conjugate of B, so the
-    kernel's sign check still tests the eigenvectors and the currents."""
-    (o0, u0), (o1, u1) = V.transpose(1, 2, 0)
-    oc0, oc1, uc0, uc1 = o0.conj(), o1.conj(), u0.conj(), u1.conj()
-    B, Ct, traces = {}, {}, {}
-    for d, Jd in J.items():
-        (j00, j01), (j10, j11) = Jd.transpose(1, 2, 0)
-        B[d] = (oc0 * (j00 * u0 + j01 * u1) + oc1 * (j10 * u0 + j11 * u1))[:, None]
-        Ct[d] = (uc0 * (j00 * o0 + j01 * o1) + uc1 * (j10 * o0 + j11 * o1))[:, None]
-    for p, Dp in D2.items():
-        (d00, d01), (d10, d11) = Dp.transpose(1, 2, 0)
-        traces[p] = oc0 * d00 * o0 + oc0 * d01 * o1 + oc1 * d10 * o0 + oc1 * d11 * o1
-    return (w[:, 0] - w[:, 1])[:, None], B, Ct, traces
+def _pauli(S: np.ndarray) -> tuple:
+    """The Pauli vector s = (Re S_10, Im S_10, (S_00 - S_11)/2) of each
+    matrix S = s0 + s . sigma of an (M, 2, 2) Hermitian stack, read from the
+    real diagonal and the lower element."""
+    return S[:, 1, 0].real, S[:, 1, 0].imag, 0.5 * (S[:, 0, 0].real - S[:, 1, 1].real)
+
+
+def _dot(u: tuple, v: tuple) -> np.ndarray:
+    """Per-point dot product of two 3-vectors of flat arrays."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u: tuple, v: tuple) -> tuple:
+    """Per-point cross product of two 3-vectors of flat arrays."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _pauli_blocks(w: np.ndarray, split: tuple, J: dict, D2: dict, pairs,
+                  squares) -> tuple:
+    """_blocks for two bands with the lower one occupied (N = 2, m = 1),
+    with no eigenvector and no complex product, one value per point.  With
+    H's Pauli split (dz, b, r) (_split), n = d / r is the upper band's unit
+    Bloch vector, so the band projectors are (1 -+ n . sigma) / 2, and for
+    J_j = a_j + m_j . sigma and d^2H = D0 + D . sigma
+
+        (J_j)_{pq} (J_l)_{qp} = m_j . m_l - (m_j . n)(m_l . n)
+                                + i n . (m_j x m_l),
+        |(J_j)_{pq}|^2 = |m_j x n|^2,      occupied trace = D0 - n . D.
+
+    Delta = w_0 - w_1 = -2r.  By Lagrange's identity |m_j x n|^2 is the
+    real part at l = j; it is written as the cross product so that
+    ftilde_jj's formula stays independent of fjl_eta's, and the imaginary
+    part at l = j, identically zero, is not formed."""
+    dz, b, r = split
+    n = (b.real / r, b.imag / r, dz / r)
+    m = {d: _pauli(Jd) for d, Jd in J.items()}
+    along = {d: _dot(v, n) for d, v in m.items()}
+    z = {}
+    for j, l in pairs:
+        re = _dot(m[j], m[l]) - along[j] * along[l]
+        z[j, l] = (re, None if j == l else _dot(n, _cross(m[j], m[l])))
+    me2 = {}
+    for j in squares:
+        c = _cross(m[j], n)
+        me2[j] = _dot(c, c)
+    traces = {p: 0.5 * (Dp[:, 0, 0].real + Dp[:, 1, 1].real) - _dot(n, _pauli(Dp))
+              for p, Dp in D2.items()}
+    return w[:, 0] - w[:, 1], z, me2, traces
+
+
+def _point_values(rows, w: np.ndarray, counts: np.ndarray, basis, J: dict,
+                  D2: dict) -> tuple:
+    """Every request of ``rows`` at every point of a chunk: the per-point
+    values (R, M) in row order and, per row, the largest |imaginary part| of
+    a Schwinger trace (0 for other rows).  From the chunk's eigenvalues w
+    (M, N), occupied counts, currents J {d: (M, N, N)}, Hessians D2
+    {(j, l): (M, N, N)} and ``basis``, H's decomposition: the Pauli split
+    (dz, b, r) of _split for two bands, else the eigenvector columns V.
+
+    The points are grouped by their occupied count m; a point with m = 0
+    adds nothing.  Two bands with m = 1 take _pauli_blocks, and with m = 2
+    they have no pair and their occupied trace is Tr d^2H; every other group
+    takes _blocks.  Every formula reads only occupied x unoccupied pairs, so
+    no full N x N rotation or pair mask is built, and the requests share the
+    blocks but each keeps its own formula."""
+    values = np.zeros((len(rows), len(w)))
+    imag = np.zeros(len(rows))
+    pairs = sorted({p for q, _, p in rows if q == "f_jl"})
+    squares = sorted({j for q, _, (j, _) in rows if q == "ftilde_jj"})
+    two_band = isinstance(basis, tuple)
+    # the occupied counts present in the chunk, ascending
+    for m in np.flatnonzero(np.bincount(counts)[1:]) + 1:
+        g = np.nonzero(counts == m)[0]
+        if g.size == len(w):           # the whole chunk: views, not copies
+            g = slice(None)
+        Dg = {p: Dp[g] for p, Dp in D2.items()}
+        if two_band and m == 2:
+            for i, (quantity, _, p) in enumerate(rows):
+                if quantity == "schwinger":
+                    values[i, g] = Dg[p][:, 0, 0].real + Dg[p][:, 1, 1].real
+            continue
+        Jg = {d: Jd[g] for d, Jd in J.items()}
+        if two_band:
+            found = _pauli_blocks(w[g], tuple(x[g] for x in basis), Jg, Dg, pairs, squares)
+        else:
+            found = _blocks(w[g], basis[g], m, Jg, Dg, pairs, squares)
+        delta, z, me2, traces = found
+        # Lambda_q - Lambda_p <= -gap < 0 on the block (empty for m = N),
+        # so the Lorentzian denominators never vanish, not even at eta = 0
+        delta2, two_delta = delta * delta, 2.0 * delta
+        products, denominators = {}, {}
+        for i, (quantity, eta, (j, l)) in enumerate(rows):
+            if quantity == "schwinger":
+                tr = traces[j, l]
+                imag[i] = max(imag[i], float(np.abs(tr.imag).max(initial=0.0)))
+                values[i, g] = tr.real
+                continue
+            if eta not in denominators:
+                denominators[eta] = eta * eta + delta2
+            if quantity == "f_jl":
+                if (j, l) not in products:
+                    re, im = z[j, l]
+                    products[j, l] = (two_delta * re, im)
+                even, z_imag = products[j, l]
+                # z_imag is None where it vanishes identically (_pauli_blocks)
+                num = even if z_imag is None else even - 2.0 * eta * z_imag
+                v = num / denominators[eta]
+            else:
+                v = 2.0 * (delta / denominators[eta] * me2[j])
+            values[i, g] = v if v.ndim == 1 else v.sum(axis=1)
+    return values, imag
 
 
 class _Tally(NamedTuple):
@@ -516,7 +636,7 @@ def _gated(request) -> bool:
 
 
 def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
-    """Every requested grid integral from one eigen-decomposition per point.
+    """Every requested grid integral from one decomposition per point.
 
     A request is a (quantity, eta, (j, l)) key:
 
@@ -528,19 +648,16 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
       x unoccupied index sets (eta = 0 allowed);
     - ("schwinger", 0.0, (j, l)): Tr(d^2H/dk_j dk_l P_mu).
 
-    Per chunk, H, each needed J_d and d^2H come from one exp of the phase
-    matrix and H is diagonalized once, by _eigh (the closed form for two
-    bands: eigenvalues d0 -+ hypot(dz, |b|), so exact up to rounding, and an
-    order of magnitude faster than LAPACK on 2 x 2 stacks).  The chunk's points
-    are grouped by their occupied count m, and per group only the m x (N - m)
-    blocks B_d = V_occ^H J_d V_unocc and C_d = V_unocc^H J_d V_occ of each
-    current are formed: every formula reads only occupied x unoccupied
-    elements, so no full N x N rotation or pair mask is built.  Two bands
-    with one occupied (N = 2, m = 1) take _two_band_blocks, which writes each
-    block's one element out on flat per-point arrays; every other group
-    takes _blocks, V^H (J V) in two einsum steps.  The Schwinger trace sums
-    v_q^H d^2H v_q over the occupied columns.  The requests share that data
-    but each keeps its own formula.
+    Per chunk, H, each needed J_d and d^2H come from one set of phases
+    (HoppingModel._assemble), and H is decomposed once.  A two-band H is
+    only split into its Pauli components (_split: eigenvalues d0 -+
+    hypot(dz, |b|), the closed form _eigh uses), and every formula reads the
+    Pauli vectors of H, the currents and d^2H (_pauli_blocks): no
+    eigenvector, no complex block.  Other N go through _eigh and the
+    occupied x unoccupied blocks of _blocks.  _point_values evaluates every
+    request at every point of the chunk into one (R, M) array, so the
+    sign and scale maxima, the weighting and the tree sum run once per
+    chunk for all requests.
 
     ``grid`` may be a whole grid or one part of one (GridPolicy._parts), so
     nothing is refused here but a non-finite eta (ValueError, before the
@@ -550,9 +667,9 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
     below the degeneracy floor on, nothing is summed, since every grid
     holding the pass is refused, but every chunk's gaps are still read, so
     _Points holds the smallest gap of the pass.  Chunk sums are tree-summed
-    and then tree-summed across chunks: since _CHUNK is a power of two this
-    is bit-identical to the tree sum of the whole per-point array, and no
-    per-point array outlives its chunk.
+    and then tree-summed across chunks, row by row: since _CHUNK is a power
+    of two this is bit-identical to the tree sum of the whole per-point
+    array, and no per-point array outlives its chunk.
     """
     requests = list(dict.fromkeys(requests))
     if not all(np.isfinite(eta) for _, eta, _ in requests):
@@ -562,10 +679,11 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
     currents = sorted({d for q, _, p in requests if q != "schwinger" for d in p})
     hessians = sorted({p for q, _, p in requests if q == "schwinger"})
     gate_etas = {abs(r[1]) for r in requests if _gated(r)}
-    partials = {r: [] for r in requests}
-    top = dict.fromkeys(requests, 0.0)
-    imag = dict.fromkeys(requests, 0.0)
-    scale = dict.fromkeys(requests, 0.0)
+    # the f_jl rows first: the sign check reads only their maxima
+    rows = sorted(requests, key=lambda r: r[0] != "f_jl")
+    n_fjl = sum(q == "f_jl" for q, _, _ in rows)
+    top, scale, imag = np.zeros(n_fjl), np.zeros(len(rows)), np.zeros(len(rows))
+    partials = []
     jmax = dict.fromkeys(currents, 0.0)
     worst_spacing = dict.fromkeys(gate_etas, 0.0)
     min_gap, at = np.inf, (np.nan, np.nan)
@@ -575,7 +693,7 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
         H, *stacks = model._assemble(ks, [()] + [(d,) for d in currents] + hessians)
         J = dict(zip(currents, stacks))
         D2 = dict(zip(hessians, stacks[len(currents):]))
-        w, V = _eigh(H)
+        w, basis = _split(H) if model.norbitals == 2 else _eigh(H)
         counts, idx, gaps = _fermi_gaps(w, model.fermi_energy)
         if gaps.size and gaps.min() < min_gap:
             i = gaps.argmin()
@@ -587,46 +705,19 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
             worst_spacing[e] = float(near.max(initial=worst_spacing[e]))
         for d in currents:
             jmax[d] = max(jmax[d], _max_frobenius(J[d]))
-        per_k = {r: np.zeros(len(ks)) for r in requests}
-        # the occupied counts present in the chunk, ascending
-        for m in np.flatnonzero(np.bincount(counts)[1:]) + 1:
-            g = np.nonzero(counts == m)[0]
-            if g.size == len(ks):          # the whole chunk: views, not copies
-                g = slice(None)
-            blocks = _two_band_blocks if V.shape[-1] == 2 and m == 1 else _blocks
-            # Lambda_q - Lambda_p <= -gap < 0 on the block (empty for m = N),
-            # so the Lorentzian denominators never vanish, not even at eta = 0
-            delta, B, Ct, traces = blocks(w[g], V[g], m, {d: J[d][g] for d in currents},
-                                          {p: D2[p][g] for p in hessians})
-            delta2 = delta * delta
-            products, me2 = {}, {}
-            for r in requests:
-                quantity, eta, (j, l) = r
-                if quantity == "schwinger":
-                    tr = traces[j, l]
-                    imag[r] = max(imag[r], float(np.abs(tr.imag).max()))
-                    per_k[r][g] = tr.real
-                elif quantity == "f_jl":
-                    if (j, l) not in products:
-                        z = Ct[j] * B[l]            # (J_j)_{pq} (J_l)_{qp}
-                        products[j, l] = (2.0 * delta * z.real, z.imag)
-                    even, z_imag = products[j, l]
-                    num = even - 2.0 * eta * z_imag
-                    per_k[r][g] = (num / (eta * eta + delta2)).sum(axis=1)
-                else:
-                    if j not in me2:
-                        me2[j] = np.abs(Ct[j]) ** 2  # |(J_j)_{pq}|^2
-                    lorentz = delta / (eta * eta + delta2)
-                    per_k[r][g] = 2.0 * (lorentz * me2[j]).sum(axis=1)
-        for r in requests:
-            if r[0] == "f_jl":
-                top[r] = max(top[r], float(per_k[r].max(initial=0.0)))
-            scale[r] = max(scale[r], float(np.abs(per_k[r]).max(initial=0.0)))
-            partials[r].append(_tree_sum(per_k[r] * grid.weights[sl]))
+        values, im = _point_values(rows, w, counts, basis, J, D2)
+        most, least = values.max(axis=1, initial=0.0), values.min(axis=1, initial=0.0)
+        imag = np.maximum(imag, im)
+        top = np.maximum(top, most[:n_fjl])
+        scale = np.maximum(scale, np.maximum(most, -least))
+        values *= grid.weights[sl]
+        partials.append(_tree_sum(values))
+    totals = _tree_sum(np.array(partials).reshape(len(partials), len(rows)).T)
     tallies = {}
     for r in requests:
-        _, eta, (j, l) = r
-        tallies[r] = _Tally(_tree_sum(partials[r]), top[r], scale[r], imag[r],
+        i, (_, eta, (j, l)) = rows.index(r), r
+        tallies[r] = _Tally(float(totals[i]), float(top[i]) if i < n_fjl else 0.0,
+                            float(scale[i]), float(imag[i]),
                             worst_spacing.get(abs(eta), 0.0),
                             max(jmax.get(j, 0.0), jmax.get(l, 0.0)))
     return tallies, _Points(npts, min_gap, at)
@@ -762,10 +853,12 @@ def ftilde_jj(model: HoppingModel, eta: float, j: int, grid: KGrid,
 
     Deliberately a formula independent of fjl_eta — the pair sum is
     assembled from abs-squared matrix elements over the explicit
-    occupied x unoccupied index sets, never from complex products — so the
-    agreement fjl_eta(eta, j, j) = ftilde_jj(eta) is a genuine cross-check;
-    the two share only the grid pass of _pair_sum_on_grid (eigensolve and
-    occupied x unoccupied current blocks).  eta enters only squared, making
+    occupied x unoccupied index sets, never from complex products (for two
+    bands |m_j x n|^2 against fjl_eta's m_j . m_j - (m_j . n)^2, see
+    _pauli_blocks) — so the agreement fjl_eta(eta, j, j) = ftilde_jj(eta)
+    is a cross-check of the two expressions; the two share only the grid
+    pass of _pair_sum_on_grid (its decomposition and the currents'
+    occupied x unoccupied blocks or Pauli vectors).  eta enters only squared, making
     the function exactly even (bit-identical under eta -> -eta); eta = 0 is
     allowed for gapped models, a non-finite eta is not.  The near-crossing
     resolution gate (GridTooCoarse) is armed only when ``cones`` is passed,
@@ -781,9 +874,10 @@ def schwinger(model: HoppingModel, j: int, l: int, grid: KGrid,
     """Schwinger term s_jl = (1/(2pi)^2) int dk Tr(d^2H/dk_j dk_l P_mu(k)).
 
     Independent of the current matrix elements: the trace is summed over the
-    occupied eigenvectors of the grid pass shared with fjl_eta,
-    sum_q <q| d^2H |q>, so s_jl = -f_jl(0+) is a genuine cross-check.  A trace
-    that acquires an imaginary part raises RuntimeError.
+    occupied bands of the grid pass shared with fjl_eta, sum_q <q| d^2H |q>
+    (for two bands D0 - n . D with one band occupied and Tr d^2H with two,
+    see _pauli_blocks), so s_jl = -f_jl(0+) is a genuine cross-check.  A
+    trace that acquires an imaginary part raises RuntimeError.
     """
     _require_directions(j, l)
     return _grid_estimate(model, ("schwinger", 0.0, (j, l)), grid, companion, False)
@@ -1131,7 +1225,7 @@ def sigma_kubo(model: HoppingModel, j: int | None = None, l: int | None = None,
     (a fine grid and its companion per eta, the same uniform pair for every
     eta without cones) are cut into parts that share their common cells,
     and each part is traversed in one spectral pass: every cell is
-    diagonalized once for every grid, eta and direction that reads it.  The report
+    decomposed once for every grid, eta and direction that reads it.  The report
     carries each pair's sequence, its Richardson extrapolation (the headline
     value), and a convergence flag (last two sigma_hat within 2%, with a
     small absolute floor for values decaying to zero); ``diagnostics`` holds

@@ -1,11 +1,14 @@
 """Bloch Hamiltonian assembly, derivatives, covariance, and model loading."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conecond as cc
+from conecond.bloch import PAIRING_ATOL
 from conftest import random_momenta, square_model_dict
 
 # one momentum (BLAS's one-row path), an odd batch and a full Kubo chunk
@@ -79,9 +82,9 @@ def three_orbital_model():
 
 def skewed_generic_model():
     """Seeded random 2-orbital model on a skewed, unreduced lattice with
-    generic orbital positions: the rounding of gamma + r_b - r_a leaves some
-    displacement rows without an exact mirror, and the on-site diagonal
-    adds the zero displacement."""
+    generic orbital positions (each displacement gamma + (r_b - r_a) still
+    has its exact mirror); the on-site diagonal adds the zero
+    displacement."""
     rng = np.random.default_rng(23)
     hoppings = []
     for cell in ([0, 0], [1, 0], [0, 1], [1, 1], [-2, 1]):
@@ -101,10 +104,22 @@ def skewed_generic_model():
 BUILT_MODELS = {"three_orbital": three_orbital_model, "skewed_generic": skewed_generic_model}
 
 
+def with_unpaired_row(model):
+    """``model`` plus one hopping entry far below the pairing tolerance whose
+    partner entry is zero: its displacement row has no mirror, so it takes
+    its own phase argument."""
+    T, N = np.zeros((model.norbitals,) * 2, dtype=complex), model.norbitals
+    T[0, N - 1] = 1e-3 * PAIRING_ATOL
+    terms = {**model.terms, (3, -1): T, (-3, 1): np.zeros_like(T)}
+    return dataclasses.replace(model, terms=terms)
+
+
 def per_term_derivatives(model, ks, j, l):
     """H, dH/dk_j and d^2H/dk_j dk_l at the momenta ks (M, 2) by a straight
-    loop over the terms and their entries; shape (3, M, N, N).  Each phase
-    argument is the dot product k . d of one momentum, as ``k @ d`` takes it."""
+    loop over the terms and their entries; shape (3, M, N, N).  Each
+    displacement is gamma + (r_b - r_a), rounded as the model rounds it, and
+    each phase argument the dot product k . d of one momentum, as ``k @ d``
+    takes it."""
     N = model.norbitals
     out = np.zeros((3, len(ks), N, N), dtype=complex)
     A = model.lattice.direct_matrix
@@ -112,7 +127,7 @@ def per_term_derivatives(model, ks, j, l):
         cell_cart = A @ np.array([m1, m2], dtype=float)
         for a in range(N):
             for b in range(N):
-                d = cell_cart + model.positions[b] - model.positions[a]
+                d = cell_cart + (model.positions[b] - model.positions[a])
                 term = np.exp(1j * np.vecdot(ks, d)) * T[a, b]
                 out[0, :, a, b] += term
                 out[1, :, a, b] += 1j * d[j - 1] * term
@@ -124,11 +139,12 @@ def per_term_derivatives(model, ks, j, l):
 def test_batched_assembly_matches_per_term_loop(fixture, request):
     # the honeycomb's next-nearest-neighbour terms and every entry of the
     # 3-orbital model collect several terms into one matrix entry; the
-    # skewed model has displacement rows without an exact mirror, which
-    # take their own exp, next to mirrored rows and the zero row
+    # skewed model gets a displacement row without an exact mirror, which
+    # takes its own argument, next to mirrored rows and the zero row
     model = (BUILT_MODELS[fixture]() if fixture in BUILT_MODELS
              else request.getfixturevalue(fixture))
     if fixture == "skewed_generic":
+        model = with_unpaired_row(model)
         n_pair = model._npair
         assert model._nexp > n_pair > 0 and len(model._disp) == model._nexp + n_pair + 1
     for n in ASSEMBLY_BATCHES:
@@ -177,12 +193,15 @@ def test_qwz_hamiltonian_at_high_symmetry_points():
 
 
 @pytest.mark.parametrize("fixture", ["haldane_critical", "haldane_gapped", "haldane_one_cone",
-                                     "qwz_aniso", "qwz_gapped", "square_model"])
+                                     "qwz_aniso", "qwz_gapped", "square_model",
+                                     "three_orbital", "skewed_generic"])
 def test_stacks_exactly_hermitian(fixture, request):
     # the coefficients of the entries (a, b) and (b, a) are exact conjugates
-    # when every displacement row has its exact mirror, so each stack equals
-    # its conjugate transpose bit for bit and has a real diagonal
-    model = request.getfixturevalue(fixture)
+    # when every displacement row has its exact mirror, which gamma + (r_b -
+    # r_a) gives for generic orbital positions too, so each stack equals its
+    # conjugate transpose bit for bit and has a real diagonal
+    model = (BUILT_MODELS[fixture]() if fixture in BUILT_MODELS
+             else request.getfixturevalue(fixture))
     assert model._nexp == model._npair
     for n in ASSEMBLY_BATCHES:
         ks = random_momenta(model.lattice, n, seed=8)

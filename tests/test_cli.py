@@ -560,24 +560,24 @@ def test_verify_decomposes_each_grid_once(capsys, monkeypatch, u, eta_seq, passe
     # sweep cuts its grids into parts (each shell level's unsplit cells once
     # per base, each grid's tail) and passes each part through the kernel
     # once, with the requests of every grid holding it, so across the whole
-    # run no cell is decomposed twice (the kernel decomposes through
-    # kubo._eigh, the closed form for N = 2) and each refinement of a tail
-    # reaches the kernel
+    # run no cell is decomposed twice (the kernel decomposes a two-band H by
+    # its Pauli split, kubo._split) and each refinement of a tail reaches
+    # the kernel
     import conecond.kubo as kubo
 
     argv = ["verify", "--preset", "qwz", "--params", f"u={u}", "--grid", "16",
             "--eta-seq", eta_seq]
-    kernel, eigh, refine = kubo._pair_sum_on_grid, kubo._eigh, kubo.refined_grid
+    kernel, split, refine = kubo._pair_sum_on_grid, kubo._split, kubo.refined_grid
     grids, quantities, decomposed, inside, refined = [], set(), [], [], []
 
     def counting_refine(*args):
         refined.append(args)
         return refine(*args)
 
-    def counting_eigh(a):
+    def counting_split(a):
         if inside:
             decomposed.append(len(a))
-        return eigh(a)
+        return split(a)
 
     def one_pass(model, grid, requests):
         grids.append(grid)
@@ -588,7 +588,7 @@ def test_verify_decomposes_each_grid_once(capsys, monkeypatch, u, eta_seq, passe
         finally:
             inside.pop()
 
-    monkeypatch.setattr(kubo, "_eigh", counting_eigh)
+    monkeypatch.setattr(kubo, "_split", counting_split)
     monkeypatch.setattr(kubo, "_pair_sum_on_grid", one_pass)
     monkeypatch.setattr(kubo, "refined_grid", counting_refine)
     code, out, _ = run_cli(capsys, *argv)

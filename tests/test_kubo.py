@@ -629,6 +629,10 @@ def test_tree_sum_is_the_padded_level_tree():
         for values in (x, -np.abs(x) * 0.0):
             got, want = kubo._tree_sum(values), reference_tree_sum(values)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), n
+        # a 2-D input reduces its last axis, each row by its own tree
+        rows = np.stack([x, -np.abs(x) * 0.0, x[::-1]])
+        want = [reference_tree_sum(row) for row in rows]
+        assert kubo._tree_sum(rows).tobytes() == np.array(want).tobytes(), n
 
 
 def test_grid_pass_matches_separate_calls(haldane_critical, haldane_cones, qwz_gapped):
@@ -742,6 +746,14 @@ def _tilted_qwz(tau, u=1.0):
     return dataclasses.replace(model, terms=terms)
 
 
+def _eigenvector_blocks(w, split, J, D2, pairs, squares):
+    """_pauli_blocks' result the eigenvector way: _blocks on the
+    eigenvectors _eigh gives for H, which are those of its traceless part
+    [[dz, conj b], [b, -dz]] bit for bit (they depend on dz, b and r only)."""
+    dz, b, _ = split
+    return kubo._blocks(w, _eigh(_hermitian_2x2(0.0, dz, b))[1], 1, J, D2, pairs, squares)
+
+
 @pytest.mark.parametrize("name, requests", [
     ("haldane_critical", [("f_jl", 0.1, (1, 1)), ("f_jl", 0.025, (2, 2))]),
     ("qwz_gapped", [("f_jl", 0.1, (1, 2)), ("f_jl", 0.05, (2, 1))]),
@@ -751,28 +763,92 @@ def _tilted_qwz(tau, u=1.0):
                     ("f_jl", 0.1, (1, 1))]),
 ], ids=["f_jj", "f_12_gapped", "ftilde_gapped", "ftilde", "schwinger_all_counts"])
 def test_two_band_block_matches_einsum_path(name, requests, request, monkeypatch):
-    # two bands with one occupied take the flat block, whose elements are the
-    # two-term sums the einsum block adds; on the same stacks (one 4096-point
-    # chunk) every request kind must agree with the einsum path to 1e-13
+    # two bands with one occupied take the Pauli block, which forms no
+    # eigenvector and no complex product; on the same stacks (one 4096-point
+    # chunk) every request kind must agree with the einsum blocks of _blocks
+    # on _eigh's eigenvectors to 1e-13
     model = _tilted_qwz(3.0) if name == "tilted_qwz" else request.getfixturevalue(name)
     grid = cc.uniform_grid(model.lattice, 64, 64)
     if name == "tilted_qwz":
         w = np.linalg.eigvalsh(model.h_batch(grid.points))
         assert set((w <= model.fermi_energy).sum(axis=1)) == {0, 1, 2}
-    flat_calls = []
+    pauli_calls = []
 
     def recording(*args):
-        flat_calls.append(len(args[0]))
-        return two_band(*args)
+        pauli_calls.append(len(args[0]))
+        return pauli(*args)
 
-    two_band = kubo._two_band_blocks
-    monkeypatch.setattr(kubo, "_two_band_blocks", recording)
+    pauli = kubo._pauli_blocks
+    monkeypatch.setattr(kubo, "_pauli_blocks", recording)
     flat, _ = _grid_values(model, grid, requests, False)
-    assert flat_calls
-    monkeypatch.setattr(kubo, "_two_band_blocks", kubo._blocks)
+    assert pauli_calls
+    monkeypatch.setattr(kubo, "_pauli_blocks", _eigenvector_blocks)
     ref, _ = _grid_values(model, grid, requests, False)
     for r in requests:
         assert ref[r] != 0.0 and abs(flat[r] - ref[r]) <= 1e-13 * abs(ref[r]), r
+
+
+def _random_two_band_model(seed):
+    """A seeded random two-band model on a skewed lattice with off-centre
+    orbitals: every hopping has an identity part, so the currents carry a
+    tilt a_j != 0, and its Pauli parts make the cones anisotropic; mu is the
+    median level of a sample, so the bands overlap it (m = 0, 1 and 2)."""
+    rng = np.random.default_rng(seed)
+    terms = {}
+    for cell in ((1, 0), (0, 1), (1, 1), (2, -1)):
+        T = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        terms[cell], terms[-cell[0], -cell[1]] = T, T.conj().T
+    T = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    terms[0, 0] = T + T.conj().T
+    lattice = cc.make_lattice([1.0, 0.0], [rng.uniform(0.2, 0.8), rng.uniform(0.6, 1.4)])
+    model = cc.HoppingModel(lattice=lattice, norbitals=2, positions=rng.uniform(0, 1, (2, 2)),
+                            terms=terms, fermi_energy=0.0)
+    w = np.linalg.eigvalsh(model.h_batch(random_momenta(lattice, 200, seed=seed)))
+    return dataclasses.replace(model, fermi_energy=float(np.median(w)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4])
+def test_pauli_values_match_eigenvector_route_per_point(seed):
+    # per point, the Pauli formulas against _blocks on _eigh's eigenvectors:
+    # f_jl with j != l in both orders, ftilde_jj (eta = 0 too) and the
+    # Schwinger traces, at points with 0, 1 and 2 occupied bands, at
+    # near-degenerate points (gap 2e-11 to 2e-4 around mu) and at points
+    # with H a multiple of the identity (r = 0) above and at or below mu
+    model = _random_two_band_model(seed)
+    mu = model.fermi_energy
+    ks = random_momenta(model.lattice, 400, seed=seed)
+    H, J1, J2, D11, D12, D22 = model._assemble(ks, [(), (1,), (2,), (1, 1), (1, 2), (2, 2)])
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(6, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    H[:6] = _hermitian_2x2(mu, 10.0 ** np.arange(-11, -3, 1.5)[:6] * u[:, 2],
+                           10.0 ** np.arange(-11, -3, 1.5)[:6] * (u[:, 0] + 1j * u[:, 1]))
+    H[6:9] = _hermitian_2x2([mu + 0.5, mu, mu - 0.5], 0.0, 0.0)
+    J, D2 = {1: J1, 2: J2}, {(1, 1): D11, (1, 2): D12, (2, 1): D12, (2, 2): D22}
+    rows = ([("f_jl", eta, p) for eta in (0.1, 0.003) for p in ((1, 2), (2, 1), (1, 1), (2, 2))]
+            + [("ftilde_jj", eta, (j, j)) for eta in (0.0, 0.05) for j in (1, 2)]
+            + [("schwinger", 0.0, p) for p in D2])
+    w, split = kubo._split(H)
+    w_eig, V = _eigh(H)
+    assert np.array_equal(w, w_eig)
+    counts = _fermi_gaps(w, mu)[0]
+    assert set(counts[:6]) == {1} and list(counts[6:9]) == [0, 2, 2]
+    assert set(counts[9:]) == {0, 1, 2}
+    pauli, imag = kubo._point_values(rows, w, counts, split, J, D2)
+    ref, _ = kubo._point_values(rows, w, counts, V, J, D2)
+    assert np.isfinite(pauli).all() and not imag.any()
+    # per point, a bound on each formula's terms: |J_j| |J_l| (2|Delta| +
+    # 2 eta) / (eta^2 + Delta^2), 2 |Delta| |J_j|^2 / (eta^2 + Delta^2), |d^2H|
+    delta = np.where(counts == 1, w[:, 0] - w[:, 1], 0.0)
+    norm = {d: np.linalg.norm(S, axis=(1, 2)) for d, S in {**J, **D2}.items()}
+    for i, (quantity, eta, (j, l)) in enumerate(rows):
+        if quantity == "schwinger":
+            bound = norm[j, l]
+        else:
+            bound = (norm[j] * norm[l] * (2.0 * np.abs(delta) + 2.0 * eta)
+                     / np.where(counts == 1, eta * eta + delta * delta, 1.0))
+        assert np.all(np.abs(pauli[i] - ref[i]) <= 1e-14 * bound), rows[i]
+    assert np.all(pauli[:, counts == 0] == 0.0)
 
 
 def _exact_two_band_eigenvalues(H):
@@ -1216,20 +1292,20 @@ def test_sigma_hall_decomposes_each_grid_once(monkeypatch):
     # the gap test reads the fine grid's spectral pass: without cones every
     # step's grid pair is the same uniform pair, so for two, five (the
     # default) or seven etas the fine grid and the companion each take one
-    # kernel pass and are decomposed once
+    # kernel pass and are decomposed (two bands: Pauli-split) once
     import conecond.kubo as kubo
 
-    eigh, kernel, points, passes = kubo._eigh, kubo._pair_sum_on_grid, [], []
+    split, kernel, points, passes = kubo._split, kubo._pair_sum_on_grid, [], []
 
-    def counting_eigh(a):
+    def counting_split(a):
         points.append(len(a))
-        return eigh(a)
+        return split(a)
 
     def one_pass(model, grid, requests):
         passes.append(len(grid))
         return kernel(model, grid, requests)
 
-    monkeypatch.setattr(kubo, "_eigh", counting_eigh)
+    monkeypatch.setattr(kubo, "_split", counting_split)
     monkeypatch.setattr(kubo, "_pair_sum_on_grid", one_pass)
     model = cc.preset_qwz(1.0)
     for count in (2, 5, 7):
