@@ -18,8 +18,9 @@ enforced at construction.
 H(k) and its k-derivatives are evaluated as one Fourier sum over the
 distinct displacements d_u = gamma + (r_b - r_a), in real arithmetic: since
 d_u and -d_u come in pairs, a cosine and a sine coefficient table per pair,
-built once per model, contracted with cos(k . d_u) and sin(k . d_u) of a
-batch of momenta (HoppingModel._assemble).
+built once per model, contracted with the phase rows cos(k . d_u) and
+sin(k . d_u) of a batch of momenta (HoppingModel._assemble; for two bands
+also the Pauli rows of H = s0 + s . sigma, HoppingModel._pauli_rows).
 """
 
 from __future__ import annotations
@@ -98,10 +99,12 @@ class HoppingModel:
     # first the _nexp rows that take a phase argument, then the negations of
     # the first _npair of them, then the zero row, if any; per derivative key
     # ((), (j,) or (j, l)) the float view of its (2 _nexp + 1) x N^2 complex
-    # coefficient table, whose rows multiply the phase matrix's columns
-    # cos(k . d_u), sin(k . d_u) and 1 (see _assemble)
+    # coefficient table, whose rows multiply the phase rows cos(k . d_u),
+    # sin(k . d_u) and 1 (see _phases)
     _disp: np.ndarray = field(init=False, repr=False, compare=False)
     _tables: dict = field(init=False, repr=False, compare=False)
+    # two bands only: per key the rows of _pauli_rows' table (see there)
+    _pauli_tables: dict = field(init=False, repr=False, compare=False)
     _nexp: int = field(init=False, repr=False, compare=False)
     _npair: int = field(init=False, repr=False, compare=False)
 
@@ -169,10 +172,14 @@ class HoppingModel:
             for l in range(j, 3):
                 w = -dj * disp[:n_exp, l - 1, None]
                 tables[(j, l)] = tables[(l, j)] = np.vstack([w * C, w * S, zero_row])
-        for arr in (disp, *tables.values()):
+        tables = {key: K.view(float) for key, K in tables.items()}
+        pauli = ({key: (K[:, [0, 4, 5, 6]] * [0.5, 1.0, 1.0, 0.5]).T.copy()
+                  for key, K in tables.items()} if N == 2 else {})
+        for arr in (disp, *tables.values(), *pauli.values()):
             arr.setflags(write=False)
         object.__setattr__(self, "_disp", disp)
-        object.__setattr__(self, "_tables", {key: K.view(float) for key, K in tables.items()})
+        object.__setattr__(self, "_tables", tables)
+        object.__setattr__(self, "_pauli_tables", pauli)
         object.__setattr__(self, "_nexp", n_exp)
         object.__setattr__(self, "_npair", n_pair)
 
@@ -184,43 +191,64 @@ class HoppingModel:
         each of j, l is 1 or 2.
 
         The Fourier sum over distinct displacements d_u in real arithmetic:
-        each +- pair (and each row without an exact mirror) takes one
-        argument theta = k . d_u, and the phase matrix is the real
-        (M x 2 n_exp + 1) matrix [cos theta | sin theta | 1].  Each stack is
-        one real matmul of it with the float view of the stack's coefficient
-        table, built once per model (H: [C; S; Z], dH/dk_j: [d_j S; -d_j C;
-        0], d^2H/dk_j dk_l: -d_j d_l [C; S; 0], with C and S as in
-        __post_init__ and Z the zero-displacement row), which gives the real
-        and imaginary parts of every entry.  Every stack is one matmul of
-        the same phase matrix, so it is bit-identical to its own
-        h_batch/dh_batch/d2h_batch call.  When every hopping's partner is
-        its exact adjoint and every row has its exact mirror (the presets),
-        the coefficients of the entries (a, b) and (b, a) are exact
-        conjugates, so every stack is exactly Hermitian.  One momentum is
-        assembled as two equal rows, keeping the first: BLAS rounds a
-        one-row product differently from a many-row one, so a single
-        momentum would not match its row of a batch.  It then matches its
-        row of any batch on the presets; on larger tables BLAS also picks
-        its kernel by the product's size, so a row can differ between a
-        small batch and a large one (a random 3-orbital model with 63 phase
-        columns: batches of up to 700 momenta against 1000 or more)."""
+        each stack is one real matmul of the transposed phase rows (_phases)
+        with the float view of the stack's coefficient table, built once per
+        model (H: [C; S; Z], dH/dk_j: [d_j S; -d_j C; 0], d^2H/dk_j dk_l:
+        -d_j d_l [C; S; 0], with C and S as in __post_init__ and Z the
+        zero-displacement row), which gives the real and imaginary parts of
+        every entry.  Every stack is one matmul of the same phase rows, so
+        it is bit-identical to its own h_batch/dh_batch/d2h_batch call.
+        When every hopping's partner is its exact adjoint and every row has
+        its exact mirror (the presets), the coefficients of the entries
+        (a, b) and (b, a) are exact conjugates, so every stack is exactly
+        Hermitian.  One momentum is assembled as two equal rows, keeping the
+        first: BLAS rounds a one-row product differently from a many-row
+        one, so a single momentum would not match its row of a batch.  It
+        then matches its row of any batch on the presets; on larger tables
+        BLAS also picks its kernel by the product's size, so a row can
+        differ between a small batch and a large one (a random 3-orbital
+        model with 63 phase columns: batches of up to 700 momenta against
+        1000 or more)."""
         tables = [self._tables.get(tuple(derivs)) for derivs in derivatives]
         for derivs, K in zip(derivatives, tables):
             if K is None:
                 _require_directions(*derivs)
                 raise ValueError(f"at most two derivatives, got {derivs}")
         ks = np.asarray(ks, dtype=float).reshape(-1, 2)
-        M = len(ks)
-        if M == 1:
+        phase = self._phases(ks).T
+        shape = (len(phase), self.norbitals, self.norbitals)
+        return [(phase @ K).view(complex).reshape(shape)[:len(ks)] for K in tables]
+
+    def _pauli_rows(self, ks: np.ndarray, derivatives, out=None) -> np.ndarray:
+        """For two bands, one (S, 4, M) real array: per derivative key (as in
+        _assemble) the rows (s0, sx, sy, sz) of S = s0 + s . sigma, the sums
+        kubo._pauli takes of the _assemble stacks.  One matmul of the phase
+        rows with the keys' tables stacked, each the float columns Re S00,
+        Re S10, Im S10, Re S11 with the diagonal halved (exactly), whose sum
+        and difference give s0 and sz; C-contiguous ``out`` gets it if M > 1."""
+        tables = np.vstack([self._pauli_tables[tuple(derivs)] for derivs in derivatives])
+        ks = np.asarray(ks, dtype=float).reshape(-1, 2)
+        phase = self._phases(ks)
+        if out is None or len(ks) == 1:
+            out = np.empty((len(tables) // 4, 4, phase.shape[1]))
+        np.matmul(tables, phase, out=out.reshape(len(tables), -1))
+        out[:, 0], out[:, 3] = out[:, 0] + out[:, 3], out[:, 0] - out[:, 3]
+        return out[:, :, :len(ks)]
+
+    def _phases(self, ks: np.ndarray) -> np.ndarray:
+        """The real (2 n_exp + 1, M) phase rows [cos theta; sin theta; 1] of
+        momenta ks (M, 2), theta = k . d_u per +- pair of displacements (and
+        per unpaired row); one momentum gets two equal columns (_assemble)."""
+        if len(ks) == 1:
             ks = np.repeat(ks, 2, axis=0)
         n_exp = self._nexp
-        theta = ks @ self._disp[:n_exp].T
-        phase = np.empty((len(ks), 2 * n_exp + 1))
-        np.cos(theta, out=phase[:, :n_exp])
-        np.sin(theta, out=phase[:, n_exp:-1])
-        phase[:, -1] = 1.0
-        shape = (len(ks), self.norbitals, self.norbitals)
-        return [(phase @ K).view(complex).reshape(shape)[:M] for K in tables]
+        phase = np.empty((2 * n_exp + 1, len(ks)))
+        theta = phase[n_exp:-1]                # k . d_u, then its sine in place
+        np.matmul(self._disp[:n_exp], ks.T, out=theta)
+        np.cos(theta, out=phase[:n_exp])
+        np.sin(theta, out=theta)
+        phase[-1] = 1.0
+        return phase
 
     def h_batch(self, ks: np.ndarray) -> np.ndarray:
         """H(k) for a batch of momenta; shape (M, N, N)."""

@@ -23,24 +23,24 @@ requested quantity with its own formula, reading only the elements
 between occupied and unoccupied bands.  A two-band H (N = 2, every preset)
 is not diagonalized: written H = d0 + d . sigma, its eigenvalues are
 d0 -+ |d| (_split) and its band projectors (1 -+ n . sigma) / 2 with
-n = d / |d|, so every formula is a dot or cross product of the Pauli
-vectors of H, the currents and d^2H on flat per-point arrays
-(_pauli_blocks), with no eigenvector and no complex block.  Other N are
-diagonalized by _eigh (np.linalg.eigh) and each current rotated into its occupied
-x unoccupied blocks by einsums (_blocks).  Its B_eps counterpart,
+n = d / |d|, so every formula is a dot or cross product of the Pauli rows
+of H, the currents and d^2H, which come from one real matmul per chunk
+(HoppingModel._pauli_rows, _pauli_blocks).  Other N are diagonalized by
+_eigh (np.linalg.eigh), each current rotated into its occupied x
+unoccupied blocks by einsums (_blocks).  Its B_eps counterpart,
 _cone_pass, serves f_sing and zeta: per rule, eta and cone it builds the
 elliptic-polar nodes and decomposes them once, and each node contracts
 only the elements of the cone's band pair its formula needs.
 
 The B_eps band pair needs eigenvectors and takes them from _eigh, which
-solves a two-band H in closed form from the same _split, exact up to
-rounding (its eigenvalues are the roots d0 -+ r of a quadratic, its
-eigenvectors read from the non-cancelling row) and an order of magnitude
-cheaper than batched LAPACK on 2 x 2 matrices; N > 2 goes to
-np.linalg.eigh.  Only the eigenvector phases differ between the two, and
-every quantity read from them is gauge-invariant.  So the grid kernel's
-Fermi-level counts and gaps, and sigma_hall's gap test that reads them,
-are those of _eigh bit for bit.
+solves a two-band H in closed form from the same _split of its Pauli rows
+(_pauli, bit for bit the kernel's), exact up to rounding (its eigenvalues
+are the roots d0 -+ r of a quadratic, its eigenvectors read from the
+non-cancelling row) and an order of magnitude cheaper than batched LAPACK
+on 2 x 2 matrices; N > 2 goes to np.linalg.eigh.  Only the eigenvector
+phases differ between the two, and every quantity read from them is
+gauge-invariant.  So the grid kernel's Fermi-level counts and gaps, and
+sigma_hall's gap test that reads them, are those of _eigh bit for bit.
 
 Conductivity extraction uses the pair estimator
 
@@ -400,16 +400,17 @@ def _grid_spacing_cart(grid: KGrid) -> np.ndarray:
     return np.maximum(grid.size[:, 0] * z1, grid.size[:, 1] * z2)
 
 
-def _split(H: np.ndarray) -> tuple:
-    """The Pauli split of an (M, 2, 2) Hermitian stack, read from its real
-    diagonal a, c and its lower off-diagonal element b (the triangle LAPACK
-    reads): H = d0 + d . sigma with d0 = (a + c)/2 and d = (Re b, Im b, dz),
-    dz = (a - c)/2.  Returns the ascending eigenvalues d0 -+ r (M, 2), with
-    r = |d| = hypot(dz, |b|), and (dz, b, r)."""
-    a, c, b = H[:, 0, 0].real, H[:, 1, 1].real, H[:, 1, 0]
-    d0, dz = 0.5 * (a + c), 0.5 * (a - c)
+def _split(rows) -> tuple:
+    """The eigenvalues of two-band matrices H = d0 + d . sigma from their
+    Pauli rows (d0, dx, dy, dz) (HoppingModel._pauli_rows, or _pauli of a
+    stack): the ascending d0 -+ r (M, 2), with r = |d| = hypot(dz, |b|) and
+    |b| np.abs of the complex lower element b = dx + i dy, and
+    (dx, dy, dz, r)."""
+    d0, dx, dy, dz = rows
+    b = np.empty(len(d0), dtype=complex)
+    b.real, b.imag = dx, dy
     r = np.hypot(dz, np.abs(b))
-    return np.stack((d0 - r, d0 + r), axis=1), (dz, b, r)
+    return np.stack((d0 - r, d0 + r), axis=1), (dx, dy, dz, r)
 
 
 def _eigh(H: np.ndarray):
@@ -425,8 +426,8 @@ def _eigh(H: np.ndarray):
     np.linalg.eigh."""
     if H.shape[-1] != 2:
         return np.linalg.eigh(H)
-    w, (dz, b, r) = _split(H)
-    p = r + np.abs(dz)
+    w, (_, _, dz, r) = _split(_pauli(H))
+    p, b = r + np.abs(dz), H[:, 1, 0]
     up, bc = dz >= 0, b.conj()
     V = np.empty(H.shape, dtype=np.result_type(H.dtype, float))
     V[:, 0, 0] = np.where(up, -bc, p)      # lower eigenvector d0 - r
@@ -494,10 +495,11 @@ def _blocks(w: np.ndarray, V: np.ndarray, m: int, J: dict, D2: dict,
 
 
 def _pauli(S: np.ndarray) -> tuple:
-    """The Pauli vector s = (Re S_10, Im S_10, (S_00 - S_11)/2) of each
-    matrix S = s0 + s . sigma of an (M, 2, 2) Hermitian stack, read from the
-    real diagonal and the lower element."""
-    return S[:, 1, 0].real, S[:, 1, 0].imag, 0.5 * (S[:, 0, 0].real - S[:, 1, 1].real)
+    """The Pauli rows (s0, sx, sy, sz) = ((S_00 + S_11)/2, Re S_10, Im S_10,
+    (S_00 - S_11)/2) of each S = s0 + s . sigma of an (M, 2, 2) Hermitian
+    stack, read from the real diagonal and the lower element."""
+    a, c, b = S[:, 0, 0].real, S[:, 1, 1].real, S[:, 1, 0]
+    return 0.5 * (a + c), b.real, b.imag, 0.5 * (a - c)
 
 
 def _dot(u: tuple, v: tuple) -> np.ndarray:
@@ -514,10 +516,10 @@ def _cross(u: tuple, v: tuple) -> tuple:
 def _pauli_blocks(w: np.ndarray, split: tuple, J: dict, D2: dict, pairs,
                   squares) -> tuple:
     """_blocks for two bands with the lower one occupied (N = 2, m = 1),
-    with no eigenvector and no complex product, one value per point.  With
-    H's Pauli split (dz, b, r) (_split), n = d / r is the upper band's unit
-    Bloch vector, so the band projectors are (1 -+ n . sigma) / 2, and for
-    J_j = a_j + m_j . sigma and d^2H = D0 + D . sigma
+    with no eigenvector and no complex product, one value per point, from
+    the Pauli rows of J_j = a_j + m_j . sigma and d^2H = D0 + D . sigma.  With
+    H's split (dx, dy, dz, r) (_split), n = d / r is the upper band's unit
+    Bloch vector, so the band projectors are (1 -+ n . sigma) / 2, and
 
         (J_j)_{pq} (J_l)_{qp} = m_j . m_l - (m_j . n)(m_l . n)
                                 + i n . (m_j x m_l),
@@ -527,9 +529,8 @@ def _pauli_blocks(w: np.ndarray, split: tuple, J: dict, D2: dict, pairs,
     real part at l = j; it is written as the cross product so that
     ftilde_jj's formula stays independent of fjl_eta's, and the imaginary
     part at l = j, identically zero, is not formed."""
-    dz, b, r = split
-    n = (b.real / r, b.imag / r, dz / r)
-    m = {d: _pauli(Jd) for d, Jd in J.items()}
+    n = tuple(x / split[3] for x in split[:3])
+    m = {d: Jd[1:] for d, Jd in J.items()}
     along = {d: _dot(v, n) for d, v in m.items()}
     z = {}
     for j, l in pairs:
@@ -539,27 +540,27 @@ def _pauli_blocks(w: np.ndarray, split: tuple, J: dict, D2: dict, pairs,
     for j in squares:
         c = _cross(m[j], n)
         me2[j] = _dot(c, c)
-    traces = {p: 0.5 * (Dp[:, 0, 0].real + Dp[:, 1, 1].real) - _dot(n, _pauli(Dp))
-              for p, Dp in D2.items()}
+    traces = {p: Dp[0] - _dot(n, Dp[1:]) for p, Dp in D2.items()}
     return w[:, 0] - w[:, 1], z, me2, traces
 
 
 def _point_values(rows, w: np.ndarray, counts: np.ndarray, basis, J: dict,
-                  D2: dict) -> tuple:
+                  D2: dict, out=None) -> tuple:
     """Every request of ``rows`` at every point of a chunk: the per-point
     values (R, M) in row order and, per row, the largest |imaginary part| of
-    a Schwinger trace (0 for other rows).  From the chunk's eigenvalues w
-    (M, N), occupied counts, currents J {d: (M, N, N)}, Hessians D2
-    {(j, l): (M, N, N)} and ``basis``, H's decomposition: the Pauli split
-    (dz, b, r) of _split for two bands, else the eigenvector columns V.
+    a Schwinger trace (0 for other rows), in ``out`` when given.  From the
+    chunk's eigenvalues w (M, N), occupied counts, H's decomposition
+    ``basis``, currents J {d: ...} and Hessians D2 {(j, l): ...}: _split's
+    (dx, dy, dz, r) and (4, M) Pauli rows, or eigenvectors V and stacks.
 
     The points are grouped by their occupied count m; a point with m = 0
     adds nothing.  Two bands with m = 1 take _pauli_blocks, and with m = 2
-    they have no pair and their occupied trace is Tr d^2H; every other group
+    they have no pair and their occupied trace is 2 D0; every other group
     takes _blocks.  Every formula reads only occupied x unoccupied pairs, so
     no full N x N rotation or pair mask is built, and the requests share the
     blocks but each keeps its own formula."""
-    values = np.zeros((len(rows), len(w)))
+    values = np.empty((len(rows), len(w))) if out is None else out
+    values.fill(0.0)
     imag = np.zeros(len(rows))
     pairs = sorted({p for q, _, p in rows if q == "f_jl"})
     squares = sorted({j for q, _, (j, _) in rows if q == "ftilde_jj"})
@@ -569,13 +570,15 @@ def _point_values(rows, w: np.ndarray, counts: np.ndarray, basis, J: dict,
         g = np.nonzero(counts == m)[0]
         if g.size == len(w):           # the whole chunk: views, not copies
             g = slice(None)
-        Dg = {p: Dp[g] for p, Dp in D2.items()}
+        # a point is a column of the Pauli rows, a matrix of the stacks
+        at = (slice(None), g) if two_band else g
+        Dg = {p: Dp[at] for p, Dp in D2.items()}
         if two_band and m == 2:
             for i, (quantity, _, p) in enumerate(rows):
                 if quantity == "schwinger":
-                    values[i, g] = Dg[p][:, 0, 0].real + Dg[p][:, 1, 1].real
+                    values[i, g] = 2.0 * Dg[p][0]
             continue
-        Jg = {d: Jd[g] for d, Jd in J.items()}
+        Jg = {d: Jd[at] for d, Jd in J.items()}
         if two_band:
             found = _pauli_blocks(w[g], tuple(x[g] for x in basis), Jg, Dg, pairs, squares)
         else:
@@ -648,16 +651,15 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
       x unoccupied index sets (eta = 0 allowed);
     - ("schwinger", 0.0, (j, l)): Tr(d^2H/dk_j dk_l P_mu).
 
-    Per chunk, H, each needed J_d and d^2H come from one set of phases
-    (HoppingModel._assemble), and H is decomposed once.  A two-band H is
-    only split into its Pauli components (_split: eigenvalues d0 -+
-    hypot(dz, |b|), the closed form _eigh uses), and every formula reads the
-    Pauli vectors of H, the currents and d^2H (_pauli_blocks): no
-    eigenvector, no complex block.  Other N go through _eigh and the
-    occupied x unoccupied blocks of _blocks.  _point_values evaluates every
-    request at every point of the chunk into one (R, M) array, so the
-    sign and scale maxima, the weighting and the tree sum run once per
-    chunk for all requests.
+    Per chunk, H, each needed J_d and d^2H come from one set of phase rows
+    and H is decomposed once.  For two bands they are real Pauli rows from
+    one matmul (HoppingModel._pauli_rows), H is only split (_split: d0 -+ r,
+    the eigenvalues _eigh gives), and every formula and the gate's current
+    norm read the rows (_pauli_blocks): no eigenvector, no complex stack.
+    Other N take the stacks of HoppingModel._assemble, _eigh and _blocks.
+    _point_values evaluates every request at every point into one (R, M)
+    array, so the maxima, the weighting and the tree sum run once per chunk
+    for all requests; the rows and the values fill buffers of the pass.
 
     ``grid`` may be a whole grid or one part of one (GridPolicy._parts), so
     nothing is refused here but a non-finite eta (ValueError, before the
@@ -687,13 +689,21 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
     jmax = dict.fromkeys(currents, 0.0)
     worst_spacing = dict.fromkeys(gate_etas, 0.0)
     min_gap, at = np.inf, (np.nan, np.nan)
+    keys = [()] + [(d,) for d in currents] + hessians
+    two_band = model.norbitals == 2
+    size = min(npts, _CHUNK)         # buffers of the pass, filled by every chunk
+    pauli_buffer, value_buffer = np.empty(4 * len(keys) * size), np.empty(len(rows) * size)
     for lo in range(0, npts, _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, npts))
         ks = grid.points[sl]
-        H, *stacks = model._assemble(ks, [()] + [(d,) for d in currents] + hessians)
+        if two_band:
+            out = pauli_buffer[:4 * len(keys) * len(ks)].reshape(-1, 4, len(ks))
+            H, *stacks = model._pauli_rows(ks, keys, out)
+        else:
+            H, *stacks = model._assemble(ks, keys)
+        w, basis = _split(H) if two_band else _eigh(H)
         J = dict(zip(currents, stacks))
         D2 = dict(zip(hessians, stacks[len(currents):]))
-        w, basis = _split(H) if model.norbitals == 2 else _eigh(H)
         counts, idx, gaps = _fermi_gaps(w, model.fermi_energy)
         if gaps.size and gaps.min() < min_gap:
             i = gaps.argmin()
@@ -703,9 +713,11 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
         for e in gate_etas:
             near = spacing[sl][idx[gaps < _GATE_WINDOW * e]]
             worst_spacing[e] = float(near.max(initial=worst_spacing[e]))
-        for d in currents:
-            jmax[d] = max(jmax[d], _max_frobenius(J[d]))
-        values, im = _point_values(rows, w, counts, basis, J, D2)
+        for d, Jd in J.items():      # two bands: ||J||_F^2 = 2 (a^2 + |m|^2)
+            jmax[d] = max(jmax[d], float(np.sqrt(2.0 * np.einsum("im,im->m", Jd, Jd).max()))
+                          if two_band else _max_frobenius(Jd))
+        out = value_buffer[:len(rows) * len(ks)].reshape(len(rows), len(ks))
+        values, im = _point_values(rows, w, counts, basis, J, D2, out)
         most, least = values.max(axis=1, initial=0.0), values.min(axis=1, initial=0.0)
         imag = np.maximum(imag, im)
         top = np.maximum(top, most[:n_fjl])

@@ -561,8 +561,8 @@ def test_verify_decomposes_each_grid_once(capsys, monkeypatch, u, eta_seq, passe
     # per base, each grid's tail) and passes each part through the kernel
     # once, with the requests of every grid holding it, so across the whole
     # run no cell is decomposed twice (the kernel decomposes a two-band H by
-    # its Pauli split, kubo._split) and each refinement of a tail reaches
-    # the kernel
+    # its Pauli split, kubo._split of its Pauli rows) and each refinement of
+    # a tail reaches the kernel
     import conecond.kubo as kubo
 
     argv = ["verify", "--preset", "qwz", "--params", f"u={u}", "--grid", "16",
@@ -574,10 +574,10 @@ def test_verify_decomposes_each_grid_once(capsys, monkeypatch, u, eta_seq, passe
         refined.append(args)
         return refine(*args)
 
-    def counting_split(a):
+    def counting_split(rows):
         if inside:
-            decomposed.append(len(a))
-        return split(a)
+            decomposed.append(len(rows[0]))    # one Pauli row's points
+        return split(rows)
 
     def one_pass(model, grid, requests):
         grids.append(grid)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import conecond as cc
-from conecond import kubo
+from conecond import bloch, kubo
 from conecond.kubo import (_cone_pass, _eigh, _elliptic_polar_nodes, _fermi_gaps,
                            _grid_values)
 from conftest import random_momenta
@@ -746,12 +746,21 @@ def _tilted_qwz(tau, u=1.0):
     return dataclasses.replace(model, terms=terms)
 
 
+def _stack(rows):
+    """The (M, 2, 2) stack s0 + s . sigma of Pauli rows (s0, sx, sy, sz)."""
+    return _hermitian_2x2(rows[0], rows[3], rows[1] + 1j * rows[2])
+
+
 def _eigenvector_blocks(w, split, J, D2, pairs, squares):
     """_pauli_blocks' result the eigenvector way: _blocks on the
     eigenvectors _eigh gives for H, which are those of its traceless part
-    [[dz, conj b], [b, -dz]] bit for bit (they depend on dz, b and r only)."""
-    dz, b, _ = split
-    return kubo._blocks(w, _eigh(_hermitian_2x2(0.0, dz, b))[1], 1, J, D2, pairs, squares)
+    [[dz, conj b], [b, -dz]] bit for bit (they depend on dz, b = dx + i dy
+    and r only), and on the stacks of the currents' and Hessians' Pauli
+    rows."""
+    dx, dy, dz, _ = split
+    V = _eigh(_hermitian_2x2(0.0, dz, dx + 1j * dy))[1]
+    return kubo._blocks(w, V, 1, {d: _stack(x) for d, x in J.items()},
+                        {p: _stack(x) for p, x in D2.items()}, pairs, squares)
 
 
 @pytest.mark.parametrize("name, requests", [
@@ -764,9 +773,9 @@ def _eigenvector_blocks(w, split, J, D2, pairs, squares):
 ], ids=["f_jj", "f_12_gapped", "ftilde_gapped", "ftilde", "schwinger_all_counts"])
 def test_two_band_block_matches_einsum_path(name, requests, request, monkeypatch):
     # two bands with one occupied take the Pauli block, which forms no
-    # eigenvector and no complex product; on the same stacks (one 4096-point
-    # chunk) every request kind must agree with the einsum blocks of _blocks
-    # on _eigh's eigenvectors to 1e-13
+    # eigenvector and no complex product; on the same Pauli rows (one
+    # 4096-point chunk) every request kind must agree with the einsum blocks
+    # of _blocks on _eigh's eigenvectors to 1e-13
     model = _tilted_qwz(3.0) if name == "tilted_qwz" else request.getfixturevalue(name)
     grid = cc.uniform_grid(model.lattice, 64, 64)
     if name == "tilted_qwz":
@@ -828,13 +837,17 @@ def test_pauli_values_match_eigenvector_route_per_point(seed):
     rows = ([("f_jl", eta, p) for eta in (0.1, 0.003) for p in ((1, 2), (2, 1), (1, 1), (2, 2))]
             + [("ftilde_jj", eta, (j, j)) for eta in (0.0, 0.05) for j in (1, 2)]
             + [("schwinger", 0.0, p) for p in D2])
-    w, split = kubo._split(H)
+    w, split = kubo._split(kubo._pauli(H))
     w_eig, V = _eigh(H)
     assert np.array_equal(w, w_eig)
     counts = _fermi_gaps(w, mu)[0]
     assert set(counts[:6]) == {1} and list(counts[6:9]) == [0, 2, 2]
     assert set(counts[9:]) == {0, 1, 2}
-    pauli, imag = kubo._point_values(rows, w, counts, split, J, D2)
+    # the kernel's input: the Pauli rows of the same stacks
+    pauli_rows = {x: np.array(kubo._pauli(S)) for x, S in {**J, **D2}.items()}
+    pauli, imag = kubo._point_values(rows, w, counts, split,
+                                     {d: pauli_rows[d] for d in J},
+                                     {p: pauli_rows[p] for p in D2})
     ref, _ = kubo._point_values(rows, w, counts, V, J, D2)
     assert np.isfinite(pauli).all() and not imag.any()
     # per point, a bound on each formula's terms: |J_j| |J_l| (2|Delta| +
@@ -849,6 +862,94 @@ def test_pauli_values_match_eigenvector_route_per_point(seed):
                      / np.where(counts == 1, eta * eta + delta * delta, 1.0))
         assert np.all(np.abs(pauli[i] - ref[i]) <= 1e-14 * bound), rows[i]
     assert np.all(pauli[:, counts == 0] == 0.0)
+
+
+_KEYS = [(), (1,), (2,), (1, 1), (1, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("size", [1, 255, 4096])
+@pytest.mark.parametrize("name", ["haldane_critical", "qwz_aniso", "random"])
+def test_pauli_rows_match_pauli_of_stacks(name, size, request):
+    # the two-band kernel's one matmul per chunk against the Pauli rows of
+    # _assemble's stacks, for every derivative key, to a few ulps of the
+    # key's table scale (the sum of its |coefficients|, which bounds every
+    # entry since |cos|, |sin| <= 1); the random model has off-centre
+    # orbitals, a skewed lattice and a tilt
+    model = (_random_two_band_model(1) if name == "random"
+             else request.getfixturevalue(name))
+    ks = random_momenta(model.lattice, size, seed=size)
+    rows = model._pauli_rows(ks, _KEYS)
+    assert rows.shape == (len(_KEYS), 4, size)
+    for key, got, S in zip(_KEYS, rows, model._assemble(ks, _KEYS)):
+        ulp = np.finfo(float).eps * np.abs(model._tables[key]).sum()
+        assert np.all(np.abs(got - np.array(kubo._pauli(S))) <= 4.0 * ulp), key
+    # ``out`` receives the same rows
+    out = np.empty((len(_KEYS), 4, size))
+    got = model._pauli_rows(ks, _KEYS, out)
+    assert np.array_equal(got, rows) and (size == 1 or np.shares_memory(got, out))
+
+
+def _piece(grid, lo, hi):
+    """The points lo:hi of ``grid`` as a grid part of their own."""
+    return dataclasses.replace(grid, **{f: getattr(grid, f)[lo:hi]
+                                        for f in ("points", "weights", "frac", "size")})
+
+
+# every request kind, f_jl in both orders and ftilde_jj at eta = 0 too
+_KINDS = ([("f_jl", eta, p) for eta in (0.1, 0.025) for p in ((1, 1), (1, 2), (2, 1))]
+          + [("ftilde_jj", eta, (j, j)) for eta in (0.0, 0.1) for j in (1, 2)]
+          + [("schwinger", 0.0, p) for p in ((1, 1), (1, 2), (2, 2))])
+
+
+def test_two_band_kernel_reads_pauli_rows_only(monkeypatch, three_band_metal):
+    # a two-band pass makes one _pauli_rows call per chunk, for H, the
+    # currents and the Hessians, and takes the gate's current norm from the
+    # rows: it assembles no stack and calls no _max_frobenius, and its norm
+    # is the stacks' Frobenius norm up to rounding; N > 2 makes no Pauli rows
+    model = _tilted_qwz(3.0)
+    grid = _piece(cc.uniform_grid(model.lattice, 91, 91), 0, 2 * 4096 + 17)
+    pauli_rows, calls = cc.HoppingModel._pauli_rows, []
+
+    def counting(self, ks, derivatives, out=None):
+        calls.append(len(ks))
+        return pauli_rows(self, ks, derivatives, out)
+
+    def refuse(*args):
+        raise AssertionError("not on this path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cc.HoppingModel, "_pauli_rows", counting)
+        patch.setattr(cc.HoppingModel, "_assemble", refuse)
+        patch.setattr(kubo, "_max_frobenius", refuse)
+        tallies, _ = kubo._pair_sum_on_grid(model, grid, _KINDS)
+    assert calls == [4096, 4096, 17]
+    norm = max(bloch._max_frobenius(J) for J in model._assemble(grid.points, ((1,), (2,))))
+    assert abs(tallies[_KINDS[1]].slope - norm) <= 1e-14 * norm
+    monkeypatch.setattr(cc.HoppingModel, "_pauli_rows", refuse)
+    grid = cc.uniform_grid(three_band_metal.lattice, 24, 24)
+    kubo._pair_sum_on_grid(three_band_metal, grid, _KINDS)
+
+
+def test_reused_buffers_keep_chunks_apart():
+    # every chunk of a pass fills the same Pauli-row and value buffers, the
+    # shorter last one their leading elements; on the tilted QWZ (occupied
+    # count 1 or 2 in the first chunk, 0 or 1 in the second, 1 in the last
+    # 17 points) a pass must give every tally, bit for bit, what passes
+    # over its chunk-aligned pieces give: the tree sum of their sums and
+    # the extremes of their statistics
+    model = _tilted_qwz(3.0)
+    grid = cc.uniform_grid(model.lattice, 91, 91)
+    bounds = [(0, 4096), (4096, 8192), (8192, 8209)]
+    counts = _fermi_gaps(_eigh(model.h_batch(grid.points[:8209]))[0], 0.0)[0]
+    assert [set(counts[lo:hi]) for lo, hi in bounds] == [{1, 2}, {0, 1}, {1}]
+    whole, points = kubo._pair_sum_on_grid(model, _piece(grid, 0, 8209), _KINDS)
+    pieces = [kubo._pair_sum_on_grid(model, _piece(grid, lo, hi), _KINDS) for lo, hi in bounds]
+    for r in _KINDS:
+        parts = [tallies[r] for tallies, _ in pieces]
+        assert whole[r].total == kubo._tree_sum(np.array([t.total for t in parts])), r
+        for stat in ("top", "scale", "imag", "spacing", "slope"):
+            assert getattr(whole[r], stat) == max(getattr(t, stat) for t in parts), (r, stat)
+    assert points.min_gap == min(p.min_gap for _, p in pieces)
 
 
 def _exact_two_band_eigenvalues(H):
@@ -1297,9 +1398,9 @@ def test_sigma_hall_decomposes_each_grid_once(monkeypatch):
 
     split, kernel, points, passes = kubo._split, kubo._pair_sum_on_grid, [], []
 
-    def counting_split(a):
-        points.append(len(a))
-        return split(a)
+    def counting_split(rows):
+        points.append(len(rows[0]))            # one Pauli row's points
+        return split(rows)
 
     def one_pass(model, grid, requests):
         passes.append(len(grid))
