@@ -486,9 +486,10 @@ def fit_cone(
     tilt0 = (t1 * r2 - t2 * r1) / (r2 - r1)
     Q = np.array([[coef0[0], coef0[1]], [coef0[1], coef0[2]]])
     ev = np.linalg.eigvalsh(Q)
-    if ev[0] <= 1e-10 * abs(ev[1]):
+    # not >: a form that overflowed to inf or nan is refused too
+    if not ev[0] > 1e-10 * abs(ev[1]):
         raise NotConical(
-            f"extrapolated quadratic form is not positive-definite "
+            f"extrapolated quadratic form is not finite and positive-definite "
             f"(eigenvalues {ev[0]:.3e}, {ev[1]:.3e}); band touching is not conical"
         )
     return Q, tilt0, resid1

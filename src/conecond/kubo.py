@@ -26,21 +26,20 @@ d0 -+ |d| (_split) and its band projectors (1 -+ n . sigma) / 2 with
 n = d / |d|, so every formula is a dot or cross product of the Pauli rows
 of H, the currents and d^2H, which come from one real matmul per chunk
 (HoppingModel._pauli_rows, _pauli_blocks).  Other N are diagonalized by
-_eigh (np.linalg.eigh), each current rotated into its occupied x
-unoccupied blocks by einsums (_blocks).  Its B_eps counterpart,
+np.linalg.eigh, each current rotated into its occupied x unoccupied
+blocks by einsums (_blocks).  Its B_eps counterpart,
 _cone_pass, serves f_sing and zeta: per rule, eta and cone it builds the
 elliptic-polar nodes and decomposes them once, and each node contracts
 only the elements of the cone's band pair its formula needs.
 
-The B_eps band pair needs eigenvectors and takes them from _eigh, which
-solves a two-band H in closed form from the same _split of its Pauli rows
-(_pauli, bit for bit the kernel's), exact up to rounding (its eigenvalues
-are the roots d0 -+ r of a quadratic, its eigenvectors read from the
-non-cancelling row) and an order of magnitude cheaper than batched LAPACK
-on 2 x 2 matrices; N > 2 goes to np.linalg.eigh.  Only the eigenvector
-phases differ between the two, and every quantity read from them is
-gauge-invariant.  So the grid kernel's Fermi-level counts and gaps, and
-sigma_hall's gap test that reads them, are those of _eigh bit for bit.
+The B_eps band pair (_band_pair) takes the same form: for two bands one
+_pauli_rows call gives H and the currents, _split gives the pair d0 -+ r,
+and each current's three numbers that f_sing and zeta read are
+|m_j x n|^2 and a_j -+ m_j . n.  So no two-band eigenvector is formed on
+the Kubo route, and its one two-band eigenvalue formula is _split's, the
+roots of a quadratic, exact up to rounding and an order of magnitude
+cheaper than batched LAPACK on 2 x 2 matrices; N > 2 goes to
+np.linalg.eigh in both.
 
 Conductivity extraction uses the pair estimator
 
@@ -405,40 +404,13 @@ def _split(rows) -> tuple:
     Pauli rows (d0, dx, dy, dz) (HoppingModel._pauli_rows, or _pauli of a
     stack): the ascending d0 -+ r (M, 2), with r = |d| = hypot(dz, |b|) and
     |b| np.abs of the complex lower element b = dx + i dy, and
-    (dx, dy, dz, r)."""
+    (dx, dy, dz, r).  The Kubo route's only two-band eigensolver: the grid
+    kernel and the B_eps band pair (_band_pair) both read it."""
     d0, dx, dy, dz = rows
     b = np.empty(len(d0), dtype=complex)
     b.real, b.imag = dx, dy
     r = np.hypot(dz, np.abs(b))
     return np.stack((d0 - r, d0 + r), axis=1), (dx, dy, dz, r)
-
-
-def _eigh(H: np.ndarray):
-    """np.linalg.eigh of an (M, N, N) Hermitian stack: ascending eigenvalues
-    (M, N) and orthonormal eigenvector columns (M, N, N).
-
-    N = 2 is solved in closed form: the eigenvalues are those of _split,
-    and the eigenvectors are read from the row that holds r + |dz| (the
-    branch on the sign of dz), so no entry is a difference of nearly equal
-    terms; their norm is sqrt(2 r (r + |dz|)).  At r = 0 the identity is
-    returned.  Only the eigenvector phases differ from LAPACK's, and every
-    quantity read from them is gauge-invariant.  Other N go to
-    np.linalg.eigh."""
-    if H.shape[-1] != 2:
-        return np.linalg.eigh(H)
-    w, (_, _, dz, r) = _split(_pauli(H))
-    p, b = r + np.abs(dz), H[:, 1, 0]
-    up, bc = dz >= 0, b.conj()
-    V = np.empty(H.shape, dtype=np.result_type(H.dtype, float))
-    V[:, 0, 0] = np.where(up, -bc, p)      # lower eigenvector d0 - r
-    V[:, 1, 0] = np.where(up, p, -b)
-    V[:, 0, 1] = np.where(up, p, bc)       # upper eigenvector d0 + r
-    V[:, 1, 1] = np.where(up, b, p)
-    flat = r == 0.0
-    # sqrt(2r) sqrt(p) rather than sqrt(2 r p): no underflow for tiny r
-    V /= np.where(flat, 1.0, np.sqrt(2.0 * r) * np.sqrt(p))[:, None, None]
-    V[flat] = np.eye(2)
-    return w, V
 
 
 def _fermi_gaps(w: np.ndarray, mu: float):
@@ -654,9 +626,10 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
     Per chunk, H, each needed J_d and d^2H come from one set of phase rows
     and H is decomposed once.  For two bands they are real Pauli rows from
     one matmul (HoppingModel._pauli_rows), H is only split (_split: d0 -+ r,
-    the eigenvalues _eigh gives), and every formula and the gate's current
-    norm read the rows (_pauli_blocks): no eigenvector, no complex stack.
-    Other N take the stacks of HoppingModel._assemble, _eigh and _blocks.
+    the eigenvalues the B_eps band pair reads too), and every formula and
+    the gate's current norm read the rows (_pauli_blocks): no eigenvector,
+    no complex stack.  Other N take the stacks of HoppingModel._assemble,
+    np.linalg.eigh and _blocks.
     _point_values evaluates every request at every point into one (R, M)
     array, so the maxima, the weighting and the tree sum run once per chunk
     for all requests; the rows and the values fill buffers of the pass.
@@ -701,7 +674,7 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
             H, *stacks = model._pauli_rows(ks, keys, out)
         else:
             H, *stacks = model._assemble(ks, keys)
-        w, basis = _split(H) if two_band else _eigh(H)
+        w, basis = _split(H) if two_band else np.linalg.eigh(H)
         J = dict(zip(currents, stacks))
         D2 = dict(zip(hessians, stacks[len(currents):]))
         counts, idx, gaps = _fermi_gaps(w, model.fermi_energy)
@@ -930,15 +903,39 @@ def _elliptic_polar_nodes(cone: FermiPoint, eps: float, eta: float,
 
 
 def _band_pair(model: HoppingModel, ks: np.ndarray, currents, lo: int):
-    """The cone's band pair lo (cones._cone_pair) on a batch of momenta, with
-    H and the currents J_d, d in ``currents``, from one assembly: (lam_lo,
-    lam_hi, v_lo, v_hi, {d: J_d}).  TwoBandIsolationFailed unless every other
-    band stays beyond twice the pair's sampled window."""
-    H, *J = model._assemble(ks, [()] + [(d,) for d in currents])
-    w, V = _eigh(H)
+    """The cone's band pair lo (cones._cone_pair) on a batch of momenta, from
+    one assembly of H and the currents J_d, d in ``currents``: (lam_lo,
+    lam_hi, {d: (|<lo|J_d|hi>|^2, <lo|J_d|lo>, <hi|J_d|hi>)}), per point.
+
+    Two bands (lo = 0) take the grid kernel's form and no eigenvector: with
+    the Pauli rows of H = d0 + d . sigma and J_d = a_d + m_d . sigma
+    (HoppingModel._pauli_rows), the pair is _split's d0 -+ r, and with
+    n = d / r the three numbers are |m_d x n|^2 and a_d -+ m_d . n, as in
+    _pauli_blocks.  Where r = 0, H is a multiple of the identity and n is
+    taken as 0: the numbers stay finite, and the node's Lorentzian factor,
+    proportional to lam_hi - lam_lo = 0, makes it add nothing.  Other N are
+    diagonalized by np.linalg.eigh, and TwoBandIsolationFailed is raised
+    unless every other band stays beyond twice the pair's sampled window."""
+    keys = [()] + [(d,) for d in currents]
+    if model.norbitals == 2:
+        H, *J = model._pauli_rows(ks, keys)
+        w, (dx, dy, dz, r) = _split(H)
+        safe = np.where(r > 0.0, r, 1.0)
+        n = (dx / safe, dy / safe, dz / safe)
+        elements = {}
+        for d, Jd in zip(currents, J):
+            c, along = _cross(Jd[1:], n), _dot(Jd[1:], n)
+            elements[d] = (_dot(c, c), Jd[0] - along, Jd[0] + along)
+        return w[:, 0], w[:, 1], elements
+    H, *J = model._assemble(ks, keys)
+    w, V = np.linalg.eigh(H)
     lam_lo, lam_hi = _isolated_pair(w, (lo, lo + 1), model.fermi_energy, 2.0,
                                     "shrink eps")
-    return lam_lo, lam_hi, V[:, :, lo], V[:, :, lo + 1], dict(zip(currents, J))
+    v_lo, v_hi = V[:, :, lo], V[:, :, lo + 1]
+    return lam_lo, lam_hi, {d: (np.abs(_element(v_lo, Jd, v_hi)) ** 2,
+                                _element(v_lo, Jd, v_lo).real,
+                                _element(v_hi, Jd, v_hi).real)
+                            for d, Jd in zip(currents, J)}
 
 
 def _element(u: np.ndarray, J: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -948,27 +945,23 @@ def _element(u: np.ndarray, J: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _f_sing_nodes(pair, eta: float, j: int) -> np.ndarray:
     """fjj_sing's integrand on the nodes of the _band_pair ``pair``."""
-    lam_lo, lam_hi, v_lo, v_hi, J = pair
-    me2 = np.abs(_element(v_lo, J[j], v_hi)) ** 2
+    lam_lo, lam_hi, elements = pair
     d = lam_hi - lam_lo
-    return -2.0 * d / (eta * eta + d * d) * me2 / (2.0 * np.pi) ** 2
+    return -2.0 * d / (eta * eta + d * d) * elements[j][0] / (2.0 * np.pi) ** 2
 
 
 def _zeta_nodes(model: HoppingModel, ks: np.ndarray, lo: int, pair, eta: float,
                 j: int, fd_step: float) -> np.ndarray:
     """zeta_jj's integrand on the nodes ``ks`` of the _band_pair ``pair``;
-    the nodes shifted by +-fd_step along k_j get band pairs of their own."""
+    the nodes shifted by +-fd_step along k_j get band pairs of their own.
+    Per band, the slope dLambda/dk_j is <band| J_j |band> (_band_pair)."""
     mu, step = model.fermi_energy, fd_step * np.eye(2)[j - 1]
-
-    def slopes(p):     # per band, dLambda/dk_j = Re <band| J_j |band>
-        return [_element(v, p[4][j], v).real for v in p[2:4]]
-
     # d/dk_j (Lambda - mu)^2 = 2 (Lambda - mu) dLambda/dk_j at k +- fd_step
     (lo_p, hi_p), (lo_m, hi_m) = (
-        [2.0 * (lam - mu) * s for lam, s in zip(p[:2], slopes(p))]
+        [2.0 * (lam - mu) * s for lam, s in zip(p[:2], p[2][j][1:])]
         for p in (_band_pair(model, ks + h, (j,), lo) for h in (step, -step)))
     d2g = (lo_p - lo_m + hi_p - hi_m) / (2.0 * fd_step)
-    slope_lo, slope_hi = slopes(pair)
+    _, slope_lo, slope_hi = pair[2][j]
     bracket = 0.5 * d2g - slope_lo**2 - slope_hi**2
     d = pair[1] - pair[0]
     return -d / (eta * eta + d * d) * bracket / (2.0 * np.pi) ** 2
@@ -1068,8 +1061,8 @@ def zeta_jj(model: HoppingModel, cones, eta: float, j: int,
     eps / (2 sqrt(lambda_max(Q))) is refused with FdStepTooLarge.  Even in
     eta; independent of current matrix elements, which makes it a genuine
     cross-check of fjj_sing: in one _cone_pass the
-    two share only the eigensolve at the centre nodes, and per node zeta
-    contracts only the two slopes.
+    two share only the band pair at the centre nodes (_band_pair, for two
+    bands the split of H), and per node zeta reads only the two slopes.
     """
     return _cone_estimate(model, cones, ("zeta", float(eta), (j, j)), eps, fd_step)
 

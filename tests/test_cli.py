@@ -248,6 +248,18 @@ def test_gap_closed_everywhere_is_numerical_error(capsys, model_file, command):
                    "grid points\n")
 
 
+@pytest.mark.parametrize("command, t1", [(["sigma"], "1e160"), (["fermi-points"], "1e300")],
+                         ids=["sigma", "fermi-points"])
+def test_overflowing_cone_fit_is_numerical_error(command, t1):
+    # the fit's squared half-gaps overflow, so its quadratic form is nan; run
+    # as a child process, since in-process the overflow's RuntimeWarning is
+    # an error of the test run
+    child = run_script(*command, "--preset", "haldane", "--params", f"t1={t1}")
+    assert child.returncode == 4 and child.stdout == "", child.stderr
+    assert ("error: NotConical: extrapolated quadratic form is not finite and "
+            "positive-definite (eigenvalues nan, nan)") in child.stderr
+
+
 def test_fermi_points_reports_near_threshold_minimum(capsys):
     # a gap minimum of 1e-6 at the zone centre lies within 100x the gap
     # tolerance: reported as a warning, not accepted as a Fermi point
@@ -616,33 +628,25 @@ def test_verify_decomposes_each_grid_once(capsys, monkeypatch, u, eta_seq, passe
 ], ids=["qwz-3", "haldane-4"])
 def test_verify_decomposes_each_cone_node_set_once(capsys, monkeypatch, argv, node_sets):
     # checks (c) and (d) read every B_eps integral from one fine-rule pass:
-    # one node set per (distinct eta, cone), decomposed once at its nodes,
-    # plus zeta's two shifted batches where zeta is read (j = 1 only)
+    # one node set per (distinct eta, cone), decomposed once at its nodes
+    # (one _band_pair), plus zeta's two shifted batches where zeta is read
+    # (j = 1 only)
     import conecond.kubo as kubo
 
-    nodes, eigh, kernel = kubo._elliptic_polar_nodes, kubo._eigh, kubo._pair_sum_on_grid
-    built, decomposed, inside = [], [], []
+    nodes, band_pair = kubo._elliptic_polar_nodes, kubo._band_pair
+    built, decomposed = [], []
 
     def recording_nodes(cone, eps, eta, ntheta, order):
         offsets, weights = nodes(cone, eps, eta, ntheta, order)
         built.append((eta, tuple(cone.omega), len(weights)))
         return offsets, weights
 
-    def counting_eigh(a):
-        if not inside:
-            decomposed.append(len(a))
-        return eigh(a)
-
-    def kernel_pass(*args):
-        inside.append(True)
-        try:
-            return kernel(*args)
-        finally:
-            inside.pop()
+    def counting_band_pair(model, ks, currents, lo):
+        decomposed.append(len(ks))
+        return band_pair(model, ks, currents, lo)
 
     monkeypatch.setattr(kubo, "_elliptic_polar_nodes", recording_nodes)
-    monkeypatch.setattr(kubo, "_eigh", counting_eigh)
-    monkeypatch.setattr(kubo, "_pair_sum_on_grid", kernel_pass)
+    monkeypatch.setattr(kubo, "_band_pair", counting_band_pair)
     code, out, _ = run_cli(capsys, "verify", *argv)
     assert code == 0
     seq = [float(e) for e in argv[-1].split(",")]

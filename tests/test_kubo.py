@@ -11,6 +11,7 @@ identities of the estimator sequence.
 
 import dataclasses
 import hashlib
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -21,8 +22,7 @@ from scipy.integrate import simpson
 
 import conecond as cc
 from conecond import bloch, kubo
-from conecond.kubo import (_cone_pass, _eigh, _elliptic_polar_nodes, _fermi_gaps,
-                           _grid_values)
+from conecond.kubo import _cone_pass, _fermi_gaps, _grid_values
 from conftest import random_momenta
 
 
@@ -350,7 +350,7 @@ def _dense_cone_reference(model, cones, eta, j, eps, ntheta=64, order=12,
     def rule(nt, og):
         total = np.zeros(2)
         for cone in cones:
-            offsets, wq = _elliptic_polar_nodes(cone, eps, eta, nt, og)
+            offsets, wq = kubo._elliptic_polar_nodes(cone, eps, eta, nt, og)
             total += [np.sum(f * wq) for f in integrands(cone.omega + offsets)]
         return total
 
@@ -359,7 +359,21 @@ def _dense_cone_reference(model, cones, eta, j, eps, ntheta=64, order=12,
     return {"f_sing": (fine[0], quad[0]), "zeta": (fine[1], quad[1])}
 
 
-@pytest.mark.parametrize("name", ["haldane_one_cone", "qwz_aniso", "hex_flat_band_model"])
+def _assert_cone_integrals_match_dense(model, cones, eps):
+    """fjj_sing and zeta_jj against _dense_cone_reference, value and
+    quad_error, at two etas and both directions."""
+    for eta in (0.05, 0.0125):
+        for j in (1, 2):
+            ref = _dense_cone_reference(model, cones, eta, j, eps)
+            for fn, rtol in ((cc.fjj_sing, 1e-14), (cc.zeta_jj, 1e-11)):
+                est = fn(model, cones, eta, j, eps=eps)
+                value, quad = ref[est.quantity]
+                assert abs(est.value - value) <= rtol * abs(value), (est.quantity, eta, j)
+                assert abs(est.quad_error - quad) <= 1e-12, (est.quantity, eta, j)
+
+
+@pytest.mark.parametrize("name", ["haldane_one_cone", "qwz_aniso", "tilted_qwz",
+                                  "hex_flat_band_model"])
 def test_cone_integrals_match_dense_rotation(name, request):
     # fjj_sing and zeta_jj contract only the straddling pair's elements; a
     # dense read of the same elements from the fully rotated current agrees
@@ -369,6 +383,13 @@ def test_cone_integrals_match_dense_rotation(name, request):
     elif name == "qwz_aniso":
         model = request.getfixturevalue(name)
         cones = request.getfixturevalue("qwz_aniso_cones")
+    elif name == "tilted_qwz":
+        # the one case whose currents have an identity part a_j != 0 at the
+        # nodes (it is 0 on the others), which the band slopes a_j -+ m_j . n
+        # read and |<lo|J_j|hi>|^2 must not
+        model = _tilted_qwz(0.4, u=-2.0)
+        cones = cc.characterize_cones(model)
+        assert np.abs(cones[0].tilt - (0.4, 0.0)).max() < 1e-3
     else:
         # N = 3, with eps small enough that the pair stays isolated
         model = request.getfixturevalue(name)
@@ -377,14 +398,38 @@ def test_cone_integrals_match_dense_rotation(name, request):
                                gap_at_omega=0.0)]
     eps = 0.004 if name == "hex_flat_band_model" else cc.default_epsilon(cones, model.lattice)
     assert len(cones) == 1
-    for eta in (0.05, 0.0125):
-        for j in (1, 2):
-            ref = _dense_cone_reference(model, cones, eta, j, eps)
-            for fn, rtol in ((cc.fjj_sing, 1e-14), (cc.zeta_jj, 1e-11)):
-                est = fn(model, cones, eta, j, eps=eps)
-                value, quad = ref[est.quantity]
-                assert abs(est.value - value) <= rtol * abs(value), (est.quantity, eta, j)
-                assert abs(est.quad_error - quad) <= 1e-12, (est.quantity, eta, j)
+    _assert_cone_integrals_match_dense(model, cones, eps)
+
+
+def test_cone_node_on_the_crossing(monkeypatch):
+    # QWZ(-2) has its cone at Gamma, where H = 0 exactly: there r = 0 and
+    # n = d / r is undefined.  With one node of every rule put there, the
+    # B_eps pass warns of nothing and agrees with the dense reference, whose
+    # full eigh is defined there, on the same nodes; the pair at the node
+    # has equal eigenvalues and finite elements, from no eigenvector
+    model = cc.preset_qwz(-2.0)
+    cone, = cc.characterize_cones(model)
+    cones = [dataclasses.replace(cone, omega=np.zeros(2))]
+    nodes = kubo._elliptic_polar_nodes
+
+    def one_on_the_crossing(*args):
+        offsets, weights = nodes(*args)
+        offsets[0] = 0.0
+        return offsets, weights
+
+    def refuse(*args):
+        raise AssertionError("not on the two-band path")
+
+    assert not model._pauli_rows(np.zeros((1, 2)), [()]).any()
+    monkeypatch.setattr(kubo, "_elliptic_polar_nodes", one_on_the_crossing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_cone_integrals_match_dense(model, cones, cc.default_epsilon(cones, model.lattice))
+        monkeypatch.setattr(cc.HoppingModel, "_assemble", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        lam_lo, lam_hi, elements = kubo._band_pair(model, np.zeros((1, 2)), (1, 2), 0)
+    assert lam_lo == lam_hi == 0.0
+    assert all(np.isfinite(x).all() and x[0] == 0.0 for x in elements.values())
 
 
 @pytest.mark.parametrize("name", ["haldane_critical", "qwz_aniso", "hex_flat_band_model"])
@@ -557,6 +602,12 @@ def test_pair_sum_pass_degenerate_point_as_separate_calls():
             assert str(single.value) == str(multi.value)
 
 
+def _kernel_eigenvalues(H):
+    """The eigenvalues (M, N) the grid kernel reads for the stack H: _split's
+    d0 -+ r of its Pauli rows for two bands, LAPACK's for more."""
+    return kubo._split(kubo._pauli(H))[0] if H.shape[-1] == 2 else np.linalg.eigh(H)[0]
+
+
 def test_degenerate_point_is_the_smallest_gap_of_the_grid():
     # two sub-floor Fermi gaps in a grid of two 4096-point chunks, the smaller
     # (Gamma, gap 2e-13) in the later chunk after k = (3e-13, 0): the refusal
@@ -567,7 +618,7 @@ def test_degenerate_point_is_the_smallest_gap_of_the_grid():
     points = grid.points.copy()
     points[100], points[4500] = (3e-13, 0.0), (0.0, 0.0)
     grid = dataclasses.replace(grid, points=points)
-    _, idx, gaps = _fermi_gaps(_eigh(model.h_batch(points))[0], model.fermi_energy)
+    _, idx, gaps = _fermi_gaps(_kernel_eigenvalues(model.h_batch(points)), model.fermi_energy)
     low = idx[gaps < kubo._DEGENERACY_FLOOR]
     assert list(low) == [100, 4500] and gaps[4500] < gaps[100]
     want = (f"Fermi-level degeneracy (gap {gaps[4500]:.3e}) at grid point "
@@ -733,7 +784,8 @@ def test_block_kernel_matches_dense_rotation(name, request):
         ref, scale = _dense_reference(model, grid, r)
         assert abs(values[r] - ref) <= 1e-12 * scale, r
     # the pass's smallest Fermi gap is the whole grid's, bit for bit
-    _, _, gaps = _fermi_gaps(_eigh(model.h_batch(grid.points))[0], model.fermi_energy)
+    _, _, gaps = _fermi_gaps(_kernel_eigenvalues(model.h_batch(grid.points)),
+                             model.fermi_energy)
     assert min_gap == gaps.min()
 
 
@@ -751,14 +803,20 @@ def _stack(rows):
     return _hermitian_2x2(rows[0], rows[3], rows[1] + 1j * rows[2])
 
 
+def _traceless_eigenvectors(split):
+    """LAPACK's eigenvectors of the traceless parts [[dz, conj b], [b, -dz]],
+    b = dx + i dy, of a two-band split (kubo._split): H's own, since d0 only
+    shifts the eigenvalues, without the rounding a large d0 would put into
+    them near a degeneracy."""
+    dx, dy, dz, _ = split
+    return np.linalg.eigh(_hermitian_2x2(0.0, dz, dx + 1j * dy))[1]
+
+
 def _eigenvector_blocks(w, split, J, D2, pairs, squares):
     """_pauli_blocks' result the eigenvector way: _blocks on the
-    eigenvectors _eigh gives for H, which are those of its traceless part
-    [[dz, conj b], [b, -dz]] bit for bit (they depend on dz, b = dx + i dy
-    and r only), and on the stacks of the currents' and Hessians' Pauli
-    rows."""
-    dx, dy, dz, _ = split
-    V = _eigh(_hermitian_2x2(0.0, dz, dx + 1j * dy))[1]
+    eigenvectors of H (_traceless_eigenvectors) and on the stacks of the
+    currents' and Hessians' Pauli rows."""
+    V = _traceless_eigenvectors(split)
     return kubo._blocks(w, V, 1, {d: _stack(x) for d, x in J.items()},
                         {p: _stack(x) for p, x in D2.items()}, pairs, squares)
 
@@ -775,7 +833,7 @@ def test_two_band_block_matches_einsum_path(name, requests, request, monkeypatch
     # two bands with one occupied take the Pauli block, which forms no
     # eigenvector and no complex product; on the same Pauli rows (one
     # 4096-point chunk) every request kind must agree with the einsum blocks
-    # of _blocks on _eigh's eigenvectors to 1e-13
+    # of _blocks on LAPACK's eigenvectors to 1e-13
     model = _tilted_qwz(3.0) if name == "tilted_qwz" else request.getfixturevalue(name)
     grid = cc.uniform_grid(model.lattice, 64, 64)
     if name == "tilted_qwz":
@@ -818,7 +876,7 @@ def _random_two_band_model(seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 4])
 def test_pauli_values_match_eigenvector_route_per_point(seed):
-    # per point, the Pauli formulas against _blocks on _eigh's eigenvectors:
+    # per point, the Pauli formulas against _blocks on LAPACK's eigenvectors:
     # f_jl with j != l in both orders, ftilde_jj (eta = 0 too) and the
     # Schwinger traces, at points with 0, 1 and 2 occupied bands, at
     # near-degenerate points (gap 2e-11 to 2e-4 around mu) and at points
@@ -838,8 +896,7 @@ def test_pauli_values_match_eigenvector_route_per_point(seed):
             + [("ftilde_jj", eta, (j, j)) for eta in (0.0, 0.05) for j in (1, 2)]
             + [("schwinger", 0.0, p) for p in D2])
     w, split = kubo._split(kubo._pauli(H))
-    w_eig, V = _eigh(H)
-    assert np.array_equal(w, w_eig)
+    V = _traceless_eigenvectors(split)
     counts = _fermi_gaps(w, mu)[0]
     assert set(counts[:6]) == {1} and list(counts[6:9]) == [0, 2, 2]
     assert set(counts[9:]) == {0, 1, 2}
@@ -940,7 +997,7 @@ def test_reused_buffers_keep_chunks_apart():
     model = _tilted_qwz(3.0)
     grid = cc.uniform_grid(model.lattice, 91, 91)
     bounds = [(0, 4096), (4096, 8192), (8192, 8209)]
-    counts = _fermi_gaps(_eigh(model.h_batch(grid.points[:8209]))[0], 0.0)[0]
+    counts = _fermi_gaps(_kernel_eigenvalues(model.h_batch(grid.points[:8209])), 0.0)[0]
     assert [set(counts[lo:hi]) for lo, hi in bounds] == [{1, 2}, {0, 1}, {1}]
     whole, points = kubo._pair_sum_on_grid(model, _piece(grid, 0, 8209), _KINDS)
     pieces = [kubo._pair_sum_on_grid(model, _piece(grid, lo, hi), _KINDS) for lo, hi in bounds]
@@ -976,7 +1033,9 @@ def _hermitian_2x2(d0, dz, b):
     return H
 
 
-def test_closed_form_eigh_matches_lapack():
+def test_closed_form_eigenvalues_match_lapack():
+    # the two-band eigenvalues d0 -+ r of kubo._split, which the grid kernel
+    # and the B_eps pass read, against exact arithmetic and against LAPACK
     rng = np.random.default_rng(7)
     stacks = []
     for s in 10.0 ** np.arange(-8, 9, 2):
@@ -994,24 +1053,14 @@ def test_closed_form_eigh_matches_lapack():
     stacks.append(_hermitian_2x2(rng.uniform(-1, 1, 200), u[:, 0], u[:, 1] + 1j * u[:, 2]))
 
     for H in stacks:
-        w, V = _eigh(H)
+        w = kubo._split(kubo._pauli(H))[0]
         w0 = np.linalg.eigh(H)[0]
         norm = np.linalg.norm(H, 2, axis=(1, 2))[:, None]
-        assert np.all(np.isfinite(V)) and np.all(w[:, 0] <= w[:, 1])
+        assert np.all(w[:, 0] <= w[:, 1])
         # LAPACK's own eigenvalues stray by up to ~1.3e-15 ||H|| from exact,
         # so the 1e-15 bound is against the exact values
         assert np.all(np.abs(w - _exact_two_band_eigenvalues(H)) <= 1e-15 * norm)
         assert np.all(np.abs(w - w0) <= 3e-15 * norm)
-        residual = np.linalg.norm(H @ V - V * w[:, None, :], 2, axis=(1, 2))
-        gram = np.linalg.norm(V.conj().transpose(0, 2, 1) @ V - np.eye(2), 2, axis=(1, 2))
-        assert np.all(residual <= 1e-14 * norm[:, 0]) and np.all(gram <= 1e-14)
-
-    _, V = _eigh(_hermitian_2x2([0.0, 1.0, -1e8, 1e-8], 0.0, 0.0))
-    assert np.array_equal(V, np.broadcast_to(np.eye(2), V.shape))
-    H3 = rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3))
-    H3 = H3 + H3.conj().transpose(0, 2, 1)
-    for got, ref in zip(_eigh(H3), np.linalg.eigh(H3)):
-        assert np.array_equal(got, ref)
 
 
 def _kubo_report(*args, **kwargs):
