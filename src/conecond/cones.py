@@ -64,7 +64,7 @@ __all__ = [
     "default_epsilon",
 ]
 
-#: default gap tolerance accepted at a Fermi point (absolute, energy units)
+#: default Fermi-point gap tolerance (find_fermi_points: times the spectral radius)
 DEFAULT_GAP_TOL = 1e-7
 #: two minima closer than this (cartesian, mod dual lattice) are one point
 _DEDUP_RADIUS = 1e-6
@@ -277,7 +277,7 @@ def find_fermi_points(
     lat = model.lattice
     rho = model.spectral_radius()
     if tol is None:
-        tol = DEFAULT_GAP_TOL * max(1.0, rho)
+        tol = DEFAULT_GAP_TOL * rho
     n = int(coarse)
     ks = uniform_grid(lat, n, n).points
     w = np.linalg.eigvalsh(model.h_batch(ks))
@@ -480,7 +480,10 @@ def fit_cone(
                          f"pair gap falls to {gap_r:.3e}, against {gap0:.3e} at omega")
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     misfit = design[:directions] @ coef - target[:directions]
-    resid1 = float(np.linalg.norm(misfit) / np.linalg.norm(target[:directions]))
+    # norms of rows scaled by one power of two (exact): squares stay finite
+    e = -np.frexp(np.abs(target[:directions]).max())[1]
+    resid1 = float(np.linalg.norm(np.ldexp(misfit, e))
+                   / np.linalg.norm(np.ldexp(target[:directions], e)))
     (r1, r2), (c1, c2), (t1, t2) = radii[:2], coef[:6].reshape(2, 3), tilts[:2]
     coef0 = (c1 * r2 - c2 * r1) / (r2 - r1)
     tilt0 = (t1 * r2 - t2 * r1) / (r2 - r1)
@@ -534,11 +537,14 @@ def sigma_closed_form(cones, j: int):
     FermiPoints, whose Q are positive-definite by construction.
 
     Returns ``(sigma_jj, per_cone)`` with per-cone contributions
-    Q_jj / (16 sqrt(det Q)).
+    Q_jj / (16 sqrt(det Q)), formed on Q scaled by a power of two (exact,
+    and invisible to the ratio) so that det Q stays finite at any scale.
     """
     _require_directions(j)
-    per_cone = [float(c.Q[j - 1, j - 1] / (16.0 * np.sqrt(np.linalg.det(c.Q))))
-                for c in cones]
+    per_cone = []
+    for c in cones:
+        Q = np.ldexp(c.Q, -np.frexp(np.abs(c.Q).max())[1])
+        per_cone.append(float(Q[j - 1, j - 1] / (16.0 * np.sqrt(np.linalg.det(Q)))))
     return float(sum(per_cone)), per_cone
 
 

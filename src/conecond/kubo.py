@@ -281,94 +281,80 @@ class GridPolicy:
     ``grids_for`` also returns a coarsened companion (half the base
     subdivision, the schedule without its last radius; both uniform without
     cones) whose difference against the fine result serves as the
-    quadrature-error estimate.  Every grid is built as parts (``_parts``),
-    which grids_for joins and the eta sweep, with one max|dH| sample for all
-    its etas, sums part by part: the shell radii R_outer / 2^level do not
-    depend on eta, so the shell of every schedule is a prefix of the
-    longest, and per base subdivision one walk down those shell levels
-    yields each level's unsplit cells once, for every grid whose shell
-    reaches it, and each grid's tail, the walk's frontier where its shell
-    ends refined over its core radii.
+    quadrature-error estimate.  One ``_layouts`` call gives every grid of
+    a sweep its (base, shell radii, core radii), and every grid is built as
+    parts (``_parts``), which grids_for joins and the eta sweep sums part by
+    part: the shell radii R_outer / 2^level do not depend on eta, so the
+    shell of every schedule is a prefix of the longest, and per base
+    subdivision one walk down those shell levels yields each level's
+    unsplit cells once, for every grid whose shell reaches it, and each
+    grid's tail, the walk's frontier where its shell ends refined over its
+    core radii.
     """
 
     base: int = 96
 
-    @staticmethod
-    def _current_scale(model: HoppingModel, cones):
-        """max|dH| over the 48 x 48 sample that the spacing target reads, or
-        None without cones (the grids are then uniform).  It does not depend
-        on eta, so an eta sweep takes it once for all its schedules."""
+    def _layouts(self, model: HoppingModel, cones, etas) -> list:
+        """Per eta of ``etas`` the (fine, companion) layouts (n, shell radii,
+        core radii): the fine grid's base subdivision and refinement radii,
+        those above R_core the shell and the rest, equal to it, the core, and
+        the companion's, half the base and the radii without the last.  The
+        max|dH| sample, lambda* and R_outer are taken once per call.  Without
+        cones every schedule is empty."""
+        half = max(self.base // 2, 2)
         if not cones:
-            return None
-        return _max_current_norm(model, uniform_grid(model.lattice, 48, 48).points)
-
-    def _radii_schedule(self, model: HoppingModel, cones, eta: float, jmax):
-        """(the refinement radii for eta, R_core), given jmax =
-        _current_scale(model, cones); the levels of radius R_core are the core."""
-        if not cones:
-            return [], None
+            return [((self.base, [], []), (half, [], [])) for _ in etas]
         lat = model.lattice
+        jmax = _max_current_norm(model, uniform_grid(lat, 48, 48).points)
         lam_sqrt = np.sqrt(min(c.lambda_star for c in cones))
         r_outer = _OUTER_RADIUS_FACTOR * min(lat.zone_lengths)
-        r_core = _CORE_MARGIN * _GATE_WINDOW * eta / lam_sqrt
-        target = eta / (_SPACING_MARGIN * _GATE_CELL * jmax)
-        spacing = max(lat.zone_lengths) / self.base
-        radii = []
-        level = 1
-        while spacing > target and level <= _MAX_LEVELS:
-            radii.append(max(r_outer / 2**level, r_core))
-            spacing /= 2.0
-            level += 1
-        return radii, r_core
-
-    def _layouts(self, model: HoppingModel, cones, eta: float, jmax) -> tuple:
-        """The (base subdivision, schedule) of the fine grid for eta and of
-        its companion, given jmax = _current_scale(model, cones)."""
-        radii, r_core = self._radii_schedule(model, cones, eta, jmax)
-        return (self.base, (radii, r_core)), (max(self.base // 2, 2), (radii[:-1], r_core))
-
-    @staticmethod
-    def _metric(cones) -> tuple:
-        """(each cone's omega, the Cholesky factor of its metric Q / lambda*)."""
-        lam = min((c.lambda_star for c in cones), default=1.0)
-        return [c.omega for c in cones], [np.linalg.cholesky(c.Q / lam) for c in cones]
-
-    @staticmethod
-    def _shell_and_core(schedule) -> tuple:
-        """(the shell radii, those above R_core; the core radii) of ``schedule``."""
-        radii, r_core = schedule
-        shell = [r for r in radii if r > r_core]
-        return shell, radii[len(shell):]
+        layouts = []
+        for eta in etas:
+            r_core = _CORE_MARGIN * _GATE_WINDOW * eta / lam_sqrt
+            target = eta / (_SPACING_MARGIN * _GATE_CELL * jmax)
+            spacing = max(lat.zone_lengths) / self.base
+            radii = []
+            level = 1
+            while spacing > target and level <= _MAX_LEVELS:
+                radii.append(max(r_outer / 2**level, r_core))
+                spacing /= 2.0
+                level += 1
+            shell = [r for r in radii if r > r_core]
+            layouts.append(((self.base, shell, radii[len(shell):]),
+                            (half, shell[:len(radii) - 1], radii[len(shell):-1])))
+        return layouts
 
     @staticmethod
     def _parts(model: HoppingModel, cones, layouts):
-        """The grids of ``layouts`` [(n, schedule)] as parts: yields (part
-        KGrid, the indices of the layouts whose grid holds it).  A grid is
-        the n x n uniform grid refined around the cones over its schedule,
-        the core levels in each cone's metric Q / lambda*, and its cells,
-        weights and order are its parts' in the order yielded.  Per base n
-        one walk goes down the longest shell from the uniform grid, one
-        _refine_level per radius: a level's unsplit cells are one part, held
-        by every grid whose shell reaches that level, and where a grid's
-        shell ends its tail, the frontier refined over its core radii by
-        refined_grid (the frontier itself without core levels), is another,
-        held by every grid with that shell and core.  Without cones every
-        schedule is empty, so each base yields its uniform grid once, held by
-        all its grids.  A part is yielded as soon as it is cut, and the walk
-        keeps only its frontier."""
+        """The grids of ``layouts`` [(n, shell radii, core radii)] (_layouts)
+        as parts: yields (part KGrid, the indices of the layouts whose grid
+        holds it).  A grid is the n x n uniform grid refined around the cones
+        over its shell radii, then over its core radii in each cone's metric
+        Q / lambda*, and its cells, weights and order are its parts' in the
+        order yielded.  Per base n one walk goes down the longest shell from
+        the uniform grid, one _refine_level per radius: a level's unsplit
+        cells are one part, held by every grid whose shell reaches that
+        level, and where a grid's shell ends its tail, the frontier refined
+        over its core radii by refined_grid (the frontier itself without core
+        levels), is another, held by every grid with that shell and core.
+        Without cones every schedule is empty, so each base yields its
+        uniform grid once, held by all its grids.  A part is yielded as soon
+        as it is cut, and the walk keeps only its frontier."""
         lat = model.lattice
-        centers, factors = GridPolicy._metric(cones)
-        for n in dict.fromkeys(n for n, _ in layouts):
-            mine = [i for i, (m, _) in enumerate(layouts) if m == n]
+        lam = min((c.lambda_star for c in cones), default=1.0)
+        centers = [c.omega for c in cones]
+        factors = [np.linalg.cholesky(c.Q / lam) for c in cones]
+        for n in dict.fromkeys(n for n, _, _ in layouts):
+            mine = [i for i, (m, _, _) in enumerate(layouts) if m == n]
             grid = uniform_grid(lat, n, n)
-            levels = {i: GridPolicy._shell_and_core(layouts[i][1]) for i in mine}
-            shell = max((s for s, _ in levels.values()), key=len)
-            assert all(s == shell[:len(s)] for s, _ in levels.values())
+            shell = max((layouts[i][1] for i in mine), key=len)
+            assert all(layouts[i][1] == shell[:len(layouts[i][1])] for i in mine)
             for depth in range(len(shell) + 1):
                 tails = {}
                 for i in mine:
-                    if len(levels[i][0]) == depth:
-                        tails.setdefault(tuple(levels[i][1]), []).append(i)
+                    _, own, core = layouts[i]
+                    if len(own) == depth:
+                        tails.setdefault(tuple(core), []).append(i)
                 for core, held in tails.items():
                     yield (refined_grid(lat, grid, centers, (), core, factors)
                            if core else grid), held
@@ -376,19 +362,19 @@ class GridPolicy:
                     kept, cells = _refine_level(lat, (grid.frac, grid.size, grid.weights),
                                                 centers, shell[depth])
                     yield _cell_grid(lat, n, n, kept), [i for i in mine
-                                                        if len(levels[i][0]) > depth]
+                                                        if len(layouts[i][1]) > depth]
                     grid = _cell_grid(lat, n, n, cells)
 
     def grids_for(self, model: HoppingModel, cones, eta: float):
         """(fine, companion) quadrature grids for the given eta, each the
         cells of its _parts joined in order."""
-        layouts = self._layouts(model, cones, eta, self._current_scale(model, cones))
+        layouts = self._layouts(model, cones, [eta])[0]
         cells = [[] for _ in layouts]
         for part, held in self._parts(model, cones, layouts):
             for i in held:
                 cells[i].append((part.frac, part.size, part.weights))
         return tuple(_cell_grid(model.lattice, n, n, [np.concatenate(a) for a in zip(*c)])
-                     for (n, _), c in zip(layouts, cells))
+                     for (n, _, _), c in zip(layouts, cells))
 
 
 # -- frequency-domain grid integrals ----------------------------------------
@@ -762,19 +748,22 @@ def _grid_values(model: HoppingModel, grid: KGrid, requests, gate: bool) -> tupl
 
 def _grid_sums(model: HoppingModel, cones, grids) -> list:
     """[(checked {request: value}, min_gap, size)] for the ``grids``
-    [(n, schedule, requests, gate)] of GridPolicy._parts, refused in list
-    order as by one whole pass each: one _pair_sum_on_grid pass per part,
+    [(n, shell radii, core radii, requests, gate)], each a layout of
+    GridPolicy._layouts with what it carries, refused in list order as by one
+    whole pass each: one _pair_sum_on_grid pass per part (GridPolicy._parts),
     carrying the requests of every grid that holds it, and each grid's
     passes summed and checked, gated or not, by _checked.  Only the parts'
     tallies are kept, not their points."""
+    layouts = [(n, shell, core) for n, shell, core, _, _ in grids]
+    asked = [requests for _, _, _, requests, _ in grids]
     passes = [[] for _ in grids]
-    for part, held in GridPolicy._parts(model, cones, [g[:2] for g in grids]):
+    for part, held in GridPolicy._parts(model, cones, layouts):
         if len(part):
-            found = _pair_sum_on_grid(model, part, [r for i in held for r in grids[i][2]])
+            found = _pair_sum_on_grid(model, part, [r for i in held for r in asked[i]])
             for i in held:
                 passes[i].append(found)
     return [(*_checked(requests, gate, p), sum(points.size for _, points in p))
-            for (_, _, requests, gate), p in zip(grids, passes)]
+            for (_, _, _, requests, gate), p in zip(grids, passes)]
 
 
 def _quad_error(value: float, coarse: float | None) -> float:
@@ -1157,8 +1146,9 @@ def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy,
     and then the riders of eta, gated, and its companion the f_jl.
     ``riders`` maps a grid eta to nonempty lists of value-only requests; an
     eta not visited gets its fine grid alone, with the gate off.  The grids
-    are those of grids_for, with the current-norm sample of their schedules
-    taken once for the sweep, and _grid_sums decomposes each cell once for
+    are those of grids_for, all laid out by one GridPolicy._layouts call (so
+    the current-norm sample is taken once for the sweep), as (n, shell radii,
+    core radii, requests, gate), and _grid_sums decomposes each cell once for
     all of them: the grids share their unsplit base cells and shell rings
     (GridPolicy._parts), and each grid adds only its tail, so without cones,
     where every grid of a base is its uniform grid, the sweep takes one
@@ -1166,15 +1156,14 @@ def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy,
     step and then the riders' grids, exactly as by a pass over it whole."""
     seq = _validate_halving(eta_sequence)
     steps = list(zip(seq, seq[1:]))
-    jmax = policy._current_scale(model, cones)
-    grids = []
-    for step in steps:
-        fine, comp = policy._layouts(model, cones, step[1], jmax)
-        own = [("f_jl", e, p) for e in step for p in pairs]
-        grids += [(*fine, own + riders.get(step[1], []), True), (*comp, own, False)]
     visited = {eta for _, eta in steps}
     alone = [e for e in riders if e not in visited]
-    grids += [(*policy._layouts(model, cones, e, jmax)[0], riders[e], False) for e in alone]
+    layouts = policy._layouts(model, cones, [eta for _, eta in steps] + alone)
+    grids = []
+    for step, (fine, comp) in zip(steps, layouts):
+        own = [("f_jl", e, p) for e in step for p in pairs]
+        grids += [(*fine, own + riders.get(step[1], []), True), (*comp, own, False)]
+    grids += [(*fine, riders[e], False) for e, (fine, _) in zip(alone, layouts[len(steps):])]
     sums = _grid_sums(model, cones, grids)
 
     per_eta = {p: [] for p in pairs}

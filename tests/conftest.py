@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import conecond as cc
 
@@ -219,3 +220,36 @@ def dual_images(lattice, reach=6):
     m = np.arange(-reach, reach + 1)
     M1, M2 = np.meshgrid(m, m, indexing="ij")
     return np.column_stack([M1.ravel(), M2.ravel()]) @ lattice.zone.T
+
+
+#: Hypothesis strategy of the seeds of one_cone_model
+one_cone_seeds = st.integers(0, 2**32 - 1)
+
+
+def one_cone_model(seed):
+    """(model, k*) of a random two-band model with exactly one Fermi point,
+    at k*, drawn from np.random.default_rng(seed): traceless hoppings
+    c . sigma with complex Gaussian c on the cells (1, 0), (0, 1), (1, 1) and
+    (1, -1), their partners filled in by model_from_dict, on a1 = (1, 0),
+    a2 = (U(-1/2, 1/2), U(0.7, 1.4)), and the on-site term -H(k*) at a random
+    k*, mu = 0.  H(k) = d(k) . sigma with a real d: R^2 -> R^3, whose zeros
+    are generically only the one the on-site term puts at k*."""
+    rng = np.random.default_rng(seed)
+    sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+    def entry(T):
+        return [[[z.real, z.imag] for z in row] for row in T]
+
+    hoppings = [{"cell": cell,
+                 "matrix": entry(np.tensordot(rng.normal(size=3) + 1j * rng.normal(size=3),
+                                              sigma, 1))}
+                for cell in ([1, 0], [0, 1], [1, 1], [1, -1])]
+    data = {"lattice": {"a1": [1.0, 0.0],
+                        "a2": [rng.uniform(-0.5, 0.5), rng.uniform(0.7, 1.4)]},
+            "orbitals": [[0.0, 0.0], [0.0, 0.0]], "fermi_energy": 0.0,
+            "hoppings": hoppings}
+    model = cc.model_from_dict(data)
+    k_star = model.lattice.from_fractional(rng.uniform(-0.5, 0.5, size=2))
+    H = model.h_batch(k_star[None, :])[0]
+    data["hoppings"] = hoppings + [{"cell": [0, 0], "matrix": entry(-0.5 * (H + H.conj().T))}]
+    return cc.model_from_dict(data), k_star

@@ -233,14 +233,17 @@ def test_third_band_near_cone_is_numerical_error(capsys, model_file, command):
 
 @pytest.mark.parametrize("command", [["sigma", "--method", "closed"], ["fermi-points"]])
 def test_gap_closed_everywhere_is_numerical_error(capsys, model_file, command):
-    # H(k) = 1e-9 (1/2 + cos k1) sigma_3 on the square lattice: a gap of at
-    # most 3e-9, below the Fermi-point tolerance at every scan point
+    # H(k) = 1 + 1e-9 (1/2 + cos k1) sigma_3 on the square lattice, mu = 1:
+    # a gap of at most 3e-9, below the Fermi-point tolerance (1e-7 times the
+    # spectral radius, about 1) at every scan point
     diag = [[[0.5e-9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5e-9, 0.0]]]
+    one = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     path = model_file({
         "lattice": {"a1": [1.0, 0.0], "a2": [0.0, 1.0]},
         "orbitals": [[0.0, 0.0], [0.0, 0.0]],
-        "fermi_energy": 0.0,
-        "hoppings": [{"cell": [0, 0], "matrix": diag}, {"cell": [1, 0], "matrix": diag}],
+        "fermi_energy": 1.0,
+        "hoppings": [{"cell": [0, 0], "matrix": diag}, {"cell": [1, 0], "matrix": diag},
+                     {"cell": [0, 0], "matrix": one}],
     })
     code, out, err = run_cli(capsys, *command, "--model", path)
     assert code == 4 and out == ""
@@ -258,6 +261,17 @@ def test_overflowing_cone_fit_is_numerical_error(command, t1):
     assert child.returncode == 4 and child.stdout == "", child.stderr
     assert ("error: NotConical: extrapolated quadratic form is not finite and "
             "positive-definite (eigenvalues nan, nan)") in child.stderr
+
+
+def test_huge_hopping_closed_form_is_quantized(capsys):
+    # t1 = 1e100 squares the fit's half-gaps to ~1e200: the fit residual and
+    # det Q are formed on values scaled by a power of two, so nothing
+    # overflows and each of the honeycomb's two cones gives 1/16
+    code, out, err = run_cli(capsys, "sigma", "--preset", "haldane", "--params", "t1=1e100")
+    report = json.loads(out)
+    assert code == 0 and err == "" and report["cones"] == 2
+    for key in ("11", "22"):
+        assert report["sigma"][key] == pytest.approx(0.125, rel=0, abs=1e-12), key
 
 
 def test_fermi_points_reports_near_threshold_minimum(capsys):

@@ -1,15 +1,17 @@
 """Fermi-point detection, cone fitting, and the closed-form conductivity."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import conecond as cc
 import conecond.cones as cones
 from conecond.cones import _occupied_band_index
 
-from conftest import dual_images
+from conftest import dual_images, one_cone_model, one_cone_seeds
 
 
 def synthetic_cone(Q, omega=None, tilt=(0.0, 0.0), lat=None):
@@ -423,6 +425,40 @@ def test_quantizing_iff_cone_contributes_sixteenth():
 
 
 # -- invariances -----------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [-330, -70, 70, 330])
+@pytest.mark.parametrize("case", ["haldane_critical", "haldane_one_cone", "qwz_aniso"])
+def test_closed_form_invariant_under_energy_rescaling(case, k, request):
+    # sigma reads Q only through Q_jj / sqrt(det Q), so H -> 2^k H moves
+    # nothing: the scan's gap tolerance is relative to the spectral radius,
+    # and the fit residual and det Q are formed on values scaled by a power
+    # of two, so neither overflows nor underflows
+    model = request.getfixturevalue(case)
+    unscaled = request.getfixturevalue(
+        {"haldane_critical": "haldane_cones"}.get(case, case + "_cones"))
+    scaled = dataclasses.replace(
+        model, terms={cell: T * 2.0**k for cell, T in model.terms.items()},
+        fermi_energy=model.fermi_energy * 2.0**k)
+    found = cc.characterize_cones(scaled)
+    assert len(found) == len(unscaled)
+    for j in (1, 2):
+        assert cc.sigma_closed_form(found, j)[0] == pytest.approx(
+            cc.sigma_closed_form(unscaled, j)[0], rel=0, abs=1e-12), j
+
+
+@settings(max_examples=25, deadline=None)
+@example(seed=0)
+@given(seed=one_cone_seeds)
+def test_finder_locates_the_one_cone_of_a_random_model(seed):
+    # a random traceless two-band model has H = d . sigma with a real d, whose
+    # zeros in 2D are generically only the one its on-site term puts at k*
+    model, k_star = one_cone_model(seed)
+    scan = cc.find_fermi_points(model)
+    assert len(scan) == 1
+    lat = model.lattice
+    d = lat.to_fractional(scan.locations[0]) - lat.to_fractional(k_star)
+    assert np.abs(d - np.round(d)).max() < 1e-10
+
 
 def test_axis_swap_symmetry():
     # swapping the two hopping amplitudes mirrors the model through k1 <-> k2:

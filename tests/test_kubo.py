@@ -1371,17 +1371,15 @@ def test_sweep_parts_are_the_grids(qwz_aniso, qwz_aniso_cones):
     lat = model.lattice
     lam = min(c.lambda_star for c in cones)
     factors = [np.linalg.cholesky(c.Q / lam) for c in cones]
-    jmax = policy._current_scale(model, cones)
-    layouts = [lay for eta in (0.1, 0.05, 0.0125)
-               for lay in policy._layouts(model, cones, eta, jmax)]
+    layouts = [lay for pair in policy._layouts(model, cones, [0.1, 0.05, 0.0125])
+               for lay in pair]
     held = [[] for _ in layouts]
     for part, members in policy._parts(model, cones, layouts):
         for i in members:
             held[i].append(part)
-    for (n, (radii, r_core)), parts in zip(layouts, held):
-        shell = [r for r in radii if r > r_core]
+    for (n, shell, core), parts in zip(layouts, held):
         grid = cc.refined_grid(lat, cc.uniform_grid(lat, n, n), [c.omega for c in cones],
-                               shell, radii[len(shell):], factors)
+                               shell, core, factors)
         for name in ("frac", "size", "weights"):
             assert np.array_equal(np.concatenate([getattr(p, name) for p in parts]),
                                   getattr(grid, name)), name
@@ -1397,12 +1395,14 @@ def _assert_same_grids_and_sigma(report, reference, eta_scale=1.0):
         assert report.sigma[p] == pytest.approx(reference.sigma[p], rel=1e-12, abs=0), p
 
 
-@pytest.mark.parametrize("s", [0.25, 2.0])
+@pytest.mark.parametrize("s", [2.0**-24, 0.25, 2.0, 2.0**30])
 def test_kubo_invariant_under_energy_rescaling(honeycomb_report, s):
     # sigma depends only on the number and shape of the cones: the honeycomb
     # with every hopping and every eta scaled by s gets the same grids, since
     # GridPolicy sizes them in momentum units from the gate they must pass,
-    # and the same sigma
+    # and the same sigma; the cone scan's gap tolerance is relative, so
+    # 2^-24 finds the cones too (the kernel's absolute degeneracy floor sets
+    # the lower limit further down)
     model = cc.preset_haldane(s, 0.1 * s, 0.0, 0.0)
     report = cc.sigma_kubo(model, directions=BOTH, eta_sequence=[s * e for e in BENCH_ETAS])
     _assert_same_grids_and_sigma(report, honeycomb_report, eta_scale=s)

@@ -147,9 +147,8 @@ def test_refined_grid_schedule_equals_chained_levels(case, request):
             {"honeycomb": "haldane_cones", "qwz_aniso": "qwz_aniso_cones"}[case])
         lat = model.lattice
         centers = [c.omega for c in cones]
-        policy = cc.GridPolicy(base=24)
-        radii, _ = policy._radii_schedule(model, cones, 0.05,
-                                          policy._current_scale(model, cones))
+        _, shell, core = cc.GridPolicy(base=24)._layouts(model, cones, [0.05])[0][0]
+        radii = shell + core
     # the schedules end on a repeated core radius
     assert len(radii) >= 4 and radii[-1] == radii[-2]
     base = cc.uniform_grid(lat, 24, 24)
@@ -276,12 +275,9 @@ def _policy_levels(model, cones, eta=0.0125):
     radii, the core radii (those equal to R_core) and each cone's factor
     L_c, L_c L_c^T = Q_c / lambda* with lambda* the cones' smallest
     eigenvalue."""
-    policy = cc.GridPolicy()
-    radii, r_core = policy._radii_schedule(model, cones, eta,
-                                           policy._current_scale(model, cones))
-    shell = [r for r in radii if r > r_core]
+    _, shell, core = cc.GridPolicy()._layouts(model, cones, [eta])[0][0]
     lam = min(np.linalg.eigvalsh(c.Q)[0] for c in cones)
-    return shell, radii[len(shell):], [np.linalg.cholesky(c.Q / lam) for c in cones]
+    return shell, core, [np.linalg.cholesky(c.Q / lam) for c in cones]
 
 
 @pytest.mark.parametrize("case", ["honeycomb", "qwz_aniso", "haldane_one_cone"])
