@@ -49,6 +49,9 @@ __all__ = [
 
 #: max-entry tolerance for the Hermiticity pairing T(-g) = T(g)^dagger
 PAIRING_ATOL = 1e-12
+#: the Pauli rows (s0, sx, sy, sz) = ((S00 + S11)/2, Re S10, Im S10,
+#: (S00 - S11)/2) of a Hermitian 2 x 2 S from (Re S00, Re S10, Im S10, Re S11)
+_TO_PAULI = np.array([[0.5, 0, 0, 0.5], [0, 1, 0, 0], [0, 0, 1, 0], [0.5, 0, 0, -0.5]])
 
 
 class HoppingConflict(ValueError):
@@ -105,6 +108,9 @@ class HoppingModel:
     _tables: dict = field(init=False, repr=False, compare=False)
     # two bands only: per key the rows of _pauli_rows' table (see there)
     _pauli_tables: dict = field(init=False, repr=False, compare=False)
+    # the largest |entry| of the hopping matrices (0 without hoppings), the
+    # energy scale of the Kubo kernel's degeneracy floor
+    _max_hopping: float = field(init=False, repr=False, compare=False)
     _nexp: int = field(init=False, repr=False, compare=False)
     _npair: int = field(init=False, repr=False, compare=False)
 
@@ -124,7 +130,8 @@ class HoppingModel:
                 and all(np.isfinite(T).all() for T in terms.values())):
             raise ModelFormatError("orbital positions, hopping entries and the "
                                    "Fermi energy must be finite")
-        scale = max([1.0] + [np.abs(T).max() for T in terms.values()])
+        max_hopping = max([0.0] + [float(np.abs(T).max()) for T in terms.values()])
+        scale = max(1.0, max_hopping)
         for (m1, m2), T in terms.items():
             partner = terms.get((-m1, -m2))
             if partner is None:
@@ -173,13 +180,14 @@ class HoppingModel:
                 w = -dj * disp[:n_exp, l - 1, None]
                 tables[(j, l)] = tables[(l, j)] = np.vstack([w * C, w * S, zero_row])
         tables = {key: K.view(float) for key, K in tables.items()}
-        pauli = ({key: (K[:, [0, 4, 5, 6]] * [0.5, 1.0, 1.0, 0.5]).T.copy()
-                  for key, K in tables.items()} if N == 2 else {})
+        pauli = ({key: _TO_PAULI @ K[:, [0, 4, 5, 6]].T for key, K in tables.items()}
+                 if N == 2 else {})
         for arr in (disp, *tables.values(), *pauli.values()):
             arr.setflags(write=False)
         object.__setattr__(self, "_disp", disp)
         object.__setattr__(self, "_tables", tables)
         object.__setattr__(self, "_pauli_tables", pauli)
+        object.__setattr__(self, "_max_hopping", max_hopping)
         object.__setattr__(self, "_nexp", n_exp)
         object.__setattr__(self, "_npair", n_pair)
 
@@ -221,18 +229,17 @@ class HoppingModel:
 
     def _pauli_rows(self, ks: np.ndarray, derivatives, out=None) -> np.ndarray:
         """For two bands, one (S, 4, M) real array: per derivative key (as in
-        _assemble) the rows (s0, sx, sy, sz) of S = s0 + s . sigma, the sums
-        kubo._pauli takes of the _assemble stacks.  One matmul of the phase
-        rows with the keys' tables stacked, each the float columns Re S00,
-        Re S10, Im S10, Re S11 with the diagonal halved (exactly), whose sum
-        and difference give s0 and sz; C-contiguous ``out`` gets it if M > 1."""
+        _assemble) the rows (s0, sx, sy, sz) of S = s0 + s . sigma, what
+        kubo._pauli reads of the _assemble stacks up to rounding.  One matmul
+        of the phase rows with the keys' tables stacked, each _TO_PAULI of the
+        float columns Re S00, Re S10, Im S10, Re S11; C-contiguous ``out``
+        gets it if M > 1."""
         tables = np.vstack([self._pauli_tables[tuple(derivs)] for derivs in derivatives])
         ks = np.asarray(ks, dtype=float).reshape(-1, 2)
         phase = self._phases(ks)
         if out is None or len(ks) == 1:
             out = np.empty((len(tables) // 4, 4, phase.shape[1]))
         np.matmul(tables, phase, out=out.reshape(len(tables), -1))
-        out[:, 0], out[:, 3] = out[:, 0] + out[:, 3], out[:, 0] - out[:, 3]
         return out[:, :, :len(ks)]
 
     def _phases(self, ks: np.ndarray) -> np.ndarray:

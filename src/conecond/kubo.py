@@ -65,9 +65,6 @@ so scaling every hopping and eta alike, or stretching the lattice, changes
 neither the grid sizes nor sigma.  Their finest core follows each cone's
 gate ellipse in its metric Q, the graded shell around it a cartesian disk
 (see GridPolicy).
-
-k-sums are accumulated with a fixed-shape pairwise (tree) reduction, making
-results bit-stable under any chunked evaluation order.
 """
 
 from __future__ import annotations
@@ -81,7 +78,6 @@ from .bloch import (HoppingModel, NumericalError, _max_current_norm, _max_froben
                     _require_directions)
 from .cones import (
     FermiPoint,
-    TwoBandIsolationFailed,
     _cone_pair,
     _isolated_pair,
     _require_admissible_eps,
@@ -95,7 +91,6 @@ __all__ = [
     "DegeneratePoint",
     "FdStepTooLarge",
     "GridTooCoarse",
-    "TwoBandIsolationFailed",
     "Gapless",
     "NotConverged",
     "KuboEstimate",
@@ -114,7 +109,8 @@ __all__ = [
     "closed_form_report",
 ]
 
-#: grid points with Fermi-level gap below this are rejected as degenerate
+#: grid points with Fermi-level gap below this times the model's largest
+#: hopping entry (HoppingModel._max_hopping) are rejected as degenerate
 _DEGENERACY_FLOOR = 1e-12
 #: finite-difference step for eigenvalue second derivatives (zeta integrand)
 DEFAULT_FD_STEP = 1e-5
@@ -127,8 +123,7 @@ _MAX_FD_STEP_FRACTION = 0.1
 _FINE_RULE, _COARSE_RULE = (64, 12), (32, 8)
 #: chunk size for batched decompositions (memory control: a chunk holds its
 #: phase matrix, H, the currents, their band blocks and the requests'
-#: per-point values at once); a power of two, so chunked tree sums equal the
-#: whole-grid tree sum bit for bit
+#: per-point values at once)
 _CHUNK = 4096
 #: convergence of the sigma_hat sequence: 2% relative, with a small absolute
 #: floor so that estimates decaying to zero (gapped models) can converge
@@ -227,23 +222,6 @@ class ConductivityReport:
                         "closed-form longitudinal conductivity must be "
                         f"nonnegative, got sigma_{j}{j} = {v}"
                     )
-
-
-def _tree_sum(values: np.ndarray):
-    """Pairwise summation over the last axis with a fixed reduction tree
-    (bit-stable): a float for 1-D ``values``, else the array of row sums,
-    each the tree of its own row."""
-    a = np.asarray(values, dtype=float)
-    n = a.shape[-1]
-    # padding with +0.0 to a power of two once is the tree that pads each
-    # odd level with one +0.0; a full chunk needs no padded copy
-    padded = a
-    if n & (n - 1) or n == 0:
-        padded = np.zeros(a.shape[:-1] + (1 << max(n - 1, 0).bit_length(),))
-        padded[..., :n] = a
-    while padded.shape[-1] > 1:
-        padded = padded[..., 0::2] + padded[..., 1::2]
-    return float(padded[0]) if a.ndim == 1 else padded[..., 0]
 
 
 def default_eta_sequence(model: HoppingModel, count: int = 5) -> list:
@@ -388,14 +366,13 @@ def _grid_spacing_cart(grid: KGrid) -> np.ndarray:
 def _split(rows) -> tuple:
     """The eigenvalues of two-band matrices H = d0 + d . sigma from their
     Pauli rows (d0, dx, dy, dz) (HoppingModel._pauli_rows, or _pauli of a
-    stack): the ascending d0 -+ r (M, 2), with r = |d| = hypot(dz, |b|) and
-    |b| np.abs of the complex lower element b = dx + i dy, and
-    (dx, dy, dz, r).  The Kubo route's only two-band eigensolver: the grid
+    stack): the ascending d0 -+ r (M, 2), r = |d| = sqrt(d . d), and
+    (dx, dy, dz, r).  The square of |d| neither overflows nor underflows for
+    |d| within about 1e+-150, the range the kernel's dot products of the
+    currents need too.  The Kubo route's only two-band eigensolver: the grid
     kernel and the B_eps band pair (_band_pair) both read it."""
     d0, dx, dy, dz = rows
-    b = np.empty(len(d0), dtype=complex)
-    b.real, b.imag = dx, dy
-    r = np.hypot(dz, np.abs(b))
+    r = np.sqrt(dx * dx + dy * dy + dz * dz)
     return np.stack((d0 - r, d0 + r), axis=1), (dx, dy, dz, r)
 
 
@@ -617,20 +594,20 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
     no complex stack.  Other N take the stacks of HoppingModel._assemble,
     np.linalg.eigh and _blocks.
     _point_values evaluates every request at every point into one (R, M)
-    array, so the maxima, the weighting and the tree sum run once per chunk
-    for all requests; the rows and the values fill buffers of the pass.
+    array, so the maxima, the weighting and the sum run once per chunk for
+    all requests; the rows and the values fill buffers of the pass.
 
     ``grid`` may be a whole grid or one part of one (GridPolicy._parts), so
     nothing is refused here but a non-finite eta (ValueError, before the
     pass): returns ({request: _Tally} in request order, _Points), and
     _checked sums and checks a grid's passes, gated or not; the gate's
     statistics are always taken.  From the first chunk with a Fermi gap
-    below the degeneracy floor on, nothing is summed, since every grid
-    holding the pass is refused, but every chunk's gaps are still read, so
-    _Points holds the smallest gap of the pass.  Chunk sums are tree-summed
-    and then tree-summed across chunks, row by row: since _CHUNK is a power
-    of two this is bit-identical to the tree sum of the whole per-point
-    array, and no per-point array outlives its chunk.
+    below the degeneracy floor (_DEGENERACY_FLOOR x the model's largest
+    hopping entry) on, nothing is summed, since every grid holding the pass
+    is refused, but every chunk's gaps are still read, so _Points holds the
+    smallest gap of the pass.  Each chunk's weighted values are summed per
+    row and added to the pass's totals in chunk order, so no per-point array
+    outlives its chunk.
     """
     requests = list(dict.fromkeys(requests))
     if not all(np.isfinite(eta) for _, eta, _ in requests):
@@ -644,7 +621,8 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
     rows = sorted(requests, key=lambda r: r[0] != "f_jl")
     n_fjl = sum(q == "f_jl" for q, _, _ in rows)
     top, scale, imag = np.zeros(n_fjl), np.zeros(len(rows)), np.zeros(len(rows))
-    partials = []
+    totals = np.zeros(len(rows))
+    floor = _DEGENERACY_FLOOR * model._max_hopping
     jmax = dict.fromkeys(currents, 0.0)
     worst_spacing = dict.fromkeys(gate_etas, 0.0)
     min_gap, at = np.inf, (np.nan, np.nan)
@@ -667,7 +645,7 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
         if gaps.size and gaps.min() < min_gap:
             i = gaps.argmin()
             min_gap, at = float(gaps[i]), tuple(float(k) for k in ks[idx[i]])
-        if min_gap < _DEGENERACY_FLOOR:
+        if min_gap < floor:
             continue
         for e in gate_etas:
             near = spacing[sl][idx[gaps < _GATE_WINDOW * e]]
@@ -682,8 +660,7 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
         top = np.maximum(top, most[:n_fjl])
         scale = np.maximum(scale, np.maximum(most, -least))
         values *= grid.weights[sl]
-        partials.append(_tree_sum(values))
-    totals = _tree_sum(np.array(partials).reshape(len(partials), len(rows)).T)
+        totals += values.sum(axis=1)
     tallies = {}
     for r in requests:
         i, (_, eta, (j, l)) = rows.index(r), r
@@ -694,16 +671,17 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
     return tallies, _Points(npts, min_gap, at)
 
 
-def _checked(requests, gate: bool, passes) -> tuple:
+def _checked(requests, gate: bool, passes, floor: float) -> tuple:
     """({request: weighted grid sum / (2 pi)^2} in request order, the
     smallest Fermi-level gap or inf) of a grid from the _pair_sum_on_grid
-    ``passes`` over its parts, in grid order: each request's sum is the tree
-    sum of its parts' sums, and its checks read the maxima of their
+    ``passes`` over its parts, in grid order: each request's sum is the sum
+    of its parts' sums, and its checks read the maxima of their
     statistics, so a grid is refused exactly as by one pass over it whole.
 
     A Fermi-level degeneracy is the same for every request and raises
     DegeneratePoint first, at the smallest Fermi gap of the grid (its first
-    point in grid order) when that lies below the degeneracy floor.  Then
+    point in grid order) when that lies below the degeneracy ``floor`` (the
+    passes' own, see _pair_sum_on_grid).  Then
     every request is checked as if evaluated alone, and the first failing
     one in request order raises: GridTooCoarse when ``gate`` is set and, for
     eta != 0, the points with Fermi gap below 4|eta| sit in cells too wide
@@ -711,7 +689,7 @@ def _checked(requests, gate: bool, passes) -> tuple:
     longitudinal (j = l) f_jl per-point sum loses its nonpositive sign or a
     Schwinger trace acquires an imaginary part."""
     min_gap, at = min(((p.min_gap, p.at) for _, p in passes), key=lambda g: g[0])
-    if min_gap < _DEGENERACY_FLOOR:
+    if min_gap < floor:
         raise DegeneratePoint(
             f"Fermi-level degeneracy (gap {min_gap:.3e}) at grid "
             f"point k=({at[0]:.6f}, {at[1]:.6f})"
@@ -736,14 +714,15 @@ def _checked(requests, gate: bool, passes) -> tuple:
             raise RuntimeError(
                 f"trace of Hermitian product acquired imaginary part {imag:.3e}"
             )
-        out[r] = _tree_sum(stats[:, 0]) / (2.0 * np.pi) ** 2
+        out[r] = float(stats[:, 0].sum()) / (2.0 * np.pi) ** 2
     return out, min_gap
 
 
 def _grid_values(model: HoppingModel, grid: KGrid, requests, gate: bool) -> tuple:
     """The checked values of one _pair_sum_on_grid pass over the whole
     ``grid``: ({request: value}, min_gap), see _checked."""
-    return _checked(requests, gate, [_pair_sum_on_grid(model, grid, requests)])
+    return _checked(requests, gate, [_pair_sum_on_grid(model, grid, requests)],
+                    _DEGENERACY_FLOOR * model._max_hopping)
 
 
 def _grid_sums(model: HoppingModel, cones, grids) -> list:
@@ -762,7 +741,8 @@ def _grid_sums(model: HoppingModel, cones, grids) -> list:
             found = _pair_sum_on_grid(model, part, [r for i in held for r in asked[i]])
             for i in held:
                 passes[i].append(found)
-    return [(*_checked(requests, gate, p), sum(points.size for _, points in p))
+    floor = _DEGENERACY_FLOOR * model._max_hopping
+    return [(*_checked(requests, gate, p, floor), sum(points.size for _, points in p))
             for (_, _, _, requests, gate), p in zip(grids, passes)]
 
 
@@ -1000,7 +980,7 @@ def _cone_pass(model: HoppingModel, cones, requests, eps,
                     f = (_f_sing_nodes(pair, eta, j) if quantity == "f_sing"
                          else _zeta_nodes(model, ks, lo, pair, eta, j, fd_step))
                     terms[r].append(f * wq)
-        out.append({r: _tree_sum(np.concatenate(t)) for r, t in terms.items()})
+        out.append({r: float(np.concatenate(t).sum()) for r, t in terms.items()})
     return tuple(out)
 
 

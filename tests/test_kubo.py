@@ -23,7 +23,7 @@ from scipy.integrate import simpson
 import conecond as cc
 from conecond import bloch, kubo
 from conecond.kubo import _cone_pass, _fermi_gaps, _grid_values
-from conftest import random_momenta
+from conftest import one_cone_model, random_momenta
 
 
 def _pair_data(model, grid, j, l):
@@ -609,17 +609,19 @@ def _kernel_eigenvalues(H):
 
 
 def test_degenerate_point_is_the_smallest_gap_of_the_grid():
-    # two sub-floor Fermi gaps in a grid of two 4096-point chunks, the smaller
-    # (Gamma, gap 2e-13) in the later chunk after k = (3e-13, 0): the refusal
-    # names the smaller gap and its momentum whether the grid is summed in
-    # one pass or cut into two passes checked together
+    # two Fermi gaps below the floor (1e-12 x the largest hopping entry |u|,
+    # so ~2e-12) in a grid of two 4096-point chunks, the smaller (Gamma, gap
+    # 2e-13) in the later chunk after k = (3e-13, 0): the refusal names the
+    # smaller gap and its momentum whether the grid is summed in one pass or
+    # cut into two passes checked together
     model = cc.preset_qwz(-2.0 + 1e-13)
+    floor = kubo._DEGENERACY_FLOOR * model._max_hopping
     grid = cc.uniform_grid(model.lattice, 72, 72)
     points = grid.points.copy()
     points[100], points[4500] = (3e-13, 0.0), (0.0, 0.0)
     grid = dataclasses.replace(grid, points=points)
     _, idx, gaps = _fermi_gaps(_kernel_eigenvalues(model.h_batch(points)), model.fermi_energy)
-    low = idx[gaps < kubo._DEGENERACY_FLOOR]
+    low = idx[gaps < floor]
     assert list(low) == [100, 4500] and gaps[4500] < gaps[100]
     want = (f"Fermi-level degeneracy (gap {gaps[4500]:.3e}) at grid point "
             "k=(0.000000, 0.000000)")
@@ -633,7 +635,7 @@ def test_degenerate_point_is_the_smallest_gap_of_the_grid():
               for cut in (slice(None, 3000), slice(3000, None))]
     with pytest.raises(cc.DegeneratePoint) as parts:
         kubo._checked(requests, False,
-                      [kubo._pair_sum_on_grid(model, half, requests) for half in halves])
+                      [kubo._pair_sum_on_grid(model, half, requests) for half in halves], floor)
     assert str(parts.value) == want
 
 
@@ -657,33 +659,6 @@ def test_fermi_gaps_match_row_sum_and_gather(name, request):
     w[80:100] = mu
     for got, want in zip(_fermi_gaps(w, mu), reference_fermi_gaps(w, mu)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-def reference_tree_sum(values):
-    """The pairwise tree that pads each odd level with one +0.0."""
-    a = np.asarray(values, dtype=float).ravel()
-    if a.size == 0:
-        return 0.0
-    while a.size > 1:
-        if a.size % 2:
-            a = np.append(a, 0.0)
-        a = a[0::2] + a[1::2]
-    return float(a[0])
-
-
-def test_tree_sum_is_the_padded_level_tree():
-    rng = np.random.default_rng(41)
-    sizes = list(range(300)) + [4093, 4096, 4097, 9000]
-    for n in sizes:
-        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-10, 10, n)
-        x[rng.random(n) < 0.05] = -0.0
-        for values in (x, -np.abs(x) * 0.0):
-            got, want = kubo._tree_sum(values), reference_tree_sum(values)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes(), n
-        # a 2-D input reduces its last axis, each row by its own tree
-        rows = np.stack([x, -np.abs(x) * 0.0, x[::-1]])
-        want = [reference_tree_sum(row) for row in rows]
-        assert kubo._tree_sum(rows).tobytes() == np.array(want).tobytes(), n
 
 
 def test_grid_pass_matches_separate_calls(haldane_critical, haldane_cones, qwz_gapped):
@@ -992,7 +967,7 @@ def test_reused_buffers_keep_chunks_apart():
     # shorter last one their leading elements; on the tilted QWZ (occupied
     # count 1 or 2 in the first chunk, 0 or 1 in the second, 1 in the last
     # 17 points) a pass must give every tally, bit for bit, what passes
-    # over its chunk-aligned pieces give: the tree sum of their sums and
+    # over its chunk-aligned pieces give: their sums added left to right and
     # the extremes of their statistics
     model = _tilted_qwz(3.0)
     grid = cc.uniform_grid(model.lattice, 91, 91)
@@ -1003,7 +978,7 @@ def test_reused_buffers_keep_chunks_apart():
     pieces = [kubo._pair_sum_on_grid(model, _piece(grid, lo, hi), _KINDS) for lo, hi in bounds]
     for r in _KINDS:
         parts = [tallies[r] for tallies, _ in pieces]
-        assert whole[r].total == kubo._tree_sum(np.array([t.total for t in parts])), r
+        assert whole[r].total == sum(t.total for t in parts), r
         for stat in ("top", "scale", "imag", "spacing", "slope"):
             assert getattr(whole[r], stat) == max(getattr(t, stat) for t in parts), (r, stat)
     assert points.min_gap == min(p.min_gap for _, p in pieces)
@@ -1038,7 +1013,7 @@ def test_closed_form_eigenvalues_match_lapack():
     # and the B_eps pass read, against exact arithmetic and against LAPACK
     rng = np.random.default_rng(7)
     stacks = []
-    for s in 10.0 ** np.arange(-8, 9, 2):
+    for s in [*10.0 ** np.arange(-8, 9, 2), 1e-100, 1e100]:
         A = s * (rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2)))
         stacks.append(0.5 * (A + A.conj().transpose(0, 2, 1)))
     stacks += [
@@ -1187,6 +1162,26 @@ def test_sigma_kubo_past_the_presets(name):
     report = cc.sigma_kubo(model, **kw)
     for p, target in zip(((1, 1), (2, 2)), want):
         assert abs(report.sigma[p] - target) <= 0.02 * target, p
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_one_cone_model_gets_a_typed_outcome(seed):
+    # on a random one-cone model (conftest.one_cone_model) the default Kubo
+    # route answers within 3% of the closed form, refuses its grid as
+    # GridTooCoarse, or raises NotConverged with a report whose sigma is
+    # finite and within 3%: never a wrong answer or an untyped error
+    model, _ = one_cone_model(seed)
+    cones = cc.characterize_cones(model)
+    try:
+        report = cc.sigma_kubo(model, directions=BOTH, cones=cones)
+    except cc.GridTooCoarse:
+        return
+    except cc.NotConverged as exc:
+        report = exc.report
+    for j, p in enumerate(BOTH, start=1):
+        closed = cc.sigma_closed_form(cones, j)[0]
+        assert np.isfinite(report.sigma[p]), p
+        assert abs(report.sigma[p] - closed) <= 0.03 * closed, p
 
 
 @pytest.mark.parametrize("build", [
@@ -1395,14 +1390,14 @@ def _assert_same_grids_and_sigma(report, reference, eta_scale=1.0):
         assert report.sigma[p] == pytest.approx(reference.sigma[p], rel=1e-12, abs=0), p
 
 
-@pytest.mark.parametrize("s", [2.0**-24, 0.25, 2.0, 2.0**30])
+@pytest.mark.parametrize("s", [2.0**-60, 2.0**-30, 2.0**-24, 0.25, 2.0, 2.0**30])
 def test_kubo_invariant_under_energy_rescaling(honeycomb_report, s):
     # sigma depends only on the number and shape of the cones: the honeycomb
     # with every hopping and every eta scaled by s gets the same grids, since
     # GridPolicy sizes them in momentum units from the gate they must pass,
-    # and the same sigma; the cone scan's gap tolerance is relative, so
-    # 2^-24 finds the cones too (the kernel's absolute degeneracy floor sets
-    # the lower limit further down)
+    # and the same sigma; the cone scan's gap tolerance and the kernel's
+    # degeneracy floor are relative to the model's energy scale, so 2^-60
+    # finds the cones and passes the kernel too
     model = cc.preset_haldane(s, 0.1 * s, 0.0, 0.0)
     report = cc.sigma_kubo(model, directions=BOTH, eta_sequence=[s * e for e in BENCH_ETAS])
     _assert_same_grids_and_sigma(report, honeycomb_report, eta_scale=s)
@@ -1418,6 +1413,17 @@ def test_kubo_invariant_under_lattice_stretch(qwz_aniso, qwz_aniso_report, c):
                                 positions=c * qwz_aniso.positions)
     report = cc.sigma_kubo(model, directions=BOTH, eta_sequence=BENCH_ETAS)
     _assert_same_grids_and_sigma(report, qwz_aniso_report)
+
+
+def test_chunk_size_moves_only_rounding(monkeypatch, haldane_critical, haldane_cones):
+    # the chunk size is memory control only: with 1000-point chunks, which
+    # cut every grid of the sweep elsewhere, the honeycomb's base-16 sweep
+    # keeps its grid sizes and its sigma to 1e-12
+    kw = dict(directions=BOTH, eta_sequence=BENCH_ETAS, cones=haldane_cones,
+              grid_policy=cc.GridPolicy(base=16))
+    reference = _kubo_report(haldane_critical, **kw)
+    monkeypatch.setattr(kubo, "_CHUNK", 1000)
+    _assert_same_grids_and_sigma(_kubo_report(haldane_critical, **kw), reference)
 
 
 def test_sigma_hall_gapped_chern_model(qwz_gapped):
