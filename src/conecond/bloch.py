@@ -20,7 +20,8 @@ distinct displacements d_u = gamma + (r_b - r_a), in real arithmetic: since
 d_u and -d_u come in pairs, a cosine and a sine coefficient table per pair,
 built once per model, contracted with the phase rows cos(k . d_u) and
 sin(k . d_u) of a batch of momenta (HoppingModel._assemble; for two bands
-also the Pauli rows of H = s0 + s . sigma, HoppingModel._pauli_rows).
+also the Pauli rows of H = s0 + s . sigma, HoppingModel._pauli_rows).  The
+package's one H(k) eigenvalue solver is _eigvals (two bands: _split).
 """
 
 from __future__ import annotations
@@ -229,8 +230,8 @@ class HoppingModel:
 
     def _pauli_rows(self, ks: np.ndarray, derivatives, out=None) -> np.ndarray:
         """For two bands, one (S, 4, M) real array: per derivative key (as in
-        _assemble) the rows (s0, sx, sy, sz) of S = s0 + s . sigma, what
-        kubo._pauli reads of the _assemble stacks up to rounding.  One matmul
+        _assemble) the rows (s0, sx, sy, sz) of S = s0 + s . sigma, those of
+        the _assemble stacks (_TO_PAULI) up to rounding.  One matmul
         of the phase rows with the keys' tables stacked, each _TO_PAULI of the
         float columns Re S00, Re S10, Im S10, Re S11; C-contiguous ``out``
         gets it if M > 1."""
@@ -271,8 +272,7 @@ class HoppingModel:
 
     def spectral_radius(self) -> float:
         """max |eigenvalue| over a coarse 16 x 16 momentum sample (energy scale)."""
-        ks = uniform_grid(self.lattice, 16, 16).points
-        w = np.linalg.eigvalsh(self.h_batch(ks))
+        w = _eigvals(self, uniform_grid(self.lattice, 16, 16).points)
         return float(np.abs(w).max())
 
 
@@ -287,6 +287,27 @@ def _max_frobenius(stack: np.ndarray) -> float:
 def _max_current_norm(model: HoppingModel, ks: np.ndarray) -> float:
     """Largest Frobenius norm of dH/dk_1 and dH/dk_2 over the momenta ks."""
     return max(_max_frobenius(J) for J in model._assemble(ks, ((1,), (2,))))
+
+
+def _split(rows) -> tuple:
+    """The eigenvalues of two-band matrices H = d0 + d . sigma from their
+    Pauli rows (d0, dx, dy, dz) (HoppingModel._pauli_rows): the ascending
+    d0 -+ r (M, 2), r = |d|, and (dx, dy, dz, r).  r is sqrt(d . d) of d
+    scaled by the power of two of the stack's largest |component|, which is
+    exact: r is finite whenever |d| is, and bit for bit the unscaled
+    formula's while every |d| lies within 1e+-150 of 1 and of the largest."""
+    d0, dx, dy, dz = rows
+    e = np.frexp(np.abs(rows[1:]).max(initial=0.0))[1]
+    r = np.ldexp(np.sqrt(sum(np.ldexp(x, -e) ** 2 for x in (dx, dy, dz))), e)
+    return np.stack((d0 - r, d0 + r), axis=1), (dx, dy, dz, r)
+
+
+def _eigvals(model: HoppingModel, ks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (M, N) of H at the momenta ks (M, 2): _split of
+    the Pauli rows for two bands, else np.linalg.eigvalsh of H's stack."""
+    if model.norbitals == 2:
+        return _split(model._pauli_rows(ks, ((),))[0])[0]
+    return np.linalg.eigvalsh(model.h_batch(ks))
 
 
 def _require_directions(*idx) -> None:

@@ -32,6 +32,7 @@ from .bloch import (
     HoppingModel,
     ModelFormatError,
     NumericalError,
+    _eigvals,
     covariance_defect,
     load_model,
     preset_haldane,
@@ -321,10 +322,10 @@ def _run_validation_checks(model: HoppingModel) -> list:
     checks.append(("second_derivative_consistency", fd2_err < 1e-5, fd2_err, 1e-5))
     checks.append(("second_derivative_symmetry", sym_err == 0.0, sym_err, 0.0))
 
-    # spectra at k + G against those of the H batch at the same 20 momenta
-    w = np.linalg.eigvalsh(H)
+    # spectra at k + G against those of the batch at the same 20 momenta
+    w = _eigvals(model, ks)
     espread = max(1.0, float(np.abs(w).max()))
-    per_err = max(float(np.abs(np.linalg.eigvalsh(model.h_batch(k20 + G)) - w[:20]).max())
+    per_err = max(float(np.abs(_eigvals(model, k20 + G) - w[:20]).max())
                   for G in (model.lattice.b1, model.lattice.b2)) / espread
     checks.append(("spectrum_periodicity", per_err < 1e-10, per_err, 1e-10))
     return checks
@@ -377,7 +378,7 @@ def _band_path(model: HoppingModel, waypoints_frac, samples: int):
         arcs.append(arc + t * length)
         arc += length
     ks = np.vstack(ks + [pts[-1]])
-    energies = np.linalg.eigvalsh(model.h_batch(ks))
+    energies = _eigvals(model, ks)
     return np.append(np.concatenate(arcs), arc), ks, energies
 
 

@@ -38,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import (HoppingModel, NumericalError, _max_current_norm, _require_directions,
-                    h_at)
+from .bloch import (HoppingModel, NumericalError, _eigvals, _max_current_norm,
+                    _require_directions, h_at)
 from .lattice import (Lattice2D, _images, _min_cart_distance, _reduced_basis,
                       uniform_grid, wrap_fractional)
 from .spectra import AllBandsOnOneSide, _level_bounds
@@ -280,7 +280,7 @@ def find_fermi_points(
         tol = DEFAULT_GAP_TOL * rho
     n = int(coarse)
     ks = uniform_grid(lat, n, n).points
-    w = np.linalg.eigvalsh(model.h_batch(ks))
+    w = _eigvals(model, ks)
     m = _occupied_band_index(model, w)
     gap = (w[:, m] - w[:, m - 1]).reshape(n, n)
 

@@ -22,7 +22,7 @@ _pair_sum_on_grid: it decomposes each point once and evaluates every
 requested quantity with its own formula, reading only the elements
 between occupied and unoccupied bands.  A two-band H (N = 2, every preset)
 is not diagonalized: written H = d0 + d . sigma, its eigenvalues are
-d0 -+ |d| (_split) and its band projectors (1 -+ n . sigma) / 2 with
+d0 -+ |d| (bloch._split) and its band projectors (1 -+ n . sigma) / 2 with
 n = d / |d|, so every formula is a dot or cross product of the Pauli rows
 of H, the currents and d^2H, which come from one real matmul per chunk
 (HoppingModel._pauli_rows, _pauli_blocks).  Other N are diagonalized by
@@ -36,10 +36,7 @@ The B_eps band pair (_band_pair) takes the same form: for two bands one
 _pauli_rows call gives H and the currents, _split gives the pair d0 -+ r,
 and each current's three numbers that f_sing and zeta read are
 |m_j x n|^2 and a_j -+ m_j . n.  So no two-band eigenvector is formed on
-the Kubo route, and its one two-band eigenvalue formula is _split's, the
-roots of a quadratic, exact up to rounding and an order of magnitude
-cheaper than batched LAPACK on 2 x 2 matrices; N > 2 goes to
-np.linalg.eigh in both.
+the Kubo route; N > 2 goes to np.linalg.eigh in both.
 
 Conductivity extraction uses the pair estimator
 
@@ -75,7 +72,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import (HoppingModel, NumericalError, _max_current_norm, _max_frobenius,
-                    _require_directions)
+                    _require_directions, _split)
 from .cones import (
     FermiPoint,
     _cone_pair,
@@ -250,11 +247,11 @@ class GridPolicy:
     graded shell, which avoids a resolution cliff at the core, stays a
     cartesian disk of momenta taken from the zone: an elliptic shell lost
     accuracy (checkerboard sigma_11 error 1.5e-4 -> 3.2e-4).  Levels (at
-    most 18) are added until the spacing is at most eta / (1.5 x 4
-    max|dH|), the gate's bound with a margin of 1.5 for max|dH| over a
-    48 x 48 sample.  Both lengths are momenta, so scaling every hopping and
-    eta alike leaves the grids as they are, and stretching the lattice
-    stretches them with it.  Only ``base`` is set per run.
+    most 18, or GridTooCoarse) are added until the spacing is at most
+    eta / (1.5 x 4 max|dH|), the gate's bound with a margin of 1.5 for
+    max|dH| over a 48 x 48 sample.  Both lengths are momenta, so scaling
+    every hopping and eta alike leaves the grids as they are, and stretching
+    the lattice stretches them with it.  Only ``base`` is set per run.
 
     ``grids_for`` also returns a coarsened companion (half the base
     subdivision, the schedule without its last radius; both uniform without
@@ -278,7 +275,8 @@ class GridPolicy:
         those above R_core the shell and the rest, equal to it, the core, and
         the companion's, half the base and the radii without the last.  The
         max|dH| sample, lambda* and R_outer are taken once per call.  Without
-        cones every schedule is empty."""
+        cones every schedule is empty; an eta needing more levels than
+        _MAX_LEVELS raises GridTooCoarse."""
         half = max(self.base // 2, 2)
         if not cones:
             return [((self.base, [], []), (half, [], [])) for _ in etas]
@@ -292,11 +290,12 @@ class GridPolicy:
             target = eta / (_SPACING_MARGIN * _GATE_CELL * jmax)
             spacing = max(lat.zone_lengths) / self.base
             radii = []
-            level = 1
-            while spacing > target and level <= _MAX_LEVELS:
-                radii.append(max(r_outer / 2**level, r_core))
+            while spacing > target and len(radii) < _MAX_LEVELS:
+                radii.append(max(r_outer / 2 ** (len(radii) + 1), r_core))
                 spacing /= 2.0
-                level += 1
+            if spacing > target:
+                raise GridTooCoarse(f"grid spacing {spacing:.3e} after {_MAX_LEVELS} levels "
+                                    f"exceeds the target {target:.3e} at eta = {eta:.3e}")
             shell = [r for r in radii if r > r_core]
             layouts.append(((self.base, shell, radii[len(shell):]),
                             (half, shell[:len(radii) - 1], radii[len(shell):-1])))
@@ -363,19 +362,6 @@ def _grid_spacing_cart(grid: KGrid) -> np.ndarray:
     return np.maximum(grid.size[:, 0] * z1, grid.size[:, 1] * z2)
 
 
-def _split(rows) -> tuple:
-    """The eigenvalues of two-band matrices H = d0 + d . sigma from their
-    Pauli rows (d0, dx, dy, dz) (HoppingModel._pauli_rows, or _pauli of a
-    stack): the ascending d0 -+ r (M, 2), r = |d| = sqrt(d . d), and
-    (dx, dy, dz, r).  The square of |d| neither overflows nor underflows for
-    |d| within about 1e+-150, the range the kernel's dot products of the
-    currents need too.  The Kubo route's only two-band eigensolver: the grid
-    kernel and the B_eps band pair (_band_pair) both read it."""
-    d0, dx, dy, dz = rows
-    r = np.sqrt(dx * dx + dy * dy + dz * dz)
-    return np.stack((d0 - r, d0 + r), axis=1), (dx, dy, dz, r)
-
-
 def _fermi_gaps(w: np.ndarray, mu: float):
     """Occupied-band counts of an (M, N) eigenvalue stack and the Fermi-level
     gaps w[m] - w[m-1] at the points ``idx`` with bands on both sides of mu:
@@ -427,14 +413,6 @@ def _blocks(w: np.ndarray, V: np.ndarray, m: int, J: dict, D2: dict,
     me2 = {j: np.abs(Ct[j]) ** 2 for j in squares}
     traces = {p: np.einsum("kaq,kab,kbq->k", Vo.conj(), Dp, Vo) for p, Dp in D2.items()}
     return delta, z, me2, traces
-
-
-def _pauli(S: np.ndarray) -> tuple:
-    """The Pauli rows (s0, sx, sy, sz) = ((S_00 + S_11)/2, Re S_10, Im S_10,
-    (S_00 - S_11)/2) of each S = s0 + s . sigma of an (M, 2, 2) Hermitian
-    stack, read from the real diagonal and the lower element."""
-    a, c, b = S[:, 0, 0].real, S[:, 1, 1].real, S[:, 1, 0]
-    return 0.5 * (a + c), b.real, b.imag, 0.5 * (a - c)
 
 
 def _dot(u: tuple, v: tuple) -> np.ndarray:

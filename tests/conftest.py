@@ -4,6 +4,7 @@ Expensive objects (cone characterizations, conductivity reports) are
 session-scoped so the acceptance tests and unit tests share one computation.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -220,6 +221,15 @@ def dual_images(lattice, reach=6):
     m = np.arange(-reach, reach + 1)
     M1, M2 = np.meshgrid(m, m, indexing="ij")
     return np.column_stack([M1.ravel(), M2.ravel()]) @ lattice.zone.T
+
+
+def tilted_qwz(tau, u=1.0):
+    """preset_qwz(u) plus tau sin(k1) times the identity: at u = 1, tau = 3
+    the occupied count at mu = 0 is 0, 1 or 2 across the zone."""
+    model = cc.preset_qwz(u)
+    tilt, terms = 0.5j * tau * np.eye(2), dict(model.terms)
+    terms[1, 0], terms[-1, 0] = terms[1, 0] - tilt, terms[-1, 0] + tilt
+    return dataclasses.replace(model, terms=terms)
 
 
 #: Hypothesis strategy of the seeds of one_cone_model

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conecond as cc
-from conecond.bloch import PAIRING_ATOL
-from conftest import random_momenta, square_model_dict
+from conecond.bloch import PAIRING_ATOL, _eigvals
+from conecond.cli import _band_path
+from conftest import one_cone_model, random_momenta, square_model_dict, tilted_qwz
 
 # one momentum (BLAS's one-row path), an odd batch and a full Kubo chunk
 ASSEMBLY_BATCHES = (1, 255, 4096)
@@ -311,6 +312,62 @@ def test_gap_scan_distinguishes_phases(haldane_critical, haldane_gapped):
 
     assert min_gap(haldane_critical) < 5e-2   # closes at the zone corners
     assert min_gap(haldane_gapped) > 0.4      # stays open everywhere
+
+
+# -- the eigenvalue solver ------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["haldane_critical", "haldane_one_cone", "qwz_topological",
+                                  "qwz_aniso", "tilted_qwz",
+                                  *(f"one_cone_{seed}" for seed in range(8))])
+def test_two_band_eigenvalues_match_lapack(name, request):
+    # the closed form d0 -+ |d| of the Pauli rows against LAPACK on the
+    # assembled stacks, to a few ulp of the largest |eigenvalue| (at most
+    # 4.5 measured, which covers both assembly routes and LAPACK's rounding)
+    if name == "tilted_qwz":
+        model = tilted_qwz(0.4, u=-2.0)
+    elif name.startswith("one_cone_"):
+        model = one_cone_model(int(name.rsplit("_", 1)[1]))[0]
+    else:
+        model = request.getfixturevalue(name)
+    ks = random_momenta(model.lattice, 1000, seed=3)
+    w, ref = _eigvals(model, ks), np.linalg.eigvalsh(model.h_batch(ks))
+    assert w.shape == ref.shape and np.all(w[:, 0] <= w[:, 1])
+    assert np.abs(w - ref).max() <= 8.0 * np.finfo(float).eps * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("k", [-1000, -300, -60, 60, 300, 1000])
+def test_two_band_eigenvalues_across_the_float_range(k):
+    # the honeycomb with every hopping scaled by 2^k: the eigenvalues scale
+    # with it, with no overflow or underflow of d . d; at 2^+-1000 the
+    # unscaled sum of squares would overflow (or flush to zero)
+    base = cc.preset_haldane(1.0, 0.1, 0.0, 0.0)
+    model = cc.preset_haldane(2.0**k, 0.1 * 2.0**k, 0.0, 0.0)
+    ks = random_momenta(model.lattice, 500, seed=5)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        w = _eigvals(model, ks)
+    ref = _eigvals(base, ks)
+    assert np.isfinite(w).all()
+    assert np.abs(np.ldexp(w, -k) - ref).max() <= 4.0 * np.finfo(float).eps * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("fixture", ["three_band_metal", "hex_flat_band_model"])
+def test_more_bands_take_lapack_eigenvalues(fixture, request):
+    model = request.getfixturevalue(fixture)
+    ks = random_momenta(model.lattice, 300, seed=7)
+    assert np.array_equal(_eigvals(model, ks), np.linalg.eigvalsh(model.h_batch(ks)))
+
+
+def test_two_band_scan_and_energy_scale_skip_lapack(monkeypatch, haldane_critical):
+    # the gap scan, the energy scale and the band path of a two-band model
+    # read the closed form, so none of them calls LAPACK's eigvalsh
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert len(cc.find_fermi_points(haldane_critical)) == 2
+    assert haldane_critical.spectral_radius() > 1.0
+    _, _, energies = _band_path(haldane_critical, [np.zeros(2), np.array([0.5, 0.0])], 16)
+    assert energies.shape == (17, 2) and np.isfinite(energies).all()
 
 
 # -- construction and serialization -------------------------------------------

@@ -263,6 +263,13 @@ def test_overflowing_cone_fit_is_numerical_error(command, t1):
             "positive-definite (eigenvalues nan, nan)") in child.stderr
 
 
+def test_eta_beyond_the_level_cap_exits_4(capsys):
+    code, out, err = run_cli(capsys, "sigma", "--preset", "qwz", "--params", "u=-2",
+                             "--method", "kubo", "--eta-seq", "4e-300,2e-300,1e-300")
+    assert code == 4 and out == ""
+    assert err.startswith("error: GridTooCoarse: grid spacing ")
+
+
 def test_huge_hopping_closed_form_is_quantized(capsys):
     # t1 = 1e100 squares the fit's half-gaps to ~1e200: the fit residual and
     # det Q are formed on values scaled by a power of two, so nothing
@@ -300,14 +307,15 @@ def test_preset_label_names_the_parameters_run(capsys, params, label):
 @pytest.mark.parametrize("command", ["validate", "bands", "fermi-points", "sigma", "verify"])
 def test_any_numerical_error_exits_4(capsys, monkeypatch, command):
     # exit 4 is the class NumericalError, not a list of its subclasses: one
-    # that the CLI has never heard of, raised where every command assembles H
+    # that the CLI has never heard of, raised where every command evaluates
+    # H, as stacks or as Pauli rows: the phase rows both are built from
     class Unheard(cc.NumericalError):
         pass
 
     def refuse(*args, **kwargs):
         raise Unheard("no number to trust here")
 
-    monkeypatch.setattr(cc.HoppingModel, "_assemble", refuse)
+    monkeypatch.setattr(cc.HoppingModel, "_phases", refuse)
     code, out, err = run_cli(capsys, command, "--preset", "qwz")
     assert (code, out, err) == (4, "", "error: Unheard: no number to trust here\n")
 

@@ -23,7 +23,7 @@ from scipy.integrate import simpson
 import conecond as cc
 from conecond import bloch, kubo
 from conecond.kubo import _cone_pass, _fermi_gaps, _grid_values
-from conftest import one_cone_model, random_momenta
+from conftest import one_cone_model, random_momenta, tilted_qwz
 
 
 def _pair_data(model, grid, j, l):
@@ -387,7 +387,7 @@ def test_cone_integrals_match_dense_rotation(name, request):
         # the one case whose currents have an identity part a_j != 0 at the
         # nodes (it is 0 on the others), which the band slopes a_j -+ m_j . n
         # read and |<lo|J_j|hi>|^2 must not
-        model = _tilted_qwz(0.4, u=-2.0)
+        model = tilted_qwz(0.4, u=-2.0)
         cones = cc.characterize_cones(model)
         assert np.abs(cones[0].tilt - (0.4, 0.0)).max() < 1e-3
     else:
@@ -602,10 +602,18 @@ def test_pair_sum_pass_degenerate_point_as_separate_calls():
             assert str(single.value) == str(multi.value)
 
 
+def _pauli(S):
+    """The Pauli rows (s0, sx, sy, sz) = ((S_00 + S_11)/2, Re S_10, Im S_10,
+    (S_00 - S_11)/2) of each S = s0 + s . sigma of an (M, 2, 2) Hermitian
+    stack, read from the real diagonal and the lower element."""
+    a, c, b = S[:, 0, 0].real, S[:, 1, 1].real, S[:, 1, 0]
+    return 0.5 * (a + c), b.real, b.imag, 0.5 * (a - c)
+
+
 def _kernel_eigenvalues(H):
     """The eigenvalues (M, N) the grid kernel reads for the stack H: _split's
     d0 -+ r of its Pauli rows for two bands, LAPACK's for more."""
-    return kubo._split(kubo._pauli(H))[0] if H.shape[-1] == 2 else np.linalg.eigh(H)[0]
+    return kubo._split(_pauli(H))[0] if H.shape[-1] == 2 else np.linalg.eigh(H)[0]
 
 
 def test_degenerate_point_is_the_smallest_gap_of_the_grid():
@@ -764,15 +772,6 @@ def test_block_kernel_matches_dense_rotation(name, request):
     assert min_gap == gaps.min()
 
 
-def _tilted_qwz(tau, u=1.0):
-    """preset_qwz(u) plus tau sin(k1) times the identity: at u = 1, tau = 3
-    the occupied count at mu = 0 is 0, 1 or 2 across the zone."""
-    model = cc.preset_qwz(u)
-    tilt, terms = 0.5j * tau * np.eye(2), dict(model.terms)
-    terms[1, 0], terms[-1, 0] = terms[1, 0] - tilt, terms[-1, 0] + tilt
-    return dataclasses.replace(model, terms=terms)
-
-
 def _stack(rows):
     """The (M, 2, 2) stack s0 + s . sigma of Pauli rows (s0, sx, sy, sz)."""
     return _hermitian_2x2(rows[0], rows[3], rows[1] + 1j * rows[2])
@@ -809,7 +808,7 @@ def test_two_band_block_matches_einsum_path(name, requests, request, monkeypatch
     # eigenvector and no complex product; on the same Pauli rows (one
     # 4096-point chunk) every request kind must agree with the einsum blocks
     # of _blocks on LAPACK's eigenvectors to 1e-13
-    model = _tilted_qwz(3.0) if name == "tilted_qwz" else request.getfixturevalue(name)
+    model = tilted_qwz(3.0) if name == "tilted_qwz" else request.getfixturevalue(name)
     grid = cc.uniform_grid(model.lattice, 64, 64)
     if name == "tilted_qwz":
         w = np.linalg.eigvalsh(model.h_batch(grid.points))
@@ -870,13 +869,13 @@ def test_pauli_values_match_eigenvector_route_per_point(seed):
     rows = ([("f_jl", eta, p) for eta in (0.1, 0.003) for p in ((1, 2), (2, 1), (1, 1), (2, 2))]
             + [("ftilde_jj", eta, (j, j)) for eta in (0.0, 0.05) for j in (1, 2)]
             + [("schwinger", 0.0, p) for p in D2])
-    w, split = kubo._split(kubo._pauli(H))
+    w, split = kubo._split(_pauli(H))
     V = _traceless_eigenvectors(split)
     counts = _fermi_gaps(w, mu)[0]
     assert set(counts[:6]) == {1} and list(counts[6:9]) == [0, 2, 2]
     assert set(counts[9:]) == {0, 1, 2}
     # the kernel's input: the Pauli rows of the same stacks
-    pauli_rows = {x: np.array(kubo._pauli(S)) for x, S in {**J, **D2}.items()}
+    pauli_rows = {x: np.array(_pauli(S)) for x, S in {**J, **D2}.items()}
     pauli, imag = kubo._point_values(rows, w, counts, split,
                                      {d: pauli_rows[d] for d in J},
                                      {p: pauli_rows[p] for p in D2})
@@ -914,7 +913,7 @@ def test_pauli_rows_match_pauli_of_stacks(name, size, request):
     assert rows.shape == (len(_KEYS), 4, size)
     for key, got, S in zip(_KEYS, rows, model._assemble(ks, _KEYS)):
         ulp = np.finfo(float).eps * np.abs(model._tables[key]).sum()
-        assert np.all(np.abs(got - np.array(kubo._pauli(S))) <= 4.0 * ulp), key
+        assert np.all(np.abs(got - np.array(_pauli(S))) <= 4.0 * ulp), key
     # ``out`` receives the same rows
     out = np.empty((len(_KEYS), 4, size))
     got = model._pauli_rows(ks, _KEYS, out)
@@ -938,7 +937,7 @@ def test_two_band_kernel_reads_pauli_rows_only(monkeypatch, three_band_metal):
     # currents and the Hessians, and takes the gate's current norm from the
     # rows: it assembles no stack and calls no _max_frobenius, and its norm
     # is the stacks' Frobenius norm up to rounding; N > 2 makes no Pauli rows
-    model = _tilted_qwz(3.0)
+    model = tilted_qwz(3.0)
     grid = _piece(cc.uniform_grid(model.lattice, 91, 91), 0, 2 * 4096 + 17)
     pauli_rows, calls = cc.HoppingModel._pauli_rows, []
 
@@ -969,7 +968,7 @@ def test_reused_buffers_keep_chunks_apart():
     # 17 points) a pass must give every tally, bit for bit, what passes
     # over its chunk-aligned pieces give: their sums added left to right and
     # the extremes of their statistics
-    model = _tilted_qwz(3.0)
+    model = tilted_qwz(3.0)
     grid = cc.uniform_grid(model.lattice, 91, 91)
     bounds = [(0, 4096), (4096, 8192), (8192, 8209)]
     counts = _fermi_gaps(_kernel_eigenvalues(model.h_batch(grid.points[:8209])), 0.0)[0]
@@ -1028,7 +1027,7 @@ def test_closed_form_eigenvalues_match_lapack():
     stacks.append(_hermitian_2x2(rng.uniform(-1, 1, 200), u[:, 0], u[:, 1] + 1j * u[:, 2]))
 
     for H in stacks:
-        w = kubo._split(kubo._pauli(H))[0]
+        w = kubo._split(_pauli(H))[0]
         w0 = np.linalg.eigh(H)[0]
         norm = np.linalg.norm(H, 2, axis=(1, 2))[:, None]
         assert np.all(w[:, 0] <= w[:, 1])
@@ -1135,7 +1134,7 @@ def _skewed_qwz():
 
 # model -> (sigma_11, sigma_22) from the closed form sum_l Q_jj / (16 sqrt det Q)
 PAST_THE_PRESETS = {
-    "tilted": (lambda: _tilted_qwz(0.9, u=-2.0), (1 / 16, 1 / 16)),
+    "tilted": (lambda: tilted_qwz(0.9, u=-2.0), (1 / 16, 1 / 16)),
     "two_cones": (lambda: cc.preset_qwz(0.0, 1.0, 3.0), (1 / 24, 3 / 8)),
     "skewed": (_skewed_qwz, (0.085, 1 / 16)),
     "haldane_critical_line": (
@@ -1320,6 +1319,17 @@ def test_sweep_matches_whole_grid_passes(name, request):
         assert list(values[eta]) == list(want)
         for r, v in want.items():
             assert values[eta][r] == pytest.approx(v, rel=1e-12, abs=1e-12 * scale), (eta, r)
+
+
+@pytest.mark.parametrize("e", [1e-12, 1e-300])
+@pytest.mark.parametrize("preset", [lambda: cc.preset_haldane(1.0, 0.1, 0.0, 0.0),
+                                    lambda: cc.preset_qwz(-2.0)], ids=["honeycomb", "qwz"])
+def test_eta_beyond_the_level_cap_is_refused(preset, e):
+    # 18 refinement levels cannot bring the spacing down to the target of
+    # such an eta: the grid is refused, not summed to a converged sigma = 0
+    with pytest.raises(cc.GridTooCoarse) as exc:
+        cc.sigma_kubo(preset(), directions=((1, 1),), eta_sequence=[4 * e, 2 * e, e])
+    assert "after 18 levels exceeds the target" in str(exc.value)
 
 
 def test_sweep_gate_reads_the_whole_grid():
