@@ -21,7 +21,9 @@ d_u and -d_u come in pairs, a cosine and a sine coefficient table per pair,
 built once per model, contracted with the phase rows cos(k . d_u) and
 sin(k . d_u) of a batch of momenta (HoppingModel._assemble; for two bands
 also the Pauli rows of H = s0 + s . sigma, HoppingModel._pauli_rows).  The
-package's one H(k) eigenvalue solver is _eigvals (two bands: _split).
+rows of a uniform grid are built from per-axis tables instead
+(HoppingModel._grid_phases).  The package's one H(k) eigenvalue solver is
+_eigvals, which reads either kind of phase rows (two bands: _split).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import DegenerateBasis, Lattice2D, make_lattice, uniform_grid
+from .lattice import DegenerateBasis, Lattice2D, _midpoints, make_lattice
 
 __all__ = [
     "HoppingConflict",
@@ -258,6 +260,31 @@ class HoppingModel:
         phase[-1] = 1.0
         return phase
 
+    def _grid_phases(self, n1: int, n2: int) -> np.ndarray:
+        """The phase rows of _phases(uniform_grid(self.lattice, n1, n2).points),
+        in its point order and to a few ulp, from per-axis tables: with the
+        zone coordinates (f1, f2) of a point, theta = f1 (z1 . d_u) + f2
+        (z2 . d_u) is a sum a + b whose cos and sin are ca cb - sa sb and
+        sa cb + ca sb, so each axis needs only n cosines and sines per
+        displacement.  Each row is written in place as an n1 x n2 outer
+        product, so only one n1 x n2 buffer is formed besides the rows."""
+        n_exp = self._nexp
+        proj = self._disp[:n_exp] @ self.lattice.zone             # (z1 . d_u, z2 . d_u)
+        a = proj[:, :1] * _midpoints(n1)
+        b = proj[:, 1:] * _midpoints(n2)
+        ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+        phase = np.empty((2 * n_exp + 1, n1 * n2))
+        rows = phase[:-1].reshape(2, n_exp, n1, n2)
+        tmp = np.empty((n1, n2))
+        for u in range(n_exp):
+            cos, sin = rows[:, u]
+            np.multiply.outer(ca[u], cb[u], out=cos)
+            cos -= np.multiply.outer(sa[u], sb[u], out=tmp)
+            np.multiply.outer(sa[u], cb[u], out=sin)
+            sin += np.multiply.outer(ca[u], sb[u], out=tmp)
+        phase[-1] = 1.0
+        return phase
+
     def h_batch(self, ks: np.ndarray) -> np.ndarray:
         """H(k) for a batch of momenta; shape (M, N, N)."""
         return self._assemble(ks, ((),))[0]
@@ -271,8 +298,9 @@ class HoppingModel:
         return self._assemble(ks, ((j, l),))[0]
 
     def spectral_radius(self) -> float:
-        """max |eigenvalue| over a coarse 16 x 16 momentum sample (energy scale)."""
-        w = _eigvals(self, uniform_grid(self.lattice, 16, 16).points)
+        """max |eigenvalue| over the coarse 16 x 16 uniform_grid (energy
+        scale), read through its outer-product phase rows (_grid_phases)."""
+        w = _eigvals(self, self._grid_phases(16, 16))
         return float(np.abs(w).max())
 
 
@@ -302,12 +330,21 @@ def _split(rows) -> tuple:
     return np.stack((d0 - r, d0 + r), axis=1), (dx, dy, dz, r)
 
 
-def _eigvals(model: HoppingModel, ks: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues (M, N) of H at the momenta ks (M, 2): _split of
-    the Pauli rows for two bands, else np.linalg.eigvalsh of H's stack."""
-    if model.norbitals == 2:
-        return _split(model._pauli_rows(ks, ((),))[0])[0]
-    return np.linalg.eigvalsh(model.h_batch(ks))
+def _eigvals(model: HoppingModel, phase: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (M, N) of H at the M columns of the phase rows
+    ``phase`` (HoppingModel._phases or _grid_phases): for two bands _split
+    of their product with the Pauli table, as in _pauli_rows, else
+    np.linalg.eigvalsh of H's stack, formed as in _assemble.  Phase rows
+    passed as a temporary are freed once the product is formed, so they
+    and the solver's buffers are never held at once."""
+    N = model.norbitals
+    if N == 2:
+        rows = model._pauli_tables[()] @ phase
+        del phase
+        return _split(rows)[0]
+    H = (phase.T @ model._tables[()]).view(complex).reshape(-1, N, N)
+    del phase
+    return np.linalg.eigvalsh(H)
 
 
 def _require_directions(*idx) -> None:

@@ -67,8 +67,9 @@ __all__ = ["ConfigParse", "RunConfig", "main"]
 
 UNITS_NOTE = "natural units (e = hbar = 1)"
 #: the largest --grid: the Fermi-point scan holds its grid^2 points at once,
-#: at 160 (QWZ) to 272 (Haldane) bytes each, so 4096^2 = 2^24 points take
-#: 2.7-4.6 GB, and larger sizes must be refused before anything is allocated
+#: at a peak of 80 (QWZ) to 136 (Haldane) bytes each, so 4096^2 = 2^24
+#: points take 1.3-2.3 GB, and larger sizes must be refused before anything
+#: is allocated
 _MAX_GRID = 4096
 #: the largest --samples: 1e5 per segment of the default path already makes
 #: a 27 MB CSV, far more than the 800-pixel-wide SVG can show
@@ -323,9 +324,9 @@ def _run_validation_checks(model: HoppingModel) -> list:
     checks.append(("second_derivative_symmetry", sym_err == 0.0, sym_err, 0.0))
 
     # spectra at k + G against those of the batch at the same 20 momenta
-    w = _eigvals(model, ks)
+    w = _eigvals(model, model._phases(ks))
     espread = max(1.0, float(np.abs(w).max()))
-    per_err = max(float(np.abs(_eigvals(model, k20 + G) - w[:20]).max())
+    per_err = max(float(np.abs(_eigvals(model, model._phases(k20 + G)) - w[:20]).max())
                   for G in (model.lattice.b1, model.lattice.b2)) / espread
     checks.append(("spectrum_periodicity", per_err < 1e-10, per_err, 1e-10))
     return checks
@@ -378,7 +379,7 @@ def _band_path(model: HoppingModel, waypoints_frac, samples: int):
         arcs.append(arc + t * length)
         arc += length
     ks = np.vstack(ks + [pts[-1]])
-    energies = _eigvals(model, ks)
+    energies = _eigvals(model, model._phases(ks))
     return np.append(np.concatenate(arcs), arc), ks, energies
 
 

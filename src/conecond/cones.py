@@ -42,7 +42,7 @@ from .bloch import (HoppingModel, NumericalError, _eigvals, _max_current_norm,
                     _require_directions, h_at)
 from .lattice import (Lattice2D, _images, _min_cart_distance, _reduced_basis,
                       uniform_grid, wrap_fractional)
-from .spectra import AllBandsOnOneSide, _level_bounds
+from .spectra import AllBandsOnOneSide
 
 __all__ = [
     "NoConvergence",
@@ -168,7 +168,8 @@ class FermiPointScan:
 
 
 def _occupied_band_index(model: HoppingModel, w_grid: np.ndarray) -> int:
-    """Constant occupied count on a grid, or BandCrossingRegion.
+    """Constant occupied count on a grid of ascending eigenvalue rows
+    (M, N), or BandCrossingRegion.
 
     The majority of the strict per-point counts must fit every grid point
     by the level rule of spectra, which lets a point on a band closure count
@@ -176,21 +177,44 @@ def _occupied_band_index(model: HoppingModel, w_grid: np.ndarray) -> int:
     reading means a band crosses the Fermi level on a region.  It is one
     majority value, unlike the per-point count of kubo._fermi_gaps, because
     the gap Lambda_m - Lambda_{m-1} that the scan minimizes must be one
-    continuous function over the zone.
+    continuous function over the zone.  Since the rows ascend, column c's
+    number of levels <= mu is the number of points whose count exceeds c,
+    so N column compares give every count's frequency; and the level rule
+    fits m at every point unless some w[:, m] < mu - atol or some
+    w[:, m - 1] > mu + atol, two column tests (atol as in
+    spectra._level_bounds; the second is "not <=", so a NaN refuses m > 0
+    as the counts of _level_bounds do).
     """
     mu = model.fermi_energy
-    m = int(np.bincount(np.count_nonzero(w_grid <= mu, axis=1)).argmax())
-    below, upto = _level_bounds(w_grid, mu)
-    if np.any((below > m) | (upto < m)):
+    M, N = w_grid.shape
+    at_least = [M] + [np.count_nonzero(w_grid[:, c] <= mu) for c in range(N)] + [0]
+    m = int(np.argmax(np.subtract(at_least[:-1], at_least[1:])))
+    atol = 1e-12 * (1.0 + float(np.abs(w_grid).max()))
+    if ((m < N and w_grid[:, m].min() < mu - atol)
+            or (m > 0 and not w_grid[:, m - 1].max() <= mu + atol)):
         raise BandCrossingRegion(
             "occupied count varies across the zone; a band crosses the "
             "Fermi level on a region rather than at isolated points"
         )
-    if m == 0 or m == w_grid.shape[1]:
+    if m == 0 or m == N:
         raise AllBandsOnOneSide(
             "Fermi level lies outside the spectrum on the scan grid"
         )
     return m
+
+
+def _seed_mask(gap: np.ndarray, threshold: float) -> np.ndarray:
+    """The scan's seeds on a periodic (n1, n2) gap array: the points below
+    ``threshold`` whose gap is at most that of each of their 3 x 3
+    neighbours, wrapping around the zone.  The gap is padded once and the
+    neighbour minimum taken over nine slices of the padding."""
+    n1, n2 = gap.shape
+    padded = np.pad(gap, 1, mode="wrap")
+    low = gap.copy()
+    for di in range(3):
+        for dj in range(3):
+            np.minimum(low, padded[di:di + n1, dj:dj + n2], out=low)
+    return (gap <= low) & (gap < threshold)
 
 
 class _Located(NamedTuple):
@@ -260,7 +284,11 @@ def find_fermi_points(
     """Locate conical band crossings at the Fermi level.
 
     Scans the gap across the Fermi level on a ``coarse`` x ``coarse``
-    midpoint grid, then refines every local minimum below a slope-based seed
+    midpoint grid in one pass over its tensor structure: the grid's phase
+    rows from per-axis tables (HoppingModel._grid_phases), one _eigvals
+    call, the occupied count from two eigenvalue columns
+    (_occupied_band_index) and the 3 x 3 minima from slices (_seed_mask).
+    It then refines every local minimum below a slope-based seed
     threshold, all seeds in one batch, by the Gauss-Newton locator
     ``minimize`` on the gap between the bands m - 1 and m, m the scan's
     occupied count, until each seed's step falls to 1e-13.  Minima with
@@ -279,10 +307,10 @@ def find_fermi_points(
     if tol is None:
         tol = DEFAULT_GAP_TOL * rho
     n = int(coarse)
-    ks = uniform_grid(lat, n, n).points
-    w = _eigvals(model, ks)
+    w = _eigvals(model, model._grid_phases(n, n))
     m = _occupied_band_index(model, w)
     gap = (w[:, m] - w[:, m - 1]).reshape(n, n)
+    del w                                   # not held while the grid is built
 
     if np.count_nonzero(gap < tol) > max(4, 1e-3 * gap.size):
         raise BandCrossingRegion(
@@ -293,16 +321,10 @@ def find_fermi_points(
     # seed threshold: within one cell of a conical zero the gap is at most
     # about (local slope) * (cell diagonal); the slope is bounded by the
     # current-operator norms
+    ks = uniform_grid(lat, n, n).points
     jnorm = _max_current_norm(model, ks[:: max(1, ks.shape[0] // 512)])
     spacing = max(lat.zone_lengths) / n
-    seed_threshold = 3.0 * jnorm * spacing
-
-    neighbors_min = gap.copy()
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            neighbors_min = np.minimum(neighbors_min, np.roll(gap, (di, dj), (0, 1)))
-    is_min = (gap <= neighbors_min) & (gap < seed_threshold)
-    seeds = ks.reshape(n, n, 2)[is_min]
+    seeds = ks.reshape(n, n, 2)[_seed_mask(gap, 3.0 * jnorm * spacing)]
 
     res = minimize(model, m, seeds)
     min_gap = min([float(gap.min()), *res.fun.tolist()])

@@ -224,13 +224,18 @@ def reduce_to_cell(lattice: Lattice2D, k) -> np.ndarray:
     return lattice.from_fractional(wrap_fractional(lattice.to_fractional(k)))
 
 
+def _midpoints(n: int) -> np.ndarray:
+    """The n sub-cell centers (i + 1/2)/n - 1/2 along one zone-basis axis."""
+    return (np.arange(n) + 0.5) / n - 0.5
+
+
 def uniform_grid(lattice: Lattice2D, n1: int, n2: int) -> KGrid:
-    """Midpoint-rule grid: n1 x n2 sub-cell centers of the zone basis, equal weights."""
+    """Midpoint-rule grid: n1 x n2 sub-cell centers of the zone basis, equal
+    weights; point i * n2 + j sits at zone coordinates (_midpoints(n1)[i],
+    _midpoints(n2)[j])."""
     if n1 < 1 or n2 < 1:
         raise ValueError("subdivision counts must be >= 1")
-    f1 = (np.arange(n1) + 0.5) / n1 - 0.5
-    f2 = (np.arange(n2) + 0.5) / n2 - 0.5
-    F1, F2 = np.meshgrid(f1, f2, indexing="ij")
+    F1, F2 = np.meshgrid(_midpoints(n1), _midpoints(n2), indexing="ij")
     frac = np.column_stack([F1.ravel(), F2.ravel()])
     size = np.tile(np.array([1.0 / n1, 1.0 / n2]), (n1 * n2, 1))
     weights = np.full(n1 * n2, lattice.bz_area / (n1 * n2))

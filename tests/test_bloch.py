@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import conecond as cc
 from conecond.bloch import PAIRING_ATOL, _eigvals
 from conecond.cli import _band_path
+from conecond.lattice import uniform_grid
 from conftest import one_cone_model, random_momenta, square_model_dict, tilted_qwz
 
 # one momentum (BLAS's one-row path), an odd batch and a full Kubo chunk
@@ -330,7 +331,7 @@ def test_two_band_eigenvalues_match_lapack(name, request):
     else:
         model = request.getfixturevalue(name)
     ks = random_momenta(model.lattice, 1000, seed=3)
-    w, ref = _eigvals(model, ks), np.linalg.eigvalsh(model.h_batch(ks))
+    w, ref = _eigvals(model, model._phases(ks)), np.linalg.eigvalsh(model.h_batch(ks))
     assert w.shape == ref.shape and np.all(w[:, 0] <= w[:, 1])
     assert np.abs(w - ref).max() <= 8.0 * np.finfo(float).eps * np.abs(ref).max()
 
@@ -344,8 +345,8 @@ def test_two_band_eigenvalues_across_the_float_range(k):
     model = cc.preset_haldane(2.0**k, 0.1 * 2.0**k, 0.0, 0.0)
     ks = random_momenta(model.lattice, 500, seed=5)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        w = _eigvals(model, ks)
-    ref = _eigvals(base, ks)
+        w = _eigvals(model, model._phases(ks))
+    ref = _eigvals(base, base._phases(ks))
     assert np.isfinite(w).all()
     assert np.abs(np.ldexp(w, -k) - ref).max() <= 4.0 * np.finfo(float).eps * np.abs(ref).max()
 
@@ -354,7 +355,29 @@ def test_two_band_eigenvalues_across_the_float_range(k):
 def test_more_bands_take_lapack_eigenvalues(fixture, request):
     model = request.getfixturevalue(fixture)
     ks = random_momenta(model.lattice, 300, seed=7)
-    assert np.array_equal(_eigvals(model, ks), np.linalg.eigvalsh(model.h_batch(ks)))
+    w = _eigvals(model, model._phases(ks))
+    assert np.array_equal(w, np.linalg.eigvalsh(model.h_batch(ks)))
+
+
+@pytest.mark.parametrize("name", ["haldane_critical", "haldane_one_cone", "qwz_topological",
+                                  "qwz_aniso", "skewed_generic", "three_orbital"])
+def test_grid_phase_rows_match_the_uniform_grid(name, request):
+    # the outer-product rows of a uniform grid against _phases of its
+    # points: the same layout and point order, every entry within 4 ulp of
+    # the largest |theta| (1.44 measured); odd and unequal counts, the
+    # skewed model with an unpaired row, the 3-orbital one on a skewed lattice
+    if name == "skewed_generic":
+        model = with_unpaired_row(skewed_generic_model())
+    elif name in BUILT_MODELS:
+        model = BUILT_MODELS[name]()
+    else:
+        model = request.getfixturevalue(name)
+    for n1, n2 in ((96, 96), (7, 5), (1, 4), (33, 16)):
+        ks = uniform_grid(model.lattice, n1, n2).points
+        rows, ref = model._grid_phases(n1, n2), model._phases(ks)
+        theta = np.abs(model._disp[:model._nexp] @ ks.T).max()
+        assert rows.shape == ref.shape
+        assert np.abs(rows - ref).max() <= 4.0 * np.finfo(float).eps * max(1.0, theta)
 
 
 def test_two_band_scan_and_energy_scale_skip_lapack(monkeypatch, haldane_critical):

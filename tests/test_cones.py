@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 
 import conecond as cc
 import conecond.cones as cones
-from conecond.cones import _occupied_band_index
+from conecond.cones import _occupied_band_index, _seed_mask
+from conecond.spectra import _level_bounds
 
 from conftest import dual_images, one_cone_model, one_cone_seeds
 
@@ -107,6 +108,101 @@ def test_scan_count_matches_straddler_reference():
                 _occupied_band_index(model, w)
         else:
             assert _occupied_band_index(model, w) == m
+
+
+def band_index_reference(model, w):
+    """_occupied_band_index as one count per row: the majority of the
+    strict counts, checked against every row's level-rule interval."""
+    mu = model.fermi_energy
+    m = int(np.bincount(np.count_nonzero(w <= mu, axis=1)).argmax())
+    below, upto = _level_bounds(w, mu)
+    if np.any((below > m) | (upto < m)):
+        raise cc.BandCrossingRegion("reference")
+    if m == 0 or m == w.shape[1]:
+        raise cc.AllBandsOnOneSide("reference")
+    return m
+
+
+def band_index_outcome(index, model, w):
+    try:
+        return index(model, w)
+    except (cc.BandCrossingRegion, cc.AllBandsOnOneSide) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_column_band_index_matches_count_reference(N):
+    # ascending rows drawn around one count, with levels exactly at mu and
+    # at mu +- atol and one float past them (atol = 1e-12 (1 + 3), set by
+    # the first row's +-3), some rows of another count, and now and then
+    # a NaN level
+    mu = 0.3
+    atol = 1e-12 * (1.0 + 3.0)
+    low = [-3.0, -1.0, np.nextafter(mu - atol, -np.inf), mu - atol, mu]
+    high = [mu, mu + atol, np.nextafter(mu + atol, np.inf), 1.0, 3.0]
+    model = SimpleNamespace(fermi_energy=mu)
+    rng = np.random.default_rng(N)
+    seen = set()
+    for trial in range(400):
+        m0 = int(rng.integers(0, N + 1))
+        stray = rng.choice([0.0, 0.05, 0.3])
+        w = np.empty((40, N))
+        for row in w:
+            k = m0 if rng.random() >= stray else int(rng.integers(0, N + 1))
+            row[:] = np.sort(np.concatenate([rng.choice(low, k), rng.choice(high, N - k)]))
+        w[0] = [-3.0] * m0 + [3.0] * (N - m0)
+        if trial % 25 == 24:
+            w[rng.integers(1, 40), -1] = np.nan
+        ref = band_index_outcome(band_index_reference, model, w)
+        assert band_index_outcome(_occupied_band_index, model, w) == ref
+        seen.add(ref if isinstance(ref, type) else int)
+    assert seen == {int, cc.BandCrossingRegion, cc.AllBandsOnOneSide}
+
+
+def seed_mask_reference(gap, threshold):
+    """The scan's seed mask from nine np.roll copies of the gap."""
+    low = gap.copy()
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            low = np.minimum(low, np.roll(gap, (di, dj), (0, 1)))
+    return (gap <= low) & (gap < threshold)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (8, 8), (96, 96), (3, 8)])
+def test_seed_mask_matches_roll_reference(shape):
+    # gaps of four values (many ties between neighbours) and continuous
+    # ones, now and then with a NaN, at thresholds that keep all, some or
+    # none of the minima
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for trial in range(20):
+        gap = (rng.integers(0, 4, size=shape).astype(float) if trial % 2
+               else rng.random(shape))
+        if trial % 5 == 4:
+            gap[tuple(rng.integers(0, s) for s in shape)] = np.nan
+        for threshold in (np.inf, 2.0, 0.5, 0.0):
+            assert np.array_equal(_seed_mask(gap, threshold),
+                                  seed_mask_reference(gap, threshold))
+
+
+@pytest.mark.parametrize("fixture", ["haldane_critical", "haldane_one_cone", "qwz_topological",
+                                     "qwz_aniso", "hex_flat_band_model"])
+def test_scan_takes_the_grid_phase_rows(monkeypatch, fixture, request):
+    # the 96^2 scan and the 16^2 energy scale read the outer-product rows
+    # (HoppingModel._grid_phases): _phases sees only the current-norm
+    # sample and the locator's batches
+    model = request.getfixturevalue(fixture)
+    sizes, phases = [], cc.HoppingModel._phases
+
+    def recorded(self, ks):
+        sizes.append(len(ks))
+        return phases(self, ks)
+
+    monkeypatch.setattr(cc.HoppingModel, "_phases", recorded)
+    assert len(cc.find_fermi_points(model)) >= 1
+    assert sizes and max(sizes) < 96 ** 2
+    sizes.clear()
+    model.spectral_radius()
+    assert sizes == []
 
 
 # -- locator ---------------------------------------------------------------------
