@@ -23,12 +23,17 @@ crossing, and by Hellmann-Feynman its Jacobian is the Pauli vector of the
 pair's block of the currents J_j = dH/dk_j, the first-order k.p expansion
 (Luttinger & Kohn, Phys. Rev. 97, 869 (1955)).  The step is exact to first
 order at a conical zero, so the iteration converges quadratically there.
+For two bands the block is H itself, and the step reads the Pauli rows of
+H and the currents directly (bloch._split), with no eigenvector.
 
 The cone-pair rule names a cone's two bands once, at omega: the adjacent
-pair of H(omega)'s eigenvalues nearest mu.  ``fit_cone`` follows that pair
-along its circles by the overlap of the states with the pair's states at
-omega, and kubo's B_eps integrals keep the pair's indices on every node;
-a third band in the sampled window is refused as TwoBandIsolationFailed.
+pair of H(omega)'s eigenvalues nearest mu (_cone_pair, one eigh for every
+N).  For two bands the pair is the whole spectrum, so ``fit_cone`` reads
+its circles' eigenvalues from the Pauli rows.  For more bands it follows
+the pair along its circles by the overlap of the states with the pair's
+states at omega, and kubo's B_eps integrals keep the pair's indices on
+every node; a third band in the sampled window is refused as
+TwoBandIsolationFailed.
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import (HoppingModel, NumericalError, _eigvals, _max_current_norm,
-                    _require_directions, h_at)
-from .lattice import (Lattice2D, _images, _min_cart_distance, _reduced_basis,
-                      uniform_grid, wrap_fractional)
+                    _require_directions, _split, h_at)
+from .lattice import (Lattice2D, _images, _midpoints, _min_cart_distance, _reduced_basis,
+                      wrap_fractional)
 from .spectra import AllBandsOnOneSide
 
 __all__ = [
@@ -233,8 +238,17 @@ def _gauss_newton_step(model: HoppingModel, m: int, ks: np.ndarray) -> tuple:
     In the pair's eigenbasis P at k the traceless part of P^H H P has the
     Pauli vector d = (0, 0, -gap/2), and by Hellmann-Feynman its Jacobian M
     (3 x 2) holds the Pauli vectors of the traceless parts of P^H J_j P;
-    the step is -M^+ d, M^+ the pseudo-inverse.  One assembly of H and both
-    currents and one eigh for the whole stack."""
+    the step is -M^+ d, M^+ the pseudo-inverse.  For two bands P is the
+    whole basis, and a change of basis rotates every Pauli vector by one
+    R in SO(3), which cancels: (R M)^+ R d = M^+ d.  So the step reads d
+    and M from the Pauli rows of H and the currents (_pauli_rows), and the
+    gap is 2 |d| (_split): no eigenvector is formed.  Other N take one
+    assembly of H and both currents and one eigh for the whole stack."""
+    if model.norbitals == 2:
+        H, J1, J2 = model._pauli_rows(ks, ((), (1,), (2,)))
+        r = _split(H)[1][-1]
+        M = np.stack([J1[1:].T, J2[1:].T], axis=-1)            # (S, 3, j)
+        return 2.0 * r, -np.einsum("sji,is->sj", np.linalg.pinv(M), H[1:])
     H, J1, J2 = model._assemble(ks, ((), (1,), (2,)))
     w, V = np.linalg.eigh(H)
     P = V[:, :, m - 1:m + 1]
@@ -255,8 +269,9 @@ def minimize(model: HoppingModel, m: int, seeds) -> _Located:
     trying a step of at most _LOCATE_XATOL in every cartesian component, or
     after _LOCATE_MAXITER iterations.  The convergence is quadratic at a
     conical zero, where the residual vanishes, and at best linear at a
-    gapped minimum.  The name is the one the benchmark trace wraps to count
-    ``nfev``."""
+    gapped minimum.  Two-band models take no eigendecomposition here (see
+    _gauss_newton_step).  The name is the one the benchmark trace wraps to
+    count ``nfev``."""
     k = np.array(seeds, dtype=float).reshape(-1, 2)
     gap, step = _gauss_newton_step(model, m, k)
     nfev = len(k)
@@ -320,11 +335,20 @@ def find_fermi_points(
 
     # seed threshold: within one cell of a conical zero the gap is at most
     # about (local slope) * (cell diagonal); the slope is bounded by the
-    # current-operator norms
-    ks = uniform_grid(lat, n, n).points
-    jnorm = _max_current_norm(model, ks[:: max(1, ks.shape[0] // 512)])
+    # current-operator norms.  Only the seeds and the current sample of the
+    # uniform_grid are placed, bit for bit its points: point i sits at the
+    # zone coordinates (mid[i // n], mid[i % n]), and one index is placed as
+    # two equal rows (as _phases places one momentum), since BLAS rounds a
+    # one-row product differently
+    mid = _midpoints(n)
+
+    def grid_points(i):
+        rows = np.repeat(i, 2) if i.size == 1 else i
+        return (np.column_stack([mid[rows // n], mid[rows % n]]) @ lat.zone.T)[:i.size]
+
+    jnorm = _max_current_norm(model, grid_points(np.arange(0, n * n, max(1, n * n // 512))))
     spacing = max(lat.zone_lengths) / n
-    seeds = ks.reshape(n, n, 2)[_seed_mask(gap, 3.0 * jnorm * spacing)]
+    seeds = grid_points(np.flatnonzero(_seed_mask(gap, 3.0 * jnorm * spacing)))
 
     res = minimize(model, m, seeds)
     min_gap = min([float(gap.min()), *res.fun.tolist()])
@@ -378,7 +402,7 @@ def _overlap_pair(V: np.ndarray, states: np.ndarray) -> np.ndarray:
     (M, 2) of the two eigenvectors with the largest weight in ``states``
     (N, 2), the cone pair's eigenvectors at omega (_cone_pair): the cone's
     bands followed along a circle by their states, so a band that crosses
-    them is not named."""
+    them is not named.  For N > 2 only: two bands are the pair."""
     weight = (np.abs(states.conj().T @ V) ** 2).sum(axis=1)
     return np.sort(np.argsort(weight, axis=1)[:, -2:], axis=1)
 
@@ -389,7 +413,8 @@ def _isolated_pair(w: np.ndarray, bands, mu: float, factor: float, remedy: str):
     (M, 2) or one (2,) for every point.  The pair's largest distance from mu
     is the sampled cone window; unless every other band stays more than
     ``factor`` times that far from mu, TwoBandIsolationFailed is raised,
-    naming ``remedy``."""
+    naming ``remedy``.  For N > 2 only: with two bands there is no other
+    band."""
     bands = np.broadcast_to(bands, (len(w), 2))
     lam_lo, lam_hi = np.take_along_axis(w, bands, axis=1).T
     others = np.ones(w.shape, dtype=bool)
@@ -413,10 +438,13 @@ def fit_cone(
     """Fit the local cone geometry (Q, tilt, residual) at a Fermi point.
 
     Samples the cone's band pair on circles k = omega + r(cos t, sin t) over
-    ``directions`` equispaced angles and each radius.  At each sample the
-    pair is the two bands whose states overlap most with the pair's states
-    at omega (_cone_pair), not the two with its indices, so a band that
-    crosses the cone's bands inside the circle is the one that is refused.
+    ``directions`` equispaced angles and each radius, all circles in one
+    decomposition.  For two bands the pair is the whole spectrum, read by
+    _eigvals from the Pauli rows with no eigenvector.  For N > 2, one eigh
+    of all circles gives, at each sample, the two bands whose states
+    overlap most with the pair's states at omega (_cone_pair), not the two
+    with its indices, so a band that crosses the cone's bands inside the
+    circle is the one that is refused, radius by radius.
     The squared half-gap of all circles is fitted in one linear
     least-squares problem to
 
@@ -442,11 +470,11 @@ def fit_cone(
     (quadratic or flat touching) or the smallest radius cannot resolve the
     cone (below 1e4 ulp of |omega|, or its circle's smallest pair gap within
     100x the gap at omega, capped at DEFAULT_GAP_TOL), TwoBandIsolationFailed
-    when another band comes within 10x the sampled window of the Fermi level
-    (the radii are too large), and ValueError when ``directions < 8`` (the
-    residual then has no degrees of freedom, or the angular harmonics 0-3
-    alias onto each other) or when a radius is not positive and finite or
-    the two smallest are equal.
+    (N > 2) when another band comes within 10x the sampled window of the
+    Fermi level (the radii are too large), and ValueError when
+    ``directions < 8`` (the residual then has no degrees of freedom, or the
+    angular harmonics 0-3 alias onto each other) or when a radius is not
+    positive and finite or the two smallest are equal.
     """
     lat = model.lattice
     omega = np.asarray(omega, dtype=float).reshape(2)
@@ -473,20 +501,29 @@ def fit_cone(
 
     mu = model.fermi_energy
     _, gap0, states = _cone_pair(model, omega)
+    nr = len(radii)
+    offsets = np.concatenate([r * dirs for r in radii])
+    blocks = [slice(i * directions, (i + 1) * directions) for i in range(nr)]
+    # the pair on every circle from one decomposition, sliced per radius: for
+    # two bands it is the whole spectrum (_eigvals); other N follow it by its
+    # states and check its isolation radius by radius
+    if model.norbitals == 2:
+        w = _eigvals(model, model._phases(omega + offsets))
+        pairs = [w[rows].T for rows in blocks]
+    else:
+        w, V = np.linalg.eigh(model.h_batch(omega + offsets))
+        pairs = [_isolated_pair(w[rows], _overlap_pair(V[rows], states), mu, 10.0,
+                                f"fit radius {r:.3e} is too large")
+                 for r, rows in zip(radii, blocks)]
 
     # one block of rows per radius: its own quadratic-form columns, then the
     # cubic columns shared by all radii
-    nr = len(radii)
     design = np.zeros((nr * directions, 3 * nr + 4))
     target = np.empty(nr * directions)
     tilts = []
-    for i, r in enumerate(radii):
-        d = r * dirs
-        w, V = np.linalg.eigh(model.h_batch(omega + d))
-        lam_lo, lam_hi = _isolated_pair(w, _overlap_pair(V, states), mu, 10.0,
-                                        f"fit radius {r:.3e} is too large")
+    for i, (rows, (lam_lo, lam_hi)) in enumerate(zip(blocks, pairs)):
+        d = offsets[rows]
         x, y = d[:, 0], d[:, 1]
-        rows = slice(i * directions, (i + 1) * directions)
         design[rows, 3 * i: 3 * i + 3] = np.column_stack([x * x, 2.0 * x * y, y * y])
         design[rows, 3 * nr:] = np.column_stack([x**3, x * x * y, x * y * y, y**3])
         target[rows] = (0.5 * (lam_hi - lam_lo)) ** 2

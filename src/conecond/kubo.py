@@ -67,6 +67,7 @@ gate ellipse in its metric Q, the graded shell around it a cartesian disk
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -817,6 +818,16 @@ def schwinger(model: HoppingModel, j: int, l: int, grid: KGrid,
 
 # -- cone-neighborhood (B_eps) integrals -------------------------------------
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple:
+    """The Gauss-Legendre nodes and weights of ``order`` on [-1, 1], read
+    only, computed once per order."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def _elliptic_polar_nodes(cone: FermiPoint, eps: float, eta: float,
                           ntheta: int, order: int):
     """Quadrature for int_{B_eps} dk: map k = omega + (eps/2) Q^{-1/2} u with
@@ -836,7 +847,7 @@ def _elliptic_polar_nodes(cone: FermiPoint, eps: float, eta: float,
     while edges[-1] / 2.0 > rho_core:
         edges.append(edges[-1] / 2.0)
     edges.append(rho_core)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
+    gl_x, gl_w = _gauss_legendre(order)
     panels = list(zip(edges[1:], edges)) + [(0.0, rho_core)]
     rho = np.concatenate([0.5 * (b - a) * gl_x + 0.5 * (a + b) for a, b in panels])
     wrho = np.concatenate([0.5 * (b - a) * gl_w for a, b in panels])

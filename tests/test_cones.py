@@ -205,6 +205,41 @@ def test_scan_takes_the_grid_phase_rows(monkeypatch, fixture, request):
     assert sizes == []
 
 
+@pytest.mark.parametrize("fixture", ["haldane_critical", "haldane_one_cone", "qwz_topological",
+                                     "qwz_aniso", "qwz_u0", "skewed_one_cone"])
+def test_scan_places_its_seeds_without_the_grid(monkeypatch, fixture, request):
+    # the scan reads its seeds and current sample by flat index from the
+    # midpoints and builds no uniform_grid; both are that grid's points bit
+    # for bit, in its order (the one-cone Haldane model has a single seed)
+    model = (one_cone_model(0)[0] if fixture == "skewed_one_cone"
+             else request.getfixturevalue(fixture))
+    grid = cc.uniform_grid(model.lattice, 96, 96).points
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the scan built a uniform_grid")
+
+    for module in (cc.lattice, cones):
+        monkeypatch.setattr(module, "uniform_grid", refused, raising=False)
+    seen = {}
+
+    def recorded(name, arg):
+        fn = getattr(cones, name)
+
+        def wrapper(*args):
+            result = fn(*args)
+            seen[name] = result if arg is None else args[arg]
+            return result
+
+        monkeypatch.setattr(cones, name, wrapper)
+
+    recorded("_seed_mask", None)            # the mask it returns
+    recorded("_max_current_norm", 1)        # the momenta it samples
+    recorded("minimize", 2)                 # the seeds
+    assert len(cc.find_fermi_points(model)) >= 1
+    assert np.array_equal(seen["_max_current_norm"], grid[::96 ** 2 // 512])
+    assert np.array_equal(seen["minimize"], grid.reshape(96, 96, 2)[seen["_seed_mask"]])
+
+
 # -- locator ---------------------------------------------------------------------
 
 K_CORNER = 4.0 * np.pi / (3.0 * np.sqrt(3.0))   # the honeycomb's K, K' at (0, +-K_CORNER)
@@ -252,12 +287,57 @@ def test_locator_backtracks_from_far_seeds():
     # seeds anywhere in the zone, far outside the cone's linear region: the
     # step halving keeps each seed's gap from rising, and on QWZ(-2) every
     # seed still reaches the one cone, at Gamma
-    model = cc.preset_qwz(-2.0)
-    seeds = np.random.default_rng(0).uniform(-np.pi, np.pi, (64, 2))
+    model, seeds = cc.preset_qwz(-2.0), FAR_SEEDS
     start, _ = cones._gauss_newton_step(model, 1, seeds)
     res = cones.minimize(model, 1, seeds)
     assert np.all(res.fun <= start) and np.all(res.fun < 1e-12)
     assert np.abs(cc.wrap_fractional(model.lattice.to_fractional(res.x))).max() < 1e-12
+
+
+def eigenbasis_step_reference(model, m, ks):
+    """The Gauss-Newton step in the pair's eigenbasis P: eigh of the
+    assembled H, the Pauli vectors of the traceless parts of P^H J_j P as
+    the Jacobian M, and -M^+ d with d = (0, 0, -gap/2)."""
+    H, J1, J2 = model._assemble(ks, ((), (1,), (2,)))
+    w, V = np.linalg.eigh(H)
+    P = V[:, :, m - 1:m + 1]
+    Ph = P.conj().swapaxes(1, 2)
+    A = np.stack([Ph @ J @ P for J in (J1, J2)], axis=-1)
+    M = np.stack([A[:, 0, 1].real, -A[:, 0, 1].imag,
+                  0.5 * (A[:, 0, 0] - A[:, 1, 1]).real], axis=1)
+    gap = w[:, m] - w[:, m - 1]
+    return gap, 0.5 * gap[:, None] * np.linalg.pinv(M)[:, :, 2]
+
+
+#: the seeds of test_locator_backtracks_from_far_seeds
+FAR_SEEDS = np.random.default_rng(0).uniform(-np.pi, np.pi, (64, 2))
+
+#: the presets and one_cone_model seeds 0-7, two bands each
+TWO_BAND_CASES = [
+    pytest.param(cc.preset_haldane(1.0, 0.1, 0.0, 0.0), id="honeycomb"),
+    pytest.param(cc.preset_haldane(1.0, 0.1, np.pi / 2.0, 0.3 * np.sqrt(3.0)),
+                 id="haldane-one-cone"),
+    pytest.param(cc.preset_qwz(-2.0), id="qwz"),
+    pytest.param(cc.preset_qwz(-2.0, 2.0, 1.0), id="qwz-aniso"),
+    pytest.param(cc.preset_qwz(0.0), id="qwz-u0"),
+    *[pytest.param(one_cone_model(seed)[0], id=f"one-cone-{seed}") for seed in range(8)],
+]
+
+
+@pytest.mark.parametrize("model", TWO_BAND_CASES)
+def test_two_band_step_matches_the_eigenbasis_step(model):
+    # the Pauli-row step -M^+ d is the eigenbasis one, since the frame
+    # rotation cancels: on momenta across the zone, near each cone and at
+    # the far seeds
+    rng = np.random.default_rng(1)
+    ks = np.vstack([model.lattice.from_fractional(rng.uniform(-0.5, 0.5, (64, 2))),
+                    *[c.omega + 1e-3 * rng.normal(size=(8, 2))
+                      for c in cc.characterize_cones(model)], FAR_SEEDS])
+    gap, step = cones._gauss_newton_step(model, 1, ks)
+    want_gap, want_step = eigenbasis_step_reference(model, 1, ks)
+    assert np.abs(gap - want_gap).max() <= 1e-14 * model.spectral_radius()
+    err = np.linalg.norm(step - want_step, axis=1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(want_step, axis=1))
 
 
 def test_locator_reports_near_threshold_minimum(monkeypatch):
@@ -425,29 +505,100 @@ def test_fit_cone_rejects_quadratic_touching():
         cc.fit_cone(model, np.zeros(2))
 
 
-def test_fit_cone_decomposes_each_momentum_set_once(monkeypatch, haldane_critical,
-                                                    haldane_cones):
-    # H(omega) is decomposed once, by _cone_pair, and each fit circle once,
-    # for its eigenvalues and its states together
+def with_far_band(model, level):
+    """``model`` with one more orbital, decoupled, at the energy ``level``."""
+    terms = {cell: np.pad(T, (0, 1)) for cell, T in model.terms.items()}
+    terms[0, 0][-1, -1] = level
+    return cc.HoppingModel(lattice=model.lattice, norbitals=model.norbitals + 1,
+                           positions=np.vstack([model.positions, np.zeros(2)]),
+                           terms=terms, fermi_energy=model.fermi_energy)
+
+
+def lapack_shapes(monkeypatch):
+    """The shapes of the Hamiltonian stacks (complex, not the real Q) that
+    np.linalg.eigh and eigvalsh get while the test runs."""
     shapes = []
     for name in ("eigh", "eigvalsh"):
         def counted(a, *args, _solver=getattr(np.linalg, name), **kwargs):
-            if np.iscomplexobj(a):          # a Hamiltonian, not the real Q
+            if np.iscomplexobj(a):
                 shapes.append(np.shape(a))
             return _solver(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+    return shapes
+
+
+def test_fit_cone_decomposes_each_momentum_set_once(monkeypatch, haldane_critical,
+                                                    haldane_cones):
+    # two bands: H(omega) goes to LAPACK once, for _cone_pair, and all
+    # circles go through one _eigvals; other N decompose all circles in one
+    # eigh (the QWZ(-2, 2, 1) cone with a band at -5)
+    shapes = lapack_shapes(monkeypatch)
+    columns, eigvals = [], cones._eigvals
+
+    def counted(model, phase):
+        columns.append(phase.shape[1])
+        return eigvals(model, phase)
+
+    monkeypatch.setattr(cones, "_eigvals", counted)
     cc.fit_cone(haldane_critical, haldane_cones[0].omega, radii=[0.04, 0.02, 0.01],
                 directions=16)
-    assert shapes == [(2, 2)] + [(16, 2, 2)] * 3
+    assert shapes == [(2, 2)] and columns == [48]
+    shapes.clear()
+    three = with_far_band(cc.preset_qwz(-2.0, 2.0, 1.0), -5.0)
+    cc.fit_cone(three, np.zeros(2), radii=[0.04, 0.02, 0.01], directions=16)
+    assert shapes == [(3, 3), (48, 3, 3)] and columns == [48]
+
+
+def circle_pairs_reference(model, omega, radii, directions):
+    """The cone pair's eigenvalues (lam_lo, lam_hi) on fit_cone's circles,
+    one block of rows per ascending radius: per circle eigh of its H, the
+    pair followed by the overlap of its states with the pair's states at
+    omega (_overlap_pair) and its isolation checked (_isolated_pair)."""
+    theta = np.pi / 4.0 + 2.0 * np.pi * (np.arange(directions) + 0.5) / directions
+    dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+    _, _, states = cones._cone_pair(model, omega)
+    pairs = []
+    for r in sorted(radii):
+        w, V = np.linalg.eigh(model.h_batch(omega + r * dirs))
+        pairs.append(np.column_stack(cones._isolated_pair(
+            w, cones._overlap_pair(V, states), model.fermi_energy, 10.0, "reference")))
+    return np.vstack(pairs)
+
+
+@pytest.mark.parametrize("model", TWO_BAND_CASES)
+def test_two_band_fit_matches_the_eigh_overlap_fit(monkeypatch, model):
+    # the two-band fit reads its circles' pair as the whole spectrum, from
+    # one _eigvals: the eigh/overlap pair on the same circles, and the fit
+    # of the same model with a decoupled band far below, which takes the
+    # eigh/overlap route
+    rho = model.spectral_radius()
+    spectra, eigvals = [], cones._eigvals
+
+    def recorded(model, phase):
+        spectra.append(eigvals(model, phase))
+        return spectra[-1]
+
+    for cone in cc.characterize_cones(model):
+        spectra.clear()
+        monkeypatch.setattr(cones, "_eigvals", recorded)
+        Q, tilt, resid = cc.fit_cone(model, cone.omega)
+        monkeypatch.undo()
+        bmin = min(model.lattice.zone_lengths)
+        want = circle_pairs_reference(model, cone.omega,
+                                      [2e-2 * bmin, 1e-2 * bmin, 5e-3 * bmin], 16)
+        (got,) = spectra
+        assert np.abs(got - want).max() <= 1e-14 * rho
+        Q3, tilt3, resid3 = cc.fit_cone(with_far_band(model, model.fermi_energy - 10.0 * rho),
+                                        cone.omega)
+        scale = np.abs(Q3).max()
+        assert np.abs(Q - Q3).max() <= 1e-9 * scale
+        assert np.abs(tilt - tilt3).max() <= 1e-9 * np.sqrt(scale)
+        assert resid == pytest.approx(resid3, rel=1e-9)
 
 
 def test_cone_pair_states_are_the_pairs_eigenvectors(haldane_critical, haldane_cones):
     # a decoupled band far below the cone makes the pair columns 1 and 2
-    qwz = cc.preset_qwz(-2.0, 2.0, 1.0)
-    terms = {cell: np.pad(T, (0, 1)) for cell, T in qwz.terms.items()}
-    terms[0, 0][2, 2] = -5.0
-    three = cc.HoppingModel(lattice=qwz.lattice, norbitals=3, positions=np.zeros((3, 2)),
-                            terms=terms, fermi_energy=0.0)
+    three = with_far_band(cc.preset_qwz(-2.0, 2.0, 1.0), -5.0)
     cases = [(haldane_critical, haldane_cones[0].omega, 0),
              (haldane_critical, np.array([0.3, -0.2]), 0),
              (three, np.zeros(2), 1), (three, np.array([0.4, 0.1]), 1)]

@@ -359,6 +359,27 @@ def _dense_cone_reference(model, cones, eta, j, eps, ntheta=64, order=12,
     return {"f_sing": (fine[0], quad[0]), "zeta": (fine[1], quad[1])}
 
 
+def test_gauss_legendre_rule_is_computed_once_per_order(monkeypatch):
+    # the B_eps nodes take each order's rule from one leggauss call, read only
+    calls, leggauss = [], np.polynomial.legendre.leggauss
+
+    def counted(order):
+        calls.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    kubo._gauss_legendre.cache_clear()
+    try:
+        for order in (12, 8, 12, 8):
+            x, w = kubo._gauss_legendre(order)
+            assert np.array_equal(x, leggauss(order)[0])
+            assert np.array_equal(w, leggauss(order)[1])
+            assert not (x.flags.writeable or w.flags.writeable)
+    finally:
+        kubo._gauss_legendre.cache_clear()
+    assert calls == [12, 8]
+
+
 def _assert_cone_integrals_match_dense(model, cones, eps):
     """fjj_sing and zeta_jj against _dense_cone_reference, value and
     quad_error, at two etas and both directions."""
