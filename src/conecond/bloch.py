@@ -23,7 +23,9 @@ sin(k . d_u) of a batch of momenta (HoppingModel._assemble; for two bands
 also the Pauli rows of H = s0 + s . sigma, HoppingModel._pauli_rows).  The
 rows of a uniform grid are built from per-axis tables instead
 (HoppingModel._grid_phases).  The package's one H(k) eigenvalue solver is
-_eigvals, which reads either kind of phase rows (two bands: _split).
+_eigvals, which reads either kind of phase rows (two bands: _split).  The
+Pauli rows of one band pair's 2 x 2 block, in H and its derivatives, come
+from _pair_rows for every N: _pauli_rows for two bands, one eigh for more.
 """
 
 from __future__ import annotations
@@ -328,6 +330,28 @@ def _split(rows) -> tuple:
     e = np.frexp(np.abs(rows[1:]).max(initial=0.0))[1]
     r = np.ldexp(np.sqrt(sum(np.ldexp(x, -e) ** 2 for x in (dx, dy, dz))), e)
     return np.stack((d0 - r, d0 + r), axis=1), (dx, dy, dz, r)
+
+
+def _pair_rows(model: HoppingModel, ks: np.ndarray, derivatives, lo: int) -> tuple:
+    """(rows, w): per derivative key (as in _assemble, H's () first) the
+    Pauli rows (s0, sx, sy, sz) of the band pair (lo, lo + 1)'s 2 x 2 block,
+    an (S, 4, M) array, and H's ascending eigenvalues (M, N), or None.  Two
+    bands are the pair: _pauli_rows, with no eigenvector.  Other N take one
+    assembly and one eigh: H's block is diag(w_lo, w_hi), exactly, and a
+    derivative D's is b = P^H D P, P the pair's eigenvectors, read as
+    (Re(b00 + b11)/2, Re b01, -Im b01, Re(b00 - b11)/2)."""
+    if model.norbitals == 2:
+        return model._pauli_rows(ks, derivatives), None
+    H, *D = model._assemble(ks, derivatives)
+    w, V = np.linalg.eigh(H)
+    P = V[:, :, lo:lo + 2]
+    Ph = P.conj().swapaxes(1, 2)
+    b = np.zeros((len(derivatives), len(w), 2, 2), dtype=complex)
+    b[0, :, 0, 0], b[0, :, 1, 1] = w[:, lo], w[:, lo + 1]
+    for block, J in zip(b[1:], D):
+        block[:] = Ph @ J @ P
+    b00, b01, b11 = b[..., 0, 0].real, b[..., 0, 1], b[..., 1, 1].real
+    return np.stack([0.5 * (b00 + b11), b01.real, -b01.imag, 0.5 * (b00 - b11)], axis=1), w
 
 
 def _eigvals(model: HoppingModel, phase: np.ndarray) -> np.ndarray:

@@ -23,17 +23,18 @@ crossing, and by Hellmann-Feynman its Jacobian is the Pauli vector of the
 pair's block of the currents J_j = dH/dk_j, the first-order k.p expansion
 (Luttinger & Kohn, Phys. Rev. 97, 869 (1955)).  The step is exact to first
 order at a conical zero, so the iteration converges quadratically there.
-For two bands the block is H itself, and the step reads the Pauli rows of
-H and the currents directly (bloch._split), with no eigenvector.
+Every N reads the block's Pauli rows from bloch._pair_rows: for two bands
+the block is H itself, with no eigenvector; for more bands it is written
+from one eigh of the stack.
 
 The cone-pair rule names a cone's two bands once, at omega: the adjacent
 pair of H(omega)'s eigenvalues nearest mu (_cone_pair, one eigh for every
 N).  For two bands the pair is the whole spectrum, so ``fit_cone`` reads
 its circles' eigenvalues from the Pauli rows.  For more bands it follows
 the pair along its circles by the overlap of the states with the pair's
-states at omega, and kubo's B_eps integrals keep the pair's indices on
-every node; a third band in the sampled window is refused as
-TwoBandIsolationFailed.
+states at omega, while kubo's B_eps integrals read the pair's indices
+through _pair_rows on every node; a third band in the sampled window is
+refused as TwoBandIsolationFailed.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import (HoppingModel, NumericalError, _eigvals, _max_current_norm,
-                    _require_directions, _split, h_at)
+                    _pair_rows, _require_directions, _split, h_at)
 from .lattice import (Lattice2D, _images, _midpoints, _min_cart_distance, _reduced_basis,
                       wrap_fractional)
 from .spectra import AllBandsOnOneSide
@@ -235,29 +236,18 @@ def _gauss_newton_step(model: HoppingModel, m: int, ks: np.ndarray) -> tuple:
     """(gap, step) at each momentum of ks (S, 2): the pair gap
     Lambda_m - Lambda_{m-1} and the Gauss-Newton step toward its zero.
 
-    In the pair's eigenbasis P at k the traceless part of P^H H P has the
-    Pauli vector d = (0, 0, -gap/2), and by Hellmann-Feynman its Jacobian M
-    (3 x 2) holds the Pauli vectors of the traceless parts of P^H J_j P;
-    the step is -M^+ d, M^+ the pseudo-inverse.  For two bands P is the
-    whole basis, and a change of basis rotates every Pauli vector by one
-    R in SO(3), which cancels: (R M)^+ R d = M^+ d.  So the step reads d
-    and M from the Pauli rows of H and the currents (_pauli_rows), and the
-    gap is 2 |d| (_split): no eigenvector is formed.  Other N take one
-    assembly of H and both currents and one eigh for the whole stack."""
-    if model.norbitals == 2:
-        H, J1, J2 = model._pauli_rows(ks, ((), (1,), (2,)))
-        r = _split(H)[1][-1]
-        M = np.stack([J1[1:].T, J2[1:].T], axis=-1)            # (S, 3, j)
-        return 2.0 * r, -np.einsum("sji,is->sj", np.linalg.pinv(M), H[1:])
-    H, J1, J2 = model._assemble(ks, ((), (1,), (2,)))
-    w, V = np.linalg.eigh(H)
-    P = V[:, :, m - 1:m + 1]
-    Ph = P.conj().swapaxes(1, 2)
-    A = np.stack([Ph @ J @ P for J in (J1, J2)], axis=-1)     # (S, 2, 2, j)
-    M = np.stack([A[:, 0, 1].real, -A[:, 0, 1].imag,
-                  0.5 * (A[:, 0, 0] - A[:, 1, 1]).real], axis=1)
-    gap = w[:, m] - w[:, m - 1]
-    return gap, 0.5 * gap[:, None] * np.linalg.pinv(M)[:, :, 2]
+    The pair's 2 x 2 block of H has the traceless Pauli vector d, which
+    vanishes at a crossing, and by Hellmann-Feynman its Jacobian M (3 x 2)
+    holds the Pauli vectors of the pair's blocks of the currents J_j; all
+    are read from the pair's Pauli rows (_pair_rows), the step is -M^+ d,
+    M^+ the pseudo-inverse, and the gap is 2 |d| (_split).  For two bands
+    the block is H in the orbital basis, not the eigenbasis, and no
+    eigenvector is formed: a change of basis rotates every Pauli vector by
+    one R in SO(3), which cancels, (R M)^+ R d = M^+ d."""
+    (H, J1, J2), _ = _pair_rows(model, ks, ((), (1,), (2,)), m - 1)
+    r = _split(H)[1][-1]
+    M = np.stack([J1[1:].T, J2[1:].T], axis=-1)                # (S, 3, j)
+    return 2.0 * r, -np.einsum("sji,is->sj", np.linalg.pinv(M), H[1:])
 
 
 def minimize(model: HoppingModel, m: int, seeds) -> _Located:
@@ -269,9 +259,9 @@ def minimize(model: HoppingModel, m: int, seeds) -> _Located:
     trying a step of at most _LOCATE_XATOL in every cartesian component, or
     after _LOCATE_MAXITER iterations.  The convergence is quadratic at a
     conical zero, where the residual vanishes, and at best linear at a
-    gapped minimum.  Two-band models take no eigendecomposition here (see
-    _gauss_newton_step).  The name is the one the benchmark trace wraps to
-    count ``nfev``."""
+    gapped minimum.  Every N steps by the pair's Pauli rows, and two-band
+    models take no eigendecomposition here (see _gauss_newton_step).  The
+    name is the one the benchmark trace wraps to count ``nfev``."""
     k = np.array(seeds, dtype=float).reshape(-1, 2)
     gap, step = _gauss_newton_step(model, m, k)
     nfev = len(k)

@@ -32,11 +32,12 @@ _cone_pass, serves f_sing and zeta: per rule, eta and cone it builds the
 elliptic-polar nodes and decomposes them once, and each node contracts
 only the elements of the cone's band pair its formula needs.
 
-The B_eps band pair (_band_pair) takes the same form: for two bands one
-_pauli_rows call gives H and the currents, _split gives the pair d0 -+ r,
-and each current's three numbers that f_sing and zeta read are
-|m_j x n|^2 and a_j -+ m_j . n.  So no two-band eigenvector is formed on
-the Kubo route; N > 2 goes to np.linalg.eigh in both.
+The B_eps band pair (_band_pair) takes the same form for every N: the
+pair's Pauli rows in H and the currents (bloch._pair_rows, for two bands
+one _pauli_rows call) are split into the pair d0 -+ r, and each current's
+three numbers that f_sing and zeta read are |m_j x n|^2 and a_j -+ m_j . n.
+So no two-band eigenvector is formed on the Kubo route; for N > 2 the grid
+kernel and the pair rows each take one np.linalg.eigh.
 
 Conductivity extraction uses the pair estimator
 
@@ -73,7 +74,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import (HoppingModel, NumericalError, _max_current_norm, _max_frobenius,
-                    _require_directions, _split)
+                    _pair_rows, _require_directions, _split)
 from .cones import (
     FermiPoint,
     _cone_pair,
@@ -861,44 +862,28 @@ def _elliptic_polar_nodes(cone: FermiPoint, eps: float, eta: float,
 
 
 def _band_pair(model: HoppingModel, ks: np.ndarray, currents, lo: int):
-    """The cone's band pair lo (cones._cone_pair) on a batch of momenta, from
-    one assembly of H and the currents J_d, d in ``currents``: (lam_lo,
-    lam_hi, {d: (|<lo|J_d|hi>|^2, <lo|J_d|lo>, <hi|J_d|hi>)}), per point.
-
-    Two bands (lo = 0) take the grid kernel's form and no eigenvector: with
-    the Pauli rows of H = d0 + d . sigma and J_d = a_d + m_d . sigma
-    (HoppingModel._pauli_rows), the pair is _split's d0 -+ r, and with
-    n = d / r the three numbers are |m_d x n|^2 and a_d -+ m_d . n, as in
-    _pauli_blocks.  Where r = 0, H is a multiple of the identity and n is
-    taken as 0: the numbers stay finite, and the node's Lorentzian factor,
-    proportional to lam_hi - lam_lo = 0, makes it add nothing.  Other N are
-    diagonalized by np.linalg.eigh, and TwoBandIsolationFailed is raised
-    unless every other band stays beyond twice the pair's sampled window."""
-    keys = [()] + [(d,) for d in currents]
-    if model.norbitals == 2:
-        H, *J = model._pauli_rows(ks, keys)
-        w, (dx, dy, dz, r) = _split(H)
-        safe = np.where(r > 0.0, r, 1.0)
-        n = (dx / safe, dy / safe, dz / safe)
-        elements = {}
-        for d, Jd in zip(currents, J):
-            c, along = _cross(Jd[1:], n), _dot(Jd[1:], n)
-            elements[d] = (_dot(c, c), Jd[0] - along, Jd[0] + along)
-        return w[:, 0], w[:, 1], elements
-    H, *J = model._assemble(ks, keys)
-    w, V = np.linalg.eigh(H)
-    lam_lo, lam_hi = _isolated_pair(w, (lo, lo + 1), model.fermi_energy, 2.0,
-                                    "shrink eps")
-    v_lo, v_hi = V[:, :, lo], V[:, :, lo + 1]
-    return lam_lo, lam_hi, {d: (np.abs(_element(v_lo, Jd, v_hi)) ** 2,
-                                _element(v_lo, Jd, v_lo).real,
-                                _element(v_hi, Jd, v_hi).real)
-                            for d, Jd in zip(currents, J)}
-
-
-def _element(u: np.ndarray, J: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<u|J|v> per point, for (M, N) vectors and an (M, N, N) stack."""
-    return np.einsum("ka,kab,kb->k", u.conj(), J, v)
+    """The cone's band pair lo (cones._cone_pair) on a batch of momenta:
+    (lam_lo, lam_hi, {d: (|<lo|J_d|hi>|^2, <lo|J_d|lo>, <hi|J_d|hi>)}), per
+    point, for d in ``currents``.  With the Pauli rows (bloch._pair_rows)
+    of the pair's blocks H = d0 + d . sigma and J_d = a_d + m_d . sigma, the
+    pair is _split's d0 -+ r, and with n = d / r the three numbers are
+    |m_d x n|^2 and a_d -+ m_d . n, as in _pauli_blocks; two bands form no
+    eigenvector.  Where r = 0, the block is a multiple of the identity and
+    n is taken as 0: the numbers stay finite, and the node's Lorentzian
+    factor, proportional to lam_hi - lam_lo = 0, makes it add nothing.  For
+    N > 2, TwoBandIsolationFailed is raised unless every other band stays
+    beyond twice the pair's sampled window."""
+    (H, *J), w = _pair_rows(model, ks, [()] + [(d,) for d in currents], lo)
+    if w is not None:
+        _isolated_pair(w, (lo, lo + 1), model.fermi_energy, 2.0, "shrink eps")
+    pair, (dx, dy, dz, r) = _split(H)
+    safe = np.where(r > 0.0, r, 1.0)
+    n = (dx / safe, dy / safe, dz / safe)
+    elements = {}
+    for d, Jd in zip(currents, J):
+        c, along = _cross(Jd[1:], n), _dot(Jd[1:], n)
+        elements[d] = (_dot(c, c), Jd[0] - along, Jd[0] + along)
+    return pair[:, 0], pair[:, 1], elements
 
 
 def _f_sing_nodes(pair, eta: float, j: int) -> np.ndarray:

@@ -232,6 +232,15 @@ def tilted_qwz(tau, u=1.0):
     return dataclasses.replace(model, terms=terms)
 
 
+def with_far_band(model, level):
+    """``model`` with one more orbital, decoupled, at the energy ``level``."""
+    terms = {cell: np.pad(T, (0, 1)) for cell, T in model.terms.items()}
+    terms[0, 0][-1, -1] = level
+    return cc.HoppingModel(lattice=model.lattice, norbitals=model.norbitals + 1,
+                           positions=np.vstack([model.positions, np.zeros(2)]),
+                           terms=terms, fermi_energy=model.fermi_energy)
+
+
 #: Hypothesis strategy of the seeds of one_cone_model
 one_cone_seeds = st.integers(0, 2**32 - 1)
 

@@ -9,10 +9,12 @@ from hypothesis import example, given, settings
 
 import conecond as cc
 import conecond.cones as cones
+from conecond.bloch import _pair_rows
 from conecond.cones import _occupied_band_index, _seed_mask
 from conecond.spectra import _level_bounds
 
-from conftest import dual_images, one_cone_model, one_cone_seeds
+from conftest import (dual_images, one_cone_model, one_cone_seeds, three_band_dict,
+                      with_far_band)
 
 
 def synthetic_cone(Q, omega=None, tilt=(0.0, 0.0), lat=None):
@@ -324,20 +326,73 @@ TWO_BAND_CASES = [
 ]
 
 
+def step_momenta(model):
+    """Momenta across the zone, near each cone and at the far seeds."""
+    rng = np.random.default_rng(1)
+    return np.vstack([model.lattice.from_fractional(rng.uniform(-0.5, 0.5, (64, 2))),
+                      *[c.omega + 1e-3 * rng.normal(size=(8, 2))
+                        for c in cc.characterize_cones(model)], FAR_SEEDS])
+
+
 @pytest.mark.parametrize("model", TWO_BAND_CASES)
 def test_two_band_step_matches_the_eigenbasis_step(model):
     # the Pauli-row step -M^+ d is the eigenbasis one, since the frame
-    # rotation cancels: on momenta across the zone, near each cone and at
-    # the far seeds
-    rng = np.random.default_rng(1)
-    ks = np.vstack([model.lattice.from_fractional(rng.uniform(-0.5, 0.5, (64, 2))),
-                    *[c.omega + 1e-3 * rng.normal(size=(8, 2))
-                      for c in cc.characterize_cones(model)], FAR_SEEDS])
+    # rotation cancels
+    ks = step_momenta(model)
     gap, step = cones._gauss_newton_step(model, 1, ks)
     want_gap, want_step = eigenbasis_step_reference(model, 1, ks)
     assert np.abs(gap - want_gap).max() <= 1e-14 * model.spectral_radius()
     err = np.linalg.norm(step - want_step, axis=1)
     assert np.all(err <= 1e-12 * np.linalg.norm(want_step, axis=1))
+
+
+@pytest.mark.parametrize("model, m", [
+    pytest.param(with_far_band(cc.preset_qwz(-2.0, 2.0, 1.0), -5.0), 2, id="qwz-aniso-band-below"),
+    pytest.param(with_far_band(cc.preset_haldane(1.0, 0.1, 0.0, 0.0), 4.0), 1,
+                 id="honeycomb-band-above"),
+    pytest.param(cc.model_from_dict(three_band_dict(2.2)), 2, id="three-band-hybridized"),
+])
+def test_pair_step_matches_the_eigenbasis_step_for_more_bands(model, m):
+    # for N > 2 the pair's Pauli rows are written from the same eigh as the
+    # eigenbasis step, so the gap and the step are the same floats
+    ks = step_momenta(model)
+    gap, step = cones._gauss_newton_step(model, m, ks)
+    want_gap, want_step = eigenbasis_step_reference(model, m, ks)
+    assert np.array_equal(gap, want_gap) and np.array_equal(step, want_step)
+
+
+def pauli_vector(H):
+    """The traceless Pauli vector (dx, dy, dz) of a Hermitian 2 x 2 H."""
+    return np.array([H[1, 0].real, H[1, 0].imag, 0.5 * (H[0, 0] - H[1, 1]).real])
+
+
+@pytest.mark.parametrize("model", TWO_BAND_CASES)
+def test_pair_rows_give_the_k_dot_p_form_at_each_cone(model):
+    # at a cone the pair's half-gap is |M dk| to first order, with M the
+    # Pauli vectors of the pair's currents: M^T M is the cone's Q, here
+    # against central differences of H's Pauli vector; a decoupled band far
+    # below (N = 3) changes neither Q nor the tilt rows, the currents'
+    # identity parts
+    rho, h = model.spectral_radius(), 1e-6
+    three = with_far_band(model, model.fermi_energy - 10.0 * rho)
+    found = cc.characterize_cones(model)
+    assert found
+    for cone in found:
+        (_, J1, J2), w = _pair_rows(model, cone.omega, ((), (1,), (2,)), 0)
+        assert w is None
+        M = np.column_stack([J1[1:, 0], J2[1:, 0]])
+        Q = M.T @ M
+        D = np.column_stack([
+            (pauli_vector(cc.h_at(model, cone.omega + h * e))
+             - pauli_vector(cc.h_at(model, cone.omega - h * e))) / (2.0 * h)
+            for e in np.eye(2)])
+        assert np.abs(Q - D.T @ D).max() <= 1e-8 * np.abs(Q).max()
+        (_, K1, K2), w3 = _pair_rows(three, cone.omega, ((), (1,), (2,)), 1)
+        assert w3.shape == (1, 3)
+        M3 = np.column_stack([K1[1:, 0], K2[1:, 0]])
+        assert np.abs(M3.T @ M3 - Q).max() <= 1e-14 * np.abs(Q).max()
+        tilt, tilt3 = np.array([J1[0, 0], J2[0, 0]]), np.array([K1[0, 0], K2[0, 0]])
+        assert np.abs(tilt3 - tilt).max() <= 1e-14 * np.sqrt(np.abs(Q).max())
 
 
 def test_locator_reports_near_threshold_minimum(monkeypatch):
@@ -503,15 +558,6 @@ def test_fit_cone_rejects_quadratic_touching():
     })
     with pytest.raises(cc.NotConical):
         cc.fit_cone(model, np.zeros(2))
-
-
-def with_far_band(model, level):
-    """``model`` with one more orbital, decoupled, at the energy ``level``."""
-    terms = {cell: np.pad(T, (0, 1)) for cell, T in model.terms.items()}
-    terms[0, 0][-1, -1] = level
-    return cc.HoppingModel(lattice=model.lattice, norbitals=model.norbitals + 1,
-                           positions=np.vstack([model.positions, np.zeros(2)]),
-                           terms=terms, fermi_energy=model.fermi_energy)
 
 
 def lapack_shapes(monkeypatch):

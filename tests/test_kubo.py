@@ -23,7 +23,7 @@ from scipy.integrate import simpson
 import conecond as cc
 from conecond import bloch, kubo
 from conecond.kubo import _cone_pass, _fermi_gaps, _grid_values
-from conftest import one_cone_model, random_momenta, tilted_qwz
+from conftest import one_cone_model, random_momenta, tilted_qwz, with_far_band
 
 
 def _pair_data(model, grid, j, l):
@@ -394,7 +394,7 @@ def _assert_cone_integrals_match_dense(model, cones, eps):
 
 
 @pytest.mark.parametrize("name", ["haldane_one_cone", "qwz_aniso", "tilted_qwz",
-                                  "hex_flat_band_model"])
+                                  "hex_flat_band_model", "qwz_aniso_band_below"])
 def test_cone_integrals_match_dense_rotation(name, request):
     # fjj_sing and zeta_jj contract only the straddling pair's elements; a
     # dense read of the same elements from the fully rotated current agrees
@@ -411,6 +411,10 @@ def test_cone_integrals_match_dense_rotation(name, request):
         model = tilted_qwz(0.4, u=-2.0)
         cones = cc.characterize_cones(model)
         assert np.abs(cones[0].tilt - (0.4, 0.0)).max() < 1e-3
+    elif name == "qwz_aniso_band_below":
+        # N = 3, the cone pair (1, 2) of qwz_aniso above a decoupled band
+        model = with_far_band(request.getfixturevalue("qwz_aniso"), -5.0)
+        cones = request.getfixturevalue("qwz_aniso_cones")
     else:
         # N = 3, with eps small enough that the pair stays isolated
         model = request.getfixturevalue(name)
