@@ -19,11 +19,12 @@ H(k) and its k-derivatives are evaluated as one Fourier sum over the
 distinct displacements d_u = gamma + (r_b - r_a), in real arithmetic: since
 d_u and -d_u come in pairs, a cosine and a sine coefficient table per pair,
 built once per model, contracted with the phase rows cos(k . d_u) and
-sin(k . d_u) of a batch of momenta (HoppingModel._assemble; for two bands
-also the Pauli rows of H = s0 + s . sigma, HoppingModel._pauli_rows).  The
-rows of a uniform grid are built from per-axis tables instead
-(HoppingModel._grid_phases).  The package's one H(k) eigenvalue solver is
-_eigvals, which reads either kind of phase rows (two bands: _split).  The
+sin(k . d_u) of a batch of momenta (HoppingModel._assemble_phases; for two
+bands also the Pauli rows of H = s0 + s . sigma, _pauli_phases; _assemble
+and _pauli_rows build the rows of momenta first).  The rows of a uniform
+grid are built from per-axis tables instead (HoppingModel._grid_phases).
+The package's one H(k) eigenvalue solver is _eigvals, which reads either
+kind of phase rows (two bands: _split).  The
 Pauli rows of one band pair's 2 x 2 block, in H and its derivatives, come
 from _pair_rows for every N: _pauli_rows for two bands, one eigh for more.
 """
@@ -95,7 +96,9 @@ class HoppingModel:
     Construction is the one place the input rules are checked, for every
     constructor (presets and model files included): a non-finite position,
     hopping entry or mu raises ModelFormatError, then a term without its
-    partner or with an inconsistent one raises HoppingConflict.
+    partner or with an inconsistent one raises HoppingConflict, and a model
+    whose H(k) or derivatives could overflow (a coefficient table with a
+    column sum of |entries| that is not finite) raises ModelFormatError.
     """
 
     lattice: Lattice2D
@@ -119,6 +122,9 @@ class HoppingModel:
     _nexp: int = field(init=False, repr=False, compare=False)
     _npair: int = field(init=False, repr=False, compare=False)
 
+    # entries too large for floats overflow to inf while the tables are
+    # built; the table check below refuses them, without a warning
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         N = int(self.norbitals)
         pos = np.asarray(self.positions, dtype=float).reshape(N, 2).copy()
@@ -185,6 +191,11 @@ class HoppingModel:
                 w = -dj * disp[:n_exp, l - 1, None]
                 tables[(j, l)] = tables[(l, j)] = np.vstack([w * C, w * S, zero_row])
         tables = {key: K.view(float) for key, K in tables.items()}
+        # |cos| and |sin| are at most 1, so the column sums of a table's
+        # |entries| bound every entry of its stack at every momentum
+        if not all(np.isfinite(np.abs(K).sum(axis=0)).all() for K in tables.values()):
+            raise ModelFormatError("hopping entries too large: H(k) or its derivatives "
+                                   "would overflow")
         pauli = ({key: _TO_PAULI @ K[:, [0, 4, 5, 6]].T for key, K in tables.items()}
                  if N == 2 else {})
         for arr in (disp, *tables.values(), *pauli.values()):
@@ -222,30 +233,40 @@ class HoppingModel:
         differ between a small batch and a large one (a random 3-orbital
         model with 63 phase columns: batches of up to 700 momenta against
         1000 or more)."""
+        ks = np.asarray(ks, dtype=float).reshape(-1, 2)
+        return [S[:len(ks)] for S in self._assemble_phases(self._phases(ks), derivatives)]
+
+    def _assemble_phases(self, phase: np.ndarray, derivatives) -> list:
+        """_assemble at the M columns of the phase rows ``phase`` (_phases or
+        _grid_phases): one (M, N, N) stack per key, each one matmul of the
+        transposed rows with the key's coefficient table."""
         tables = [self._tables.get(tuple(derivs)) for derivs in derivatives]
         for derivs, K in zip(derivatives, tables):
             if K is None:
                 _require_directions(*derivs)
                 raise ValueError(f"at most two derivatives, got {derivs}")
-        ks = np.asarray(ks, dtype=float).reshape(-1, 2)
-        phase = self._phases(ks).T
-        shape = (len(phase), self.norbitals, self.norbitals)
-        return [(phase @ K).view(complex).reshape(shape)[:len(ks)] for K in tables]
+        shape = (phase.shape[1], self.norbitals, self.norbitals)
+        return [(phase.T @ K).view(complex).reshape(shape) for K in tables]
 
     def _pauli_rows(self, ks: np.ndarray, derivatives, out=None) -> np.ndarray:
         """For two bands, one (S, 4, M) real array: per derivative key (as in
         _assemble) the rows (s0, sx, sy, sz) of S = s0 + s . sigma, those of
-        the _assemble stacks (_TO_PAULI) up to rounding.  One matmul
-        of the phase rows with the keys' tables stacked, each _TO_PAULI of the
-        float columns Re S00, Re S10, Im S10, Re S11; C-contiguous ``out``
-        gets it if M > 1."""
-        tables = np.vstack([self._pauli_tables[tuple(derivs)] for derivs in derivatives])
+        the _assemble stacks (_TO_PAULI) up to rounding (_pauli_phases of
+        the momenta's phase rows); C-contiguous ``out`` gets it if M > 1."""
         ks = np.asarray(ks, dtype=float).reshape(-1, 2)
-        phase = self._phases(ks)
-        if out is None or len(ks) == 1:
+        return self._pauli_phases(self._phases(ks), derivatives,
+                                  None if len(ks) == 1 else out)[:, :, :len(ks)]
+
+    def _pauli_phases(self, phase: np.ndarray, derivatives, out=None) -> np.ndarray:
+        """_pauli_rows at the M columns of the phase rows ``phase``: one
+        matmul of the rows with the keys' tables stacked, each _TO_PAULI of
+        the float columns Re S00, Re S10, Im S10, Re S11, into C-contiguous
+        ``out`` when given."""
+        tables = np.vstack([self._pauli_tables[tuple(derivs)] for derivs in derivatives])
+        if out is None:
             out = np.empty((len(tables) // 4, 4, phase.shape[1]))
         np.matmul(tables, phase, out=out.reshape(len(tables), -1))
-        return out[:, :, :len(ks)]
+        return out
 
     def _phases(self, ks: np.ndarray) -> np.ndarray:
         """The real (2 n_exp + 1, M) phase rows [cos theta; sin theta; 1] of
@@ -306,12 +327,24 @@ class HoppingModel:
         return float(np.abs(w).max())
 
 
+def _binary_exponent(x) -> int:
+    """The exponent e of the largest |entry| of x, which lies in
+    [2^(e-1), 2^e) (np.frexp; 0 when x is empty or zero): scaling x by 2^-e
+    is exact and brings every entry to at most 1, so its squares neither
+    overflow nor underflow."""
+    return int(np.frexp(np.abs(x).max(initial=0.0))[1])
+
+
 def _max_frobenius(stack: np.ndarray) -> float:
     """Largest Frobenius norm in an (M, N, N) stack; for a current stack an
     upper bound on the operator norm, hence on the band slopes: one einsum
-    over each matrix's real and imaginary parts as one row of floats."""
+    over each matrix's real and imaginary parts as one row of floats,
+    scaled by the stack's _binary_exponent (exact), so the norm is finite
+    and nonzero whenever an entry is."""
     x = np.ascontiguousarray(stack).view(float).reshape(len(stack), -1)
-    return float(np.sqrt(np.einsum("ki,ki->k", x, x).max()))
+    e = _binary_exponent(x)
+    x = np.ldexp(x, -e)
+    return float(np.ldexp(np.sqrt(np.einsum("ki,ki->k", x, x).max()), e))
 
 
 def _max_current_norm(model: HoppingModel, ks: np.ndarray) -> float:
@@ -323,11 +356,11 @@ def _split(rows) -> tuple:
     """The eigenvalues of two-band matrices H = d0 + d . sigma from their
     Pauli rows (d0, dx, dy, dz) (HoppingModel._pauli_rows): the ascending
     d0 -+ r (M, 2), r = |d|, and (dx, dy, dz, r).  r is sqrt(d . d) of d
-    scaled by the power of two of the stack's largest |component|, which is
-    exact: r is finite whenever |d| is, and bit for bit the unscaled
-    formula's while every |d| lies within 1e+-150 of 1 and of the largest."""
+    scaled by the stack's _binary_exponent, which is exact: r is finite
+    whenever |d| is, and bit for bit the unscaled formula's while every |d|
+    lies within 1e+-150 of 1 and of the largest."""
     d0, dx, dy, dz = rows
-    e = np.frexp(np.abs(rows[1:]).max(initial=0.0))[1]
+    e = _binary_exponent(rows[1:])
     r = np.ldexp(np.sqrt(sum(np.ldexp(x, -e) ** 2 for x in (dx, dy, dz))), e)
     return np.stack((d0 - r, d0 + r), axis=1), (dx, dy, dz, r)
 
@@ -357,16 +390,15 @@ def _pair_rows(model: HoppingModel, ks: np.ndarray, derivatives, lo: int) -> tup
 def _eigvals(model: HoppingModel, phase: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues (M, N) of H at the M columns of the phase rows
     ``phase`` (HoppingModel._phases or _grid_phases): for two bands _split
-    of their product with the Pauli table, as in _pauli_rows, else
-    np.linalg.eigvalsh of H's stack, formed as in _assemble.  Phase rows
-    passed as a temporary are freed once the product is formed, so they
-    and the solver's buffers are never held at once."""
-    N = model.norbitals
-    if N == 2:
-        rows = model._pauli_tables[()] @ phase
+    of H's Pauli rows (_pauli_phases), else np.linalg.eigvalsh of H's stack
+    (_assemble_phases).  Phase rows passed as a temporary are freed once
+    the product is formed, so they and the solver's buffers are never held
+    at once."""
+    if model.norbitals == 2:
+        rows = model._pauli_phases(phase, ((),))[0]
         del phase
         return _split(rows)[0]
-    H = (phase.T @ model._tables[()]).view(complex).reshape(-1, N, N)
+    H = model._assemble_phases(phase, ((),))[0]
     del phase
     return np.linalg.eigvalsh(H)
 

@@ -50,8 +50,8 @@ from .kubo import (
     NotConverged,
     _cone_pass,
     _eta_sweep,
+    _sweep_etas,
     _unconverged,
-    _validate_halving,
     closed_form_report,
     default_eta_sequence,
     sigma_kubo,
@@ -162,7 +162,7 @@ class RunConfig:
             raise ConfigParse("--eps must be positive and finite")
         if self.eta_seq is not None:
             try:
-                _validate_halving(self.eta_seq)
+                _sweep_etas(self.model, self.eta_seq)
             except ValueError as exc:
                 raise ConfigParse(f"--eta-seq: {exc}") from exc
         if self.method == "closed" and any(j != l for j, l in self.directions):
@@ -299,9 +299,11 @@ def _run_validation_checks(model: HoppingModel) -> list:
     )
     checks.append(("hermiticity_at_k", herm < 1e-12, herm, 1e-12))
 
+    # the covariance and derivative defects are relative to the scale of H
+    scale = max(1.0, float(np.abs(H).max()))
     # one assembly per G: H at the first 5 momenta comes from the batch
     cov = max(covariance_defect(model, ks[:5], m1, m2, H[:5])
-              for (m1, m2) in ((1, 0), (0, 1), (1, 1), (2, -1)))
+              for (m1, m2) in ((1, 0), (0, 1), (1, 1), (2, -1))) / scale
     checks.append(("dual_covariance", cov < 1e-10, cov, 1e-10))
 
     # derivatives at the first 20 momenta against central differences: one
@@ -310,7 +312,6 @@ def _run_validation_checks(model: HoppingModel) -> list:
     derivs = ((1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2))
     D = dict(zip(derivs, model._assemble(k20, derivs)))
     fd_err = fd2_err = 0.0
-    scale = max(1.0, float(np.abs(H).max()))
     for j, e in ((1, np.array([step, 0.0])), (2, np.array([0.0, step]))):
         shifted = (model._assemble(k, ((), (1,), (2,))) for k in (k20 + e, k20 - e))
         (Hp, *Jp), (Hm, *Jm) = shifted
@@ -520,15 +521,9 @@ def cmd_sigma(cfg: RunConfig) -> int:
     }
     exit_code = 0
     if cfg.method == "closed":
-        report = closed_form_report(cones, cfg.directions)
-        payload["method"] = report.method
-        payload["sigma"] = {
-            _sigma_key(j, l): v for (j, l), v in report.sigma.items()
-        }
-        payload["per_cone"] = {
-            str(j): list(v) for j, v in report.per_cone.items()
-        }
-        payload["diagnostics"] = report.diagnostics
+        rep = closed_form_report(cones, cfg.directions)
+        payload["per_cone"] = {str(j): list(v) for j, v in rep.per_cone.items()}
+        payload["diagnostics"] = rep.diagnostics
     else:
         eta_seq = cfg.eta_seq or default_eta_sequence(model)
         try:
@@ -537,11 +532,7 @@ def cmd_sigma(cfg: RunConfig) -> int:
         except NotConverged as exc:
             rep = exc.report
             exit_code = 3
-        payload["method"] = "kubo_extrapolation"
-        payload["sigma"] = {_sigma_key(*p): v for p, v in rep.sigma.items()}
-        payload["converged"] = {
-            _sigma_key(*p): v for p, v in rep.converged.items()
-        }
+        payload["converged"] = {_sigma_key(*p): v for p, v in rep.converged.items()}
         payload["eta_sequence"] = list(eta_seq)
         payload["sigma_hat"] = {
             _sigma_key(*p): [
@@ -558,6 +549,9 @@ def cmd_sigma(cfg: RunConfig) -> int:
         }
         if cfg.csv:
             _emit(_sigma_csv(rep.per_eta), cfg.csv)
+    # both methods fill the places of "method" and "sigma" held above
+    payload["method"] = rep.method
+    payload["sigma"] = {_sigma_key(*p): v for p, v in rep.sigma.items()}
     payload["cones"] = len(cones)
     _emit(json_report(payload), cfg.out)
     return exit_code

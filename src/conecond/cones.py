@@ -44,11 +44,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import (HoppingModel, NumericalError, _eigvals, _max_current_norm,
-                    _pair_rows, _require_directions, _split, h_at)
+from .bloch import (HoppingModel, NumericalError, _binary_exponent, _eigvals,
+                    _max_current_norm, _pair_rows, _require_directions, _split, h_at)
 from .lattice import (Lattice2D, _images, _midpoints, _min_cart_distance, _reduced_basis,
                       wrap_fractional)
-from .spectra import AllBandsOnOneSide
+from .spectra import AllBandsOnOneSide, _level_atol
 
 __all__ = [
     "NoConvergence",
@@ -187,15 +187,15 @@ def _occupied_band_index(model: HoppingModel, w_grid: np.ndarray) -> int:
     number of levels <= mu is the number of points whose count exceeds c,
     so N column compares give every count's frequency; and the level rule
     fits m at every point unless some w[:, m] < mu - atol or some
-    w[:, m - 1] > mu + atol, two column tests (atol as in
-    spectra._level_bounds; the second is "not <=", so a NaN refuses m > 0
-    as the counts of _level_bounds do).
+    w[:, m - 1] > mu + atol, two column tests (spectra._level_atol; the
+    second is "not <=", so a NaN refuses m > 0 as the counts of
+    spectra._level_bounds do).
     """
     mu = model.fermi_energy
     M, N = w_grid.shape
     at_least = [M] + [np.count_nonzero(w_grid[:, c] <= mu) for c in range(N)] + [0]
     m = int(np.argmax(np.subtract(at_least[:-1], at_least[1:])))
-    atol = 1e-12 * (1.0 + float(np.abs(w_grid).max()))
+    atol = _level_atol(w_grid)
     if ((m < N and w_grid[:, m].min() < mu - atol)
             or (m > 0 and not w_grid[:, m - 1].max() <= mu + atol)):
         raise BandCrossingRegion(
@@ -530,7 +530,7 @@ def fit_cone(
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     misfit = design[:directions] @ coef - target[:directions]
     # norms of rows scaled by one power of two (exact): squares stay finite
-    e = -np.frexp(np.abs(target[:directions]).max())[1]
+    e = -_binary_exponent(target[:directions])
     resid1 = float(np.linalg.norm(np.ldexp(misfit, e))
                    / np.linalg.norm(np.ldexp(target[:directions], e)))
     (r1, r2), (c1, c2), (t1, t2) = radii[:2], coef[:6].reshape(2, 3), tilts[:2]
@@ -592,7 +592,7 @@ def sigma_closed_form(cones, j: int):
     _require_directions(j)
     per_cone = []
     for c in cones:
-        Q = np.ldexp(c.Q, -np.frexp(np.abs(c.Q).max())[1])
+        Q = np.ldexp(c.Q, -_binary_exponent(c.Q))
         per_cone.append(float(Q[j - 1, j - 1] / (16.0 * np.sqrt(np.linalg.det(Q)))))
     return float(sum(per_cone)), per_cone
 
@@ -605,7 +605,7 @@ def neighborhoods_disjoint(cones, lat: Lattice2D, eps: float) -> bool:
     compared over every ordered pair of cones and the images that can come
     within two radii (Lattice2D.images), each cone's zero self-image left
     out."""
-    radii = np.array([eps / (2.0 * np.sqrt(np.linalg.eigvalsh(c.Q)[0])) for c in cones])
+    radii = np.array([eps / (2.0 * np.sqrt(c.lambda_star)) for c in cones])
     z = lat.to_zone(np.array([c.omega for c in cones]).reshape(-1, 2))
     a, b = np.indices((len(cones),) * 2).reshape(2, -1)
     for dk in lat.images(z[b] - z[a], 2.0 * radii.max()):

@@ -530,7 +530,7 @@ class _Tally(NamedTuple):
     (before the 1 / (2 pi)^2) and what its checks read."""
 
     total: float
-    top: float        # max per-point sum (sign check)
+    top: float        # max per-point value, at least 0 (sign check)
     scale: float      # max |per-point sum|
     imag: float       # max |Im trace| (Schwinger)
     spacing: float    # widest cell among points with Fermi gap below 4|eta|
@@ -539,12 +539,23 @@ class _Tally(NamedTuple):
 
 class _Points(NamedTuple):
     """What a _pair_sum_on_grid pass finds at its points whatever the
-    requests: their count, the smallest Fermi gap (inf without one) and the
-    momentum (k1, k2) of its first point with that gap."""
+    requests: their count, the smallest Fermi gap (inf without one), the
+    momentum (k1, k2) of its first point with that gap, and the degeneracy
+    floor the pass skipped points below."""
 
     size: int
     min_gap: float
     at: tuple
+    floor: float
+
+
+def _distinct_requests(requests) -> list:
+    """The (quantity, eta, (j, l)) ``requests`` without repeats, in order;
+    ValueError unless every eta is finite."""
+    requests = list(dict.fromkeys(requests))
+    if not all(np.isfinite(eta) for _, eta, _ in requests):
+        raise ValueError("eta must be finite")
+    return requests
 
 
 def _gated(request) -> bool:
@@ -574,34 +585,30 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
     no complex stack.  Other N take the stacks of HoppingModel._assemble,
     np.linalg.eigh and _blocks.
     _point_values evaluates every request at every point into one (R, M)
-    array, so the maxima, the weighting and the sum run once per chunk for
-    all requests; the rows and the values fill buffers of the pass.
+    array, rows in request order, so the maxima, the weighting and the sum
+    run once per chunk for all requests; the rows and the values fill
+    buffers of the pass.  Every row keeps its per-point maximum, and
+    _checked decides which rows' signs it reads.
 
     ``grid`` may be a whole grid or one part of one (GridPolicy._parts), so
     nothing is refused here but a non-finite eta (ValueError, before the
-    pass): returns ({request: _Tally} in request order, _Points), and
-    _checked sums and checks a grid's passes, gated or not; the gate's
-    statistics are always taken.  From the first chunk with a Fermi gap
-    below the degeneracy floor (_DEGENERACY_FLOOR x the model's largest
-    hopping entry) on, nothing is summed, since every grid holding the pass
-    is refused, but every chunk's gaps are still read, so _Points holds the
-    smallest gap of the pass.  Each chunk's weighted values are summed per
-    row and added to the pass's totals in chunk order, so no per-point array
-    outlives its chunk.
+    pass, _distinct_requests): returns ({request: _Tally} in request order,
+    _Points), and _checked sums and checks a grid's passes, gated or not;
+    the gate's statistics are always taken.  From the first chunk with a
+    Fermi gap below the degeneracy floor (_DEGENERACY_FLOOR x the model's
+    largest hopping entry, reported as _Points.floor) on, nothing is
+    summed, since every grid holding the pass is refused, but every chunk's
+    gaps are still read, so _Points holds the smallest gap of the pass.
+    Each chunk's weighted values are summed per row and added to the pass's
+    totals in chunk order, so no per-point array outlives its chunk.
     """
-    requests = list(dict.fromkeys(requests))
-    if not all(np.isfinite(eta) for _, eta, _ in requests):
-        raise ValueError("eta must be finite")
+    requests = _distinct_requests(requests)
     npts = len(grid)
     spacing = _grid_spacing_cart(grid)
     currents = sorted({d for q, _, p in requests if q != "schwinger" for d in p})
     hessians = sorted({p for q, _, p in requests if q == "schwinger"})
     gate_etas = {abs(r[1]) for r in requests if _gated(r)}
-    # the f_jl rows first: the sign check reads only their maxima
-    rows = sorted(requests, key=lambda r: r[0] != "f_jl")
-    n_fjl = sum(q == "f_jl" for q, _, _ in rows)
-    top, scale, imag = np.zeros(n_fjl), np.zeros(len(rows)), np.zeros(len(rows))
-    totals = np.zeros(len(rows))
+    top, scale, imag, totals = (np.zeros(len(requests)) for _ in range(4))
     floor = _DEGENERACY_FLOOR * model._max_hopping
     jmax = dict.fromkeys(currents, 0.0)
     worst_spacing = dict.fromkeys(gate_etas, 0.0)
@@ -609,7 +616,7 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
     keys = [()] + [(d,) for d in currents] + hessians
     two_band = model.norbitals == 2
     size = min(npts, _CHUNK)         # buffers of the pass, filled by every chunk
-    pauli_buffer, value_buffer = np.empty(4 * len(keys) * size), np.empty(len(rows) * size)
+    pauli_buffer, value_buffer = np.empty(4 * len(keys) * size), np.empty(len(requests) * size)
     for lo in range(0, npts, _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, npts))
         ks = grid.points[sl]
@@ -633,25 +640,24 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
         for d, Jd in J.items():      # two bands: ||J||_F^2 = 2 (a^2 + |m|^2)
             jmax[d] = max(jmax[d], float(np.sqrt(2.0 * np.einsum("im,im->m", Jd, Jd).max()))
                           if two_band else _max_frobenius(Jd))
-        out = value_buffer[:len(rows) * len(ks)].reshape(len(rows), len(ks))
-        values, im = _point_values(rows, w, counts, basis, J, D2, out)
+        out = value_buffer[:len(requests) * len(ks)].reshape(len(requests), len(ks))
+        values, im = _point_values(requests, w, counts, basis, J, D2, out)
         most, least = values.max(axis=1, initial=0.0), values.min(axis=1, initial=0.0)
         imag = np.maximum(imag, im)
-        top = np.maximum(top, most[:n_fjl])
+        top = np.maximum(top, most)
         scale = np.maximum(scale, np.maximum(most, -least))
         values *= grid.weights[sl]
         totals += values.sum(axis=1)
     tallies = {}
-    for r in requests:
-        i, (_, eta, (j, l)) = rows.index(r), r
-        tallies[r] = _Tally(float(totals[i]), float(top[i]) if i < n_fjl else 0.0,
-                            float(scale[i]), float(imag[i]),
+    for i, r in enumerate(requests):
+        _, eta, (j, l) = r
+        tallies[r] = _Tally(float(totals[i]), float(top[i]), float(scale[i]), float(imag[i]),
                             worst_spacing.get(abs(eta), 0.0),
                             max(jmax.get(j, 0.0), jmax.get(l, 0.0)))
-    return tallies, _Points(npts, min_gap, at)
+    return tallies, _Points(npts, min_gap, at, floor)
 
 
-def _checked(requests, gate: bool, passes, floor: float) -> tuple:
+def _checked(requests, gate: bool, passes) -> tuple:
     """({request: weighted grid sum / (2 pi)^2} in request order, the
     smallest Fermi-level gap or inf) of a grid from the _pair_sum_on_grid
     ``passes`` over its parts, in grid order: each request's sum is the sum
@@ -660,23 +666,23 @@ def _checked(requests, gate: bool, passes, floor: float) -> tuple:
 
     A Fermi-level degeneracy is the same for every request and raises
     DegeneratePoint first, at the smallest Fermi gap of the grid (its first
-    point in grid order) when that lies below the degeneracy ``floor`` (the
-    passes' own, see _pair_sum_on_grid).  Then
+    point in grid order) when that lies below the passes' degeneracy floor
+    (_Points.floor).  Then
     every request is checked as if evaluated alone, and the first failing
     one in request order raises: GridTooCoarse when ``gate`` is set and, for
     eta != 0, the points with Fermi gap below 4|eta| sit in cells too wide
     for that eta at the request's own current scale; RuntimeError when a
     longitudinal (j = l) f_jl per-point sum loses its nonpositive sign or a
     Schwinger trace acquires an imaginary part."""
-    min_gap, at = min(((p.min_gap, p.at) for _, p in passes), key=lambda g: g[0])
-    if min_gap < floor:
+    least = min((points for _, points in passes), key=lambda points: points.min_gap)
+    if least.min_gap < least.floor:
         raise DegeneratePoint(
-            f"Fermi-level degeneracy (gap {min_gap:.3e}) at grid "
-            f"point k=({at[0]:.6f}, {at[1]:.6f})"
+            f"Fermi-level degeneracy (gap {least.min_gap:.3e}) at grid "
+            f"point k=({least.at[0]:.6f}, {least.at[1]:.6f})"
         )
     out = {}
     for r in dict.fromkeys(requests):
-        _, eta, (j, l) = r
+        quantity, eta, (j, l) = r
         stats = np.array([tallies[r] for tallies, _ in passes])
         top, scale, imag, spacing, slope = stats[:, 1:].max(axis=0)
         e = abs(eta)
@@ -685,7 +691,7 @@ def _checked(requests, gate: bool, passes, floor: float) -> tuple:
                 f"near-cone spacing {spacing:.3e} x slope {slope:.3e} "
                 f"exceeds eta/{_GATE_CELL:g} = {e / _GATE_CELL:.3e}; refine the grid"
             )
-        if j == l and top > 1e-12 * max(1.0, scale):
+        if quantity == "f_jl" and j == l and top > 1e-12 * max(1.0, scale):
             raise RuntimeError(
                 "longitudinal integrand lost its definite sign "
                 f"(max {top:.3e}); numerical failure"
@@ -695,14 +701,13 @@ def _checked(requests, gate: bool, passes, floor: float) -> tuple:
                 f"trace of Hermitian product acquired imaginary part {imag:.3e}"
             )
         out[r] = float(stats[:, 0].sum()) / (2.0 * np.pi) ** 2
-    return out, min_gap
+    return out, least.min_gap
 
 
 def _grid_values(model: HoppingModel, grid: KGrid, requests, gate: bool) -> tuple:
     """The checked values of one _pair_sum_on_grid pass over the whole
     ``grid``: ({request: value}, min_gap), see _checked."""
-    return _checked(requests, gate, [_pair_sum_on_grid(model, grid, requests)],
-                    _DEGENERACY_FLOOR * model._max_hopping)
+    return _checked(requests, gate, [_pair_sum_on_grid(model, grid, requests)])
 
 
 def _grid_sums(model: HoppingModel, cones, grids) -> list:
@@ -721,8 +726,7 @@ def _grid_sums(model: HoppingModel, cones, grids) -> list:
             found = _pair_sum_on_grid(model, part, [r for i in held for r in asked[i]])
             for i in held:
                 passes[i].append(found)
-    floor = _DEGENERACY_FLOOR * model._max_hopping
-    return [(*_checked(requests, gate, p, floor), sum(points.size for _, points in p))
+    return [(*_checked(requests, gate, p), sum(points.size for _, points in p))
             for (_, _, _, requests, gate), p in zip(grids, passes)]
 
 
@@ -921,10 +925,8 @@ def _cone_pass(model: HoppingModel, cones, requests, eps,
     Q)), and names each cone's band pair, once for every rule.  Per rule,
     distinct eta and cone, the nodes are built and H with every current read
     there is decomposed once; each request keeps its formula."""
-    requests = list(dict.fromkeys(requests))
+    requests = _distinct_requests(requests)
     _require_directions(*(d for _, _, p in requests for d in p))
-    if not all(np.isfinite(eta) for _, eta, _ in requests):
-        raise ValueError("eta must be finite")
     if not 0 < fd_step < np.inf:
         raise ValueError(f"fd_step must be positive and finite, got {fd_step}")
     if not cones:
@@ -1027,6 +1029,22 @@ def _validate_halving(eta_sequence) -> list:
     return seq
 
 
+def _sweep_etas(model: HoppingModel, eta_sequence) -> list:
+    """The halving ``eta_sequence`` of a sweep on ``model`` (_validate_halving;
+    default_eta_sequence when None), refused with ValueError unless its
+    largest eta lies below the model's spectral radius: a Lorentzian wider
+    than the whole band structure makes every f(eta) and sigma_hat vanish
+    like 1/eta^2, so the sequence would pass the absolute convergence floor
+    with sigma ~ 0."""
+    seq = _validate_halving(default_eta_sequence(model) if eta_sequence is None
+                            else eta_sequence)
+    rho = model.spectral_radius()
+    if not max(seq) < rho:
+        raise ValueError(f"the largest eta {max(seq):.6g} is not below the model's "
+                         f"spectral radius {rho:.6g}")
+    return seq
+
+
 def sigma_hat_sequence(eta_sequence, f_values) -> list:
     """Pair estimator sigma_hat(eta_i) = (f(eta_{i-1}) - f(eta_i)) / eta_i
     along a halving eta sequence (eta_{i-1} = 2 eta_i).
@@ -1056,10 +1074,16 @@ def _conv_tol(sigma_hat: float) -> float:
     return max(_CONV_RTOL * abs(sigma_hat), _CONV_ATOL)
 
 
-def _converged(sigma_hats) -> bool:
-    if len(sigma_hats) < 2:
-        return False
-    return abs(sigma_hats[-1] - sigma_hats[-2]) < _conv_tol(sigma_hats[-1])
+def _hats(steps) -> list:
+    """The sigma_hat sequence of one pair's per_eta steps (eta, sigma_hat,
+    quad_error)."""
+    return [s_hat for _, s_hat, _ in steps]
+
+
+def _converged(h) -> bool:
+    """Whether the last two values of the sigma_hat sequence ``h`` agree to
+    within _conv_tol."""
+    return len(h) >= 2 and abs(h[-1] - h[-2]) < _conv_tol(h[-1])
 
 
 def _unconverged(report: ConductivityReport) -> list:
@@ -1069,7 +1093,7 @@ def _unconverged(report: ConductivityReport) -> list:
     for p, steps in report.per_eta.items():
         if report.converged[p]:
             continue
-        h = [s_hat for _, s_hat, _ in steps]
+        h = _hats(steps)
         why = (f"last change {abs(h[-1] - h[-2]):.3e}, tolerance {_conv_tol(h[-1]):.3e}"
                if len(h) >= 2 else "only one estimator value")
         out.append((p, h, why))
@@ -1091,7 +1115,7 @@ def _direction_pairs(j, l, directions) -> tuple:
     return pairs
 
 
-def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy,
+def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy | None,
                cones, riders) -> tuple:
     """The eta loop of sigma_kubo, sigma_hall and verify: (the report,
     unconverged pairs flagged, not raised; {grid eta: {request: fine-grid
@@ -1107,8 +1131,11 @@ def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy,
     (GridPolicy._parts), and each grid adds only its tail, so without cones,
     where every grid of a base is its uniform grid, the sweep takes one
     pass per base.  Each grid is refused, in the order fine, companion per
-    step and then the riders' grids, exactly as by a pass over it whole."""
-    seq = _validate_halving(eta_sequence)
+    step and then the riders' grids, exactly as by a pass over it whole.
+    The sequence is checked by _sweep_etas, and None gives the defaults of
+    it and of GridPolicy."""
+    seq = _sweep_etas(model, eta_sequence)
+    policy = GridPolicy() if policy is None else policy
     steps = list(zip(seq, seq[1:]))
     visited = {eta for _, eta in steps}
     alone = [e for e in riders if e not in visited]
@@ -1121,7 +1148,6 @@ def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy,
     sums = _grid_sums(model, cones, grids)
 
     per_eta = {p: [] for p in pairs}
-    sigma_hats = {p: [] for p in pairs}
     f_values = {p: {} for p in pairs}
     grid_sizes, values, min_gap = {}, {}, np.inf
     for i, (eta_hi, eta) in enumerate(steps):
@@ -1134,19 +1160,17 @@ def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy,
             s_hat = (f_hi - f_lo) / eta
             s_err = (_quad_error(f_hi, coarse["f_jl", eta_hi, p])
                      + _quad_error(f_lo, coarse["f_jl", eta, p])) / eta
-            sigma_hats[p].append(s_hat)
             per_eta[p].append((eta, s_hat, s_err))
     for eta, (found, _, _) in zip(alone, sums[2 * len(steps):]):
         values[eta] = found
 
     # with a single estimator value Richardson is not possible; report the
     # plain estimator (the convergence flag is necessarily False then)
-    sigma = {p: richardson_extrapolate(h) if len(h) >= 2 else h[-1]
-             for p, h in sigma_hats.items()}
+    hats = {p: _hats(steps) for p, steps in per_eta.items()}
     report = ConductivityReport(
         method="kubo_extrapolation",
-        sigma=sigma,
-        converged={p: _converged(h) for p, h in sigma_hats.items()},
+        sigma={p: richardson_extrapolate(h) if len(h) >= 2 else h[-1] for p, h in hats.items()},
+        converged={p: _converged(h) for p, h in hats.items()},
         per_eta={p: tuple(v) for p, v in per_eta.items()},
         diagnostics={
             "eta_sequence": tuple(seq),
@@ -1186,10 +1210,7 @@ def sigma_kubo(model: HoppingModel, j: int | None = None, l: int | None = None,
     pairs = _direction_pairs(j, l, directions)
     if cones is None:
         cones = characterize_cones(model)
-    if eta_sequence is None:
-        eta_sequence = default_eta_sequence(model)
-    policy = grid_policy if grid_policy is not None else GridPolicy()
-    report, _, _ = _eta_sweep(model, pairs, eta_sequence, policy, cones, {})
+    report, _, _ = _eta_sweep(model, pairs, eta_sequence, grid_policy, cones, {})
     failed = [f"sigma_{pj}{pl} hat sequence {h} has not converged ({why})"
               for (pj, pl), h, why in _unconverged(report)]
     if failed:
@@ -1209,13 +1230,10 @@ def sigma_hall(model: HoppingModel, eta_sequence=None,
     distance of 2 pi sigma_12 from its nearest integer as a diagnostic (no
     acceptance value is attached to it here).
     """
-    if eta_sequence is None:
-        eta_sequence = default_eta_sequence(model)
-    seq = _validate_halving(eta_sequence)
-    policy = grid_policy if grid_policy is not None else GridPolicy()
+    seq = _sweep_etas(model, eta_sequence)
     need = "the Hall estimate needs a gapped model"
     try:
-        report, _, min_gap = _eta_sweep(model, ((1, 2),), seq, policy, (), {})
+        report, _, min_gap = _eta_sweep(model, ((1, 2),), seq, grid_policy, (), {})
     except DegeneratePoint as exc:
         raise Gapless(f"{exc}; {need}") from exc
     except GridTooCoarse as exc:

@@ -239,8 +239,7 @@ def uniform_grid(lattice: Lattice2D, n1: int, n2: int) -> KGrid:
     frac = np.column_stack([F1.ravel(), F2.ravel()])
     size = np.tile(np.array([1.0 / n1, 1.0 / n2]), (n1 * n2, 1))
     weights = np.full(n1 * n2, lattice.bz_area / (n1 * n2))
-    return KGrid(lattice=lattice, n1=n1, n2=n2, points=frac @ lattice.zone.T,
-                 weights=weights, frac=frac, size=size)
+    return _cell_grid(lattice, n1, n2, (frac, size, weights))
 
 
 def _min_cart_distance(lattice: Lattice2D, frac: np.ndarray, centers,

@@ -138,9 +138,14 @@ def occupied_count(spectrum, mu: float) -> int:
     return int(np.count_nonzero(np.asarray(spectrum, dtype=float) <= mu))
 
 
+def _level_atol(w: np.ndarray) -> float:
+    """The level rule's tolerance 1e-12 (1 + max|w|) on eigenvalues w."""
+    return 1e-12 * (1.0 + float(np.abs(w).max()))
+
+
 def _level_bounds(w: np.ndarray, mu: float):
     """The level rule's interval (below, upto) per row of eigenvalues w."""
-    atol = 1e-12 * (1.0 + float(np.abs(w).max()))
+    atol = _level_atol(w)
     return (np.count_nonzero(w < mu - atol, axis=-1),
             np.count_nonzero(w <= mu + atol, axis=-1))
 

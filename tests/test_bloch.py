@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conecond as cc
+from conecond import bloch
 from conecond.bloch import PAIRING_ATOL, _eigvals
 from conecond.cli import _band_path
 from conecond.lattice import uniform_grid
@@ -510,6 +511,57 @@ def test_non_finite_model_refused_at_construction(build):
     # and BandCrossingRegion (haldane)
     with pytest.raises(cc.ModelFormatError, match="finite"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cc.preset_haldane(1e308, 0.0, 0.0, 0.0),
+    lambda: cc.preset_haldane(1.0, 5e307, np.pi / 2, 0.0),
+    lambda: cc.model_from_dict(square_model_dict(t=1e308)),
+    lambda: cc.model_from_dict(square_model_dict(t=-1e308, mu=1.0)),
+], ids=["haldane-t1", "haldane-t2", "square", "square-negative"])
+def test_overflowing_model_refused_at_construction(build):
+    # every entry is finite, but a column sum of a coefficient table is
+    # not, so H(k) or a derivative could overflow; refused without a warning
+    # (QWZ's largest entries each fill one column, so it builds up to 1.7e308)
+    with pytest.raises(cc.ModelFormatError, match="too large"):
+        build()
+
+
+@pytest.mark.parametrize("t", [1e307, 2.0**1000])
+def test_largest_models_below_the_overflow_bound_build(t):
+    # the square lattice's H = 2 t (cos k1 + cos k2) stays finite at 1e307
+    # and 2^1000; the honeycomb's |H| <= 3 t1 stays finite at t1 = 1e307
+    model = cc.model_from_dict(square_model_dict(t=t))
+    assert np.isfinite(model.h_batch(random_momenta(model.lattice, 50, seed=1))).all()
+    honeycomb = cc.preset_haldane(1e307, 0.0, 0.0, 0.0)
+    assert np.isfinite(honeycomb.h_batch(random_momenta(honeycomb.lattice, 50, seed=1))).all()
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+def test_current_norm_scales_across_the_float_range(k):
+    # the Frobenius norm of the currents scales with the hoppings: at
+    # 2^-600 the unscaled squares flushed to zero, so the scan's seed
+    # threshold was zero and no cone was found
+    base = cc.preset_haldane(1.0, 0.1, 0.0, 0.0)
+    model = cc.preset_haldane(2.0**k, 0.1 * 2.0**k, 0.0, 0.0)
+    ks = random_momenta(model.lattice, 200, seed=4)
+    with np.errstate(over="raise", under="ignore"):
+        norm = bloch._max_current_norm(model, ks)
+    assert np.ldexp(norm, -k) == bloch._max_current_norm(base, ks)
+
+
+@pytest.mark.parametrize("k", [-600, -900, -1000])
+def test_tiny_hopping_scale_gets_a_typed_refusal(k):
+    # the scan finds the honeycomb's cones at 2^k, and the fit's squared
+    # half-gaps underflow: NotConical, not an empty list of cones
+    with pytest.raises(cc.NotConical, match="does not resolve the cone"):
+        cc.characterize_cones(cc.preset_haldane(2.0**k, 0.0, 0.0, 0.0))
+
+
+def test_more_than_two_derivatives_refused(haldane_critical):
+    ks = random_momenta(haldane_critical.lattice, 3, seed=2)
+    with pytest.raises(ValueError, match=r"at most two derivatives, got \(1, 2, 1\)"):
+        haldane_critical._assemble(ks, [(), (1, 2, 1)])
 
 
 def test_conflicting_model_file_rejected(model_file):

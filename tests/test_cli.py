@@ -7,6 +7,7 @@ exercised through subprocess runs.
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import conecond as cc
+from conecond import cli
 from conecond.cli import json_report as cli_json_report
 from conecond.cli import main as cli_main
 
@@ -268,6 +270,71 @@ def test_eta_beyond_the_level_cap_exits_4(capsys):
                              "--method", "kubo", "--eta-seq", "4e-300,2e-300,1e-300")
     assert code == 4 and out == ""
     assert err.startswith("error: GridTooCoarse: grid spacing ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sigma", "--preset", "qwz", "--params", "u=-2", "--method", "kubo"),
+    ("sigma", "--preset", "haldane", "--method", "kubo"),
+    ("verify", "--preset", "qwz", "--params", "u=-2"),
+], ids=["qwz-sigma", "honeycomb-sigma", "qwz-verify"])
+@pytest.mark.parametrize("etas", ["2000,1000,500", "4e3,2e3,1e3"])
+def test_eta_above_the_spectral_radius_exits_1(capsys, argv, etas):
+    # sigma_hat ~ 1e-9 once printed as a converged sigma; the spectral
+    # radius is 3.97 on QWZ(-2) and 3.58 on the honeycomb
+    code, out, err = run_cli(capsys, *argv, "--eta-seq", etas)
+    assert code == 1 and out == ""
+    assert re.fullmatch(r"error: --eta-seq: the largest eta \d+ is not below the model's "
+                        r"spectral radius 3\.(97|579)\d*\n", err), err
+
+
+@pytest.mark.parametrize("t1", ["2.7e4", "2.7e6"])
+def test_validate_passes_in_any_energy_unit(capsys, t1):
+    # graphene in 0.1 meV units: the covariance defect grows with the scale
+    # of H (1.3e-10 at t1 = 2.7e4 in absolute terms), so it is read relative
+    # to that scale, as the derivative and periodicity checks are
+    code, out, err = run_cli(capsys, "validate", "--preset", "haldane",
+                             "--params", f"t1={t1},t2=0")
+    report = json.loads(out)
+    assert code == 0 and err == "" and report["all_pass"] is True
+    cov = next(c for c in report["checks"] if c["name"] == "dual_covariance")
+    assert cov["measured"] < 1e-14 and cov["tolerance"] == 1e-10
+
+
+def test_validate_covariance_fails_on_a_relative_defect(capsys, monkeypatch):
+    # a defect of 1e-9 of the largest |entry| of H (3 t1, at Gamma) still
+    # fails the 1e-10 tolerance; the check divides by the sampled scale
+    t1 = 2.7e4
+    monkeypatch.setattr(cli, "covariance_defect", lambda *args: 1e-9 * 3.0 * t1)
+    code, out, _ = run_cli(capsys, "validate", "--preset", "haldane",
+                           "--params", f"t1={t1},t2=0")
+    cov = next(c for c in json.loads(out)["checks"] if c["name"] == "dual_covariance")
+    assert code == 2 and cov["pass"] is False
+    assert 1e-9 <= cov["measured"] < 1.2e-9
+
+
+def test_tiny_hopping_scale_is_refused_as_not_conical(capsys):
+    # at t1 = 1e-300 the squared current norms underflowed, so the scan's
+    # seed threshold was 0 and sigma = 0 with 0 cones exited 0
+    code, out, err = run_cli(capsys, "sigma", "--method", "closed", "--preset", "haldane",
+                             "--params", "t1=1e-300,t2=0")
+    assert code == 4 and out == ""
+    assert err.startswith("error: NotConical: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("bands",), ("fermi-points",), ("sigma", "--method", "closed"),
+    ("sigma", "--method", "kubo"), ("verify",)])
+def test_overflowing_hopping_scale_exits_1(capsys, tmp_path, argv):
+    # at t1 = 1e308 H itself overflows: every command refuses the model
+    # before computing anything, from a preset or from a model file
+    code, out, err = run_cli(capsys, *argv, "--preset", "haldane", "--params", "t1=1e308,t2=0")
+    message = "hopping entries too large: H(k) or its derivatives would overflow\n"
+    assert code == 1 and out == ""
+    assert err == "error: preset 'haldane': " + message
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(square_model_dict(t=1e308)))
+    code, out, err = run_cli(capsys, *argv, "--model", str(path))
+    assert (code, out, err) == (1, "", "error: " + message)
 
 
 def test_huge_hopping_closed_form_is_quantized(capsys):

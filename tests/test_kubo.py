@@ -668,7 +668,7 @@ def test_degenerate_point_is_the_smallest_gap_of_the_grid():
               for cut in (slice(None, 3000), slice(3000, None))]
     with pytest.raises(cc.DegeneratePoint) as parts:
         kubo._checked(requests, False,
-                      [kubo._pair_sum_on_grid(model, half, requests) for half in halves], floor)
+                      [kubo._pair_sum_on_grid(model, half, requests) for half in halves])
     assert str(parts.value) == want
 
 
@@ -1355,6 +1355,72 @@ def test_eta_beyond_the_level_cap_is_refused(preset, e):
     with pytest.raises(cc.GridTooCoarse) as exc:
         cc.sigma_kubo(preset(), directions=((1, 1),), eta_sequence=[4 * e, 2 * e, e])
     assert "after 18 levels exceeds the target" in str(exc.value)
+
+
+@pytest.mark.parametrize("e", [1e3, 1e300])
+@pytest.mark.parametrize("preset", [lambda: cc.preset_haldane(1.0, 0.1, 0.0, 0.0),
+                                    lambda: cc.preset_qwz(-2.0)], ids=["honeycomb", "qwz"])
+def test_eta_above_the_spectral_radius_is_refused(preset, e):
+    # a Lorentzian wider than the band structure makes sigma_hat ~ 1e-9, a
+    # change below the absolute convergence floor: refused, not reported as
+    # a converged sigma ~ 0 (rho = 3.58 on the honeycomb, 3.97 on QWZ)
+    with pytest.raises(ValueError, match="is not below the model's spectral radius"):
+        cc.sigma_kubo(preset(), directions=((1, 1),), eta_sequence=[4 * e, 2 * e, e])
+
+
+def test_eta_sequence_must_start_below_the_spectral_radius(qwz_gapped):
+    # the bound is strict: a largest eta of rho is refused, the next float
+    # below it accepted, and sigma_hall reads the same rule
+    rho = qwz_gapped.spectral_radius()
+    below = np.nextafter(rho, 0.0)
+    assert kubo._sweep_etas(qwz_gapped, [below, below / 2]) == [below, below / 2]
+    with pytest.raises(ValueError, match=f"largest eta {rho:.6g} is not below"):
+        kubo._sweep_etas(qwz_gapped, [rho, rho / 2])
+    with pytest.raises(ValueError, match="spectral radius"):
+        cc.sigma_hall(qwz_gapped, eta_sequence=[2 * rho, rho])
+
+
+def _pass(requests, top=0.0, imag=0.0):
+    """One hand-made _pair_sum_on_grid result: every request's tally with
+    the per-point maximum ``top`` and Schwinger imaginary part ``imag``."""
+    tally = kubo._Tally(total=1.0, top=top, scale=1.0, imag=imag, spacing=0.0, slope=0.0)
+    return {r: tally for r in requests}, kubo._Points(1, np.inf, (np.nan, np.nan), 0.0)
+
+
+def test_checked_refuses_a_lost_sign_on_longitudinal_f_jl_rows_only():
+    # the pass keeps every row's maximum; only an f_jl row with j = l must
+    # stay nonpositive, so a positive maximum of a Schwinger trace, an
+    # ftilde_jj row or a transverse f_jl row is not refused
+    allowed = [("schwinger", 0.0, (1, 1)), ("ftilde_jj", 0.1, (2, 2)), ("f_jl", 0.1, (1, 2))]
+    values, _ = kubo._checked(allowed, False, [_pass(allowed, top=1.0)])
+    assert list(values) == allowed
+    assert all(v == 1.0 / (2.0 * np.pi) ** 2 for v in values.values())
+    longitudinal = [("f_jl", 0.1, (2, 2))]
+    kubo._checked(longitudinal, False, [_pass(longitudinal, top=1e-12)])
+    with pytest.raises(RuntimeError, match=r"lost its definite sign \(max 2\.000e-12\)"):
+        kubo._checked(longitudinal, False, [_pass(longitudinal), _pass(longitudinal, top=2e-12)])
+
+
+def test_pass_keeps_every_rows_maximum_in_request_order():
+    # on the honeycomb the Schwinger traces and the transverse f_jl take
+    # positive per-point values, the longitudinal rows none; the tallies
+    # come in request order, Schwinger rows first, and _checked accepts them
+    model = cc.preset_haldane(1.0, 0.1, 0.0, 0.0)
+    requests = [("schwinger", 0.0, (1, 1)), ("f_jl", 0.1, (1, 2)), ("f_jl", 0.1, (1, 1)),
+                ("ftilde_jj", 0.1, (1, 1))]
+    tallies, points = kubo._pair_sum_on_grid(model, cc.uniform_grid(model.lattice, 24, 24),
+                                             requests)
+    assert list(tallies) == requests
+    assert [tallies[r].top > 0.0 for r in requests] == [True, True, False, False]
+    assert points.floor == kubo._DEGENERACY_FLOOR * model._max_hopping
+    assert list(kubo._checked(requests, False, [(tallies, points)])[0]) == requests
+
+
+def test_checked_refuses_an_imaginary_schwinger_trace():
+    requests = [("schwinger", 0.0, (1, 2))]
+    kubo._checked(requests, False, [_pass(requests, imag=1e-9)])
+    with pytest.raises(RuntimeError, match="acquired imaginary part 2.000e-09"):
+        kubo._checked(requests, False, [_pass(requests, imag=2e-9)])
 
 
 def test_sweep_gate_reads_the_whole_grid():

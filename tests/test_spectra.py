@@ -91,6 +91,27 @@ def test_band_spectrum_requires_sorted_eigenvalues():
                         eigenvectors=np.eye(2, dtype=complex))
 
 
+@pytest.mark.parametrize("vectors", [np.eye(3), np.eye(2)[:, :1], np.ones(4)],
+                         ids=["3x3", "2x1", "flat"])
+def test_band_spectrum_requires_one_square_eigenvector_matrix(vectors):
+    with pytest.raises(ValueError, match="eigenvector matrix shape must be N x N"):
+        cc.BandSpectrum(eigenvalues=np.array([-1.0, 1.0]), eigenvectors=vectors)
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda w, V: (w, V * np.array([1.0, 1.0 + 1e-8])),
+    lambda w, V: (w + np.array([0.0, 1e-8]), V),
+], ids=["not-orthonormal", "wrong-eigenvalue"])
+def test_eigh_flags_a_decomposition_that_fails_its_self_check(monkeypatch, spoil):
+    # LAPACK's result is checked against the input: a Gram defect or a
+    # residual above 1e-10 is refused rather than returned
+    H = np.array([[1.0, 0.5j], [-0.5j, -1.0]])
+    lapack = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: spoil(*lapack(A)))
+    with pytest.raises(RuntimeError, match="eigendecomposition failed self-check"):
+        cc.eigh(H)
+
+
 # -- occupation and gaps ---------------------------------------------------------
 
 def test_occupied_count_examples():
