@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import DegenerateBasis, Lattice2D, _midpoints, make_lattice
+from .lattice import DegenerateBasis, Lattice2D, _grid_points, _midpoints, make_lattice
 
 __all__ = [
     "HoppingConflict",
@@ -98,7 +98,9 @@ class HoppingModel:
     hopping entry or mu raises ModelFormatError, then a term without its
     partner or with an inconsistent one raises HoppingConflict, and a model
     whose H(k) or derivatives could overflow (a coefficient table with a
-    column sum of |entries| that is not finite) raises ModelFormatError.
+    column sum of |entries| that is not finite), or whose largest |hopping
+    entry| is nonzero and subnormal (below np.finfo(float).tiny, where
+    floats lose digits), raises ModelFormatError.
     """
 
     lattice: Lattice2D
@@ -196,6 +198,9 @@ class HoppingModel:
         if not all(np.isfinite(np.abs(K).sum(axis=0)).all() for K in tables.values()):
             raise ModelFormatError("hopping entries too large: H(k) or its derivatives "
                                    "would overflow")
+        if 0.0 < max_hopping < np.finfo(float).tiny:
+            raise ModelFormatError(f"hopping entries too small: the largest, {max_hopping:.3e}, "
+                                   "is subnormal, so H(k) would lose digits")
         pauli = ({key: _TO_PAULI @ K[:, [0, 4, 5, 6]].T for key, K in tables.items()}
                  if N == 2 else {})
         for arr in (disp, *tables.values(), *pauli.values()):
@@ -347,8 +352,12 @@ def _max_frobenius(stack: np.ndarray) -> float:
     return float(np.ldexp(np.sqrt(np.einsum("ki,ki->k", x, x).max()), e))
 
 
-def _max_current_norm(model: HoppingModel, ks: np.ndarray) -> float:
-    """Largest Frobenius norm of dH/dk_1 and dH/dk_2 over the momenta ks."""
+def _slope_bound(model: HoppingModel) -> float:
+    """Largest Frobenius norm of dH/dk_1 and dH/dk_2 on one fixed zone
+    sample, the 512 momenta at every 18th point of the 96 x 96 midpoint grid
+    (_grid_points): the current scale, hence the band slopes, that the
+    scan's seed threshold and GridPolicy's spacing read."""
+    ks = _grid_points(model.lattice, 96, np.arange(0, 96 * 96, 18))
     return max(_max_frobenius(J) for J in model._assemble(ks, ((1,), (2,))))
 
 

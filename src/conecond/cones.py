@@ -45,9 +45,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import (HoppingModel, NumericalError, _binary_exponent, _eigvals,
-                    _max_current_norm, _pair_rows, _require_directions, _split, h_at)
-from .lattice import (Lattice2D, _images, _midpoints, _min_cart_distance, _reduced_basis,
-                      wrap_fractional)
+                    _pair_rows, _require_directions, _slope_bound, _split, h_at)
+from .lattice import (Lattice2D, _grid_points, _images, _min_cart_distance, _reduced_basis,
+                      reduce_to_cell, wrap_fractional)
 from .spectra import AllBandsOnOneSide, _level_atol
 
 __all__ = [
@@ -79,6 +79,9 @@ _MAX_ISOLATED_POINTS = 16
 #: component), or after this many iterations
 _LOCATE_XATOL = 1e-13
 _LOCATE_MAXITER = 50
+#: half-width, in grid cells, of the box around a stalled seed whose valley
+#: floor the scan refines (find_fermi_points)
+_VALLEY_RADIUS = 8
 #: quantizing test: relative deviation of Q from a multiple of the identity
 _QUANTIZING_RTOL = 1e-9
 
@@ -223,6 +226,23 @@ def _seed_mask(gap: np.ndarray, threshold: float) -> np.ndarray:
     return (gap <= low) & (gap < threshold)
 
 
+def _valley_mask(gap: np.ndarray, threshold: float, near: np.ndarray) -> np.ndarray:
+    """The valley floor around the flat indices ``near`` of a periodic
+    (n1, n2) gap array: the points below ``threshold``, within
+    _VALLEY_RADIUS cells of one of them along both axes (wrapping around the
+    zone), whose gap is at most that of both neighbours along their grid
+    row or along their grid column."""
+    n1, n2 = gap.shape
+    floor = np.zeros(gap.shape, dtype=bool)
+    for axis in (0, 1):
+        floor |= (gap <= np.roll(gap, 1, axis)) & (gap <= np.roll(gap, -1, axis))
+    box = np.zeros(gap.shape, dtype=bool)
+    r = np.arange(-_VALLEY_RADIUS, _VALLEY_RADIUS + 1)
+    for i, j in zip(*np.unravel_index(near, gap.shape)):
+        box[np.ix_((i + r) % n1, (j + r) % n2)] = True
+    return floor & box & (gap < threshold)
+
+
 class _Located(NamedTuple):
     """What ``minimize`` returns: per seed the located momentum (S, 2) and
     the pair gap there (S,), and the gap evaluations spent on all seeds."""
@@ -296,7 +316,10 @@ def find_fermi_points(
     It then refines every local minimum below a slope-based seed
     threshold, all seeds in one batch, by the Gauss-Newton locator
     ``minimize`` on the gap between the bands m - 1 and m, m the scan's
-    occupied count, until each seed's step falls to 1e-13.  Minima with
+    occupied count, until each seed's step falls to 1e-13.  When a seed
+    stalls above 100*tol, the points near it that are least along their
+    grid row or column (_valley_mask) are refined too, for a cone whose
+    valley leads the 3 x 3 minimum to a gapped minimum.  Minima with
     final gap below ``tol`` (default: 1e-7 relative to the spectral radius)
     are accepted, deduplicated modulo the dual lattice, and returned sorted
     by fractional coordinates.
@@ -325,27 +348,28 @@ def find_fermi_points(
 
     # seed threshold: within one cell of a conical zero the gap is at most
     # about (local slope) * (cell diagonal); the slope is bounded by the
-    # current-operator norms.  Only the seeds and the current sample of the
-    # uniform_grid are placed, bit for bit its points: point i sits at the
-    # zone coordinates (mid[i // n], mid[i % n]), and one index is placed as
-    # two equal rows (as _phases places one momentum), since BLAS rounds a
-    # one-row product differently
-    mid = _midpoints(n)
-
-    def grid_points(i):
-        rows = np.repeat(i, 2) if i.size == 1 else i
-        return (np.column_stack([mid[rows // n], mid[rows % n]]) @ lat.zone.T)[:i.size]
-
-    jnorm = _max_current_norm(model, grid_points(np.arange(0, n * n, max(1, n * n // 512))))
+    # current-operator norms (_slope_bound).  Only the seeds of the grid are
+    # placed, bit for bit its points (_grid_points)
     spacing = max(lat.zone_lengths) / n
-    seeds = grid_points(np.flatnonzero(_seed_mask(gap, 3.0 * jnorm * spacing)))
-
-    res = minimize(model, m, seeds)
-    min_gap = min([float(gap.min()), *res.fun.tolist()])
+    threshold = 3.0 * _slope_bound(model) * spacing
+    mask = _seed_mask(gap, threshold)
+    res = minimize(model, m, _grid_points(lat, n, np.flatnonzero(mask)))
+    found = sorted(zip(res.fun.tolist(), res.x), key=lambda c: c[0])
+    # a seed that stalls well above tol may have slid down the valley of a
+    # cone too anisotropic for the grid to a gapped minimum further along it:
+    # the cone's nearest point is then no 3 x 3 minimum, but it lies on the
+    # valley floor.  The floor points near each such seed are refined too,
+    # and the zeros they reach are accepted after the seeds' own
+    stalled = np.flatnonzero(mask)[res.fun > 100.0 * tol]
+    if stalled.size:
+        floor = np.flatnonzero(_valley_mask(gap, threshold, stalled) & ~mask)
+        more = minimize(model, m, _grid_points(lat, n, floor))
+        found += sorted((c for c in zip(more.fun.tolist(), more.x) if c[0] < tol),
+                        key=lambda c: c[0])
 
     warnings = []
     accepted = []
-    for g, k in sorted(zip(res.fun.tolist(), res.x), key=lambda c: c[0]):
+    for g, k in found:
         if g < tol:
             seen = [k2 for _, k2 in accepted]
             if (_min_cart_distance(lat, lat.to_zone(k)[None, :], seen, _DEDUP_RADIUS)[0]
@@ -357,6 +381,7 @@ def find_fermi_points(
                 f"not accepted (tolerance {tol:.3e})"
             )
 
+    min_gap = min([float(gap.min()), *res.fun.tolist(), *(g for g, _ in accepted)])
     if len(accepted) > _MAX_ISOLATED_POINTS:
         # a curve of Fermi-level zeros yields a refined minimum in every
         # seeded cell along it, far more than any set of isolated crossings
@@ -365,14 +390,9 @@ def find_fermi_points(
             "crossed on a region rather than at isolated points"
         )
 
-    reduced = []
-    for g, k in accepted:
-        frac = wrap_fractional(lat.to_fractional(k))
-        reduced.append((frac, g, lat.from_fractional(frac)))
-    reduced.sort(key=lambda t: (t[0][0], t[0][1]))
-    locations = tuple(k for _, _, k in reduced)
-    gaps = tuple(g for _, g, _ in reduced)
-    return FermiPointScan(locations=locations, gaps=gaps, min_gap=min_gap, tol=tol,
+    accepted.sort(key=lambda c: tuple(wrap_fractional(lat.to_fractional(c[1]))))
+    return FermiPointScan(locations=tuple(reduce_to_cell(lat, k) for _, k in accepted),
+                          gaps=tuple(g for g, _ in accepted), min_gap=min_gap, tol=tol,
                           warnings=tuple(warnings))
 
 

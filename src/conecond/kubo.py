@@ -73,8 +73,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import (HoppingModel, NumericalError, _max_current_norm, _max_frobenius,
-                    _pair_rows, _require_directions, _split)
+from .bloch import (HoppingModel, NumericalError, _max_frobenius, _pair_rows,
+                    _require_directions, _slope_bound, _split)
 from .cones import (
     FermiPoint,
     _cone_pair,
@@ -137,7 +137,8 @@ _GATE_CELL = 4.0
 #: _CORE_MARGIN covers the bands' curvature away from a cone: the gate region
 #: of the presets reaches up to 1.09x the conical disk at grid eta <= 0.1
 #: (1.29x at eta = 0.2 on the honeycomb).  _SPACING_MARGIN covers the current
-#: norm of a 48 x 48 sample against the grid's own, which the gate reads.
+#: norm of the 512-momentum zone sample (bloch._slope_bound) against the
+#: grid's own, which the gate reads.
 _OUTER_RADIUS_FACTOR = 0.35
 _CORE_MARGIN = 1.25
 _SPACING_MARGIN = 1.5
@@ -251,7 +252,8 @@ class GridPolicy:
     accuracy (checkerboard sigma_11 error 1.5e-4 -> 3.2e-4).  Levels (at
     most 18, or GridTooCoarse) are added until the spacing is at most
     eta / (1.5 x 4 max|dH|), the gate's bound with a margin of 1.5 for
-    max|dH| over a 48 x 48 sample.  Both lengths are momenta, so scaling
+    max|dH| over the scan's 512-momentum zone sample (bloch._slope_bound),
+    not the grid's own.  Both lengths are momenta, so scaling
     every hopping and eta alike leaves the grids as they are, and stretching
     the lattice stretches them with it.  Only ``base`` is set per run.
 
@@ -276,14 +278,14 @@ class GridPolicy:
         core radii): the fine grid's base subdivision and refinement radii,
         those above R_core the shell and the rest, equal to it, the core, and
         the companion's, half the base and the radii without the last.  The
-        max|dH| sample, lambda* and R_outer are taken once per call.  Without
-        cones every schedule is empty; an eta needing more levels than
-        _MAX_LEVELS raises GridTooCoarse."""
+        slope bound max|dH| (_slope_bound), lambda* and R_outer are taken
+        once per call.  Without cones every schedule is empty; an eta
+        needing more levels than _MAX_LEVELS raises GridTooCoarse."""
         half = max(self.base // 2, 2)
         if not cones:
             return [((self.base, [], []), (half, [], [])) for _ in etas]
         lat = model.lattice
-        jmax = _max_current_norm(model, uniform_grid(lat, 48, 48).points)
+        jmax = _slope_bound(model)
         lam_sqrt = np.sqrt(min(c.lambda_star for c in cones))
         r_outer = _OUTER_RADIUS_FACTOR * min(lat.zone_lengths)
         layouts = []
@@ -527,26 +529,28 @@ def _point_values(rows, w: np.ndarray, counts: np.ndarray, basis, J: dict,
 
 class _Tally(NamedTuple):
     """One request's share of a _pair_sum_on_grid pass: its weighted sum
-    (before the 1 / (2 pi)^2) and what its checks read."""
+    (before the 1 / (2 pi)^2) and what its sign and trace checks read."""
 
     total: float
     top: float        # max per-point value, at least 0 (sign check)
     scale: float      # max |per-point sum|
     imag: float       # max |Im trace| (Schwinger)
-    spacing: float    # widest cell among points with Fermi gap below 4|eta|
-    slope: float      # the larger of max|J_j| and max|J_l| over the pass
 
 
 class _Points(NamedTuple):
     """What a _pair_sum_on_grid pass finds at its points whatever the
     requests: their count, the smallest Fermi gap (inf without one), the
-    momentum (k1, k2) of its first point with that gap, and the degeneracy
-    floor the pass skipped points below."""
+    momentum (k1, k2) of its first point with that gap, the degeneracy
+    floor the pass skipped points below, and the resolution gate's
+    statistics: per gated |eta| the widest cell among the points with Fermi
+    gap below 4|eta|, and per current direction d the largest ||J_d||_F."""
 
     size: int
     min_gap: float
     at: tuple
     floor: float
+    spacing: dict
+    slope: dict
 
 
 def _distinct_requests(requests) -> list:
@@ -594,11 +598,12 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
     nothing is refused here but a non-finite eta (ValueError, before the
     pass, _distinct_requests): returns ({request: _Tally} in request order,
     _Points), and _checked sums and checks a grid's passes, gated or not;
-    the gate's statistics are always taken.  From the first chunk with a
-    Fermi gap below the degeneracy floor (_DEGENERACY_FLOOR x the model's
-    largest hopping entry, reported as _Points.floor) on, nothing is
-    summed, since every grid holding the pass is refused, but every chunk's
-    gaps are still read, so _Points holds the smallest gap of the pass.
+    the gate's statistics are always taken, once per pass, on _Points.
+    From the first chunk with a Fermi gap below the degeneracy floor
+    (_DEGENERACY_FLOOR x the model's largest hopping entry, reported as
+    _Points.floor) on, nothing is summed, since every grid holding the pass
+    is refused, but every chunk's gaps are still read, so _Points holds the
+    smallest gap of the pass.
     Each chunk's weighted values are summed per row and added to the pass's
     totals in chunk order, so no per-point array outlives its chunk.
     """
@@ -607,11 +612,10 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
     spacing = _grid_spacing_cart(grid)
     currents = sorted({d for q, _, p in requests if q != "schwinger" for d in p})
     hessians = sorted({p for q, _, p in requests if q == "schwinger"})
-    gate_etas = {abs(r[1]) for r in requests if _gated(r)}
     top, scale, imag, totals = (np.zeros(len(requests)) for _ in range(4))
     floor = _DEGENERACY_FLOOR * model._max_hopping
     jmax = dict.fromkeys(currents, 0.0)
-    worst_spacing = dict.fromkeys(gate_etas, 0.0)
+    worst_spacing = {abs(r[1]): 0.0 for r in requests if _gated(r)}
     min_gap, at = np.inf, (np.nan, np.nan)
     keys = [()] + [(d,) for d in currents] + hessians
     two_band = model.norbitals == 2
@@ -634,7 +638,7 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
             min_gap, at = float(gaps[i]), tuple(float(k) for k in ks[idx[i]])
         if min_gap < floor:
             continue
-        for e in gate_etas:
+        for e in worst_spacing:
             near = spacing[sl][idx[gaps < _GATE_WINDOW * e]]
             worst_spacing[e] = float(near.max(initial=worst_spacing[e]))
         for d, Jd in J.items():      # two bands: ||J||_F^2 = 2 (a^2 + |m|^2)
@@ -648,13 +652,9 @@ def _pair_sum_on_grid(model: HoppingModel, grid: KGrid, requests) -> tuple:
         scale = np.maximum(scale, np.maximum(most, -least))
         values *= grid.weights[sl]
         totals += values.sum(axis=1)
-    tallies = {}
-    for i, r in enumerate(requests):
-        _, eta, (j, l) = r
-        tallies[r] = _Tally(float(totals[i]), float(top[i]), float(scale[i]), float(imag[i]),
-                            worst_spacing.get(abs(eta), 0.0),
-                            max(jmax.get(j, 0.0), jmax.get(l, 0.0)))
-    return tallies, _Points(npts, min_gap, at, floor)
+    tallies = {r: _Tally(float(totals[i]), float(top[i]), float(scale[i]), float(imag[i]))
+               for i, r in enumerate(requests)}
+    return tallies, _Points(npts, min_gap, at, floor, worst_spacing, jmax)
 
 
 def _checked(requests, gate: bool, passes) -> tuple:
@@ -662,7 +662,8 @@ def _checked(requests, gate: bool, passes) -> tuple:
     smallest Fermi-level gap or inf) of a grid from the _pair_sum_on_grid
     ``passes`` over its parts, in grid order: each request's sum is the sum
     of its parts' sums, and its checks read the maxima of their
-    statistics, so a grid is refused exactly as by one pass over it whole.
+    statistics (the gate's from each pass's _Points), so a grid is refused
+    exactly as by one pass over it whole.
 
     A Fermi-level degeneracy is the same for every request and raises
     DegeneratePoint first, at the smallest Fermi gap of the grid (its first
@@ -684,9 +685,11 @@ def _checked(requests, gate: bool, passes) -> tuple:
     for r in dict.fromkeys(requests):
         quantity, eta, (j, l) = r
         stats = np.array([tallies[r] for tallies, _ in passes])
-        top, scale, imag, spacing, slope = stats[:, 1:].max(axis=0)
-        e = abs(eta)
-        if gate and _gated(r) and spacing * slope > e / _GATE_CELL:
+        top, scale, imag = stats[:, 1:].max(axis=0)
+        e, gated = abs(eta), gate and _gated(r)
+        spacing = max(points.spacing[e] for _, points in passes) if gated else 0.0
+        slope = max(points.slope[d] for _, points in passes for d in (j, l)) if gated else 0.0
+        if gated and spacing * slope > e / _GATE_CELL:
             raise GridTooCoarse(
                 f"near-cone spacing {spacing:.3e} x slope {slope:.3e} "
                 f"exceeds eta/{_GATE_CELL:g} = {e / _GATE_CELL:.3e}; refine the grid"
@@ -846,7 +849,7 @@ def _elliptic_polar_nodes(cone: FermiPoint, eps: float, eta: float,
     """
     lam, U = np.linalg.eigh(cone.Q)
     q_inv_sqrt = (U / np.sqrt(lam)[None, :]) @ U.T
-    jac = (eps / 2.0) ** 2 / np.sqrt(lam[0] * lam[1])
+    jac = (eps / 2.0) ** 2 / (np.sqrt(lam[0]) * np.sqrt(lam[1]))
     rho_core = max(min(1.0, 8.0 * abs(eta) / eps) / 8.0, 1e-4)
     edges = [1.0]
     while edges[-1] / 2.0 > rho_core:
@@ -1045,6 +1048,26 @@ def _sweep_etas(model: HoppingModel, eta_sequence) -> list:
     return seq
 
 
+def _require_pair_sum_range(model: HoppingModel) -> None:
+    """NumericalError unless the pair sums' largest products are normal
+    floats.  With the spectral radius rho and the current scale s
+    (_slope_bound), the kernel forms Delta^2 <= 4 rho^2 and 2 Delta Re z <=
+    4 rho s^2, an energy cubed: neither may overflow, and neither may fall
+    below the smallest normal float unless it is 0, since products below it
+    lose digits (at t1 = 1e-110 every product of the honeycomb's pair sums
+    underflows to 0, and so does sigma).  The products are compared by
+    their base-10 logarithms, which are floats where the products are not."""
+    rho, s = model.spectral_radius(), _slope_bound(model)
+    logs = [sum(np.log10(f)) if all(f) else -np.inf
+            for f in ((4.0 * rho, rho), (4.0 * rho, s, s))]
+    low, high = np.log10([np.finfo(float).tiny, np.finfo(float).max])
+    if any(-np.inf < x < low or x >= high for x in logs):
+        raise NumericalError(
+            f"energy scale out of the Kubo route's range: its pair sums form 4 rho^2 = "
+            f"10^{logs[0]:.1f} and 4 rho s^2 = 10^{logs[1]:.1f} (spectral radius rho, "
+            f"current norm s), which must lie between 10^{low:.1f} and 10^{high:.1f}")
+
+
 def sigma_hat_sequence(eta_sequence, f_values) -> list:
     """Pair estimator sigma_hat(eta_i) = (f(eta_{i-1}) - f(eta_i)) / eta_i
     along a halving eta sequence (eta_{i-1} = 2 eta_i).
@@ -1125,15 +1148,17 @@ def _eta_sweep(model: HoppingModel, pairs, eta_sequence, policy: GridPolicy | No
     ``riders`` maps a grid eta to nonempty lists of value-only requests; an
     eta not visited gets its fine grid alone, with the gate off.  The grids
     are those of grids_for, all laid out by one GridPolicy._layouts call (so
-    the current-norm sample is taken once for the sweep), as (n, shell radii,
+    the slope bound is read once for the layouts), as (n, shell radii,
     core radii, requests, gate), and _grid_sums decomposes each cell once for
     all of them: the grids share their unsplit base cells and shell rings
     (GridPolicy._parts), and each grid adds only its tail, so without cones,
     where every grid of a base is its uniform grid, the sweep takes one
     pass per base.  Each grid is refused, in the order fine, companion per
     step and then the riders' grids, exactly as by a pass over it whole.
-    The sequence is checked by _sweep_etas, and None gives the defaults of
-    it and of GridPolicy."""
+    The model's energy scale is checked first (_require_pair_sum_range),
+    then the sequence by _sweep_etas, and None gives the defaults of it and
+    of GridPolicy."""
+    _require_pair_sum_range(model)
     seq = _sweep_etas(model, eta_sequence)
     policy = GridPolicy() if policy is None else policy
     steps = list(zip(seq, seq[1:]))

@@ -229,6 +229,16 @@ def _midpoints(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n - 0.5
 
 
+def _grid_points(lattice: Lattice2D, n: int, idx) -> np.ndarray:
+    """The points of uniform_grid(lattice, n, n) at the flat indices ``idx``,
+    bit for bit and in their order, without the grid: point i sits at the
+    zone coordinates (_midpoints(n)[i // n], _midpoints(n)[i % n]).  One
+    index is placed as two equal rows, since BLAS rounds a one-row product
+    differently from a many-row one."""
+    mid, rows = _midpoints(n), np.repeat(idx, 2) if idx.size == 1 else idx
+    return (np.column_stack([mid[rows // n], mid[rows % n]]) @ lattice.zone.T)[:idx.size]
+
+
 def uniform_grid(lattice: Lattice2D, n1: int, n2: int) -> KGrid:
     """Midpoint-rule grid: n1 x n2 sub-cell centers of the zone basis, equal
     weights; point i * n2 + j sits at zone coordinates (_midpoints(n1)[i],

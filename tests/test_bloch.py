@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conecond as cc
@@ -539,15 +539,15 @@ def test_largest_models_below_the_overflow_bound_build(t):
 
 @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
 def test_current_norm_scales_across_the_float_range(k):
-    # the Frobenius norm of the currents scales with the hoppings: at
-    # 2^-600 the unscaled squares flushed to zero, so the scan's seed
-    # threshold was zero and no cone was found
+    # the slope bound, the Frobenius norm of the currents on the zone
+    # sample, scales with the hoppings: at 2^-600 the unscaled squares
+    # flushed to zero, so the scan's seed threshold was zero and no cone
+    # was found
     base = cc.preset_haldane(1.0, 0.1, 0.0, 0.0)
     model = cc.preset_haldane(2.0**k, 0.1 * 2.0**k, 0.0, 0.0)
-    ks = random_momenta(model.lattice, 200, seed=4)
     with np.errstate(over="raise", under="ignore"):
-        norm = bloch._max_current_norm(model, ks)
-    assert np.ldexp(norm, -k) == bloch._max_current_norm(base, ks)
+        norm = bloch._slope_bound(model)
+    assert np.ldexp(norm, -k) == bloch._slope_bound(base)
 
 
 @pytest.mark.parametrize("k", [-600, -900, -1000])
@@ -599,6 +599,7 @@ complex_entries = st.floats(min_value=-2.0, max_value=2.0,
 
 
 @settings(max_examples=40, deadline=None)
+@example(vals=[0.0] * 7 + [1.1125369292536007e-308], kpt=(0.0, 0.0))
 @given(st.lists(complex_entries, min_size=8, max_size=8),
        st.tuples(st.floats(-3, 3, allow_nan=False),
                  st.floats(-3, 3, allow_nan=False)))
@@ -616,6 +617,11 @@ def test_random_models_are_hermitian_and_consistent(vals, kpt):
                         for a in range(2)]},
         ],
     }
+    if 0.0 < np.abs(T).max() < np.finfo(float).tiny:
+        # a subnormal largest hopping is refused at construction
+        with pytest.raises(bloch.ModelFormatError, match="subnormal"):
+            cc.model_from_dict(data)
+        return
     model = cc.model_from_dict(data)
     k = np.array(kpt)
     H = cc.h_at(model, k)

@@ -337,6 +337,61 @@ def test_overflowing_hopping_scale_exits_1(capsys, tmp_path, argv):
     assert (code, out, err) == (1, "", "error: " + message)
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("bands",), ("fermi-points",), ("sigma", "--method", "closed"),
+    ("sigma", "--method", "kubo"), ("verify",)])
+@pytest.mark.parametrize("t1", ["1e-310", "5e-324"])
+def test_subnormal_hopping_scale_exits_1(capsys, argv, t1):
+    # a subnormal largest hopping: at 1e-310 the locator's pseudo-inverse
+    # did not converge, at 5e-324 sigma printed 0 with 0 cones; every
+    # command refuses the model before computing anything
+    code, out, err = run_cli(capsys, *argv, "--preset", "haldane", "--params", f"t1={t1},t2=0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: preset 'haldane': hopping entries too small: the largest, ")
+    assert err.endswith(" is subnormal, so H(k) would lose digits\n")
+
+
+@pytest.mark.parametrize("argv", [("sigma", "--method", "kubo"), ("verify",)])
+@pytest.mark.parametrize("t1", ["1e-110", "1e103", "1e150"])
+def test_kubo_refuses_an_energy_scale_its_pair_sums_cannot_hold(capsys, monkeypatch, argv, t1):
+    # the pair sums form 2 Delta Re z, an energy cubed: at 1e103 it
+    # overflowed and the report was not finite, at 1e-110 it underflowed and
+    # sigma = 0 "converged".  The sweep refuses the model before any pass
+    def refuse(*args):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(cc.kubo, "_grid_sums", refuse)
+    code, out, err = run_cli(capsys, *argv, "--grid", "16", "--preset", "haldane",
+                             "--params", f"t1={t1},t2=0")
+    assert code == 4 and out == ""
+    assert err.startswith("error: NumericalError: energy scale out of the Kubo route's range: ")
+
+
+FLOAT_RANGE = [5e-324, 1e-310, 1e-300, 1.0, 1e100, 1e103, 1e150, 1e308]
+SCALE_COMMANDS = [("validate",), ("bands",), ("fermi-points",), ("sigma", "--method", "closed"),
+                  ("sigma", "--method", "kubo", "--grid", "16"), ("verify", "--grid", "16")]
+
+
+@pytest.mark.parametrize("t1", FLOAT_RANGE)
+def test_every_command_across_the_float_range(capsys, t1):
+    # in-process, so a RuntimeWarning fails the test: every command on the
+    # honeycomb in any energy unit answers or refuses with a documented exit
+    # code (verify at --grid 16 may fail its absolute Schwinger tolerance),
+    # and every sigma it answers is the two cones' 1/8
+    for argv in SCALE_COMMANDS:
+        code, out, err = run_cli(capsys, *argv, "--preset", "haldane",
+                                 "--params", f"t1={t1!r},t2=0")
+        assert code in ((0, 1, 2, 4) if argv[0] == "verify" else (0, 1, 4)), (argv, err)
+        assert "Traceback" not in err, argv
+        if code == 0 and argv[0] == "sigma":
+            report = json.loads(out)
+            assert report["cones"] == 2, argv
+            tol = (dict(rel=0, abs=1e-12) if report["method"] == "closed_form"
+                   else dict(rel=0.03))
+            for key in ("11", "22"):
+                assert report["sigma"][key] == pytest.approx(0.125, **tol), (argv, key)
+
+
 def test_huge_hopping_closed_form_is_quantized(capsys):
     # t1 = 1e100 squares the fit's half-gaps to ~1e200: the fit residual and
     # det Q are formed on values scaled by a power of two, so nothing
@@ -699,10 +754,14 @@ def test_verify_decomposes_each_grid_once(capsys, monkeypatch, u, eta_seq, passe
     assert len(refined) == refinements
     assert sum(decomposed) == sum(len(g) for g in grids)
 
-    # the same report when every request runs in its own pass
+    # the same report when every request runs in its own pass, the gate's
+    # statistics of the passes joined on one _Points
     def separate_passes(model, grid, requests):
         single = [kernel(model, grid, [r]) for r in requests]
-        return {r: v[r] for r, (v, _) in zip(requests, single)}, single[0][1]
+        points = single[0][1]._replace(**{
+            stat: {key: v for _, p in single for key, v in getattr(p, stat).items()}
+            for stat in ("spacing", "slope")})
+        return {r: v[r] for r, (v, _) in zip(requests, single)}, points
 
     monkeypatch.setattr(kubo, "_pair_sum_on_grid", separate_passes)
     code, separate, _ = run_cli(capsys, *argv)

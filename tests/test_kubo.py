@@ -959,9 +959,10 @@ _KINDS = ([("f_jl", eta, p) for eta in (0.1, 0.025) for p in ((1, 1), (1, 2), (2
 
 def test_two_band_kernel_reads_pauli_rows_only(monkeypatch, three_band_metal):
     # a two-band pass makes one _pauli_rows call per chunk, for H, the
-    # currents and the Hessians, and takes the gate's current norm from the
-    # rows: it assembles no stack and calls no _max_frobenius, and its norm
-    # is the stacks' Frobenius norm up to rounding; N > 2 makes no Pauli rows
+    # currents and the Hessians, and takes the gate's current norm (on
+    # _Points) from the rows: it assembles no stack and calls no
+    # _max_frobenius, and its norm is the stacks' Frobenius norm up to
+    # rounding; N > 2 makes no Pauli rows
     model = tilted_qwz(3.0)
     grid = _piece(cc.uniform_grid(model.lattice, 91, 91), 0, 2 * 4096 + 17)
     pauli_rows, calls = cc.HoppingModel._pauli_rows, []
@@ -977,10 +978,10 @@ def test_two_band_kernel_reads_pauli_rows_only(monkeypatch, three_band_metal):
         patch.setattr(cc.HoppingModel, "_pauli_rows", counting)
         patch.setattr(cc.HoppingModel, "_assemble", refuse)
         patch.setattr(kubo, "_max_frobenius", refuse)
-        tallies, _ = kubo._pair_sum_on_grid(model, grid, _KINDS)
+        _, points = kubo._pair_sum_on_grid(model, grid, _KINDS)
     assert calls == [4096, 4096, 17]
     norm = max(bloch._max_frobenius(J) for J in model._assemble(grid.points, ((1,), (2,))))
-    assert abs(tallies[_KINDS[1]].slope - norm) <= 1e-14 * norm
+    assert abs(max(points.slope[1], points.slope[2]) - norm) <= 1e-14 * norm
     monkeypatch.setattr(cc.HoppingModel, "_pauli_rows", refuse)
     grid = cc.uniform_grid(three_band_metal.lattice, 24, 24)
     kubo._pair_sum_on_grid(three_band_metal, grid, _KINDS)
@@ -992,7 +993,7 @@ def test_reused_buffers_keep_chunks_apart():
     # count 1 or 2 in the first chunk, 0 or 1 in the second, 1 in the last
     # 17 points) a pass must give every tally, bit for bit, what passes
     # over its chunk-aligned pieces give: their sums added left to right and
-    # the extremes of their statistics
+    # the extremes of their statistics, the gate's on _Points
     model = tilted_qwz(3.0)
     grid = cc.uniform_grid(model.lattice, 91, 91)
     bounds = [(0, 4096), (4096, 8192), (8192, 8209)]
@@ -1003,8 +1004,11 @@ def test_reused_buffers_keep_chunks_apart():
     for r in _KINDS:
         parts = [tallies[r] for tallies, _ in pieces]
         assert whole[r].total == sum(t.total for t in parts), r
-        for stat in ("top", "scale", "imag", "spacing", "slope"):
+        for stat in ("top", "scale", "imag"):
             assert getattr(whole[r], stat) == max(getattr(t, stat) for t in parts), (r, stat)
+    for stat in ("spacing", "slope"):
+        got = getattr(points, stat)
+        assert got == {key: max(getattr(p, stat)[key] for _, p in pieces) for key in got}, stat
     assert points.min_gap == min(p.min_gap for _, p in pieces)
 
 
@@ -1383,8 +1387,8 @@ def test_eta_sequence_must_start_below_the_spectral_radius(qwz_gapped):
 def _pass(requests, top=0.0, imag=0.0):
     """One hand-made _pair_sum_on_grid result: every request's tally with
     the per-point maximum ``top`` and Schwinger imaginary part ``imag``."""
-    tally = kubo._Tally(total=1.0, top=top, scale=1.0, imag=imag, spacing=0.0, slope=0.0)
-    return {r: tally for r in requests}, kubo._Points(1, np.inf, (np.nan, np.nan), 0.0)
+    tally = kubo._Tally(total=1.0, top=top, scale=1.0, imag=imag)
+    return {r: tally for r in requests}, kubo._Points(1, np.inf, (np.nan, np.nan), 0.0, {}, {})
 
 
 def test_checked_refuses_a_lost_sign_on_longitudinal_f_jl_rows_only():
@@ -1502,6 +1506,26 @@ def test_kubo_invariant_under_energy_rescaling(honeycomb_report, s):
     model = cc.preset_haldane(s, 0.1 * s, 0.0, 0.0)
     report = cc.sigma_kubo(model, directions=BOTH, eta_sequence=[s * e for e in BENCH_ETAS])
     _assert_same_grids_and_sigma(report, honeycomb_report, eta_scale=s)
+
+
+@pytest.mark.parametrize("k", [-330, -300, 300, 330])
+def test_cone_integrals_scale_with_the_energy_unit(k):
+    # the B_eps Jacobian takes sqrt(lambda_0) sqrt(lambda_1), not the root of
+    # their product, which left the float range where Q ~ t1^2 does: at
+    # 2^300 fjj_sing and zeta_jj read 0, at 2^-300 they were not finite.
+    # Scaling every hopping, eta and the cones' Q and tilt by powers of two
+    # keeps the nodes and scales both integrals by s; zeta's finite
+    # difference in momentum amplifies the rounding of the eigensolve of Q
+    s, t2, M = 2.0**k, 0.1, 0.3 * np.sqrt(3.0)
+    base = cc.preset_haldane(1.0, t2, np.pi / 2.0, M)
+    cones = cc.characterize_cones(base)
+    model = cc.preset_haldane(s, s * t2, np.pi / 2.0, s * M)
+    scaled = [dataclasses.replace(c, Q=s * s * c.Q, tilt=s * c.tilt, gap_at_omega=s * c.gap_at_omega,
+                                  gap_tol=s * c.gap_tol) for c in cones]
+    for integral, rel in ((cc.fjj_sing, 1e-15), (cc.zeta_jj, 1e-12)):
+        want = integral(base, cones, 0.05, 1).value
+        got = integral(model, scaled, s * 0.05, 1).value
+        assert np.ldexp(got, -k) == pytest.approx(want, rel=rel, abs=0), integral.__name__
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0])
