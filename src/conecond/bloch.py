@@ -21,10 +21,10 @@ d_u and -d_u come in pairs, a cosine and a sine coefficient table per pair,
 built once per model, contracted with the phase rows cos(k . d_u) and
 sin(k . d_u) of a batch of momenta (HoppingModel._assemble_phases; for two
 bands also the Pauli rows of H = s0 + s . sigma, _pauli_phases; _assemble
-and _pauli_rows build the rows of momenta first).  The rows of a uniform
-grid are built from per-axis tables instead (HoppingModel._grid_phases).
-The package's one H(k) eigenvalue solver is _eigvals, which reads either
-kind of phase rows (two bands: _split).  The
+and _pauli_rows build the rows of momenta first).  On a uniform grid the
+sum is separable, one product of per-axis tables with no phase rows
+(_grid_eigvals).  The package's one H(k) eigenvalue solver is _eigvals,
+which reads phase rows (two bands: _split).  The
 Pauli rows of one band pair's 2 x 2 block, in H and its derivatives, come
 from _pair_rows for every N: _pauli_rows for two bands, one eigh for more.
 """
@@ -123,6 +123,8 @@ class HoppingModel:
     _max_hopping: float = field(init=False, repr=False, compare=False)
     _nexp: int = field(init=False, repr=False, compare=False)
     _npair: int = field(init=False, repr=False, compare=False)
+    # what is computed once per model: the spectral radius and _slope_bound
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     # entries too large for floats overflow to inf while the tables are
     # built; the table check below refuses them, without a warning
@@ -132,85 +134,91 @@ class HoppingModel:
         pos = np.asarray(self.positions, dtype=float).reshape(N, 2).copy()
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
+        # the terms as one read-only (K, N, N) stack, each T(gamma) a view
         terms = {}
         for cell, T in self.terms.items():
-            m1, m2 = int(cell[0]), int(cell[1])
-            T = np.asarray(T, dtype=complex).reshape(N, N).copy()
-            T.setflags(write=False)
-            terms[(m1, m2)] = T
-        object.__setattr__(self, "terms", terms)
+            terms[int(cell[0]), int(cell[1])] = np.asarray(T, dtype=complex).reshape(N, N)
+        cells = list(terms)
+        stack = np.array(list(terms.values()), dtype=complex).reshape(len(cells), N, N)
+        stack.setflags(write=False)
+        object.__setattr__(self, "terms", dict(zip(cells, stack)))
         if not (np.isfinite(pos).all() and np.isfinite(self.fermi_energy)
-                and all(np.isfinite(T).all() for T in terms.values())):
+                and np.isfinite(stack).all()):
             raise ModelFormatError("orbital positions, hopping entries and the "
                                    "Fermi energy must be finite")
-        max_hopping = max([0.0] + [float(np.abs(T).max()) for T in terms.values()])
+        max_hopping = float(np.abs(stack).max(initial=0.0))
         scale = max(1.0, max_hopping)
-        for (m1, m2), T in terms.items():
-            partner = terms.get((-m1, -m2))
-            if partner is None:
+        index = {cell: i for i, cell in enumerate(cells)}
+        partner = [index.get((-m1, -m2), -1) for m1, m2 in cells]
+        deviation = np.abs(stack[partner] - stack.conj().swapaxes(1, 2)).max(axis=(1, 2),
+                                                                            initial=0.0)
+        for (m1, m2), p, dev in zip(cells, partner, deviation):
+            if p < 0:
                 raise HoppingConflict(f"term at ({m1},{m2}) has no partner at ({-m1},{-m2})")
-            deviation = np.abs(partner - T.conj().T).max()
-            if deviation > PAIRING_ATOL * scale:
+            if dev > PAIRING_ATOL * scale:
                 raise HoppingConflict(f"T({-m1},{-m2}) != T({m1},{m2})^dagger "
-                                      f"(max deviation {deviation:.3e})")
-        # per nonzero entry (a, b) of each T(gamma) its displacement
-        # gamma + (r_b - r_a), the exact negation of its partner's
-        # -gamma + (r_a - r_b); the empty first pieces keep the shapes valid
-        # for a model without terms
-        disp, flat, vals = [np.zeros((0, 2))], [np.zeros(0, np.intp)], [np.zeros(0, complex)]
-        for (m1, m2), T in terms.items():
-            a, b = np.nonzero(T)
-            disp.append(m1 * self.lattice.a1 + m2 * self.lattice.a2 + (pos[b] - pos[a]))
-            flat.append(a * N + b)
-            vals.append(T[a, b])
-        rows, distinct = np.unique(np.concatenate(disp), axis=0, return_inverse=True)
+                                      f"(max deviation {dev:.3e})")
+        # per nonzero entry (a, b) of each T(gamma), in term order, its
+        # displacement gamma + (r_b - r_a), the exact negation of its
+        # partner's -gamma + (r_a - r_b)
+        t, a, b = np.nonzero(stack)
+        m = np.array(cells, dtype=float).reshape(-1, 2)[t]
+        disp = m[:, :1] * self.lattice.a1 + m[:, 1:] * self.lattice.a2 + (pos[b] - pos[a])
+        # the distinct rows in lexicographic order: as complex numbers
+        # x + iy, which sort by (x, y) and are equal where the rows are
+        rows, distinct = np.unique(disp.view(complex).ravel(), return_inverse=True)
         # one phase argument per +- pair: the rows whose exact negation is a
         # later row (_npair of them), the other nonzero rows (_nexp in all),
         # then those negations in the same order, and the zero row
-        keys = [tuple(r) for r in rows.tolist()]
-        index = {r: u for u, r in enumerate(keys)}
-        partner = [index.get(tuple(-x for x in r), -1) for r in keys]
-        paired = [u for u, v in enumerate(partner) if v > u]
-        single = [u for u, v in enumerate(partner) if v < 0]
-        zero = [u for u, v in enumerate(partner) if v == u]
-        order = paired + single + [partner[u] for u in paired] + zero
-        table = np.zeros((len(keys), N * N), dtype=complex)
-        np.add.at(table, (distinct.ravel(), np.concatenate(flat)), np.concatenate(vals))
-        table, disp = table[order], rows[order]
-        n_exp, n_pair = len(paired) + len(single), len(paired)
+        n = len(rows)
+        mirror = np.minimum(np.searchsorted(rows, -rows), n - 1)
+        mirror = np.where(rows[mirror] == -rows, mirror, -1)
+        paired = np.flatnonzero(mirror > np.arange(n))
+        zero = np.flatnonzero(mirror == np.arange(n))
+        order = np.concatenate([paired, np.flatnonzero(mirror < 0), mirror[paired], zero])
+        table = np.zeros((n, N * N), dtype=complex)
+        np.add.at(table, (distinct, a * N + b), stack[t, a, b])
+        table, disp = table[order], rows[order].view(float).reshape(n, 2)
+        n_pair = len(paired)
+        n_exp = n - n_pair - len(zero)
         # per argument the cos and sin coefficients C = T_u + T_-u and
         # S = i (T_u - T_-u), or C = T_u and S = i T_u without a partner;
-        # the last row multiplies the constant 1
+        # the last row multiplies the constant 1.  One (6, 2 n_exp + 1, N^2)
+        # array holds every key's table: H's [C; S; Z], dH/dk_j's
+        # [d_j S; -d_j C; 0] and d^2H/dk_j dk_l's -d_j d_l [C; S; 0]
         own, neg = table[:n_exp], np.zeros((n_exp, N * N), dtype=complex)
         neg[:n_pair] = table[n_exp:n_exp + n_pair]
         C, S = own + neg, 1j * (own - neg)
-        zero_row = np.zeros((1, N * N), dtype=complex)
-        tables = {(): np.vstack([C, S, table[-1:] if zero else zero_row])}
-        for j in (1, 2):
-            dj = disp[:n_exp, j - 1, None]
-            tables[(j,)] = np.vstack([dj * S, -dj * C, zero_row])
-            for l in range(j, 3):
-                w = -dj * disp[:n_exp, l - 1, None]
-                tables[(j, l)] = tables[(l, j)] = np.vstack([w * C, w * S, zero_row])
-        tables = {key: K.view(float) for key, K in tables.items()}
+        K = np.zeros((6, 2 * n_exp + 1, N * N), dtype=complex)
+        K[0, :n_exp], K[0, n_exp:-1] = C, S
+        if len(zero):
+            K[0, -1] = table[-1]
+        d = disp[:n_exp].T[:, :, None]                      # d_1, d_2: (2, n_exp, 1)
+        K[1:3, :n_exp], K[1:3, n_exp:-1] = d * S, -d * C
+        w = -d[[0, 0, 1]] * d[[0, 1, 1]]                    # (1, 1), (1, 2), (2, 2)
+        K[3:, :n_exp], K[3:, n_exp:-1] = w * C, w * S
+        K = K.view(float)
         # |cos| and |sin| are at most 1, so the column sums of a table's
         # |entries| bound every entry of its stack at every momentum
-        if not all(np.isfinite(np.abs(K).sum(axis=0)).all() for K in tables.values()):
+        if not np.isfinite(np.abs(K).sum(axis=1)).all():
             raise ModelFormatError("hopping entries too large: H(k) or its derivatives "
                                    "would overflow")
         if 0.0 < max_hopping < np.finfo(float).tiny:
             raise ModelFormatError(f"hopping entries too small: the largest, {max_hopping:.3e}, "
                                    "is subnormal, so H(k) would lose digits")
-        pauli = ({key: _TO_PAULI @ K[:, [0, 4, 5, 6]].T for key, K in tables.items()}
-                 if N == 2 else {})
-        for arr in (disp, *tables.values(), *pauli.values()):
+        P = _TO_PAULI @ K[:, :, [0, 4, 5, 6]].swapaxes(1, 2) if N == 2 else K[:0]
+        for arr in (disp, K, P):
             arr.setflags(write=False)
+        keys = ((), (1,), (2,), (1, 1), (1, 2), (2, 2), (2, 1))     # (2, 1) is (1, 2)
+        tables = dict(zip(keys, (*K, K[4])))
+        pauli = dict(zip(keys, (*P, P[4]))) if N == 2 else {}
         object.__setattr__(self, "_disp", disp)
         object.__setattr__(self, "_tables", tables)
         object.__setattr__(self, "_pauli_tables", pauli)
         object.__setattr__(self, "_max_hopping", max_hopping)
         object.__setattr__(self, "_nexp", n_exp)
         object.__setattr__(self, "_npair", n_pair)
+        object.__setattr__(self, "_memo", {})
 
     # -- vectorized evaluation over a batch of momenta ----------------------
 
@@ -242,8 +250,8 @@ class HoppingModel:
         return [S[:len(ks)] for S in self._assemble_phases(self._phases(ks), derivatives)]
 
     def _assemble_phases(self, phase: np.ndarray, derivatives) -> list:
-        """_assemble at the M columns of the phase rows ``phase`` (_phases or
-        _grid_phases): one (M, N, N) stack per key, each one matmul of the
+        """_assemble at the M columns of the phase rows ``phase`` (_phases):
+        one (M, N, N) stack per key, each one matmul of the
         transposed rows with the key's coefficient table."""
         tables = [self._tables.get(tuple(derivs)) for derivs in derivatives]
         for derivs, K in zip(derivatives, tables):
@@ -288,31 +296,6 @@ class HoppingModel:
         phase[-1] = 1.0
         return phase
 
-    def _grid_phases(self, n1: int, n2: int) -> np.ndarray:
-        """The phase rows of _phases(uniform_grid(self.lattice, n1, n2).points),
-        in its point order and to a few ulp, from per-axis tables: with the
-        zone coordinates (f1, f2) of a point, theta = f1 (z1 . d_u) + f2
-        (z2 . d_u) is a sum a + b whose cos and sin are ca cb - sa sb and
-        sa cb + ca sb, so each axis needs only n cosines and sines per
-        displacement.  Each row is written in place as an n1 x n2 outer
-        product, so only one n1 x n2 buffer is formed besides the rows."""
-        n_exp = self._nexp
-        proj = self._disp[:n_exp] @ self.lattice.zone             # (z1 . d_u, z2 . d_u)
-        a = proj[:, :1] * _midpoints(n1)
-        b = proj[:, 1:] * _midpoints(n2)
-        ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
-        phase = np.empty((2 * n_exp + 1, n1 * n2))
-        rows = phase[:-1].reshape(2, n_exp, n1, n2)
-        tmp = np.empty((n1, n2))
-        for u in range(n_exp):
-            cos, sin = rows[:, u]
-            np.multiply.outer(ca[u], cb[u], out=cos)
-            cos -= np.multiply.outer(sa[u], sb[u], out=tmp)
-            np.multiply.outer(sa[u], cb[u], out=sin)
-            sin += np.multiply.outer(ca[u], sb[u], out=tmp)
-        phase[-1] = 1.0
-        return phase
-
     def h_batch(self, ks: np.ndarray) -> np.ndarray:
         """H(k) for a batch of momenta; shape (M, N, N)."""
         return self._assemble(ks, ((),))[0]
@@ -327,9 +310,12 @@ class HoppingModel:
 
     def spectral_radius(self) -> float:
         """max |eigenvalue| over the coarse 16 x 16 uniform_grid (energy
-        scale), read through its outer-product phase rows (_grid_phases)."""
-        w = _eigvals(self, self._grid_phases(16, 16))
-        return float(np.abs(w).max())
+        scale), from its separable product (_grid_eigvals); computed once
+        per model."""
+        rho = self._memo.get("rho")
+        if rho is None:
+            rho = self._memo["rho"] = float(np.abs(_grid_eigvals(self, 16, 16)).max())
+        return rho
 
 
 def _binary_exponent(x) -> int:
@@ -356,9 +342,14 @@ def _slope_bound(model: HoppingModel) -> float:
     """Largest Frobenius norm of dH/dk_1 and dH/dk_2 on one fixed zone
     sample, the 512 momenta at every 18th point of the 96 x 96 midpoint grid
     (_grid_points): the current scale, hence the band slopes, that the
-    scan's seed threshold and GridPolicy's spacing read."""
-    ks = _grid_points(model.lattice, 96, np.arange(0, 96 * 96, 18))
-    return max(_max_frobenius(J) for J in model._assemble(ks, ((1,), (2,))))
+    scan's seed threshold and GridPolicy's spacing read; computed once per
+    model."""
+    bound = model._memo.get("slope")
+    if bound is None:
+        ks = _grid_points(model.lattice, 96, np.arange(0, 96 * 96, 18))
+        bound = model._memo["slope"] = max(_max_frobenius(J)
+                                           for J in model._assemble(ks, ((1,), (2,))))
+    return bound
 
 
 def _split(rows) -> tuple:
@@ -398,7 +389,7 @@ def _pair_rows(model: HoppingModel, ks: np.ndarray, derivatives, lo: int) -> tup
 
 def _eigvals(model: HoppingModel, phase: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues (M, N) of H at the M columns of the phase rows
-    ``phase`` (HoppingModel._phases or _grid_phases): for two bands _split
+    ``phase`` (HoppingModel._phases): for two bands _split
     of H's Pauli rows (_pauli_phases), else np.linalg.eigvalsh of H's stack
     (_assemble_phases).  Phase rows passed as a temporary are freed once
     the product is formed, so they and the solver's buffers are never held
@@ -410,6 +401,39 @@ def _eigvals(model: HoppingModel, phase: np.ndarray) -> np.ndarray:
     H = model._assemble_phases(phase, ((),))[0]
     del phase
     return np.linalg.eigvalsh(H)
+
+
+def _grid_eigvals(model: HoppingModel, n1: int, n2: int) -> np.ndarray:
+    """_eigvals on uniform_grid(model.lattice, n1, n2), in its point order
+    and to a few ulp of the spectral radius, without its points or phase
+    rows.  With the zone coordinates (f1, f2) of a point, k . d_u = f1 p_u +
+    f2 q_u (p_u, q_u = z1 . d_u, z2 . d_u), and cos, sin of the sum expand
+    into per-axis cosines and sines, so each column of H's table [C; S; Z]
+    (two bands: of the Pauli rows) is, on the grid, the separable product
+
+        sum_u C_u cos + S_u sin + Z = A B,
+        A = [C ca + S sa, S ca - C sa, Z]  (n1, 2 n_exp + 1),
+        B = [cb; sb; 1]                    (2 n_exp + 1, n2),
+
+    ca, sa = cos, sin(f1 p_u) and cb, sb = cos, sin(f2 q_u): one matmul of
+    every column's A, stacked, with B."""
+    n_exp = model._nexp
+    proj = model._disp[:n_exp] @ model.lattice.zone
+    a = proj[:, :1] * _midpoints(n1)
+    b = proj[:, 1:] * _midpoints(n2)
+    ca, sa = np.cos(a).T, np.sin(a).T                       # (n1, n_exp)
+    B = np.vstack([np.cos(b), np.sin(b), np.ones((1, n2))])
+    K = model._pauli_tables[()].T if model.norbitals == 2 else model._tables[()]
+    C, S = K[:n_exp].T[:, None], K[n_exp:-1].T[:, None]     # (columns, 1, n_exp)
+    A = np.empty((K.shape[1], n1, 2 * n_exp + 1))
+    A[..., :n_exp] = C * ca + S * sa
+    A[..., n_exp:-1] = S * ca - C * sa
+    A[..., -1] = K[-1, :, None]
+    H = (A.reshape(-1, 2 * n_exp + 1) @ B).reshape(K.shape[1], n1 * n2)
+    if model.norbitals == 2:
+        return _split(H)[0]
+    N = model.norbitals
+    return np.linalg.eigvalsh(np.ascontiguousarray(H.T).view(complex).reshape(-1, N, N))
 
 
 def _require_directions(*idx) -> None:

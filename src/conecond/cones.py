@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import (HoppingModel, NumericalError, _binary_exponent, _eigvals,
+from .bloch import (HoppingModel, NumericalError, _binary_exponent, _eigvals, _grid_eigvals,
                     _pair_rows, _require_directions, _slope_bound, _split, h_at)
 from .lattice import (Lattice2D, _grid_points, _images, _min_cart_distance, _reduced_basis,
                       reduce_to_cell, wrap_fractional)
@@ -82,6 +82,9 @@ _LOCATE_MAXITER = 50
 #: half-width, in grid cells, of the box around a stalled seed whose valley
 #: floor the scan refines (find_fermi_points)
 _VALLEY_RADIUS = 8
+#: the locator's rank cutoff: the smaller singular value of the Jacobian
+#: counts when above this share of the larger (np.linalg.pinv's default)
+_PINV_RCOND = 1e-15
 #: quantizing test: relative deviation of Q from a multiple of the identity
 _QUANTIZING_RTOL = 1e-9
 
@@ -252,6 +255,36 @@ class _Located(NamedTuple):
     nfev: int
 
 
+def _pinv_step(P: np.ndarray) -> np.ndarray:
+    """-M^+ d (2, S) from the 3-vectors P = (d, m1, m2) (3, 3, S) of S
+    points, M = (m1, m2) a 3 x 2 matrix and M^+ its pseudo-inverse, in
+    closed form: with c = m1 x m2, c . c = det(M^T M), and the step is
+    (c . (m2 x d), c . (d x m1)) / c . c, the three cross products formed
+    at once from one cyclic arrangement of the vectors and of their
+    components.  M and d are first scaled per point by one power of two
+    each (exact, as by _binary_exponent), so no product overflows or
+    underflows.  A rank-1 M, whose smaller singular value is at most
+    _PINV_RCOND times the larger (np.linalg.pinv's cutoff; |M|^2 equals the
+    larger squared to 1e-30 there), steps by -M^T d / |M|^2, and M = 0 by
+    0."""
+    e = np.frexp(np.abs(P).max(axis=1))[1]
+    e[1:] = e[1:].max(axis=0)
+    P = np.ldexp(P, -e[:, None])
+    Q = np.concatenate((P[1:], P), axis=0)                  # m1, m2, d, m1, m2
+    Q = np.concatenate((Q, Q[:, :2]), axis=1)               # components x y z x y
+    A, B = Q[0:3], Q[1:4]                                   # (m1, m2, d), (m2, d, m1)
+    X = A[:, 1:4] * B[:, 2:5] - A[:, 2:5] * B[:, 1:4]       # c, m2 x d, d x m1
+    Z = (X[0] * X).sum(axis=1)                              # c . c and the numerators
+    norm2 = (P[1:] * P[1:]).sum(axis=(0, 1))
+    full = Z[0] > (_PINV_RCOND * norm2) ** 2
+    if full.all():
+        step = Z[1:] / Z[0]
+    else:
+        step = (np.where(full, Z[1:], -(P[1:] * P[0]).sum(axis=1))
+                / np.where(full, Z[0], np.where(norm2 > 0.0, norm2, 1.0)))
+    return np.ldexp(step, e[0] - e[1])
+
+
 def _gauss_newton_step(model: HoppingModel, m: int, ks: np.ndarray) -> tuple:
     """(gap, step) at each momentum of ks (S, 2): the pair gap
     Lambda_m - Lambda_{m-1} and the Gauss-Newton step toward its zero.
@@ -259,15 +292,13 @@ def _gauss_newton_step(model: HoppingModel, m: int, ks: np.ndarray) -> tuple:
     The pair's 2 x 2 block of H has the traceless Pauli vector d, which
     vanishes at a crossing, and by Hellmann-Feynman its Jacobian M (3 x 2)
     holds the Pauli vectors of the pair's blocks of the currents J_j; all
-    are read from the pair's Pauli rows (_pair_rows), the step is -M^+ d,
-    M^+ the pseudo-inverse, and the gap is 2 |d| (_split).  For two bands
-    the block is H in the orbital basis, not the eigenbasis, and no
-    eigenvector is formed: a change of basis rotates every Pauli vector by
-    one R in SO(3), which cancels, (R M)^+ R d = M^+ d."""
-    (H, J1, J2), _ = _pair_rows(model, ks, ((), (1,), (2,)), m - 1)
-    r = _split(H)[1][-1]
-    M = np.stack([J1[1:].T, J2[1:].T], axis=-1)                # (S, 3, j)
-    return 2.0 * r, -np.einsum("sji,is->sj", np.linalg.pinv(M), H[1:])
+    are read from the pair's Pauli rows (_pair_rows), the step is -M^+ d
+    (_pinv_step), M^+ the pseudo-inverse, and the gap is 2 |d| (_split).
+    For two bands the block is H in the orbital basis, not the eigenbasis,
+    and no eigenvector is formed: a change of basis rotates every Pauli
+    vector by one R in SO(3), which cancels, (R M)^+ R d = M^+ d."""
+    rows, _ = _pair_rows(model, ks, ((), (1,), (2,)), m - 1)
+    return 2.0 * _split(rows[0])[1][-1], _pinv_step(rows[:, 1:]).T
 
 
 def minimize(model: HoppingModel, m: int, seeds) -> _Located:
@@ -309,9 +340,9 @@ def find_fermi_points(
     """Locate conical band crossings at the Fermi level.
 
     Scans the gap across the Fermi level on a ``coarse`` x ``coarse``
-    midpoint grid in one pass over its tensor structure: the grid's phase
-    rows from per-axis tables (HoppingModel._grid_phases), one _eigvals
-    call, the occupied count from two eigenvalue columns
+    midpoint grid in one pass over its tensor structure: the grid's
+    eigenvalues from one separable product of per-axis tables
+    (_grid_eigvals), the occupied count from two eigenvalue columns
     (_occupied_band_index) and the 3 x 3 minima from slices (_seed_mask).
     It then refines every local minimum below a slope-based seed
     threshold, all seeds in one batch, by the Gauss-Newton locator
@@ -335,7 +366,7 @@ def find_fermi_points(
     if tol is None:
         tol = DEFAULT_GAP_TOL * rho
     n = int(coarse)
-    w = _eigvals(model, model._grid_phases(n, n))
+    w = _grid_eigvals(model, n, n)
     m = _occupied_band_index(model, w)
     gap = (w[:, m] - w[:, m - 1]).reshape(n, n)
     del w                                   # not held while the grid is built

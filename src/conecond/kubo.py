@@ -751,7 +751,11 @@ def _grid_estimate(model: HoppingModel, request, grid: KGrid,
                    companion: KGrid | None, gate: bool) -> KuboEstimate:
     """The KuboEstimate of one kernel ``request``: its value checked on
     ``grid`` (gated when ``gate`` is set) and, for the quadrature error, its
-    value on the ``companion`` when given."""
+    value on the ``companion`` when given.  An f_jl or ftilde_jj request
+    first has the model's energy scale checked (_require_pair_sum_range);
+    the Schwinger trace forms no pair-sum product."""
+    if request[0] != "schwinger":
+        _require_pair_sum_range(model)
     value = _grid_values(model, grid, (request,), gate)[0][request]
     # the resolution gate protects the primary estimate; the companion grid
     # is deliberately coarser and serves only the error estimate

@@ -12,7 +12,8 @@ from conecond import bloch
 from conecond.bloch import PAIRING_ATOL, _eigvals
 from conecond.cli import _band_path
 from conecond.lattice import uniform_grid
-from conftest import one_cone_model, random_momenta, square_model_dict, tilted_qwz
+from conftest import (hex_flat_band_dict, one_cone_model, one_cone_seeds, random_momenta,
+                      square_model_dict, three_band_dict, tilted_qwz, with_far_band)
 
 # one momentum (BLAS's one-row path), an odd batch and a full Kubo chunk
 ASSEMBLY_BATCHES = (1, 255, 4096)
@@ -362,23 +363,23 @@ def test_more_bands_take_lapack_eigenvalues(fixture, request):
 
 @pytest.mark.parametrize("name", ["haldane_critical", "haldane_one_cone", "qwz_topological",
                                   "qwz_aniso", "skewed_generic", "three_orbital"])
-def test_grid_phase_rows_match_the_uniform_grid(name, request):
-    # the outer-product rows of a uniform grid against _phases of its
-    # points: the same layout and point order, every entry within 4 ulp of
-    # the largest |theta| (1.44 measured); odd and unequal counts, the
-    # skewed model with an unpaired row, the 3-orbital one on a skewed lattice
+def test_grid_eigenvalues_match_the_uniform_grid(name, request):
+    # the separable product of a uniform grid against _eigvals of the phase
+    # rows of its points: the same point order, every eigenvalue within 8
+    # ulp of the largest |eigenvalue|; the scan's 96^2 and the energy
+    # scale's 16^2, odd and unequal counts, the skewed model with an
+    # unpaired row, the 3-orbital one on a skewed lattice
     if name == "skewed_generic":
         model = with_unpaired_row(skewed_generic_model())
     elif name in BUILT_MODELS:
         model = BUILT_MODELS[name]()
     else:
         model = request.getfixturevalue(name)
-    for n1, n2 in ((96, 96), (7, 5), (1, 4), (33, 16)):
+    for n1, n2 in ((96, 96), (16, 16), (7, 5), (1, 4), (33, 16)):
         ks = uniform_grid(model.lattice, n1, n2).points
-        rows, ref = model._grid_phases(n1, n2), model._phases(ks)
-        theta = np.abs(model._disp[:model._nexp] @ ks.T).max()
-        assert rows.shape == ref.shape
-        assert np.abs(rows - ref).max() <= 4.0 * np.finfo(float).eps * max(1.0, theta)
+        w, ref = bloch._grid_eigvals(model, n1, n2), _eigvals(model, model._phases(ks))
+        assert w.shape == ref.shape
+        assert np.abs(w - ref).max() <= 8.0 * np.finfo(float).eps * np.abs(ref).max()
 
 
 def test_two_band_scan_and_energy_scale_skip_lapack(monkeypatch, haldane_critical):
@@ -580,6 +581,147 @@ def test_unpaired_term_refused_at_construction():
                        match=r"term at \(1,0\) has no partner at \(-1,0\)"):
         cc.HoppingModel(lattice=cc.make_lattice([1.0, 0.0], [0.0, 1.0]), norbitals=1,
                         positions=[(0.0, 0.0)], terms={(1, 0): [[1.0]]}, fermi_energy=0.0)
+
+
+def reference_tables(lattice, N, positions, terms, fermi_energy):
+    """The derived state of HoppingModel built term by term, as it was
+    before its one vectorized pass: (disp, tables, pauli tables, n_exp,
+    n_pair, max_hopping), or the first refusal, raised."""
+    pos = np.asarray(positions, dtype=float).reshape(N, 2)
+    terms = {(int(c[0]), int(c[1])): np.asarray(T, dtype=complex).reshape(N, N)
+             for c, T in terms.items()}
+    if not (np.isfinite(pos).all() and np.isfinite(fermi_energy)
+            and all(np.isfinite(T).all() for T in terms.values())):
+        raise cc.ModelFormatError("orbital positions, hopping entries and the "
+                                  "Fermi energy must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_hopping = max([0.0] + [float(np.abs(T).max()) for T in terms.values()])
+        for (m1, m2), T in terms.items():
+            partner = terms.get((-m1, -m2))
+            if partner is None:
+                raise cc.HoppingConflict(f"term at ({m1},{m2}) has no partner at ({-m1},{-m2})")
+            deviation = np.abs(partner - T.conj().T).max()
+            if deviation > PAIRING_ATOL * max(1.0, max_hopping):
+                raise cc.HoppingConflict(f"T({-m1},{-m2}) != T({m1},{m2})^dagger "
+                                         f"(max deviation {deviation:.3e})")
+        disp, flat, vals = [np.zeros((0, 2))], [np.zeros(0, np.intp)], [np.zeros(0, complex)]
+        for (m1, m2), T in terms.items():
+            a, b = np.nonzero(T)
+            disp.append(m1 * lattice.a1 + m2 * lattice.a2 + (pos[b] - pos[a]))
+            flat.append(a * N + b)
+            vals.append(T[a, b])
+        rows, distinct = np.unique(np.concatenate(disp), axis=0, return_inverse=True)
+        keys = [tuple(r) for r in rows.tolist()]
+        index = {r: u for u, r in enumerate(keys)}
+        partner = [index.get(tuple(-x for x in r), -1) for r in keys]
+        paired = [u for u, v in enumerate(partner) if v > u]
+        single = [u for u, v in enumerate(partner) if v < 0]
+        zero = [u for u, v in enumerate(partner) if v == u]
+        table = np.zeros((len(keys), N * N), dtype=complex)
+        np.add.at(table, (distinct.ravel(), np.concatenate(flat)), np.concatenate(vals))
+        order = paired + single + [partner[u] for u in paired] + zero
+        table, disp = table[order], rows[order]
+        n_exp, n_pair = len(paired) + len(single), len(paired)
+        own, neg = table[:n_exp], np.zeros((n_exp, N * N), dtype=complex)
+        neg[:n_pair] = table[n_exp:n_exp + n_pair]
+        C, S = own + neg, 1j * (own - neg)
+        zero_row = np.zeros((1, N * N), dtype=complex)
+        tables = {(): np.vstack([C, S, table[-1:] if zero else zero_row])}
+        for j in (1, 2):
+            dj = disp[:n_exp, j - 1, None]
+            tables[(j,)] = np.vstack([dj * S, -dj * C, zero_row])
+            for l in range(j, 3):
+                w = -dj * disp[:n_exp, l - 1, None]
+                tables[(j, l)] = tables[(l, j)] = np.vstack([w * C, w * S, zero_row])
+        tables = {key: K.view(float) for key, K in tables.items()}
+        if not all(np.isfinite(np.abs(K).sum(axis=0)).all() for K in tables.values()):
+            raise cc.ModelFormatError("hopping entries too large: H(k) or its derivatives "
+                                      "would overflow")
+    if 0.0 < max_hopping < np.finfo(float).tiny:
+        raise cc.ModelFormatError(f"hopping entries too small: the largest, "
+                                  f"{max_hopping:.3e}, is subnormal, so H(k) would lose digits")
+    pauli = ({key: bloch._TO_PAULI @ K[:, [0, 4, 5, 6]].T for key, K in tables.items()}
+             if N == 2 else {})
+    return disp, tables, pauli, n_exp, n_pair, max_hopping
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def assert_tables_as_built_term_by_term(model):
+    disp, tables, pauli, n_exp, n_pair, max_hopping = reference_tables(
+        model.lattice, model.norbitals, model.positions, model.terms, model.fermi_energy)
+    assert same_bits(model._disp, disp)
+    assert (model._nexp, model._npair, model._max_hopping) == (n_exp, n_pair, max_hopping)
+    assert set(model._tables) == set(tables) and set(model._pauli_tables) == set(pauli)
+    for key in tables:
+        assert same_bits(model._tables[key], tables[key]), key
+    for key in pauli:
+        assert same_bits(model._pauli_tables[key], pauli[key]), key
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cc.preset_haldane(1.0, 0.1, 0.3, 0.2),
+    lambda: cc.preset_haldane(1e100, 0.1, 0.0, 0.0),
+    lambda: cc.preset_qwz(-2.0, 2.0, 1.0),
+    lambda: cc.preset_qwz(0.0),
+    three_orbital_model,
+    lambda: with_unpaired_row(skewed_generic_model()),
+    lambda: with_far_band(cc.preset_haldane(1.0, 0.1, 0.0, 0.0), 4.0),
+    lambda: cc.model_from_dict(three_band_dict(2.2)),
+    lambda: cc.model_from_dict(square_model_dict()),
+    lambda: cc.HoppingModel(lattice=cc.make_lattice([1.0, 0.0], [0.0, 1.0]), norbitals=2,
+                            positions=np.zeros((2, 2)), terms={}, fermi_energy=0.0),
+], ids=["haldane", "haldane-1e100", "qwz-aniso", "qwz-u0", "three-orbital",
+        "skewed-unpaired", "honeycomb-band-above", "three-band", "square", "no-terms"])
+def test_model_tables_match_the_term_by_term_build(build):
+    # the one vectorized pass of HoppingModel gives the displacement rows,
+    # every coefficient table and every Pauli table bit for bit as built
+    # term by term (reference_tables), presets, N = 1, 2, 3 and a model
+    # without terms alike
+    assert_tables_as_built_term_by_term(build())
+
+
+def test_model_file_tables_match_the_term_by_term_build(model_file):
+    assert_tables_as_built_term_by_term(cc.load_model(model_file(hex_flat_band_dict())))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=one_cone_seeds)
+def test_random_model_tables_match_the_term_by_term_build(seed):
+    assert_tables_as_built_term_by_term(one_cone_model(seed)[0])
+
+
+def _square(terms, positions=((0.0, 0.0),), mu=0.0):
+    return dict(lattice=cc.make_lattice([1.0, 0.0], [0.0, 1.0]), N=len(positions),
+                positions=np.array(positions), terms=terms, fermi_energy=mu)
+
+
+@pytest.mark.parametrize("args", [
+    _square({(1, 0): [[1.0]]}),
+    _square({(1, 0): [[1.0]], (-1, 0): [[2.0]]}),
+    _square({(1, 0): [[1.0]], (-1, 0): [[np.nan]]}),
+    _square({(2, 0): [[1.0]], (1, 0): [[1.0]], (-1, 0): [[3.0]]}),
+    _square({(1, 0): [[1.0]], (-1, 0): [[1.0]]}, mu=np.inf),
+    _square({(0, 0): [[1e308]], (1, 0): [[1e308]], (-1, 0): [[1e308]]}),
+    _square({(1, 0): [[1e-310]], (-1, 0): [[1e-310]]}),
+    _square({(1, 0): [[1e308]], (-1, 0): [[1e308]], (2, 0): [[1.0]]}),
+    _square({(0, 0): [[0.0, 1.0], [0.0, 0.0]]}, positions=((0.0, 0.0), (0.5, 0.0))),
+], ids=["no-partner", "conflict", "nan-entry", "first-term-unpaired", "mu-inf", "overflow",
+        "subnormal", "overflow-and-unpaired", "non-hermitian-onsite"])
+def test_model_refusals_match_the_term_by_term_build(args):
+    # every refusal of the vectorized construction, and the first of two,
+    # with the type and the message of the term-by-term one
+    with pytest.raises(ValueError) as want:
+        reference_tables(args["lattice"], args["N"], args["positions"], args["terms"],
+                         args["fermi_energy"])
+    with pytest.raises(type(want.value)) as got:
+        cc.HoppingModel(lattice=args["lattice"], norbitals=args["N"],
+                        positions=args["positions"], terms=args["terms"],
+                        fermi_energy=args["fermi_energy"])
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 def test_load_model_bad_json(tmp_path):

@@ -376,12 +376,15 @@ SCALE_COMMANDS = [("validate",), ("bands",), ("fermi-points",), ("sigma", "--met
 def test_every_command_across_the_float_range(capsys, t1):
     # in-process, so a RuntimeWarning fails the test: every command on the
     # honeycomb in any energy unit answers or refuses with a documented exit
-    # code (verify at --grid 16 may fail its absolute Schwinger tolerance),
-    # and every sigma it answers is the two cones' 1/8
+    # code, a verify that reaches a verdict (0 or 2) reaches the one it
+    # reaches in unit energy, and every sigma it answers is the two cones' 1/8
     for argv in SCALE_COMMANDS:
         code, out, err = run_cli(capsys, *argv, "--preset", "haldane",
                                  "--params", f"t1={t1!r},t2=0")
-        assert code in ((0, 1, 2, 4) if argv[0] == "verify" else (0, 1, 4)), (argv, err)
+        if argv[0] == "verify" and code in (0, 2):
+            unit, _, _ = run_cli(capsys, *argv, "--preset", "haldane", "--params", "t1=1.0,t2=0")
+            assert code == unit, (t1, err)
+        assert code in (0, 1, 4) or (argv[0] == "verify" and code == 2), (argv, err)
         assert "Traceback" not in err, argv
         if code == 0 and argv[0] == "sigma":
             report = json.loads(out)
@@ -390,6 +393,27 @@ def test_every_command_across_the_float_range(capsys, t1):
                    else dict(rel=0.03))
             for key in ("11", "22"):
                 assert report["sigma"][key] == pytest.approx(0.125, **tol), (argv, key)
+
+
+def test_verify_verdict_does_not_depend_on_the_energy_unit(capsys):
+    # the Schwinger check's tolerance is relative to the largest |s_jl|: its
+    # absolute 1e-3 once failed the honeycomb at t1 = 100 (5.95e-3) and
+    # passed it at t1 = 1 (5.95e-5).  Every check is now a ratio of the
+    # same energy powers, so one verdict and one discrepancy/tolerance
+    # ratio hold in every unit
+    seen = {}
+    for t1 in ("1e-3", "1", "100"):
+        code, out, _ = run_cli(capsys, "verify", "--preset", "haldane", "--params",
+                               f"t1={t1},t2=0")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        a = checks["schwinger_vs_f0"]
+        seen[t1] = (code, {n: c["status"] for n, c in checks.items()},
+                    a["discrepancy"] / a["tolerance"])
+    (code, statuses, ratio), *others = seen.values()
+    assert code == 0 and set(statuses.values()) == {"pass"}
+    for other in others:
+        assert other[:2] == (code, statuses)
+        assert other[2] == pytest.approx(ratio, rel=1e-9)
 
 
 def test_huge_hopping_closed_form_is_quantized(capsys):

@@ -190,9 +190,9 @@ def test_seed_mask_matches_roll_reference(shape):
 @pytest.mark.parametrize("fixture", ["haldane_critical", "haldane_one_cone", "qwz_topological",
                                      "qwz_aniso", "hex_flat_band_model"])
 def test_scan_takes_the_grid_phase_rows(monkeypatch, fixture, request):
-    # the 96^2 scan and the 16^2 energy scale read the outer-product rows
-    # (HoppingModel._grid_phases): _phases sees only the current-norm
-    # sample and the locator's batches
+    # the 96^2 scan and the 16^2 energy scale read the separable product
+    # of per-axis tables (bloch._grid_eigvals): _phases sees only the
+    # current-norm sample and the locator's batches
     model = request.getfixturevalue(fixture)
     sizes, phases = [], cc.HoppingModel._phases
 
@@ -219,6 +219,8 @@ def test_scan_places_its_seeds_without_the_grid(monkeypatch, fixture, request):
     # and refined in a second
     model = (one_cone_model(0)[0] if fixture == "skewed_one_cone"
              else request.getfixturevalue(fixture))
+    # a fresh copy, whose slope bound is not yet memoized
+    model = dataclasses.replace(model)
     grid = cc.uniform_grid(model.lattice, 96, 96).points
 
     def refused(*args, **kwargs):
@@ -303,7 +305,9 @@ def test_locator_backtracks_from_far_seeds():
 def eigenbasis_step_reference(model, m, ks):
     """The Gauss-Newton step in the pair's eigenbasis P: eigh of the
     assembled H, the Pauli vectors of the traceless parts of P^H J_j P as
-    the Jacobian M, and -M^+ d with d = (0, 0, -gap/2)."""
+    the Jacobian M, and -M^+ d with d = (0, 0, -gap/2), by the locator's
+    closed form (cones._pinv_step, itself checked against np.linalg.pinv
+    in test_pinv_step_matches_numpy_pinv)."""
     H, J1, J2 = model._assemble(ks, ((), (1,), (2,)))
     w, V = np.linalg.eigh(H)
     P = V[:, :, m - 1:m + 1]
@@ -312,7 +316,8 @@ def eigenbasis_step_reference(model, m, ks):
     M = np.stack([A[:, 0, 1].real, -A[:, 0, 1].imag,
                   0.5 * (A[:, 0, 0] - A[:, 1, 1]).real], axis=1)
     gap = w[:, m] - w[:, m - 1]
-    return gap, 0.5 * gap[:, None] * np.linalg.pinv(M)[:, :, 2]
+    d = np.stack([np.zeros_like(gap), np.zeros_like(gap), -0.5 * gap])
+    return gap, cones._pinv_step(np.stack([d, M[:, :, 0].T, M[:, :, 1].T])).T
 
 
 #: the seeds of test_locator_backtracks_from_far_seeds
@@ -363,6 +368,38 @@ def test_pair_step_matches_the_eigenbasis_step_for_more_bands(model, m):
     gap, step = cones._gauss_newton_step(model, m, ks)
     want_gap, want_step = eigenbasis_step_reference(model, m, ks)
     assert np.array_equal(gap, want_gap) and np.array_equal(step, want_step)
+
+
+def pinv_step_reference(P):
+    """-M^+ d by np.linalg.pinv, from the 3-vectors P = (d, m1, m2) (3, 3, S)."""
+    M = np.stack([P[1].T, P[2].T], axis=-1)
+    return -np.einsum("sji,is->js", np.linalg.pinv(M), P[0])
+
+
+def test_pinv_step_matches_numpy_pinv():
+    # the closed-form step against np.linalg.pinv on random Jacobians, to
+    # 1e-14 relative times the condition number of M (pinv's own rounding
+    # grows with it too); rank-1 M, exactly (m2 = 2 m1) and to rounding
+    # (m2 = 3.7 m1), take pinv's cutoff, to 1e-14 of |d| / |M|, the scale
+    # of a rank-1 step; M = 0 and d = 0 step by 0; and M and d scaled by
+    # 2^+-500, alike or oppositely, give the same step scaled exactly
+    rng = np.random.default_rng(4)
+    P = rng.normal(size=(3, 3, 400))
+    P[2, :, :20] = 2.0 * P[1, :, :20]
+    P[2, :, 20:40] = 3.7 * P[1, :, 20:40]
+    P[1:, :, 40] = 0.0
+    P[0, :, 41] = 0.0
+    step, want = cones._pinv_step(P), pinv_step_reference(P)
+    err = np.linalg.norm(step - want, axis=0)
+    rank1 = np.linalg.norm(P[0, :, :40], axis=0) / np.linalg.norm(P[1:, :, :40], axis=(0, 1))
+    assert np.all(err[:40] <= 1e-14 * rank1)
+    assert np.all(step[:, 40:42] == 0.0) and np.all(want[:, 40:42] == 0.0)
+    cond = np.linalg.cond(np.stack([P[1].T, P[2].T], axis=-1)[42:])
+    assert np.all(err[42:] <= 1e-14 * cond * np.linalg.norm(want[:, 42:], axis=0))
+    for km, kd in ((500, 500), (-500, -500), (500, -500), (-500, 500)):
+        scaled = np.concatenate([np.ldexp(P[:1], kd), np.ldexp(P[1:], km)])
+        with np.errstate(all="raise"):
+            assert np.array_equal(np.ldexp(cones._pinv_step(scaled), km - kd), step)
 
 
 def pauli_vector(H):

@@ -1669,3 +1669,46 @@ def test_relabelled_basis_gives_square_basis_results():
     sk_rep = _kubo_report(skew, 1, 1, eta_sequence=seq, cones=sk_cones)
     assert sk_rep.diagnostics["grid_points"] == sq_rep.diagnostics["grid_points"]
     assert np.isclose(sk_rep.sigma[(1, 1)], sq_rep.sigma[(1, 1)], rtol=1e-10, atol=0)
+
+
+# -- per-model samples and the wrappers' range check --------------------------
+
+def test_sigma_kubo_evaluates_each_model_sample_once(monkeypatch):
+    # the spectral radius's 16^2 sample and the slope bound's 512-momentum
+    # sample are computed once per model, however often a run reads them
+    # (the scan, the eta sequence, the range check, the grid layouts)
+    grids, samples = [], []
+    grid_eigvals, grid_points = bloch._grid_eigvals, bloch._grid_points
+
+    def counted_eigvals(model, n1, n2):
+        grids.append((n1, n2))
+        return grid_eigvals(model, n1, n2)
+
+    def counted_points(lattice, n, idx):
+        samples.append(len(idx))
+        return grid_points(lattice, n, idx)
+
+    monkeypatch.setattr(bloch, "_grid_eigvals", counted_eigvals)
+    monkeypatch.setattr(bloch, "_grid_points", counted_points)
+    model = cc.preset_qwz(-2.0, 2.0, 1.0)
+    report = cc.sigma_kubo(model, 1, 1, eta_sequence=[0.4, 0.2, 0.1],
+                           grid_policy=cc.GridPolicy(base=16))
+    assert report.sigma[(1, 1)] > 0.0
+    assert grids.count((16, 16)) == 1 and samples == [512]
+
+
+@pytest.mark.parametrize("t1", [1e103, 1e-110])
+@pytest.mark.parametrize("call", ["fjl_eta", "ftilde_jj"])
+def test_direct_kubo_wrappers_refuse_an_energy_scale_out_of_range(call, t1):
+    # the pair sums form 2 Delta Re z, an energy cubed: at 1e103 fjl_eta
+    # and ftilde_jj overflowed (a RuntimeWarning, then "estimate value must
+    # be finite"), at 1e-110 every product underflowed.  Like the eta sweep,
+    # they now refuse the model first; the Schwinger trace, linear in the
+    # energy, still answers
+    model = cc.preset_haldane(t1, 0.0, 0.0, 0.0)
+    grid = cc.uniform_grid(model.lattice, 16, 16)
+    run = {"fjl_eta": lambda: cc.fjl_eta(model, 0.1 * t1, 1, 1, grid),
+           "ftilde_jj": lambda: cc.ftilde_jj(model, 0.1 * t1, 1, grid)}[call]
+    with pytest.raises(cc.NumericalError, match="energy scale out of the Kubo route's range"):
+        run()
+    assert np.isfinite(cc.schwinger(model, 1, 1, grid).value)

@@ -14,6 +14,9 @@ exception that escapes ``main`` is recorded by its type and message.
 
 Prints each operation whose exit code, standard output or standard error
 differ, with the first differing line, and exits 1 if any does, else 0.
+Where both standard outputs are JSON reports of the same layout, it also
+prints the largest relative difference between their numbers, so a change
+that moves last bits states how far they moved.
 """
 
 from __future__ import annotations
@@ -93,6 +96,36 @@ def _first_difference(a: str, b: str) -> str:
     return f"{len(a.splitlines())} lines != {len(b.splitlines())} lines"
 
 
+def _leaves(report, path="") -> list:
+    """The leaves of a parsed JSON report in document order, as (path,
+    value) pairs, the path naming its keys and indices."""
+    if isinstance(report, dict):
+        return [x for k, v in report.items() for x in _leaves(v, f"{path}.{k}")]
+    if isinstance(report, list):
+        return [x for i, v in enumerate(report) for x in _leaves(v, f"{path}[{i}]")]
+    return [(path, report)]
+
+
+def _largest_relative_difference(a: str, b: str) -> str:
+    """How far the numbers of two JSON reports moved: the largest
+    |x - y| / max(|x|, |y|) over their numbers and where it is, or why it
+    is not defined."""
+    try:
+        x, y = _leaves(json.loads(a)), _leaves(json.loads(b))
+    except ValueError:
+        return "not JSON"
+
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if [p for p, _ in x] != [p for p, _ in y] or any(
+            not (number(u) and number(v)) and u != v for (_, u), (_, v) in zip(x, y)):
+        return "the reports' layouts or non-numeric values differ"
+    rel, where = max(((abs(u - v) / max(abs(u), abs(v)), p) for (p, u), (_, v) in zip(x, y)
+                      if number(u) and u != v), default=(0.0, "nowhere"))
+    return f"{rel:.3e} at {where}"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("parent", nargs="?")
@@ -120,6 +153,9 @@ def main(argv=None) -> int:
         for name, x, y in zip(("stdout", "stderr"), old[1:], new[1:]):
             if x != y:
                 print(f"  {name} {_first_difference(x, y)}")
+        if old[1] != new[1]:
+            print("  stdout largest relative difference of the numbers: "
+                  f"{_largest_relative_difference(old[1], new[1])}")
     print(f"{len(ops) - differ} of {len(ops)} operations print the same exit code, "
           "stdout and stderr")
     return 1 if differ else 0
